@@ -10,7 +10,7 @@ whose diagonal multiplication realizes the classical separability test.
 from __future__ import annotations
 
 from .fields import Field, FieldUsageError, poly_mod, poly_mul
-from .linalg import Mat, vec_scale, vec_zero
+from .linalg import bilinear, unit_vec, vec_scale
 
 
 class FiniteAlgebra:
@@ -26,19 +26,7 @@ class FiniteAlgebra:
 
     def mul(self, x, y):
         """Bilinear product of coefficient vectors."""
-        z = self.base.zero
-        out = list(vec_zero(self.base, self.dim))
-        for i, xi in enumerate(x):
-            if xi == z:
-                continue
-            for j, yj in enumerate(y):
-                if yj == z:
-                    continue
-                c = xi * yj
-                row = self.table[i][j]
-                for k in range(self.dim):
-                    out[k] = out[k] + c * row[k]
-        return tuple(out)
+        return bilinear(self.base, self.table, x, y)
 
     def power(self, x, e: int):
         result = self.one
@@ -50,27 +38,7 @@ class FiniteAlgebra:
         return vec_scale(s, self.one)
 
     def basis_vec(self, i):
-        v = [self.base.zero] * self.dim
-        v[i] = self.base.one
-        return tuple(v)
-
-    def left_mult_matrix(self, x) -> Mat:
-        cols = [self.mul(x, self.basis_vec(j)) for j in range(self.dim)]
-        return Mat.from_cols(self.base, cols, self.dim)
-
-    def is_commutative(self) -> bool:
-        return all(self.table[i][j] == self.table[j][i]
-                   for i in range(self.dim) for j in range(self.dim))
-
-    def is_associative(self) -> bool:
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    lhs = self.mul(self.table[i][j], self.basis_vec(k))
-                    rhs = self.mul(self.basis_vec(i), self.table[j][k])
-                    if lhs != rhs:
-                        return False
-        return True
+        return unit_vec(self.base, self.dim, i)
 
     def __repr__(self):
         return f"FiniteAlgebra({self.name})"
@@ -149,12 +117,3 @@ def tensor_algebra(A: FiniteAlgebra, B: FiniteAlgebra,
     return FiniteAlgebra(K, labels, table, tuple(one),
                          name=name or f"{A.name}⊗{B.name}")
 
-
-def pure_tensor(A: FiniteAlgebra, B: FiniteAlgebra, x, y):
-    """Coefficient vector of x (x) y inside tensor_algebra(A, B)."""
-    K = A.base
-    out = [K.zero] * (A.dim * B.dim)
-    for i, ci in enumerate(x):
-        for j, cj in enumerate(y):
-            out[i * B.dim + j] = ci * cj
-    return tuple(out)

@@ -26,8 +26,9 @@ import math
 
 from .fields import Field
 from .green import GreenFunctor, constant_functor
-from .linalg import Mat, inverse, vec_add, vec_is_zero, vec_scale, vec_zero
-from .mackey import InternalCheckError, MackeyFunctor
+from .linalg import Mat, inverse, unit_vec, vec_add, vec_is_zero, \
+    vec_scale, vec_zero
+from .mackey import InternalCheckError, MackeyFunctor, compose_chain
 from .presented import PresentedLevel
 
 
@@ -62,9 +63,7 @@ class BoxProduct:
         return self.offsets[m][d] + i * self.right.dim(d) + j
 
     def gen_unit(self, m, idx):
-        v = [self.scalars.zero] * self.amb_dim(m)
-        v[idx] = self.scalars.one
-        return tuple(v)
+        return unit_vec(self.scalars, self.amb_dim(m), idx)
 
     def place(self, m, d, tensor_vec, out):
         """Add a component-d tensor vector into ambient accumulator ``out``."""
@@ -75,24 +74,18 @@ class BoxProduct:
 
     def amb_res_chain(self, d, m) -> Mat:
         """Composite ambient restriction from level m down to level d."""
-        key = ("res", d, m)
-        if key not in self._chain_cache:
-            chain = self.lattice.chain_down(m, d)
-            out = Mat.identity(self.scalars, self.amb_dim(m))
-            for hi, lo in zip(chain, chain[1:]):
-                out = self.amb_res[(lo, hi)] @ out
-            self._chain_cache[key] = out
-        return self._chain_cache[key]
+        return self._chain("res", self.amb_res, m, d)
 
     def amb_tr_chain(self, m, d) -> Mat:
         """Composite ambient transfer (component relabeling) level d up to m."""
-        key = ("tr", m, d)
+        return self._chain("tr", self.amb_tr, m, d)
+
+    def _chain(self, kind, maps, hi, lo):
+        key = (kind, hi, lo)
         if key not in self._chain_cache:
-            chain = self.lattice.chain_down(m, d)[::-1]
-            out = Mat.identity(self.scalars, self.amb_dim(d))
-            for lo, hi in zip(chain, chain[1:]):
-                out = self.amb_tr[(hi, lo)] @ out
-            self._chain_cache[key] = out
+            self._chain_cache[key] = compose_chain(
+                self.scalars, maps, self.amb_dim,
+                self.lattice.chain_down(hi, lo), kind)
         return self._chain_cache[key]
 
     # -- multiplication --------------------------------------------------
@@ -114,14 +107,16 @@ class BoxProduct:
             # pure · class: restrict the pure tensor to the class origin
             u1 = self.left.mackey.res_mat(e, m).col(i)
             u2 = self.right.mackey.res_mat(e, m).col(j)
-            lvec = _expand_mult(self.left, e, u1, i2)
-            rvec = _expand_mult(self.right, e, u2, j2)
+            lvec = self.left.multiply(e, u1, unit_vec(K, self.left.dim(e), i2))
+            rvec = self.right.multiply(e, u2,
+                                       unit_vec(K, self.right.dim(e), j2))
             self.place(m, e, _tensor_vec(K, lvec, rvec), out)
         elif e == m:
             u1 = self.left.mackey.res_mat(d, m).col(i2)
             u2 = self.right.mackey.res_mat(d, m).col(j2)
-            lvec = _expand_mult(self.left, d, u1, i)
-            rvec = _expand_mult(self.right, d, u2, j)
+            lvec = self.left.multiply(d, u1, unit_vec(K, self.left.dim(d), i))
+            rvec = self.right.multiply(d, u2,
+                                       unit_vec(K, self.right.dim(d), j))
             self.place(m, d, _tensor_vec(K, lvec, rvec), out)
         else:
             # class · class: tr(u)·tr(v) = tr(u · res(tr v))
@@ -175,25 +170,9 @@ class BoxProduct:
     def expand(self, m, reduced_vec):
         return self.levels[m].expand(reduced_vec)
 
-    def multiply_reduced(self, m, x, y):
-        return self.green.multiply(m, x, y)
-
     def __repr__(self):
         dims = ", ".join(f"{m}:{self.dim(m)}" for m in self.lattice.divisors)
         return f"BoxProduct({self.name}; dims {dims})"
-
-
-def _expand_mult(factor: GreenFunctor, level, coeffs, basis_idx):
-    """Product (Σ coeffs_k · e_k) · e_basis at one level of one factor."""
-    K = factor.scalars
-    out = list(vec_zero(K, factor.dim(level)))
-    for k, c in enumerate(coeffs):
-        if c == K.zero:
-            continue
-        row = factor.mult[level][k][basis_idx]
-        for t in range(len(out)):
-            out[t] = out[t] + c * row[t]
-    return tuple(out)
 
 
 def _tensor_vec(K, u, v):
@@ -226,14 +205,20 @@ def _tensor_label(l, r):
 # construction
 
 
+def absolute_box_supported(K: Field) -> bool:
+    """An absolute box needs prime or rational scalars: only there does the
+    componentwise tensor agree with the integral one."""
+    return K.order is None or K.order == K.characteristic
+
+
 def build_box(left: GreenFunctor, right: GreenFunctor, *, relative=None,
               extra_relations=None, kind="box", name="", check=True
               ) -> BoxProduct:
     """Assemble a box product; see the module docstring for the relations.
 
     ``relative`` names the base field of a relative box (levels are already
-    vector spaces over it); an absolute box requires prime or rational
-    scalars so that the componentwise tensor agrees with the integral one.
+    vector spaces over it); an absolute box requires scalars for which
+    ``absolute_box_supported`` holds.
     ``extra_relations`` (dict m -> rows) is quotiented in addition, which is
     how the coequalizer oracle reuses this machinery.
     """
@@ -244,7 +229,7 @@ def build_box(left: GreenFunctor, right: GreenFunctor, *, relative=None,
     K = left.scalars
     lattice = left.lattice
     if relative is None:
-        if K.order is not None and K.order != K.characteristic:
+        if not absolute_box_supported(K):
             raise ValueError(
                 "absolute box products need prime or rational scalars; "
                 "use a relative box over the base field instead")
@@ -284,11 +269,8 @@ def build_box(left: GreenFunctor, right: GreenFunctor, *, relative=None,
 
     # ambient transfers: component relabeling upward
     for (m, mp) in lattice.covering_pairs:
-        cols = []
-        for (d, i, j) in bx.gens[m]:
-            v = [K.zero] * bx.amb_dim(mp)
-            v[bx.gen_index(mp, d, i, j)] = K.one
-            cols.append(tuple(v))
+        cols = [bx.gen_unit(mp, bx.gen_index(mp, d, i, j))
+                for (d, i, j) in bx.gens[m]]
         bx.amb_tr[(mp, m)] = Mat.from_cols(K, cols, bx.amb_dim(mp))
 
     # ambient restrictions: double coset formula on classes
@@ -347,11 +329,9 @@ def build_box(left: GreenFunctor, right: GreenFunctor, *, relative=None,
                 for i in range(left.dim(dp)):
                     for j in range(right.dim(d)):
                         out = [K.zero] * bx.amb_dim(m)
-                        ej = tuple(K.one if t == j else K.zero
-                                   for t in range(right.dim(d)))
+                        ej = unit_vec(K, right.dim(d), j)
                         bx.place(m, d, _tensor_vec(K, trl.col(i), ej), out)
-                        ei = tuple(K.one if t == i else K.zero
-                                   for t in range(left.dim(dp)))
+                        ei = unit_vec(K, left.dim(dp), i)
                         neg = vec_scale(-K.one,
                                         _tensor_vec(K, ei, rsr.col(j)))
                         bx.place(m, dp, neg, out)
@@ -359,11 +339,9 @@ def build_box(left: GreenFunctor, right: GreenFunctor, *, relative=None,
                 for i in range(left.dim(d)):
                     for j in range(right.dim(dp)):
                         out = [K.zero] * bx.amb_dim(m)
-                        ei = tuple(K.one if t == i else K.zero
-                                   for t in range(left.dim(d)))
+                        ei = unit_vec(K, left.dim(d), i)
                         bx.place(m, d, _tensor_vec(K, ei, trr.col(j)), out)
-                        ej = tuple(K.one if t == j else K.zero
-                                   for t in range(right.dim(dp)))
+                        ej = unit_vec(K, right.dim(dp), j)
                         neg = vec_scale(-K.one,
                                         _tensor_vec(K, rsl.col(i), ej))
                         bx.place(m, dp, neg, out)
@@ -552,20 +530,20 @@ def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int,
     for i in range(M.dim(1)):
         for j in range(N.dim(p)):
             out = [K.zero] * bx.amb_dim(p)
-            ej = tuple(K.one if t == j else K.zero for t in range(N.dim(p)))
+            ej = unit_vec(K, N.dim(p), j)
             for t, c in enumerate(_tensor_vec(K, trM.col(i), ej)):
                 out[t] = out[t] + c
-            ei = tuple(K.one if t == i else K.zero for t in range(M.dim(1)))
+            ei = unit_vec(K, M.dim(1), i)
             for s, c in enumerate(_tensor_vec(K, ei, rsN.col(j))):
                 out[bx.offsets[p][1] + s] = out[bx.offsets[p][1] + s] - c
             rows.append(tuple(out))
     for i in range(M.dim(p)):
         for j in range(N.dim(1)):
             out = [K.zero] * bx.amb_dim(p)
-            ei = tuple(K.one if t == i else K.zero for t in range(M.dim(p)))
+            ei = unit_vec(K, M.dim(p), i)
             for t, c in enumerate(_tensor_vec(K, ei, trN.col(j))):
                 out[t] = out[t] + c
-            ej = tuple(K.one if t == j else K.zero for t in range(N.dim(1)))
+            ej = unit_vec(K, N.dim(1), j)
             for s, c in enumerate(_tensor_vec(K, rsM.col(i), ej)):
                 out[bx.offsets[p][1] + s] = out[bx.offsets[p][1] + s] - c
             rows.append(tuple(out))
@@ -579,11 +557,7 @@ def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int,
     bx.amb_weyl[1] = tau
     bx.amb_weyl[p] = _prime_oracle_weyl_top(bx, M, N, p)
     # tr: classes are tagged copies of level-1 tensors
-    cols = []
-    for t in range(dim1):
-        v = [K.zero] * bx.amb_dim(p)
-        v[bx.offsets[p][1] + t] = K.one
-        cols.append(tuple(v))
+    cols = [bx.gen_unit(p, bx.offsets[p][1] + t) for t in range(dim1)]
     bx.amb_tr[(p, 1)] = Mat.from_cols(K, cols, bx.amb_dim(p))
     # res: res⊗res on the pure part, Weyl orbit sum on classes
     orbit_sum = Mat.identity(K, dim1)
@@ -656,45 +630,22 @@ def _attach_prime_oracle_mult(bx, M, N, p):
             elif d == p:
                 u = _tensor_vec(K, M.mackey.res[(1, p)].col(i),
                                 N.mackey.res[(1, p)].col(j))
-                prod = _level1_bilinear(bx, u, _unit_vec(K, dim1,
-                                                         i2 * N.dim(1) + j2))
+                prod = bx.mult_vec(1, u, bx.gen_unit(1, i2 * N.dim(1) + j2))
                 for s, c in enumerate(prod):
                     out[off + s] = c
             elif e == p:
                 u = _tensor_vec(K, M.mackey.res[(1, p)].col(i2),
                                 N.mackey.res[(1, p)].col(j2))
-                prod = _level1_bilinear(bx, _unit_vec(K, dim1,
-                                                      i * N.dim(1) + j), u)
+                prod = bx.mult_vec(1, bx.gen_unit(1, i * N.dim(1) + j), u)
                 for s, c in enumerate(prod):
                     out[off + s] = c
             else:
                 orbit = orbit_sum.col(i2 * N.dim(1) + j2)
-                prod = _level1_bilinear(
-                    bx, _unit_vec(K, dim1, i * N.dim(1) + j), orbit)
+                prod = bx.mult_vec(1, bx.gen_unit(1, i * N.dim(1) + j),
+                                   orbit)
                 for s, c in enumerate(prod):
                     out[off + s] = c
             bx._mult_cache[(p, ca, cb)] = tuple(out)
-
-
-def _unit_vec(K, n, idx):
-    v = [K.zero] * n
-    v[idx] = K.one
-    return tuple(v)
-
-
-def _level1_bilinear(bx, u, v):
-    K = bx.scalars
-    z = K.zero
-    dim1 = len(u)
-    out = [z] * dim1
-    nzu = [(t, a) for t, a in enumerate(u) if a != z]
-    nzv = [(t, b) for t, b in enumerate(v) if b != z]
-    for t1, a in nzu:
-        for t2, b in nzv:
-            c = a * b
-            for s, p in bx._mult_sparse(1, t1, t2):
-                out[s] = out[s] + c * p
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -723,26 +674,24 @@ def coequalizer_oracle(T: GreenFunctor, base, name: str = "",
     def act_left(m, d, wi, yj):
         """Middle factor into the left: [x⊗k]_e^d ⊗ y ↦ tr(kx) ⊗ y."""
         (e, i, _) = inner.gens[d][inner.levels[d].free[wi]]
-        out = [K.zero] * b2.amb_dim(m)
         if e == d:
-            out[b2.gen_index(m, d, i, yj)] = K.one
-        else:
-            for k_idx, c in enumerate(T.mackey.tr_mat(d, e).col(i)):
-                out[b2.gen_index(m, d, k_idx, yj)] = \
-                    out[b2.gen_index(m, d, k_idx, yj)] + c
+            return b2.gen_unit(m, b2.gen_index(m, d, i, yj))
+        out = [K.zero] * b2.amb_dim(m)
+        for k_idx, c in enumerate(T.mackey.tr_mat(d, e).col(i)):
+            out[b2.gen_index(m, d, k_idx, yj)] = \
+                out[b2.gen_index(m, d, k_idx, yj)] + c
         return tuple(out)
 
     def act_right(m, d, wi, yj):
         """Middle factor into the right, rewriting the inner class through
         Frobenius reciprocity first: [x⊗k]_e^d ⊗ y ≡ [x⊗k ⊗ res(y)]_e."""
         (e, i, _) = inner.gens[d][inner.levels[d].free[wi]]
-        out = [K.zero] * b2.amb_dim(m)
         if e == d:
-            out[b2.gen_index(m, d, i, yj)] = K.one
-        else:
-            for k_idx, c in enumerate(T.mackey.res_mat(e, d).col(yj)):
-                out[b2.gen_index(m, e, i, k_idx)] = \
-                    out[b2.gen_index(m, e, i, k_idx)] + c
+            return b2.gen_unit(m, b2.gen_index(m, d, i, yj))
+        out = [K.zero] * b2.amb_dim(m)
+        for k_idx, c in enumerate(T.mackey.res_mat(e, d).col(yj)):
+            out[b2.gen_index(m, e, i, k_idx)] = \
+                out[b2.gen_index(m, e, i, k_idx)] + c
         return tuple(out)
 
     extra = {}
@@ -788,7 +737,7 @@ def compare_boxes(b1: BoxProduct, b2: BoxProduct, gen_map=None):
     lat = b1.lattice
     if lat.n != b2.lattice.n:
         return ["different group orders"]
-    perms = {}
+    targets = {}   # m -> b2 index of each b1 generator
     for m in lat.divisors:
         if b1.amb_dim(m) != b2.amb_dim(m):
             diffs.append(f"level {m}: ambient dimensions differ")
@@ -796,21 +745,16 @@ def compare_boxes(b1: BoxProduct, b2: BoxProduct, gen_map=None):
         if gen_map is None:
             if b1._amb_labels[m] != b2._amb_labels[m]:
                 diffs.append(f"level {m}: generator labels differ")
-            perm = Mat.identity(b1.scalars, b1.amb_dim(m))
+            idx = range(b1.amb_dim(m))
         else:
-            cols = []
-            for g in b1.gens[m]:
-                target = gen_map(m, g)
-                cols.append(b2.gen_unit(m, b2.gens[m].index(target)))
-            perm = Mat.from_cols(b1.scalars, cols, b2.amb_dim(m))
-        perms[m] = perm
+            idx = [b2.gens[m].index(gen_map(m, g)) for g in b1.gens[m]]
+        targets[m] = idx
         for r in b1.levels[m].relations:
-            if not b2.levels[m].in_relation_span(perm.apply(r)):
+            if not b2.levels[m].in_relation_span(_move(b1.scalars, idx, r)):
                 diffs.append(f"level {m}: relation span differs (1 vs 2)")
                 break
         for r in b2.levels[m].relations:
-            back = perm.transpose().apply(r)  # permutation: transpose inverts
-            if not b1.levels[m].in_relation_span(back):
+            if not b1.levels[m].in_relation_span(tuple(r[t] for t in idx)):
                 diffs.append(f"level {m}: relation span differs (2 vs 1)")
                 break
         if b1.dim(m) != b2.dim(m):
@@ -821,9 +765,8 @@ def compare_boxes(b1: BoxProduct, b2: BoxProduct, gen_map=None):
 
     def transported(m):
         """Reduced b1 basis written in reduced b2 coordinates."""
-        cols = []
-        for f in b1.levels[m].free:
-            cols.append(b2.reduce(m, perms[m].apply(b1.gen_unit(m, f))))
+        cols = [b2.reduce(m, b2.gen_unit(m, targets[m][f]))
+                for f in b1.levels[m].free]
         return Mat.from_cols(b1.scalars, cols, b2.dim(m))
 
     phi = {m: transported(m) for m in lat.divisors}
@@ -844,9 +787,9 @@ def compare_boxes(b1: BoxProduct, b2: BoxProduct, gen_map=None):
                 b2.green.mackey.weyl[m] @ phi[m]:
             diffs.append(f"Weyl action differs at level {m}")
         for i in range(b1.dim(m)):
-            ei = _unit_vec(b1.scalars, b1.dim(m), i)
+            ei = unit_vec(b1.scalars, b1.dim(m), i)
             for j in range(b1.dim(m)):
-                ej = _unit_vec(b1.scalars, b1.dim(m), j)
+                ej = unit_vec(b1.scalars, b1.dim(m), j)
                 lhs = phi[m].apply(b1.green.mult[m][i][j])
                 rhs = b2.green.multiply(m, phi[m].apply(ei), phi[m].apply(ej))
                 if lhs != rhs:
@@ -858,6 +801,14 @@ def compare_boxes(b1: BoxProduct, b2: BoxProduct, gen_map=None):
         if phi[m].apply(b1.green.unit[m]) != b2.green.unit[m]:
             diffs.append(f"unit differs at level {m}")
     return diffs
+
+
+def _move(K, idx, v):
+    """Send coordinate t of v to coordinate idx[t]."""
+    out = [K.zero] * len(v)
+    for t, c in zip(idx, v):
+        out[t] = out[t] + c
+    return tuple(out)
 
 
 def swap_isomorphic(bMN: BoxProduct, bNM: BoxProduct):
@@ -890,9 +841,7 @@ def norm_on_c2_box(bx: BoxProduct, vec, term_order=None):
         lv = [K.zero] * bx.left.dim(1)
         lv[i] = c
         nl = bx.left.norm(2, 1, tuple(lv))
-        ev = [K.zero] * bx.right.dim(1)
-        ev[j] = K.one
-        nr = bx.right.norm(2, 1, tuple(ev))
+        nr = bx.right.norm(2, 1, unit_vec(K, bx.right.dim(1), j))
         out = [K.zero] * bx.amb_dim(2)
         bx.place(2, 2, _tensor_vec(K, nl, nr), out)
         return tuple(out)

@@ -23,8 +23,8 @@ from .boxes import BoxProduct, build_box
 from .extensions import GaloisExtension
 from .fields import Field
 from .green import GreenFunctor, constant_functor
-from .linalg import Mat, Span, kernel, solve_matrix, vec_is_zero, vec_scale, \
-    vec_sub, vec_zero
+from .linalg import Mat, Span, kernel, solve_matrix, unit_vec, vec_is_zero, \
+    vec_scale, vec_sub, vec_zero
 from .mackey import InternalCheckError, MackeyMorphism, Violation
 
 
@@ -54,9 +54,8 @@ def mult_map(bx: BoxProduct, target: GreenFunctor = None) -> MackeyMorphism:
                 raise InternalCheckError(
                     f"multiplication map does not kill relations at level {m}",
                     witness=(m, r, amb.apply(r)))
-        cols = [amb.apply(bx.levels[m].expand(
-            tuple(K.one if t == idx else K.zero for t in range(bx.dim(m)))))
-            for idx in range(bx.dim(m))]
+        cols = [amb.apply(bx.levels[m].expand(unit_vec(K, bx.dim(m), idx)))
+                for idx in range(bx.dim(m))]
         comps[m] = Mat.from_cols(K, cols, T.dim(m))
     morphism = MackeyMorphism(bx.green.mackey, T.mackey, comps, name="mult")
     bad = morphism.check()
@@ -75,8 +74,8 @@ def unit_section_check(bx: BoxProduct, mm: MackeyMorphism) -> bool:
             out = [K.zero] * bx.amb_dim(m)
             for j, c in enumerate(T.unit[m]):
                 out[bx.gen_index(m, m, i, j)] = c
-            ei = tuple(K.one if t == i else K.zero for t in range(T.dim(m)))
-            if mm.apply(m, bx.reduce(m, tuple(out))) != ei:
+            if mm.apply(m, bx.reduce(m, tuple(out))) != \
+                    unit_vec(K, T.dim(m), i):
                 return False
     return True
 
@@ -137,8 +136,7 @@ def check_ideal(bx: BoxProduct, data: IdealData):
         span_i = Span(K, bx.dim(m), data.ideal[m])
         for u in data.ideal[m]:
             for i in range(bx.dim(m)):
-                ei = tuple(K.one if t == i else K.zero
-                           for t in range(bx.dim(m)))
+                ei = unit_vec(K, bx.dim(m), i)
                 if not span_i.contains(bx.green.multiply(m, u, ei)):
                     out.append(Violation("ideal_multiplication",
                                          {"level": m}, ""))
@@ -331,8 +329,7 @@ def kummer_congruence_checks(bx: BoxProduct, E: GaloisExtension,
         rep.record(span_i.contains(w), f"level {m}: ma−[α⊗α^{n-1}] in I")
 
         # kernel of the restriction to the free level
-        res_to_free = _composite_res(bx, m)
-        for z in kernel(res_to_free):
+        for z in kernel(bx.green.mackey.res_mat(1, m)):
             rep.record(span_i.contains(z),
                        f"level {m}: ker res ⊆ I")
             rep.record(span_sq.contains(z),
@@ -403,14 +400,6 @@ def kummer_congruence_checks(bx: BoxProduct, E: GaloisExtension,
                                f"level {m}, d={d}: product rule at "
                                f"({i1},{i2})")
     return rep
-
-
-def _composite_res(bx: BoxProduct, m: int) -> Mat:
-    chain = bx.lattice.chain_down(m, 1)
-    out = Mat.identity(bx.scalars, bx.dim(m))
-    for hi, lo in zip(chain, chain[1:]):
-        out = bx.green.mackey.res[(lo, hi)] @ out
-    return out
 
 
 # ---------------------------------------------------------------------------

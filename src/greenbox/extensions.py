@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebras import FiniteAlgebra, poly_quotient_algebra
-from .fields import Field, FieldUsageError, RationalField
+from .fields import Field, FieldUsageError, RationalField, is_prime
 from .linalg import Mat, kernel, vec_is_zero
 
 
@@ -147,13 +147,9 @@ def _is_primitive_root_of_unity(K: Field, zeta, n: int) -> bool:
     if zeta ** n != K.one:
         return False
     for r in range(2, n + 1):
-        if n % r == 0 and _prime(r) and zeta ** (n // r) == K.one:
+        if n % r == 0 and is_prime(r) and zeta ** (n // r) == K.one:
             return False
     return True
-
-
-def _prime(r: int) -> bool:
-    return r > 1 and all(r % d for d in range(2, int(r ** 0.5) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +179,7 @@ def kummer_extension(K: Field, n: int, a, zeta) -> GaloisExtension:
             f"{zeta} is not a primitive {n}-th root of unity in {K}")
     if n > 1:
         for r in range(2, n + 1):
-            if n % r == 0 and _prime(r) and _has_mth_root(K, a, r):
+            if n % r == 0 and is_prime(r) and _has_mth_root(K, a, r):
                 raise ConstructionError(
                     f"not a field extension: x^{n} - {a} is reducible "
                     f"({a} is an {r}-th power in {K})")

@@ -22,7 +22,7 @@ import random
 from .algebras import FiniteAlgebra, base_as_algebra
 from .extensions import GaloisExtension
 from .fields import Field
-from .linalg import Mat, solve_matrix, vec_zero
+from .linalg import Mat, bilinear, solve_matrix, unit_vec, vec_zero
 from .mackey import (InternalCheckError, MackeyFunctor, SubgroupLattice,
                      Violation, subgroup_lattice)
 
@@ -61,19 +61,7 @@ class GreenFunctor:
 
     def multiply(self, m, x, y):
         """Bilinear product of level-m coefficient vectors."""
-        K = self.scalars
-        out = list(vec_zero(K, self.dim(m)))
-        for i, xi in enumerate(x):
-            if xi == K.zero:
-                continue
-            for j, yj in enumerate(y):
-                if yj == K.zero:
-                    continue
-                c = xi * yj
-                row = self.mult[m][i][j]
-                for k in range(self.dim(m)):
-                    out[k] = out[k] + c * row[k]
-        return tuple(out)
+        return bilinear(self.scalars, self.mult[m], x, y)
 
     def power(self, m, x, e: int):
         out = self.unit[m]
@@ -236,8 +224,7 @@ def check_green(G: GreenFunctor):
 
     for m in lat.divisors:
         dim = G.dim(m)
-        basis = [tuple(K.one if i == j else K.zero for j in range(dim))
-                 for i in range(dim)]
+        basis = [unit_vec(K, dim, i) for i in range(dim)]
         for i in range(dim):
             if G.multiply(m, G.unit[m], basis[i]) != basis[i]:
                 out.append(Violation("unit", {"level": m, "basis": i}, G.name))
@@ -273,9 +260,9 @@ def check_green(G: GreenFunctor):
             out.append(Violation("res_unit", {"pair": (d, m)}, G.name))
         dim_m, dim_d = G.dim(m), G.dim(d)
         for i in range(dim_m):
-            ei = tuple(K.one if t == i else K.zero for t in range(dim_m))
+            ei = unit_vec(K, dim_m, i)
             for j in range(dim_m):
-                ej = tuple(K.one if t == j else K.zero for t in range(dim_m))
+                ej = unit_vec(K, dim_m, j)
                 lhs = res.apply(G.mult[m][i][j])
                 rhs = G.multiply(d, res.apply(ei), res.apply(ej))
                 if lhs != rhs:
@@ -284,9 +271,9 @@ def check_green(G: GreenFunctor):
                                          G.name))
         # Frobenius reciprocity: tr(x)·y = tr(x·res(y))
         for i in range(dim_d):
-            ei = tuple(K.one if t == i else K.zero for t in range(dim_d))
+            ei = unit_vec(K, dim_d, i)
             for j in range(dim_m):
-                ej = tuple(K.one if t == j else K.zero for t in range(dim_m))
+                ej = unit_vec(K, dim_m, j)
                 lhs = G.multiply(m, tr.apply(ei), ej)
                 rhs = tr.apply(G.multiply(d, ei, res.apply(ej)))
                 if lhs != rhs:
@@ -306,8 +293,7 @@ def check_norms(G: GreenFunctor):
     K = G.scalars
     for (d, m) in lat.covering_pairs:
         dim_d = G.dim(d)
-        basis = [tuple(K.one if t == i else K.zero for t in range(dim_d))
-                 for i in range(dim_d)]
+        basis = [unit_vec(K, dim_d, i) for i in range(dim_d)]
         for i in range(dim_d):
             for j in range(dim_d):
                 lhs = G.norm(m, d, G.multiply(d, basis[i], basis[j]))
@@ -321,7 +307,7 @@ def check_norms(G: GreenFunctor):
             out.append(Violation("norm_unit", {"pair": (d, m)}, G.name))
         res = G.mackey.res[(d, m)]
         for i in range(G.dim(m)):
-            ei = tuple(K.one if t == i else K.zero for t in range(G.dim(m)))
+            ei = unit_vec(K, G.dim(m), i)
             if G.norm(m, d, res.apply(ei)) != G.power(m, ei, m // d):
                 out.append(Violation("norm_of_restriction",
                                      {"pair": (d, m), "basis": i}, G.name))
@@ -354,12 +340,8 @@ def permute_green(G: GreenFunctor, perms: dict) -> GreenFunctor:
     mats = {}
     for m in G.lattice.divisors:
         perm = perms.get(m, list(range(G.dim(m))))
-        cols = []
-        for old in perm:
-            cols.append(tuple(K.one if t == old else K.zero
-                              for t in range(G.dim(m))))
-        # column j of the base change picks the perm[j]-th old basis vector
-        mats[m] = Mat.from_cols(K, cols, G.dim(m)).transpose()
+        # row j of the base change picks the perm[j]-th old coordinate
+        mats[m] = _perm_cols(K, perm, G.dim(m)).transpose()
     from .mackey import base_change
     mack = base_change(G.mackey, mats, name=f"{G.name} (permuted)")
     mack.labels = {m: [G.labels(m)[perms.get(m, list(range(G.dim(m))))[i]]
@@ -388,9 +370,7 @@ def permute_green(G: GreenFunctor, perms: dict) -> GreenFunctor:
 
 
 def _perm_cols(K, perm, n) -> Mat:
-    cols = [tuple(K.one if t == old else K.zero for t in range(n))
-            for old in perm]
-    return Mat.from_cols(K, cols, n)
+    return Mat.from_cols(K, [unit_vec(K, n, old) for old in perm], n)
 
 
 def corrupt_multiplication(G: GreenFunctor, seed: int = 0) -> GreenFunctor:

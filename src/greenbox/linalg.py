@@ -5,8 +5,10 @@ column count, so zero-dimensional spaces (which occur as functor levels) are
 handled without ambiguity.  Maps act on column vectors: a map V -> W is an
 (dim W) x (dim V) matrix and ``A.apply(v)`` computes A v.
 
-Everything here is plain Gaussian elimination in exact arithmetic; there are
-no tolerances and no pivoting heuristics beyond "first nonzero".
+All elimination goes through one kernel, ``Span``: an incrementally built,
+fully reduced echelon form with pivots at the first (or, on request, the
+last) nonzero entry of each row.  Arithmetic is exact; there are no
+tolerances and no pivoting heuristics.
 """
 
 from __future__ import annotations
@@ -33,9 +35,7 @@ class Mat:
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)]
-                           for i in range(n)], ncols=n)
+        return cls(field, [unit_vec(field, n, i) for i in range(n)], ncols=n)
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
@@ -49,10 +49,6 @@ class Mat:
                 raise ValueError("column of wrong length")
         return cls(field, [[c[i] for c in cols] for i in range(nrows)],
                    ncols=len(cols))
-
-    @classmethod
-    def from_rows(cls, field, rows, ncols):
-        return cls(field, rows, ncols=ncols)
 
     # -- algebra ------------------------------------------------------
 
@@ -140,10 +136,6 @@ class Mat:
                    [ra + rb for ra, rb in zip(self.rows, other.rows)],
                    ncols=self.ncols + other.ncols)
 
-    def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(a == z for r in self.rows for a in r)
-
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.field is other.field
                 and self.ncols == other.ncols and self.rows == other.rows)
@@ -183,12 +175,37 @@ def vec_is_zero(field, a):
     return all(x == z for x in a)
 
 
+def unit_vec(field, n, i):
+    """The i-th standard basis vector of length n."""
+    v = [field.zero] * n
+    v[i] = field.one
+    return tuple(v)
+
+
+def bilinear(field, table, x, y):
+    """Product of coefficient vectors x, y through structure constants:
+    ``table[i][j]`` is the coefficient vector of e_i·e_j."""
+    z = field.zero
+    out = [z] * len(table)
+    for i, xi in enumerate(x):
+        if xi == z:
+            continue
+        row = table[i]
+        for j, yj in enumerate(y):
+            if yj == z:
+                continue
+            c = xi * yj
+            for k, t in enumerate(row[j]):
+                out[k] = out[k] + c * t
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # elimination
 
 
 def rref(mat: Mat, pivot_order: str = "first"):
-    """Reduced row echelon form.
+    """Reduced row echelon form, built through ``Span``.
 
     With ``pivot_order="first"`` pivots are the leading nonzero entries
     (classical RREF).  With ``"last"`` the pivot of each row is its *trailing*
@@ -199,49 +216,12 @@ def rref(mat: Mat, pivot_order: str = "first"):
     Returns (R, pivots) with R a Mat of the nonzero rows sorted by pivot
     column and pivots the matching tuple of column indices.
     """
-    if pivot_order not in ("first", "last"):
-        raise ValueError(pivot_order)
-    field = mat.field
-    n = mat.ncols
-    if pivot_order == "last":
-        flipped = Mat(field, [r[::-1] for r in mat.rows], ncols=n)
-        r, piv = rref(flipped, "first")
-        rows = [row[::-1] for row in r.rows]
-        pivots = [n - 1 - p for p in piv]
-        order = sorted(range(len(rows)), key=lambda i: pivots[i])
-        return (Mat(field, [rows[i] for i in order], ncols=n),
-                tuple(pivots[i] for i in order))
-
-    z = field.zero
-    rows = [list(r) for r in mat.rows]
-    pivots = []
-    pivot_row = 0
-    for col in range(n):
-        sel = None
-        for i in range(pivot_row, len(rows)):
-            if rows[i][col] != z:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        inv = field.one / rows[pivot_row][col]
-        rows[pivot_row] = [inv * a for a in rows[pivot_row]]
-        for i in range(len(rows)):
-            if i != pivot_row and rows[i][col] != z:
-                c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-    return Mat(field, rows[:pivot_row], ncols=n), tuple(pivots)
+    rows, pivots = Span(mat.field, mat.ncols, mat.rows, pivot_order).echelon()
+    return Mat(mat.field, rows, ncols=mat.ncols), pivots
 
 
 def rank(mat: Mat) -> int:
     return len(rref(mat)[1])
-
-
-def row_space(mat: Mat) -> Mat:
-    return rref(mat)[0]
 
 
 def kernel(mat: Mat):
@@ -303,39 +283,50 @@ def inverse(mat: Mat):
     return inv
 
 
-class Span:
-    """A row space with incremental membership tests (first-pivot RREF)."""
+def eliminate(rows, pivots, v, zero):
+    """Clear the pivot coordinates of v against fully reduced rows (a 1 at
+    each row's pivot, 0 at every other row's pivot); returns a list."""
+    v = list(v)
+    for row, p in zip(rows, pivots):
+        c = v[p]
+        if c != zero:
+            v = [a - c * b for a, b in zip(v, row)]
+    return v
 
-    def __init__(self, field, ncols, rows=()):
+
+class Span:
+    """A row space in fully reduced echelon form, grown one row at a time.
+
+    Every stored row has a 1 at its pivot and 0 at the other rows' pivots.
+    The pivot of a row is its first nonzero entry (``pivot_order="first"``)
+    or its last (``"last"``).  Both forms are unique for a given row space,
+    so the order of insertion never shows.
+    """
+
+    def __init__(self, field, ncols, rows=(), pivot_order="first"):
+        if pivot_order not in ("first", "last"):
+            raise ValueError(pivot_order)
         self.field = field
         self.ncols = ncols
+        self._scan = range(ncols) if pivot_order == "first" \
+            else range(ncols - 1, -1, -1)
         self._rows = []   # reduced rows
         self._pivots = []
         for r in rows:
             self.add(r)
 
-    def _reduce(self, v):
-        v = list(v)
-        z = self.field.zero
-        for row, p in zip(self._rows, self._pivots):
-            if v[p] != z:
-                c = v[p]
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
-
     def add(self, v) -> bool:
         """Insert v; returns True if it enlarged the span."""
-        v = self._reduce(v)
         z = self.field.zero
-        for j in range(self.ncols):
+        v = eliminate(self._rows, self._pivots, v, z)
+        for j in self._scan:
             if v[j] != z:
                 inv = self.field.one / v[j]
                 v = [inv * a for a in v]
-                for i in range(len(self._rows)):
-                    c = self._rows[i][j]
+                for i, row in enumerate(self._rows):
+                    c = row[j]
                     if c != z:
-                        self._rows[i] = [a - c * b
-                                         for a, b in zip(self._rows[i], v)]
+                        self._rows[i] = [a - c * b for a, b in zip(row, v)]
                 self._rows.append(v)
                 self._pivots.append(j)
                 return True
@@ -343,7 +334,7 @@ class Span:
 
     def contains(self, v) -> bool:
         z = self.field.zero
-        return all(a == z for a in self._reduce(v))
+        return all(a == z for a in eliminate(self._rows, self._pivots, v, z))
 
     def contains_all(self, vs) -> bool:
         return all(self.contains(v) for v in vs)
@@ -352,9 +343,14 @@ class Span:
     def dim(self) -> int:
         return len(self._rows)
 
+    def echelon(self):
+        """(rows, pivots), sorted by pivot column."""
+        order = sorted(range(len(self._rows)), key=self._pivots.__getitem__)
+        return ([tuple(self._rows[i]) for i in order],
+                tuple(self._pivots[i] for i in order))
+
     def basis(self):
-        order = sorted(range(len(self._rows)), key=lambda i: self._pivots[i])
-        return [tuple(self._rows[i]) for i in order]
+        return self.echelon()[0]
 
     def __eq__(self, other):
         if not isinstance(other, Span):

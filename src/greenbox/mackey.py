@@ -23,8 +23,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .fields import Field
-from .linalg import Mat, inverse, kernel, solve_matrix
+from .fields import Field, is_prime
+from .linalg import Mat, inverse, kernel, solve_matrix, unit_vec
 
 
 class InternalCheckError(AssertionError):
@@ -49,7 +49,7 @@ class SubgroupLattice:
         self.divisors = [d for d in range(1, n + 1) if n % d == 0]
         self.covering_pairs = [(d, m) for m in self.divisors
                                for d in self.divisors
-                               if m % d == 0 and _is_prime(m // d)]
+                               if m % d == 0 and is_prime(m // d)]
 
     def check_divisor(self, m: int) -> None:
         if m not in self.divisors:
@@ -83,10 +83,6 @@ class SubgroupLattice:
 
     def __repr__(self):
         return f"SubgroupLattice(C_{self.n})"
-
-
-def _is_prime(r: int) -> bool:
-    return r > 1 and all(r % q for q in range(2, int(r ** 0.5) + 1))
 
 
 def _smallest_prime_factor(r: int) -> int:
@@ -137,24 +133,17 @@ class MackeyFunctor:
     def res_mat(self, d: int, m: int) -> Mat:
         """Restriction level m -> level d (d | m), composed along the
         canonical covering chain."""
-        key = ("res", d, m)
-        if key not in self._cache:
-            chain = self.lattice.chain_down(m, d)
-            out = Mat.identity(self.scalars, self.dim(m))
-            for hi, lo in zip(chain, chain[1:]):
-                out = self.res[(lo, hi)] @ out
-            self._cache[key] = out
-        return self._cache[key]
+        return self._chain("res", m, d)
 
     def tr_mat(self, m: int, d: int) -> Mat:
         """Transfer level d -> level m (d | m) along the canonical chain."""
-        key = ("tr", m, d)
+        return self._chain("tr", m, d)
+
+    def _chain(self, kind, hi, lo):
+        key = (kind, hi, lo)
         if key not in self._cache:
-            chain = self.lattice.chain_down(m, d)[::-1]
-            out = Mat.identity(self.scalars, self.dim(d))
-            for lo, hi in zip(chain, chain[1:]):
-                out = self.tr[(hi, lo)] @ out
-            self._cache[key] = out
+            self._cache[key] = _compose_chain(self, kind,
+                                              self.lattice.chain_down(hi, lo))
         return self._cache[key]
 
     def weyl_pow(self, m: int, k: int) -> Mat:
@@ -202,15 +191,26 @@ def compose_structure(M: MackeyFunctor, kind: str, frm: int, to: int) -> Mat:
 
 
 def _compose_chain(M: MackeyFunctor, kind: str, chain_down):
+    maps = M.res if kind == "res" else M.tr
+    return compose_chain(M.scalars, maps, M.dim, chain_down, kind)
+
+
+def compose_chain(K: Field, maps, dim, chain_down, kind: str) -> Mat:
+    """Composite of covering-pair maps along c_0 > c_1 > ... > c_k.
+
+    ``kind="res"`` composes ``maps[(lo, hi)]`` from level c_0 down to c_k;
+    ``kind="tr"`` composes ``maps[(hi, lo)]`` from c_k up to c_0.  ``dim``
+    gives a level's dimension, for the identity a one-level chain yields.
+    """
+    steps = list(zip(chain_down, chain_down[1:]))
     if kind == "res":
-        out = Mat.identity(M.scalars, M.dim(chain_down[0]))
-        for hi, lo in zip(chain_down, chain_down[1:]):
-            out = M.res[(lo, hi)] @ out
-        return out
-    out = Mat.identity(M.scalars, M.dim(chain_down[-1]))
-    up = chain_down[::-1]
-    for lo, hi in zip(up, up[1:]):
-        out = M.tr[(hi, lo)] @ out
+        out = Mat.identity(K, dim(chain_down[0]))
+        keys = [(lo, hi) for hi, lo in steps]
+    else:
+        out = Mat.identity(K, dim(chain_down[-1]))
+        keys = [(hi, lo) for hi, lo in reversed(steps)]
+    for key in keys:
+        out = maps[key] @ out
     return out
 
 
@@ -485,9 +485,7 @@ def permutation_module_atom(scalars: Field, lattice: SubgroupLattice,
     """Fixed points of the permutation module K[C_n/C_e] (σ shifts cosets)."""
     lattice.check_divisor(e)
     size = lattice.n // e
-    z, o = scalars.zero, scalars.one
-    rows = [[o if (i - 1) % size == j else z for j in range(size)]
-            for i in range(size)]
+    rows = [unit_vec(scalars, size, (i - 1) % size) for i in range(size)]
     shift = Mat(scalars, rows, ncols=size)
     return fix_of_module(scalars, lattice, shift, name=f"atom C_n/C_{e}")
 

@@ -31,9 +31,10 @@ from dataclasses import dataclass, field
 from .algebras import FiniteAlgebra, tensor_algebra
 from .boxes import BoxProduct, box
 from .extensions import GaloisExtension
-from .fields import Field
+from .fields import Field, is_prime
 from .green import GreenFunctor, constant_functor, fix_functor
-from .linalg import Mat, column_space, inverse, solve_matrix, vec_is_zero
+from .linalg import Mat, column_space, inverse, solve_matrix, unit_vec, \
+    vec_is_zero
 from .mackey import (FixedPointModule, InternalCheckError, MackeyFunctor,
                      MackeyMorphism, Violation, fix_of_module)
 
@@ -73,7 +74,7 @@ def eigen_decompose(M: MackeyFunctor, zeta) -> EigenDecomposition:
         raise ValueError(f"{n} is not invertible in {K}")
     if zeta ** n != K.one or any(
             zeta ** (n // r) == K.one
-            for r in range(2, n + 1) if n % r == 0 and _is_prime(r)):
+            for r in range(2, n + 1) if n % r == 0 and is_prime(r)):
         raise ValueError(f"{zeta} is not a primitive {n}-th root of unity")
 
     inv_n = K.one / K.from_int(n)
@@ -115,10 +116,6 @@ def _restrict_map(embed_target: Mat, image: Mat) -> Mat:
     return out
 
 
-def _is_prime(r: int) -> bool:
-    return r > 1 and all(r % q for q in range(2, int(r ** 0.5) + 1))
-
-
 def check_eigen(dec: EigenDecomposition):
     """Projector identities and the three eigenpiece properties."""
     out = []
@@ -155,8 +152,8 @@ def check_eigen(dec: EigenDecomposition):
             if m == 1 or i % m:
                 continue
             dim = piece.functor.dim(m)
-            res = _compose_down(piece.functor, m)
-            tr = _compose_up(piece.functor, m)
+            res = piece.functor.res_mat(1, m)
+            tr = piece.functor.tr_mat(m, 1)
             scalar = K.from_int(m)
             if tr @ res != Mat.identity(K, dim).scale(scalar):
                 out.append(Violation("res_tr_scalar",
@@ -167,22 +164,6 @@ def check_eigen(dec: EigenDecomposition):
                 out.append(Violation("tr_res_scalar",
                                      {"piece": i, "level": m},
                                      "res∘tr is not multiplication by m"))
-    return out
-
-
-def _compose_down(F: MackeyFunctor, m: int) -> Mat:
-    chain = F.lattice.chain_down(m, 1)
-    out = Mat.identity(F.scalars, F.dim(m))
-    for hi, lo in zip(chain, chain[1:]):
-        out = F.res[(lo, hi)] @ out
-    return out
-
-
-def _compose_up(F: MackeyFunctor, m: int) -> Mat:
-    chain = F.lattice.chain_down(m, 1)[::-1]
-    out = Mat.identity(F.scalars, F.dim(1))
-    for lo, hi in zip(chain, chain[1:]):
-        out = F.tr[(hi, lo)] @ out
     return out
 
 
@@ -200,8 +181,7 @@ def fix_reconstruction(M: MackeyFunctor) -> tuple:
                         labels=M.labels[1], name=f"fix({M.name}(1))")
     comps = {}
     for m in M.lattice.divisors:
-        img = M.res_mat(1, m) if m != 1 else Mat.identity(K, M.dim(1))
-        comp = solve_matrix(fpm.embeds[m], img)
+        comp = solve_matrix(fpm.embeds[m], M.res_mat(1, m))
         if comp is None:
             raise InternalCheckError(
                 f"restriction image at level {m} escapes the fixed points")
@@ -459,10 +439,8 @@ def constant_box_iso(bx: BoxProduct, tensor: FiniteAlgebra):
         for r in bx.levels[m].relations:
             if not vec_is_zero(K, amb.apply(r)):
                 return None
-        red_cols = [amb.apply(bx.levels[m].expand(
-            tuple(K.one if t == idx else K.zero
-                  for t in range(bx.dim(m)))))
-            for idx in range(bx.dim(m))]
+        red_cols = [amb.apply(bx.levels[m].expand(unit_vec(K, bx.dim(m), idx)))
+                    for idx in range(bx.dim(m))]
         phi = Mat.from_cols(K, red_cols, tensor.dim)
         if inverse(phi) is None:
             return None
@@ -495,11 +473,9 @@ def constant_box_lemma_check(A_alg: FiniteAlgebra, B_alg: FiniteAlgebra,
         for m in bx.lattice.divisors:
             phi = iso[m]
             for i in range(bx.dim(m)):
-                ei = tuple(K.one if t == i else K.zero
-                           for t in range(bx.dim(m)))
+                ei = unit_vec(K, bx.dim(m), i)
                 for j in range(bx.dim(m)):
-                    ej = tuple(K.one if t == j else K.zero
-                               for t in range(bx.dim(m)))
+                    ej = unit_vec(K, bx.dim(m), j)
                     lhs = phi.apply(bx.green.multiply(m, ei, ej))
                     rhs = tensor.mul(phi.apply(ei), phi.apply(ej))
                     if lhs != rhs:

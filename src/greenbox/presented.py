@@ -12,7 +12,7 @@ span; the reduced dimension is #generators - rank(relations).
 
 from __future__ import annotations
 
-from .linalg import Mat, rref, vec_is_zero
+from .linalg import Mat, eliminate, rref, vec_is_zero
 
 
 class PresentedLevel:
@@ -26,7 +26,7 @@ class PresentedLevel:
                     if not vec_is_zero(field, tuple(r))]
         self.relations = rel_rows
         reduced, pivots = rref(Mat(field, rel_rows, ncols=self.ngens), "last")
-        self._rel_rref = reduced
+        self._rel_rows = reduced.rows
         self.pivots = pivots
         self.free = tuple(j for j in range(self.ngens) if j not in pivots)
         self.dim = len(self.free)
@@ -36,13 +36,8 @@ class PresentedLevel:
         """Canonical coset representative: pivot coordinates eliminated."""
         if len(v) != self.ngens:
             raise ValueError("ambient vector of wrong length")
-        v = list(v)
-        z = self.field.zero
-        for row, p in zip(self._rel_rref.rows, self.pivots):
-            c = v[p]
-            if c != z:
-                v = [a - c * b for a, b in zip(v, row)]
-        return tuple(v)
+        return tuple(eliminate(self._rel_rows, self.pivots, v,
+                               self.field.zero))
 
     def reduce(self, v):
         """Reduced coordinates (length ``dim``) of an ambient vector."""
@@ -63,12 +58,6 @@ class PresentedLevel:
 
     def rel_rank(self) -> int:
         return len(self.pivots)
-
-    def same_relation_span(self, other: "PresentedLevel") -> bool:
-        if self.ngens != other.ngens or self.rel_rank() != other.rel_rank():
-            return False
-        return all(other.in_relation_span(r) for r in self.relations) and \
-            all(self.in_relation_span(r) for r in other.relations)
 
     def __repr__(self):
         return f"PresentedLevel(dim {self.dim} = {self.ngens} gens - " \

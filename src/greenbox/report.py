@@ -33,13 +33,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .boxes import box, compare_boxes, coequalizer_oracle, norm_on_c2_box, \
-    prime_box_oracle, relative_box
+from .boxes import absolute_box_supported, box, compare_boxes, \
+    coequalizer_oracle, norm_on_c2_box, prime_box_oracle, relative_box
 from .etale import EtaleVerdict, classical_etale_oracle, green_kahler_dims, \
     ideal_and_square, kummer_congruence_checks, mult_map, unit_section_check
 from .extensions import GaloisExtension, artin_schreier_extension, \
     kummer_extension
-from .fields import Field, extension_field, prime_field, rationals
+from .fields import Field, extension_field, is_prime, prime_field, rationals
 from .green import check_green, check_norms, fix_functor, zero_green
 from .linalg import Span
 from .mackey import check_axioms, corrupt_transfer, random_mackey, \
@@ -114,11 +114,10 @@ class RunConfig:
 
 def load_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
     cfg = RunConfig()
     try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
         if parser.has_section("field"):
             sec = parser["field"]
             if "p" in sec:
@@ -137,8 +136,14 @@ def load_config(path: str) -> RunConfig:
             cfg.seed = sec.getint("seed", fallback=0)
             cfg.count = sec.getint("count", fallback=100)
             cfg.fmt = sec.get("format", fallback="text").strip()
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"malformed config {path}: {exc}") from exc
+    except ConfigError:
+        raise
+    except (KeyError, ValueError, configparser.Error) as exc:
+        # parser messages span lines; the CLI prints one
+        detail = " ".join(str(exc).split())
+        raise ConfigError(f"malformed config {path}: {detail}") from exc
+    if cfg.n < 1:
+        raise ConfigError(f"group order n must be positive, got {cfg.n}")
     if cfg.fmt not in ("text", "json"):
         raise ConfigError(f"unknown output format {cfg.fmt!r}")
     if cfg.flavor == "artin_schreier" and cfg.n != 2:
@@ -274,10 +279,10 @@ def run_pipeline(cfg: RunConfig) -> EtaleReport:
         }
 
     oracle_agreement = {"unit_section": unit_section_check(rb, mm)}
-    if K.order is None or K.order == K.characteristic:
+    if absolute_box_supported(K):
         co = coequalizer_oracle(L, K)
         oracle_agreement["coequalizer"] = not compare_boxes(rb, co)
-        if _is_prime(n):
+        if is_prime(n):
             ab = box(L, L)
             po = prime_box_oracle(L, L, n)
             oracle_agreement["prime_closed_form"] = not compare_boxes(ab, po)
@@ -398,10 +403,6 @@ def _details_strs(details: dict) -> dict:
         else:
             out[k] = str(v)
     return out
-
-
-def _is_prime(r: int) -> bool:
-    return r > 1 and all(r % q for q in range(2, int(r ** 0.5) + 1))
 
 
 def _structure_table(rb) -> dict:
@@ -574,6 +575,7 @@ class FuzzSummary:
     field: str
     axiom_failures: list = field(default_factory=list)
     oracle_mismatches: list = field(default_factory=list)
+    oracle_applicable: bool = True
     corruption_mode: bool = False
     corruptions_detected: int = 0
 
@@ -591,10 +593,12 @@ class FuzzSummary:
                     f"corruptions detected: {self.corruptions_detected}"
                     f"/{self.count}\nresult: "
                     f"{'PASS' if self.ok else 'FAIL'}\n")
+        oracle = (f"{len(self.oracle_mismatches)}"
+                  f"{self.oracle_mismatches[:3]}"
+                  if self.oracle_applicable else "not applicable")
         return (f"{head}\naxiom failures: {len(self.axiom_failures)}"
                 f"{self.axiom_failures[:3]}\n"
-                f"oracle mismatches: {len(self.oracle_mismatches)}"
-                f"{self.oracle_mismatches[:3]}\n"
+                f"oracle mismatches: {oracle}\n"
                 f"result: {'PASS' if self.ok else 'FAIL'}\n")
 
 
@@ -606,14 +610,16 @@ def fuzz(cfg: RunConfig, count: int | None = None, seed: int | None = None,
     corruption mode a transfer entry is perturbed first and the run counts
     how many corruptions the checker caught.  For prime group order every
     ``oracle_every``-th round also compares the generic box of a random
-    pair against the closed-form construction.
+    pair against the closed-form construction, when the scalars admit an
+    absolute box.
     """
     K = cfg.base_field()
     n = cfg.n
     lattice = subgroup_lattice(n)
     count = cfg.count if count is None else count
     seed = cfg.seed if seed is None else seed
-    summary = FuzzSummary(count, seed, n, str(K), corruption_mode=corrupt)
+    summary = FuzzSummary(count, seed, n, str(K), corruption_mode=corrupt,
+                          oracle_applicable=absolute_box_supported(K))
     for k in range(count):
         s = seed + k
         M = random_mackey(lattice, K, seed=s)
@@ -625,7 +631,8 @@ def fuzz(cfg: RunConfig, count: int | None = None, seed: int | None = None,
         violations = check_axioms(M)
         if violations:
             summary.axiom_failures.append((s, str(violations[0])))
-        if _is_prime(n) and k % oracle_every == 0:
+        if summary.oracle_applicable and is_prime(n) and \
+                k % oracle_every == 0:
             rng = random.Random(10 ** 6 + s)
             A = zero_green(small_random_mackey(lattice, K,
                                                seed=rng.randrange(2 ** 30)))

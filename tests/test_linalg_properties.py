@@ -1,0 +1,139 @@
+"""Property and differential tests for the elimination kernel.
+
+Hypothesis draws small matrices over F_2, F_5, F_7 and Q (derandomized, so
+every run sees the same examples); sympy's DomainMatrix over GF(p) and QQ is
+the independent oracle for rank and for the first-pivot RREF.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+pytest.importorskip("sympy")
+
+from hypothesis import given, settings, strategies as st
+from sympy import GF, QQ
+from sympy.polys.matrices import DomainMatrix
+
+from greenbox.fields import prime_field, rationals
+from greenbox.linalg import Mat, Span, kernel, rank, rref
+from greenbox.presented import PresentedLevel
+
+FIELDS = [prime_field(2), prime_field(5), prime_field(7), rationals()]
+PROPS = settings(derandomize=True, database=None, max_examples=60,
+                 deadline=None)
+
+
+def rows_over(K, ncols, min_rows, max_rows):
+    if K.order is None:
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        entry = st.integers(0, K.order - 1).map(K.from_int)
+    row = st.lists(entry, min_size=ncols, max_size=ncols).map(tuple)
+    return st.lists(row, min_size=min_rows, max_size=max_rows)
+
+
+@st.composite
+def matrices(draw, max_rows=5, max_cols=6):
+    K = draw(st.sampled_from(FIELDS))
+    ncols = draw(st.integers(0, max_cols))
+    return Mat(K, draw(rows_over(K, ncols, 0, max_rows)), ncols=ncols)
+
+
+def oracle(mat: Mat):
+    """The same matrix as a sympy DomainMatrix."""
+    K = mat.field
+    if K.order is None:
+        dom = QQ
+        rows = [[QQ(a.numerator, a.denominator) for a in r] for r in mat.rows]
+    else:
+        dom = GF(K.characteristic)
+        rows = [[dom(a.value) for a in r] for r in mat.rows]
+    return DomainMatrix(rows, (mat.nrows, mat.ncols), dom)
+
+
+def from_oracle(K, x):
+    if K.order is None:
+        return Fraction(int(x.numerator), int(x.denominator))
+    return K.from_int(int(x))
+
+
+def oracle_rank(K, rows, ncols):
+    return oracle(Mat(K, rows, ncols=ncols)).rank()
+
+
+@PROPS
+@given(matrices(), st.sampled_from(["first", "last"]))
+def test_rref_is_idempotent(mat, order):
+    r, pivots = rref(mat, order)
+    assert rref(r, order) == (r, pivots)
+    assert list(pivots) == sorted(pivots)
+
+
+@PROPS
+@given(matrices())
+def test_rank_plus_nullity_is_ncols(mat):
+    ker = kernel(mat)
+    assert rank(mat) + len(ker) == mat.ncols
+    zero = (mat.field.zero,) * mat.nrows
+    assert all(mat.apply(v) == zero for v in ker)
+
+
+@PROPS
+@given(matrices())
+def test_first_and_last_pivots_share_rank_and_row_space(mat):
+    K = mat.field
+    first, piv_first = rref(mat, "first")
+    last, piv_last = rref(mat, "last")
+    assert len(piv_first) == len(piv_last)
+    both = list(first.rows) + list(last.rows)
+    assert oracle_rank(K, both, mat.ncols) == len(piv_first)
+    assert Span(K, mat.ncols, first.rows) == \
+        Span(K, mat.ncols, last.rows, pivot_order="last")
+    for row, p in zip(last.rows, piv_last):
+        assert row[p] == K.one
+        assert all(a == K.zero for a in row[p + 1:])
+
+
+@PROPS
+@given(matrices())
+def test_rank_and_rref_match_sympy(mat):
+    K = mat.field
+    r, pivots = rref(mat)
+    want, want_pivots = oracle(mat).rref()
+    assert pivots == tuple(want_pivots)
+    assert rank(mat) == oracle(mat).rank()
+    expected = [tuple(from_oracle(K, x) for x in row)
+                for row in want.to_list()[:len(want_pivots)]]
+    assert list(r.rows) == expected
+
+
+@PROPS
+@given(matrices(max_rows=4), st.data())
+def test_canonicalize_kills_exactly_the_relation_span(rels, data):
+    K, n = rels.field, rels.ncols
+    vectors = data.draw(rows_over(K, n, 1, 3))
+    lvl = PresentedLevel(K, [f"g{j}" for j in range(n)], rels.rows)
+    zero = (K.zero,) * n
+    base = oracle_rank(K, rels.rows, n)
+    assert lvl.rel_rank() == base
+    for r in rels.rows:
+        assert lvl.canonicalize(r) == zero
+    for v in vectors:
+        canon = lvl.canonicalize(v)
+        assert lvl.canonicalize(canon) == canon
+        assert all(canon[p] == K.zero for p in lvl.pivots)
+        # v - canon(v) lies in the span; canon(v) = 0 iff v does
+        diff = tuple(a - b for a, b in zip(v, canon))
+        assert oracle_rank(K, list(rels.rows) + [diff], n) == base
+        in_span = oracle_rank(K, list(rels.rows) + [v], n) == base
+        assert (canon == zero) == in_span
+        # constant on cosets
+        coeffs = data.draw(st.lists(st.integers(-2, 2),
+                                    min_size=rels.nrows,
+                                    max_size=rels.nrows))
+        shifted = list(v)
+        for c, r in zip(coeffs, rels.rows):
+            shifted = [a + K.from_int(c) * b for a, b in zip(shifted, r)]
+        assert lvl.canonicalize(tuple(shifted)) == canon

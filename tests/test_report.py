@@ -35,6 +35,32 @@ def test_config_errors(tmp_path):
     c = load_config(str(nofield))
     with pytest.raises(ConfigError):
         c.base_field()
+    for name, text in MALFORMED.items():
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+
+
+# configs that fail to parse or name an impossible group order
+MALFORMED = {
+    "headerless": "p = 5\n[extension]\nn = 2\n",
+    "duplicate_option": "[field]\np = 5\np = 7\n",
+    "bad_line": "[field]\np = 5\nthis line has no separator\n",
+    "zero_order": "[field]\np = 5\n\n[extension]\nflavor = kummer\n"
+                  "n = 0\na = 2\nzeta = 1\n",
+}
+
+
+@pytest.mark.parametrize("verb", ["check-etale", "fuzz"])
+def test_cli_malformed_config_exits_2(tmp_path, capsys, verb):
+    for name, text in MALFORMED.items():
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        assert main([verb, str(path)]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
 
 def test_invalid_extension_parameters_diagnosed(tmp_path):
@@ -137,6 +163,15 @@ def test_fuzz_corruption_detection():
     s = fuzz(c, count=10, seed=2, corrupt=True)
     assert s.corruptions_detected == 10
     assert s.ok
+
+
+def test_fuzz_extension_field_prime_order(tmp_path):
+    f9 = tmp_path / "f9.cfg"
+    f9.write_text("[field]\np = 3\nmodulus = 1,0,1\n\n[extension]\n"
+                  "flavor = kummer\nn = 2\na = 0,1\nzeta = 2\n")
+    s = fuzz(load_config(str(f9)), count=2)
+    assert s.ok
+    assert "oracle mismatches: not applicable" in s.text()
 
 
 def test_rational_config(tmp_path):
