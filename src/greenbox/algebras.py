@@ -10,7 +10,7 @@ whose diagonal multiplication realizes the classical separability test.
 from __future__ import annotations
 
 from .fields import Field, FieldUsageError, poly_mod, poly_mul
-from .linalg import bilinear, unit_vec, vec_scale
+from .linalg import bilinear, unit_vec
 
 
 class FiniteAlgebra:
@@ -33,9 +33,6 @@ class FiniteAlgebra:
         for _ in range(e):
             result = self.mul(result, x)
         return result
-
-    def scalar(self, s):
-        return vec_scale(s, self.one)
 
     def basis_vec(self, i):
         return unit_vec(self.base, self.dim, i)

@@ -13,7 +13,8 @@ c = m·gcd(d, m')/(d·m'); transfers relabel components one level up; the
 Weyl generator acts diagonally.  Multiplication is componentwise on pure
 tensors, pushes pure factors onto classes through restriction, and resolves
 class·class through tr(u)·tr(v) = tr(u·res(tr v)).  Every structure map is
-checked to descend to the quotient during construction.
+checked to descend to the quotient during construction, on a basis of each
+level's relation span.
 
 Two independent oracles validate the construction: a closed-form two-level
 build for prime group order, and a coequalizer of the threefold box along
@@ -35,13 +36,11 @@ from .presented import PresentedLevel
 class BoxProduct:
     """A fully reduced box product; ``green`` is its Green functor."""
 
-    def __init__(self, left, right, lattice, scalars, relative, kind, name):
+    def __init__(self, left, right, lattice, scalars, name):
         self.left = left
         self.right = right
         self.lattice = lattice
         self.scalars = scalars
-        self.relative = relative      # base field for a relative box, or None
-        self.kind = kind
         self.name = name
         self.gens = {}                # m -> [(d, i, j)]
         self.offsets = {}             # m -> {d: column offset}
@@ -212,8 +211,7 @@ def absolute_box_supported(K: Field) -> bool:
 
 
 def build_box(left: GreenFunctor, right: GreenFunctor, *, relative=None,
-              extra_relations=None, kind="box", name="", check=True
-              ) -> BoxProduct:
+              extra_relations=None, name="", check=True) -> BoxProduct:
     """Assemble a box product; see the module docstring for the relations.
 
     ``relative`` names the base field of a relative box (levels are already
@@ -234,23 +232,23 @@ def build_box(left: GreenFunctor, right: GreenFunctor, *, relative=None,
                 "absolute box products need prime or rational scalars; "
                 "use a relative box over the base field instead")
     elif relative is not K:
-        raise ValueError("relative base must be the common scalar field")
+        raise ValueError("the relative base must be the scalar field of "
+                         "the factors")
 
-    bx = BoxProduct(left, right, lattice, K, relative, kind,
+    bx = BoxProduct(left, right, lattice, K,
                     name or f"{left.name}□{right.name}")
     n = lattice.n
 
     for m in lattice.divisors:
         divs = [d for d in lattice.divisors if m % d == 0]
         order = [m] + [d for d in sorted(divs) if d != m]
-        gens, labels, origins = [], [], []
+        gens, labels = [], []
         offsets = {}
         for d in order:
             offsets[d] = len(gens)
             for i in range(left.dim(d)):
                 for j in range(right.dim(d)):
                     gens.append((d, i, j))
-                    origins.append(d)
                     text = _tensor_label(left.labels(d)[i],
                                          right.labels(d)[j])
                     labels.append(text if d == m
@@ -261,11 +259,14 @@ def build_box(left: GreenFunctor, right: GreenFunctor, *, relative=None,
 
     # ambient Weyl action: diagonal on every component
     for m in lattice.divisors:
-        blocks = {}
-        for d in bx.offsets[m]:
-            blocks[d] = _tensor_mat(K, left.mackey.weyl[d],
-                                    right.mackey.weyl[d])
-        bx.amb_weyl[m] = _assemble_blockwise(bx, m, m, blocks)
+        blocks = {d: _tensor_mat(K, left.mackey.weyl[d], right.mackey.weyl[d])
+                  for d in bx.offsets[m]}
+        cols = []
+        for (d, i, j) in bx.gens[m]:
+            out = [K.zero] * bx.amb_dim(m)
+            bx.place(m, d, blocks[d].col(i * right.dim(d) + j), out)
+            cols.append(tuple(out))
+        bx.amb_weyl[m] = Mat.from_cols(K, cols, bx.amb_dim(m))
 
     # ambient transfers: component relabeling upward
     for (m, mp) in lattice.covering_pairs:
@@ -303,7 +304,6 @@ def build_box(left: GreenFunctor, right: GreenFunctor, *, relative=None,
         bx.amb_res[(mp, m)] = Mat.from_cols(K, cols, bx.amb_dim(mp))
 
     # relations
-    relations = {}
     for m in lattice.divisors:
         rows = []
         for d in bx.offsets[m]:
@@ -348,11 +348,7 @@ def build_box(left: GreenFunctor, right: GreenFunctor, *, relative=None,
                         rows.append(tuple(out))
         if extra_relations and m in extra_relations:
             rows.extend(tuple(r) for r in extra_relations[m])
-        relations[m] = rows
-
-    for m in lattice.divisors:
-        bx.levels[m] = PresentedLevel(K, bx._amb_labels[m], relations[m],
-                                      origins=[g[0] for g in bx.gens[m]])
+        bx.levels[m] = PresentedLevel(K, bx._amb_labels[m], rows)
 
     if check:
         _check_descent(bx)
@@ -361,57 +357,38 @@ def build_box(left: GreenFunctor, right: GreenFunctor, *, relative=None,
     return bx
 
 
-def _assemble_blockwise(bx, m_target, m_source, blocks) -> Mat:
-    """Block-diagonal ambient map from per-component maps (same components)."""
-    K = bx.scalars
-    cols = []
-    for (d, i, j) in bx.gens[m_source]:
-        out = [K.zero] * bx.amb_dim(m_target)
-        col = blocks[d].col(i * bx.right.dim(d) + j)
-        bx.place(m_target, d, col, out)
-        cols.append(tuple(out))
-    return Mat.from_cols(K, cols, bx.amb_dim(m_target))
-
-
 def _check_descent(bx: BoxProduct) -> None:
-    """Every structure map must send relations into relations."""
+    """Every structure map must send relations into relations.
+
+    The maps are linear and multiplication is bilinear, so it suffices to
+    test the rows of each level's relation basis: their images lie in the
+    target span exactly when the images of all relation rows do.
+    """
+    pairs = bx.lattice.covering_pairs
     for m in bx.lattice.divisors:
         lvl = bx.levels[m]
-        for r in lvl.relations:
-            img = bx.amb_weyl[m].apply(r)
-            if not lvl.in_relation_span(img):
-                raise InternalCheckError(
-                    f"Weyl action fails to descend at level {m}",
-                    witness=(m, r, img))
-        for (mp, mm) in bx.lattice.covering_pairs:
-            if mm != m:
-                continue
-            for r in lvl.relations:
-                img = bx.amb_res[(mp, m)].apply(r)
-                if not bx.levels[mp].in_relation_span(img):
-                    raise InternalCheckError(
-                        f"restriction {m}->{mp} fails to descend",
-                        witness=(m, mp, r, img))
-        for (low, high) in bx.lattice.covering_pairs:
-            if low != m:
-                continue
-            for r in lvl.relations:
-                img = bx.amb_tr[(high, m)].apply(r)
-                if not bx.levels[high].in_relation_span(img):
-                    raise InternalCheckError(
-                        f"transfer {m}->{high} fails to descend",
-                        witness=(m, high, r, img))
-        for r in lvl.relations:
+        maps = [(bx.amb_weyl[m], m,
+                 f"Weyl action fails to descend at level {m}")]
+        maps += [(bx.amb_res[(lo, m)], lo,
+                  f"restriction {m}->{lo} fails to descend")
+                 for (lo, hi) in pairs if hi == m]
+        maps += [(bx.amb_tr[(hi, m)], hi,
+                  f"transfer {m}->{hi} fails to descend")
+                 for (lo, hi) in pairs if lo == m]
+        for r in lvl.relation_basis:
+            for amb, target, message in maps:
+                img = amb.apply(r)
+                if not bx.levels[target].in_relation_span(img):
+                    raise InternalCheckError(message,
+                                             witness=(m, target, r, img))
             for idx in range(bx.amb_dim(m)):
                 e = bx.gen_unit(m, idx)
-                if not lvl.in_relation_span(bx.mult_vec(m, r, e)):
-                    raise InternalCheckError(
-                        f"multiplication fails to descend at level {m}",
-                        witness=(m, r, idx, "left"))
-                if not lvl.in_relation_span(bx.mult_vec(m, e, r)):
-                    raise InternalCheckError(
-                        f"multiplication fails to descend at level {m}",
-                        witness=(m, r, idx, "right"))
+                for side, prod in (("left", bx.mult_vec(m, r, e)),
+                                   ("right", bx.mult_vec(m, e, r))):
+                    if not lvl.in_relation_span(prod):
+                        raise InternalCheckError(
+                            f"multiplication fails to descend at level {m}",
+                            witness=(m, r, idx, side))
 
 
 def _induce_reduced_structure(bx: BoxProduct) -> None:
@@ -429,7 +406,7 @@ def _induce_reduced_structure(bx: BoxProduct) -> None:
     res = {(mp, m): reduced_map(bx.amb_res[(mp, m)], m, mp)
            for (mp, m) in lattice.covering_pairs}
     tr = {(mp, m): reduced_map(bx.amb_tr[(mp, m)], m, mp)
-          for (m, mp) in [(a, b) for (a, b) in lattice.covering_pairs]}
+          for (m, mp) in lattice.covering_pairs}
     weyl = {m: reduced_map(bx.amb_weyl[m], m, m) for m in lattice.divisors}
     mack = MackeyFunctor(K, lattice, labels, res, tr, weyl, name=bx.name)
 
@@ -447,32 +424,26 @@ def _induce_reduced_structure(bx: BoxProduct) -> None:
     bx.green = GreenFunctor(mack, mult, unit, name=bx.name)
 
 
-def box(M: GreenFunctor, N: GreenFunctor, name: str = "",
-        check: bool = True) -> BoxProduct:
+def box(M: GreenFunctor, N: GreenFunctor, name: str = "") -> BoxProduct:
     """Absolute box product M □ N (prime or rational scalars)."""
-    return build_box(M, N, kind="box", name=name, check=check)
+    return build_box(M, N, name=name)
 
 
-def box3(M: GreenFunctor, R: GreenFunctor, N: GreenFunctor,
-         name: str = "", check: bool = True) -> BoxProduct:
+def box3(M: GreenFunctor, R: GreenFunctor, N: GreenFunctor) -> BoxProduct:
     """Threefold box product computed as (M □ R) □ N."""
-    inner = build_box(M, R, kind="box", name=f"{M.name}□{R.name}",
-                      check=check)
-    return build_box(inner.green, N, kind="box3",
-                     name=name or f"({M.name}□{R.name})□{N.name}",
-                     check=check)
+    return build_box(box(M, R).green, N,
+                     name=f"({M.name}□{R.name})□{N.name}")
 
 
 def relative_box(T: GreenFunctor, base, name: str = "",
                  check: bool = True) -> BoxProduct:
     """Relative box product T □_base T with components tensored over the
-    base field (which must be the scalar field of T)."""
+    base field (a field or a constant Green functor; ``build_box`` checks
+    that it is the scalar field of T)."""
     base_field = base.scalars if isinstance(base, GreenFunctor) else base
     if not isinstance(base_field, Field):
         raise ValueError("base must be a field or a constant Green functor")
-    if base_field is not T.scalars:
-        raise ValueError("the base must equal the scalar field of T")
-    return build_box(T, T, relative=base_field, kind="relative",
+    return build_box(T, T, relative=base_field,
                      name=name or f"{T.name}□_{base_field}{T.name}",
                      check=check)
 
@@ -481,8 +452,8 @@ def relative_box(T: GreenFunctor, base, name: str = "",
 # oracle 1: closed form for prime group order
 
 
-def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int,
-                     name: str = "") -> BoxProduct:
+def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int
+                     ) -> BoxProduct:
     """Independent two-level construction of M □ N for C_p, p prime.
 
     Level 1 is M(1) ⊗ N(1); level p is the pure part M(p) ⊗ N(p) plus one
@@ -493,8 +464,7 @@ def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int,
     if lattice.n != p or len(lattice.divisors) != 2:
         raise ValueError("the closed form applies to prime group order only")
     K = M.scalars
-    bx = BoxProduct(M, N, lattice, K, None, "prime_oracle",
-                    name or f"oracle({M.name}□{N.name})")
+    bx = BoxProduct(M, N, lattice, K, f"oracle({M.name}□{N.name})")
 
     for m in (1, p):
         gens, labels = [], []
@@ -548,14 +518,12 @@ def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int,
                 out[bx.offsets[p][1] + s] = out[bx.offsets[p][1] + s] - c
             rows.append(tuple(out))
 
-    bx.levels[1] = PresentedLevel(K, bx._amb_labels[1], [],
-                                  origins=[1] * bx.amb_dim(1))
-    bx.levels[p] = PresentedLevel(K, bx._amb_labels[p], rows,
-                                  origins=[g[0] for g in bx.gens[p]])
+    bx.levels[1] = PresentedLevel(K, bx._amb_labels[1], [])
+    bx.levels[p] = PresentedLevel(K, bx._amb_labels[p], rows)
 
     # level-1 structure: pure tensors only
     bx.amb_weyl[1] = tau
-    bx.amb_weyl[p] = _prime_oracle_weyl_top(bx, M, N, p)
+    bx.amb_weyl[p] = _prime_oracle_weyl_top(bx, M, N, p, tau)
     # tr: classes are tagged copies of level-1 tensors
     cols = [bx.gen_unit(p, bx.offsets[p][1] + t) for t in range(dim1)]
     bx.amb_tr[(p, 1)] = Mat.from_cols(K, cols, bx.amb_dim(p))
@@ -573,16 +541,15 @@ def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int,
             cols.append(orbit_sum.col(i * N.dim(1) + j))
     bx.amb_res[(1, p)] = Mat.from_cols(K, cols, dim1)
 
-    _attach_prime_oracle_mult(bx, M, N, p)
+    _attach_prime_oracle_mult(bx, M, N, p, orbit_sum)
     _check_descent(bx)
     _induce_reduced_structure(bx)
     return bx
 
 
-def _prime_oracle_weyl_top(bx, M, N, p):
+def _prime_oracle_weyl_top(bx, M, N, p, tau):
     K = bx.scalars
     pure = _tensor_mat(K, M.mackey.weyl[p], N.mackey.weyl[p])
-    tau = _tensor_mat(K, M.mackey.weyl[1], N.mackey.weyl[1])
     cols = []
     for (d, i, j) in bx.gens[p]:
         out = [K.zero] * bx.amb_dim(p)
@@ -598,10 +565,10 @@ def _prime_oracle_weyl_top(bx, M, N, p):
     return Mat.from_cols(K, cols, bx.amb_dim(p))
 
 
-def _attach_prime_oracle_mult(bx, M, N, p):
-    """Closed-form multiplication; installs mult_gens via the cache."""
+def _attach_prime_oracle_mult(bx, M, N, p, orbit_sum):
+    """Closed-form multiplication; installs mult_gens via the cache.
+    ``orbit_sum`` is the summed Weyl orbit map on level-1 tensors."""
     K = bx.scalars
-    tau = _tensor_mat(K, M.mackey.weyl[1], N.mackey.weyl[1])
     dim1 = M.dim(1) * N.dim(1)
 
     def level1_mult(t1, t2):
@@ -612,12 +579,6 @@ def _attach_prime_oracle_mult(bx, M, N, p):
     for t1 in range(dim1):
         for t2 in range(dim1):
             bx._mult_cache[(1, t1, t2)] = level1_mult(t1, t2)
-
-    orbit_sum = Mat.identity(K, dim1)
-    power = Mat.identity(K, dim1)
-    for _ in range(p - 1):
-        power = tau @ power
-        orbit_sum = orbit_sum + power
 
     off = bx.offsets[p][1]
     for ca, (d, i, j) in enumerate(bx.gens[p]):
@@ -652,8 +613,7 @@ def _attach_prime_oracle_mult(bx, M, N, p):
 # oracle 2: coequalizer of the threefold box along the two base actions
 
 
-def coequalizer_oracle(T: GreenFunctor, base, name: str = "",
-                       check: bool = True) -> BoxProduct:
+def coequalizer_oracle(T: GreenFunctor, base) -> BoxProduct:
     """Relative box as the coequalizer of T □ base^c □ T ⇉ T □ T.
 
     The two maps multiply the middle constant factor into the left or the
@@ -666,9 +626,10 @@ def coequalizer_oracle(T: GreenFunctor, base, name: str = "",
         raise ValueError("the base must equal the scalar field of T")
     Kc = base if isinstance(base, GreenFunctor) \
         else constant_functor(base_field, T.lattice)
-    inner = build_box(T, Kc, kind="box", check=check)
-    b3 = build_box(inner.green, T, kind="box3", check=check)
-    b2 = build_box(T, T, kind="box", check=check)
+    inner = build_box(T, Kc)
+    b3 = build_box(inner.green, T)
+    # T □ T: its relation span is where the action maps must descend
+    b2 = build_box(T, T)
     K = T.scalars
 
     def act_left(m, d, wi, yj):
@@ -706,20 +667,19 @@ def coequalizer_oracle(T: GreenFunctor, base, name: str = "",
             diff = tuple(a - b for a, b in zip(l_img, r_img))
             if not vec_is_zero(K, diff):
                 rows.append(diff)
-        if check:
-            ml = Mat.from_cols(K, maps_l, b2.amb_dim(m))
-            mr = Mat.from_cols(K, maps_r, b2.amb_dim(m))
-            for r in b3.levels[m].relations:
-                for mat, side in ((ml, "left"), (mr, "right")):
-                    if not b2.levels[m].in_relation_span(mat.apply(r)):
-                        raise InternalCheckError(
-                            f"coequalizer action map ({side}) fails to "
-                            f"descend at level {m}", witness=(m, r))
+        # linear maps: checking b3's relation basis covers every relation
+        ml = Mat.from_cols(K, maps_l, b2.amb_dim(m))
+        mr = Mat.from_cols(K, maps_r, b2.amb_dim(m))
+        for r in b3.levels[m].relation_basis:
+            for mat, side in ((ml, "left"), (mr, "right")):
+                if not b2.levels[m].in_relation_span(mat.apply(r)):
+                    raise InternalCheckError(
+                        f"coequalizer action map ({side}) fails to "
+                        f"descend at level {m}", witness=(m, r))
         extra[m] = rows
 
-    return build_box(T, T, relative=None, extra_relations=extra,
-                     kind="coequalizer",
-                     name=name or f"coeq({T.name}□{T.name})", check=check)
+    return build_box(T, T, extra_relations=extra,
+                     name=f"coeq({T.name}□{T.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -749,11 +709,11 @@ def compare_boxes(b1: BoxProduct, b2: BoxProduct, gen_map=None):
         else:
             idx = [b2.gens[m].index(gen_map(m, g)) for g in b1.gens[m]]
         targets[m] = idx
-        for r in b1.levels[m].relations:
+        for r in b1.levels[m].relation_basis:
             if not b2.levels[m].in_relation_span(_move(b1.scalars, idx, r)):
                 diffs.append(f"level {m}: relation span differs (1 vs 2)")
                 break
-        for r in b2.levels[m].relations:
+        for r in b2.levels[m].relation_basis:
             if not b1.levels[m].in_relation_span(tuple(r[t] for t in idx)):
                 diffs.append(f"level {m}: relation span differs (2 vs 1)")
                 break

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebras import FiniteAlgebra, tensor_algebra
-from .boxes import BoxProduct, build_box
+from .boxes import BoxProduct, relative_box
 from .extensions import GaloisExtension
 from .fields import Field
-from .green import GreenFunctor, constant_functor
+from .green import constant_functor
 from .linalg import Mat, Span, kernel, solve_matrix, unit_vec, vec_is_zero, \
     vec_scale, vec_sub, vec_zero
 from .mackey import InternalCheckError, MackeyMorphism, Violation
@@ -32,14 +32,14 @@ from .mackey import InternalCheckError, MackeyMorphism, Violation
 # the multiplication morphism
 
 
-def mult_map(bx: BoxProduct, target: GreenFunctor = None) -> MackeyMorphism:
+def mult_map(bx: BoxProduct) -> MackeyMorphism:
     """Multiplication morphism from a box of T with itself onto T.
 
     Pure tensors multiply; a class [z]_d^m maps to tr_{m<-d}(mult_d(z)).
     Descent to the quotient and compatibility with res/tr/weyl are asserted.
     """
-    T = target or bx.left
-    if bx.left is not T or bx.right is not T:
+    T = bx.left
+    if bx.right is not T:
         raise ValueError("mult_map needs a box of T with itself")
     K = bx.scalars
     comps = {}
@@ -49,7 +49,7 @@ def mult_map(bx: BoxProduct, target: GreenFunctor = None) -> MackeyMorphism:
             prod = T.mult[d][i][j]
             cols_ambient.append(T.mackey.tr_mat(m, d).apply(prod))
         amb = Mat.from_cols(K, cols_ambient, T.dim(m))
-        for r in bx.levels[m].relations:
+        for r in bx.levels[m].relation_basis:     # amb is linear
             if not vec_is_zero(K, amb.apply(r)):
                 raise InternalCheckError(
                     f"multiplication map does not kill relations at level {m}",
@@ -91,10 +91,6 @@ class IdealData:
     square: dict           # m -> list of reduced basis vectors of I^2
     quotient_dims: dict    # m -> dim I/I^2
     verdicts: dict         # m -> bool (I == I^2)
-
-    @property
-    def green_etale_levels(self) -> bool:
-        return all(self.verdicts.values())
 
 
 def ideal_and_square(bx: BoxProduct, mm: MackeyMorphism) -> IdealData:
@@ -431,8 +427,7 @@ def constant_etale_check(K: Field, L_alg: FiniteAlgebra, n: int
     from .modules import constant_box_iso   # local import; no cycle at runtime
     Lc = constant_functor(L_alg, n)
     lattice = Lc.lattice
-    bx = build_box(Lc, Lc, relative=K, kind="relative",
-                   name=f"{L_alg.name}^c□{L_alg.name}^c")
+    bx = relative_box(Lc, K, name=f"{L_alg.name}^c□{L_alg.name}^c")
     tensor = tensor_algebra(L_alg, L_alg)
     iso = constant_box_iso(bx, tensor)
     mm = mult_map(bx)

@@ -328,12 +328,6 @@ class MackeyMorphism:
         return MackeyMorphism(self.target, self.source, comps,
                               name=f"{self.name}^-1")
 
-    def compose(self, other: "MackeyMorphism") -> "MackeyMorphism":
-        """self ∘ other."""
-        comps = {m: self.components[m] @ other.components[m]
-                 for m in self.source.lattice.divisors}
-        return MackeyMorphism(other.source, self.target, comps)
-
     def apply(self, m: int, v):
         return self.components[m].apply(v)
 

@@ -436,7 +436,7 @@ def constant_box_iso(bx: BoxProduct, tensor: FiniteAlgebra):
             vec[i * B.dim(d) + j] = scalar
             cols.append(tuple(vec))
         amb = Mat.from_cols(K, cols, tensor.dim)
-        for r in bx.levels[m].relations:
+        for r in bx.levels[m].relation_basis:
             if not vec_is_zero(K, amb.apply(r)):
                 return None
         red_cols = [amb.apply(bx.levels[m].expand(unit_vec(K, bx.dim(m), idx)))

@@ -1,7 +1,8 @@
 """Quotients of free modules on labeled generators by a relation span.
 
 A PresentedLevel carries the ambient generator list (pure tensors first,
-then transfer classes by increasing origin level) and the relation rows.
+then transfer classes by increasing origin level), the raw relation rows and
+``relation_basis``, the fully reduced rows spanning the same space.
 Canonical forms come from reduced row echelon form with pivots at the *last*
 nonzero coordinate of each relation, so relations rewrite late generators in
 terms of early ones: transfer classes collapse onto pure tensors wherever
@@ -16,17 +17,15 @@ from .linalg import Mat, eliminate, rref, vec_is_zero
 
 
 class PresentedLevel:
-    def __init__(self, field, labels, relations, origins=None):
+    def __init__(self, field, labels, relations):
         self.field = field
         self.labels = list(labels)
         self.ngens = len(self.labels)
-        self.origins = list(origins) if origins is not None else \
-            [None] * self.ngens
         rel_rows = [tuple(r) for r in relations
                     if not vec_is_zero(field, tuple(r))]
         self.relations = rel_rows
         reduced, pivots = rref(Mat(field, rel_rows, ncols=self.ngens), "last")
-        self._rel_rows = reduced.rows
+        self.relation_basis = reduced.rows
         self.pivots = pivots
         self.free = tuple(j for j in range(self.ngens) if j not in pivots)
         self.dim = len(self.free)
@@ -36,7 +35,7 @@ class PresentedLevel:
         """Canonical coset representative: pivot coordinates eliminated."""
         if len(v) != self.ngens:
             raise ValueError("ambient vector of wrong length")
-        return tuple(eliminate(self._rel_rows, self.pivots, v,
+        return tuple(eliminate(self.relation_basis, self.pivots, v,
                                self.field.zero))
 
     def reduce(self, v):

@@ -283,9 +283,9 @@ def run_pipeline(cfg: RunConfig) -> EtaleReport:
         co = coequalizer_oracle(L, K)
         oracle_agreement["coequalizer"] = not compare_boxes(rb, co)
         if is_prime(n):
-            ab = box(L, L)
+            # rb has the generators and relations of the absolute L □ L
             po = prime_box_oracle(L, L, n)
-            oracle_agreement["prime_closed_form"] = not compare_boxes(ab, po)
+            oracle_agreement["prime_closed_form"] = not compare_boxes(rb, po)
         else:
             oracle_agreement["prime_closed_form"] = None
     else:
@@ -602,14 +602,18 @@ class FuzzSummary:
                 f"result: {'PASS' if self.ok else 'FAIL'}\n")
 
 
+# fuzz rounds between two closed-form oracle comparisons
+ORACLE_EVERY = 10
+
+
 def fuzz(cfg: RunConfig, count: int | None = None, seed: int | None = None,
-         corrupt: bool = False, oracle_every: int = 10) -> FuzzSummary:
+         corrupt: bool = False) -> FuzzSummary:
     """Seeded axiom/oracle fuzzing; failures reproduce from the seed.
 
     Each round draws a random functor and checks the Mackey axioms; in
     corruption mode a transfer entry is perturbed first and the run counts
     how many corruptions the checker caught.  For prime group order every
-    ``oracle_every``-th round also compares the generic box of a random
+    ``ORACLE_EVERY``-th round also compares the generic box of a random
     pair against the closed-form construction, when the scalars admit an
     absolute box.
     """
@@ -617,6 +621,8 @@ def fuzz(cfg: RunConfig, count: int | None = None, seed: int | None = None,
     n = cfg.n
     lattice = subgroup_lattice(n)
     count = cfg.count if count is None else count
+    if count < 0:
+        raise ConfigError(f"fuzz count must be non-negative, got {count}")
     seed = cfg.seed if seed is None else seed
     summary = FuzzSummary(count, seed, n, str(K), corruption_mode=corrupt,
                           oracle_applicable=absolute_box_supported(K))
@@ -632,7 +638,7 @@ def fuzz(cfg: RunConfig, count: int | None = None, seed: int | None = None,
         if violations:
             summary.axiom_failures.append((s, str(violations[0])))
         if summary.oracle_applicable and is_prime(n) and \
-                k % oracle_every == 0:
+                k % ORACLE_EVERY == 0:
             rng = random.Random(10 ** 6 + s)
             A = zero_green(small_random_mackey(lattice, K,
                                                seed=rng.randrange(2 ** 30)))

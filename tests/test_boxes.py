@@ -2,6 +2,7 @@ import pytest
 
 from conftest import gen_coords, unit_vec
 
+from greenbox import boxes
 from greenbox.boxes import (box, box3, compare_boxes, coequalizer_oracle,
                             norm_on_c2_box, prime_box_oracle, relative_box,
                             swap_isomorphic)
@@ -9,8 +10,9 @@ from greenbox.extensions import kummer_extension
 from greenbox.fields import finite_field, prime_field
 from greenbox.green import (check_green, constant_functor, fix_functor,
                             zero_green)
-from greenbox.mackey import check_axioms, small_random_mackey, \
-    subgroup_lattice
+from greenbox.linalg import Mat
+from greenbox.mackey import InternalCheckError, check_axioms, \
+    small_random_mackey, subgroup_lattice
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -266,3 +268,69 @@ def test_norm_is_order_independent(kummer2_bundle):
     import itertools
     for perm in itertools.permutations(range(nonzero)):
         assert norm_on_c2_box(rb, v, term_order=list(perm)) == base
+
+
+# ---------------------------------------------------------------------------
+# descent: negative controls
+#
+# A C_4 box built without the descent check, then one ambient map at a time
+# is bumped by the rank-one term e_f ⊗ e_p, where p is the last nonzero
+# coordinate of a relation-basis row and f a free generator of the target
+# level.  That row's image then leaves the target relation span, so the
+# check must fail and name the corrupted map.  Level 1 of C_4 has no
+# relations, so only maps out of levels 2 and 4 can fail.
+
+
+@pytest.fixture
+def unchecked_c4_box(kummer4_bundle):
+    return relative_box(kummer4_bundle.fix, F5, check=False)
+
+
+def _bump(bx, amb, src, target):
+    """``amb`` (ambient level src -> target) plus e_f ⊗ e_p, as a Mat."""
+    p, f = _bump_indices(bx, src, target)
+    rows = [list(r) for r in amb.rows]
+    rows[f][p] = rows[f][p] + F5.one
+    return Mat(F5, rows)
+
+
+def _bump_indices(bx, src, target):
+    row = bx.levels[src].relation_basis[0]
+    p = max(t for t, c in enumerate(row) if c != F5.zero)
+    return p, bx.levels[target].free[0]
+
+
+def test_descent_holds_on_unchecked_box(unchecked_c4_box):
+    boxes._check_descent(unchecked_c4_box)
+
+
+def test_descent_rejects_corrupt_weyl(unchecked_c4_box):
+    bx = unchecked_c4_box
+    bx.amb_weyl[4] = _bump(bx, bx.amb_weyl[4], 4, 4)
+    with pytest.raises(InternalCheckError, match="Weyl action"):
+        boxes._check_descent(bx)
+
+
+def test_descent_rejects_corrupt_restriction(unchecked_c4_box):
+    bx = unchecked_c4_box
+    bx.amb_res[(2, 4)] = _bump(bx, bx.amb_res[(2, 4)], 4, 2)
+    with pytest.raises(InternalCheckError, match="restriction 4->2"):
+        boxes._check_descent(bx)
+
+
+def test_descent_rejects_corrupt_transfer(unchecked_c4_box):
+    bx = unchecked_c4_box
+    bx.amb_tr[(4, 2)] = _bump(bx, bx.amb_tr[(4, 2)], 2, 4)
+    with pytest.raises(InternalCheckError, match="transfer 2->4"):
+        boxes._check_descent(bx)
+
+
+def test_descent_rejects_corrupt_multiplication(unchecked_c4_box):
+    bx = unchecked_c4_box
+    p, f = _bump_indices(bx, 4, 4)
+    bumped = list(bx.mult_gens(4, p, 0))
+    bumped[f] = bumped[f] + F5.one
+    bx._mult_cache[(4, p, 0)] = tuple(bumped)
+    bx._mult_cache.pop(("s", 4, p, 0), None)
+    with pytest.raises(InternalCheckError, match="multiplication"):
+        boxes._check_descent(bx)

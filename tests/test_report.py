@@ -35,6 +35,10 @@ def test_config_errors(tmp_path):
     c = load_config(str(nofield))
     with pytest.raises(ConfigError):
         c.base_field()
+    negcount = tmp_path / "negcount.cfg"
+    negcount.write_text(NEGATIVE_COUNT)
+    with pytest.raises(ConfigError):
+        fuzz(load_config(str(negcount)))
     for name, text in MALFORMED.items():
         path = tmp_path / f"{name}.cfg"
         path.write_text(text)
@@ -50,6 +54,11 @@ MALFORMED = {
     "zero_order": "[field]\np = 5\n\n[extension]\nflavor = kummer\n"
                   "n = 0\na = 2\nzeta = 1\n",
 }
+
+
+# a config that loads but asks fuzz for a negative number of rounds
+NEGATIVE_COUNT = ("[field]\np = 7\n\n[extension]\nflavor = kummer\n"
+                  "n = 3\na = 3\nzeta = 2\n\n[run]\ncount = -2\n")
 
 
 @pytest.mark.parametrize("verb", ["check-etale", "fuzz"])
@@ -148,6 +157,19 @@ def test_cli_fuzz(capsys):
     assert main(["fuzz", "--count", "4", "--corrupt",
                  str(CONFIGS / "kummer_f5_n4.cfg")]) == 0
     assert "corruptions detected: 4/4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("corrupt", [[], ["--corrupt"]])
+def test_cli_fuzz_negative_count_exits_2(tmp_path, capsys, corrupt):
+    negcount = tmp_path / "negcount.cfg"
+    negcount.write_text(NEGATIVE_COUNT)
+    for argv in (["--count", "-3", str(CONFIGS / "kummer_f7_n3.cfg")],
+                 [str(negcount)]):
+        assert main(["fuzz", *corrupt, *argv]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
 
 def test_fuzz_deterministic():
