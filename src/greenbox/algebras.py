@@ -10,7 +10,7 @@ whose diagonal multiplication realizes the classical separability test.
 from __future__ import annotations
 
 from .fields import Field, FieldUsageError, poly_mod, poly_mul
-from .linalg import bilinear, unit_vec
+from .linalg import bilinear, tensor_vec, unit_vec
 
 
 class FiniteAlgebra:
@@ -84,33 +84,9 @@ def tensor_algebra(A: FiniteAlgebra, B: FiniteAlgebra,
     """A (x)_K B with componentwise multiplication, basis a_i (x) b_j."""
     if A.base is not B.base:
         raise FieldUsageError("tensor factors must share the base field")
-    K = A.base
-    dim = A.dim * B.dim
-
-    def idx(i, j):
-        return i * B.dim + j
-
     labels = [f"{la}⊗{lb}" for la in A.labels for lb in B.labels]
-    table = [[None] * dim for _ in range(dim)]
-    for i1 in range(A.dim):
-        for j1 in range(B.dim):
-            for i2 in range(A.dim):
-                for j2 in range(B.dim):
-                    pa = A.table[i1][i2]
-                    pb = B.table[j1][j2]
-                    out = [K.zero] * dim
-                    for i3, ca in enumerate(pa):
-                        if ca == K.zero:
-                            continue
-                        for j3, cb in enumerate(pb):
-                            if cb == K.zero:
-                                continue
-                            out[idx(i3, j3)] = out[idx(i3, j3)] + ca * cb
-                    table[idx(i1, j1)][idx(i2, j2)] = tuple(out)
-    one = [K.zero] * dim
-    for i3, ca in enumerate(A.one):
-        for j3, cb in enumerate(B.one):
-            one[idx(i3, j3)] = ca * cb
-    return FiniteAlgebra(K, labels, table, tuple(one),
+    table = [[tensor_vec(A.table[i1][i2], B.table[j1][j2])
+              for i2 in range(A.dim) for j2 in range(B.dim)]
+             for i1 in range(A.dim) for j1 in range(B.dim)]
+    return FiniteAlgebra(A.base, labels, table, tensor_vec(A.one, B.one),
                          name=name or f"{A.name}⊗{B.name}")
-

@@ -26,9 +26,9 @@ from __future__ import annotations
 import math
 
 from .fields import Field
-from .green import GreenFunctor, constant_functor
-from .linalg import Mat, inverse, unit_vec, vec_add, vec_is_zero, \
-    vec_scale, vec_zero
+from .green import GreenFunctor, check_green_morphism, constant_functor
+from .linalg import Mat, inverse, tensor_vec, unit_vec, vec_add, \
+    vec_is_zero, vec_scale, vec_zero
 from .mackey import InternalCheckError, MackeyFunctor, compose_chain
 from .presented import PresentedLevel
 
@@ -64,10 +64,10 @@ class BoxProduct:
     def gen_unit(self, m, idx):
         return unit_vec(self.scalars, self.amb_dim(m), idx)
 
-    def place(self, m, d, tensor_vec, out):
+    def place(self, m, d, tensor, out):
         """Add a component-d tensor vector into ambient accumulator ``out``."""
         off = self.offsets[m][d]
-        for t, c in enumerate(tensor_vec):
+        for t, c in enumerate(tensor):
             out[off + t] = out[off + t] + c
         return out
 
@@ -99,8 +99,8 @@ class BoxProduct:
         (e, i2, j2) = self.gens[m][cb]
         out = [K.zero] * self.amb_dim(m)
         if d == m and e == m:
-            tensor = _tensor_vec(K, self.left.mult[m][i][i2],
-                                 self.right.mult[m][j][j2])
+            tensor = tensor_vec(self.left.mult[m][i][i2],
+                                self.right.mult[m][j][j2])
             self.place(m, m, tensor, out)
         elif d == m:
             # pure · class: restrict the pure tensor to the class origin
@@ -109,14 +109,14 @@ class BoxProduct:
             lvec = self.left.multiply(e, u1, unit_vec(K, self.left.dim(e), i2))
             rvec = self.right.multiply(e, u2,
                                        unit_vec(K, self.right.dim(e), j2))
-            self.place(m, e, _tensor_vec(K, lvec, rvec), out)
+            self.place(m, e, tensor_vec(lvec, rvec), out)
         elif e == m:
             u1 = self.left.mackey.res_mat(d, m).col(i2)
             u2 = self.right.mackey.res_mat(d, m).col(j2)
             lvec = self.left.multiply(d, u1, unit_vec(K, self.left.dim(d), i))
             rvec = self.right.multiply(d, u2,
                                        unit_vec(K, self.right.dim(d), j))
-            self.place(m, d, _tensor_vec(K, lvec, rvec), out)
+            self.place(m, d, tensor_vec(lvec, rvec), out)
         else:
             # class · class: tr(u)·tr(v) = tr(u · res(tr v))
             down = self.amb_res_chain(d, m).apply(self.gen_unit(m, cb))
@@ -155,7 +155,7 @@ class BoxProduct:
     def unit_ambient(self, m):
         K = self.scalars
         out = [K.zero] * self.amb_dim(m)
-        tensor = _tensor_vec(K, self.left.unit[m], self.right.unit[m])
+        tensor = tensor_vec(self.left.unit[m], self.right.unit[m])
         return tuple(self.place(m, m, tensor, out))
 
     # -- reduced coordinates ----------------------------------------------
@@ -174,19 +174,11 @@ class BoxProduct:
         return f"BoxProduct({self.name}; dims {dims})"
 
 
-def _tensor_vec(K, u, v):
-    out = []
-    for a in u:
-        for b in v:
-            out.append(a * b)
-    return tuple(out)
-
-
 def _tensor_mat(K, A: Mat, B: Mat) -> Mat:
     cols = []
     for i in range(A.ncols):
         for j in range(B.ncols):
-            cols.append(_tensor_vec(K, A.col(i), B.col(j)))
+            cols.append(tensor_vec(A.col(i), B.col(j)))
     return Mat.from_cols(K, cols, A.nrows * B.nrows)
 
 
@@ -294,8 +286,8 @@ def build_box(left: GreenFunctor, right: GreenFunctor, *, relative=None,
         for (d, i, j) in bx.gens[m]:
             out = [K.zero] * bx.amb_dim(mp)
             if d == m:
-                tensor = _tensor_vec(K, left.mackey.res[(mp, m)].col(i),
-                                     right.mackey.res[(mp, m)].col(j))
+                tensor = tensor_vec(left.mackey.res[(mp, m)].col(i),
+                                    right.mackey.res[(mp, m)].col(j))
                 bx.place(mp, mp, tensor, out)
             else:
                 g, omap = orbit_maps[d]
@@ -330,20 +322,20 @@ def build_box(left: GreenFunctor, right: GreenFunctor, *, relative=None,
                     for j in range(right.dim(d)):
                         out = [K.zero] * bx.amb_dim(m)
                         ej = unit_vec(K, right.dim(d), j)
-                        bx.place(m, d, _tensor_vec(K, trl.col(i), ej), out)
+                        bx.place(m, d, tensor_vec(trl.col(i), ej), out)
                         ei = unit_vec(K, left.dim(dp), i)
                         neg = vec_scale(-K.one,
-                                        _tensor_vec(K, ei, rsr.col(j)))
+                                        tensor_vec(ei, rsr.col(j)))
                         bx.place(m, dp, neg, out)
                         rows.append(tuple(out))
                 for i in range(left.dim(d)):
                     for j in range(right.dim(dp)):
                         out = [K.zero] * bx.amb_dim(m)
                         ei = unit_vec(K, left.dim(d), i)
-                        bx.place(m, d, _tensor_vec(K, ei, trr.col(j)), out)
+                        bx.place(m, d, tensor_vec(ei, trr.col(j)), out)
                         ej = unit_vec(K, right.dim(dp), j)
                         neg = vec_scale(-K.one,
-                                        _tensor_vec(K, rsl.col(i), ej))
+                                        tensor_vec(rsl.col(i), ej))
                         bx.place(m, dp, neg, out)
                         rows.append(tuple(out))
         if extra_relations and m in extra_relations:
@@ -501,20 +493,20 @@ def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int
         for j in range(N.dim(p)):
             out = [K.zero] * bx.amb_dim(p)
             ej = unit_vec(K, N.dim(p), j)
-            for t, c in enumerate(_tensor_vec(K, trM.col(i), ej)):
+            for t, c in enumerate(tensor_vec(trM.col(i), ej)):
                 out[t] = out[t] + c
             ei = unit_vec(K, M.dim(1), i)
-            for s, c in enumerate(_tensor_vec(K, ei, rsN.col(j))):
+            for s, c in enumerate(tensor_vec(ei, rsN.col(j))):
                 out[bx.offsets[p][1] + s] = out[bx.offsets[p][1] + s] - c
             rows.append(tuple(out))
     for i in range(M.dim(p)):
         for j in range(N.dim(1)):
             out = [K.zero] * bx.amb_dim(p)
             ei = unit_vec(K, M.dim(p), i)
-            for t, c in enumerate(_tensor_vec(K, ei, trN.col(j))):
+            for t, c in enumerate(tensor_vec(ei, trN.col(j))):
                 out[t] = out[t] + c
             ej = unit_vec(K, N.dim(1), j)
-            for s, c in enumerate(_tensor_vec(K, rsM.col(i), ej)):
+            for s, c in enumerate(tensor_vec(rsM.col(i), ej)):
                 out[bx.offsets[p][1] + s] = out[bx.offsets[p][1] + s] - c
             rows.append(tuple(out))
 
@@ -536,7 +528,7 @@ def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int
     cols = []
     for (d, i, j) in bx.gens[p]:
         if d == p:
-            cols.append(_tensor_vec(K, rsM.col(i), rsN.col(j)))
+            cols.append(tensor_vec(rsM.col(i), rsN.col(j)))
         else:
             cols.append(orbit_sum.col(i * N.dim(1) + j))
     bx.amb_res[(1, p)] = Mat.from_cols(K, cols, dim1)
@@ -574,7 +566,7 @@ def _attach_prime_oracle_mult(bx, M, N, p, orbit_sum):
     def level1_mult(t1, t2):
         i, j = divmod(t1, N.dim(1))
         i2, j2 = divmod(t2, N.dim(1))
-        return _tensor_vec(K, M.mult[1][i][i2], N.mult[1][j][j2])
+        return tensor_vec(M.mult[1][i][i2], N.mult[1][j][j2])
 
     for t1 in range(dim1):
         for t2 in range(dim1):
@@ -585,18 +577,18 @@ def _attach_prime_oracle_mult(bx, M, N, p, orbit_sum):
         for cb, (e, i2, j2) in enumerate(bx.gens[p]):
             out = [K.zero] * bx.amb_dim(p)
             if d == p and e == p:
-                tensor = _tensor_vec(K, M.mult[p][i][i2], N.mult[p][j][j2])
+                tensor = tensor_vec(M.mult[p][i][i2], N.mult[p][j][j2])
                 for t, c in enumerate(tensor):
                     out[t] = c
             elif d == p:
-                u = _tensor_vec(K, M.mackey.res[(1, p)].col(i),
-                                N.mackey.res[(1, p)].col(j))
+                u = tensor_vec(M.mackey.res[(1, p)].col(i),
+                               N.mackey.res[(1, p)].col(j))
                 prod = bx.mult_vec(1, u, bx.gen_unit(1, i2 * N.dim(1) + j2))
                 for s, c in enumerate(prod):
                     out[off + s] = c
             elif e == p:
-                u = _tensor_vec(K, M.mackey.res[(1, p)].col(i2),
-                                N.mackey.res[(1, p)].col(j2))
+                u = tensor_vec(M.mackey.res[(1, p)].col(i2),
+                               N.mackey.res[(1, p)].col(j2))
                 prod = bx.mult_vec(1, bx.gen_unit(1, i * N.dim(1) + j), u)
                 for s, c in enumerate(prod):
                     out[off + s] = c
@@ -735,32 +727,7 @@ def compare_boxes(b1: BoxProduct, b2: BoxProduct, gen_map=None):
             diffs.append(f"level {m}: transported basis is not invertible")
     if diffs:
         return diffs
-    for (d, m) in lat.covering_pairs:
-        if phi[d] @ b1.green.mackey.res[(d, m)] != \
-                b2.green.mackey.res[(d, m)] @ phi[m]:
-            diffs.append(f"restriction differs on covering pair {(d, m)}")
-        if phi[m] @ b1.green.mackey.tr[(m, d)] != \
-                b2.green.mackey.tr[(m, d)] @ phi[d]:
-            diffs.append(f"transfer differs on covering pair {(d, m)}")
-    for m in lat.divisors:
-        if phi[m] @ b1.green.mackey.weyl[m] != \
-                b2.green.mackey.weyl[m] @ phi[m]:
-            diffs.append(f"Weyl action differs at level {m}")
-        for i in range(b1.dim(m)):
-            ei = unit_vec(b1.scalars, b1.dim(m), i)
-            for j in range(b1.dim(m)):
-                ej = unit_vec(b1.scalars, b1.dim(m), j)
-                lhs = phi[m].apply(b1.green.mult[m][i][j])
-                rhs = b2.green.multiply(m, phi[m].apply(ei), phi[m].apply(ej))
-                if lhs != rhs:
-                    diffs.append(f"multiplication differs at level {m}")
-                    break
-            else:
-                continue
-            break
-        if phi[m].apply(b1.green.unit[m]) != b2.green.unit[m]:
-            diffs.append(f"unit differs at level {m}")
-    return diffs
+    return [str(v) for v in check_green_morphism(b1.green, b2.green, phi)]
 
 
 def _move(K, idx, v):
@@ -803,7 +770,7 @@ def norm_on_c2_box(bx: BoxProduct, vec, term_order=None):
         nl = bx.left.norm(2, 1, tuple(lv))
         nr = bx.right.norm(2, 1, unit_vec(K, bx.right.dim(1), j))
         out = [K.zero] * bx.amb_dim(2)
-        bx.place(2, 2, _tensor_vec(K, nl, nr), out)
+        bx.place(2, 2, tensor_vec(nl, nr), out)
         return tuple(out)
 
     def fold(items):

@@ -16,6 +16,7 @@ identities are verified wholesale by ``kummer_congruence_checks``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .algebras import FiniteAlgebra, tensor_algebra
@@ -23,9 +24,10 @@ from .boxes import BoxProduct, relative_box
 from .extensions import GaloisExtension
 from .fields import Field
 from .green import constant_functor
-from .linalg import Mat, Span, kernel, solve_matrix, unit_vec, vec_is_zero, \
-    vec_scale, vec_sub, vec_zero
+from .linalg import Mat, Span, kernel, solve, solve_matrix, unit_vec, \
+    vec_is_zero, vec_scale, vec_sub, vec_zero
 from .mackey import InternalCheckError, MackeyMorphism, Violation
+from .modules import constant_box_iso
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +88,6 @@ def unit_section_check(bx: BoxProduct, mm: MackeyMorphism) -> bool:
 
 @dataclass
 class IdealData:
-    carrier: BoxProduct
     ideal: dict            # m -> list of reduced basis vectors of I
     square: dict           # m -> list of reduced basis vectors of I^2
     quotient_dims: dict    # m -> dim I/I^2
@@ -114,7 +115,7 @@ def ideal_and_square(bx: BoxProduct, mm: MackeyMorphism) -> IdealData:
         square[m] = span_sq.basis()
         qdims[m] = span_i.dim - span_sq.dim
         verdicts[m] = span_i.dim == span_sq.dim
-    return IdealData(bx, ideal, square, qdims, verdicts)
+    return IdealData(ideal, square, qdims, verdicts)
 
 
 def green_kahler_dims(data: IdealData) -> dict:
@@ -200,19 +201,13 @@ def classical_etale_of_algebra(alg: FiniteAlgebra) -> ClassicalEtaleReport:
             for coord in range(tensor.dim):
                 eqs.append([p[coord] for p in prods])
                 rhs.append(u[coord])
-        sol = _solve_rows(K, eqs, rhs, len(ibasis))
+        sol = solve(Mat(K, eqs, ncols=len(ibasis)), tuple(rhs))
         if sol is not None:
             unit = vec_zero(K, tensor.dim)
             for c, b in zip(sol, ibasis):
                 unit = tuple(x + c * y for x, y in zip(unit, b))
     return ClassicalEtaleReport(tensor.dim, span_i.dim, span_sq.dim, etale,
                                 unit)
-
-
-def _solve_rows(K, eqs, rhs, nunknowns):
-    mat = Mat(K, eqs, ncols=nunknowns)
-    from .linalg import solve
-    return solve(mat, tuple(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +246,13 @@ def _alpha_tensor(bx: BoxProduct, E: GaloisExtension, m, e1, e2, origin=None):
     component (default: the pure component)."""
     d = origin if origin is not None else m
     emb = bx.left.level_embed[d]
-    v1 = solve_matrix(emb, Mat.from_cols(E.base, [E.alpha_power(e1)],
-                                         E.degree))
-    v2 = solve_matrix(emb, Mat.from_cols(E.base, [E.alpha_power(e2)],
-                                         E.degree))
-    if v1 is None or v2 is None:
+    coords = solve_matrix(emb, Mat.from_cols(
+        E.base, [E.alpha_power(e1), E.alpha_power(e2)], E.degree))
+    if coords is None:
         raise ValueError(
             f"α^{e1} or α^{e2} does not lie in the level-{d} subfield")
+    c1, c2 = coords.cols()
     out = []
-    c1, c2 = v1.col(0), v2.col(0)
     for i, a in enumerate(c1):
         if a == E.base.zero:
             continue
@@ -342,6 +335,8 @@ def kummer_congruence_checks(bx: BoxProduct, E: GaloisExtension,
             tmax = 2 * (n // d)
             ts = [t for t in range(q, tmax + 1, q)]
 
+            # the checks below use each generator several times; build it once
+            @functools.cache
             def x(i, t):
                 return ideal_generator(bx, E, i, t, d, m)
 
@@ -424,7 +419,6 @@ def constant_etale_check(K: Field, L_alg: FiniteAlgebra, n: int
     Builds L^c □_{K^c} L^c, matches it levelwise to (L ⊗_K L)^c, and checks
     I = I² at every level; the free-level verdict is anchored by the
     classical oracle."""
-    from .modules import constant_box_iso   # local import; no cycle at runtime
     Lc = constant_functor(L_alg, n)
     lattice = Lc.lattice
     bx = relative_box(Lc, K, name=f"{L_alg.name}^c□{L_alg.name}^c")
@@ -440,21 +434,3 @@ def constant_etale_check(K: Field, L_alg: FiniteAlgebra, n: int
         all(ideal_dims[m] == classical.ideal_dim for m in lattice.divisors)
     return ConstantEtaleReport(level_dims, tensor.dim, matches, ideal_dims,
                                dict(data.verdicts), classical)
-
-
-# ---------------------------------------------------------------------------
-# overall verdict
-
-
-@dataclass
-class EtaleVerdict:
-    level_verdicts: dict
-    kahler_dims: dict
-    classical_ok: bool
-    projectivity_kind: str
-    projectivity_valid: bool
-
-    @property
-    def green_etale(self) -> bool:
-        return all(self.level_verdicts.values()) and self.classical_ok \
-            and self.projectivity_valid

@@ -143,7 +143,8 @@ def _in_minus_four_fourth_powers(K: Field, a) -> bool:
     return _has_mth_root(K, c4, 4)
 
 
-def _is_primitive_root_of_unity(K: Field, zeta, n: int) -> bool:
+def is_primitive_root_of_unity(K: Field, zeta, n: int) -> bool:
+    """Does ζ have multiplicative order exactly n in K?"""
     if zeta ** n != K.one:
         return False
     for r in range(2, n + 1):
@@ -174,7 +175,7 @@ def kummer_extension(K: Field, n: int, a, zeta) -> GaloisExtension:
         raise ConstructionError(
             f"Q contains no primitive {n}-th root of unity; "
             "rational Kummer data is limited to n <= 2")
-    if not _is_primitive_root_of_unity(K, zeta, n):
+    if not is_primitive_root_of_unity(K, zeta, n):
         raise ConstructionError(
             f"{zeta} is not a primitive {n}-th root of unity in {K}")
     if n > 1:

@@ -20,11 +20,12 @@ from __future__ import annotations
 import random
 
 from .algebras import FiniteAlgebra, base_as_algebra
-from .extensions import GaloisExtension
+from .extensions import GaloisExtension, format_l_element
 from .fields import Field
-from .linalg import Mat, bilinear, solve_matrix, unit_vec, vec_zero
-from .mackey import (InternalCheckError, MackeyFunctor, SubgroupLattice,
-                     Violation, subgroup_lattice)
+from .linalg import Mat, bilinear, unit_vec, vec_zero
+from .mackey import (InternalCheckError, MackeyFunctor, MackeyMorphism,
+                     SubgroupLattice, Violation, base_change, solve_in,
+                     subgroup_lattice)
 
 
 class GreenFunctor:
@@ -110,11 +111,9 @@ class FixNorm(NormRule):
         out = self.ext.algebra.one
         for j in range(to // frm):
             out = self.ext.algebra.mul(out, self.ext.apply_sigma(x, j * (n // to)))
-        coords = solve_matrix(self.embeds[to],
-                              Mat.from_cols(self.ext.base, [out], n))
-        if coords is None:
-            raise InternalCheckError("norm image escaped the fixed subfield")
-        return coords.col(0)
+        return solve_in(self.embeds[to],
+                        Mat.from_cols(self.ext.base, [out], n),
+                        "norm image escaped the fixed subfield").col(0)
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +152,13 @@ def fix_functor(E: GaloisExtension, name: str = "") -> GreenFunctor:
     for m in lattice.divisors:
         basis = E.fixed_space(m)
         embeds[m] = Mat.from_cols(K, basis, n)
-        labels[m] = [_label_of(E, v) for v in basis]
+        labels[m] = [format_l_element(E, v) for v in basis]
 
     res = {}
     tr = {}
     for (d, m) in lattice.covering_pairs:
-        rmat = solve_matrix(embeds[d], embeds[m])
-        if rmat is None:
-            raise InternalCheckError("fixed subfields are not nested")
-        res[(d, m)] = rmat
+        res[(d, m)] = solve_in(embeds[d], embeds[m],
+                               "fixed subfields are not nested")
         cols = []
         for v in embeds[d].cols():
             acc = vec_zero(K, n)
@@ -169,47 +166,28 @@ def fix_functor(E: GaloisExtension, name: str = "") -> GreenFunctor:
                 img = E.apply_sigma(v, j * (n // m))
                 acc = tuple(a + b for a, b in zip(acc, img))
             cols.append(acc)
-        tmat = solve_matrix(embeds[m], Mat.from_cols(K, cols, n))
-        if tmat is None:
-            raise InternalCheckError("transfer image escaped the fixed subfield")
-        tr[(m, d)] = tmat
-    weyl = {}
-    for m in lattice.divisors:
-        wmat = solve_matrix(embeds[m], E.sigma @ embeds[m])
-        if wmat is None:
-            raise InternalCheckError("σ does not preserve the fixed subfield")
-        weyl[m] = wmat
+        tr[(m, d)] = solve_in(embeds[m], Mat.from_cols(K, cols, n),
+                              "transfer image escaped the fixed subfield")
+    weyl = {m: solve_in(embeds[m], E.sigma @ embeds[m],
+                        "σ does not preserve the fixed subfield")
+            for m in lattice.divisors}
 
     mack = MackeyFunctor(K, lattice, labels, res, tr, weyl,
                          name=name or f"{alg.name}^fix")
     mult = {}
     for m in lattice.divisors:
-        dim = embeds[m].ncols
-        table = []
-        for i in range(dim):
-            row = []
-            vi = embeds[m].col(i)
-            for j in range(dim):
-                prod = alg.mul(vi, embeds[m].col(j))
-                coords = solve_matrix(embeds[m],
-                                      Mat.from_cols(K, [prod], n))
-                if coords is None:
-                    raise InternalCheckError(
-                        "fixed subfield is not closed under multiplication")
-                row.append(coords.col(0))
-            table.append(row)
-        mult[m] = table
-    unit = {}
-    for m in lattice.divisors:
-        coords = solve_matrix(embeds[m], Mat.from_cols(K, [alg.one], n))
-        unit[m] = coords.col(0)
+        basis = embeds[m].cols()
+        prods = [alg.mul(u, v) for u in basis for v in basis]
+        coords = solve_in(embeds[m], Mat.from_cols(K, prods, n),
+                          "fixed subfield is not closed under multiplication")
+        dim = len(basis)
+        mult[m] = [[coords.col(i * dim + j) for j in range(dim)]
+                   for i in range(dim)]
+    unit = {m: solve_in(embeds[m], Mat.from_cols(K, [alg.one], n),
+                        "the fixed subfield does not contain 1").col(0)
+            for m in lattice.divisors}
     return GreenFunctor(mack, mult, unit, norms=FixNorm(E, embeds),
                         name=mack.name, level_embed=embeds)
-
-
-def _label_of(E: GaloisExtension, vec) -> str:
-    from .extensions import format_l_element
-    return format_l_element(E, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +292,25 @@ def check_norms(G: GreenFunctor):
     return out
 
 
+def check_green_morphism(source: GreenFunctor, target: GreenFunctor,
+                         components, name: str = ""):
+    """Violations of levelwise maps being a morphism of Green functors:
+    those of MackeyMorphism.check, then per level at most one
+    multiplication violation and the unit."""
+    out = MackeyMorphism(source.mackey, target.mackey, components,
+                         name=name).check()
+    for m in source.lattice.divisors:
+        phi = components[m]
+        dim = source.dim(m)
+        if any(phi.apply(source.mult[m][i][j])
+               != target.multiply(m, phi.col(i), phi.col(j))
+               for i in range(dim) for j in range(dim)):
+            out.append(Violation("morphism_mult", {"level": m}, name))
+        if phi.apply(source.unit[m]) != target.unit[m]:
+            out.append(Violation("morphism_unit", {"level": m}, name))
+    return out
+
+
 def zero_green(M: MackeyFunctor) -> GreenFunctor:
     """Wrap a bare Mackey functor with the zero multiplication.
 
@@ -342,7 +339,6 @@ def permute_green(G: GreenFunctor, perms: dict) -> GreenFunctor:
         perm = perms.get(m, list(range(G.dim(m))))
         # row j of the base change picks the perm[j]-th old coordinate
         mats[m] = _perm_cols(K, perm, G.dim(m)).transpose()
-    from .mackey import base_change
     mack = base_change(G.mackey, mats, name=f"{G.name} (permuted)")
     mack.labels = {m: [G.labels(m)[perms.get(m, list(range(G.dim(m))))[i]]
                        for i in range(G.dim(m))]

@@ -182,6 +182,11 @@ def unit_vec(field, n, i):
     return tuple(v)
 
 
+def tensor_vec(u, v):
+    """Coordinates of u ⊗ v in the basis e_i ⊗ f_j, ordered i-major."""
+    return tuple([a * b for a in u for b in v])
+
+
 def bilinear(field, table, x, y):
     """Product of coefficient vectors x, y through structure constants:
     ``table[i][j]`` is the coefficient vector of e_i·e_j."""

@@ -35,6 +35,18 @@ class InternalCheckError(AssertionError):
         self.witness = witness
 
 
+def solve_in(embed: Mat, image: Mat, message: str) -> Mat:
+    """Coordinates X with ``embed @ X == image``.
+
+    ``embed`` has independent columns, so X is unique when it exists; an
+    image column outside their span raises InternalCheckError(message)
+    with the image as witness."""
+    coords = solve_matrix(embed, image)
+    if coords is None:
+        raise InternalCheckError(message, witness=image)
+    return coords
+
+
 # ---------------------------------------------------------------------------
 # subgroup lattice of C_n
 
@@ -381,25 +393,16 @@ def fix_of_module(scalars: Field, lattice: SubgroupLattice, action: Mat,
     res = {}
     tr = {}
     for (d, m) in lattice.covering_pairs:
-        rmat = solve_matrix(embeds[d], embeds[m])
-        if rmat is None:
-            raise InternalCheckError(
-                f"V^(C_{m}) does not embed in V^(C_{d})")
-        res[(d, m)] = rmat
+        res[(d, m)] = solve_in(embeds[d], embeds[m],
+                               f"V^(C_{m}) does not embed in V^(C_{d})")
         acc = Mat.zeros(scalars, dim_v, dim_v)
         for j in range(m // d):
             acc = acc + action.power(j * (n // m))
-        tmat = solve_matrix(embeds[m], acc @ embeds[d])
-        if tmat is None:
-            raise InternalCheckError(
-                f"transfer image does not lie in V^(C_{m})")
-        tr[(m, d)] = tmat
-    weyl = {}
-    for m in lattice.divisors:
-        wmat = solve_matrix(embeds[m], action @ embeds[m])
-        if wmat is None:
-            raise InternalCheckError(f"action does not preserve V^(C_{m})")
-        weyl[m] = wmat
+        tr[(m, d)] = solve_in(embeds[m], acc @ embeds[d],
+                              f"transfer image does not lie in V^(C_{m})")
+    weyl = {m: solve_in(embeds[m], action @ embeds[m],
+                        f"action does not preserve V^(C_{m})")
+            for m in lattice.divisors}
 
     fun = MackeyFunctor(scalars, lattice, lab, res, tr, weyl, name=name)
     return FixedPointModule(fun, embeds, action)
@@ -411,13 +414,10 @@ def fix_of_module_map(src: FixedPointModule, dst: FixedPointModule,
     underlying modules (must commute with the actions)."""
     if level1_map @ src.action != dst.action @ level1_map:
         raise InternalCheckError("level-1 map is not equivariant")
-    comps = {}
-    for m in src.functor.lattice.divisors:
-        comp = solve_matrix(dst.embeds[m], level1_map @ src.embeds[m])
-        if comp is None:
-            raise InternalCheckError(
-                f"induced map does not preserve fixed points at level {m}")
-        comps[m] = comp
+    comps = {m: solve_in(dst.embeds[m], level1_map @ src.embeds[m],
+                         f"induced map does not preserve fixed points at "
+                         f"level {m}")
+             for m in src.functor.lattice.divisors}
     return MackeyMorphism(src.functor, dst.functor, comps)
 
 

@@ -30,13 +30,13 @@ from dataclasses import dataclass, field
 
 from .algebras import FiniteAlgebra, tensor_algebra
 from .boxes import BoxProduct, box
-from .extensions import GaloisExtension
-from .fields import Field, is_prime
-from .green import GreenFunctor, constant_functor, fix_functor
-from .linalg import Mat, column_space, inverse, solve_matrix, unit_vec, \
-    vec_is_zero
+from .extensions import GaloisExtension, is_primitive_root_of_unity
+from .fields import Field
+from .green import GreenFunctor, check_green_morphism, constant_functor, \
+    fix_functor
+from .linalg import Mat, column_space, inverse, unit_vec, vec_is_zero
 from .mackey import (FixedPointModule, InternalCheckError, MackeyFunctor,
-                     MackeyMorphism, Violation, fix_of_module)
+                     MackeyMorphism, Violation, fix_of_module, solve_in)
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +72,7 @@ def eigen_decompose(M: MackeyFunctor, zeta) -> EigenDecomposition:
     n = M.lattice.n
     if K.characteristic and n % K.characteristic == 0:
         raise ValueError(f"{n} is not invertible in {K}")
-    if zeta ** n != K.one or any(
-            zeta ** (n // r) == K.one
-            for r in range(2, n + 1) if n % r == 0 and is_prime(r)):
+    if not is_primitive_root_of_unity(K, zeta, n):
         raise ValueError(f"{zeta} is not a primitive {n}-th root of unity")
 
     inv_n = K.one / K.from_int(n)
@@ -96,24 +94,17 @@ def eigen_decompose(M: MackeyFunctor, zeta) -> EigenDecomposition:
             basis = column_space(projectors[i][m])
             embed[m] = Mat.from_cols(K, basis, M.dim(m))
             labels[m] = [f"e{i}.{m}.{t}" for t in range(len(basis))]
-        res, tr, weyl = {}, {}, {}
+        msg = "structure map does not preserve the eigenpiece"
+        res, tr = {}, {}
         for (d, m) in M.lattice.covering_pairs:
-            res[(d, m)] = _restrict_map(embed[d], M.res[(d, m)] @ embed[m])
-            tr[(m, d)] = _restrict_map(embed[m], M.tr[(m, d)] @ embed[d])
-        for m in M.lattice.divisors:
-            weyl[m] = _restrict_map(embed[m], M.weyl[m] @ embed[m])
+            res[(d, m)] = solve_in(embed[d], M.res[(d, m)] @ embed[m], msg)
+            tr[(m, d)] = solve_in(embed[m], M.tr[(m, d)] @ embed[d], msg)
+        weyl = {m: solve_in(embed[m], M.weyl[m] @ embed[m], msg)
+                for m in M.lattice.divisors}
         fun = MackeyFunctor(K, M.lattice, labels, res, tr, weyl,
                             name=f"{M.name}^(ζ^{i})")
         pieces.append(EigenPiece(i, fun, embed))
     return EigenDecomposition(M, zeta, pieces, projectors)
-
-
-def _restrict_map(embed_target: Mat, image: Mat) -> Mat:
-    out = solve_matrix(embed_target, image)
-    if out is None:
-        raise InternalCheckError(
-            "structure map does not preserve the eigenpiece")
-    return out
 
 
 def check_eigen(dec: EigenDecomposition):
@@ -179,13 +170,10 @@ def fix_reconstruction(M: MackeyFunctor) -> tuple:
     K = M.scalars
     fpm = fix_of_module(K, M.lattice, M.weyl[1],
                         labels=M.labels[1], name=f"fix({M.name}(1))")
-    comps = {}
-    for m in M.lattice.divisors:
-        comp = solve_matrix(fpm.embeds[m], M.res_mat(1, m))
-        if comp is None:
-            raise InternalCheckError(
-                f"restriction image at level {m} escapes the fixed points")
-        comps[m] = comp
+    comps = {m: solve_in(fpm.embeds[m], M.res_mat(1, m),
+                         f"restriction image at level {m} escapes the "
+                         f"fixed points")
+             for m in M.lattice.divisors}
     morphism = MackeyMorphism(M, fpm.functor, comps, name="reconstruction")
     bad = morphism.check()
     if bad:
@@ -278,14 +266,11 @@ def _normal_basis_certificate(E: GaloisExtension) -> ProjectivityCertificate:
     to_free_level1 = inverse(basis)
     comps = {1: to_free_level1}
     for m in L.lattice.divisors:
-        if m == 1:
-            continue
-        img = to_free_level1 @ L.level_embed[m]
-        comp = solve_matrix(free.embeds[m], img)
-        if comp is None:
-            raise InternalCheckError(
-                "normal-basis map does not respect fixed points")
-        comps[m] = comp
+        if m != 1:
+            comps[m] = solve_in(free.embeds[m],
+                                to_free_level1 @ L.level_embed[m],
+                                "normal-basis map does not respect fixed "
+                                "points")
     fwd = MackeyMorphism(L.mackey, free.functor, comps, name="normal_basis")
     _assert_iso(fwd)
     witness = CertificateWitness("L^fix ≅ fixed points of the free rank-one "
@@ -311,8 +296,8 @@ def _plus_minus_certificate(E: GaloisExtension) -> ProjectivityCertificate:
     for m in L.lattice.divisors:
         if plus.functor.dim(m) != 1:
             raise InternalCheckError("plus part must be levelwise a line")
-        # the component sends c·1 to c, i.e. reads off the unit coefficient
-        comps[m] = Mat(K, [[_unit_coordinate(L, plus, m)]], ncols=1)
+        # the component sends c·1 to c: it reads off the α^0 = 1 coefficient
+        comps[m] = Mat(K, [[_alpha_coordinate(E, L, plus, m, 0)]], ncols=1)
     fwd = MackeyMorphism(plus.functor, Kc.mackey, comps, name="plus_part")
     _assert_iso(fwd)
     witness = CertificateWitness("plus part ≅ constant functor", fwd,
@@ -323,17 +308,6 @@ def _plus_minus_certificate(E: GaloisExtension) -> ProjectivityCertificate:
                                 for m in L.lattice.divisors},
                  "plus_dims": {m: plus.functor.dim(m)
                                for m in L.lattice.divisors}})
-
-
-def _unit_coordinate(L: GreenFunctor, piece: EigenPiece, m: int):
-    """Coefficient c with piece basis vector = c·1 inside the field."""
-    K = L.scalars
-    vec = L.level_embed[m].apply(piece.embed[m].col(0))
-    if any(c != K.zero for c in vec[1:]):
-        raise InternalCheckError("plus part is not spanned by the unit")
-    if vec[0] == K.zero:
-        raise InternalCheckError("plus part does not contain the unit")
-    return vec[0]
 
 
 def _eigen_free_certificate(E: GaloisExtension) -> ProjectivityCertificate:
@@ -467,26 +441,8 @@ def constant_box_lemma_check(A_alg: FiniteAlgebra, B_alg: FiniteAlgebra,
     if iso is None:
         failures.append("no levelwise bijection onto the tensor algebra")
     else:
-        morphism = MackeyMorphism(bx.green.mackey, target.mackey, iso,
-                                  name="constant_box")
-        failures += [str(v) for v in morphism.check()]
-        for m in bx.lattice.divisors:
-            phi = iso[m]
-            for i in range(bx.dim(m)):
-                ei = unit_vec(K, bx.dim(m), i)
-                for j in range(bx.dim(m)):
-                    ej = unit_vec(K, bx.dim(m), j)
-                    lhs = phi.apply(bx.green.multiply(m, ei, ej))
-                    rhs = tensor.mul(phi.apply(ei), phi.apply(ej))
-                    if lhs != rhs:
-                        failures.append(
-                            f"multiplication mismatch at level {m}")
-                        break
-                else:
-                    continue
-                break
-            if phi.apply(bx.green.unit[m]) != tensor.one:
-                failures.append(f"unit mismatch at level {m}")
+        failures += [str(v) for v in check_green_morphism(
+            bx.green, target, iso, name="constant_box")]
     return ConstantBoxCheck(
         ok=not failures,
         level_dims={m: bx.dim(m) for m in bx.lattice.divisors},

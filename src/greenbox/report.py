@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .boxes import absolute_box_supported, box, compare_boxes, \
     coequalizer_oracle, norm_on_c2_box, prime_box_oracle, relative_box
-from .etale import EtaleVerdict, classical_etale_oracle, green_kahler_dims, \
+from .etale import classical_etale_oracle, green_kahler_dims, \
     ideal_and_square, kummer_congruence_checks, mult_map, unit_section_check
 from .extensions import GaloisExtension, artin_schreier_extension, \
     kummer_extension
@@ -96,7 +96,7 @@ class RunConfig:
                 coeffs = [int(x) for x in raw.split(",")]
                 return K.from_coeffs(coeffs)
             return K.from_int(int(raw))
-        except (ValueError, AttributeError) as exc:
+        except (ValueError, AttributeError, ZeroDivisionError) as exc:
             raise ConfigError(f"cannot parse scalar {raw!r} in {K}") from exc
 
     def extension(self) -> GaloisExtension:
@@ -342,24 +342,18 @@ def run_pipeline(cfg: RunConfig) -> EtaleReport:
         "separability_unit_found": classical_rep.has_separability_unit,
     }
 
-    core = EtaleVerdict(
-        level_verdicts=dict(data.verdicts),
-        kahler_dims=kahler,
-        classical_ok=classical_rep.etale,
-        projectivity_kind=certificate["kind"],
-        projectivity_valid=certificate["valid"])
     verdict = {
-        "levels": core.level_verdicts,
+        "levels": dict(data.verdicts),
         "kahler_all_zero": all(v == 0 for v in kahler.values()),
-        "classical_ok": core.classical_ok,
+        "classical_ok": classical_rep.etale,
         "oracles_ok": all(v is not False
                           for v in oracle_agreement.values()),
         "functor_checks_ok": all(v == 0 for v in checks.values()),
-        "certificate_valid": core.projectivity_valid,
+        "certificate_valid": certificate["valid"],
         "congruences_ok": congruences.get("ok", True),
         "norm_remark_ok": norm_remark.get("spans_ideal", True),
     }
-    verdict["green_etale"] = core.green_etale and all(
+    verdict["green_etale"] = all(
         v if not isinstance(v, dict) else all(v.values())
         for v in verdict.values())
 

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from conftest import gen_coords, unit_vec
@@ -8,11 +10,11 @@ from greenbox.boxes import (box, box3, compare_boxes, coequalizer_oracle,
                             swap_isomorphic)
 from greenbox.extensions import kummer_extension
 from greenbox.fields import finite_field, prime_field
-from greenbox.green import (check_green, constant_functor, fix_functor,
-                            zero_green)
+from greenbox.green import (GreenFunctor, check_green, constant_functor,
+                            corrupt_multiplication, fix_functor, zero_green)
 from greenbox.linalg import Mat
-from greenbox.mackey import InternalCheckError, check_axioms, \
-    small_random_mackey, subgroup_lattice
+from greenbox.mackey import InternalCheckError, MackeyFunctor, check_axioms, \
+    corrupt_transfer, small_random_mackey, subgroup_lattice
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -334,3 +336,57 @@ def test_descent_rejects_corrupt_multiplication(unchecked_c4_box):
     bx._mult_cache.pop(("s", 4, p, 0), None)
     with pytest.raises(InternalCheckError, match="multiplication"):
         boxes._check_descent(bx)
+
+
+# ---------------------------------------------------------------------------
+# compare_boxes: negative controls
+#
+# The C_4 relative box against a shallow copy of itself whose Green functor
+# has one structure map changed; the comparison must report that map and
+# nothing else.
+
+
+def _bumped(mat):
+    """``mat`` with its top-left entry increased by one."""
+    rows = [list(r) for r in mat.rows]
+    rows[0][0] = rows[0][0] + F5.one
+    return Mat(F5, rows, ncols=mat.ncols)
+
+
+def _with_mackey(G, res=None, weyl=None):
+    M = G.mackey
+    mack = MackeyFunctor(F5, M.lattice, M.labels, res or M.res, M.tr,
+                         weyl or M.weyl)
+    return GreenFunctor(mack, G.mult, G.unit)
+
+
+def _corrupt_res(G):
+    return _with_mackey(G, res={**G.mackey.res,
+                                (2, 4): _bumped(G.mackey.res[(2, 4)])})
+
+
+def _corrupt_weyl(G):
+    return _with_mackey(G, weyl={**G.mackey.weyl,
+                                 4: _bumped(G.mackey.weyl[4])})
+
+
+def _corrupt_unit(G):
+    u = list(G.unit[1])
+    u[0] = u[0] + F5.one
+    return GreenFunctor(G.mackey, G.mult, {**G.unit, 1: tuple(u)})
+
+
+@pytest.mark.parametrize("corrupt,rule", [
+    (_corrupt_res, "morphism_res"),
+    (lambda G: GreenFunctor(corrupt_transfer(G.mackey), G.mult, G.unit),
+     "morphism_tr"),
+    (_corrupt_weyl, "morphism_weyl"),
+    (corrupt_multiplication, "morphism_mult"),
+    (_corrupt_unit, "morphism_unit"),
+], ids=["res", "tr", "weyl", "mult", "unit"])
+def test_compare_boxes_names_corrupt_map(kummer4_bundle, corrupt, rule):
+    rb = kummer4_bundle.box
+    bad = copy.copy(rb)
+    bad.green = corrupt(rb.green)
+    diffs = compare_boxes(rb, bad)
+    assert diffs and all(d.startswith(rule) for d in diffs), diffs

@@ -3,10 +3,10 @@ import pytest
 from greenbox.fields import prime_field, rationals
 from greenbox.green import constant_functor, fix_functor
 from greenbox.linalg import Mat
-from greenbox.mackey import (MackeyMorphism, check_axioms, compose_structure,
-                             corrupt_transfer, fix_of_module,
-                             identity_morphism, random_mackey,
-                             small_random_mackey, subgroup_lattice)
+from greenbox.mackey import (InternalCheckError, MackeyMorphism, check_axioms,
+                             compose_structure, corrupt_transfer,
+                             fix_of_module, identity_morphism, random_mackey,
+                             small_random_mackey, solve_in, subgroup_lattice)
 
 F5 = prime_field(5)
 F7 = prime_field(7)
@@ -120,3 +120,14 @@ def test_morphism_checks():
     bad = MackeyMorphism(Kc, Kc, {m: Mat.identity(F5, 1).scale(
         F5.from_int(m)) for m in lat.divisors})
     assert bad.check()   # scaling by the level index breaks res-compatibility
+
+
+def test_solve_in_coordinates_and_escape():
+    line = Mat(F5, [[F5.one], [F5.from_int(2)]], ncols=1)
+    inside = Mat(F5, [[F5.from_int(3)], [F5.one]], ncols=1)
+    assert solve_in(line, inside, "unused") == Mat(F5, [[F5.from_int(3)]])
+    outside = Mat(F5, [[F5.one], [F5.one]], ncols=1)
+    with pytest.raises(InternalCheckError, match="^image leaves the line$") \
+            as exc:
+        solve_in(line, inside.hstack(outside), "image leaves the line")
+    assert exc.value.witness == inside.hstack(outside)

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import pathlib
 
@@ -10,6 +13,8 @@ from greenbox.report import (ConfigError, RunConfig, emit, fuzz, load_config,
 HERE = pathlib.Path(__file__).parent
 CONFIGS = HERE.parent / "configs"
 GOLDEN = HERE / "golden"
+RECORDED_SHA256 = json.loads(
+    (HERE.parent / "bench" / "expected_sha256.json").read_text())
 
 
 def cfg(name):
@@ -68,6 +73,27 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, verb):
         path.write_text(text)
         assert main([verb, str(path)]) == 2, name
         err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
+# rational scalars with a zero denominator, in a and in zeta
+ZERO_DENOMINATOR = {
+    "a": "[field]\nrationals = true\n\n[extension]\nflavor = kummer\n"
+         "n = 2\na = 1/0\nzeta = -1\n",
+    "zeta": "[field]\nrationals = true\n\n[extension]\nflavor = kummer\n"
+            "n = 2\na = 2\nzeta = -1/0\n",
+}
+
+
+@pytest.mark.parametrize("verb", ["check-etale", "report"])
+def test_cli_zero_denominator_exits_2(tmp_path, capsys, verb):
+    for name, text in ZERO_DENOMINATOR.items():
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        assert main([verb, str(path)]) == 2, name
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
 
@@ -220,3 +246,16 @@ def test_degenerate_identity_extension_pipeline():
     assert r.verdict["green_etale"]
     assert r.ideal[1]["dim"] == 0
     assert r.certificate["kind"] == "trivial"
+
+
+@pytest.mark.parametrize("invocation", sorted(
+    inv for inv in RECORDED_SHA256 if inv.split()[-1].startswith("configs/")))
+def test_cli_stdout_matches_recorded_sha256(invocation):
+    *args, config = invocation.split()
+    # report writes bytes to sys.stdout.buffer, the other verbs write text
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(out):
+        assert main(args + [str(HERE.parent / config)]) == 0
+    out.flush()
+    digest = hashlib.sha256(out.buffer.getvalue()).hexdigest()
+    assert digest == RECORDED_SHA256[invocation]
