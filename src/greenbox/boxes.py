@@ -102,21 +102,17 @@ class BoxProduct:
             tensor = tensor_vec(self.left.mult[m][i][i2],
                                 self.right.mult[m][j][j2])
             self.place(m, m, tensor, out)
-        elif d == m:
-            # pure · class: restrict the pure tensor to the class origin
-            u1 = self.left.mackey.res_mat(e, m).col(i)
-            u2 = self.right.mackey.res_mat(e, m).col(j)
-            lvec = self.left.multiply(e, u1, unit_vec(K, self.left.dim(e), i2))
-            rvec = self.right.multiply(e, u2,
-                                       unit_vec(K, self.right.dim(e), j2))
-            self.place(m, e, tensor_vec(lvec, rvec), out)
-        elif e == m:
-            u1 = self.left.mackey.res_mat(d, m).col(i2)
-            u2 = self.right.mackey.res_mat(d, m).col(j2)
-            lvec = self.left.multiply(d, u1, unit_vec(K, self.left.dim(d), i))
-            rvec = self.right.multiply(d, u2,
-                                       unit_vec(K, self.right.dim(d), j))
-            self.place(m, d, tensor_vec(lvec, rvec), out)
+        elif m in (d, e):
+            # pure · class, either way round: restrict the pure tensor to
+            # the class origin o and multiply it into the class there
+            (pi, pj), (o, ci, cj) = ((i, j), (e, i2, j2)) if d == m \
+                else ((i2, j2), (d, i, j))
+            u1 = self.left.mackey.res_mat(o, m).col(pi)
+            u2 = self.right.mackey.res_mat(o, m).col(pj)
+            lvec = self.left.multiply(o, u1, unit_vec(K, self.left.dim(o), ci))
+            rvec = self.right.multiply(o, u2,
+                                       unit_vec(K, self.right.dim(o), cj))
+            self.place(m, o, tensor_vec(lvec, rvec), out)
         else:
             # class · class: tr(u)·tr(v) = tr(u · res(tr v))
             down = self.amb_res_chain(d, m).apply(self.gen_unit(m, cb))
@@ -180,6 +176,20 @@ def _tensor_mat(K, A: Mat, B: Mat) -> Mat:
         for j in range(B.ncols):
             cols.append(tensor_vec(A.col(i), B.col(j)))
     return Mat.from_cols(K, cols, A.nrows * B.nrows)
+
+
+def _place_blocks(bx, m, blocks):
+    """Ambient columns of level m from component blocks ``{d: B_d}``:
+    column t is the sum over d of column t of B_d, placed at component d.
+    The blocks share their number of columns."""
+    ncols = next(iter(blocks.values())).ncols
+    cols = []
+    for t in range(ncols):
+        out = [bx.scalars.zero] * bx.amb_dim(m)
+        for d, block in blocks.items():
+            bx.place(m, d, block.col(t), out)
+        cols.append(tuple(out))
+    return cols
 
 
 def _class_label(lattice, m, d, text):
@@ -249,15 +259,21 @@ def build_box(left: GreenFunctor, right: GreenFunctor, *, relative=None,
         bx.offsets[m] = offsets
         bx._amb_labels[m] = labels
 
+    def tm(f, g):
+        return _tensor_mat(K, f, g)
+
+    def ident(F, d):
+        return Mat.identity(K, F.dim(d))
+
+    def weyl_pow(d, k):
+        return tm(left.mackey.weyl_pow(d, k), right.mackey.weyl_pow(d, k))
+
     # ambient Weyl action: diagonal on every component
     for m in lattice.divisors:
-        blocks = {d: _tensor_mat(K, left.mackey.weyl[d], right.mackey.weyl[d])
-                  for d in bx.offsets[m]}
         cols = []
-        for (d, i, j) in bx.gens[m]:
-            out = [K.zero] * bx.amb_dim(m)
-            bx.place(m, d, blocks[d].col(i * right.dim(d) + j), out)
-            cols.append(tuple(out))
+        for d in bx.offsets[m]:
+            cols += _place_blocks(
+                bx, m, {d: tm(left.mackey.weyl[d], right.mackey.weyl[d])})
         bx.amb_weyl[m] = Mat.from_cols(K, cols, bx.amb_dim(m))
 
     # ambient transfers: component relabeling upward
@@ -266,78 +282,41 @@ def build_box(left: GreenFunctor, right: GreenFunctor, *, relative=None,
                 for (d, i, j) in bx.gens[m]]
         bx.amb_tr[(mp, m)] = Mat.from_cols(K, cols, bx.amb_dim(mp))
 
-    # ambient restrictions: double coset formula on classes
+    # ambient restrictions: res⊗res on pure tensors; a class of origin d
+    # goes to origin g = gcd(d, m') through res to g, then the sum of the
+    # c = m·g/(d·m') Weyl translates
     for (mp, m) in lattice.covering_pairs:
-        # per origin d: the summed Weyl-orbit map applied after res to gcd
-        orbit_maps = {}
+        res = tm(left.mackey.res[(mp, m)], right.mackey.res[(mp, m)])
+        cols = _place_blocks(bx, mp, {mp: res})
         for d in bx.offsets[m]:
             if d == m:
                 continue
             g = math.gcd(d, mp)
-            c = m * g // (d * mp)
-            acc = None
-            for jj in range(c):
-                wmat = _tensor_mat(K, left.mackey.weyl_pow(g, jj * (n // m)),
-                                   right.mackey.weyl_pow(g, jj * (n // m)))
-                acc = wmat if acc is None else acc + wmat
-            orbit_maps[d] = (g, acc @ _tensor_mat(
-                K, left.mackey.res_mat(g, d), right.mackey.res_mat(g, d)))
-        cols = []
-        for (d, i, j) in bx.gens[m]:
-            out = [K.zero] * bx.amb_dim(mp)
-            if d == m:
-                tensor = tensor_vec(left.mackey.res[(mp, m)].col(i),
-                                    right.mackey.res[(mp, m)].col(j))
-                bx.place(mp, mp, tensor, out)
-            else:
-                g, omap = orbit_maps[d]
-                bx.place(mp, g, omap.col(i * right.dim(d) + j), out)
-            cols.append(tuple(out))
+            orbit = weyl_pow(g, 0)
+            for jj in range(1, m * g // (d * mp)):
+                orbit = orbit + weyl_pow(g, jj * (n // m))
+            down = tm(left.mackey.res_mat(g, d), right.mackey.res_mat(g, d))
+            cols += _place_blocks(bx, mp, {g: orbit @ down})
         bx.amb_res[(mp, m)] = Mat.from_cols(K, cols, bx.amb_dim(mp))
 
-    # relations
+    # relations: Weyl-fixed classes, then for each d' | d both Frobenius
+    # identities [tr(x)⊗y]_d = [x⊗res(y)]_{d'} and its mirror
     for m in lattice.divisors:
         rows = []
         for d in bx.offsets[m]:
-            if d == m:
-                continue
-            w = _tensor_mat(K, left.mackey.weyl_pow(d, n // m),
-                            right.mackey.weyl_pow(d, n // m))
-            for i in range(left.dim(d)):
-                for j in range(right.dim(d)):
-                    idx = bx.gen_index(m, d, i, j)
-                    out = [K.zero] * bx.amb_dim(m)
-                    bx.place(m, d, w.col(i * right.dim(d) + j), out)
-                    out[idx] = out[idx] - K.one
-                    rows.append(tuple(out))
+            if d != m:
+                rows += _place_blocks(
+                    bx, m, {d: weyl_pow(d, n // m) - weyl_pow(d, 0)})
         for d in bx.offsets[m]:
             for dp in bx.offsets[m]:
                 if d % dp or dp >= d:
                     continue
-                trl = left.mackey.tr_mat(d, dp)
-                trr = right.mackey.tr_mat(d, dp)
-                rsl = left.mackey.res_mat(dp, d)
-                rsr = right.mackey.res_mat(dp, d)
-                for i in range(left.dim(dp)):
-                    for j in range(right.dim(d)):
-                        out = [K.zero] * bx.amb_dim(m)
-                        ej = unit_vec(K, right.dim(d), j)
-                        bx.place(m, d, tensor_vec(trl.col(i), ej), out)
-                        ei = unit_vec(K, left.dim(dp), i)
-                        neg = vec_scale(-K.one,
-                                        tensor_vec(ei, rsr.col(j)))
-                        bx.place(m, dp, neg, out)
-                        rows.append(tuple(out))
-                for i in range(left.dim(d)):
-                    for j in range(right.dim(dp)):
-                        out = [K.zero] * bx.amb_dim(m)
-                        ei = unit_vec(K, left.dim(d), i)
-                        bx.place(m, d, tensor_vec(ei, trr.col(j)), out)
-                        ej = unit_vec(K, right.dim(dp), j)
-                        neg = vec_scale(-K.one,
-                                        tensor_vec(rsl.col(i), ej))
-                        bx.place(m, dp, neg, out)
-                        rows.append(tuple(out))
+                rows += _place_blocks(bx, m, {
+                    d: tm(left.mackey.tr_mat(d, dp), ident(right, d)),
+                    dp: -tm(ident(left, dp), right.mackey.res_mat(dp, d))})
+                rows += _place_blocks(bx, m, {
+                    d: tm(ident(left, d), right.mackey.tr_mat(d, dp)),
+                    dp: -tm(left.mackey.res_mat(dp, d), ident(right, dp))})
         if extra_relations and m in extra_relations:
             rows.extend(tuple(r) for r in extra_relations[m])
         bx.levels[m] = PresentedLevel(K, bx._amb_labels[m], rows)
@@ -481,10 +460,7 @@ def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int
     dim1 = M.dim(1) * N.dim(1)
     rows = []
     for t in range(dim1):
-        out = [K.zero] * bx.amb_dim(p)
-        col = tau.col(t)
-        for s in range(dim1):
-            out[bx.offsets[p][1] + s] = col[s]
+        out = bx.place(p, 1, tau.col(t), [K.zero] * bx.amb_dim(p))
         out[bx.offsets[p][1] + t] = out[bx.offsets[p][1] + t] - K.one
         rows.append(tuple(out))
     trM, trN = M.mackey.tr[(p, 1)], N.mackey.tr[(p, 1)]
@@ -493,21 +469,17 @@ def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int
         for j in range(N.dim(p)):
             out = [K.zero] * bx.amb_dim(p)
             ej = unit_vec(K, N.dim(p), j)
-            for t, c in enumerate(tensor_vec(trM.col(i), ej)):
-                out[t] = out[t] + c
+            bx.place(p, p, tensor_vec(trM.col(i), ej), out)
             ei = unit_vec(K, M.dim(1), i)
-            for s, c in enumerate(tensor_vec(ei, rsN.col(j))):
-                out[bx.offsets[p][1] + s] = out[bx.offsets[p][1] + s] - c
+            bx.place(p, 1, vec_scale(-K.one, tensor_vec(ei, rsN.col(j))), out)
             rows.append(tuple(out))
     for i in range(M.dim(p)):
         for j in range(N.dim(1)):
             out = [K.zero] * bx.amb_dim(p)
             ei = unit_vec(K, M.dim(p), i)
-            for t, c in enumerate(tensor_vec(ei, trN.col(j))):
-                out[t] = out[t] + c
+            bx.place(p, p, tensor_vec(ei, trN.col(j)), out)
             ej = unit_vec(K, N.dim(1), j)
-            for s, c in enumerate(tensor_vec(rsM.col(i), ej)):
-                out[bx.offsets[p][1] + s] = out[bx.offsets[p][1] + s] - c
+            bx.place(p, 1, vec_scale(-K.one, tensor_vec(rsM.col(i), ej)), out)
             rows.append(tuple(out))
 
     bx.levels[1] = PresentedLevel(K, bx._amb_labels[1], [])
@@ -544,16 +516,9 @@ def _prime_oracle_weyl_top(bx, M, N, p, tau):
     pure = _tensor_mat(K, M.mackey.weyl[p], N.mackey.weyl[p])
     cols = []
     for (d, i, j) in bx.gens[p]:
-        out = [K.zero] * bx.amb_dim(p)
-        if d == p:
-            col = pure.col(i * N.dim(p) + j)
-            for t, c in enumerate(col):
-                out[t] = c
-        else:
-            col = tau.col(i * N.dim(1) + j)
-            for s, c in enumerate(col):
-                out[bx.offsets[p][1] + s] = c
-        cols.append(tuple(out))
+        block = pure if d == p else tau
+        cols.append(tuple(bx.place(p, d, block.col(i * N.dim(d) + j),
+                                   [K.zero] * bx.amb_dim(p))))
     return Mat.from_cols(K, cols, bx.amb_dim(p))
 
 
@@ -572,33 +537,26 @@ def _attach_prime_oracle_mult(bx, M, N, p, orbit_sum):
         for t2 in range(dim1):
             bx._mult_cache[(1, t1, t2)] = level1_mult(t1, t2)
 
-    off = bx.offsets[p][1]
     for ca, (d, i, j) in enumerate(bx.gens[p]):
         for cb, (e, i2, j2) in enumerate(bx.gens[p]):
-            out = [K.zero] * bx.amb_dim(p)
             if d == p and e == p:
-                tensor = tensor_vec(M.mult[p][i][i2], N.mult[p][j][j2])
-                for t, c in enumerate(tensor):
-                    out[t] = c
+                comp, prod = p, tensor_vec(M.mult[p][i][i2], N.mult[p][j][j2])
             elif d == p:
                 u = tensor_vec(M.mackey.res[(1, p)].col(i),
                                N.mackey.res[(1, p)].col(j))
-                prod = bx.mult_vec(1, u, bx.gen_unit(1, i2 * N.dim(1) + j2))
-                for s, c in enumerate(prod):
-                    out[off + s] = c
+                comp, prod = 1, bx.mult_vec(
+                    1, u, bx.gen_unit(1, i2 * N.dim(1) + j2))
             elif e == p:
                 u = tensor_vec(M.mackey.res[(1, p)].col(i2),
                                N.mackey.res[(1, p)].col(j2))
-                prod = bx.mult_vec(1, bx.gen_unit(1, i * N.dim(1) + j), u)
-                for s, c in enumerate(prod):
-                    out[off + s] = c
+                comp, prod = 1, bx.mult_vec(
+                    1, bx.gen_unit(1, i * N.dim(1) + j), u)
             else:
                 orbit = orbit_sum.col(i2 * N.dim(1) + j2)
-                prod = bx.mult_vec(1, bx.gen_unit(1, i * N.dim(1) + j),
-                                   orbit)
-                for s, c in enumerate(prod):
-                    out[off + s] = c
-            bx._mult_cache[(p, ca, cb)] = tuple(out)
+                comp, prod = 1, bx.mult_vec(
+                    1, bx.gen_unit(1, i * N.dim(1) + j), orbit)
+            bx._mult_cache[(p, ca, cb)] = tuple(
+                bx.place(p, comp, prod, [K.zero] * bx.amb_dim(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -629,11 +587,9 @@ def coequalizer_oracle(T: GreenFunctor, base) -> BoxProduct:
         (e, i, _) = inner.gens[d][inner.levels[d].free[wi]]
         if e == d:
             return b2.gen_unit(m, b2.gen_index(m, d, i, yj))
-        out = [K.zero] * b2.amb_dim(m)
-        for k_idx, c in enumerate(T.mackey.tr_mat(d, e).col(i)):
-            out[b2.gen_index(m, d, k_idx, yj)] = \
-                out[b2.gen_index(m, d, k_idx, yj)] + c
-        return tuple(out)
+        image = tensor_vec(T.mackey.tr_mat(d, e).col(i),
+                           unit_vec(K, T.dim(d), yj))
+        return tuple(b2.place(m, d, image, [K.zero] * b2.amb_dim(m)))
 
     def act_right(m, d, wi, yj):
         """Middle factor into the right, rewriting the inner class through
@@ -641,11 +597,9 @@ def coequalizer_oracle(T: GreenFunctor, base) -> BoxProduct:
         (e, i, _) = inner.gens[d][inner.levels[d].free[wi]]
         if e == d:
             return b2.gen_unit(m, b2.gen_index(m, d, i, yj))
-        out = [K.zero] * b2.amb_dim(m)
-        for k_idx, c in enumerate(T.mackey.res_mat(e, d).col(yj)):
-            out[b2.gen_index(m, e, i, k_idx)] = \
-                out[b2.gen_index(m, e, i, k_idx)] + c
-        return tuple(out)
+        image = tensor_vec(unit_vec(K, T.dim(e), i),
+                           T.mackey.res_mat(e, d).col(yj))
+        return tuple(b2.place(m, e, image, [K.zero] * b2.amb_dim(m)))
 
     extra = {}
     for m in T.lattice.divisors:

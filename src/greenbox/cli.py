@@ -7,9 +7,11 @@ Verbs:
     fuzz [--seed S] [--count N] [--corrupt] <config>
     report <config> [--format text|json]
 
-Exit codes: 0 = all verdicts positive and all assertions held; 1 = some
-mathematical verdict is negative (or an internal consistency assertion
-fired, in which case the witness is dumped); 2 = invalid input.
+Each verb computes only the report sections it prints.  Exit codes: 0 =
+the verb's verdicts are positive and all assertions held; 1 = some verdict
+is negative (or an internal consistency assertion fired, in which case the
+witness is dumped); 2 = invalid input.  ``box`` has no verdict beyond its
+descent checks; ``decompose`` has the certificate and the eigen checks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import sys
 from .extensions import ConstructionError
 from .fields import FieldUsageError
 from .mackey import InternalCheckError
-from .report import ConfigError, emit, fuzz, load_config, run_pipeline
+from .report import ConfigError, EtaleReport, emit, fuzz, load_config, \
+    run_pipeline
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -61,16 +64,22 @@ def main(argv=None) -> int:
                            corrupt=args.corrupt)
             sys.stdout.write(summary.text())
             return EXIT_OK if summary.ok else EXIT_NEGATIVE
+        if args.verb == "box":
+            # a box whose maps fail to descend raises InternalCheckError
+            _print_box(EtaleReport(cfg))
+            return EXIT_OK
+        if args.verb == "decompose":
+            report = EtaleReport(cfg)
+            _print_decomposition(report)
+            ok = report.certificate["valid"] and \
+                (report.eigen is None or report.eigen["valid"])
+            return EXIT_OK if ok else EXIT_NEGATIVE
         report = run_pipeline(cfg)
         if args.verb == "report":
             fmt = args.fmt or cfg.fmt
             sys.stdout.buffer.write(emit(report, fmt))
-        elif args.verb == "check-etale":
+        else:
             _print_verdict(report)
-        elif args.verb == "box":
-            _print_box(report)
-        elif args.verb == "decompose":
-            _print_decomposition(report)
         return EXIT_OK if report.verdict["green_etale"] else EXIT_NEGATIVE
     except (ConfigError, ConstructionError, FieldUsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

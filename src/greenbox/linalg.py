@@ -82,8 +82,11 @@ class Mat:
                     for r, s in zip(self.rows, other.rows)],
                    ncols=self.ncols)
 
+    def __neg__(self) -> "Mat":
+        return self.scale(-self.field.one)
+
     def __sub__(self, other: "Mat") -> "Mat":
-        return self + other.scale(-self.field.one)
+        return self + -other
 
     def scale(self, s) -> "Mat":
         return Mat(self.field, [[s * a for a in r] for r in self.rows],

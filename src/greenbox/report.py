@@ -18,11 +18,11 @@ A run configuration is a flat declarative INI file:
     count = 100
     format = text
 
-The pipeline builds the extension, its fixed-point functor, the relative box
-with its multiplication-kernel ideal, runs both oracles and the certificate
-machinery, and assembles an EtaleReport whose every verdict is accompanied
-by the witness data justifying it.  Identical configs produce byte-identical
-serialized reports.
+An EtaleReport holds one section per fact (the relative box and its ideal,
+both oracles, the certificate, the classical oracle, the verdict, ...), each
+computed on first use with the witness data justifying it; ``run_pipeline``
+computes them all.  Identical configs produce byte-identical serialized
+reports.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .boxes import absolute_box_supported, box, compare_boxes, \
     coequalizer_oracle, norm_on_c2_box, prime_box_oracle, relative_box
@@ -99,13 +100,19 @@ class RunConfig:
         except (ValueError, AttributeError, ZeroDivisionError) as exc:
             raise ConfigError(f"cannot parse scalar {raw!r} in {K}") from exc
 
+    def scalars(self) -> tuple:
+        """``(a, zeta)`` in the base field; zeta is None for non-Kummer data."""
+        a = self.parse_scalar(self.a_raw)
+        if self.flavor != "kummer":
+            return a, None
+        if self.zeta_raw is None:
+            raise ConfigError("kummer data needs zeta")
+        return a, self.parse_scalar(self.zeta_raw)
+
     def extension(self) -> GaloisExtension:
         K = self.base_field()
-        a = self.parse_scalar(self.a_raw)
+        a, zeta = self.scalars()
         if self.flavor == "kummer":
-            if self.zeta_raw is None:
-                raise ConfigError("kummer data needs zeta")
-            zeta = self.parse_scalar(self.zeta_raw)
             return kummer_extension(K, self.n, a, zeta)
         if self.flavor == "artin_schreier":
             return artin_schreier_extension(K, a)
@@ -179,30 +186,245 @@ def _poly_str(K, coeffs, var="x") -> str:
 
 
 # ---------------------------------------------------------------------------
-# the pipeline
+# the report
 
 
-@dataclass
 class EtaleReport:
-    config: dict
-    extension: dict
-    functor_checks: dict
-    box_levels: dict
-    structure_values: dict
-    ideal: dict
-    oracle_agreement: dict
-    norm_remark: dict
-    congruences: dict
-    certificate: dict
-    eigen: dict | None
-    classical: dict
-    verdict: dict
-    mult_matrices: dict = field(default_factory=dict)
-    out_of_scope: tuple = OUT_OF_SCOPE_NOTICES
-    schema_version: int = SCHEMA_VERSION
+    """The verification report of one config, one section per fact.  Each
+    section runs the stages it needs on first use; ``to_dict`` reads them
+    all, in report order."""
+
+    out_of_scope = OUT_OF_SCOPE_NOTICES
+    schema_version = SCHEMA_VERSION
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+
+    # -- stages shared by several sections --------------------------------
+
+    @cached_property
+    def galois(self) -> GaloisExtension:
+        return self.cfg.extension()
+
+    @cached_property
+    def divisors(self) -> tuple:
+        return subgroup_lattice(self.galois.degree).divisors
+
+    @cached_property
+    def fixed(self):
+        """The fixed-point functor L^fix."""
+        return fix_functor(self.galois)
+
+    @cached_property
+    def rel_box(self):
+        """L^fix □_{K^c} L^fix, with every structure map checked to descend."""
+        return relative_box(self.fixed, self.galois.base)
+
+    @cached_property
+    def mult(self):
+        return mult_map(self.rel_box)
+
+    @cached_property
+    def ideal_data(self):
+        return ideal_and_square(self.rel_box, self.mult)
+
+    # -- sections -----------------------------------------------------------
+
+    @cached_property
+    def config(self) -> dict:
+        E = self.galois
+        return {"field": str(E.base), "n": E.degree, "flavor": E.flavor,
+                "a": str(E.a),
+                "zeta": str(E.zeta) if E.zeta is not None else None}
+
+    @cached_property
+    def extension(self) -> dict:
+        E, L = self.galois, self.fixed
+        return {
+            "base": str(E.base),
+            "degree": E.degree,
+            "modulus": _poly_str(E.base, _modulus_coeffs(E), var="x"),
+            "fixed_level_dims": {str(m): L.dim(m) for m in self.divisors},
+            "fixed_level_bases": {str(m): list(L.labels(m))
+                                  for m in self.divisors},
+        }
+
+    @cached_property
+    def functor_checks(self) -> dict:
+        L = self.fixed
+        return {"mackey_axioms": len(check_axioms(L.mackey)),
+                "green_axioms": len(check_green(L)),
+                "norm_rules": len(check_norms(L))}
+
+    @cached_property
+    def box_levels(self) -> dict:
+        rb, L = self.rel_box, self.fixed
+        return {m: {"dim": rb.dim(m),
+                    "basis": list(rb.levels[m].reduced_labels),
+                    "ambient_components": {str(d): L.dim(d) ** 2
+                                           for d in self.divisors
+                                           if m % d == 0}}
+                for m in self.divisors}
+
+    @cached_property
+    def structure_values(self) -> dict:
+        """Formatted images of every reduced basis vector under res and tr
+        on covering pairs (witness data for the golden reports)."""
+        rb = self.rel_box
+        K = rb.scalars
+        out = {}
+        for (d, m) in rb.lattice.covering_pairs:
+            res = rb.green.mackey.res[(d, m)]
+            tr = rb.green.mackey.tr[(m, d)]
+            entry = {}
+            for idx, lab in enumerate(rb.levels[m].reduced_labels):
+                name = f"res{lab}" if lab.startswith("[") else f"res({lab})"
+                entry[name] = format_element(
+                    K, res.col(idx), rb.levels[d].reduced_labels)
+            for idx, lab in enumerate(rb.levels[d].reduced_labels):
+                entry[f"tr({lab})"] = format_element(
+                    K, tr.col(idx), rb.levels[m].reduced_labels)
+            out[f"C{m}/C{d}"] = entry
+        return out
+
+    @cached_property
+    def mult_matrices(self) -> dict:
+        return {str(m): _mat_strs(self.mult.components[m])
+                for m in self.divisors}
+
+    @cached_property
+    def ideal(self) -> dict:
+        K, data = self.galois.base, self.ideal_data
+        kahler = green_kahler_dims(data)
+        out = {}
+        for m in self.divisors:
+            labels = self.rel_box.levels[m].reduced_labels
+            out[m] = {
+                "dim": len(data.ideal[m]),
+                "generators": [format_element(K, v, labels)
+                               for v in data.ideal[m]],
+                "generator_coords": [[str(c) for c in v]
+                                     for v in data.ideal[m]],
+                "square_dim": len(data.square[m]),
+                "equals_square": data.verdicts[m],
+                "kahler_dim": kahler[m],
+            }
+        return out
+
+    @cached_property
+    def oracle_agreement(self) -> dict:
+        rb, L, K = self.rel_box, self.fixed, self.galois.base
+        n = self.galois.degree
+        out = {"unit_section": unit_section_check(rb, self.mult),
+               "coequalizer": None, "prime_closed_form": None}
+        if absolute_box_supported(K):
+            co = coequalizer_oracle(L, K)
+            out["coequalizer"] = not compare_boxes(rb, co)
+            if is_prime(n):
+                # rb has the generators and relations of the absolute L □ L
+                po = prime_box_oracle(L, L, n)
+                out["prime_closed_form"] = not compare_boxes(rb, po)
+        return out
+
+    @cached_property
+    def norm_remark(self) -> dict:
+        """On a C_2 box: the norm of 1⊗α ∓ α⊗1, and whether it spans the
+        multiplication-kernel ideal at the fixed level."""
+        if self.galois.degree != 2:
+            return {"applicable": False}
+        rb, ideal = self.rel_box, self.ideal_data.ideal[2]
+        K = rb.scalars
+        v = [K.zero] * rb.amb_dim(1)
+        v[rb.gen_index(1, 1, 0, 1)] = K.one
+        v[rb.gen_index(1, 1, 1, 0)] = \
+            K.one if K.characteristic == 2 else -K.one
+        arg = rb.reduce(1, tuple(v))
+        value = norm_on_c2_box(rb, arg)
+        return {
+            "applicable": True,
+            "argument": format_element(K, arg, rb.levels[1].reduced_labels),
+            "value": format_element(K, value, rb.levels[2].reduced_labels),
+            "spans_ideal": Span(K, rb.dim(2), ideal).contains(value) and
+            Span(K, rb.dim(2), [value]).contains_all(ideal),
+        }
+
+    @cached_property
+    def congruences(self) -> dict:
+        E = self.galois
+        out = {"applicable": E.flavor == "kummer" and E.degree > 1}
+        if out["applicable"]:
+            rep = kummer_congruence_checks(self.rel_box, E, self.ideal_data)
+            out["checks_run"] = rep.checks_run
+            out["failures"] = list(rep.failures)
+            out["ok"] = rep.ok
+        return out
+
+    @cached_property
+    def certificate(self) -> dict:
+        if self.galois.degree < 2:
+            return {"kind": "trivial", "valid": True, "violations": [],
+                    "witnesses": [], "witness_components": [],
+                    "details": {}}
+        cert = projectivity_certificate(self.galois)
+        violations = verify_certificate(cert)
+        return {
+            "kind": cert.kind,
+            "valid": not violations,
+            "violations": [str(v) for v in violations],
+            "witnesses": [w.description for w in cert.witnesses],
+            "witness_components": [
+                {str(m): _mat_strs(w.morphism.components[m])
+                 for m in self.divisors}
+                for w in cert.witnesses],
+            "details": _details_strs(cert.details),
+        }
+
+    @cached_property
+    def eigen(self) -> dict | None:
+        E = self.galois
+        if E.flavor != "kummer" or E.degree < 2:
+            return None
+        dec = eigen_decompose(self.fixed.mackey, E.zeta)
+        return {
+            "valid": not check_eigen(dec),
+            "piece_dims": {str(i): {str(m): dec.pieces[i].functor.dim(m)
+                                    for m in self.divisors}
+                           for i in range(E.degree)},
+        }
+
+    @cached_property
+    def classical(self) -> dict:
+        rep = classical_etale_oracle(self.galois)
+        return {
+            "tensor_dim": rep.tensor_dim,
+            "ideal_dim": rep.ideal_dim,
+            "square_dim": rep.square_dim,
+            "etale": rep.etale,
+            "separability_unit_found": rep.has_separability_unit,
+        }
+
+    @cached_property
+    def verdict(self) -> dict:
+        verdict = {
+            "levels": dict(self.ideal_data.verdicts),
+            "kahler_all_zero": all(info["kahler_dim"] == 0
+                                   for info in self.ideal.values()),
+            "classical_ok": self.classical["etale"],
+            "oracles_ok": all(v is not False
+                              for v in self.oracle_agreement.values()),
+            "functor_checks_ok": all(v == 0
+                                     for v in self.functor_checks.values()),
+            "certificate_valid": self.certificate["valid"],
+            "congruences_ok": self.congruences.get("ok", True),
+            "norm_remark_ok": self.norm_remark.get("spans_ideal", True),
+        }
+        verdict["green_etale"] = all(
+            v if not isinstance(v, dict) else all(v.values())
+            for v in verdict.values())
+        return verdict
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "schema_version": self.schema_version,
             "config": self.config,
             "extension": self.extension,
@@ -218,162 +440,20 @@ class EtaleReport:
             "eigen": self.eigen,
             "classical": self.classical,
             "out_of_scope": list(self.out_of_scope),
-            "verdict": _strkeys_shallow(self.verdict),
+            "verdict": {k: _strkeys(v) if isinstance(v, dict) else v
+                        for k, v in self.verdict.items()},
         }
-        return out
 
 
 def _strkeys(d: dict) -> dict:
     return {str(k): v for k, v in sorted(d.items())}
 
 
-def _strkeys_shallow(d: dict) -> dict:
-    out = {}
-    for k, v in d.items():
-        out[k] = _strkeys(v) if isinstance(v, dict) else v
-    return out
-
-
 def run_pipeline(cfg: RunConfig) -> EtaleReport:
-    E = cfg.extension()
-    K = E.base
-    n = E.degree
-    lattice = subgroup_lattice(n)
-    L = fix_functor(E)
-
-    checks = {
-        "mackey_axioms": len(check_axioms(L.mackey)),
-        "green_axioms": len(check_green(L)),
-        "norm_rules": len(check_norms(L)),
-    }
-
-    rb = relative_box(L, K)
-    mm = mult_map(rb)
-    data = ideal_and_square(rb, mm)
-    kahler = green_kahler_dims(data)
-
-    box_levels = {}
-    for m in lattice.divisors:
-        box_levels[m] = {
-            "dim": rb.dim(m),
-            "basis": list(rb.levels[m].reduced_labels),
-            "ambient_components": {str(d): L.dim(d) ** 2
-                                   for d in lattice.divisors if m % d == 0},
-        }
-
-    structure_values = _structure_table(rb)
-    mult_witness = {str(m): _mat_strs(mm.components[m])
-                    for m in lattice.divisors}
-    ideal = {}
-    for m in lattice.divisors:
-        gens = [format_element(K, v, rb.levels[m].reduced_labels)
-                for v in data.ideal[m]]
-        ideal[m] = {
-            "dim": len(data.ideal[m]),
-            "generators": gens,
-            "generator_coords": [[str(c) for c in v]
-                                 for v in data.ideal[m]],
-            "square_dim": len(data.square[m]),
-            "equals_square": data.verdicts[m],
-            "kahler_dim": kahler[m],
-        }
-
-    oracle_agreement = {"unit_section": unit_section_check(rb, mm)}
-    if absolute_box_supported(K):
-        co = coequalizer_oracle(L, K)
-        oracle_agreement["coequalizer"] = not compare_boxes(rb, co)
-        if is_prime(n):
-            # rb has the generators and relations of the absolute L □ L
-            po = prime_box_oracle(L, L, n)
-            oracle_agreement["prime_closed_form"] = not compare_boxes(rb, po)
-        else:
-            oracle_agreement["prime_closed_form"] = None
-    else:
-        oracle_agreement["coequalizer"] = None
-        oracle_agreement["prime_closed_form"] = None
-
-    norm_remark = {"applicable": n == 2}
-    if n == 2:
-        norm_remark.update(_norm_remark(rb, data))
-
-    congruences = {"applicable": E.flavor == "kummer" and n > 1}
-    if congruences["applicable"]:
-        rep = kummer_congruence_checks(rb, E, data)
-        congruences["checks_run"] = rep.checks_run
-        congruences["failures"] = list(rep.failures)
-        congruences["ok"] = rep.ok
-
-    cert = projectivity_certificate(E) if n > 1 else None
-    if cert is not None:
-        cert_violations = verify_certificate(cert)
-        certificate = {
-            "kind": cert.kind,
-            "valid": not cert_violations,
-            "violations": [str(v) for v in cert_violations],
-            "witnesses": [w.description for w in cert.witnesses],
-            "witness_components": [
-                {str(m): _mat_strs(w.morphism.components[m])
-                 for m in lattice.divisors}
-                for w in cert.witnesses],
-            "details": _details_strs(cert.details),
-        }
-    else:
-        certificate = {"kind": "trivial", "valid": True, "violations": [],
-                       "witnesses": [], "witness_components": [],
-                       "details": {}}
-
-    eigen = None
-    if E.flavor == "kummer" and n > 1:
-        dec = eigen_decompose(L.mackey, E.zeta)
-        eigen_violations = check_eigen(dec)
-        eigen = {
-            "valid": not eigen_violations,
-            "piece_dims": {str(i): {str(m): dec.pieces[i].functor.dim(m)
-                                    for m in lattice.divisors}
-                           for i in range(n)},
-        }
-
-    classical_rep = classical_etale_oracle(E)
-    classical = {
-        "tensor_dim": classical_rep.tensor_dim,
-        "ideal_dim": classical_rep.ideal_dim,
-        "square_dim": classical_rep.square_dim,
-        "etale": classical_rep.etale,
-        "separability_unit_found": classical_rep.has_separability_unit,
-    }
-
-    verdict = {
-        "levels": dict(data.verdicts),
-        "kahler_all_zero": all(v == 0 for v in kahler.values()),
-        "classical_ok": classical_rep.etale,
-        "oracles_ok": all(v is not False
-                          for v in oracle_agreement.values()),
-        "functor_checks_ok": all(v == 0 for v in checks.values()),
-        "certificate_valid": certificate["valid"],
-        "congruences_ok": congruences.get("ok", True),
-        "norm_remark_ok": norm_remark.get("spans_ideal", True),
-    }
-    verdict["green_etale"] = all(
-        v if not isinstance(v, dict) else all(v.values())
-        for v in verdict.values())
-
-    config_echo = {
-        "field": str(K), "n": n, "flavor": E.flavor,
-        "a": str(E.a), "zeta": str(E.zeta) if E.zeta is not None else None,
-    }
-    extension_info = {
-        "base": str(K),
-        "degree": n,
-        "modulus": _poly_str(K, [c for c in _modulus_coeffs(E)], var="x"),
-        "fixed_level_dims": {str(m): L.dim(m) for m in lattice.divisors},
-        "fixed_level_bases": {str(m): list(L.labels(m))
-                              for m in lattice.divisors},
-    }
-    return EtaleReport(config_echo, extension_info, checks,
-                       box_levels, structure_values, ideal,
-                       oracle_agreement, norm_remark, congruences,
-                       certificate, eigen, classical, verdict,
-                       mult_matrices=mult_witness)
+    """The report of ``cfg`` with every section computed, in report order."""
+    report = EtaleReport(cfg)
+    report.to_dict()
+    return report
 
 
 def _modulus_coeffs(E: GaloisExtension):
@@ -397,51 +477,6 @@ def _details_strs(details: dict) -> dict:
         else:
             out[k] = str(v)
     return out
-
-
-def _structure_table(rb) -> dict:
-    """Formatted images of every reduced basis vector under res and tr on
-    covering pairs (witness data for the golden reports)."""
-    K = rb.scalars
-    out = {}
-    for (d, m) in rb.lattice.covering_pairs:
-        res = rb.green.mackey.res[(d, m)]
-        tr = rb.green.mackey.tr[(m, d)]
-        entry = {}
-        for idx, lab in enumerate(rb.levels[m].reduced_labels):
-            vec = res.col(idx)
-            name = f"res{lab}" if lab.startswith("[") else f"res({lab})"
-            entry[name] = format_element(
-                K, vec, rb.levels[d].reduced_labels)
-        for idx, lab in enumerate(rb.levels[d].reduced_labels):
-            vec = tr.col(idx)
-            entry[f"tr({lab})"] = format_element(
-                K, vec, rb.levels[m].reduced_labels)
-        out[f"C{m}/C{d}"] = entry
-    return out
-
-
-def _norm_remark(rb, data) -> dict:
-    """Evaluate the norm of 1⊗α ∓ α⊗1 on a C_2 box and compare its span
-    with the multiplication-kernel ideal at the fixed level."""
-    K = rb.scalars
-    char2 = K.characteristic == 2
-    v = [K.zero] * rb.amb_dim(1)
-    idx_1a = rb.gen_index(1, 1, 0, 1)
-    idx_a1 = rb.gen_index(1, 1, 1, 0)
-    v[idx_1a] = K.one
-    v[idx_a1] = K.one if char2 else -K.one
-    arg = rb.reduce(1, tuple(v))
-    value = norm_on_c2_box(rb, arg)
-    span = Span(K, rb.dim(2), data.ideal[2])
-    labels2 = rb.levels[2].reduced_labels
-    labels1 = rb.levels[1].reduced_labels
-    return {
-        "argument": format_element(K, arg, labels1),
-        "value": format_element(K, value, labels2),
-        "spans_ideal": span.contains(value) and
-        Span(K, rb.dim(2), [value]).contains_all(data.ideal[2]),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +509,7 @@ def _text_report(r: EtaleReport) -> str:
     add("relative box product")
     add("-" * 54)
     for m, info in sorted(r.box_levels.items()):
-        add(f"level C{_n_of(r)}/C{m}: dim {info['dim']}, "
+        add(f"level C{c['n']}/C{m}: dim {info['dim']}, "
             f"basis {{{', '.join(info['basis'])}}}")
     add("")
     add("structure maps (reduced bases)")
@@ -488,7 +523,7 @@ def _text_report(r: EtaleReport) -> str:
     add("-" * 54)
     for m, info in sorted(r.ideal.items()):
         gens = "; ".join(info["generators"]) if info["generators"] else "0"
-        add(f"level C{_n_of(r)}/C{m}: dim {info['dim']}, generators: {gens}")
+        add(f"level C{c['n']}/C{m}: dim {info['dim']}, generators: {gens}")
         add(f"  I = I²: {_yn(info['equals_square'])}   "
             f"dim I/I²: {info['kahler_dim']}")
     add("")
@@ -541,10 +576,6 @@ def _text_report(r: EtaleReport) -> str:
     add(f"  classical oracle: {_yn(v['classical_ok'])}")
     add(f"  certificate: {_yn(v['certificate_valid'])}")
     return "\n".join(lines) + "\n"
-
-
-def _n_of(r: EtaleReport) -> int:
-    return r.config["n"]
 
 
 def _yn(b) -> str:
@@ -609,9 +640,11 @@ def fuzz(cfg: RunConfig, count: int | None = None, seed: int | None = None,
     how many corruptions the checker caught.  For prime group order every
     ``ORACLE_EVERY``-th round also compares the generic box of a random
     pair against the closed-form construction, when the scalars admit an
-    absolute box.
+    absolute box.  The config's scalars are parsed first, so data that
+    no other verb accepts fails here too.
     """
     K = cfg.base_field()
+    cfg.scalars()
     n = cfg.n
     lattice = subgroup_lattice(n)
     count = cfg.count if count is None else count

@@ -2,7 +2,8 @@
 
 Hypothesis draws small matrices over F_2, F_5, F_7 and Q (derandomized, so
 every run sees the same examples); sympy's DomainMatrix over GF(p) and QQ is
-the independent oracle for rank and for the first-pivot RREF.
+the independent oracle for rank, for the first-pivot RREF and for whether a
+system A X = B has a solution.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
 from greenbox.fields import prime_field, rationals
-from greenbox.linalg import Mat, Span, kernel, rank, rref
+from greenbox.linalg import Mat, Span, kernel, rank, rref, solve_matrix
 from greenbox.presented import PresentedLevel
 
 FIELDS = [prime_field(2), prime_field(5), prime_field(7), rationals()]
@@ -137,3 +138,26 @@ def test_canonicalize_kills_exactly_the_relation_span(rels, data):
         for c, r in zip(coeffs, rels.rows):
             shifted = [a + K.from_int(c) * b for a, b in zip(shifted, r)]
         assert lvl.canonicalize(tuple(shifted)) == canon
+
+
+@PROPS
+@given(matrices(max_rows=4, max_cols=4), st.booleans(), st.data())
+def test_solve_matrix_solves_exactly_the_solvable_systems(A, consistent,
+                                                          data):
+    K = A.field
+    k = data.draw(st.integers(1, 3))
+    if consistent:
+        # B = A X0 is solvable by construction
+        X0 = Mat(K, data.draw(rows_over(K, k, A.ncols, A.ncols)), ncols=k)
+        B = A @ X0
+    else:
+        B = Mat(K, data.draw(rows_over(K, k, A.nrows, A.nrows)), ncols=k)
+    base = oracle_rank(K, A.rows, A.ncols)
+    solvable = all(
+        oracle_rank(K, A.hstack(Mat.from_cols(K, [b], A.nrows)).rows,
+                    A.ncols + 1) == base
+        for b in B.cols())
+    X = solve_matrix(A, B)
+    assert (X is not None) == solvable
+    if X is not None:
+        assert A @ X == B

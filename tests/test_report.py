@@ -3,10 +3,13 @@ import hashlib
 import io
 import json
 import pathlib
+from collections import Counter
 
 import pytest
 
+import greenbox.report
 from greenbox.cli import main
+from greenbox.mackey import InternalCheckError
 from greenbox.report import (ConfigError, RunConfig, emit, fuzz, load_config,
                              run_pipeline)
 
@@ -86,7 +89,7 @@ ZERO_DENOMINATOR = {
 }
 
 
-@pytest.mark.parametrize("verb", ["check-etale", "report"])
+@pytest.mark.parametrize("verb", ["check-etale", "report", "fuzz"])
 def test_cli_zero_denominator_exits_2(tmp_path, capsys, verb):
     for name, text in ZERO_DENOMINATOR.items():
         path = tmp_path / f"{name}.cfg"
@@ -249,7 +252,8 @@ def test_degenerate_identity_extension_pipeline():
 
 
 @pytest.mark.parametrize("invocation", sorted(
-    inv for inv in RECORDED_SHA256 if inv.split()[-1].startswith("configs/")))
+    inv for inv in RECORDED_SHA256 if inv.split()[-1].startswith("configs/")
+    or inv.split()[0] != "fuzz" and inv.endswith("kummer_f11_n5.cfg")))
 def test_cli_stdout_matches_recorded_sha256(invocation):
     *args, config = invocation.split()
     # report writes bytes to sys.stdout.buffer, the other verbs write text
@@ -259,3 +263,94 @@ def test_cli_stdout_matches_recorded_sha256(invocation):
     out.flush()
     digest = hashlib.sha256(out.buffer.getvalue()).hexdigest()
     assert digest == RECORDED_SHA256[invocation]
+
+
+def _recorded_stdout_holds(invocation):
+    """Run a recorded invocation; True when it exits 0 with the recorded
+    stdout SHA-256."""
+    *args, config = invocation.split()
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(out):
+        code = main(args + [str(HERE.parent / config)])
+    out.flush()
+    digest = hashlib.sha256(out.buffer.getvalue()).hexdigest()
+    return code == 0 and digest == RECORDED_SHA256[invocation]
+
+
+# every greenbox.report stage that the benchmark's traced run spans
+STAGES = ("kummer_extension", "artin_schreier_extension", "fix_functor",
+          "check_green", "check_norms", "check_axioms", "random_mackey",
+          "small_random_mackey", "relative_box", "box", "coequalizer_oracle",
+          "prime_box_oracle", "compare_boxes", "mult_map", "ideal_and_square",
+          "unit_section_check", "kummer_congruence_checks",
+          "classical_etale_oracle", "projectivity_certificate",
+          "verify_certificate", "eigen_decompose", "check_eigen")
+
+
+def _forbidden(name):
+    def stage(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return stage
+
+
+@pytest.mark.parametrize("verb, unused", [
+    ("box", ("coequalizer_oracle", "prime_box_oracle",
+             "classical_etale_oracle", "kummer_congruence_checks",
+             "projectivity_certificate", "ideal_and_square")),
+    ("decompose", ("relative_box", "mult_map")),
+])
+def test_verb_computes_only_what_it_prints(monkeypatch, verb, unused):
+    for name in unused:
+        monkeypatch.setattr(greenbox.report, name, _forbidden(name))
+    assert _recorded_stdout_holds(f"{verb} configs/kummer_f7_n3.cfg")
+
+
+# stage calls of one full pipeline on kummer_f7_n3 (the prime closed form
+# and the coequalizer are each compared with the relative box); every other
+# stage in STAGES is not called
+PIPELINE_CALLS = {
+    "kummer_extension": 1, "fix_functor": 1, "check_axioms": 1,
+    "check_green": 1, "check_norms": 1, "relative_box": 1, "mult_map": 1,
+    "ideal_and_square": 1, "unit_section_check": 1, "coequalizer_oracle": 1,
+    "prime_box_oracle": 1, "compare_boxes": 2, "kummer_congruence_checks": 1,
+    "projectivity_certificate": 1, "verify_certificate": 1,
+    "eigen_decompose": 1, "check_eigen": 1, "classical_etale_oracle": 1,
+}
+
+
+@pytest.mark.parametrize("verb", ["report --format text", "check-etale"])
+def test_full_pipeline_runs_every_check(monkeypatch, verb):
+    calls = Counter()
+
+    def counted(name, fn):
+        def stage(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return stage
+
+    for name in STAGES:
+        monkeypatch.setattr(greenbox.report, name,
+                            counted(name, getattr(greenbox.report, name)))
+    assert _recorded_stdout_holds(f"{verb} configs/kummer_f7_n3.cfg")
+    assert dict(calls) == PIPELINE_CALLS
+
+
+def test_verb_exit_codes_cover_their_own_checks(monkeypatch, capsys):
+    path = str(CONFIGS / "kummer_f5_n2.cfg")
+    with monkeypatch.context() as mp:
+        mp.setattr(greenbox.report, "verify_certificate",
+                   lambda cert: ["forged violation"])
+        assert main(["check-etale", path]) == 1
+        assert main(["decompose", path]) == 1
+        assert main(["box", path]) == 0
+    with monkeypatch.context() as mp:
+        mp.setattr(greenbox.report, "check_eigen", lambda dec: ["forged"])
+        assert main(["decompose", path]) == 1
+
+    def failing_box(*args, **kwargs):
+        raise InternalCheckError("forged descent failure", witness=(1, 2))
+
+    monkeypatch.setattr(greenbox.report, "relative_box", failing_box)
+    capsys.readouterr()
+    assert main(["box", path]) == 1
+    assert "witness: (1, 2)" in capsys.readouterr().err
