@@ -18,17 +18,20 @@ level's relation span.
 
 Two independent oracles validate the construction: a closed-form two-level
 build for prime group order, and a coequalizer of the threefold box along
-the two base-action maps for relative boxes.
+the two base-action maps for relative boxes.  The coequalizer presents its
+quotient on T □ T's own ambient: the same generators and ambient maps, with
+the action-difference rows added to T □ T's relations.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 from .fields import Field
 from .green import GreenFunctor, check_green_morphism, constant_functor
 from .linalg import Mat, inverse, tensor_vec, unit_vec, vec_add, \
-    vec_is_zero, vec_scale, vec_zero
+    vec_scale, vec_zero
 from .mackey import InternalCheckError, MackeyFunctor, compose_chain
 from .presented import PresentedLevel
 
@@ -212,15 +215,13 @@ def absolute_box_supported(K: Field) -> bool:
     return K.order is None or K.order == K.characteristic
 
 
-def build_box(left: GreenFunctor, right: GreenFunctor, *, relative=None,
-              extra_relations=None, name="", check=True) -> BoxProduct:
+def build_box(left: GreenFunctor, right: GreenFunctor, name="",
+              check=True) -> BoxProduct:
     """Assemble a box product; see the module docstring for the relations.
 
-    ``relative`` names the base field of a relative box (levels are already
-    vector spaces over it); an absolute box requires scalars for which
-    ``absolute_box_supported`` holds.
-    ``extra_relations`` (dict m -> rows) is quotiented in addition, which is
-    how the coequalizer oracle reuses this machinery.
+    Components are tensored over the factors' common scalar field; the
+    entry points ``box`` and ``relative_box`` decide which fields they
+    accept.
     """
     if left.scalars is not right.scalars:
         raise ValueError("box factors must share their scalar field")
@@ -228,15 +229,6 @@ def build_box(left: GreenFunctor, right: GreenFunctor, *, relative=None,
         raise ValueError("box factors must share their subgroup lattice")
     K = left.scalars
     lattice = left.lattice
-    if relative is None:
-        if not absolute_box_supported(K):
-            raise ValueError(
-                "absolute box products need prime or rational scalars; "
-                "use a relative box over the base field instead")
-    elif relative is not K:
-        raise ValueError("the relative base must be the scalar field of "
-                         "the factors")
-
     bx = BoxProduct(left, right, lattice, K,
                     name or f"{left.name}□{right.name}")
     n = lattice.n
@@ -317,8 +309,6 @@ def build_box(left: GreenFunctor, right: GreenFunctor, *, relative=None,
                 rows += _place_blocks(bx, m, {
                     d: tm(ident(left, d), right.mackey.tr_mat(d, dp)),
                     dp: -tm(left.mackey.res_mat(dp, d), ident(right, dp))})
-        if extra_relations and m in extra_relations:
-            rows.extend(tuple(r) for r in extra_relations[m])
         bx.levels[m] = PresentedLevel(K, bx._amb_labels[m], rows)
 
     if check:
@@ -350,8 +340,8 @@ def _check_descent(bx: BoxProduct) -> None:
             for amb, target, message in maps:
                 img = amb.apply(r)
                 if not bx.levels[target].in_relation_span(img):
-                    raise InternalCheckError(message,
-                                             witness=(m, target, r, img))
+                    raise InternalCheckError(message, witness=(
+                        f"{lvl.show(r)} ↦ {bx.levels[target].show(img)}"))
             for idx in range(bx.amb_dim(m)):
                 e = bx.gen_unit(m, idx)
                 for side, prod in (("left", bx.mult_vec(m, r, e)),
@@ -359,7 +349,8 @@ def _check_descent(bx: BoxProduct) -> None:
                     if not lvl.in_relation_span(prod):
                         raise InternalCheckError(
                             f"multiplication fails to descend at level {m}",
-                            witness=(m, r, idx, side))
+                            witness=f"{side} product of relation "
+                            f"{lvl.show(r)} with {lvl.labels[idx]}")
 
 
 def _induce_reduced_structure(bx: BoxProduct) -> None:
@@ -397,6 +388,9 @@ def _induce_reduced_structure(bx: BoxProduct) -> None:
 
 def box(M: GreenFunctor, N: GreenFunctor, name: str = "") -> BoxProduct:
     """Absolute box product M □ N (prime or rational scalars)."""
+    if not absolute_box_supported(M.scalars):
+        raise ValueError("absolute box products need prime or rational "
+                         "scalars; use a relative box over the base field")
     return build_box(M, N, name=name)
 
 
@@ -409,13 +403,12 @@ def box3(M: GreenFunctor, R: GreenFunctor, N: GreenFunctor) -> BoxProduct:
 def relative_box(T: GreenFunctor, base, name: str = "",
                  check: bool = True) -> BoxProduct:
     """Relative box product T □_base T with components tensored over the
-    base field (a field or a constant Green functor; ``build_box`` checks
-    that it is the scalar field of T)."""
+    base field: a field, or a constant Green functor over one, which must be
+    the scalar field of T."""
     base_field = base.scalars if isinstance(base, GreenFunctor) else base
-    if not isinstance(base_field, Field):
-        raise ValueError("base must be a field or a constant Green functor")
-    return build_box(T, T, relative=base_field,
-                     name=name or f"{T.name}□_{base_field}{T.name}",
+    if base_field is not T.scalars:
+        raise ValueError("the relative base must be the scalar field of T")
+    return build_box(T, T, name=name or f"{T.name}□_{base_field}{T.name}",
                      check=check)
 
 
@@ -491,12 +484,13 @@ def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int
     # tr: classes are tagged copies of level-1 tensors
     cols = [bx.gen_unit(p, bx.offsets[p][1] + t) for t in range(dim1)]
     bx.amb_tr[(p, 1)] = Mat.from_cols(K, cols, bx.amb_dim(p))
-    # res: res⊗res on the pure part, Weyl orbit sum on classes
+    # res: res⊗res on the pure part, Weyl orbit sum on classes, built from
+    # the factors' Weyl powers: tau^k = w_M^k ⊗ w_N^k
     orbit_sum = Mat.identity(K, dim1)
-    power = Mat.identity(K, dim1)
+    pm, pn = Mat.identity(K, M.dim(1)), Mat.identity(K, N.dim(1))
     for _ in range(p - 1):
-        power = tau @ power
-        orbit_sum = orbit_sum + power
+        pm, pn = M.mackey.weyl[1] @ pm, N.mackey.weyl[1] @ pn
+        orbit_sum = orbit_sum + _tensor_mat(K, pm, pn)
     cols = []
     for (d, i, j) in bx.gens[p]:
         if d == p:
@@ -576,10 +570,11 @@ def coequalizer_oracle(T: GreenFunctor, base) -> BoxProduct:
         raise ValueError("the base must equal the scalar field of T")
     Kc = base if isinstance(base, GreenFunctor) \
         else constant_functor(base_field, T.lattice)
-    inner = build_box(T, Kc)
-    b3 = build_box(inner.green, T)
-    # T □ T: its relation span is where the action maps must descend
-    b2 = build_box(T, T)
+    inner = box(T, Kc)
+    b3 = box(inner.green, T)
+    # T □ T: its relation span is where the action maps must descend, and
+    # its ambient carries the quotient
+    b2 = box(T, T)
     K = T.scalars
 
     def act_left(m, d, wi, yj):
@@ -601,31 +596,30 @@ def coequalizer_oracle(T: GreenFunctor, base) -> BoxProduct:
                            T.mackey.res_mat(e, d).col(yj))
         return tuple(b2.place(m, e, image, [K.zero] * b2.amb_dim(m)))
 
-    extra = {}
+    # the quotient shares b2's generators, ambient maps and product cache,
+    # all of which depend on the ambient alone; only the relations grow
+    co = copy.copy(b2)
+    co.name = f"coeq({T.name}□{T.name})"
+    co.levels = {}
     for m in T.lattice.divisors:
-        rows = []
-        maps_l, maps_r = [], []
-        for (d, wi, yj) in b3.gens[m]:
-            l_img = act_left(m, d, wi, yj)
-            r_img = act_right(m, d, wi, yj)
-            maps_l.append(l_img)
-            maps_r.append(r_img)
-            diff = tuple(a - b for a, b in zip(l_img, r_img))
-            if not vec_is_zero(K, diff):
-                rows.append(diff)
+        ml, mr = (Mat.from_cols(K, [act(m, *g) for g in b3.gens[m]],
+                                b2.amb_dim(m)) for act in (act_left, act_right))
         # linear maps: checking b3's relation basis covers every relation
-        ml = Mat.from_cols(K, maps_l, b2.amb_dim(m))
-        mr = Mat.from_cols(K, maps_r, b2.amb_dim(m))
+        lvl = b2.levels[m]
         for r in b3.levels[m].relation_basis:
             for mat, side in ((ml, "left"), (mr, "right")):
-                if not b2.levels[m].in_relation_span(mat.apply(r)):
+                img = mat.apply(r)
+                if not lvl.in_relation_span(img):
                     raise InternalCheckError(
                         f"coequalizer action map ({side}) fails to "
-                        f"descend at level {m}", witness=(m, r))
-        extra[m] = rows
-
-    return build_box(T, T, extra_relations=extra,
-                     name=f"coeq({T.name}□{T.name})")
+                        f"descend at level {m}",
+                        witness=f"{b3.levels[m].show(r)} ↦ {lvl.show(img)}")
+        # the extra rows are the columns of ml - mr; zero rows drop out
+        co.levels[m] = PresentedLevel(K, lvl.labels, lvl.relations
+                                      + list((ml - mr).transpose().rows))
+    _check_descent(co)
+    _induce_reduced_structure(co)
+    return co
 
 
 # ---------------------------------------------------------------------------

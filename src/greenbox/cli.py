@@ -87,7 +87,7 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         sys.stderr.write(f"internal consistency assertion failed: {exc}\n")
         if exc.witness is not None:
-            sys.stderr.write(f"witness: {exc.witness!r}\n")
+            sys.stderr.write(f"witness: {exc.witness}\n")
         return EXIT_NEGATIVE
 
 

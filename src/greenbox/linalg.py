@@ -116,8 +116,9 @@ class Mat:
         while e > 0:
             if e & 1:
                 result = result @ base
-            base = base @ base
             e >>= 1
+            if e:
+                base = base @ base
         return result
 
     def transpose(self) -> "Mat":

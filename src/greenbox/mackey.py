@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 
 from .fields import Field, is_prime
-from .linalg import Mat, inverse, kernel, solve_matrix, unit_vec
+from .linalg import Mat, inverse, kernel, rank, solve_matrix, unit_vec
 
 
 class InternalCheckError(AssertionError):
@@ -159,11 +159,11 @@ class MackeyFunctor:
         return self._cache[key]
 
     def weyl_pow(self, m: int, k: int) -> Mat:
-        order = self.lattice.n // m
-        k = k % order if order else 0
+        k %= self.lattice.n // m
         key = ("weyl", m, k)
         if key not in self._cache:
-            self._cache[key] = self.weyl[m].power(k)
+            self._cache[key] = Mat.identity(self.scalars, self.dim(m)) \
+                if k == 0 else self.weyl[m] @ self.weyl_pow(m, k - 1)
         return self._cache[key]
 
     def __repr__(self):
@@ -533,7 +533,7 @@ def _random_invertible(K: Field, n: int, rng) -> Mat:
     while True:
         mat = Mat(K, [[K.random(rng) for _ in range(n)] for _ in range(n)],
                   ncols=n)
-        if inverse(mat) is not None:
+        if rank(mat) == n:
             return mat
 
 

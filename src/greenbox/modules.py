@@ -57,9 +57,6 @@ class EigenDecomposition:
     pieces: list
     projectors: dict         # i -> {m: Mat}
 
-    def piece(self, i: int) -> EigenPiece:
-        return self.pieces[i]
-
 
 def eigen_decompose(M: MackeyFunctor, zeta) -> EigenDecomposition:
     """Split a module over the constant functor into ζ^i-eigenpieces.

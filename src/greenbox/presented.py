@@ -16,6 +16,16 @@ from __future__ import annotations
 from .linalg import Mat, eliminate, rref, vec_is_zero
 
 
+def format_element(K, coeffs, labels) -> str:
+    """Deterministic sum-of-terms form, e.g. ``1⊗1 + 2·[α⊗α]``."""
+    terms = []
+    for c, lab in zip(coeffs, labels):
+        if c == K.zero:
+            continue
+        terms.append(lab if c == K.one else f"{c}·{lab}")
+    return " + ".join(terms) if terms else "0"
+
+
 class PresentedLevel:
     def __init__(self, field, labels, relations):
         self.field = field
@@ -51,6 +61,10 @@ class PresentedLevel:
         for c, j in zip(rv, self.free):
             out[j] = c
         return self.canonicalize(tuple(out))
+
+    def show(self, v) -> str:
+        """An ambient vector written in the generator labels."""
+        return format_element(self.field, v, self.labels)
 
     def in_relation_span(self, v) -> bool:
         return vec_is_zero(self.field, self.canonicalize(v))

@@ -47,6 +47,7 @@ from .mackey import check_axioms, corrupt_transfer, random_mackey, \
     small_random_mackey, subgroup_lattice
 from .modules import projectivity_certificate, eigen_decompose, check_eigen, \
     verify_certificate
+from .presented import format_element
 
 SCHEMA_VERSION = 1
 
@@ -160,16 +161,6 @@ def load_config(path: str) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # element formatting
-
-
-def format_element(K, coeffs, labels) -> str:
-    """Deterministic sum-of-terms form, e.g. ``1⊗1 + 2·[α⊗α]``."""
-    terms = []
-    for c, lab in zip(coeffs, labels):
-        if c == K.zero:
-            continue
-        terms.append(lab if c == K.one else f"{c}·{lab}")
-    return " + ".join(terms) if terms else "0"
 
 
 def _poly_str(K, coeffs, var="x") -> str:

@@ -192,6 +192,36 @@ def test_absolute_box_rejects_extension_scalars():
         box(L, L)
 
 
+def test_relative_box_rejects_a_foreign_base(kummer4_bundle):
+    L = kummer4_bundle.fix
+    with pytest.raises(ValueError):
+        relative_box(L, F7)
+    with pytest.raises(ValueError):
+        relative_box(L, "F5")
+
+
+def test_coequalizer_rejects_extension_scalars():
+    F4 = finite_field(2, 2)
+    E = kummer_extension(F4, 3, F4.gen, F4.gen)
+    L = fix_functor(E)
+    with pytest.raises(ValueError):
+        coequalizer_oracle(L, F4)
+
+
+def test_coequalizer_builds_each_box_once(kummer4_bundle, monkeypatch):
+    # T □ K^c, (T □ K^c) □ T and T □ T; the quotient reuses T □ T's ambient
+    calls = []
+    build = boxes.build_box
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(boxes, "build_box", counting)
+    coequalizer_oracle(kummer4_bundle.fix, F5)
+    assert len(calls) == 3
+
+
 def test_frobenius_on_transfer_classes(kummer4_bundle):
     # tr(u)·tr(v) = tr(u·res(tr(v))) on reduced level-d bases
     rb = kummer4_bundle.box
@@ -311,6 +341,16 @@ def test_descent_rejects_corrupt_weyl(unchecked_c4_box):
     bx.amb_weyl[4] = _bump(bx, bx.amb_weyl[4], 4, 4)
     with pytest.raises(InternalCheckError, match="Weyl action"):
         boxes._check_descent(bx)
+
+
+def test_descent_witness_uses_basis_labels(unchecked_c4_box):
+    bx = unchecked_c4_box
+    bx.amb_weyl[4] = _bump(bx, bx.amb_weyl[4], 4, 4)
+    with pytest.raises(InternalCheckError) as exc:
+        boxes._check_descent(bx)
+    witness = exc.value.witness
+    assert isinstance(witness, str) and "↦" in witness
+    assert any(lab in witness for lab in bx.levels[4].labels)
 
 
 def test_descent_rejects_corrupt_restriction(unchecked_c4_box):

@@ -131,3 +131,14 @@ def test_solve_in_coordinates_and_escape():
             as exc:
         solve_in(line, inside.hstack(outside), "image leaves the line")
     assert exc.value.witness == inside.hstack(outside)
+
+
+def test_weyl_powers_match_repeated_products():
+    lat = subgroup_lattice(6)
+    M = random_mackey(lat, F7, seed=3)
+    for m in lat.divisors:
+        w = M.weyl[m]
+        acc = Mat.identity(F7, M.dim(m))
+        for k in range(2 * (6 // m) + 1):
+            assert M.weyl_pow(m, k) == acc == w.power(k)
+            acc = w @ acc
