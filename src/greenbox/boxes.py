@@ -13,8 +13,10 @@ c = m·gcd(d, m')/(d·m'); transfers relabel components one level up; the
 Weyl generator acts diagonally.  Multiplication is componentwise on pure
 tensors, pushes pure factors onto classes through restriction, and resolves
 class·class through tr(u)·tr(v) = tr(u·res(tr v)).  Every structure map is
-checked to descend to the quotient during construction, on a basis of each
-level's relation span.
+checked to descend to the quotient during construction, and read off on the
+reduced bases, through ``PresentedLevel.check_map`` and ``induced``.
+``BoxProduct`` alone knows the ambient layout: callers outside this module
+write ambient vectors through ``place``.
 
 Two independent oracles validate the construction: a closed-form two-level
 build for prime group order, and a coequalizer of the threefold box along
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import copy
 import math
+from functools import partial
 
 from .fields import Field
 from .green import GreenFunctor, check_green_morphism, constant_functor
@@ -321,36 +324,29 @@ def build_box(left: GreenFunctor, right: GreenFunctor, name="",
 def _check_descent(bx: BoxProduct) -> None:
     """Every structure map must send relations into relations.
 
-    The maps are linear and multiplication is bilinear, so it suffices to
-    test the rows of each level's relation basis: their images lie in the
-    target span exactly when the images of all relation rows do.
+    Multiplication is bilinear, so it descends exactly when multiplying by
+    each ambient generator, on either side, is a linear map that does.
     """
     pairs = bx.lattice.covering_pairs
     for m in bx.lattice.divisors:
         lvl = bx.levels[m]
-        maps = [(bx.amb_weyl[m], m,
+        maps = [(bx.amb_weyl[m].apply, m,
                  f"Weyl action fails to descend at level {m}")]
-        maps += [(bx.amb_res[(lo, m)], lo,
+        maps += [(bx.amb_res[(lo, m)].apply, lo,
                   f"restriction {m}->{lo} fails to descend")
                  for (lo, hi) in pairs if hi == m]
-        maps += [(bx.amb_tr[(hi, m)], hi,
+        maps += [(bx.amb_tr[(hi, m)].apply, hi,
                   f"transfer {m}->{hi} fails to descend")
                  for (lo, hi) in pairs if lo == m]
-        for r in lvl.relation_basis:
-            for amb, target, message in maps:
-                img = amb.apply(r)
-                if not bx.levels[target].in_relation_span(img):
-                    raise InternalCheckError(message, witness=(
-                        f"{lvl.show(r)} ↦ {bx.levels[target].show(img)}"))
-            for idx in range(bx.amb_dim(m)):
-                e = bx.gen_unit(m, idx)
-                for side, prod in (("left", bx.mult_vec(m, r, e)),
-                                   ("right", bx.mult_vec(m, e, r))):
-                    if not lvl.in_relation_span(prod):
-                        raise InternalCheckError(
-                            f"multiplication fails to descend at level {m}",
-                            witness=f"{side} product of relation "
-                            f"{lvl.show(r)} with {lvl.labels[idx]}")
+        for idx, label in enumerate(lvl.labels):
+            e = bx.gen_unit(m, idx)
+            for side, f in (("left", partial(bx.mult_vec, m, vb=e)),
+                            ("right", partial(bx.mult_vec, m, e))):
+                maps.append((f, m, f"multiplication fails to descend at "
+                             f"level {m}: {side} product of a relation with "
+                             f"{label}"))
+        for f, target, message in maps:
+            lvl.check_map(f, bx.levels[target], message)
 
 
 def _induce_reduced_structure(bx: BoxProduct) -> None:
@@ -358,18 +354,14 @@ def _induce_reduced_structure(bx: BoxProduct) -> None:
     lattice = bx.lattice
     labels = {m: bx.levels[m].reduced_labels for m in lattice.divisors}
 
-    def reduced_map(amb_mat, m_from, m_to):
-        cols = []
-        for f in bx.levels[m_from].free:
-            img = amb_mat.apply(bx.gen_unit(m_from, f))
-            cols.append(bx.reduce(m_to, img))
-        return Mat.from_cols(K, cols, bx.dim(m_to))
+    def induced(amb_mat, m_from, m_to):
+        return bx.levels[m_from].induced(amb_mat, bx.levels[m_to])
 
-    res = {(mp, m): reduced_map(bx.amb_res[(mp, m)], m, mp)
+    res = {(mp, m): induced(bx.amb_res[(mp, m)], m, mp)
            for (mp, m) in lattice.covering_pairs}
-    tr = {(mp, m): reduced_map(bx.amb_tr[(mp, m)], m, mp)
+    tr = {(mp, m): induced(bx.amb_tr[(mp, m)], m, mp)
           for (m, mp) in lattice.covering_pairs}
-    weyl = {m: reduced_map(bx.amb_weyl[m], m, m) for m in lattice.divisors}
+    weyl = {m: induced(bx.amb_weyl[m], m, m) for m in lattice.divisors}
     mack = MackeyFunctor(K, lattice, labels, res, tr, weyl, name=bx.name)
 
     mult = {}
@@ -604,16 +596,12 @@ def coequalizer_oracle(T: GreenFunctor, base) -> BoxProduct:
     for m in T.lattice.divisors:
         ml, mr = (Mat.from_cols(K, [act(m, *g) for g in b3.gens[m]],
                                 b2.amb_dim(m)) for act in (act_left, act_right))
-        # linear maps: checking b3's relation basis covers every relation
         lvl = b2.levels[m]
-        for r in b3.levels[m].relation_basis:
-            for mat, side in ((ml, "left"), (mr, "right")):
-                img = mat.apply(r)
-                if not lvl.in_relation_span(img):
-                    raise InternalCheckError(
-                        f"coequalizer action map ({side}) fails to "
-                        f"descend at level {m}",
-                        witness=f"{b3.levels[m].show(r)} ↦ {lvl.show(img)}")
+        for mat, side in ((ml, "left"), (mr, "right")):
+            b3.levels[m].check_map(
+                mat.apply, lvl,
+                f"coequalizer action map ({side}) fails to descend at "
+                f"level {m}")
         # the extra rows are the columns of ml - mr; zero rows drop out
         co.levels[m] = PresentedLevel(K, lvl.labels, lvl.relations
                                       + list((ml - mr).transpose().rows))
@@ -633,12 +621,29 @@ def compare_boxes(b1: BoxProduct, b2: BoxProduct, gen_map=None):
     labels, equal relation spans, and equal reduced structure; a permutation
     gen_map (e.g. the factor swap) compares up to relabeling.
     """
-    diffs = []
     lat = b1.lattice
     if lat.n != b2.lattice.n:
         return ["different group orders"]
-    targets = {}   # m -> b2 index of each b1 generator
+    diffs = []
+    phi = _permuted_bases(b1, b2, gen_map, diffs)
+    if diffs:
+        return diffs
     for m in lat.divisors:
+        if inverse(phi[m]) is None:
+            diffs.append(f"level {m}: transported basis is not invertible")
+    if diffs:
+        return diffs
+    return [str(v) for v in check_green_morphism(b1.green, b2.green, phi)]
+
+
+def _permuted_bases(b1: BoxProduct, b2: BoxProduct, gen_map, diffs) -> dict:
+    """Per level, the reduced b1 basis in reduced b2 coordinates under the
+    generator permutation; every mismatch of ambient size, labels, relation
+    span or reduced size is appended to ``diffs`` instead.  The dense
+    permutation matrices die here, before the Green-morphism check that
+    is the memory peak of a comparison."""
+    moves = {}     # m -> P, moving b1's generator t to b2's generator idx[t]
+    for m in b1.lattice.divisors:
         if b1.amb_dim(m) != b2.amb_dim(m):
             diffs.append(f"level {m}: ambient dimensions differ")
             continue
@@ -648,42 +653,24 @@ def compare_boxes(b1: BoxProduct, b2: BoxProduct, gen_map=None):
             idx = range(b1.amb_dim(m))
         else:
             idx = [b2.gens[m].index(gen_map(m, g)) for g in b1.gens[m]]
-        targets[m] = idx
-        for r in b1.levels[m].relation_basis:
-            if not b2.levels[m].in_relation_span(_move(b1.scalars, idx, r)):
-                diffs.append(f"level {m}: relation span differs (1 vs 2)")
-                break
-        for r in b2.levels[m].relation_basis:
-            if not b1.levels[m].in_relation_span(tuple(r[t] for t in idx)):
-                diffs.append(f"level {m}: relation span differs (2 vs 1)")
-                break
+        P = moves[m] = Mat.from_cols(
+            b1.scalars, [b2.gen_unit(m, t) for t in idx], b2.amb_dim(m))
+        l1, l2 = b1.levels[m], b2.levels[m]
+        # a permutation: its transpose moves b2's generators back
+        for src, mat, target, way in ((l1, P, l2, "1 vs 2"),
+                                      (l2, P.transpose(), l1, "2 vs 1")):
+            try:
+                src.check_map(mat.apply, target,
+                              f"level {m}: relation span differs ({way})")
+            except InternalCheckError as exc:
+                diffs.append(str(exc))
         if b1.dim(m) != b2.dim(m):
             diffs.append(f"level {m}: reduced dimensions differ "
                          f"({b1.dim(m)} vs {b2.dim(m)})")
     if diffs:
-        return diffs
-
-    def transported(m):
-        """Reduced b1 basis written in reduced b2 coordinates."""
-        cols = [b2.reduce(m, b2.gen_unit(m, targets[m][f]))
-                for f in b1.levels[m].free]
-        return Mat.from_cols(b1.scalars, cols, b2.dim(m))
-
-    phi = {m: transported(m) for m in lat.divisors}
-    for m in lat.divisors:
-        if inverse(phi[m]) is None:
-            diffs.append(f"level {m}: transported basis is not invertible")
-    if diffs:
-        return diffs
-    return [str(v) for v in check_green_morphism(b1.green, b2.green, phi)]
-
-
-def _move(K, idx, v):
-    """Send coordinate t of v to coordinate idx[t]."""
-    out = [K.zero] * len(v)
-    for t, c in zip(idx, v):
-        out[t] = out[t] + c
-    return tuple(out)
+        return {}
+    return {m: b1.levels[m].induced(P, b2.levels[m])
+            for m, P in moves.items()}
 
 
 def swap_isomorphic(bMN: BoxProduct, bNM: BoxProduct):

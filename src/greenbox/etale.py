@@ -24,10 +24,11 @@ from .boxes import BoxProduct, relative_box
 from .extensions import GaloisExtension
 from .fields import Field
 from .green import constant_functor
-from .linalg import Mat, Span, kernel, solve, solve_matrix, unit_vec, \
-    vec_is_zero, vec_scale, vec_sub, vec_zero
+from .linalg import Mat, Span, kernel, solve, solve_matrix, tensor_vec, \
+    unit_vec, vec_is_zero, vec_scale, vec_sub, vec_zero
 from .mackey import InternalCheckError, MackeyMorphism, Violation
 from .modules import constant_box_iso
+from .presented import PresentedLevel, format_element
 
 
 # ---------------------------------------------------------------------------
@@ -51,14 +52,10 @@ def mult_map(bx: BoxProduct) -> MackeyMorphism:
             prod = T.mult[d][i][j]
             cols_ambient.append(T.mackey.tr_mat(m, d).apply(prod))
         amb = Mat.from_cols(K, cols_ambient, T.dim(m))
-        for r in bx.levels[m].relation_basis:     # amb is linear
-            if not vec_is_zero(K, amb.apply(r)):
-                raise InternalCheckError(
-                    f"multiplication map does not kill relations at level {m}",
-                    witness=(m, r, amb.apply(r)))
-        cols = [amb.apply(bx.levels[m].expand(unit_vec(K, bx.dim(m), idx)))
-                for idx in range(bx.dim(m))]
-        comps[m] = Mat.from_cols(K, cols, T.dim(m))
+        lvl, onto = bx.levels[m], PresentedLevel(K, T.labels(m), [])
+        lvl.check_map(amb.apply, onto, "multiplication map does not kill "
+                      f"relations at level {m}")
+        comps[m] = lvl.induced(amb, onto)
     morphism = MackeyMorphism(bx.green.mackey, T.mackey, comps, name="mult")
     bad = morphism.check()
     if bad:
@@ -73,11 +70,10 @@ def unit_section_check(bx: BoxProduct, mm: MackeyMorphism) -> bool:
     K = bx.scalars
     for m in bx.lattice.divisors:
         for i in range(T.dim(m)):
-            out = [K.zero] * bx.amb_dim(m)
-            for j, c in enumerate(T.unit[m]):
-                out[bx.gen_index(m, m, i, j)] = c
-            if mm.apply(m, bx.reduce(m, tuple(out))) != \
-                    unit_vec(K, T.dim(m), i):
+            x = unit_vec(K, T.dim(m), i)
+            out = bx.place(m, m, tensor_vec(x, T.unit[m]),
+                           [K.zero] * bx.amb_dim(m))
+            if mm.apply(m, bx.reduce(m, tuple(out))) != x:
                 return False
     return True
 
@@ -108,9 +104,12 @@ def ideal_and_square(bx: BoxProduct, mm: MackeyMorphism) -> IdealData:
             for j in range(i, len(basis)):
                 prod = bx.green.multiply(m, basis[i], basis[j])
                 if not span_i.contains(prod):
+                    lab = bx.levels[m].reduced_labels
                     raise InternalCheckError(
                         f"I² is not contained in I at level {m}",
-                        witness=(m, i, j, prod))
+                        witness=f"({format_element(K, basis[i], lab)})·"
+                        f"({format_element(K, basis[j], lab)}) = "
+                        f"{format_element(K, prod, lab)}")
                 span_sq.add(prod)
         square[m] = span_sq.basis()
         qdims[m] = span_i.dim - span_sq.dim
@@ -227,23 +226,14 @@ def ideal_generator(bx: BoxProduct, E: GaloisExtension, i: int, t: int,
     q = m // d
     if t % q or not (0 <= i <= t):
         raise ValueError("need q | t and 0 <= i <= t")
-    K = bx.scalars
-    out = [K.zero] * bx.amb_dim(m)
-
-    # pure part: q · (1 ⊗ α^{td}) at the top component
     pure = _alpha_tensor(bx, E, m, 0, t * d)
-    for idx, c in pure:
-        out[idx] = out[idx] + K.from_int(q) * c
-    # class part: −[α^{id} ⊗ α^{(t−i)d}]_d^m
     cls = _alpha_tensor(bx, E, m, i * d, (t - i) * d, origin=d)
-    for idx, c in cls:
-        out[idx] = out[idx] - c
-    return bx.reduce(m, tuple(out))
+    return bx.reduce(m, vec_sub(vec_scale(bx.scalars.from_int(q), pure), cls))
 
 
 def _alpha_tensor(bx: BoxProduct, E: GaloisExtension, m, e1, e2, origin=None):
-    """Sparse ambient coordinates of α^{e1} ⊗ α^{e2} at the given origin
-    component (default: the pure component)."""
+    """Ambient vector of α^{e1} ⊗ α^{e2} at the given origin component
+    (default: the pure component)."""
     d = origin if origin is not None else m
     emb = bx.left.level_embed[d]
     coords = solve_matrix(emb, Mat.from_cols(
@@ -252,15 +242,8 @@ def _alpha_tensor(bx: BoxProduct, E: GaloisExtension, m, e1, e2, origin=None):
         raise ValueError(
             f"α^{e1} or α^{e2} does not lie in the level-{d} subfield")
     c1, c2 = coords.cols()
-    out = []
-    for i, a in enumerate(c1):
-        if a == E.base.zero:
-            continue
-        for j, b in enumerate(c2):
-            if b == E.base.zero:
-                continue
-            out.append((bx.gen_index(m, d, i, j), a * b))
-    return out
+    return tuple(bx.place(m, d, tensor_vec(c1, c2),
+                          [bx.scalars.zero] * bx.amb_dim(m)))
 
 
 @dataclass
@@ -309,12 +292,9 @@ def kummer_congruence_checks(bx: BoxProduct, E: GaloisExtension,
         span_sq = Span(K, bx.dim(m), data.square[m])
 
         # the auxiliary element w = ma − [α ⊗ α^{n−1}]_1^m
-        out = [K.zero] * bx.amb_dim(m)
-        for idx, c in _alpha_tensor(bx, E, m, 0, n):
-            out[idx] = out[idx] + K.from_int(m) * c
-        for idx, c in _alpha_tensor(bx, E, m, 1, n - 1, origin=1):
-            out[idx] = out[idx] - c
-        w = bx.reduce(m, tuple(out))
+        w = bx.reduce(m, vec_sub(
+            vec_scale(K.from_int(m), _alpha_tensor(bx, E, m, 0, n)),
+            _alpha_tensor(bx, E, m, 1, n - 1, origin=1)))
         rep.record(span_i.contains(w), f"level {m}: ma−[α⊗α^{n-1}] in I")
 
         # kernel of the restriction to the free level
@@ -346,12 +326,9 @@ def kummer_congruence_checks(bx: BoxProduct, E: GaloisExtension,
                                f"level {m}, d={d}: x[{i},{t}] in I")
                 rep.record(vec_is_zero(K, x(0, t)),
                            f"level {m}, d={d}: x[0,{t}] = 0")
-                out = [K.zero] * bx.amb_dim(m)
-                for idx, c in _alpha_tensor(bx, E, m, 0, t * d):
-                    out[idx] = out[idx] + K.from_int(q) * c
-                for idx, c in _alpha_tensor(bx, E, m, t * d, 0):
-                    out[idx] = out[idx] - K.from_int(q) * c
-                swap_comm = bx.reduce(m, tuple(out))
+                swap_comm = bx.reduce(m, vec_scale(K.from_int(q), vec_sub(
+                    _alpha_tensor(bx, E, m, 0, t * d),
+                    _alpha_tensor(bx, E, m, t * d, 0))))
                 rep.record(x(t, t) == swap_comm,
                            f"level {m}, d={d}: x[{t},{t}] = "
                            f"q·(1⊗α^td − α^td⊗1)")

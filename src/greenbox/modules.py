@@ -34,9 +34,10 @@ from .extensions import GaloisExtension, is_primitive_root_of_unity
 from .fields import Field
 from .green import GreenFunctor, check_green_morphism, constant_functor, \
     fix_functor
-from .linalg import Mat, column_space, inverse, unit_vec, vec_is_zero
+from .linalg import Mat, column_space, inverse, unit_vec, vec_scale
 from .mackey import (FixedPointModule, InternalCheckError, MackeyFunctor,
                      MackeyMorphism, Violation, fix_of_module, solve_in)
+from .presented import PresentedLevel
 
 
 # ---------------------------------------------------------------------------
@@ -397,22 +398,20 @@ def constant_box_iso(bx: BoxProduct, tensor: FiniteAlgebra):
     relations, is bijective, and commutes with res, tr, weyl, mult, unit.
     """
     K = bx.scalars
-    A, B = bx.left, bx.right
+    B = bx.right
+    onto = PresentedLevel(K, tensor.labels, [])
     iso = {}
     for m in bx.lattice.divisors:
-        cols = []
-        for (d, i, j) in bx.gens[m]:
-            scalar = K.from_int(m // d)
-            vec = [K.zero] * tensor.dim
-            vec[i * B.dim(d) + j] = scalar
-            cols.append(tuple(vec))
+        cols = [vec_scale(K.from_int(m // d),
+                          unit_vec(K, tensor.dim, i * B.dim(d) + j))
+                for (d, i, j) in bx.gens[m]]
         amb = Mat.from_cols(K, cols, tensor.dim)
-        for r in bx.levels[m].relation_basis:
-            if not vec_is_zero(K, amb.apply(r)):
-                return None
-        red_cols = [amb.apply(bx.levels[m].expand(unit_vec(K, bx.dim(m), idx)))
-                    for idx in range(bx.dim(m))]
-        phi = Mat.from_cols(K, red_cols, tensor.dim)
+        try:
+            bx.levels[m].check_map(amb.apply, onto, "identification "
+                                   f"fails to descend at level {m}")
+        except InternalCheckError:
+            return None
+        phi = bx.levels[m].induced(amb, onto)
         if inverse(phi) is None:
             return None
         iso[m] = phi

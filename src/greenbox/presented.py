@@ -9,11 +9,19 @@ terms of early ones: transfer classes collapse onto pure tensors wherever
 Frobenius reciprocity allows it, and the earliest generators survive as the
 reduced basis.  canonicalize is idempotent and kills exactly the relation
 span; the reduced dimension is #generators - rank(relations).
+
+Descent is decided here and nowhere else.  A linear map out of a quotient is
+well defined exactly when it sends the relation span into the target's
+relation span; ``check_map`` tests that on ``relation_basis`` (linearity
+covers the rest) and ``induced`` reads the map on the quotients off the free
+generators.  Every map the verifier trusts (structure maps, multiplication,
+oracle actions, comparisons, identifications) goes through these two.
 """
 
 from __future__ import annotations
 
 from .linalg import Mat, eliminate, rref, vec_is_zero
+from .mackey import InternalCheckError
 
 
 def format_element(K, coeffs, labels) -> str:
@@ -68,6 +76,23 @@ class PresentedLevel:
 
     def in_relation_span(self, v) -> bool:
         return vec_is_zero(self.field, self.canonicalize(v))
+
+    def check_map(self, f, target: "PresentedLevel", message: str) -> None:
+        """Raise InternalCheckError(message) unless the linear map ``f``
+        (ambient vectors to ``target``'s ambient) sends every relation into
+        ``target``'s relation span; the witness is ``"<row> ↦ <image>"``."""
+        for r in self.relation_basis:
+            img = f(r)
+            if not target.in_relation_span(img):
+                raise InternalCheckError(message, witness=(
+                    f"{self.show(r)} ↦ {target.show(img)}"))
+
+    def induced(self, amb: Mat, target: "PresentedLevel") -> Mat:
+        """The map on quotients of an ambient matrix that descends (see
+        ``check_map``): column k is the reduced image of free generator k."""
+        return Mat.from_cols(self.field,
+                             [target.reduce(amb.col(f)) for f in self.free],
+                             target.dim)
 
     def rel_rank(self) -> int:
         return len(self.pivots)

@@ -154,6 +154,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"group order n must be positive, got {cfg.n}")
     if cfg.fmt not in ("text", "json"):
         raise ConfigError(f"unknown output format {cfg.fmt!r}")
+    if cfg.flavor not in ("kummer", "artin_schreier"):
+        raise ConfigError(f"unknown flavor {cfg.flavor!r}")
     if cfg.flavor == "artin_schreier" and cfg.n != 2:
         raise ConfigError("artin_schreier data is quadratic; set n = 2")
     return cfg

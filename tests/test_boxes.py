@@ -15,6 +15,7 @@ from greenbox.green import (GreenFunctor, check_green, constant_functor,
 from greenbox.linalg import Mat
 from greenbox.mackey import InternalCheckError, MackeyFunctor, check_axioms, \
     corrupt_transfer, small_random_mackey, subgroup_lattice
+from greenbox.presented import PresentedLevel
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -430,3 +431,32 @@ def test_compare_boxes_names_corrupt_map(kummer4_bundle, corrupt, rule):
     bad.green = corrupt(rb.green)
     diffs = compare_boxes(rb, bad)
     assert diffs and all(d.startswith(rule) for d in diffs), diffs
+
+
+# The same box against a copy whose level 4 is presented by one relation
+# fewer, or by one more: each direction of the span comparison must fire.
+
+
+def _with_level4_relations(bx, rows):
+    other = copy.copy(bx)
+    other.levels = {**bx.levels,
+                    4: PresentedLevel(F5, bx.levels[4].labels, rows)}
+    return other
+
+
+def test_compare_boxes_names_a_smaller_relation_span(kummer4_bundle):
+    rb = kummer4_bundle.box
+    fewer = _with_level4_relations(rb, rb.levels[4].relation_basis[1:])
+    diffs = compare_boxes(rb, fewer)
+    assert "level 4: relation span differs (1 vs 2)" in diffs
+    assert "level 4: relation span differs (2 vs 1)" not in diffs
+
+
+def test_compare_boxes_names_a_larger_relation_span(kummer4_bundle):
+    rb = kummer4_bundle.box
+    lvl = rb.levels[4]
+    extra = unit_vec(F5, lvl.ngens, lvl.free[0])
+    more = _with_level4_relations(rb, list(lvl.relation_basis) + [extra])
+    diffs = compare_boxes(rb, more)
+    assert "level 4: relation span differs (2 vs 1)" in diffs
+    assert "level 4: relation span differs (1 vs 2)" not in diffs

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from conftest import Bundle, gen_coords, unit_vec
@@ -10,9 +12,10 @@ from greenbox.etale import (check_ideal, classical_etale_oracle,
                             unit_section_check)
 from greenbox.extensions import kummer_extension
 from greenbox.fields import finite_field, prime_field
-from greenbox.green import permute_green
+from greenbox.green import corrupt_multiplication, permute_green
 from greenbox.boxes import relative_box
 from greenbox.linalg import Span, vec_scale, vec_sub
+from greenbox.mackey import InternalCheckError
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -29,6 +32,20 @@ def test_mult_values_artin_schreier(as_bundle):
     assert mm.apply(2, gen_coords(rb, 2, 1, 1, 1)) == (F2.one,)  # mult[α⊗α]
     assert mm.apply(2, gen_coords(rb, 2, 2, 0, 0)) == (F2.one,)  # unit
     assert unit_section_check(rb, mm)
+
+
+def test_mult_map_witness_uses_basis_labels(kummer4_bundle):
+    # factors with one perturbed structure constant (seed 0 breaks level 2):
+    # the multiplication map no longer kills the relations
+    rb = kummer4_bundle.box
+    bad = copy.copy(rb)
+    bad.left = bad.right = corrupt_multiplication(kummer4_bundle.fix, seed=0)
+    with pytest.raises(InternalCheckError, match="does not kill") as exc:
+        mult_map(bad)
+    witness = exc.value.witness
+    assert isinstance(witness, str) and "↦" in witness
+    assert any(lab in witness for lvl in rb.levels.values()
+               for lab in lvl.labels)
 
 
 def test_mult_values_kummer(kummer2_bundle):

@@ -3,7 +3,8 @@
 Hypothesis draws small matrices over F_2, F_5, F_7 and Q (derandomized, so
 every run sees the same examples); sympy's DomainMatrix over GF(p) and QQ is
 the independent oracle for rank, for the first-pivot RREF and for whether a
-system A X = B has a solution.
+system A X = B has a solution, and for whether a linear map descends to
+presented quotients.
 """
 
 from fractions import Fraction
@@ -18,7 +19,9 @@ from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
 from greenbox.fields import prime_field, rationals
-from greenbox.linalg import Mat, Span, kernel, rank, rref, solve_matrix
+from greenbox.linalg import Mat, Span, kernel, rank, rref, solve_matrix, \
+    unit_vec
+from greenbox.mackey import InternalCheckError
 from greenbox.presented import PresentedLevel
 
 FIELDS = [prime_field(2), prime_field(5), prime_field(7), rationals()]
@@ -161,3 +164,45 @@ def test_solve_matrix_solves_exactly_the_solvable_systems(A, consistent,
     assert (X is not None) == solvable
     if X is not None:
         assert A @ X == B
+
+
+@st.composite
+def quotient_maps(draw):
+    """A source and a target presentation over one field, and a linear map
+    between their ambients."""
+    K = draw(st.sampled_from(FIELDS))
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    src = PresentedLevel(K, [f"g{j}" for j in range(n)],
+                         draw(rows_over(K, n, 0, 3)))
+    target = PresentedLevel(K, [f"h{j}" for j in range(k)],
+                            draw(rows_over(K, k, 0, 3)))
+    return src, Mat(K, draw(rows_over(K, n, k, k)), ncols=n), target
+
+
+@PROPS
+@given(quotient_maps())
+def test_check_map_raises_exactly_when_relations_escape(case):
+    src, amb, target = case
+    K, k = src.field, target.ngens
+    base = oracle_rank(K, target.relations, k)
+    images = [amb.apply(r) for r in src.relations]
+    escapes = oracle_rank(K, target.relations + images, k) > base
+    try:
+        src.check_map(amb.apply, target, "escapes")
+    except InternalCheckError as exc:
+        assert escapes and "↦" in exc.witness
+    else:
+        assert not escapes
+
+
+@PROPS
+@given(quotient_maps())
+def test_induced_reads_the_map_off_the_free_generators(case):
+    src, amb, target = case
+    K = src.field
+    phi = src.induced(amb, target)
+    assert (phi.nrows, phi.ncols) == (target.dim, src.dim)
+    for k in range(src.dim):
+        expected = target.reduce(amb.apply(src.expand(unit_vec(K, src.dim,
+                                                                k))))
+        assert phi.col(k) == expected

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import pathlib
@@ -61,6 +62,8 @@ MALFORMED = {
     "bad_line": "[field]\np = 5\nthis line has no separator\n",
     "zero_order": "[field]\np = 5\n\n[extension]\nflavor = kummer\n"
                   "n = 0\na = 2\nzeta = 1\n",
+    "unknown_flavor": "[field]\np = 5\n\n[extension]\nflavor = bogus\n"
+                      "n = 2\na = 2\nzeta = -1\n",
 }
 
 
@@ -354,3 +357,20 @@ def test_verb_exit_codes_cover_their_own_checks(monkeypatch, capsys):
     capsys.readouterr()
     assert main(["box", path]) == 1
     assert "witness: (1, 2)" in capsys.readouterr().err
+
+
+def test_layer_trace_attaches_to_the_cli():
+    """The benchmark's per-layer trace still hooks into the modules it
+    spans: a traced check-etale run reports box sizes and canonical forms."""
+    spec = importlib.util.spec_from_file_location(
+        "greenbox_bench_tracing", HERE.parent / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    out = io.StringIO()
+    with tracing.instrumented(tracing.Tracer()) as tracer, \
+            contextlib.redirect_stdout(out):
+        code = main(["check-etale", str(CONFIGS / "kummer_f5_n2.cfg")])
+    assert code == 0
+    metrics = tracing.layer_metrics(tracer, 0.0)
+    assert metrics["boxes.ambient_gens"] > 0
+    assert metrics["presented.canonicalize_calls"] > 0
