@@ -15,6 +15,10 @@ tensors, pushes pure factors onto classes through restriction, and resolves
 class·class through tr(u)·tr(v) = tr(u·res(tr v)).  Every structure map is
 checked to descend to the quotient during construction, and read off on the
 reduced bases, through ``PresentedLevel.check_map`` and ``induced``.
+Multiplication is checked one-sidedly where that is exact: relations times
+every ambient generator, but only the free generators times relations, since
+the ambient is the span of the free generators plus the relation span and
+the latter times anything is covered by the first check.
 ``BoxProduct`` alone knows the ambient layout: callers outside this module
 write ambient vectors through ``place``.
 
@@ -29,12 +33,11 @@ from __future__ import annotations
 
 import copy
 import math
-from functools import partial
 
 from .fields import Field
 from .green import GreenFunctor, check_green_morphism, constant_functor
-from .linalg import Mat, inverse, tensor_vec, unit_vec, vec_add, \
-    vec_scale, vec_zero
+from .linalg import Mat, inverse, nonzero_terms, tensor_vec, unit_vec, \
+    vec_add, vec_scale, vec_zero
 from .mackey import InternalCheckError, MackeyFunctor, compose_chain
 from .presented import PresentedLevel
 
@@ -121,7 +124,7 @@ class BoxProduct:
             self.place(m, o, tensor_vec(lvec, rvec), out)
         else:
             # class · class: tr(u)·tr(v) = tr(u · res(tr v))
-            down = self.amb_res_chain(d, m).apply(self.gen_unit(m, cb))
+            down = self.amb_res_chain(d, m).col(cb)
             pure_idx = self.gen_index(d, d, i, j)
             prod_at_d = self.mult_vec(d, self.gen_unit(d, pure_idx), down)
             lifted = self.amb_tr_chain(m, d).apply(prod_at_d)
@@ -133,11 +136,9 @@ class BoxProduct:
     def mult_vec(self, m, va, vb):
         """Bilinear extension of mult_gens to ambient vectors."""
         K = self.scalars
-        z = K.zero
-        nza = [(ca, a) for ca, a in enumerate(va) if a != z]
-        nzb = [(cb, b) for cb, b in enumerate(vb) if b != z]
-        out = [z] * self.amb_dim(m)
-        for ca, a in nza:
+        nzb = nonzero_terms(K, vb)
+        out = [K.zero] * self.amb_dim(m)
+        for ca, a in nonzero_terms(K, va):
             for cb, b in nzb:
                 c = a * b
                 for t, p in self._mult_sparse(m, ca, cb):
@@ -148,9 +149,7 @@ class BoxProduct:
         key = ("s", m, ca, cb)
         cached = self._mult_cache.get(key)
         if cached is None:
-            z = self.scalars.zero
-            dense = self.mult_gens(m, ca, cb)
-            cached = tuple((t, p) for t, p in enumerate(dense) if p != z)
+            cached = nonzero_terms(self.scalars, self.mult_gens(m, ca, cb))
             self._mult_cache[key] = cached
         return cached
 
@@ -324,8 +323,13 @@ def build_box(left: GreenFunctor, right: GreenFunctor, name="",
 def _check_descent(bx: BoxProduct) -> None:
     """Every structure map must send relations into relations.
 
-    Multiplication is bilinear, so it descends exactly when multiplying by
-    each ambient generator, on either side, is a linear map that does.
+    Multiplication is bilinear, so it descends exactly when Rel·A ⊆ Rel and
+    A·Rel ⊆ Rel.  The first is checked as Rel·e ⊆ Rel for every ambient
+    generator e.  The second needs only the free generators e of the level:
+    the relation basis is in reduced echelon form, so A = span(free units)
+    ⊕ Rel, and for x = f + s with s in Rel, x·r = f·r + s·r, where f·r is
+    covered by the free generators and s·r lies in Rel·A, which the first
+    check covers.
     """
     pairs = bx.lattice.covering_pairs
     for m in bx.lattice.divisors:
@@ -338,15 +342,33 @@ def _check_descent(bx: BoxProduct) -> None:
         maps += [(bx.amb_tr[(hi, m)].apply, hi,
                   f"transfer {m}->{hi} fails to descend")
                  for (lo, hi) in pairs if lo == m]
-        for idx, label in enumerate(lvl.labels):
-            e = bx.gen_unit(m, idx)
-            for side, f in (("left", partial(bx.mult_vec, m, vb=e)),
-                            ("right", partial(bx.mult_vec, m, e))):
-                maps.append((f, m, f"multiplication fails to descend at "
-                             f"level {m}: {side} product of a relation with "
+        free = set(lvl.free)
+        for e, label in enumerate(lvl.labels):
+            sides = ("left", "right") if e in free else ("left",)
+            for side in sides:
+                maps.append((_times_generator(bx, m, e, side), m,
+                             f"multiplication fails to descend at level "
+                             f"{m}: {side} product of a relation with "
                              f"{label}"))
         for f, target, message in maps:
             lvl.check_map(f, bx.levels[target], message)
+
+
+def _times_generator(bx: BoxProduct, m, e, side):
+    """The map r ↦ r·e (``side`` "left": r is the left factor) or r ↦ e·r
+    on relation rows, summed over their ``terms`` from the cached sparse
+    products of generators."""
+    zero = bx.scalars.zero
+
+    def f(r):
+        out = [zero] * bx.amb_dim(m)
+        for c, a in r.terms:
+            prod = bx._mult_sparse(m, c, e) if side == "left" \
+                else bx._mult_sparse(m, e, c)
+            for t, p in prod:
+                out[t] = out[t] + a * p
+        return tuple(out)
+    return f
 
 
 def _induce_reduced_structure(bx: BoxProduct) -> None:

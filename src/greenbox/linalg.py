@@ -179,6 +179,12 @@ def vec_is_zero(field, a):
     return all(x == z for x in a)
 
 
+def nonzero_terms(field, v):
+    """The ``(index, coefficient)`` pairs of the nonzero entries of v."""
+    z = field.zero
+    return tuple((j, c) for j, c in enumerate(v) if c != z)
+
+
 def unit_vec(field, n, i):
     """The i-th standard basis vector of length n."""
     v = [field.zero] * n
@@ -292,14 +298,16 @@ def inverse(mat: Mat):
     return inv
 
 
-def eliminate(rows, pivots, v, zero):
+def eliminate(row_terms, pivots, v, zero):
     """Clear the pivot coordinates of v against fully reduced rows (a 1 at
-    each row's pivot, 0 at every other row's pivot); returns a list."""
+    each row's pivot, 0 at every other row's pivot), each given by its
+    ``nonzero_terms``; returns a list."""
     v = list(v)
-    for row, p in zip(rows, pivots):
+    for terms, p in zip(row_terms, pivots):
         c = v[p]
         if c != zero:
-            v = [a - c * b for a, b in zip(v, row)]
+            for j, b in terms:
+                v[j] = v[j] - c * b
     return v
 
 
@@ -320,6 +328,7 @@ class Span:
         self._scan = range(ncols) if pivot_order == "first" \
             else range(ncols - 1, -1, -1)
         self._rows = []   # reduced rows
+        self._terms = []  # their nonzero terms
         self._pivots = []
         for r in rows:
             self.add(r)
@@ -327,23 +336,27 @@ class Span:
     def add(self, v) -> bool:
         """Insert v; returns True if it enlarged the span."""
         z = self.field.zero
-        v = eliminate(self._rows, self._pivots, v, z)
+        v = eliminate(self._terms, self._pivots, v, z)
         for j in self._scan:
             if v[j] != z:
                 inv = self.field.one / v[j]
                 v = [inv * a for a in v]
+                vterms = nonzero_terms(self.field, v)
                 for i, row in enumerate(self._rows):
                     c = row[j]
                     if c != z:
-                        self._rows[i] = [a - c * b for a, b in zip(row, v)]
+                        for t, b in vterms:
+                            row[t] = row[t] - c * b
+                        self._terms[i] = nonzero_terms(self.field, row)
                 self._rows.append(v)
+                self._terms.append(vterms)
                 self._pivots.append(j)
                 return True
         return False
 
     def contains(self, v) -> bool:
         z = self.field.zero
-        return all(a == z for a in eliminate(self._rows, self._pivots, v, z))
+        return all(a == z for a in eliminate(self._terms, self._pivots, v, z))
 
     def contains_all(self, vs) -> bool:
         return all(self.contains(v) for v in vs)

@@ -10,6 +10,12 @@ Frobenius reciprocity allows it, and the earliest generators survive as the
 reduced basis.  canonicalize is idempotent and kills exactly the relation
 span; the reduced dimension is #generators - rank(relations).
 
+The nonzero ``(index, coefficient)`` terms of each ``relation_basis`` row
+are found once, when the level is built: every row is a ``Relation``, a
+tuple that carries them as ``terms``.  ``canonicalize`` eliminates over
+them, and the maps ``check_map`` applies to the rows may sum over them
+instead of scanning the rows for nonzeros again.
+
 Descent is decided here and nowhere else.  A linear map out of a quotient is
 well defined exactly when it sends the relation span into the target's
 relation span; ``check_map`` tests that on ``relation_basis`` (linearity
@@ -20,7 +26,7 @@ oracle actions, comparisons, identifications) goes through these two.
 
 from __future__ import annotations
 
-from .linalg import Mat, eliminate, rref, vec_is_zero
+from .linalg import Mat, eliminate, nonzero_terms, rref, vec_is_zero
 from .mackey import InternalCheckError
 
 
@@ -34,6 +40,16 @@ def format_element(K, coeffs, labels) -> str:
     return " + ".join(terms) if terms else "0"
 
 
+class Relation(tuple):
+    """A relation-basis row: its dense coordinates, plus ``terms``, the
+    nonzero ``(index, coefficient)`` pairs, found once."""
+
+    def __new__(cls, field, row):
+        self = super().__new__(cls, row)
+        self.terms = nonzero_terms(field, row)
+        return self
+
+
 class PresentedLevel:
     def __init__(self, field, labels, relations):
         self.field = field
@@ -43,7 +59,8 @@ class PresentedLevel:
                     if not vec_is_zero(field, tuple(r))]
         self.relations = rel_rows
         reduced, pivots = rref(Mat(field, rel_rows, ncols=self.ngens), "last")
-        self.relation_basis = reduced.rows
+        self.relation_basis = tuple(Relation(field, r) for r in reduced.rows)
+        self._relation_terms = tuple(r.terms for r in self.relation_basis)
         self.pivots = pivots
         self.free = tuple(j for j in range(self.ngens) if j not in pivots)
         self.dim = len(self.free)
@@ -53,7 +70,7 @@ class PresentedLevel:
         """Canonical coset representative: pivot coordinates eliminated."""
         if len(v) != self.ngens:
             raise ValueError("ambient vector of wrong length")
-        return tuple(eliminate(self.relation_basis, self.pivots, v,
+        return tuple(eliminate(self._relation_terms, self.pivots, v,
                                self.field.zero))
 
     def reduce(self, v):
@@ -80,7 +97,9 @@ class PresentedLevel:
     def check_map(self, f, target: "PresentedLevel", message: str) -> None:
         """Raise InternalCheckError(message) unless the linear map ``f``
         (ambient vectors to ``target``'s ambient) sends every relation into
-        ``target``'s relation span; the witness is ``"<row> ↦ <image>"``."""
+        ``target``'s relation span; the witness is ``"<row> ↦ <image>"``.
+        ``f`` is applied to the ``Relation`` rows, so it may read their
+        ``terms``."""
         for r in self.relation_basis:
             img = f(r)
             if not target.in_relation_span(img):

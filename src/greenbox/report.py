@@ -18,6 +18,8 @@ A run configuration is a flat declarative INI file:
     count = 100
     format = text
 
+Any other section or key is an error.
+
 An EtaleReport holds one section per fact (the relative box and its ideal,
 both oracles, the certificate, the classical oracle, the verdict, ...), each
 computed on first use with the witness data justifying it; ``run_pipeline``
@@ -42,7 +44,7 @@ from .extensions import GaloisExtension, artin_schreier_extension, \
     kummer_extension
 from .fields import Field, extension_field, is_prime, prime_field, rationals
 from .green import check_green, check_norms, fix_functor, zero_green
-from .linalg import Span
+from .linalg import Span, tensor_vec, unit_vec, vec_sub
 from .mackey import check_axioms, corrupt_transfer, random_mackey, \
     small_random_mackey, subgroup_lattice
 from .modules import projectivity_certificate, eigen_decompose, check_eigen, \
@@ -120,12 +122,26 @@ class RunConfig:
         raise ConfigError(f"unknown flavor {self.flavor!r}")
 
 
+# section -> the keys it may hold; anything else is rejected, so a typo
+# cannot fall back to a default silently
+CONFIG_KEYS = {"field": ("p", "modulus", "rationals"),
+               "extension": ("flavor", "n", "a", "zeta"),
+               "run": ("seed", "count", "format")}
+
+
 def load_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser()
     cfg = RunConfig()
     try:
         if not parser.read(path):
             raise ConfigError(f"cannot read config file {path}")
+        for name in parser.sections():
+            if name not in CONFIG_KEYS:
+                raise ConfigError(f"unknown section [{name}] in {path}")
+            unknown = sorted(set(parser[name]) - set(CONFIG_KEYS[name]))
+            if unknown:
+                raise ConfigError(f"unknown key {', '.join(unknown)} in "
+                                  f"[{name}] of {path}")
         if parser.has_section("field"):
             sec = parser["field"]
             if "p" in sec:
@@ -327,11 +343,10 @@ class EtaleReport:
             return {"applicable": False}
         rb, ideal = self.rel_box, self.ideal_data.ideal[2]
         K = rb.scalars
-        v = [K.zero] * rb.amb_dim(1)
-        v[rb.gen_index(1, 1, 0, 1)] = K.one
-        v[rb.gen_index(1, 1, 1, 0)] = \
-            K.one if K.characteristic == 2 else -K.one
-        arg = rb.reduce(1, tuple(v))
+        one, alpha = (unit_vec(K, rb.left.dim(1), t) for t in (0, 1))
+        tensor = vec_sub(tensor_vec(one, alpha), tensor_vec(alpha, one))
+        arg = rb.reduce(1, tuple(rb.place(1, 1, tensor,
+                                          [K.zero] * rb.amb_dim(1))))
         value = norm_on_c2_box(rb, arg)
         return {
             "applicable": True,
@@ -633,11 +648,10 @@ def fuzz(cfg: RunConfig, count: int | None = None, seed: int | None = None,
     how many corruptions the checker caught.  For prime group order every
     ``ORACLE_EVERY``-th round also compares the generic box of a random
     pair against the closed-form construction, when the scalars admit an
-    absolute box.  The config's scalars are parsed first, so data that
+    absolute box.  The config's extension is built first, so data that
     no other verb accepts fails here too.
     """
-    K = cfg.base_field()
-    cfg.scalars()
+    K = cfg.extension().base
     n = cfg.n
     lattice = subgroup_lattice(n)
     count = cfg.count if count is None else count

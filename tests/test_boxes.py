@@ -379,6 +379,43 @@ def test_descent_rejects_corrupt_multiplication(unchecked_c4_box):
         boxes._check_descent(bx)
 
 
+def test_one_sided_product_check_is_exactly_as_strong(unchecked_c4_box):
+    """Right products are checked by free generators only.  Bumping one
+    product of two level-4 generators at a free coordinate must still be
+    caught exactly when some relation-basis row times some generator, on
+    either side, leaves the relation span."""
+    bx = unchecked_c4_box
+    lvl = bx.levels[4]
+    gens = (lvl.pivots[0], lvl.pivots[-1], lvl.free[0], lvl.free[-1])
+    units = [unit_vec(F5, lvl.ngens, g) for g in range(lvl.ngens)]
+
+    def brute_force_violation():
+        return any(not lvl.in_relation_span(prod)
+                   for r in lvl.relation_basis for e in units
+                   for prod in (bx.mult_vec(4, r, e), bx.mult_vec(4, e, r)))
+
+    caught_with_pivot_left = False
+    for a in gens:
+        for b in gens:
+            saved = bx.mult_gens(4, a, b)
+            bumped = list(saved)
+            bumped[lvl.free[0]] = bumped[lvl.free[0]] + F5.one
+            bx._mult_cache[(4, a, b)] = tuple(bumped)
+            bx._mult_cache.pop(("s", 4, a, b), None)
+            violated = brute_force_violation()
+            try:
+                boxes._check_descent(bx)
+            except InternalCheckError as exc:
+                assert "multiplication" in str(exc), (a, b)
+                assert violated, (a, b)
+                caught_with_pivot_left |= a in lvl.pivots
+            else:
+                assert not violated, (a, b)
+            bx._mult_cache[(4, a, b)] = saved
+            bx._mult_cache.pop(("s", 4, a, b), None)
+    assert caught_with_pivot_left
+
+
 # ---------------------------------------------------------------------------
 # compare_boxes: negative controls
 #

@@ -64,6 +64,10 @@ MALFORMED = {
                   "n = 0\na = 2\nzeta = 1\n",
     "unknown_flavor": "[field]\np = 5\n\n[extension]\nflavor = bogus\n"
                       "n = 2\na = 2\nzeta = -1\n",
+    "unknown_key": "[field]\np = 5\n\n[extension]\nflavor = kummer\n"
+                   "nn = 4\na = 2\nzeta = -1\n",
+    "unknown_section": "[field]\np = 5\n\n[extension]\nflavor = kummer\n"
+                       "n = 2\na = 2\nzeta = -1\n\n[runn]\nseed = 1\n",
 }
 
 
@@ -102,6 +106,29 @@ def test_cli_zero_denominator_exits_2(tmp_path, capsys, verb):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+
+# configs that parse but describe no cyclic Galois extension
+INVALID_EXTENSION = {
+    "a_zero": "[field]\np = 5\n\n[extension]\nflavor = kummer\n"
+              "n = 2\na = 0\nzeta = -1\n",
+    "zeta_not_primitive": "[field]\np = 5\n\n[extension]\nflavor = kummer\n"
+                          "n = 3\na = 2\nzeta = 2\n",
+    "a_square": "[field]\np = 5\n\n[extension]\nflavor = kummer\n"
+                "n = 2\na = 4\nzeta = -1\n",
+}
+
+
+@pytest.mark.parametrize("verb", ["check-etale", "box", "decompose",
+                                  "report", "fuzz"])
+@pytest.mark.parametrize("name", sorted(INVALID_EXTENSION))
+def test_cli_invalid_extension_exits_2(tmp_path, capsys, verb, name):
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(INVALID_EXTENSION[name])
+    assert main([verb, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def test_invalid_extension_parameters_diagnosed(tmp_path):
@@ -222,7 +249,7 @@ def test_fuzz_corruption_detection():
 def test_fuzz_extension_field_prime_order(tmp_path):
     f9 = tmp_path / "f9.cfg"
     f9.write_text("[field]\np = 3\nmodulus = 1,0,1\n\n[extension]\n"
-                  "flavor = kummer\nn = 2\na = 0,1\nzeta = 2\n")
+                  "flavor = kummer\nn = 2\na = 1,1\nzeta = 2\n")
     s = fuzz(load_config(str(f9)), count=2)
     assert s.ok
     assert "oracle mismatches: not applicable" in s.text()
