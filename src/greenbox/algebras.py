@@ -10,7 +10,7 @@ whose diagonal multiplication realizes the classical separability test.
 from __future__ import annotations
 
 from .fields import Field, FieldUsageError, poly_mod, poly_mul
-from .linalg import bilinear, tensor_vec, unit_vec
+from .linalg import bilinear, product_terms, tensor_vec, unit_vec
 
 
 class FiniteAlgebra:
@@ -21,12 +21,15 @@ class FiniteAlgebra:
         self.labels = list(labels)
         self.dim = len(self.labels)
         self.table = table      # table[i][j]: tuple of length dim
+        self._terms = None      # its product_terms, on first use
         self.one = tuple(one)
         self.name = name or f"algebra dim {self.dim} over {base}"
 
     def mul(self, x, y):
         """Bilinear product of coefficient vectors."""
-        return bilinear(self.base, self.table, x, y)
+        if self._terms is None:
+            self._terms = product_terms(self.base, self.table)
+        return bilinear(self.base, self._terms, x, y)
 
     def power(self, x, e: int):
         result = self.one
@@ -85,8 +88,9 @@ def tensor_algebra(A: FiniteAlgebra, B: FiniteAlgebra,
     if A.base is not B.base:
         raise FieldUsageError("tensor factors must share the base field")
     labels = [f"{la}⊗{lb}" for la in A.labels for lb in B.labels]
-    table = [[tensor_vec(A.table[i1][i2], B.table[j1][j2])
+    table = [[tensor_vec(A.base, A.table[i1][i2], B.table[j1][j2])
               for i2 in range(A.dim) for j2 in range(B.dim)]
              for i1 in range(A.dim) for j1 in range(B.dim)]
-    return FiniteAlgebra(A.base, labels, table, tensor_vec(A.one, B.one),
+    return FiniteAlgebra(A.base, labels, table,
+                         tensor_vec(A.base, A.one, B.one),
                          name=name or f"{A.name}⊗{B.name}")

@@ -14,13 +14,16 @@ Weyl generator acts diagonally.  Multiplication is componentwise on pure
 tensors, pushes pure factors onto classes through restriction, and resolves
 class·class through tr(u)·tr(v) = tr(u·res(tr v)).  Every structure map is
 checked to descend to the quotient during construction, and read off on the
-reduced bases, through ``PresentedLevel.check_map`` and ``induced``.
+reduced bases, through ``PresentedLevel.check_raw_map`` and ``induced``.
 Multiplication is checked one-sidedly where that is exact: relations times
 every ambient generator, but only the free generators times relations, since
 the ambient is the span of the free generators plus the relation span and
 the latter times anything is covered by the first check.
 ``BoxProduct`` alone knows the ambient layout: callers outside this module
-write ambient vectors through ``place``.
+write ambient vectors through ``place``.  Each product of two generators is
+cached as an element vector (``mult_gens``) and as its raw nonzero terms
+(``_mult_sparse``); ``mult_vec`` and the descent check sum those terms in
+the field's raw scalars, and only ``mult_vec`` folds its sum to elements.
 
 Two independent oracles validate the construction: a closed-form two-level
 build for prime group order, and a coequalizer of the threefold box along
@@ -36,8 +39,8 @@ import math
 
 from .fields import Field
 from .green import GreenFunctor, check_green_morphism, constant_functor
-from .linalg import Mat, inverse, nonzero_terms, tensor_vec, unit_vec, \
-    vec_add, vec_scale, vec_zero
+from .linalg import Mat, inverse, nonzero_terms, raw_terms, tensor_vec, \
+    unit_vec, vec_add, vec_scale, vec_zero
 from .mackey import InternalCheckError, MackeyFunctor, compose_chain
 from .presented import PresentedLevel
 
@@ -75,9 +78,11 @@ class BoxProduct:
 
     def place(self, m, d, tensor, out):
         """Add a component-d tensor vector into ambient accumulator ``out``."""
+        K = self.scalars
         off = self.offsets[m][d]
-        for t, c in enumerate(tensor):
-            out[off + t] = out[off + t] + c
+        seg = slice(off, off + len(tensor))
+        out[seg] = K.fold(K.reduce([a + b for a, b in
+                                    zip(K.lift(out[seg]), K.lift(tensor))]))
         return out
 
     def amb_res_chain(self, d, m) -> Mat:
@@ -106,11 +111,10 @@ class BoxProduct:
         K = self.scalars
         (d, i, j) = self.gens[m][ca]
         (e, i2, j2) = self.gens[m][cb]
-        out = [K.zero] * self.amb_dim(m)
         if d == m and e == m:
-            tensor = tensor_vec(self.left.mult[m][i][i2],
+            tensor = tensor_vec(K, self.left.mult[m][i][i2],
                                 self.right.mult[m][j][j2])
-            self.place(m, m, tensor, out)
+            result = self._placed(m, m, tensor)
         elif m in (d, e):
             # pure · class, either way round: restrict the pure tensor to
             # the class origin o and multiply it into the class there
@@ -121,31 +125,44 @@ class BoxProduct:
             lvec = self.left.multiply(o, u1, unit_vec(K, self.left.dim(o), ci))
             rvec = self.right.multiply(o, u2,
                                        unit_vec(K, self.right.dim(o), cj))
-            self.place(m, o, tensor_vec(lvec, rvec), out)
+            result = self._placed(m, o, tensor_vec(K, lvec, rvec))
         else:
-            # class · class: tr(u)·tr(v) = tr(u · res(tr v))
-            down = self.amb_res_chain(d, m).col(cb)
-            pure_idx = self.gen_index(d, d, i, j)
-            prod_at_d = self.mult_vec(d, self.gen_unit(d, pure_idx), down)
-            lifted = self.amb_tr_chain(m, d).apply(prod_at_d)
-            out = [a + b for a, b in zip(out, lifted)]
-        result = tuple(out)
+            # class · class: tr(u)·tr(v) = tr(u · res(tr v)); the product at
+            # level d sums the cached products of the pure generator u with
+            # the terms of res(tr v), and the transfer chain's columns are
+            # unit vectors, so applying it over those terms only relabels
+            down = self.amb_res_chain(d, m).col_terms()[cb]
+            pure = self.gen_index(d, d, i, j)
+            at_d = [K.raw_zero] * self.amb_dim(d)
+            for k, c in down:
+                for t, a in self._mult_sparse(d, pure, k):
+                    at_d[t] += c * a
+            result = K.fold(self.amb_tr_chain(m, d).apply_terms(
+                raw_terms(K.reduce(at_d))))
         self._mult_cache[key] = result
         return result
+
+    def _placed(self, m, d, tensor):
+        """The ambient vector of level m holding ``tensor`` at component d."""
+        out = [self.scalars.zero] * self.amb_dim(m)
+        off = self.offsets[m][d]
+        out[off:off + len(tensor)] = tensor
+        return tuple(out)
 
     def mult_vec(self, m, va, vb):
         """Bilinear extension of mult_gens to ambient vectors."""
         K = self.scalars
         nzb = nonzero_terms(K, vb)
-        out = [K.zero] * self.amb_dim(m)
+        out = [K.raw_zero] * self.amb_dim(m)
         for ca, a in nonzero_terms(K, va):
             for cb, b in nzb:
                 c = a * b
                 for t, p in self._mult_sparse(m, ca, cb):
-                    out[t] = out[t] + c * p
-        return tuple(out)
+                    out[t] += c * p
+        return K.fold(K.reduce(out))
 
     def _mult_sparse(self, m, ca, cb):
+        """The raw ``nonzero_terms`` of ``mult_gens(m, ca, cb)``, cached."""
         key = ("s", m, ca, cb)
         cached = self._mult_cache.get(key)
         if cached is None:
@@ -154,10 +171,8 @@ class BoxProduct:
         return cached
 
     def unit_ambient(self, m):
-        K = self.scalars
-        out = [K.zero] * self.amb_dim(m)
-        tensor = tensor_vec(self.left.unit[m], self.right.unit[m])
-        return tuple(self.place(m, m, tensor, out))
+        return self._placed(m, m, tensor_vec(self.scalars, self.left.unit[m],
+                                             self.right.unit[m]))
 
     # -- reduced coordinates ----------------------------------------------
 
@@ -179,7 +194,7 @@ def _tensor_mat(K, A: Mat, B: Mat) -> Mat:
     cols = []
     for i in range(A.ncols):
         for j in range(B.ncols):
-            cols.append(tensor_vec(A.col(i), B.col(j)))
+            cols.append(tensor_vec(K, A.col(i), B.col(j)))
     return Mat.from_cols(K, cols, A.nrows * B.nrows)
 
 
@@ -334,12 +349,12 @@ def _check_descent(bx: BoxProduct) -> None:
     pairs = bx.lattice.covering_pairs
     for m in bx.lattice.divisors:
         lvl = bx.levels[m]
-        maps = [(bx.amb_weyl[m].apply, m,
+        maps = [(_on_terms(bx.amb_weyl[m]), m,
                  f"Weyl action fails to descend at level {m}")]
-        maps += [(bx.amb_res[(lo, m)].apply, lo,
+        maps += [(_on_terms(bx.amb_res[(lo, m)]), lo,
                   f"restriction {m}->{lo} fails to descend")
                  for (lo, hi) in pairs if hi == m]
-        maps += [(bx.amb_tr[(hi, m)].apply, hi,
+        maps += [(_on_terms(bx.amb_tr[(hi, m)]), hi,
                   f"transfer {m}->{hi} fails to descend")
                  for (lo, hi) in pairs if lo == m]
         free = set(lvl.free)
@@ -351,23 +366,29 @@ def _check_descent(bx: BoxProduct) -> None:
                              f"{m}: {side} product of a relation with "
                              f"{label}"))
         for f, target, message in maps:
-            lvl.check_map(f, bx.levels[target], message)
+            lvl.check_raw_map(f, bx.levels[target], message)
+
+
+def _on_terms(mat: Mat):
+    """The ambient map ``mat`` on relation rows, applied to their raw
+    ``terms``."""
+    return lambda r: mat.apply_terms(r.terms)
 
 
 def _times_generator(bx: BoxProduct, m, e, side):
     """The map r ↦ r·e (``side`` "left": r is the left factor) or r ↦ e·r
-    on relation rows, summed over their ``terms`` from the cached sparse
-    products of generators."""
-    zero = bx.scalars.zero
+    on relation rows, summed over their raw ``terms`` from the cached sparse
+    products of generators; the image is in raw scalars."""
+    K = bx.scalars
 
     def f(r):
-        out = [zero] * bx.amb_dim(m)
+        out = [K.raw_zero] * bx.amb_dim(m)
         for c, a in r.terms:
             prod = bx._mult_sparse(m, c, e) if side == "left" \
                 else bx._mult_sparse(m, e, c)
             for t, p in prod:
-                out[t] = out[t] + a * p
-        return tuple(out)
+                out[t] += a * p
+        return K.reduce(out)
     return f
 
 
@@ -476,17 +497,19 @@ def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int
         for j in range(N.dim(p)):
             out = [K.zero] * bx.amb_dim(p)
             ej = unit_vec(K, N.dim(p), j)
-            bx.place(p, p, tensor_vec(trM.col(i), ej), out)
+            bx.place(p, p, tensor_vec(K, trM.col(i), ej), out)
             ei = unit_vec(K, M.dim(1), i)
-            bx.place(p, 1, vec_scale(-K.one, tensor_vec(ei, rsN.col(j))), out)
+            bx.place(p, 1, vec_scale(-K.one, tensor_vec(K, ei, rsN.col(j))),
+                     out)
             rows.append(tuple(out))
     for i in range(M.dim(p)):
         for j in range(N.dim(1)):
             out = [K.zero] * bx.amb_dim(p)
             ei = unit_vec(K, M.dim(p), i)
-            bx.place(p, p, tensor_vec(ei, trN.col(j)), out)
+            bx.place(p, p, tensor_vec(K, ei, trN.col(j)), out)
             ej = unit_vec(K, N.dim(1), j)
-            bx.place(p, 1, vec_scale(-K.one, tensor_vec(rsM.col(i), ej)), out)
+            bx.place(p, 1, vec_scale(-K.one, tensor_vec(K, rsM.col(i), ej)),
+                     out)
             rows.append(tuple(out))
 
     bx.levels[1] = PresentedLevel(K, bx._amb_labels[1], [])
@@ -508,7 +531,7 @@ def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int
     cols = []
     for (d, i, j) in bx.gens[p]:
         if d == p:
-            cols.append(tensor_vec(rsM.col(i), rsN.col(j)))
+            cols.append(tensor_vec(K, rsM.col(i), rsN.col(j)))
         else:
             cols.append(orbit_sum.col(i * N.dim(1) + j))
     bx.amb_res[(1, p)] = Mat.from_cols(K, cols, dim1)
@@ -525,8 +548,7 @@ def _prime_oracle_weyl_top(bx, M, N, p, tau):
     cols = []
     for (d, i, j) in bx.gens[p]:
         block = pure if d == p else tau
-        cols.append(tuple(bx.place(p, d, block.col(i * N.dim(d) + j),
-                                   [K.zero] * bx.amb_dim(p))))
+        cols.append(bx._placed(p, d, block.col(i * N.dim(d) + j)))
     return Mat.from_cols(K, cols, bx.amb_dim(p))
 
 
@@ -539,7 +561,7 @@ def _attach_prime_oracle_mult(bx, M, N, p, orbit_sum):
     def level1_mult(t1, t2):
         i, j = divmod(t1, N.dim(1))
         i2, j2 = divmod(t2, N.dim(1))
-        return tensor_vec(M.mult[1][i][i2], N.mult[1][j][j2])
+        return tensor_vec(K, M.mult[1][i][i2], N.mult[1][j][j2])
 
     for t1 in range(dim1):
         for t2 in range(dim1):
@@ -548,14 +570,15 @@ def _attach_prime_oracle_mult(bx, M, N, p, orbit_sum):
     for ca, (d, i, j) in enumerate(bx.gens[p]):
         for cb, (e, i2, j2) in enumerate(bx.gens[p]):
             if d == p and e == p:
-                comp, prod = p, tensor_vec(M.mult[p][i][i2], N.mult[p][j][j2])
+                comp, prod = p, tensor_vec(K, M.mult[p][i][i2],
+                                           N.mult[p][j][j2])
             elif d == p:
-                u = tensor_vec(M.mackey.res[(1, p)].col(i),
+                u = tensor_vec(K, M.mackey.res[(1, p)].col(i),
                                N.mackey.res[(1, p)].col(j))
                 comp, prod = 1, bx.mult_vec(
                     1, u, bx.gen_unit(1, i2 * N.dim(1) + j2))
             elif e == p:
-                u = tensor_vec(M.mackey.res[(1, p)].col(i2),
+                u = tensor_vec(K, M.mackey.res[(1, p)].col(i2),
                                N.mackey.res[(1, p)].col(j2))
                 comp, prod = 1, bx.mult_vec(
                     1, bx.gen_unit(1, i * N.dim(1) + j), u)
@@ -563,8 +586,7 @@ def _attach_prime_oracle_mult(bx, M, N, p, orbit_sum):
                 orbit = orbit_sum.col(i2 * N.dim(1) + j2)
                 comp, prod = 1, bx.mult_vec(
                     1, bx.gen_unit(1, i * N.dim(1) + j), orbit)
-            bx._mult_cache[(p, ca, cb)] = tuple(
-                bx.place(p, comp, prod, [K.zero] * bx.amb_dim(p)))
+            bx._mult_cache[(p, ca, cb)] = bx._placed(p, comp, prod)
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +618,9 @@ def coequalizer_oracle(T: GreenFunctor, base) -> BoxProduct:
         (e, i, _) = inner.gens[d][inner.levels[d].free[wi]]
         if e == d:
             return b2.gen_unit(m, b2.gen_index(m, d, i, yj))
-        image = tensor_vec(T.mackey.tr_mat(d, e).col(i),
+        image = tensor_vec(K, T.mackey.tr_mat(d, e).col(i),
                            unit_vec(K, T.dim(d), yj))
-        return tuple(b2.place(m, d, image, [K.zero] * b2.amb_dim(m)))
+        return b2._placed(m, d, image)
 
     def act_right(m, d, wi, yj):
         """Middle factor into the right, rewriting the inner class through
@@ -606,9 +628,9 @@ def coequalizer_oracle(T: GreenFunctor, base) -> BoxProduct:
         (e, i, _) = inner.gens[d][inner.levels[d].free[wi]]
         if e == d:
             return b2.gen_unit(m, b2.gen_index(m, d, i, yj))
-        image = tensor_vec(unit_vec(K, T.dim(e), i),
+        image = tensor_vec(K, unit_vec(K, T.dim(e), i),
                            T.mackey.res_mat(e, d).col(yj))
-        return tuple(b2.place(m, e, image, [K.zero] * b2.amb_dim(m)))
+        return b2._placed(m, e, image)
 
     # the quotient shares b2's generators, ambient maps and product cache,
     # all of which depend on the ambient alone; only the relations grow
@@ -620,8 +642,8 @@ def coequalizer_oracle(T: GreenFunctor, base) -> BoxProduct:
                                 b2.amb_dim(m)) for act in (act_left, act_right))
         lvl = b2.levels[m]
         for mat, side in ((ml, "left"), (mr, "right")):
-            b3.levels[m].check_map(
-                mat.apply, lvl,
+            b3.levels[m].check_raw_map(
+                _on_terms(mat), lvl,
                 f"coequalizer action map ({side}) fails to descend at "
                 f"level {m}")
         # the extra rows are the columns of ml - mr; zero rows drop out
@@ -682,8 +704,8 @@ def _permuted_bases(b1: BoxProduct, b2: BoxProduct, gen_map, diffs) -> dict:
         for src, mat, target, way in ((l1, P, l2, "1 vs 2"),
                                       (l2, P.transpose(), l1, "2 vs 1")):
             try:
-                src.check_map(mat.apply, target,
-                              f"level {m}: relation span differs ({way})")
+                src.check_raw_map(_on_terms(mat), target,
+                                  f"level {m}: relation span differs ({way})")
             except InternalCheckError as exc:
                 diffs.append(str(exc))
         if b1.dim(m) != b2.dim(m):
@@ -727,7 +749,7 @@ def norm_on_c2_box(bx: BoxProduct, vec, term_order=None):
         nl = bx.left.norm(2, 1, tuple(lv))
         nr = bx.right.norm(2, 1, unit_vec(K, bx.right.dim(1), j))
         out = [K.zero] * bx.amb_dim(2)
-        bx.place(2, 2, tensor_vec(nl, nr), out)
+        bx.place(2, 2, tensor_vec(K, nl, nr), out)
         return tuple(out)
 
     def fold(items):

@@ -71,7 +71,7 @@ def unit_section_check(bx: BoxProduct, mm: MackeyMorphism) -> bool:
     for m in bx.lattice.divisors:
         for i in range(T.dim(m)):
             x = unit_vec(K, T.dim(m), i)
-            out = bx.place(m, m, tensor_vec(x, T.unit[m]),
+            out = bx.place(m, m, tensor_vec(K, x, T.unit[m]),
                            [K.zero] * bx.amb_dim(m))
             if mm.apply(m, bx.reduce(m, tuple(out))) != x:
                 return False
@@ -242,7 +242,7 @@ def _alpha_tensor(bx: BoxProduct, E: GaloisExtension, m, e1, e2, origin=None):
         raise ValueError(
             f"α^{e1} or α^{e2} does not lie in the level-{d} subfield")
     c1, c2 = coords.cols()
-    return tuple(bx.place(m, d, tensor_vec(c1, c2),
+    return tuple(bx.place(m, d, tensor_vec(bx.scalars, c1, c2),
                           [bx.scalars.zero] * bx.amb_dim(m)))
 
 

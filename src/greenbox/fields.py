@@ -10,6 +10,17 @@ Extension fields are kept in a polynomial basis over their prime field: an
 element is a coefficient tuple reduced modulo a monic irreducible modulus.
 There are no discrete-log tables, so the F_q and Q code paths stay uniform.
 
+The linear-algebra kernels (``linalg``, ``presented``, ``boxes``) compute on
+*raw scalars*, which each field defines through four operations: ``lift``
+(element vector to a list of raw scalars), ``fold`` (reduced raw scalars
+back to an element tuple), ``raw_inv`` and ``reduce`` (reduction mod p of a
+list of raw scalars).  A ``PrimeField``'s raw scalar is a plain ``int`` in
+[0, p): kernels multiply and add ints, reduce once per vector, and fold at
+their boundary.  ``Q`` and ``F_{p^k}`` keep their elements as raw scalars,
+with identity ``lift``/``fold``/``reduce``.  Every raw scalar a kernel tests
+is reduced, so a zero test is truthiness on every path (``Fraction`` and
+``ExtensionFieldElement`` are false exactly at zero).
+
 Field objects are interned: two fields built from the same parameters are
 the same object, and elements of distinct fields refuse to mix.
 """
@@ -70,6 +81,28 @@ class Field:
         if cached is None:
             cached = self._one = self.from_int(1)
         return cached
+
+    # -- raw scalars: the identity unless a field overrides it -----------
+
+    @property
+    def raw_zero(self):
+        return self.zero
+
+    def lift(self, v) -> list:
+        """Raw scalars of a vector of elements."""
+        return list(v)
+
+    def fold(self, raw) -> tuple:
+        """Elements of a vector of reduced raw scalars."""
+        return tuple(raw)
+
+    def reduce(self, raw) -> list:
+        """A list of raw scalars, reduced."""
+        return raw
+
+    def raw_inv(self, r):
+        """Inverse of a nonzero reduced raw scalar."""
+        return self.one / r
 
     def from_int(self, n: int):
         raise NotImplementedError
@@ -196,6 +229,23 @@ class PrimeField(Field):
 
     def from_int(self, n: int) -> PrimeFieldElement:
         return self._elems[n % self.p]
+
+    # raw scalars are the residues: ints in [0, p)
+    raw_zero = 0
+
+    def lift(self, v) -> list:
+        return [x.value for x in v]
+
+    def fold(self, raw) -> tuple:
+        elems = self._elems
+        return tuple([elems[r] for r in raw])
+
+    def reduce(self, raw) -> list:
+        p = self.p
+        return [r % p for r in raw]
+
+    def raw_inv(self, r):
+        return pow(r, -1, self.p)
 
     def elements(self):
         return iter(self._elems)
@@ -439,6 +489,9 @@ class ExtensionFieldElement:
         if isinstance(other, int):
             return self == self.field.from_int(other)
         return NotImplemented
+
+    def __bool__(self):
+        return any(c.value for c in self.coeffs)
 
     def __hash__(self):
         return hash((id(self.field), self.coeffs))

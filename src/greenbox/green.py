@@ -22,7 +22,7 @@ import random
 from .algebras import FiniteAlgebra, base_as_algebra
 from .extensions import GaloisExtension, format_l_element
 from .fields import Field
-from .linalg import Mat, bilinear, unit_vec, vec_zero
+from .linalg import Mat, bilinear, product_terms, unit_vec, vec_zero
 from .mackey import (InternalCheckError, MackeyFunctor, MackeyMorphism,
                      SubgroupLattice, Violation, base_change, solve_in,
                      subgroup_lattice)
@@ -44,6 +44,7 @@ class GreenFunctor:
         self.norms = norms
         self.name = name or mackey.name
         self.level_embed = level_embed  # optional {m: Mat into an algebra}
+        self._terms = {}   # m -> product_terms of mult[m], on first use
 
     # pass-throughs
     @property
@@ -62,7 +63,10 @@ class GreenFunctor:
 
     def multiply(self, m, x, y):
         """Bilinear product of level-m coefficient vectors."""
-        return bilinear(self.scalars, self.mult[m], x, y)
+        terms = self._terms.get(m)
+        if terms is None:
+            terms = self._terms[m] = product_terms(self.scalars, self.mult[m])
+        return bilinear(self.scalars, terms, x, y)
 
     def power(self, m, x, e: int):
         out = self.unit[m]

@@ -5,6 +5,17 @@ column count, so zero-dimensional spaces (which occur as functor levels) are
 handled without ambiguity.  Maps act on column vectors: a map V -> W is an
 (dim W) x (dim V) matrix and ``A.apply(v)`` computes A v.
 
+The kernels here (``Mat.__matmul__``, ``Mat.apply``, ``bilinear``,
+``tensor_vec``, ``nonzero_terms``, ``eliminate`` and ``Span``) have one body
+for every field: they compute on the field's raw scalars (plain ints mod p
+for a prime field, the elements themselves for Q and F_{p^k}; see
+``fields``), test zero by truthiness, reduce once per vector and fold back
+to elements only where a result leaves the kernel.  Element tuples stay the
+public form: ``Mat.rows``, vectors passed in and returned.  A ``Mat``
+lifts its rows to raw sparse rows and columns on first use and keeps them,
+since it is immutable; ``nonzero_terms`` gives the raw ``(index, scalar)``
+pairs that ``eliminate``, ``Span`` and the box layer pass between each other.
+
 All elimination goes through one kernel, ``Span``: an incrementally built,
 fully reduced echelon form with pivots at the first (or, on request, the
 last) nonzero entry of each row.  Arithmetic is exact; there are no
@@ -13,9 +24,12 @@ tolerances and no pivoting heuristics.
 
 from __future__ import annotations
 
+from .fields import FieldUsageError
+
 
 class Mat:
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_row_terms",
+                 "_col_terms")
 
     def __init__(self, field, rows, ncols=None):
         rows = tuple(tuple(r) for r in rows)
@@ -30,6 +44,7 @@ class Mat:
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = ncols
+        self._row_terms = self._col_terms = None
 
     # -- constructors -------------------------------------------------
 
@@ -50,6 +65,26 @@ class Mat:
         return cls(field, [[c[i] for c in cols] for i in range(nrows)],
                    ncols=len(cols))
 
+    # -- raw sparse form, lifted once ------------------------------------
+
+    def row_terms(self):
+        """Per row, its ``nonzero_terms``."""
+        if self._row_terms is None:
+            self._row_terms = tuple(nonzero_terms(self.field, r)
+                                    for r in self.rows)
+        return self._row_terms
+
+    def col_terms(self):
+        """Per column, its ``nonzero_terms``."""
+        if self._col_terms is None:
+            cols = [[] for _ in range(self.ncols)]
+            for i, r in enumerate(self.rows):
+                for j, a in enumerate(self.field.lift(r)):
+                    if a:
+                        cols[j].append((i, a))
+            self._col_terms = tuple(map(tuple, cols))
+        return self._col_terms
+
     # -- algebra ------------------------------------------------------
 
     def __matmul__(self, other: "Mat") -> "Mat":
@@ -57,29 +92,28 @@ class Mat:
             raise ValueError(
                 f"shape mismatch: {self.nrows}x{self.ncols} @ "
                 f"{other.nrows}x{other.ncols}")
-        z = self.field.zero
-        brows = other.rows
+        K = self.field
+        if other.field is not K:
+            raise FieldUsageError(f"mixed fields: {K} and {other.field}")
+        zero = K.raw_zero
+        brows = other.row_terms()
         nc = other.ncols
         out = []
-        for r in self.rows:
-            acc = [z] * nc
-            for k, a in enumerate(r):
-                if a == z:
-                    continue
-                brow = brows[k]
-                for j in range(nc):
-                    b = brow[j]
-                    if b != z:
-                        acc[j] = acc[j] + a * b
-            out.append(acc)
-        return Mat(self.field, out, ncols=nc)
+        for r in self.row_terms():
+            acc = [zero] * nc
+            for k, a in r:
+                for j, b in brows[k]:
+                    acc[j] += a * b
+            out.append(K.fold(K.reduce(acc)))
+        return Mat(K, out, ncols=nc)
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in addition")
-        return Mat(self.field,
-                   [[a + b for a, b in zip(r, s)]
-                    for r, s in zip(self.rows, other.rows)],
+        K = self.field
+        return Mat(K, [K.fold(K.reduce([a + b for a, b in
+                                        zip(K.lift(r), K.lift(s))]))
+                       for r, s in zip(self.rows, other.rows)],
                    ncols=self.ncols)
 
     def __neg__(self) -> "Mat":
@@ -93,20 +127,23 @@ class Mat:
                    ncols=self.ncols)
 
     def apply(self, v):
-        """Matrix times column vector (skips zero input coordinates)."""
+        """Matrix times column vector."""
         if len(v) != self.ncols:
             raise ValueError("vector of wrong length")
-        z = self.field.zero
-        out = [z] * self.nrows
-        rows = self.rows
-        for j, x in enumerate(v):
-            if x == z:
-                continue
-            for i in range(self.nrows):
-                a = rows[i][j]
-                if a != z:
-                    out[i] = out[i] + a * x
-        return tuple(out)
+        K = self.field
+        return K.fold(self.apply_terms(nonzero_terms(K, v)))
+
+    def apply_terms(self, terms) -> list:
+        """Matrix times the vector with raw nonzero ``terms``, as a list of
+        reduced raw scalars: only the nonzero input coordinates and the
+        nonzero entries of their columns are visited."""
+        K = self.field
+        cols = self.col_terms()
+        out = [K.raw_zero] * self.nrows
+        for j, x in terms:
+            for i, a in cols[j]:
+                out[i] += a * x
+        return K.reduce(out)
 
     def power(self, e: int) -> "Mat":
         if self.nrows != self.ncols:
@@ -128,7 +165,7 @@ class Mat:
                    ncols=self.nrows)
 
     def col(self, j):
-        return tuple(r[j] for r in self.rows)
+        return tuple([r[j] for r in self.rows])
 
     def cols(self):
         return [self.col(j) for j in range(self.ncols)]
@@ -175,14 +212,18 @@ def vec_scale(s, a):
 
 
 def vec_is_zero(field, a):
-    z = field.zero
-    return all(x == z for x in a)
+    return not any(field.lift(a))
+
+
+def raw_terms(raw):
+    """The ``(index, scalar)`` pairs of the nonzero entries of a reduced raw
+    vector."""
+    return tuple([(j, c) for j, c in enumerate(raw) if c])
 
 
 def nonzero_terms(field, v):
-    """The ``(index, coefficient)`` pairs of the nonzero entries of v."""
-    z = field.zero
-    return tuple((j, c) for j, c in enumerate(v) if c != z)
+    """The raw ``(index, scalar)`` pairs of the nonzero entries of v."""
+    return raw_terms(field.lift(v))
 
 
 def unit_vec(field, n, i):
@@ -192,27 +233,32 @@ def unit_vec(field, n, i):
     return tuple(v)
 
 
-def tensor_vec(u, v):
+def tensor_vec(field, u, v):
     """Coordinates of u ⊗ v in the basis e_i ⊗ f_j, ordered i-major."""
-    return tuple([a * b for a in u for b in v])
+    rv = field.lift(v)
+    return field.fold(field.reduce([a * b for a in field.lift(u)
+                                    for b in rv]))
 
 
-def bilinear(field, table, x, y):
+def product_terms(field, table):
+    """Structure constants ``table[i][j]`` (the coefficient vector of
+    e_i·e_j) as the raw terms ``bilinear`` reads."""
+    return [[nonzero_terms(field, v) for v in row] for row in table]
+
+
+def bilinear(field, terms, x, y):
     """Product of coefficient vectors x, y through structure constants:
-    ``table[i][j]`` is the coefficient vector of e_i·e_j."""
-    z = field.zero
-    out = [z] * len(table)
-    for i, xi in enumerate(x):
-        if xi == z:
-            continue
-        row = table[i]
-        for j, yj in enumerate(y):
-            if yj == z:
-                continue
+    ``terms[i][j]`` is the ``nonzero_terms`` of e_i·e_j, as built once per
+    table by ``product_terms``."""
+    out = [field.raw_zero] * len(terms)
+    ys = nonzero_terms(field, y)
+    for i, xi in nonzero_terms(field, x):
+        row = terms[i]
+        for j, yj in ys:
             c = xi * yj
-            for k, t in enumerate(row[j]):
-                out[k] = out[k] + c * t
-    return tuple(out)
+            for k, t in row[j]:
+                out[k] += c * t
+    return field.fold(field.reduce(out))
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +344,20 @@ def inverse(mat: Mat):
     return inv
 
 
-def eliminate(row_terms, pivots, v, zero):
-    """Clear the pivot coordinates of v against fully reduced rows (a 1 at
-    each row's pivot, 0 at every other row's pivot), each given by its
-    ``nonzero_terms``; returns a list."""
+def eliminate(field, row_terms, pivots, v):
+    """Clear the pivot coordinates of the raw vector v against fully reduced
+    rows (a 1 at each row's pivot, 0 at every other row's pivot), each given
+    by its ``nonzero_terms``; returns the reduced raw list.
+
+    Reducing once at the end is exact: a row touches no other row's pivot,
+    so each pivot coordinate is still the reduced input when it is read."""
     v = list(v)
     for terms, p in zip(row_terms, pivots):
         c = v[p]
-        if c != zero:
+        if c:
             for j, b in terms:
-                v[j] = v[j] - c * b
-    return v
+                v[j] -= c * b
+    return field.reduce(v)
 
 
 class Span:
@@ -317,7 +366,9 @@ class Span:
     Every stored row has a 1 at its pivot and 0 at the other rows' pivots.
     The pivot of a row is its first nonzero entry (``pivot_order="first"``)
     or its last (``"last"``).  Both forms are unique for a given row space,
-    so the order of insertion never shows.
+    so the order of insertion never shows.  Rows are kept as raw scalars,
+    with their ``nonzero_terms`` beside them; vectors come in and go out as
+    elements.
     """
 
     def __init__(self, field, ncols, rows=(), pivot_order="first"):
@@ -327,7 +378,7 @@ class Span:
         self.ncols = ncols
         self._scan = range(ncols) if pivot_order == "first" \
             else range(ncols - 1, -1, -1)
-        self._rows = []   # reduced rows
+        self._rows = []   # reduced raw rows
         self._terms = []  # their nonzero terms
         self._pivots = []
         for r in rows:
@@ -335,19 +386,20 @@ class Span:
 
     def add(self, v) -> bool:
         """Insert v; returns True if it enlarged the span."""
-        z = self.field.zero
-        v = eliminate(self._terms, self._pivots, v, z)
+        K = self.field
+        v = eliminate(K, self._terms, self._pivots, K.lift(v))
         for j in self._scan:
-            if v[j] != z:
-                inv = self.field.one / v[j]
-                v = [inv * a for a in v]
-                vterms = nonzero_terms(self.field, v)
+            if v[j]:
+                inv = K.raw_inv(v[j])
+                v = K.reduce([inv * a for a in v])
+                vterms = raw_terms(v)
                 for i, row in enumerate(self._rows):
                     c = row[j]
-                    if c != z:
+                    if c:
                         for t, b in vterms:
-                            row[t] = row[t] - c * b
-                        self._terms[i] = nonzero_terms(self.field, row)
+                            row[t] -= c * b
+                        row = self._rows[i] = K.reduce(row)
+                        self._terms[i] = raw_terms(row)
                 self._rows.append(v)
                 self._terms.append(vterms)
                 self._pivots.append(j)
@@ -355,8 +407,8 @@ class Span:
         return False
 
     def contains(self, v) -> bool:
-        z = self.field.zero
-        return all(a == z for a in eliminate(self._terms, self._pivots, v, z))
+        K = self.field
+        return not any(eliminate(K, self._terms, self._pivots, K.lift(v)))
 
     def contains_all(self, vs) -> bool:
         return all(self.contains(v) for v in vs)
@@ -368,7 +420,7 @@ class Span:
     def echelon(self):
         """(rows, pivots), sorted by pivot column."""
         order = sorted(range(len(self._rows)), key=self._pivots.__getitem__)
-        return ([tuple(self._rows[i]) for i in order],
+        return ([self.field.fold(self._rows[i]) for i in order],
                 tuple(self._pivots[i] for i in order))
 
     def basis(self):

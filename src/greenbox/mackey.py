@@ -24,7 +24,8 @@ import random
 from dataclasses import dataclass
 
 from .fields import Field, is_prime
-from .linalg import Mat, inverse, kernel, rank, solve_matrix, unit_vec
+from .linalg import Mat, Span, inverse, kernel, rank, solve_matrix, \
+    unit_vec
 
 
 class InternalCheckError(AssertionError):
@@ -40,10 +41,14 @@ def solve_in(embed: Mat, image: Mat, message: str) -> Mat:
 
     ``embed`` has independent columns, so X is unique when it exists; an
     image column outside their span raises InternalCheckError(message)
-    with the image as witness."""
+    whose witness names the first such column, as ``"column k: (…)"``."""
     coords = solve_matrix(embed, image)
     if coords is None:
-        raise InternalCheckError(message, witness=image)
+        span = Span(embed.field, embed.nrows, embed.cols())
+        k, col = next((k, c) for k, c in enumerate(image.cols())
+                      if not span.contains(c))
+        raise InternalCheckError(message, witness=(
+            f"column {k}: ({', '.join(map(str, col))})"))
     return coords
 
 

@@ -12,16 +12,22 @@ span; the reduced dimension is #generators - rank(relations).
 
 The nonzero ``(index, coefficient)`` terms of each ``relation_basis`` row
 are found once, when the level is built: every row is a ``Relation``, a
-tuple that carries them as ``terms``.  ``canonicalize`` eliminates over
-them, and the maps ``check_map`` applies to the rows may sum over them
-instead of scanning the rows for nonzeros again.
+tuple of elements that carries them as ``terms`` in the field's raw scalars
+(``linalg.nonzero_terms``).  Elimination lifts an ambient vector to raw
+scalars, eliminates over those terms (``linalg.eliminate``) and folds back
+to elements only what it returns: ``canonicalize`` and ``reduce`` fold
+their result, ``in_relation_span`` folds nothing.  A map given to
+``check_raw_map`` may sum over a row's raw terms instead of scanning the row
+for nonzeros again, and hands back a raw image, eliminated without a fold.
 
 Descent is decided here and nowhere else.  A linear map out of a quotient is
 well defined exactly when it sends the relation span into the target's
-relation span; ``check_map`` tests that on ``relation_basis`` (linearity
-covers the rest) and ``induced`` reads the map on the quotients off the free
-generators.  Every map the verifier trusts (structure maps, multiplication,
-oracle actions, comparisons, identifications) goes through these two.
+relation span; ``check_raw_map`` tests that on ``relation_basis`` (linearity
+covers the rest) for a map that computes in raw scalars, ``check_map`` for
+one on element vectors, and ``induced`` reads the map on the quotients off
+the free generators.  Every map the verifier trusts (structure maps,
+multiplication, oracle actions, comparisons, identifications) goes through
+these.
 """
 
 from __future__ import annotations
@@ -68,15 +74,20 @@ class PresentedLevel:
 
     def canonicalize(self, v):
         """Canonical coset representative: pivot coordinates eliminated."""
-        if len(v) != self.ngens:
+        K = self.field
+        return K.fold(self._eliminate(K.lift(v)))
+
+    def _eliminate(self, raw):
+        """``canonicalize`` in raw scalars: a list in, a list out."""
+        if len(raw) != self.ngens:
             raise ValueError("ambient vector of wrong length")
-        return tuple(eliminate(self._relation_terms, self.pivots, v,
-                               self.field.zero))
+        return eliminate(self.field, self._relation_terms, self.pivots, raw)
 
     def reduce(self, v):
         """Reduced coordinates (length ``dim``) of an ambient vector."""
-        canon = self.canonicalize(v)
-        return tuple(canon[j] for j in self.free)
+        K = self.field
+        canon = self._eliminate(K.lift(v))
+        return K.fold([canon[j] for j in self.free])
 
     def expand(self, rv):
         """Ambient canonical representative of reduced coordinates."""
@@ -92,17 +103,23 @@ class PresentedLevel:
         return format_element(self.field, v, self.labels)
 
     def in_relation_span(self, v) -> bool:
-        return vec_is_zero(self.field, self.canonicalize(v))
+        return not any(self._eliminate(self.field.lift(v)))
 
     def check_map(self, f, target: "PresentedLevel", message: str) -> None:
         """Raise InternalCheckError(message) unless the linear map ``f``
         (ambient vectors to ``target``'s ambient) sends every relation into
-        ``target``'s relation span; the witness is ``"<row> ↦ <image>"``.
-        ``f`` is applied to the ``Relation`` rows, so it may read their
-        ``terms``."""
+        ``target``'s relation span; the witness is ``"<row> ↦ <image>"``."""
+        lift = target.field.lift
+        self.check_raw_map(lambda r: lift(f(r)), target, message)
+
+    def check_raw_map(self, f, target: "PresentedLevel", message: str):
+        """``check_map`` for a map given in raw scalars: ``f`` takes a
+        ``Relation``, so it may sum over its raw ``terms``, and returns the
+        reduced raw scalars of the image."""
         for r in self.relation_basis:
             img = f(r)
-            if not target.in_relation_span(img):
+            if any(target._eliminate(img)):
+                img = target.field.fold(img)
                 raise InternalCheckError(message, witness=(
                     f"{self.show(r)} ↦ {target.show(img)}"))
 

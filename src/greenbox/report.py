@@ -344,7 +344,8 @@ class EtaleReport:
         rb, ideal = self.rel_box, self.ideal_data.ideal[2]
         K = rb.scalars
         one, alpha = (unit_vec(K, rb.left.dim(1), t) for t in (0, 1))
-        tensor = vec_sub(tensor_vec(one, alpha), tensor_vec(alpha, one))
+        tensor = vec_sub(tensor_vec(K, one, alpha),
+                         tensor_vec(K, alpha, one))
         arg = rb.reduce(1, tuple(rb.place(1, 1, tensor,
                                           [K.zero] * rb.amb_dim(1))))
         value = norm_on_c2_box(rb, arg)

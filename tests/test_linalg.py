@@ -3,12 +3,14 @@ import random
 import pytest
 
 from greenbox.fields import prime_field, rationals
-from greenbox.linalg import (Mat, Span, inverse, kernel, rank, rref, solve,
+from greenbox.linalg import (Mat, Span, bilinear, eliminate, inverse, kernel,
+                             nonzero_terms, product_terms, rank, rref, solve,
                              solve_matrix)
 from greenbox.presented import PresentedLevel
 
 F2 = prime_field(2)
 F5 = prime_field(5)
+F7 = prime_field(7)
 Q = rationals()
 
 
@@ -115,3 +117,39 @@ def test_rational_elimination_exact():
     Ainv = inverse(A)
     assert Ainv is not None
     assert A @ Ainv == Mat.identity(Q, 2)
+
+
+# ---------------------------------------------------------------------------
+# cancellation that shows only mod p: over F_7, 3 + 4 and 2 - 3·3 are 7 and
+# -7 as ints, so a kernel that tested zero before reducing would see them as
+# nonzero
+
+
+def test_sum_that_cancels_mod_p_is_zero():
+    three, four = F7.from_int(3), F7.from_int(4)
+    ones = (F7.one, F7.one)
+    A = Mat(F7, [[three, four]])
+    assert A.apply(ones) == (F7.zero,)
+    assert A @ Mat(F7, [[F7.one], [F7.one]]) == Mat(F7, [[F7.zero]])
+    zero = (F7.zero, F7.zero)
+    table = [[(three, F7.zero), zero], [zero, (four, F7.zero)]]
+    assert bilinear(F7, product_terms(F7, table), ones, ones) == zero
+
+
+def test_elimination_that_cancels_mod_p_is_zero():
+    row = (F7.one, F7.from_int(3))
+    v = (F7.from_int(3), F7.from_int(2))      # v = 3·row, up to 2 - 9 = -7
+    assert eliminate(F7, [nonzero_terms(F7, row)], [0], F7.lift(v)) == [0, 0]
+    span = Span(F7, 2, [row])
+    assert not span.add(v)
+    assert span.dim == 1 and span.basis() == [row] and span.contains(v)
+
+
+def test_span_add_never_pivots_on_a_cancelled_entry():
+    # after elimination v is (0, -7, 5): coordinate 1 is zero mod 7, so the
+    # new pivot must be coordinate 2
+    span = Span(F7, 3, [(F7.one, F7.from_int(3), F7.zero)])
+    assert span.add((F7.from_int(3), F7.from_int(2), F7.from_int(5)))
+    rows, pivots = span.echelon()
+    assert pivots == (0, 2)
+    assert rows[1] == (F7.zero, F7.zero, F7.one)

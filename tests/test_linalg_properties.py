@@ -4,7 +4,10 @@ Hypothesis draws small matrices over F_2, F_5, F_7 and Q (derandomized, so
 every run sees the same examples); sympy's DomainMatrix over GF(p) and QQ is
 the independent oracle for rank, for the first-pivot RREF and for whether a
 system A X = B has a solution, and for whether a linear map descends to
-presented quotients.
+presented quotients.  The self-consistency properties (idempotent rref,
+rank plus nullity, canonicalize killing exactly the relation span) also run
+over F_9 = F_3[t]/(t² + 1), where sympy has no domain and the rank there is
+this package's own.
 """
 
 from fractions import Fraction
@@ -18,20 +21,26 @@ from hypothesis import given, settings, strategies as st
 from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
-from greenbox.fields import prime_field, rationals
+from greenbox.fields import extension_field, prime_field, rationals
 from greenbox.linalg import Mat, Span, kernel, rank, rref, solve_matrix, \
     unit_vec
 from greenbox.mackey import InternalCheckError
 from greenbox.presented import PresentedLevel
 
 FIELDS = [prime_field(2), prime_field(5), prime_field(7), rationals()]
+F9 = extension_field(3, (1, 0, 1))
+SELF_FIELDS = FIELDS + [F9]
 PROPS = settings(derandomize=True, database=None, max_examples=60,
                  deadline=None)
+# one field more, so as many examples per field as under PROPS
+SELF_PROPS = settings(PROPS, max_examples=75)
 
 
 def rows_over(K, ncols, min_rows, max_rows):
     if K.order is None:
         entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    elif K.order != K.characteristic:
+        entry = st.sampled_from(list(K.elements()))
     else:
         entry = st.integers(0, K.order - 1).map(K.from_int)
     row = st.lists(entry, min_size=ncols, max_size=ncols).map(tuple)
@@ -39,8 +48,8 @@ def rows_over(K, ncols, min_rows, max_rows):
 
 
 @st.composite
-def matrices(draw, max_rows=5, max_cols=6):
-    K = draw(st.sampled_from(FIELDS))
+def matrices(draw, max_rows=5, max_cols=6, fields=FIELDS):
+    K = draw(st.sampled_from(fields))
     ncols = draw(st.integers(0, max_cols))
     return Mat(K, draw(rows_over(K, ncols, 0, max_rows)), ncols=ncols)
 
@@ -64,19 +73,21 @@ def from_oracle(K, x):
 
 
 def oracle_rank(K, rows, ncols):
-    return oracle(Mat(K, rows, ncols=ncols)).rank()
+    """sympy's rank where it has the domain, else this package's."""
+    mat = Mat(K, rows, ncols=ncols)
+    return rank(mat) if K is F9 else oracle(mat).rank()
 
 
-@PROPS
-@given(matrices(), st.sampled_from(["first", "last"]))
+@SELF_PROPS
+@given(matrices(fields=SELF_FIELDS), st.sampled_from(["first", "last"]))
 def test_rref_is_idempotent(mat, order):
     r, pivots = rref(mat, order)
     assert rref(r, order) == (r, pivots)
     assert list(pivots) == sorted(pivots)
 
 
-@PROPS
-@given(matrices())
+@SELF_PROPS
+@given(matrices(fields=SELF_FIELDS))
 def test_rank_plus_nullity_is_ncols(mat):
     ker = kernel(mat)
     assert rank(mat) + len(ker) == mat.ncols
@@ -113,8 +124,8 @@ def test_rank_and_rref_match_sympy(mat):
     assert list(r.rows) == expected
 
 
-@PROPS
-@given(matrices(max_rows=4), st.data())
+@SELF_PROPS
+@given(matrices(max_rows=4, fields=SELF_FIELDS), st.data())
 def test_canonicalize_kills_exactly_the_relation_span(rels, data):
     K, n = rels.field, rels.ncols
     vectors = data.draw(rows_over(K, n, 1, 3))

@@ -130,7 +130,21 @@ def test_solve_in_coordinates_and_escape():
     with pytest.raises(InternalCheckError, match="^image leaves the line$") \
             as exc:
         solve_in(line, inside.hstack(outside), "image leaves the line")
-    assert exc.value.witness == inside.hstack(outside)
+    assert exc.value.witness == "column 1: (1, 1)"
+
+
+def test_solve_in_names_the_column_that_escapes_a_fixed_point_embedding():
+    # C_4 permuting the basis of F_5^4 cyclically: V^(C_2) is spanned by
+    # e0 + e2 and e1 + e3, which e0 + e1 + e2 + e3 lies in and e0 does not
+    lat = subgroup_lattice(4)
+    shift = Mat(F5, [[F5.one if i == (j + 1) % 4 else F5.zero
+                      for j in range(4)] for i in range(4)])
+    fixed = fix_of_module(F5, lat, shift).embeds[2]
+    image = Mat.from_cols(F5, [(F5.one,) * 4, fixed.col(1),
+                               (F5.one, F5.zero, F5.zero, F5.zero)], 4)
+    with pytest.raises(InternalCheckError, match="escapes") as exc:
+        solve_in(fixed, image, "escapes")
+    assert exc.value.witness == "column 2: (1, 0, 0, 0)"
 
 
 def test_weyl_powers_match_repeated_products():
