@@ -14,16 +14,17 @@ Weyl generator acts diagonally.  Multiplication is componentwise on pure
 tensors, pushes pure factors onto classes through restriction, and resolves
 class·class through tr(u)·tr(v) = tr(u·res(tr v)).  Every structure map is
 checked to descend to the quotient during construction, and read off on the
-reduced bases, through ``PresentedLevel.check_raw_map`` and ``induced``.
+reduced bases, through ``PresentedLevel.check_map`` and ``induced``.
 Multiplication is checked one-sidedly where that is exact: relations times
 every ambient generator, but only the free generators times relations, since
 the ambient is the span of the free generators plus the relation span and
 the latter times anything is covered by the first check.
-``BoxProduct`` alone knows the ambient layout: callers outside this module
-write ambient vectors through ``place``.  Each product of two generators is
-cached as an element vector (``mult_gens``) and as its raw nonzero terms
-(``_mult_sparse``); ``mult_vec`` and the descent check sum those terms in
-the field's raw scalars, and only ``mult_vec`` folds its sum to elements.
+``BoxProduct`` alone knows the ambient layout: every ambient vector built
+from component tensors is written by ``amb_vec``.  Each product of two
+generators has one form, its raw nonzero terms (``mult_terms``, cached in
+``_mult_cache``), built straight at the component offset; ``mult_vec``, the
+descent check and the reduced multiplication table sum those terms in the
+field's raw scalars, and only ``mult_vec`` and ``reduce`` return elements.
 
 Two independent oracles validate the construction: a closed-form two-level
 build for prime group order, and a coequalizer of the threefold box along
@@ -40,9 +41,9 @@ import math
 from .fields import Field
 from .green import GreenFunctor, check_green_morphism, constant_functor
 from .linalg import Mat, inverse, nonzero_terms, raw_terms, tensor_vec, \
-    unit_vec, vec_add, vec_scale, vec_zero
+    unit_vec, vec_add, vec_scale, vec_sub, vec_zero
 from .mackey import InternalCheckError, MackeyFunctor, compose_chain
-from .presented import PresentedLevel
+from .presented import PresentedLevel, on_terms
 
 
 class BoxProduct:
@@ -76,14 +77,14 @@ class BoxProduct:
     def gen_unit(self, m, idx):
         return unit_vec(self.scalars, self.amb_dim(m), idx)
 
-    def place(self, m, d, tensor, out):
-        """Add a component-d tensor vector into ambient accumulator ``out``."""
-        K = self.scalars
-        off = self.offsets[m][d]
-        seg = slice(off, off + len(tensor))
-        out[seg] = K.fold(K.reduce([a + b for a, b in
-                                    zip(K.lift(out[seg]), K.lift(tensor))]))
-        return out
+    def amb_vec(self, m, blocks):
+        """The ambient vector of level m holding the tensor vector
+        ``blocks[d]`` at each component d, and zero elsewhere."""
+        out = [self.scalars.zero] * self.amb_dim(m)
+        for d, tensor in blocks.items():
+            off = self.offsets[m][d]
+            out[off:off + len(tensor)] = tensor
+        return tuple(out)
 
     def amb_res_chain(self, d, m) -> Mat:
         """Composite ambient restriction from level m down to level d."""
@@ -103,18 +104,19 @@ class BoxProduct:
 
     # -- multiplication --------------------------------------------------
 
-    def mult_gens(self, m, ca, cb):
-        """Product of two ambient generators of level m, as an ambient vector."""
+    def mult_terms(self, m, ca, cb):
+        """The product of two ambient generators of level m, as its raw
+        nonzero ``(index, scalar)`` terms in increasing index; cached."""
         key = (m, ca, cb)
-        if key in self._mult_cache:
-            return self._mult_cache[key]
+        terms = self._mult_cache.get(key)
+        if terms is not None:
+            return terms
         K = self.scalars
         (d, i, j) = self.gens[m][ca]
         (e, i2, j2) = self.gens[m][cb]
         if d == m and e == m:
-            tensor = tensor_vec(K, self.left.mult[m][i][i2],
-                                self.right.mult[m][j][j2])
-            result = self._placed(m, m, tensor)
+            terms = self._tensor_terms(m, m, self.left.mult[m][i][i2],
+                                       self.right.mult[m][j][j2])
         elif m in (d, e):
             # pure · class, either way round: restrict the pure tensor to
             # the class origin o and multiply it into the class there
@@ -125,7 +127,7 @@ class BoxProduct:
             lvec = self.left.multiply(o, u1, unit_vec(K, self.left.dim(o), ci))
             rvec = self.right.multiply(o, u2,
                                        unit_vec(K, self.right.dim(o), cj))
-            result = self._placed(m, o, tensor_vec(K, lvec, rvec))
+            terms = self._tensor_terms(m, o, lvec, rvec)
         else:
             # class · class: tr(u)·tr(v) = tr(u · res(tr v)); the product at
             # level d sums the cached products of the pure generator u with
@@ -135,44 +137,41 @@ class BoxProduct:
             pure = self.gen_index(d, d, i, j)
             at_d = [K.raw_zero] * self.amb_dim(d)
             for k, c in down:
-                for t, a in self._mult_sparse(d, pure, k):
+                for t, a in self.mult_terms(d, pure, k):
                     at_d[t] += c * a
-            result = K.fold(self.amb_tr_chain(m, d).apply_terms(
+            terms = raw_terms(self.amb_tr_chain(m, d).apply_terms(
                 raw_terms(K.reduce(at_d))))
-        self._mult_cache[key] = result
-        return result
+        self._mult_cache[key] = terms
+        return terms
 
-    def _placed(self, m, d, tensor):
-        """The ambient vector of level m holding ``tensor`` at component d."""
-        out = [self.scalars.zero] * self.amb_dim(m)
-        off = self.offsets[m][d]
-        out[off:off + len(tensor)] = tensor
-        return tuple(out)
+    def _tensor_terms(self, m, d, u, v):
+        """The raw terms of the tensor u ⊗ v placed at component d of level
+        m; a field has no zero divisors, so every product is a term."""
+        K = self.scalars
+        off, width = self.offsets[m][d], len(v)
+        vs = nonzero_terms(K, v)
+        index, coeffs = [], []
+        for a, x in nonzero_terms(K, u):
+            for b, y in vs:
+                index.append(off + a * width + b)
+                coeffs.append(x * y)
+        return tuple(zip(index, K.reduce(coeffs)))
 
     def mult_vec(self, m, va, vb):
-        """Bilinear extension of mult_gens to ambient vectors."""
+        """Bilinear extension of mult_terms to ambient vectors."""
         K = self.scalars
         nzb = nonzero_terms(K, vb)
         out = [K.raw_zero] * self.amb_dim(m)
         for ca, a in nonzero_terms(K, va):
             for cb, b in nzb:
                 c = a * b
-                for t, p in self._mult_sparse(m, ca, cb):
+                for t, p in self.mult_terms(m, ca, cb):
                     out[t] += c * p
         return K.fold(K.reduce(out))
 
-    def _mult_sparse(self, m, ca, cb):
-        """The raw ``nonzero_terms`` of ``mult_gens(m, ca, cb)``, cached."""
-        key = ("s", m, ca, cb)
-        cached = self._mult_cache.get(key)
-        if cached is None:
-            cached = nonzero_terms(self.scalars, self.mult_gens(m, ca, cb))
-            self._mult_cache[key] = cached
-        return cached
-
     def unit_ambient(self, m):
-        return self._placed(m, m, tensor_vec(self.scalars, self.left.unit[m],
-                                             self.right.unit[m]))
+        return self.amb_vec(m, {m: tensor_vec(self.scalars, self.left.unit[m],
+                                              self.right.unit[m])})
 
     # -- reduced coordinates ----------------------------------------------
 
@@ -200,16 +199,11 @@ def _tensor_mat(K, A: Mat, B: Mat) -> Mat:
 
 def _place_blocks(bx, m, blocks):
     """Ambient columns of level m from component blocks ``{d: B_d}``:
-    column t is the sum over d of column t of B_d, placed at component d.
-    The blocks share their number of columns."""
+    column t holds column t of B_d at each component d.  The blocks share
+    their number of columns."""
     ncols = next(iter(blocks.values())).ncols
-    cols = []
-    for t in range(ncols):
-        out = [bx.scalars.zero] * bx.amb_dim(m)
-        for d, block in blocks.items():
-            bx.place(m, d, block.col(t), out)
-        cols.append(tuple(out))
-    return cols
+    return [bx.amb_vec(m, {d: block.col(t) for d, block in blocks.items()})
+            for t in range(ncols)]
 
 
 def _class_label(lattice, m, d, text):
@@ -349,12 +343,12 @@ def _check_descent(bx: BoxProduct) -> None:
     pairs = bx.lattice.covering_pairs
     for m in bx.lattice.divisors:
         lvl = bx.levels[m]
-        maps = [(_on_terms(bx.amb_weyl[m]), m,
+        maps = [(on_terms(bx.amb_weyl[m]), m,
                  f"Weyl action fails to descend at level {m}")]
-        maps += [(_on_terms(bx.amb_res[(lo, m)]), lo,
+        maps += [(on_terms(bx.amb_res[(lo, m)]), lo,
                   f"restriction {m}->{lo} fails to descend")
                  for (lo, hi) in pairs if hi == m]
-        maps += [(_on_terms(bx.amb_tr[(hi, m)]), hi,
+        maps += [(on_terms(bx.amb_tr[(hi, m)]), hi,
                   f"transfer {m}->{hi} fails to descend")
                  for (lo, hi) in pairs if lo == m]
         free = set(lvl.free)
@@ -366,26 +360,20 @@ def _check_descent(bx: BoxProduct) -> None:
                              f"{m}: {side} product of a relation with "
                              f"{label}"))
         for f, target, message in maps:
-            lvl.check_raw_map(f, bx.levels[target], message)
-
-
-def _on_terms(mat: Mat):
-    """The ambient map ``mat`` on relation rows, applied to their raw
-    ``terms``."""
-    return lambda r: mat.apply_terms(r.terms)
+            lvl.check_map(f, bx.levels[target], message)
 
 
 def _times_generator(bx: BoxProduct, m, e, side):
     """The map r ↦ r·e (``side`` "left": r is the left factor) or r ↦ e·r
-    on relation rows, summed over their raw ``terms`` from the cached sparse
+    on relation rows, summed over their raw ``terms`` from the cached
     products of generators; the image is in raw scalars."""
     K = bx.scalars
 
     def f(r):
         out = [K.raw_zero] * bx.amb_dim(m)
         for c, a in r.terms:
-            prod = bx._mult_sparse(m, c, e) if side == "left" \
-                else bx._mult_sparse(m, e, c)
+            prod = bx.mult_terms(m, c, e) if side == "left" \
+                else bx.mult_terms(m, e, c)
             for t, p in prod:
                 out[t] += a * p
         return K.reduce(out)
@@ -409,14 +397,9 @@ def _induce_reduced_structure(bx: BoxProduct) -> None:
 
     mult = {}
     for m in lattice.divisors:
-        free = bx.levels[m].free
-        table = []
-        for fi in free:
-            row = []
-            for fj in free:
-                row.append(bx.reduce(m, bx.mult_gens(m, fi, fj)))
-            table.append(row)
-        mult[m] = table
+        lvl = bx.levels[m]
+        mult[m] = [[lvl.reduce_terms(bx.mult_terms(m, fi, fj))
+                    for fj in lvl.free] for fi in lvl.free]
     unit = {m: bx.reduce(m, bx.unit_ambient(m)) for m in lattice.divisors}
     bx.green = GreenFunctor(mack, mult, unit, name=bx.name)
 
@@ -488,29 +471,24 @@ def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int
     dim1 = M.dim(1) * N.dim(1)
     rows = []
     for t in range(dim1):
-        out = bx.place(p, 1, tau.col(t), [K.zero] * bx.amb_dim(p))
-        out[bx.offsets[p][1] + t] = out[bx.offsets[p][1] + t] - K.one
-        rows.append(tuple(out))
+        rows.append(bx.amb_vec(p, {1: vec_sub(tau.col(t),
+                                              unit_vec(K, dim1, t))}))
     trM, trN = M.mackey.tr[(p, 1)], N.mackey.tr[(p, 1)]
     rsM, rsN = M.mackey.res[(1, p)], N.mackey.res[(1, p)]
     for i in range(M.dim(1)):
         for j in range(N.dim(p)):
-            out = [K.zero] * bx.amb_dim(p)
             ej = unit_vec(K, N.dim(p), j)
-            bx.place(p, p, tensor_vec(K, trM.col(i), ej), out)
             ei = unit_vec(K, M.dim(1), i)
-            bx.place(p, 1, vec_scale(-K.one, tensor_vec(K, ei, rsN.col(j))),
-                     out)
-            rows.append(tuple(out))
+            rows.append(bx.amb_vec(p, {
+                p: tensor_vec(K, trM.col(i), ej),
+                1: vec_scale(-K.one, tensor_vec(K, ei, rsN.col(j)))}))
     for i in range(M.dim(p)):
         for j in range(N.dim(1)):
-            out = [K.zero] * bx.amb_dim(p)
             ei = unit_vec(K, M.dim(p), i)
-            bx.place(p, p, tensor_vec(K, ei, trN.col(j)), out)
             ej = unit_vec(K, N.dim(1), j)
-            bx.place(p, 1, vec_scale(-K.one, tensor_vec(K, rsM.col(i), ej)),
-                     out)
-            rows.append(tuple(out))
+            rows.append(bx.amb_vec(p, {
+                p: tensor_vec(K, ei, trN.col(j)),
+                1: vec_scale(-K.one, tensor_vec(K, rsM.col(i), ej))}))
 
     bx.levels[1] = PresentedLevel(K, bx._amb_labels[1], [])
     bx.levels[p] = PresentedLevel(K, bx._amb_labels[p], rows)
@@ -548,15 +526,16 @@ def _prime_oracle_weyl_top(bx, M, N, p, tau):
     cols = []
     for (d, i, j) in bx.gens[p]:
         block = pure if d == p else tau
-        cols.append(bx._placed(p, d, block.col(i * N.dim(d) + j)))
+        cols.append(bx.amb_vec(p, {d: block.col(i * N.dim(d) + j)}))
     return Mat.from_cols(K, cols, bx.amb_dim(p))
 
 
 def _attach_prime_oracle_mult(bx, M, N, p, orbit_sum):
-    """Closed-form multiplication; installs mult_gens via the cache.
-    ``orbit_sum`` is the summed Weyl orbit map on level-1 tensors."""
+    """Closed-form multiplication, installed as raw product terms in the
+    cache.  ``orbit_sum`` is the summed Weyl orbit map on level-1 tensors."""
     K = bx.scalars
     dim1 = M.dim(1) * N.dim(1)
+    offsets = bx.offsets[p]
 
     def level1_mult(t1, t2):
         i, j = divmod(t1, N.dim(1))
@@ -565,7 +544,8 @@ def _attach_prime_oracle_mult(bx, M, N, p, orbit_sum):
 
     for t1 in range(dim1):
         for t2 in range(dim1):
-            bx._mult_cache[(1, t1, t2)] = level1_mult(t1, t2)
+            bx._mult_cache[(1, t1, t2)] = nonzero_terms(
+                K, level1_mult(t1, t2))
 
     for ca, (d, i, j) in enumerate(bx.gens[p]):
         for cb, (e, i2, j2) in enumerate(bx.gens[p]):
@@ -586,7 +566,8 @@ def _attach_prime_oracle_mult(bx, M, N, p, orbit_sum):
                 orbit = orbit_sum.col(i2 * N.dim(1) + j2)
                 comp, prod = 1, bx.mult_vec(
                     1, bx.gen_unit(1, i * N.dim(1) + j), orbit)
-            bx._mult_cache[(p, ca, cb)] = bx._placed(p, comp, prod)
+            bx._mult_cache[(p, ca, cb)] = tuple(
+                (offsets[comp] + t, c) for t, c in nonzero_terms(K, prod))
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +601,7 @@ def coequalizer_oracle(T: GreenFunctor, base) -> BoxProduct:
             return b2.gen_unit(m, b2.gen_index(m, d, i, yj))
         image = tensor_vec(K, T.mackey.tr_mat(d, e).col(i),
                            unit_vec(K, T.dim(d), yj))
-        return b2._placed(m, d, image)
+        return b2.amb_vec(m, {d: image})
 
     def act_right(m, d, wi, yj):
         """Middle factor into the right, rewriting the inner class through
@@ -630,7 +611,7 @@ def coequalizer_oracle(T: GreenFunctor, base) -> BoxProduct:
             return b2.gen_unit(m, b2.gen_index(m, d, i, yj))
         image = tensor_vec(K, unit_vec(K, T.dim(e), i),
                            T.mackey.res_mat(e, d).col(yj))
-        return b2._placed(m, e, image)
+        return b2.amb_vec(m, {e: image})
 
     # the quotient shares b2's generators, ambient maps and product cache,
     # all of which depend on the ambient alone; only the relations grow
@@ -642,8 +623,8 @@ def coequalizer_oracle(T: GreenFunctor, base) -> BoxProduct:
                                 b2.amb_dim(m)) for act in (act_left, act_right))
         lvl = b2.levels[m]
         for mat, side in ((ml, "left"), (mr, "right")):
-            b3.levels[m].check_raw_map(
-                _on_terms(mat), lvl,
+            b3.levels[m].check_map(
+                on_terms(mat), lvl,
                 f"coequalizer action map ({side}) fails to descend at "
                 f"level {m}")
         # the extra rows are the columns of ml - mr; zero rows drop out
@@ -704,8 +685,8 @@ def _permuted_bases(b1: BoxProduct, b2: BoxProduct, gen_map, diffs) -> dict:
         for src, mat, target, way in ((l1, P, l2, "1 vs 2"),
                                       (l2, P.transpose(), l1, "2 vs 1")):
             try:
-                src.check_raw_map(_on_terms(mat), target,
-                                  f"level {m}: relation span differs ({way})")
+                src.check_map(on_terms(mat), target,
+                              f"level {m}: relation span differs ({way})")
             except InternalCheckError as exc:
                 diffs.append(str(exc))
         if b1.dim(m) != b2.dim(m):
@@ -748,9 +729,7 @@ def norm_on_c2_box(bx: BoxProduct, vec, term_order=None):
         lv[i] = c
         nl = bx.left.norm(2, 1, tuple(lv))
         nr = bx.right.norm(2, 1, unit_vec(K, bx.right.dim(1), j))
-        out = [K.zero] * bx.amb_dim(2)
-        bx.place(2, 2, tensor_vec(K, nl, nr), out)
-        return tuple(out)
+        return bx.amb_vec(2, {2: tensor_vec(K, nl, nr)})
 
     def fold(items):
         if not items:

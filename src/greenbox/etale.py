@@ -28,7 +28,7 @@ from .linalg import Mat, Span, kernel, solve, solve_matrix, tensor_vec, \
     unit_vec, vec_is_zero, vec_scale, vec_sub, vec_zero
 from .mackey import InternalCheckError, MackeyMorphism, Violation
 from .modules import constant_box_iso
-from .presented import PresentedLevel, format_element
+from .presented import PresentedLevel, format_element, on_terms
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +53,8 @@ def mult_map(bx: BoxProduct) -> MackeyMorphism:
             cols_ambient.append(T.mackey.tr_mat(m, d).apply(prod))
         amb = Mat.from_cols(K, cols_ambient, T.dim(m))
         lvl, onto = bx.levels[m], PresentedLevel(K, T.labels(m), [])
-        lvl.check_map(amb.apply, onto, "multiplication map does not kill "
-                      f"relations at level {m}")
+        lvl.check_map(on_terms(amb), onto, "multiplication map does not "
+                      f"kill relations at level {m}")
         comps[m] = lvl.induced(amb, onto)
     morphism = MackeyMorphism(bx.green.mackey, T.mackey, comps, name="mult")
     bad = morphism.check()
@@ -71,9 +71,8 @@ def unit_section_check(bx: BoxProduct, mm: MackeyMorphism) -> bool:
     for m in bx.lattice.divisors:
         for i in range(T.dim(m)):
             x = unit_vec(K, T.dim(m), i)
-            out = bx.place(m, m, tensor_vec(K, x, T.unit[m]),
-                           [K.zero] * bx.amb_dim(m))
-            if mm.apply(m, bx.reduce(m, tuple(out))) != x:
+            out = bx.amb_vec(m, {m: tensor_vec(K, x, T.unit[m])})
+            if mm.apply(m, bx.reduce(m, out)) != x:
                 return False
     return True
 
@@ -242,8 +241,7 @@ def _alpha_tensor(bx: BoxProduct, E: GaloisExtension, m, e1, e2, origin=None):
         raise ValueError(
             f"α^{e1} or α^{e2} does not lie in the level-{d} subfield")
     c1, c2 = coords.cols()
-    return tuple(bx.place(m, d, tensor_vec(bx.scalars, c1, c2),
-                          [bx.scalars.zero] * bx.amb_dim(m)))
+    return bx.amb_vec(m, {d: tensor_vec(bx.scalars, c1, c2)})
 
 
 @dataclass

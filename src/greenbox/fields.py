@@ -534,8 +534,10 @@ class ExtensionField(Field):
         return ExtensionFieldElement(self, [self.prime_field.from_int(n)])
 
     def from_coeffs(self, ints) -> ExtensionFieldElement:
+        """The element sum c_i t^i, reduced modulo the modulus."""
+        fp = self.prime_field
         return ExtensionFieldElement(
-            self, [self.prime_field.from_int(c) for c in ints])
+            self, poly_mod(fp, [fp.from_int(c) for c in ints], self.modulus))
 
     @property
     def gen(self) -> ExtensionFieldElement:

@@ -13,8 +13,10 @@ for a prime field, the elements themselves for Q and F_{p^k}; see
 to elements only where a result leaves the kernel.  Element tuples stay the
 public form: ``Mat.rows``, vectors passed in and returned.  A ``Mat``
 lifts its rows to raw sparse rows and columns on first use and keeps them,
-since it is immutable; ``nonzero_terms`` gives the raw ``(index, scalar)``
-pairs that ``eliminate``, ``Span`` and the box layer pass between each other.
+since it is immutable.  Raw ``(index, scalar)`` terms (``nonzero_terms``,
+``raw_terms``) are the one sparse form passed between kernels: ``eliminate``
+and ``Span`` read them, ``Mat.apply_terms`` maps them, and the box layer
+keeps each generator product, relation row and matrix column as such terms.
 
 All elimination goes through one kernel, ``Span``: an incrementally built,
 fully reduced echelon form with pivots at the first (or, on request, the

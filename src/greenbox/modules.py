@@ -37,7 +37,7 @@ from .green import GreenFunctor, check_green_morphism, constant_functor, \
 from .linalg import Mat, column_space, inverse, unit_vec, vec_scale
 from .mackey import (FixedPointModule, InternalCheckError, MackeyFunctor,
                      MackeyMorphism, Violation, fix_of_module, solve_in)
-from .presented import PresentedLevel
+from .presented import PresentedLevel, on_terms
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +407,7 @@ def constant_box_iso(bx: BoxProduct, tensor: FiniteAlgebra):
                 for (d, i, j) in bx.gens[m]]
         amb = Mat.from_cols(K, cols, tensor.dim)
         try:
-            bx.levels[m].check_map(amb.apply, onto, "identification "
+            bx.levels[m].check_map(on_terms(amb), onto, "identification "
                                    f"fails to descend at level {m}")
         except InternalCheckError:
             return None

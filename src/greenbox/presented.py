@@ -13,21 +13,21 @@ span; the reduced dimension is #generators - rank(relations).
 The nonzero ``(index, coefficient)`` terms of each ``relation_basis`` row
 are found once, when the level is built: every row is a ``Relation``, a
 tuple of elements that carries them as ``terms`` in the field's raw scalars
-(``linalg.nonzero_terms``).  Elimination lifts an ambient vector to raw
-scalars, eliminates over those terms (``linalg.eliminate``) and folds back
-to elements only what it returns: ``canonicalize`` and ``reduce`` fold
-their result, ``in_relation_span`` folds nothing.  A map given to
-``check_raw_map`` may sum over a row's raw terms instead of scanning the row
-for nonzeros again, and hands back a raw image, eliminated without a fold.
+(``linalg.nonzero_terms``).  Elimination works on raw scalars
+(``linalg.eliminate``) and folds back to elements only what it returns:
+``canonicalize``, ``reduce`` and ``reduce_terms`` (the same for a vector
+given by its raw terms) fold their result, ``in_relation_span`` folds
+nothing.
 
-Descent is decided here and nowhere else.  A linear map out of a quotient is
-well defined exactly when it sends the relation span into the target's
-relation span; ``check_raw_map`` tests that on ``relation_basis`` (linearity
-covers the rest) for a map that computes in raw scalars, ``check_map`` for
-one on element vectors, and ``induced`` reads the map on the quotients off
-the free generators.  Every map the verifier trusts (structure maps,
-multiplication, oracle actions, comparisons, identifications) goes through
-these.
+Descent is decided here, through one entry.  A linear map out of a quotient
+is well defined exactly when it sends the relation span into the target's
+relation span; ``check_map`` tests that on ``relation_basis`` (linearity
+covers the rest).  Its map takes a ``Relation``, so it may sum over the
+row's raw terms, and returns the raw image, which is eliminated without a
+fold; ``on_terms`` makes such a map of an ambient matrix.  ``induced``
+reads the map on the quotients off the raw columns of the free generators.
+Every map the verifier trusts (structure maps, multiplication, oracle
+actions, comparisons, identifications) goes through these.
 """
 
 from __future__ import annotations
@@ -85,9 +85,18 @@ class PresentedLevel:
 
     def reduce(self, v):
         """Reduced coordinates (length ``dim``) of an ambient vector."""
-        K = self.field
-        canon = self._eliminate(K.lift(v))
-        return K.fold([canon[j] for j in self.free])
+        return self._reduced(self.field.lift(v))
+
+    def reduce_terms(self, terms):
+        """``reduce`` of the ambient vector with raw nonzero ``terms``."""
+        raw = [self.field.raw_zero] * self.ngens
+        for j, c in terms:
+            raw[j] = c
+        return self._reduced(raw)
+
+    def _reduced(self, raw):
+        canon = self._eliminate(raw)
+        return self.field.fold([canon[j] for j in self.free])
 
     def expand(self, rv):
         """Ambient canonical representative of reduced coordinates."""
@@ -107,15 +116,10 @@ class PresentedLevel:
 
     def check_map(self, f, target: "PresentedLevel", message: str) -> None:
         """Raise InternalCheckError(message) unless the linear map ``f``
-        (ambient vectors to ``target``'s ambient) sends every relation into
-        ``target``'s relation span; the witness is ``"<row> ↦ <image>"``."""
-        lift = target.field.lift
-        self.check_raw_map(lambda r: lift(f(r)), target, message)
-
-    def check_raw_map(self, f, target: "PresentedLevel", message: str):
-        """``check_map`` for a map given in raw scalars: ``f`` takes a
+        sends every relation into ``target``'s relation span.  ``f`` takes a
         ``Relation``, so it may sum over its raw ``terms``, and returns the
-        reduced raw scalars of the image."""
+        reduced raw scalars of its image in ``target``'s ambient; the
+        witness is ``"<row> ↦ <image>"``."""
         for r in self.relation_basis:
             img = f(r)
             if any(target._eliminate(img)):
@@ -126,8 +130,9 @@ class PresentedLevel:
     def induced(self, amb: Mat, target: "PresentedLevel") -> Mat:
         """The map on quotients of an ambient matrix that descends (see
         ``check_map``): column k is the reduced image of free generator k."""
+        cols = amb.col_terms()
         return Mat.from_cols(self.field,
-                             [target.reduce(amb.col(f)) for f in self.free],
+                             [target.reduce_terms(cols[f]) for f in self.free],
                              target.dim)
 
     def rel_rank(self) -> int:
@@ -136,3 +141,9 @@ class PresentedLevel:
     def __repr__(self):
         return f"PresentedLevel(dim {self.dim} = {self.ngens} gens - " \
                f"{self.rel_rank()} relations)"
+
+
+def on_terms(mat: Mat):
+    """The ambient matrix ``mat`` as a map for ``check_map``: applied to a
+    relation's raw ``terms``."""
+    return lambda r: mat.apply_terms(r.terms)

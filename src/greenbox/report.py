@@ -150,6 +150,9 @@ def load_config(path: str) -> RunConfig:
                 cfg.modulus = tuple(int(x) for x in
                                     sec["modulus"].split(","))
             cfg.use_rationals = sec.getboolean("rationals", fallback=False)
+            if cfg.use_rationals and ("p" in sec or "modulus" in sec):
+                raise ConfigError("[field] sets rationals = true together "
+                                  f"with p or modulus in {path}")
         sec = parser["extension"]
         cfg.flavor = sec.get("flavor", "kummer").strip()
         cfg.n = sec.getint("n", fallback=2)
@@ -346,8 +349,7 @@ class EtaleReport:
         one, alpha = (unit_vec(K, rb.left.dim(1), t) for t in (0, 1))
         tensor = vec_sub(tensor_vec(K, one, alpha),
                          tensor_vec(K, alpha, one))
-        arg = rb.reduce(1, tuple(rb.place(1, 1, tensor,
-                                          [K.zero] * rb.amb_dim(1))))
+        arg = rb.reduce(1, rb.amb_vec(1, {1: tensor}))
         value = norm_on_c2_box(rb, arg)
         return {
             "applicable": True,

@@ -1,4 +1,6 @@
 import copy
+import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -9,13 +11,14 @@ from greenbox.boxes import (box, box3, compare_boxes, coequalizer_oracle,
                             norm_on_c2_box, prime_box_oracle, relative_box,
                             swap_isomorphic)
 from greenbox.extensions import kummer_extension
-from greenbox.fields import finite_field, prime_field
+from greenbox.fields import finite_field, prime_field, rationals
 from greenbox.green import (GreenFunctor, check_green, constant_functor,
                             corrupt_multiplication, fix_functor, zero_green)
-from greenbox.linalg import Mat
+from greenbox.linalg import Mat, tensor_vec
 from greenbox.mackey import InternalCheckError, MackeyFunctor, check_axioms, \
     corrupt_transfer, small_random_mackey, subgroup_lattice
 from greenbox.presented import PresentedLevel
+from greenbox.report import load_config
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -368,13 +371,22 @@ def test_descent_rejects_corrupt_transfer(unchecked_c4_box):
         boxes._check_descent(bx)
 
 
+def _bump_product(bx, m, a, b, f):
+    """Add e_f to the cached raw terms of the product of generators a and b
+    of level m; returns the terms it replaced."""
+    saved = bx.mult_terms(m, a, b)
+    K = bx.scalars
+    raw = dict(saved)
+    raw[f] = K.reduce([raw.get(f, K.raw_zero) + K.lift([K.one])[0]])[0]
+    bx._mult_cache[(m, a, b)] = tuple(sorted((t, c) for t, c in raw.items()
+                                             if c))
+    return saved
+
+
 def test_descent_rejects_corrupt_multiplication(unchecked_c4_box):
     bx = unchecked_c4_box
     p, f = _bump_indices(bx, 4, 4)
-    bumped = list(bx.mult_gens(4, p, 0))
-    bumped[f] = bumped[f] + F5.one
-    bx._mult_cache[(4, p, 0)] = tuple(bumped)
-    bx._mult_cache.pop(("s", 4, p, 0), None)
+    _bump_product(bx, 4, p, 0, f)
     with pytest.raises(InternalCheckError, match="multiplication"):
         boxes._check_descent(bx)
 
@@ -397,11 +409,7 @@ def test_one_sided_product_check_is_exactly_as_strong(unchecked_c4_box):
     caught_with_pivot_left = False
     for a in gens:
         for b in gens:
-            saved = bx.mult_gens(4, a, b)
-            bumped = list(saved)
-            bumped[lvl.free[0]] = bumped[lvl.free[0]] + F5.one
-            bx._mult_cache[(4, a, b)] = tuple(bumped)
-            bx._mult_cache.pop(("s", 4, a, b), None)
+            saved = _bump_product(bx, 4, a, b, lvl.free[0])
             violated = brute_force_violation()
             try:
                 boxes._check_descent(bx)
@@ -412,8 +420,89 @@ def test_one_sided_product_check_is_exactly_as_strong(unchecked_c4_box):
             else:
                 assert not violated, (a, b)
             bx._mult_cache[(4, a, b)] = saved
-            bx._mult_cache.pop(("s", 4, a, b), None)
     assert caught_with_pivot_left
+
+
+# ---------------------------------------------------------------------------
+# one product form: the raw terms in the product cache
+
+
+def _f9_fix():
+    cfg = load_config(str(pathlib.Path(__file__).resolve().parents[1]
+                          / "bench" / "configs" / "kummer_f9_n4.cfg"))
+    return fix_functor(cfg.extension())
+
+
+def _q_fix():
+    Q = rationals()
+    return fix_functor(kummer_extension(Q, 2, Fraction(2), Fraction(-1)))
+
+
+def _f5_fix():
+    return fix_functor(kummer_extension(F5, 4, F5.from_int(2),
+                                        F5.from_int(2)))
+
+
+def _f7_fix():
+    return fix_functor(kummer_extension(F7, 3, F7.from_int(3),
+                                        F7.from_int(2)))
+
+
+def _element_product(bx, m, a, b):
+    """The product of generators a and b of level m through element
+    vectors: the pure part tensors the factors' products, a pure factor is
+    restricted to the class origin and multiplied there, and class·class
+    is tr(u · res(tr v)).  The reference for the cached raw terms."""
+    K, L, R = bx.scalars, bx.left, bx.right
+    (d, i, j), (e, i2, j2) = bx.gens[m][a], bx.gens[m][b]
+    if d == m and e == m:
+        return bx.amb_vec(m, {m: tensor_vec(K, L.mult[m][i][i2],
+                                            R.mult[m][j][j2])})
+    if m in (d, e):
+        (pi, pj), (o, ci, cj) = ((i, j), (e, i2, j2)) if d == m \
+            else ((i2, j2), (d, i, j))
+        lvec = L.multiply(o, L.mackey.res_mat(o, m).col(pi),
+                          unit_vec(L.scalars, L.dim(o), ci))
+        rvec = R.multiply(o, R.mackey.res_mat(o, m).col(pj),
+                          unit_vec(R.scalars, R.dim(o), cj))
+        return bx.amb_vec(m, {o: tensor_vec(K, lvec, rvec)})
+    u = bx.gen_unit(d, bx.gen_index(d, d, i, j))
+    at_d = bx.mult_vec(d, u, bx.amb_res_chain(d, m).col(b))
+    return bx.amb_tr_chain(m, d).apply(at_d)
+
+
+def _assert_one_product_form(bx, reference=None):
+    """Every cached generator product is its sorted, distinct, reduced and
+    nonzero raw terms, and equals ``mult_vec`` of the two unit vectors and,
+    when given, the ``reference`` product."""
+    K = bx.scalars
+    assert bx._mult_cache
+    for (m, a, b), terms in bx._mult_cache.items():
+        index = [t for t, _ in terms]
+        coeffs = [c for _, c in terms]
+        assert index == sorted(set(index)), (m, a, b)
+        assert all(0 <= t < bx.amb_dim(m) for t in index), (m, a, b)
+        assert all(coeffs), (m, a, b)
+        assert K.reduce(list(coeffs)) == coeffs, (m, a, b)
+        dense = [K.zero] * bx.amb_dim(m)
+        for t, c in zip(index, K.fold(coeffs)):
+            dense[t] = c
+        assert tuple(dense) == bx.mult_vec(m, bx.gen_unit(m, a),
+                                           bx.gen_unit(m, b)), (m, a, b)
+        if reference is not None:
+            assert tuple(dense) == reference(bx, m, a, b), (m, a, b)
+
+
+@pytest.mark.parametrize("make_fix", [_f5_fix, _f7_fix, _f9_fix, _q_fix],
+                         ids=["F5-C4", "F7-C3", "F9-C4", "Q-C2"])
+def test_product_cache_holds_sorted_reduced_nonzero_terms(make_fix):
+    T = make_fix()
+    _assert_one_product_form(relative_box(T, T.scalars), _element_product)
+
+
+def test_prime_oracle_installs_the_same_product_form(kummer2_bundle):
+    T = kummer2_bundle.fix
+    _assert_one_product_form(prime_box_oracle(T, T, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,14 @@ def test_extension_field_multiplication():
     assert F4.modulus_ints == (1, 1, 1)
 
 
+def test_from_coeffs_reduces_modulo_the_modulus():
+    F9 = extension_field(3, (1, 0, 1))   # F_3[t]/(t^2 + 1)
+    assert F9.from_coeffs([0, 0, 1]) == -1
+    assert F9.from_coeffs([0, 0, 1]).coeffs == F9.from_int(2).coeffs
+    assert F9.from_coeffs([1, 1, 1, 1]) == 0
+    assert not F9.from_coeffs([1, 1, 1, 1])
+
+
 def test_rational_addition():
     assert field_arith("add", Fraction(1, 2), Fraction(1, 3)) == \
         Fraction(5, 6)

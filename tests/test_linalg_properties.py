@@ -25,7 +25,7 @@ from greenbox.fields import extension_field, prime_field, rationals
 from greenbox.linalg import Mat, Span, kernel, rank, rref, solve_matrix, \
     unit_vec
 from greenbox.mackey import InternalCheckError
-from greenbox.presented import PresentedLevel
+from greenbox.presented import PresentedLevel, on_terms
 
 FIELDS = [prime_field(2), prime_field(5), prime_field(7), rationals()]
 F9 = extension_field(3, (1, 0, 1))
@@ -199,7 +199,7 @@ def test_check_map_raises_exactly_when_relations_escape(case):
     images = [amb.apply(r) for r in src.relations]
     escapes = oracle_rank(K, target.relations + images, k) > base
     try:
-        src.check_map(amb.apply, target, "escapes")
+        src.check_map(on_terms(amb), target, "escapes")
     except InternalCheckError as exc:
         assert escapes and "↦" in exc.witness
     else:

@@ -68,6 +68,12 @@ MALFORMED = {
                    "nn = 4\na = 2\nzeta = -1\n",
     "unknown_section": "[field]\np = 5\n\n[extension]\nflavor = kummer\n"
                        "n = 2\na = 2\nzeta = -1\n\n[runn]\nseed = 1\n",
+    "rationals_with_p": "[field]\np = 5\nrationals = true\n"
+                        "modulus = 1,0,1\n\n[extension]\nflavor = kummer\n"
+                        "n = 2\na = 2\nzeta = -1\n",
+    "rationals_with_modulus": "[field]\nrationals = true\nmodulus = 1,0,1\n"
+                              "\n[extension]\nflavor = kummer\n"
+                              "n = 2\na = 2\nzeta = -1\n",
 }
 
 
@@ -116,6 +122,14 @@ INVALID_EXTENSION = {
                           "n = 3\na = 2\nzeta = 2\n",
     "a_square": "[field]\np = 5\n\n[extension]\nflavor = kummer\n"
                 "n = 2\na = 4\nzeta = -1\n",
+    # over F_9 = F_3[t]/(t^2 + 1), t^2 = -1 = 2 is a square ...
+    "a_unreduced_square": "[field]\np = 3\nmodulus = 1,0,1\n\n"
+                          "[extension]\nflavor = kummer\n"
+                          "n = 2\na = 0,0,1\nzeta = 2\n",
+    # ... and 1 + t + t^2 + t^3 = 0
+    "a_unreduced_zero": "[field]\np = 3\nmodulus = 1,0,1\n\n"
+                        "[extension]\nflavor = kummer\n"
+                        "n = 2\na = 1,1,1,1\nzeta = 2\n",
 }
 
 
