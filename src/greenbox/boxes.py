@@ -12,19 +12,19 @@ Restriction of a class follows the double coset formula with multiplicity
 c = m·gcd(d, m')/(d·m'); transfers relabel components one level up; the
 Weyl generator acts diagonally.  Multiplication is componentwise on pure
 tensors, pushes pure factors onto classes through restriction, and resolves
-class·class through tr(u)·tr(v) = tr(u·res(tr v)).  Every structure map is
-checked to descend to the quotient during construction, and read off on the
-reduced bases, through ``PresentedLevel.check_map`` and ``induced``.
-Multiplication is checked one-sidedly where that is exact: relations times
-every ambient generator, but only the free generators times relations, since
-the ambient is the span of the free generators plus the relation span and
-the latter times anything is covered by the first check.
+class·class through tr(u)·tr(v) = tr(u·res(tr v)).
 ``BoxProduct`` alone knows the ambient layout: every ambient vector built
 from component tensors is written by ``amb_vec``.  Each product of two
 generators has one form, its raw nonzero terms (``mult_terms``, cached in
-``_mult_cache``), built straight at the component offset; ``mult_vec``, the
-descent check and the reduced multiplication table sum those terms in the
-field's raw scalars, and only ``mult_vec`` and ``reduce`` return elements.
+``_mult_cache``); a product with a class factor tr(w) is tr of a product at
+the class origin (Frobenius reciprocity), summed from the cached products
+there.
+
+One pass, ``_check_descent``, reads the reduced structure off the ambient:
+each of Weyl, res, tr and the products with a generator goes through one
+``PresentedLevel.descend``, which checks during construction that the map
+sends relations into relations and returns the induced matrix;
+multiplication is checked one-sidedly where that is exact.
 
 Two independent oracles validate the construction: a closed-form two-level
 build for prime group order, and a coequalizer of the threefold box along
@@ -40,10 +40,10 @@ import math
 
 from .fields import Field
 from .green import GreenFunctor, check_green_morphism, constant_functor
-from .linalg import Mat, inverse, nonzero_terms, raw_terms, tensor_vec, \
-    unit_vec, vec_add, vec_scale, vec_sub, vec_zero
+from .linalg import Mat, inverse, nonzero_terms, tensor_vec, unit_vec, \
+    vec_add, vec_scale, vec_sub, vec_zero
 from .mackey import InternalCheckError, MackeyFunctor, compose_chain
-from .presented import PresentedLevel, on_terms
+from .presented import PresentedLevel
 
 
 class BoxProduct:
@@ -106,56 +106,41 @@ class BoxProduct:
 
     def mult_terms(self, m, ca, cb):
         """The product of two ambient generators of level m, as its raw
-        nonzero ``(index, scalar)`` terms in increasing index; cached."""
+        nonzero ``(index, scalar)`` terms in increasing index; cached.
+
+        A class factor is tr(w) for a pure generator w of its origin o, and
+        tr(w)·x = tr(w·res x), x·tr(w) = tr(res x·w): the product at level o
+        sums the cached products of w with the terms of res x into a dict,
+        and the transfer chain's columns are unit vectors, so applying it
+        over those terms only relabels."""
         key = (m, ca, cb)
         terms = self._mult_cache.get(key)
         if terms is not None:
             return terms
         K = self.scalars
-        (d, i, j) = self.gens[m][ca]
-        (e, i2, j2) = self.gens[m][cb]
+        (d, i, j), (e, i2, j2) = self.gens[m][ca], self.gens[m][cb]
         if d == m and e == m:
-            terms = self._tensor_terms(m, m, self.left.mult[m][i][i2],
-                                       self.right.mult[m][j][j2])
-        elif m in (d, e):
-            # pure · class, either way round: restrict the pure tensor to
-            # the class origin o and multiply it into the class there
-            (pi, pj), (o, ci, cj) = ((i, j), (e, i2, j2)) if d == m \
-                else ((i2, j2), (d, i, j))
-            u1 = self.left.mackey.res_mat(o, m).col(pi)
-            u2 = self.right.mackey.res_mat(o, m).col(pj)
-            lvec = self.left.multiply(o, u1, unit_vec(K, self.left.dim(o), ci))
-            rvec = self.right.multiply(o, u2,
-                                       unit_vec(K, self.right.dim(o), cj))
-            terms = self._tensor_terms(m, o, lvec, rvec)
+            # pure tensors sit first, and a field has no zero divisors, so
+            # each product of nonzero coordinates is a term
+            u, v = self.left.mult[m][i][i2], self.right.mult[m][j][j2]
+            vs = nonzero_terms(K, v)
+            prods = [(a * len(v) + b, x * y)
+                     for a, x in nonzero_terms(K, u) for b, y in vs]
+            terms = tuple(zip([t for t, _ in prods],
+                              K.reduce([c for _, c in prods])))
         else:
-            # class · class: tr(u)·tr(v) = tr(u · res(tr v)); the product at
-            # level d sums the cached products of the pure generator u with
-            # the terms of res(tr v), and the transfer chain's columns are
-            # unit vectors, so applying it over those terms only relabels
-            down = self.amb_res_chain(d, m).col_terms()[cb]
-            pure = self.gen_index(d, d, i, j)
-            at_d = [K.raw_zero] * self.amb_dim(d)
-            for k, c in down:
-                for t, a in self.mult_terms(d, pure, k):
-                    at_d[t] += c * a
-            terms = raw_terms(self.amb_tr_chain(m, d).apply_terms(
-                raw_terms(K.reduce(at_d))))
+            o, w, x = (d, self.gen_index(d, d, i, j), cb) if d < m \
+                else (e, self.gen_index(e, e, i2, j2), ca)
+            acc = {}
+            for k, c in self.amb_res_chain(o, m).col_terms()[x]:
+                for t, a in (self.mult_terms(o, w, k) if d < m
+                             else self.mult_terms(o, k, w)):
+                    acc[t] = acc.get(t, K.raw_zero) + c * a
+            up = self.amb_tr_chain(m, o).col_terms()
+            terms = tuple(sorted((up[t][0][0], c) for t, c in
+                                 zip(acc, K.reduce(list(acc.values()))) if c))
         self._mult_cache[key] = terms
         return terms
-
-    def _tensor_terms(self, m, d, u, v):
-        """The raw terms of the tensor u ⊗ v placed at component d of level
-        m; a field has no zero divisors, so every product is a term."""
-        K = self.scalars
-        off, width = self.offsets[m][d], len(v)
-        vs = nonzero_terms(K, v)
-        index, coeffs = [], []
-        for a, x in nonzero_terms(K, u):
-            for b, y in vs:
-                index.append(off + a * width + b)
-                coeffs.append(x * y)
-        return tuple(zip(index, K.reduce(coeffs)))
 
     def mult_vec(self, m, va, vb):
         """Bilinear extension of mult_terms to ambient vectors."""
@@ -322,15 +307,15 @@ def build_box(left: GreenFunctor, right: GreenFunctor, name="",
                     dp: -tm(left.mackey.res_mat(dp, d), ident(right, dp))})
         bx.levels[m] = PresentedLevel(K, bx._amb_labels[m], rows)
 
-    if check:
-        _check_descent(bx)
-
-    _induce_reduced_structure(bx)
+    _check_descent(bx, check)
     return bx
 
 
-def _check_descent(bx: BoxProduct) -> None:
-    """Every structure map must send relations into relations.
+def _check_descent(bx: BoxProduct, check: bool = True) -> None:
+    """Read the reduced Green functor off the ambient maps and install it
+    as ``bx.green``; each map goes through one ``PresentedLevel.descend``,
+    which also checks, unless ``check`` is false, that the map sends
+    relations into relations.
 
     Multiplication is bilinear, so it descends exactly when Rel·A ⊆ Rel and
     A·Rel ⊆ Rel.  The first is checked as Rel·e ⊆ Rel for every ambient
@@ -338,68 +323,45 @@ def _check_descent(bx: BoxProduct) -> None:
     the relation basis is in reduced echelon form, so A = span(free units)
     ⊕ Rel, and for x = f + s with s in Rel, x·r = f·r + s·r, where f·r is
     covered by the free generators and s·r lies in Rel·A, which the first
-    check covers.
+    check covers.  The tables of r ↦ r·e for the free generators e are the
+    reduced multiplication: entry (a, b) is column a of the table of free
+    generator b.  Unchecked, only those tables are built.
     """
-    pairs = bx.lattice.covering_pairs
-    for m in bx.lattice.divisors:
-        lvl = bx.levels[m]
-        maps = [(on_terms(bx.amb_weyl[m]), m,
-                 f"Weyl action fails to descend at level {m}")]
-        maps += [(on_terms(bx.amb_res[(lo, m)]), lo,
-                  f"restriction {m}->{lo} fails to descend")
-                 for (lo, hi) in pairs if hi == m]
-        maps += [(on_terms(bx.amb_tr[(hi, m)]), hi,
-                  f"transfer {m}->{hi} fails to descend")
-                 for (lo, hi) in pairs if lo == m]
-        free = set(lvl.free)
-        for e, label in enumerate(lvl.labels):
-            sides = ("left", "right") if e in free else ("left",)
-            for side in sides:
-                maps.append((_times_generator(bx, m, e, side), m,
-                             f"multiplication fails to descend at level "
-                             f"{m}: {side} product of a relation with "
-                             f"{label}"))
-        for f, target, message in maps:
-            lvl.check_map(f, bx.levels[target], message)
-
-
-def _times_generator(bx: BoxProduct, m, e, side):
-    """The map r ↦ r·e (``side`` "left": r is the left factor) or r ↦ e·r
-    on relation rows, summed over their raw ``terms`` from the cached
-    products of generators; the image is in raw scalars."""
-    K = bx.scalars
-
-    def f(r):
-        out = [K.raw_zero] * bx.amb_dim(m)
-        for c, a in r.terms:
-            prod = bx.mult_terms(m, c, e) if side == "left" \
-                else bx.mult_terms(m, e, c)
-            for t, p in prod:
-                out[t] += a * p
-        return K.reduce(out)
-    return f
-
-
-def _induce_reduced_structure(bx: BoxProduct) -> None:
-    K = bx.scalars
     lattice = bx.lattice
-    labels = {m: bx.levels[m].reduced_labels for m in lattice.divisors}
-
-    def induced(amb_mat, m_from, m_to):
-        return bx.levels[m_from].induced(amb_mat, bx.levels[m_to])
-
-    res = {(mp, m): induced(bx.amb_res[(mp, m)], m, mp)
-           for (mp, m) in lattice.covering_pairs}
-    tr = {(mp, m): induced(bx.amb_tr[(mp, m)], m, mp)
-          for (m, mp) in lattice.covering_pairs}
-    weyl = {m: induced(bx.amb_weyl[m], m, m) for m in lattice.divisors}
-    mack = MackeyFunctor(K, lattice, labels, res, tr, weyl, name=bx.name)
-
-    mult = {}
+    pairs = lattice.covering_pairs
+    res, tr, weyl, mult = {}, {}, {}, {}
     for m in lattice.divisors:
         lvl = bx.levels[m]
-        mult[m] = [[lvl.reduce_terms(bx.mult_terms(m, fi, fj))
-                    for fj in lvl.free] for fi in lvl.free]
+        weyl[m] = lvl.descend(bx.amb_weyl[m], lvl,
+                              f"Weyl action fails to descend at level {m}",
+                              check)
+        for (lo, hi) in pairs:
+            if hi == m:
+                res[(lo, m)] = lvl.descend(
+                    bx.amb_res[(lo, m)], bx.levels[lo],
+                    f"restriction {m}->{lo} fails to descend", check)
+            if lo == m:
+                tr[(hi, m)] = lvl.descend(
+                    bx.amb_tr[(hi, m)], bx.levels[hi],
+                    f"transfer {m}->{hi} fails to descend", check)
+        free = set(lvl.free)
+        cols = []     # per free generator, its product table's columns
+        for e, label in enumerate(lvl.labels):
+            if not (check or e in free):
+                continue
+            where = f"multiplication fails to descend at level {m}"
+            what = f"product of a relation with {label}"
+            left = lvl.descend(lambda g: bx.mult_terms(m, g, e), lvl,
+                               f"{where}: left {what}", check)
+            if e in free:
+                cols.append(left.cols())
+                if check:
+                    lvl.descend(lambda g: bx.mult_terms(m, e, g), lvl,
+                                f"{where}: right {what}")
+        mult[m] = [[c[a] for c in cols] for a in range(lvl.dim)]
+    labels = {m: bx.levels[m].reduced_labels for m in lattice.divisors}
+    mack = MackeyFunctor(bx.scalars, lattice, labels, res, tr, weyl,
+                         name=bx.name)
     unit = {m: bx.reduce(m, bx.unit_ambient(m)) for m in lattice.divisors}
     bx.green = GreenFunctor(mack, mult, unit, name=bx.name)
 
@@ -516,7 +478,6 @@ def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int
 
     _attach_prime_oracle_mult(bx, M, N, p, orbit_sum)
     _check_descent(bx)
-    _induce_reduced_structure(bx)
     return bx
 
 
@@ -623,15 +584,12 @@ def coequalizer_oracle(T: GreenFunctor, base) -> BoxProduct:
                                 b2.amb_dim(m)) for act in (act_left, act_right))
         lvl = b2.levels[m]
         for mat, side in ((ml, "left"), (mr, "right")):
-            b3.levels[m].check_map(
-                on_terms(mat), lvl,
-                f"coequalizer action map ({side}) fails to descend at "
-                f"level {m}")
+            b3.levels[m].descend(mat, lvl, f"coequalizer action map ({side}) "
+                                 f"fails to descend at level {m}")
         # the extra rows are the columns of ml - mr; zero rows drop out
         co.levels[m] = PresentedLevel(K, lvl.labels, lvl.relations
                                       + list((ml - mr).transpose().rows))
     _check_descent(co)
-    _induce_reduced_structure(co)
     return co
 
 
@@ -663,11 +621,14 @@ def compare_boxes(b1: BoxProduct, b2: BoxProduct, gen_map=None):
 
 def _permuted_bases(b1: BoxProduct, b2: BoxProduct, gen_map, diffs) -> dict:
     """Per level, the reduced b1 basis in reduced b2 coordinates under the
-    generator permutation; every mismatch of ambient size, labels, relation
-    span or reduced size is appended to ``diffs`` instead.  The dense
-    permutation matrices die here, before the Green-morphism check that
-    is the memory peak of a comparison."""
-    moves = {}     # m -> P, moving b1's generator t to b2's generator idx[t]
+    generator permutation, which moves b1's generator t to b2's generator
+    idx[t]; every mismatch of ambient size, labels, relation span or reduced
+    size is appended to ``diffs`` instead.  The permutation and its
+    transpose, which moves b2's generators back, reach ``descend`` as raw
+    terms, never as dense matrices."""
+    K = b1.scalars
+    one = K.lift([K.one])[0]
+    phi = {}
     for m in b1.lattice.divisors:
         if b1.amb_dim(m) != b2.amb_dim(m):
             diffs.append(f"level {m}: ambient dimensions differ")
@@ -678,24 +639,24 @@ def _permuted_bases(b1: BoxProduct, b2: BoxProduct, gen_map, diffs) -> dict:
             idx = range(b1.amb_dim(m))
         else:
             idx = [b2.gens[m].index(gen_map(m, g)) for g in b1.gens[m]]
-        P = moves[m] = Mat.from_cols(
-            b1.scalars, [b2.gen_unit(m, t) for t in idx], b2.amb_dim(m))
+        back = [[] for _ in idx]
+        for t, s in enumerate(idx):
+            back[s].append((t, one))
         l1, l2 = b1.levels[m], b2.levels[m]
-        # a permutation: its transpose moves b2's generators back
-        for src, mat, target, way in ((l1, P, l2, "1 vs 2"),
-                                      (l2, P.transpose(), l1, "2 vs 1")):
+        for src, images, target, way in (
+                (l1, lambda t: ((idx[t], one),), l2, "1 vs 2"),
+                (l2, back.__getitem__, l1, "2 vs 1")):
             try:
-                src.check_map(on_terms(mat), target,
-                              f"level {m}: relation span differs ({way})")
+                found = src.descend(images, target, "level "
+                                    f"{m}: relation span differs ({way})")
             except InternalCheckError as exc:
                 diffs.append(str(exc))
+            else:
+                phi.setdefault(m, found)
         if b1.dim(m) != b2.dim(m):
             diffs.append(f"level {m}: reduced dimensions differ "
                          f"({b1.dim(m)} vs {b2.dim(m)})")
-    if diffs:
-        return {}
-    return {m: b1.levels[m].induced(P, b2.levels[m])
-            for m, P in moves.items()}
+    return {} if diffs else phi
 
 
 def swap_isomorphic(bMN: BoxProduct, bNM: BoxProduct):

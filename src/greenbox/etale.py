@@ -28,7 +28,7 @@ from .linalg import Mat, Span, kernel, solve, solve_matrix, tensor_vec, \
     unit_vec, vec_is_zero, vec_scale, vec_sub, vec_zero
 from .mackey import InternalCheckError, MackeyMorphism, Violation
 from .modules import constant_box_iso
-from .presented import PresentedLevel, format_element, on_terms
+from .presented import PresentedLevel, format_element
 
 
 # ---------------------------------------------------------------------------
@@ -53,9 +53,8 @@ def mult_map(bx: BoxProduct) -> MackeyMorphism:
             cols_ambient.append(T.mackey.tr_mat(m, d).apply(prod))
         amb = Mat.from_cols(K, cols_ambient, T.dim(m))
         lvl, onto = bx.levels[m], PresentedLevel(K, T.labels(m), [])
-        lvl.check_map(on_terms(amb), onto, "multiplication map does not "
-                      f"kill relations at level {m}")
-        comps[m] = lvl.induced(amb, onto)
+        comps[m] = lvl.descend(amb, onto, "multiplication map does not "
+                               f"kill relations at level {m}")
     morphism = MackeyMorphism(bx.green.mackey, T.mackey, comps, name="mult")
     bad = morphism.check()
     if bad:

@@ -15,8 +15,9 @@ public form: ``Mat.rows``, vectors passed in and returned.  A ``Mat``
 lifts its rows to raw sparse rows and columns on first use and keeps them,
 since it is immutable.  Raw ``(index, scalar)`` terms (``nonzero_terms``,
 ``raw_terms``) are the one sparse form passed between kernels: ``eliminate``
-and ``Span`` read them, ``Mat.apply_terms`` maps them, and the box layer
-keeps each generator product, relation row and matrix column as such terms.
+and ``Span`` read them, ``PresentedLevel.project`` maps them, and the box
+layer keeps each generator product, quotient image and matrix column as such
+terms.
 
 All elimination goes through one kernel, ``Span``: an incrementally built,
 fully reduced echelon form with pivots at the first (or, on request, the
@@ -64,7 +65,7 @@ class Mat:
         for c in cols:
             if len(c) != nrows:
                 raise ValueError("column of wrong length")
-        return cls(field, [[c[i] for c in cols] for i in range(nrows)],
+        return cls(field, zip(*cols) if cols else [()] * nrows,
                    ncols=len(cols))
 
     # -- raw sparse form, lifted once ------------------------------------
@@ -129,23 +130,17 @@ class Mat:
                    ncols=self.ncols)
 
     def apply(self, v):
-        """Matrix times column vector."""
+        """Matrix times column vector: only the nonzero coordinates of v and
+        the nonzero entries of their columns are visited."""
         if len(v) != self.ncols:
             raise ValueError("vector of wrong length")
         K = self.field
-        return K.fold(self.apply_terms(nonzero_terms(K, v)))
-
-    def apply_terms(self, terms) -> list:
-        """Matrix times the vector with raw nonzero ``terms``, as a list of
-        reduced raw scalars: only the nonzero input coordinates and the
-        nonzero entries of their columns are visited."""
-        K = self.field
         cols = self.col_terms()
         out = [K.raw_zero] * self.nrows
-        for j, x in terms:
+        for j, x in nonzero_terms(K, v):
             for i, a in cols[j]:
                 out[i] += a * x
-        return K.reduce(out)
+        return K.fold(K.reduce(out))
 
     def power(self, e: int) -> "Mat":
         if self.nrows != self.ncols:
@@ -170,7 +165,7 @@ class Mat:
         return tuple([r[j] for r in self.rows])
 
     def cols(self):
-        return [self.col(j) for j in range(self.ncols)]
+        return list(zip(*self.rows)) if self.rows else [()] * self.ncols
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.nrows != other.nrows:

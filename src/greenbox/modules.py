@@ -37,7 +37,7 @@ from .green import GreenFunctor, check_green_morphism, constant_functor, \
 from .linalg import Mat, column_space, inverse, unit_vec, vec_scale
 from .mackey import (FixedPointModule, InternalCheckError, MackeyFunctor,
                      MackeyMorphism, Violation, fix_of_module, solve_in)
-from .presented import PresentedLevel, on_terms
+from .presented import PresentedLevel, format_element
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +173,8 @@ def fix_reconstruction(M: MackeyFunctor) -> tuple:
                          f"fixed points")
              for m in M.lattice.divisors}
     morphism = MackeyMorphism(M, fpm.functor, comps, name="reconstruction")
-    bad = morphism.check()
-    if bad:
-        raise InternalCheckError("reconstruction is not a morphism",
-                                 witness=bad)
-    if not morphism.is_isomorphism():
-        raise InternalCheckError(
-            "reconstruction is not an isomorphism; the module is not "
-            "recovered from its free level")
+    _assert_iso(morphism, "reconstruction",
+                "; the module is not recovered from its free level")
     return morphism, fpm
 
 
@@ -213,16 +207,17 @@ def verify_certificate(cert: ProjectivityCertificate):
         fwd = w.morphism
         bwd = w.inverse
         for m in fwd.source.lattice.divisors:
-            prod = bwd.components[m] @ fwd.components[m]
-            if prod != Mat.identity(fwd.source.scalars, fwd.source.dim(m)):
-                out.append(Violation("witness_left_inverse",
-                                     {"witness": w.description, "level": m},
-                                     ""))
-            prod = fwd.components[m] @ bwd.components[m]
-            if prod != Mat.identity(fwd.target.scalars, fwd.target.dim(m)):
-                out.append(Violation("witness_right_inverse",
-                                     {"witness": w.description, "level": m},
-                                     ""))
+            for rule, prod, side in (
+                    ("witness_left_inverse",
+                     bwd.components[m] @ fwd.components[m], fwd.source),
+                    ("witness_right_inverse",
+                     fwd.components[m] @ bwd.components[m], fwd.target)):
+                ident = Mat.identity(side.scalars, side.dim(m))
+                if prod != ident:
+                    out.append(Violation(
+                        rule, {"witness": w.description, "level": m},
+                        _first_column(prod, ident, side.labels[m],
+                                      side.labels[m])))
     return out
 
 
@@ -368,12 +363,40 @@ def _alpha_coordinate(E: GaloisExtension, L: GreenFunctor,
     return coeff
 
 
-def _assert_iso(morphism: MackeyMorphism) -> None:
+def _assert_iso(morphism: MackeyMorphism, name="witness", why="") -> None:
     bad = morphism.check()
     if bad:
-        raise InternalCheckError("witness is not a morphism", witness=bad)
+        raise InternalCheckError(f"{name} is not a morphism",
+                                 witness=_square_witness(morphism, bad[0]))
     if not morphism.is_isomorphism():
-        raise InternalCheckError("witness is not an isomorphism")
+        raise InternalCheckError(f"{name} is not an isomorphism{why}")
+
+
+def _first_column(mat: Mat, expected: Mat, labels, image_labels) -> str:
+    """``"<label> ↦ <image>"`` for the first column k where ``mat`` differs
+    from ``expected``: ``labels[k]`` and column k of ``mat``, written in
+    ``image_labels``."""
+    k = next(k for k, (a, b) in enumerate(zip(mat.cols(), expected.cols()))
+             if a != b)
+    return f"{labels[k]} ↦ " \
+        f"{format_element(mat.field, mat.col(k), image_labels)}"
+
+
+def _square_witness(morphism: MackeyMorphism, v: Violation) -> str:
+    """The violation ``v`` of ``morphism.check()`` followed by the first
+    source basis vector on which the two sides f∘s and t∘f of its square
+    differ, sent to their difference, in basis labels."""
+    f, src, dst = morphism.components, morphism.source, morphism.target
+    if v.rule == "morphism_weyl":
+        frm = to = v.where["level"]
+        s, t = src.weyl[frm], dst.weyl[frm]
+    else:   # res and tr maps are both keyed (to, from)
+        kind, (d, m) = v.rule[len("morphism_"):], v.where["pair"]
+        frm, to = (m, d) if kind == "res" else (d, m)
+        s, t = getattr(src, kind)[(to, frm)], getattr(dst, kind)[(to, frm)]
+    diff = f[to] @ s - t @ f[frm]
+    zero = Mat.zeros(diff.field, diff.nrows, diff.ncols)
+    return f"{v}: {_first_column(diff, zero, src.labels[frm], dst.labels[to])}"
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +430,10 @@ def constant_box_iso(bx: BoxProduct, tensor: FiniteAlgebra):
                 for (d, i, j) in bx.gens[m]]
         amb = Mat.from_cols(K, cols, tensor.dim)
         try:
-            bx.levels[m].check_map(on_terms(amb), onto, "identification "
-                                   f"fails to descend at level {m}")
+            phi = bx.levels[m].descend(amb, onto, "identification fails "
+                                       f"to descend at level {m}")
         except InternalCheckError:
             return None
-        phi = bx.levels[m].induced(amb, onto)
         if inverse(phi) is None:
             return None
         iso[m] = phi

@@ -1,38 +1,35 @@
 """Quotients of free modules on labeled generators by a relation span.
 
 A PresentedLevel carries the ambient generator list (pure tensors first,
-then transfer classes by increasing origin level), the raw relation rows and
-``relation_basis``, the fully reduced rows spanning the same space.
-Canonical forms come from reduced row echelon form with pivots at the *last*
-nonzero coordinate of each relation, so relations rewrite late generators in
-terms of early ones: transfer classes collapse onto pure tensors wherever
-Frobenius reciprocity allows it, and the earliest generators survive as the
-reduced basis.  canonicalize is idempotent and kills exactly the relation
-span; the reduced dimension is #generators - rank(relations).
+then transfer classes by increasing origin level), the raw relation rows,
+and one form of the quotient: the map ``q`` from the ambient onto the
+reduced coordinates.  Pivots come from reduced row echelon form with pivots
+at the *last* nonzero coordinate of each relation, so relations rewrite late
+generators in terms of early ones: transfer classes collapse onto pure
+tensors wherever Frobenius reciprocity allows it, and the earliest
+generators survive as the reduced basis.  ``q`` sends free generator k to
+the unit vector e_k and a pivot p to minus its fully reduced row, restricted
+to the free columns; each image is kept as raw ``(index, scalar)`` terms.
+A vector lies in the relation span exactly when ``q`` kills it, and the
+reduced dimension is #generators - rank(relations).
 
-The nonzero ``(index, coefficient)`` terms of each ``relation_basis`` row
-are found once, when the level is built: every row is a ``Relation``, a
-tuple of elements that carries them as ``terms`` in the field's raw scalars
-(``linalg.nonzero_terms``).  Elimination works on raw scalars
-(``linalg.eliminate``) and folds back to elements only what it returns:
-``canonicalize``, ``reduce`` and ``reduce_terms`` (the same for a vector
-given by its raw terms) fold their result, ``in_relation_span`` folds
-nothing.
+``reduce``, ``in_relation_span`` and ``canonicalize`` are sums over ``q``
+(``project``, in the field's raw scalars); ``relation_basis`` gives back the
+rows e_p - Σ_k q[p]_k·e_{free_k} for tests and witnesses.
 
-Descent is decided here, through one entry.  A linear map out of a quotient
-is well defined exactly when it sends the relation span into the target's
-relation span; ``check_map`` tests that on ``relation_basis`` (linearity
-covers the rest).  Its map takes a ``Relation``, so it may sum over the
-row's raw terms, and returns the raw image, which is eliminated without a
-fold; ``on_terms`` makes such a map of an ambient matrix.  ``induced``
-reads the map on the quotients off the raw columns of the free generators.
-Every map the verifier trusts (structure maps, multiplication, oracle
-actions, comparisons, identifications) goes through these.
+Descent is decided here, through one entry.  A linear map f out of a
+quotient is well defined exactly when it sends the relation span into the
+target's relation span.  ``descend`` tabulates T[g] = q_target(f(e_g)) once
+per map and checks T[p] = Σ_k q[p]_k·T[free_k] for every pivot p, which is
+f(row of p) ∈ Rel; the free columns of T are the induced map on the
+quotients.  Every map the verifier trusts (structure maps, multiplication,
+oracle actions, comparisons, identifications) goes through it.
 """
 
 from __future__ import annotations
 
-from .linalg import Mat, eliminate, nonzero_terms, rref, vec_is_zero
+from .linalg import Mat, nonzero_terms, raw_terms, rref, unit_vec, \
+    vec_is_zero, vec_sub
 from .mackey import InternalCheckError
 
 
@@ -46,57 +43,57 @@ def format_element(K, coeffs, labels) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-class Relation(tuple):
-    """A relation-basis row: its dense coordinates, plus ``terms``, the
-    nonzero ``(index, coefficient)`` pairs, found once."""
-
-    def __new__(cls, field, row):
-        self = super().__new__(cls, row)
-        self.terms = nonzero_terms(field, row)
-        return self
-
-
 class PresentedLevel:
     def __init__(self, field, labels, relations):
         self.field = field
         self.labels = list(labels)
         self.ngens = len(self.labels)
-        rel_rows = [tuple(r) for r in relations
-                    if not vec_is_zero(field, tuple(r))]
-        self.relations = rel_rows
-        reduced, pivots = rref(Mat(field, rel_rows, ncols=self.ngens), "last")
-        self.relation_basis = tuple(Relation(field, r) for r in reduced.rows)
-        self._relation_terms = tuple(r.terms for r in self.relation_basis)
+        self.relations = [tuple(r) for r in relations
+                          if not vec_is_zero(field, tuple(r))]
+        reduced, pivots = rref(Mat(field, self.relations, ncols=self.ngens),
+                               "last")
         self.pivots = pivots
-        self.free = tuple(j for j in range(self.ngens) if j not in pivots)
+        pivot_set = set(pivots)
+        self.free = tuple(j for j in range(self.ngens) if j not in pivot_set)
         self.dim = len(self.free)
         self.reduced_labels = [self.labels[j] for j in self.free]
+        column = {j: k for k, j in enumerate(self.free)}
+        one = field.lift([field.one])[0]
+        q = [((column[j], one),) if j in column else None
+             for j in range(self.ngens)]
+        # a fully reduced row is 1 at its pivot and 0 at the other pivots
+        for terms, p in zip(reduced.row_terms(), pivots):
+            rest = [(j, c) for j, c in terms if j != p]
+            q[p] = tuple(zip([column[j] for j, _ in rest],
+                             field.reduce([-c for _, c in rest])))
+        self.q = tuple(q)
+
+    def project(self, terms) -> list:
+        """The reduced coordinates, as reduced raw scalars, of the ambient
+        vector with raw nonzero ``terms``."""
+        out = [self.field.raw_zero] * self.dim
+        q = self.q
+        for j, c in terms:
+            for k, a in q[j]:
+                out[k] += c * a
+        return self.field.reduce(out)
+
+    def _raw_reduce(self, v) -> list:
+        if len(v) != self.ngens:
+            raise ValueError("ambient vector of wrong length")
+        return self.project(nonzero_terms(self.field, v))
+
+    def reduce(self, v):
+        """Reduced coordinates (length ``dim``) of an ambient vector."""
+        return self.field.fold(self._raw_reduce(v))
 
     def canonicalize(self, v):
         """Canonical coset representative: pivot coordinates eliminated."""
         K = self.field
-        return K.fold(self._eliminate(K.lift(v)))
-
-    def _eliminate(self, raw):
-        """``canonicalize`` in raw scalars: a list in, a list out."""
-        if len(raw) != self.ngens:
-            raise ValueError("ambient vector of wrong length")
-        return eliminate(self.field, self._relation_terms, self.pivots, raw)
-
-    def reduce(self, v):
-        """Reduced coordinates (length ``dim``) of an ambient vector."""
-        return self._reduced(self.field.lift(v))
-
-    def reduce_terms(self, terms):
-        """``reduce`` of the ambient vector with raw nonzero ``terms``."""
-        raw = [self.field.raw_zero] * self.ngens
-        for j, c in terms:
-            raw[j] = c
-        return self._reduced(raw)
-
-    def _reduced(self, raw):
-        canon = self._eliminate(raw)
-        return self.field.fold([canon[j] for j in self.free])
+        out = [K.zero] * self.ngens
+        for j, c in zip(self.free, K.fold(self._raw_reduce(v))):
+            out[j] = c
+        return tuple(out)
 
     def expand(self, rv):
         """Ambient canonical representative of reduced coordinates."""
@@ -107,33 +104,55 @@ class PresentedLevel:
             out[j] = c
         return self.canonicalize(tuple(out))
 
+    def in_relation_span(self, v) -> bool:
+        return not any(self._raw_reduce(v))
+
+    @property
+    def relation_basis(self):
+        """The fully reduced relation rows e_p - Σ_k q[p]_k·e_{free_k}, one
+        per pivot p in increasing order: e_p less the canonical form of its
+        image."""
+        K = self.field
+        one = K.lift([K.one])[0]
+        return tuple(vec_sub(unit_vec(K, self.ngens, p),
+                             self.expand(K.fold(self.project(((p, one),)))))
+                     for p in self.pivots)
+
     def show(self, v) -> str:
         """An ambient vector written in the generator labels."""
         return format_element(self.field, v, self.labels)
 
-    def in_relation_span(self, v) -> bool:
-        return not any(self._eliminate(self.field.lift(v)))
+    def descend(self, images, target: "PresentedLevel", message: str,
+                check: bool = True) -> Mat:
+        """The map on quotients of the linear map f given by ``images``:
+        an ambient matrix, or a function from an ambient generator to the
+        raw terms of its image in ``target``'s ambient.
 
-    def check_map(self, f, target: "PresentedLevel", message: str) -> None:
-        """Raise InternalCheckError(message) unless the linear map ``f``
-        sends every relation into ``target``'s relation span.  ``f`` takes a
-        ``Relation``, so it may sum over its raw ``terms``, and returns the
-        reduced raw scalars of its image in ``target``'s ambient; the
-        witness is ``"<row> ↦ <image>"``."""
-        for r in self.relation_basis:
-            img = f(r)
-            if any(target._eliminate(img)):
-                img = target.field.fold(img)
-                raise InternalCheckError(message, witness=(
-                    f"{self.show(r)} ↦ {target.show(img)}"))
-
-    def induced(self, amb: Mat, target: "PresentedLevel") -> Mat:
-        """The map on quotients of an ambient matrix that descends (see
-        ``check_map``): column k is the reduced image of free generator k."""
-        cols = amb.col_terms()
-        return Mat.from_cols(self.field,
-                             [target.reduce_terms(cols[f]) for f in self.free],
-                             target.dim)
+        Tabulates T[g] = q_target(f(e_g)) and, when ``check`` holds, raises
+        InternalCheckError(message) unless T[p] = Σ_k q[p]_k·T[free_k] for
+        every pivot p, i.e. unless f sends the relation row of p into the
+        target's relation span; the witness is ``"<row> ↦ <image>"``, the
+        image being the reduced escaping part in the target's reduced
+        labels.  Unchecked, only the free generators are tabulated.  Returns
+        the induced matrix, whose column k is T[free_k]."""
+        if isinstance(images, Mat):
+            images = images.col_terms().__getitem__
+        K = self.field
+        table = [target.project(images(g)) for g in self.free]
+        if check and self.pivots:
+            sparse = [raw_terms(col) for col in table]
+            for i, p in enumerate(self.pivots):
+                img = target.project(images(p))
+                for k, a in self.q[p]:
+                    for t, b in sparse[k]:
+                        img[t] -= a * b
+                img = K.reduce(img)
+                if any(img):
+                    image = format_element(K, K.fold(img),
+                                           target.reduced_labels)
+                    raise InternalCheckError(message, witness=(
+                        f"{self.show(self.relation_basis[i])} ↦ {image}"))
+        return Mat.from_cols(K, [K.fold(col) for col in table], target.dim)
 
     def rel_rank(self) -> int:
         return len(self.pivots)
@@ -141,9 +160,3 @@ class PresentedLevel:
     def __repr__(self):
         return f"PresentedLevel(dim {self.dim} = {self.ngens} gens - " \
                f"{self.rel_rank()} relations)"
-
-
-def on_terms(mat: Mat):
-    """The ambient matrix ``mat`` as a map for ``check_map``: applied to a
-    relation's raw ``terms``."""
-    return lambda r: mat.apply_terms(r.terms)

@@ -423,6 +423,58 @@ def test_one_sided_product_check_is_exactly_as_strong(unchecked_c4_box):
     assert caught_with_pivot_left
 
 
+def test_check_false_skips_only_the_descent_check(kummer4_bundle,
+                                                  unchecked_c4_box):
+    """``relative_box(check=False)`` builds the same box; the one pass
+    behind both rejects a corrupt product only when it checks."""
+    T = kummer4_bundle.fix
+    assert compare_boxes(relative_box(T, F5),
+                         relative_box(T, F5, check=False)) == []
+    bx = unchecked_c4_box
+    p, f = _bump_indices(bx, 4, 4)
+    _bump_product(bx, 4, p, 0, f)
+    with pytest.raises(InternalCheckError, match="multiplication"):
+        boxes._check_descent(bx)
+    boxes._check_descent(bx, check=False)
+
+
+# ---------------------------------------------------------------------------
+# the one descent pass against the ambient structure read through
+# expand and reduce
+
+
+def _assert_reduced_structure_is_ambient(bx):
+    """Each reduced Weyl, res and tr matrix is reduce ∘ ambient map ∘
+    expand, and each reduced product is reduce(mult_vec(expand eₐ,
+    expand e_b)), at every level."""
+    G, K, pairs = bx.green, bx.scalars, bx.lattice.covering_pairs
+    for m in bx.lattice.divisors:
+        lifted = [bx.expand(m, unit_vec(K, bx.dim(m), k))
+                  for k in range(bx.dim(m))]
+        maps = [(G.mackey.weyl[m], bx.amb_weyl[m], m)]
+        maps += [(G.mackey.res[(lo, m)], bx.amb_res[(lo, m)], lo)
+                 for (lo, hi) in pairs if hi == m]
+        maps += [(G.mackey.tr[(hi, m)], bx.amb_tr[(hi, m)], hi)
+                 for (lo, hi) in pairs if lo == m]
+        for reduced, amb, target in maps:
+            assert reduced.cols() == [bx.reduce(target, amb.apply(v))
+                                      for v in lifted], (m, target)
+        for a, va in enumerate(lifted):
+            for b, vb in enumerate(lifted):
+                assert G.mult[m][a][b] == \
+                    bx.reduce(m, bx.mult_vec(m, va, vb)), (m, a, b)
+
+
+def test_descent_pass_matches_the_ambient_on_an_unchecked_box(
+        unchecked_c4_box):
+    _assert_reduced_structure_is_ambient(unchecked_c4_box)
+
+
+def test_descent_pass_matches_the_ambient_on_a_coequalizer(kummer4_bundle):
+    _assert_reduced_structure_is_ambient(
+        coequalizer_oracle(kummer4_bundle.fix, F5))
+
+
 # ---------------------------------------------------------------------------
 # one product form: the raw terms in the product cache
 

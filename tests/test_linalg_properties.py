@@ -25,15 +25,18 @@ from greenbox.fields import extension_field, prime_field, rationals
 from greenbox.linalg import Mat, Span, kernel, rank, rref, solve_matrix, \
     unit_vec
 from greenbox.mackey import InternalCheckError
-from greenbox.presented import PresentedLevel, on_terms
+from greenbox.presented import PresentedLevel
 
 FIELDS = [prime_field(2), prime_field(5), prime_field(7), rationals()]
 F9 = extension_field(3, (1, 0, 1))
 SELF_FIELDS = FIELDS + [F9]
+# the fields of the raw-scalar kernels: residues mod 2 to 13, F_9 and Q
+MAP_FIELDS = [prime_field(p) for p in (2, 5, 7, 11, 13)] + [F9, rationals()]
 PROPS = settings(derandomize=True, database=None, max_examples=60,
                  deadline=None)
 # one field more, so as many examples per field as under PROPS
 SELF_PROPS = settings(PROPS, max_examples=75)
+MAP_PROPS = settings(PROPS, max_examples=105)
 
 
 def rows_over(K, ncols, min_rows, max_rows):
@@ -181,7 +184,7 @@ def test_solve_matrix_solves_exactly_the_solvable_systems(A, consistent,
 def quotient_maps(draw):
     """A source and a target presentation over one field, and a linear map
     between their ambients."""
-    K = draw(st.sampled_from(FIELDS))
+    K = draw(st.sampled_from(MAP_FIELDS))
     n, k = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     src = PresentedLevel(K, [f"g{j}" for j in range(n)],
                          draw(rows_over(K, n, 0, 3)))
@@ -190,29 +193,33 @@ def quotient_maps(draw):
     return src, Mat(K, draw(rows_over(K, n, k, k)), ncols=n), target
 
 
-@PROPS
+@MAP_PROPS
 @given(quotient_maps())
-def test_check_map_raises_exactly_when_relations_escape(case):
+def test_descend_raises_exactly_when_relations_escape(case):
     src, amb, target = case
     K, k = src.field, target.ngens
     base = oracle_rank(K, target.relations, k)
     images = [amb.apply(r) for r in src.relations]
     escapes = oracle_rank(K, target.relations + images, k) > base
     try:
-        src.check_map(on_terms(amb), target, "escapes")
+        src.descend(amb, target, "escapes")
     except InternalCheckError as exc:
         assert escapes and "↦" in exc.witness
     else:
         assert not escapes
 
 
-@PROPS
+@MAP_PROPS
 @given(quotient_maps())
-def test_induced_reads_the_map_off_the_free_generators(case):
+def test_descend_reads_the_map_off_the_free_generators(case):
     src, amb, target = case
     K = src.field
-    phi = src.induced(amb, target)
+    phi = src.descend(amb, target, "escapes", check=False)
     assert (phi.nrows, phi.ncols) == (target.dim, src.dim)
+    try:
+        assert src.descend(amb, target, "escapes") == phi
+    except InternalCheckError:
+        pass
     for k in range(src.dim):
         expected = target.reduce(amb.apply(src.expand(unit_vec(K, src.dim,
                                                                 k))))

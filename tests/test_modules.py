@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -7,9 +8,11 @@ from greenbox.extensions import artin_schreier_extension, kummer_extension
 from greenbox.fields import prime_field
 from greenbox.green import constant_functor
 from greenbox.linalg import Mat, inverse
-from greenbox.mackey import (MackeyMorphism, check_axioms, fix_of_module_map,
+from greenbox.mackey import (InternalCheckError, MackeyMorphism, check_axioms,
+                             corrupt_transfer, fix_of_module_map,
                              random_mackey, subgroup_lattice)
-from greenbox.modules import (check_eigen, constant_box_lemma_check,
+from greenbox.modules import (_assert_iso, check_eigen,
+                              constant_box_lemma_check,
                               eigen_decompose, fix_reconstruction,
                               projectivity_certificate, verify_certificate)
 
@@ -170,6 +173,49 @@ def test_tampered_certificate_detected(kummer2_bundle):
     w = cert.witnesses[0]
     w.morphism.components[2] = w.morphism.components[2].scale(F5.from_int(2))
     assert verify_certificate(cert)
+
+
+# ---------------------------------------------------------------------------
+# failure witnesses: the first failing column, "<label> ↦ <image>"
+
+
+def test_reconstruction_witness_names_a_failing_column():
+    M = corrupt_transfer(random_mackey(subgroup_lattice(4), F5, seed=1))
+    with pytest.raises(InternalCheckError,
+                       match="reconstruction is not a morphism") as exc:
+        fix_reconstruction(M)
+    found = re.fullmatch(r"morphism_tr \[pair=\((\d+), (\d+)\)\] "
+                         r"reconstruction: (\S+) ↦ (.+)", exc.value.witness)
+    assert found, exc.value.witness
+    assert found[3] in M.labels[int(found[1])]
+    assert found[4] != "0"
+
+
+def _tampered_plus_minus(bundle):
+    """The C_2 Kummer certificate with its level-2 component doubled."""
+    cert = projectivity_certificate(bundle.ext)
+    w = cert.witnesses[0]
+    w.morphism.components[2] = w.morphism.components[2].scale(F5.from_int(2))
+    return cert, w.morphism
+
+
+def test_iso_witness_names_a_failing_column(kummer2_bundle):
+    _, fwd = _tampered_plus_minus(kummer2_bundle)
+    with pytest.raises(InternalCheckError,
+                       match="witness is not a morphism") as exc:
+        _assert_iso(fwd)
+    label = fwd.source.labels[2][0]
+    assert exc.value.witness == \
+        f"morphism_res [pair=(1, 2)] plus_part: {label} ↦ 4·1"
+
+
+@pytest.mark.parametrize("rule,side", [("witness_left_inverse", "source"),
+                                       ("witness_right_inverse", "target")])
+def test_inverse_witness_names_a_failing_column(kummer2_bundle, rule, side):
+    cert, fwd = _tampered_plus_minus(kummer2_bundle)
+    label = getattr(fwd, side).labels[2][0]
+    details = [v.detail for v in verify_certificate(cert) if v.rule == rule]
+    assert details == [f"{label} ↦ 2·{label}"]
 
 
 # ---------------------------------------------------------------------------
