@@ -28,7 +28,9 @@ multiplication is checked one-sidedly where that is exact.
 
 Two independent oracles validate the construction: a closed-form two-level
 build for prime group order, and a coequalizer of the threefold box along
-the two base-action maps for relative boxes.  The coequalizer presents its
+the two base-action maps for relative boxes.  The closed form installs its
+products as raw terms computed from its own restriction columns and reuses
+no builder path, ``mult_terms`` included.  The coequalizer presents its
 quotient on T □ T's own ambient: the same generators and ambient maps, with
 the action-difference rows added to T □ T's relations.
 """
@@ -40,8 +42,8 @@ import math
 
 from .fields import Field
 from .green import GreenFunctor, check_green_morphism, constant_functor
-from .linalg import Mat, inverse, nonzero_terms, tensor_vec, unit_vec, \
-    vec_add, vec_scale, vec_sub, vec_zero
+from .linalg import Mat, inverse, nonzero_terms, tensor_terms, tensor_vec, \
+    unit_vec, vec_add, vec_scale, vec_sub, vec_zero
 from .mackey import InternalCheckError, MackeyFunctor, compose_chain
 from .presented import PresentedLevel
 
@@ -120,14 +122,9 @@ class BoxProduct:
         K = self.scalars
         (d, i, j), (e, i2, j2) = self.gens[m][ca], self.gens[m][cb]
         if d == m and e == m:
-            # pure tensors sit first, and a field has no zero divisors, so
-            # each product of nonzero coordinates is a term
-            u, v = self.left.mult[m][i][i2], self.right.mult[m][j][j2]
-            vs = nonzero_terms(K, v)
-            prods = [(a * len(v) + b, x * y)
-                     for a, x in nonzero_terms(K, u) for b, y in vs]
-            terms = tuple(zip([t for t, _ in prods],
-                              K.reduce([c for _, c in prods])))
+            # pure tensors sit first
+            terms = tensor_terms(K, self.left.mult[m][i][i2],
+                                 self.right.mult[m][j][j2])
         else:
             o, w, x = (d, self.gen_index(d, d, i, j), cb) if d < m \
                 else (e, self.gen_index(e, e, i2, j2), ca)
@@ -323,9 +320,12 @@ def _check_descent(bx: BoxProduct, check: bool = True) -> None:
     the relation basis is in reduced echelon form, so A = span(free units)
     ⊕ Rel, and for x = f + s with s in Rel, x·r = f·r + s·r, where f·r is
     covered by the free generators and s·r lies in Rel·A, which the first
-    check covers.  The tables of r ↦ r·e for the free generators e are the
-    reduced multiplication: entry (a, b) is column a of the table of free
-    generator b.  Unchecked, only those tables are built.
+    check covers.  The right side is checked only on levels with relations:
+    a level without them has no (relation row, generator) pair to check,
+    so skipping it there drops no check.  The tables of r ↦ r·e for the
+    free generators e are the reduced multiplication: entry (a, b) is
+    column a of the table of free generator b.  Unchecked, only those
+    tables are built.
     """
     lattice = bx.lattice
     pairs = lattice.covering_pairs
@@ -355,7 +355,7 @@ def _check_descent(bx: BoxProduct, check: bool = True) -> None:
                                f"{where}: left {what}", check)
             if e in free:
                 cols.append(left.cols())
-                if check:
+                if check and lvl.pivots:
                     lvl.descend(lambda g: bx.mult_terms(m, e, g), lvl,
                                 f"{where}: right {what}")
         mult[m] = [[c[a] for c in cols] for a in range(lvl.dim)]
@@ -476,7 +476,7 @@ def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int
             cols.append(orbit_sum.col(i * N.dim(1) + j))
     bx.amb_res[(1, p)] = Mat.from_cols(K, cols, dim1)
 
-    _attach_prime_oracle_mult(bx, M, N, p, orbit_sum)
+    _attach_prime_oracle_mult(bx, M, N, p)
     _check_descent(bx)
     return bx
 
@@ -491,44 +491,31 @@ def _prime_oracle_weyl_top(bx, M, N, p, tau):
     return Mat.from_cols(K, cols, bx.amb_dim(p))
 
 
-def _attach_prime_oracle_mult(bx, M, N, p, orbit_sum):
-    """Closed-form multiplication, installed as raw product terms in the
-    cache.  ``orbit_sum`` is the summed Weyl orbit map on level-1 tensors."""
+def _attach_prime_oracle_mult(bx, M, N, p):
+    """Closed-form multiplication, written as raw product terms straight
+    into the cache; no builder path is reused.  A product of two pure
+    tensors is the tensor of the factors' products.  A product with a class
+    factor [w] is [w·res y] or [res x·w]: a dict sum of level-1 products
+    over the oracle's own restriction column of the other factor."""
     K = bx.scalars
-    dim1 = M.dim(1) * N.dim(1)
-    offsets = bx.offsets[p]
-
-    def level1_mult(t1, t2):
-        i, j = divmod(t1, N.dim(1))
-        i2, j2 = divmod(t2, N.dim(1))
-        return tensor_vec(K, M.mult[1][i][i2], N.mult[1][j][j2])
-
-    for t1 in range(dim1):
-        for t2 in range(dim1):
-            bx._mult_cache[(1, t1, t2)] = nonzero_terms(
-                K, level1_mult(t1, t2))
-
-    for ca, (d, i, j) in enumerate(bx.gens[p]):
-        for cb, (e, i2, j2) in enumerate(bx.gens[p]):
-            if d == p and e == p:
-                comp, prod = p, tensor_vec(K, M.mult[p][i][i2],
-                                           N.mult[p][j][j2])
-            elif d == p:
-                u = tensor_vec(K, M.mackey.res[(1, p)].col(i),
-                               N.mackey.res[(1, p)].col(j))
-                comp, prod = 1, bx.mult_vec(
-                    1, u, bx.gen_unit(1, i2 * N.dim(1) + j2))
-            elif e == p:
-                u = tensor_vec(K, M.mackey.res[(1, p)].col(i2),
-                               N.mackey.res[(1, p)].col(j2))
-                comp, prod = 1, bx.mult_vec(
-                    1, bx.gen_unit(1, i * N.dim(1) + j), u)
-            else:
-                orbit = orbit_sum.col(i2 * N.dim(1) + j2)
-                comp, prod = 1, bx.mult_vec(
-                    1, bx.gen_unit(1, i * N.dim(1) + j), orbit)
-            bx._mult_cache[(p, ca, cb)] = tuple(
-                (offsets[comp] + t, c) for t, c in nonzero_terms(K, prod))
+    cache = bx._mult_cache
+    off = bx.offsets[p][1]
+    res = bx.amb_res[(1, p)].col_terms()
+    for m in (1, p):      # level 1 first: the class products read it
+        for ca, (d, i, j) in enumerate(bx.gens[m]):
+            for cb, (e, i2, j2) in enumerate(bx.gens[m]):
+                if d == e == m:
+                    cache[(m, ca, cb)] = tensor_terms(K, M.mult[m][i][i2],
+                                                      N.mult[m][j][j2])
+                    continue
+                acc = {}
+                for k, c in res[ca] if d == p else res[cb]:
+                    key = (1, k, cb - off) if d == p else (1, ca - off, k)
+                    for t, a in cache[key]:
+                        acc[t] = acc.get(t, K.raw_zero) + c * a
+                cache[(m, ca, cb)] = tuple(sorted(
+                    (off + t, c) for t, c in
+                    zip(acc, K.reduce(list(acc.values()))) if c))
 
 
 # ---------------------------------------------------------------------------

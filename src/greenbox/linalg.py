@@ -237,6 +237,16 @@ def tensor_vec(field, u, v):
                                     for b in rv]))
 
 
+def tensor_terms(field, u, v):
+    """The raw nonzero terms of u ⊗ v, in increasing index: a field has no
+    zero divisors, so each product of nonzero coordinates is a term."""
+    vs = nonzero_terms(field, v)
+    prods = [(a * len(v) + b, x * y)
+             for a, x in nonzero_terms(field, u) for b, y in vs]
+    return tuple(zip([t for t, _ in prods],
+                     field.reduce([c for _, c in prods])))
+
+
 def product_terms(field, table):
     """Structure constants ``table[i][j]`` (the coefficient vector of
     e_i·e_j) as the raw terms ``bilinear`` reads."""

@@ -358,12 +358,13 @@ def identity_morphism(M: MackeyFunctor) -> MackeyMorphism:
 # fixed-point functor of a K[C_n]-module
 
 
-@dataclass
+@dataclass(frozen=True)
 class FixedPointModule:
     """A Mackey functor of fixed points together with its level embeddings.
 
     ``embeds[m]`` expresses the level-m basis inside the underlying module V
-    (columns are basis vectors of V^{C_m} in V-coordinates).
+    (columns are basis vectors of V^{C_m} in V-coordinates).  Frozen, since
+    ``permutation_module_atom`` hands one instance to every caller.
     """
 
     functor: MackeyFunctor
@@ -479,9 +480,14 @@ def base_change(M: MackeyFunctor, changes, name: str = "") -> MackeyFunctor:
     return MackeyFunctor(K, M.lattice, labels, res, tr, weyl, name=name)
 
 
+@functools.lru_cache(maxsize=None)
 def permutation_module_atom(scalars: Field, lattice: SubgroupLattice,
                             e: int) -> FixedPointModule:
-    """Fixed points of the permutation module K[C_n/C_e] (σ shifts cosets)."""
+    """Fixed points of the permutation module K[C_n/C_e] (σ shifts cosets).
+
+    Built, with ``fix_of_module``'s checks, once per ``(field, lattice, e)``
+    and shared by every later call: fields are interned and
+    ``subgroup_lattice`` is cached, so the key is exact."""
     lattice.check_divisor(e)
     size = lattice.n // e
     rows = [unit_vec(scalars, size, (i - 1) % size) for i in range(size)]
@@ -495,7 +501,9 @@ def random_mackey(lattice: SubgroupLattice, scalars: Field, dims=None,
     """Deterministic (in seed) random functor satisfying all axioms.
 
     ``dims`` maps a divisor e to the multiplicity of the induced atom on
-    C_n/C_e; drawn at random when omitted.  With dims={n: 1} and
+    C_n/C_e; drawn at random when omitted.  The atoms come from
+    ``permutation_module_atom``, built once per ``(field, lattice, e)`` and
+    shared; only their direct sum and its base change are new.  With dims={n: 1} and
     randomize_basis=False this is exactly the constant-functor shape.
     """
     rng = random.Random(seed)

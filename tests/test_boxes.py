@@ -1,5 +1,6 @@
 import copy
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from greenbox.linalg import Mat, tensor_vec
 from greenbox.mackey import InternalCheckError, MackeyFunctor, check_axioms, \
     corrupt_transfer, small_random_mackey, subgroup_lattice
 from greenbox.presented import PresentedLevel
-from greenbox.report import load_config
+from greenbox.report import ORACLE_EVERY, load_config
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -555,6 +556,50 @@ def test_product_cache_holds_sorted_reduced_nonzero_terms(make_fix):
 def test_prime_oracle_installs_the_same_product_form(kummer2_bundle):
     T = kummer2_bundle.fix
     _assert_one_product_form(prime_box_oracle(T, T, 2))
+
+
+C5_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "bench" / \
+    "configs" / "kummer_f11_n5.cfg"
+
+
+def _assert_oracle_products_are_the_box_products(A, B, p):
+    """Every generator product the prime oracle installs equals the generic
+    box's ``mult_terms``; returns how many were compared."""
+    po, bx = prime_box_oracle(A, B, p), box(A, B)
+    count = 0
+    for m in (1, p):
+        for a in range(po.amb_dim(m)):
+            for b in range(po.amb_dim(m)):
+                assert po._mult_cache[(m, a, b)] == bx.mult_terms(m, a, b), \
+                    (m, a, b)
+                count += 1
+    return count
+
+
+def test_prime_oracle_products_on_the_fuzz_oracle_pairs():
+    """The pairs ``fuzz`` draws for its oracle rounds on C_5/F_11."""
+    cfg = load_config(str(C5_CONFIG))
+    K, lat = cfg.extension().base, subgroup_lattice(cfg.n)
+    for k in range(0, cfg.count, ORACLE_EVERY):
+        rng = random.Random(10 ** 6 + cfg.seed + k)
+        A, B = (zero_green(small_random_mackey(lat, K,
+                                               seed=rng.randrange(2 ** 30)))
+                for _ in range(2))
+        assert _assert_oracle_products_are_the_box_products(A, B, cfg.n)
+
+
+@pytest.mark.parametrize("p,field", [(2, F5), (3, F7), (5, prime_field(11))])
+def test_prime_oracle_products_on_constant_functors(p, field):
+    Kc = constant_functor(field, p)
+    assert _assert_oracle_products_are_the_box_products(Kc, Kc, p)
+
+
+def test_prime_oracle_products_on_fix_functors(as_bundle, kummer2_bundle,
+                                               kummer3_bundle):
+    c5 = fix_functor(load_config(str(C5_CONFIG)).extension())
+    for T, p in ((as_bundle.fix, 2), (kummer2_bundle.fix, 2),
+                 (kummer3_bundle.fix, 3), (c5, 5)):
+        assert _assert_oracle_products_are_the_box_products(T, T, p)
 
 
 # ---------------------------------------------------------------------------

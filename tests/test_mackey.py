@@ -1,11 +1,15 @@
+import dataclasses
+
 import pytest
 
-from greenbox.fields import prime_field, rationals
+from greenbox import mackey
+from greenbox.fields import finite_field, prime_field, rationals
 from greenbox.green import constant_functor, fix_functor
 from greenbox.linalg import Mat
 from greenbox.mackey import (InternalCheckError, MackeyMorphism, check_axioms,
                              compose_structure, corrupt_transfer,
-                             fix_of_module, identity_morphism, random_mackey,
+                             fix_of_module, identity_morphism,
+                             permutation_module_atom, random_mackey,
                              small_random_mackey, solve_in, subgroup_lattice)
 
 F5 = prime_field(5)
@@ -156,3 +160,30 @@ def test_weyl_powers_match_repeated_products():
         for k in range(2 * (6 // m) + 1):
             assert M.weyl_pow(m, k) == acc == w.power(k)
             acc = w @ acc
+
+
+def test_permutation_atom_is_built_once_and_shared_read_only():
+    lat, K = subgroup_lattice(5), prime_field(11)
+    for e in lat.divisors:
+        atom = permutation_module_atom(K, lat, e)
+        assert permutation_module_atom(K, lat, e) is atom
+        assert check_axioms(atom.functor) == []
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            atom.action = None
+
+
+@pytest.mark.parametrize("n,field", [(5, prime_field(11)),
+                                     (4, finite_field(3, 2)),
+                                     (3, rationals())],
+                         ids=["F11-C5", "F9-C4", "Q-C3"])
+def test_random_mackey_on_shared_atoms_matches_fresh_atoms(n, field,
+                                                           monkeypatch):
+    lat = subgroup_lattice(n)
+    for s in range(10):
+        shared = random_mackey(lat, field, seed=s)
+        with monkeypatch.context() as patch:
+            patch.setattr(mackey, "permutation_module_atom",
+                          permutation_module_atom.__wrapped__)
+            fresh = random_mackey(lat, field, seed=s)
+        assert (shared.res, shared.tr, shared.weyl) == \
+            (fresh.res, fresh.tr, fresh.weyl), s

@@ -297,7 +297,7 @@ def test_degenerate_identity_extension_pipeline():
 
 @pytest.mark.parametrize("invocation", sorted(
     inv for inv in RECORDED_SHA256 if inv.split()[-1].startswith("configs/")
-    or inv.split()[0] != "fuzz" and inv.endswith("kummer_f11_n5.cfg")))
+    or inv.endswith("kummer_f11_n5.cfg")))
 def test_cli_stdout_matches_recorded_sha256(invocation):
     *args, config = invocation.split()
     # report writes bytes to sys.stdout.buffer, the other verbs write text
