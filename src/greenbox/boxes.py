@@ -346,6 +346,9 @@ def _check_descent(bx: BoxProduct, check: bool = True) -> None:
                     f"transfer {m}->{hi} fails to descend", check)
         free = set(lvl.free)
         cols = []     # per free generator, its product table's columns
+        # vanishing products share one tuple: the table holds dim³ scalars,
+        # and in boxes of zero or sparse multiplications most are zero
+        zero = (bx.scalars.zero,) * lvl.dim
         for e, label in enumerate(lvl.labels):
             if not (check or e in free):
                 continue
@@ -354,7 +357,7 @@ def _check_descent(bx: BoxProduct, check: bool = True) -> None:
             left = lvl.descend(lambda g: bx.mult_terms(m, g, e), lvl,
                                f"{where}: left {what}", check)
             if e in free:
-                cols.append(left.cols())
+                cols.append([zero if c == zero else c for c in left.cols()])
                 if check and lvl.pivots:
                     lvl.descend(lambda g: bx.mult_terms(m, e, g), lvl,
                                 f"{where}: right {what}")
