@@ -503,8 +503,9 @@ def random_mackey(lattice: SubgroupLattice, scalars: Field, dims=None,
     ``dims`` maps a divisor e to the multiplicity of the induced atom on
     C_n/C_e; drawn at random when omitted.  The atoms come from
     ``permutation_module_atom``, built once per ``(field, lattice, e)`` and
-    shared; only their direct sum and its base change are new.  With dims={n: 1} and
-    randomize_basis=False this is exactly the constant-functor shape.
+    shared; only their direct sum and its base change are new.  With
+    dims={n: 1} and randomize_basis=False this is exactly the
+    constant-functor shape.
     """
     rng = random.Random(seed)
     if dims is None:

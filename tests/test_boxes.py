@@ -594,20 +594,20 @@ def test_prime_oracle_products_on_constant_functors(p, field):
     assert _assert_oracle_products_are_the_box_products(Kc, Kc, p)
 
 
-def test_vanishing_reduced_products_share_one_tuple():
-    lat = subgroup_lattice(3)
-    A = zero_green(small_random_mackey(lat, F7, seed=1))
-    G = box(A, A).green
-    for m in lat.divisors:
-        assert len({id(v) for row in G.mult[m] for v in row}) == 1, m
-
-
 def test_prime_oracle_products_on_fix_functors(as_bundle, kummer2_bundle,
                                                kummer3_bundle):
     c5 = fix_functor(load_config(str(C5_CONFIG)).extension())
     for T, p in ((as_bundle.fix, 2), (kummer2_bundle.fix, 2),
                  (kummer3_bundle.fix, 3), (c5, 5)):
         assert _assert_oracle_products_are_the_box_products(T, T, p)
+
+
+def test_vanishing_reduced_products_share_one_tuple():
+    lat = subgroup_lattice(3)
+    A = zero_green(small_random_mackey(lat, F7, seed=1))
+    G = box(A, A).green
+    for m in lat.divisors:
+        assert len({id(v) for row in G.mult[m] for v in row}) == 1, m
 
 
 # ---------------------------------------------------------------------------
