@@ -346,8 +346,10 @@ def _check_descent(bx: BoxProduct, check: bool = True) -> None:
                     f"transfer {m}->{hi} fails to descend", check)
         free = set(lvl.free)
         cols = []     # per free generator, its product table's columns
-        # vanishing products share one tuple: the table holds dim³ scalars,
-        # and in boxes of zero or sparse multiplications most are zero
+        # e_a·e_b shares the tuple of e_b·e_a when they are equal, and
+        # vanishing products share one zero tuple: the table holds dim³
+        # scalars, and in boxes of zero or sparse multiplications most
+        # products vanish
         zero = (bx.scalars.zero,) * lvl.dim
         for e, label in enumerate(lvl.labels):
             if not (check or e in free):
@@ -357,7 +359,10 @@ def _check_descent(bx: BoxProduct, check: bool = True) -> None:
             left = lvl.descend(lambda g: bx.mult_terms(m, g, e), lvl,
                                f"{where}: left {what}", check)
             if e in free:
-                cols.append([zero if c == zero else c for c in left.cols()])
+                b = len(cols)
+                cols.append([cols[a][b] if a < b and c == cols[a][b]
+                             else zero if c == zero else c
+                             for a, c in enumerate(left.cols())])
                 if check and lvl.pivots:
                     lvl.descend(lambda g: bx.mult_terms(m, e, g), lvl,
                                 f"{where}: right {what}")
@@ -659,7 +664,7 @@ def norm_on_c2_box(bx: BoxProduct, vec, term_order=None):
     """Tambara norm from the underlying to the fixed level of a C_2 box.
 
     Expands ``vec`` (reduced level-1 coordinates) into pure-tensor summands
-    and folds the sum rule norm(x+y) = norm(x) + norm(y) + tr(x·τy); pure
+    and applies the sum rule norm(x+y) = norm(x) + norm(y) + tr(x·τy); pure
     tensors take the componentwise norms of the factors.  The result is
     independent of the expansion order, which callers may vary via
     ``term_order`` (a permutation of the nonzero-term positions).
@@ -682,20 +687,20 @@ def norm_on_c2_box(bx: BoxProduct, vec, term_order=None):
         nr = bx.right.norm(2, 1, unit_vec(K, bx.right.dim(1), j))
         return bx.amb_vec(2, {2: tensor_vec(K, nl, nr)})
 
-    def fold(items):
-        if not items:
-            return vec_zero(K, bx.amb_dim(2))
-        if len(items) == 1:
-            return norm_single(*items[0])
-        head, rest = items[0], items[1:]
+    if not terms:
+        return bx.reduce(2, vec_zero(K, bx.amb_dim(2)))
+    # norm(t_k + rest) = norm(t_k) + norm(rest) + tr(t_k·τ rest), summed
+    # from the last term back to the first
+    total = norm_single(*terms[-1])
+    for k in range(len(terms) - 2, -1, -1):
+        head = terms[k]
         v1 = [K.zero] * bx.amb_dim(1)
         v1[head[0]] = head[1]
         vr = [K.zero] * bx.amb_dim(1)
-        for idx, c in rest:
+        for idx, c in terms[k + 1:]:
             vr[idx] = c
         cross = bx.mult_vec(1, tuple(v1),
                             bx.amb_weyl[1].apply(tuple(vr)))
-        return vec_add(vec_add(norm_single(*head), fold(rest)),
-                       bx.amb_tr[(2, 1)].apply(cross))
-
-    return bx.reduce(2, fold(terms))
+        total = vec_add(vec_add(norm_single(*head), total),
+                        bx.amb_tr[(2, 1)].apply(cross))
+    return bx.reduce(2, total)

@@ -22,7 +22,8 @@ import random
 from .algebras import FiniteAlgebra, base_as_algebra
 from .extensions import GaloisExtension, format_l_element
 from .fields import Field
-from .linalg import Mat, bilinear, product_terms, unit_vec, vec_zero
+from .linalg import Mat, bilinear, bilinear_terms, product_terms, unit_vec, \
+    vec_zero
 from .mackey import (InternalCheckError, MackeyFunctor, MackeyMorphism,
                      SubgroupLattice, Violation, base_change, solve_in,
                      subgroup_lattice)
@@ -61,12 +62,16 @@ class GreenFunctor:
     def labels(self, m):
         return self.mackey.labels[m]
 
-    def multiply(self, m, x, y):
-        """Bilinear product of level-m coefficient vectors."""
+    def terms(self, m):
+        """``product_terms`` of the level-m table, built on first use."""
         terms = self._terms.get(m)
         if terms is None:
             terms = self._terms[m] = product_terms(self.scalars, self.mult[m])
-        return bilinear(self.scalars, terms, x, y)
+        return terms
+
+    def multiply(self, m, x, y):
+        """Bilinear product of level-m coefficient vectors."""
+        return bilinear(self.scalars, self.terms(m), x, y)
 
     def power(self, m, x, e: int):
         out = self.unit[m]
@@ -300,14 +305,23 @@ def check_green_morphism(source: GreenFunctor, target: GreenFunctor,
                          components, name: str = ""):
     """Violations of levelwise maps being a morphism of Green functors:
     those of MackeyMorphism.check, then per level at most one
-    multiplication violation and the unit."""
+    multiplication violation and the unit.
+
+    φ(e_i·e_j) = φ(e_i)·φ(e_j) is compared for every basis pair on raw
+    scalars: ``Mat.apply_terms`` and ``bilinear_terms`` read φ's cached
+    column terms and the two functors' cached product terms, and the two
+    reduced raw lists, which are canonical, are compared without a lift or
+    fold per pair."""
     out = MackeyMorphism(source.mackey, target.mackey, components,
                          name=name).check()
+    K = source.scalars
     for m in source.lattice.divisors:
         phi = components[m]
         dim = source.dim(m)
-        if any(phi.apply(source.mult[m][i][j])
-               != target.multiply(m, phi.col(i), phi.col(j))
+        cols = phi.col_terms()
+        src, tgt = source.terms(m), target.terms(m)
+        if any(phi.apply_terms(src[i][j])
+               != bilinear_terms(K, tgt, cols[i], cols[j])
                for i in range(dim) for j in range(dim)):
             out.append(Violation("morphism_mult", {"level": m}, name))
         if phi.apply(source.unit[m]) != target.unit[m]:

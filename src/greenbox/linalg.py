@@ -15,9 +15,18 @@ public form: ``Mat.rows``, vectors passed in and returned.  A ``Mat``
 lifts its rows to raw sparse rows and columns on first use and keeps them,
 since it is immutable.  Raw ``(index, scalar)`` terms (``nonzero_terms``,
 ``raw_terms``) are the one sparse form passed between kernels: ``eliminate``
-and ``Span`` read them, ``PresentedLevel.project`` maps them, and the box
-layer keeps each generator product, quotient image and matrix column as such
-terms.
+and ``Span`` read them, ``Mat.apply_terms`` and ``bilinear_terms`` take them
+and return reduced raw lists, ``PresentedLevel.project`` maps them, and the
+box layer keeps each generator product, quotient image and matrix column as
+such terms.
+
+``Mat.identity`` returns an instance of the private subclass ``_Identity``,
+and ``A @ B`` returns the other operand unchanged when either factor is
+one, after the shape and field checks; this is safe because a ``Mat`` is
+immutable.  Composite chains, powers and Weyl orbits that start from the
+identity so do no arithmetic for it.  Only ``Mat.identity`` makes one;
+``mackey`` calls it wherever a map is the identity by construction.  A
+plain ``Mat`` whose entries form the identity is never recognised.
 
 All elimination goes through one kernel, ``Span``: an incrementally built,
 fully reduced echelon form with pivots at the first (or, on request, the
@@ -33,6 +42,10 @@ from .fields import FieldUsageError
 class Mat:
     __slots__ = ("field", "nrows", "ncols", "rows", "_row_terms",
                  "_col_terms")
+
+    #: True only for a matrix built by ``Mat.identity``; a plain ``Mat``
+    #: whose entries happen to form the identity reads False.
+    known_identity = False
 
     def __init__(self, field, rows, ncols=None):
         rows = tuple(tuple(r) for r in rows)
@@ -51,9 +64,11 @@ class Mat:
 
     # -- constructors -------------------------------------------------
 
-    @classmethod
-    def identity(cls, field, n):
-        return cls(field, [unit_vec(field, n, i) for i in range(n)], ncols=n)
+    @staticmethod
+    def identity(field, n):
+        """The n x n identity, which ``@`` recognises and skips."""
+        return _Identity(field, [unit_vec(field, n, i) for i in range(n)],
+                         ncols=n)
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
@@ -98,6 +113,10 @@ class Mat:
         K = self.field
         if other.field is not K:
             raise FieldUsageError(f"mixed fields: {K} and {other.field}")
+        if other.known_identity:
+            return self
+        if self.known_identity:
+            return other
         zero = K.raw_zero
         brows = other.row_terms()
         nc = other.ncols
@@ -134,13 +153,17 @@ class Mat:
         the nonzero entries of their columns are visited."""
         if len(v) != self.ncols:
             raise ValueError("vector of wrong length")
+        return self.field.fold(self.apply_terms(nonzero_terms(self.field, v)))
+
+    def apply_terms(self, terms):
+        """The reduced raw list of A v, for v given by its raw terms."""
         K = self.field
         cols = self.col_terms()
         out = [K.raw_zero] * self.nrows
-        for j, x in nonzero_terms(K, v):
+        for j, x in terms:
             for i, a in cols[j]:
                 out[i] += a * x
-        return K.fold(K.reduce(out))
+        return K.reduce(out)
 
     def power(self, e: int) -> "Mat":
         if self.nrows != self.ncols:
@@ -186,6 +209,13 @@ class Mat:
             return f"Mat(0x{self.ncols})"
         body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)
         return f"Mat[{body}]"
+
+
+class _Identity(Mat):
+    """The identity matrix, as ``Mat.identity`` builds it."""
+
+    __slots__ = ()
+    known_identity = True
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +287,21 @@ def bilinear(field, terms, x, y):
     """Product of coefficient vectors x, y through structure constants:
     ``terms[i][j]`` is the ``nonzero_terms`` of e_i·e_j, as built once per
     table by ``product_terms``."""
+    return field.fold(bilinear_terms(field, terms, nonzero_terms(field, x),
+                                     nonzero_terms(field, y)))
+
+
+def bilinear_terms(field, terms, xs, ys):
+    """The reduced raw list of x·y, for x and y given by their raw terms,
+    through the structure constants ``bilinear`` reads."""
     out = [field.raw_zero] * len(terms)
-    ys = nonzero_terms(field, y)
-    for i, xi in nonzero_terms(field, x):
+    for i, xi in xs:
         row = terms[i]
         for j, yj in ys:
             c = xi * yj
             for k, t in row[j]:
                 out[k] += c * t
-    return field.fold(field.reduce(out))
+    return field.reduce(out)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,7 @@ import random
 from dataclasses import dataclass
 
 from .fields import Field, is_prime
-from .linalg import Mat, Span, inverse, kernel, rank, solve_matrix, \
-    unit_vec
+from .linalg import Mat, Span, inverse, kernel, solve_matrix, unit_vec
 
 
 class InternalCheckError(AssertionError):
@@ -41,7 +40,10 @@ def solve_in(embed: Mat, image: Mat, message: str) -> Mat:
 
     ``embed`` has independent columns, so X is unique when it exists; an
     image column outside their span raises InternalCheckError(message)
-    whose witness names the first such column, as ``"column k: (…)"``."""
+    whose witness names the first such column, as ``"column k: (…)"``.
+    An image equal to ``embed`` gives ``Mat.identity``, the unique X."""
+    if image == embed:
+        return Mat.identity(embed.field, embed.ncols)
     coords = solve_matrix(embed, image)
     if coords is None:
         span = Span(embed.field, embed.nrows, embed.cols())
@@ -288,8 +290,8 @@ def check_axioms(M: MackeyFunctor):
                 g = math.gcd(d, m)
                 c = k * g // (d * m)
                 lhs = M.res_mat(d, k) @ M.tr_mat(k, m)
-                acc = Mat.zeros(K, M.dim(g), M.dim(g))
-                for j in range(c):
+                acc = M.weyl_pow(g, 0)
+                for j in range(1, c):
                     acc = acc + M.weyl_pow(g, j * (n // k))
                 rhs = M.tr_mat(d, g) @ acc @ M.res_mat(g, m)
                 if lhs != rhs:
@@ -448,6 +450,8 @@ def direct_sum(functors, name: str = "") -> MackeyFunctor:
 
 
 def _block_diag(K, mats):
+    if all(m.known_identity for m in mats):
+        return Mat.identity(K, sum(m.nrows for m in mats))
     nrows = sum(m.nrows for m in mats)
     ncols = sum(m.ncols for m in mats)
     rows = []
@@ -463,21 +467,31 @@ def _block_diag(K, mats):
 
 def base_change(M: MackeyFunctor, changes, name: str = "") -> MackeyFunctor:
     """Conjugate all structure maps by invertible levelwise matrices."""
-    K = M.scalars
     inv = {}
     for m, S in changes.items():
         Si = inverse(S)
         if Si is None:
             raise ValueError(f"base change at level {m} is singular")
         inv[m] = Si
+    return _conjugate(M, changes, inv, name)
+
+
+def _conjugate(M: MackeyFunctor, changes, inv, name) -> MackeyFunctor:
+    """M with every structure map conjugated by ``changes`` and their
+    inverses ``inv``, both levelwise; a known identity Weyl action stays
+    the identity, since S·1·S⁻¹ = 1."""
     res = {(d, m): changes[d] @ M.res[(d, m)] @ inv[m]
            for (d, m) in M.lattice.covering_pairs}
     tr = {(m, d): changes[m] @ M.tr[(m, d)] @ inv[d]
           for (d, m) in M.lattice.covering_pairs}
-    weyl = {m: changes[m] @ M.weyl[m] @ inv[m] for m in M.lattice.divisors}
+    weyl = {}
+    for m in M.lattice.divisors:
+        w = M.weyl[m]
+        weyl[m] = w if w.known_identity else changes[m] @ w @ inv[m]
     labels = {m: [f"b{m}.{i}" for i in range(M.dim(m))]
               for m in M.lattice.divisors}
-    return MackeyFunctor(K, M.lattice, labels, res, tr, weyl, name=name)
+    return MackeyFunctor(M.scalars, M.lattice, labels, res, tr, weyl,
+                         name=name)
 
 
 @functools.lru_cache(maxsize=None)
@@ -503,9 +517,12 @@ def random_mackey(lattice: SubgroupLattice, scalars: Field, dims=None,
     ``dims`` maps a divisor e to the multiplicity of the induced atom on
     C_n/C_e; drawn at random when omitted.  The atoms come from
     ``permutation_module_atom``, built once per ``(field, lattice, e)`` and
-    shared; only their direct sum and its base change are new.  With
-    dims={n: 1} and randomize_basis=False this is exactly the
-    constant-functor shape.
+    shared; only their direct sum and its base change are new.  Each
+    level's change of basis is drawn until ``inverse`` finds it invertible,
+    and the structure maps are conjugated with that inverse, so every drawn
+    matrix is eliminated once; the result equals ``base_change`` of the
+    same matrices.  With dims={n: 1} and randomize_basis=False this is
+    exactly the constant-functor shape.
     """
     rng = random.Random(seed)
     if dims is None:
@@ -520,10 +537,10 @@ def random_mackey(lattice: SubgroupLattice, scalars: Field, dims=None,
     total = direct_sum(parts, name=f"random(seed={seed})")
     if not randomize_basis:
         return total
-    changes = {}
+    changes, inv = {}, {}
     for m in lattice.divisors:
-        changes[m] = _random_invertible(scalars, total.dim(m), rng)
-    return base_change(total, changes, name=f"random(seed={seed})")
+        changes[m], inv[m] = _random_invertible(scalars, total.dim(m), rng)
+    return _conjugate(total, changes, inv, name=f"random(seed={seed})")
 
 
 def small_random_mackey(lattice: SubgroupLattice, scalars: Field,
@@ -541,14 +558,18 @@ def small_random_mackey(lattice: SubgroupLattice, scalars: Field,
     return random_mackey(lattice, scalars, dims=dims, seed=seed)
 
 
-def _random_invertible(K: Field, n: int, rng) -> Mat:
+def _random_invertible(K: Field, n: int, rng):
+    """A random invertible n x n matrix and its inverse: singular draws are
+    rejected, so the rng advances exactly as a rank test would make it."""
     if n == 0:
-        return Mat(K, [], ncols=0)
+        ident = Mat.identity(K, 0)
+        return ident, ident
     while True:
         mat = Mat(K, [[K.random(rng) for _ in range(n)] for _ in range(n)],
                   ncols=n)
-        if rank(mat) == n:
-            return mat
+        inv = inverse(mat)
+        if inv is not None:
+            return mat, inv
 
 
 def corrupt_transfer(M: MackeyFunctor, seed: int = 0) -> MackeyFunctor:

@@ -1,6 +1,8 @@
 import copy
+import gc
 import pathlib
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -276,6 +278,23 @@ def test_norm_difference_kummer(kummer2_bundle):
                      for a, b in zip(gen_coords(rb, 2, 2, 0, 0),
                                      gen_coords(rb, 2, 1, 1, 1)))
     assert value == expected
+
+
+def test_norm_leaves_no_reference_cycle():
+    """The C_2 box is freed by reference counting alone once its last
+    caller drops it: norm_on_c2_box holds no cycle through it."""
+    ext = kummer_extension(F5, 2, F5.from_int(2), F5.from_int(-1))
+    gc.disable()
+    try:
+        rb = relative_box(fix_functor(ext), F5)
+        x = tuple(a - b for a, b in zip(gen_coords(rb, 1, 1, 0, 1),
+                                        gen_coords(rb, 1, 1, 1, 0)))
+        norm_on_c2_box(rb, x)
+        dead = weakref.ref(rb)
+        del rb
+        assert dead() is None
+    finally:
+        gc.enable()
 
 
 def test_norm_respects_conjugate_product(kummer2_bundle, as_bundle):
@@ -608,6 +627,14 @@ def test_vanishing_reduced_products_share_one_tuple():
     G = box(A, A).green
     for m in lat.divisors:
         assert len({id(v) for row in G.mult[m] for v in row}) == 1, m
+
+
+def test_commuted_reduced_products_share_one_tuple(kummer3_bundle):
+    G = kummer3_bundle.box.green
+    for m in G.lattice.divisors:
+        table = G.mult[m]
+        assert all(table[a][b] is table[b][a]
+                   for a in range(len(table)) for b in range(a)), m
 
 
 # ---------------------------------------------------------------------------

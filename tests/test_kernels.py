@@ -5,6 +5,8 @@ computes on raw scalars (ints mod p for a prime field, the elements
 themselves for F_9 and Q).  Hypothesis draws small operands over F_2, F_5,
 F_7, F_11, F_13, F_9 = F_3[t]/(t² + 1) and Q (derandomized, so every run
 sees the same examples) and asserts that kernel and reference agree exactly.
+The Green-morphism check, which compares products on raw terms, is held
+against the element loop over basis pairs in the same way.
 """
 
 import pytest
@@ -13,9 +15,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from greenbox.extensions import kummer_extension
 from greenbox.fields import extension_field, prime_field, rationals
+from greenbox.green import GreenFunctor, check_green_morphism, fix_functor, \
+    permute_green
 from greenbox.linalg import Mat, bilinear, eliminate, nonzero_terms, \
-    product_terms, rref, tensor_vec
+    product_terms, rref, tensor_vec, unit_vec
+from greenbox.mackey import MackeyFunctor, MackeyMorphism, Violation, \
+    subgroup_lattice
 
 FIELDS = [prime_field(p) for p in (2, 5, 7, 11, 13)] + \
     [extension_field(3, (1, 0, 1)), rationals()]
@@ -98,6 +105,22 @@ def ref_eliminate(rows, pivots, v, zero):
         if c != zero:
             v = [a - c * b for a, b in zip(v, row)]
     return tuple(v)
+
+
+def ref_green_morphism(source, target, components, name=""):
+    """check_green_morphism as the element loop over basis pairs."""
+    out = MackeyMorphism(source.mackey, target.mackey, components,
+                         name=name).check()
+    for m in source.lattice.divisors:
+        phi = components[m]
+        dim = source.dim(m)
+        if any(phi.apply(source.mult[m][i][j])
+               != target.multiply(m, phi.col(i), phi.col(j))
+               for i in range(dim) for j in range(dim)):
+            out.append(Violation("morphism_mult", {"level": m}, name))
+        if phi.apply(source.unit[m]) != target.unit[m]:
+            out.append(Violation("morphism_unit", {"level": m}, name))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +213,85 @@ def test_nonzero_terms_are_the_lifted_nonzero_entries(case):
                                      if c != K.zero]
     assert K.fold([c for _, c in terms]) == tuple(c for c in v
                                                   if c != K.zero)
+
+
+MORPHISM_FIELDS = FIELDS[:3] + FIELDS[5:]      # F_2, F_5, F_7, F_9, Q
+C2 = subgroup_lattice(2)
+
+
+def perm_mat(K, perm):
+    """Row j picks coordinate perm[j], as in ``permute_green``."""
+    return Mat(K, [unit_vec(K, len(perm), old) for old in perm],
+               ncols=len(perm))
+
+
+def with_product(G, m, i, j, value):
+    """G with the level-m product of basis vectors i and j replaced."""
+    mult = dict(G.mult)
+    mult[m] = [list(row) for row in G.mult[m]]
+    mult[m][i][j] = value
+    return GreenFunctor(G.mackey, mult, G.unit, name=G.name)
+
+
+@st.composite
+def random_green(draw, K):
+    """C_2 data of random dimensions, none of it axiom-true."""
+    dims = {m: draw(st.integers(0, 3)) for m in C2.divisors}
+    mackey = MackeyFunctor(
+        K, C2, {m: [f"e{i}" for i in range(dims[m])] for m in dims},
+        {(1, 2): draw(matrices(K, dims[1], dims[2]))},
+        {(2, 1): draw(matrices(K, dims[2], dims[1]))},
+        {m: draw(matrices(K, dims[m], dims[m])) for m in dims})
+    mult = {m: [[draw(vectors(K, dims[m])) for _ in range(dims[m])]
+                for _ in range(dims[m])] for m in dims}
+    return GreenFunctor(mackey, mult,
+                        {m: draw(vectors(K, dims[m])) for m in dims})
+
+
+@st.composite
+def morphism_cases(draw):
+    """A random φ between random functors (mostly violations), or the
+    relabeling φ onto a permuted copy, optionally with one target product
+    bumped (no violation, or exactly one)."""
+    K = draw(st.sampled_from(MORPHISM_FIELDS))
+    source = draw(random_green(K))
+    if draw(st.booleans()):
+        target = draw(random_green(K))
+        return source, target, {m: draw(matrices(K, target.dim(m),
+                                                 source.dim(m)))
+                                for m in C2.divisors}
+    perms = {m: draw(st.permutations(range(source.dim(m))))
+             for m in C2.divisors}
+    target = permute_green(source, perms)
+    levels = [m for m in C2.divisors if source.dim(m)]
+    if levels and draw(st.booleans()):
+        m = draw(st.sampled_from(levels))
+        i, j, k = (draw(st.integers(0, source.dim(m) - 1)) for _ in range(3))
+        bumped = list(target.mult[m][i][j])
+        bumped[k] += K.one
+        target = with_product(target, m, i, j, tuple(bumped))
+    return source, target, {m: perm_mat(K, perms[m]) for m in C2.divisors}
+
+
+@PROPS
+@given(morphism_cases())
+def test_green_morphism_check_matches_the_element_loop(case):
+    source, target, phi = case
+    assert check_green_morphism(source, target, phi, "φ") == \
+        ref_green_morphism(source, target, phi, "φ")
+
+
+def test_one_bumped_target_product_is_one_violation_at_its_level():
+    F5 = prime_field(5)
+    G = fix_functor(kummer_extension(F5, 2, F5.from_int(2), F5.from_int(-1)))
+    perms = {1: [1, 0], 2: [0]}
+    target = permute_green(G, perms)
+    phi = {m: perm_mat(F5, perms[m]) for m in perms}
+    assert check_green_morphism(G, target, phi, "φ") == []
+    bumped = tuple(a + F5.one for a in target.mult[1][0][1])
+    assert check_green_morphism(G, with_product(target, 1, 0, 1, bumped),
+                                phi, "φ") == \
+        [Violation("morphism_mult", {"level": 1}, "φ")]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from greenbox.fields import prime_field, rationals
+from greenbox.fields import FieldUsageError, prime_field, rationals
 from greenbox.linalg import (Mat, Span, bilinear, eliminate, inverse, kernel,
                              nonzero_terms, product_terms, rank, rref, solve,
                              solve_matrix)
@@ -21,6 +21,41 @@ def mat(K, rows):
 
 def test_kernel_of_identity_is_trivial():
     assert kernel(Mat.identity(F5, 3)) == []
+
+
+def test_identity_products_return_the_other_operand():
+    A = mat(F5, [[1, 2, 3], [4, 0, 1]])
+    assert Mat.identity(F5, 2) @ A is A
+    assert A @ Mat.identity(F5, 3) is A
+
+
+def test_identity_products_still_check_shape_and_field():
+    A = mat(F5, [[1, 2], [3, 4]])
+    for bad in (lambda: Mat.identity(F5, 3) @ A,
+                lambda: A @ Mat.identity(F5, 3)):
+        with pytest.raises(ValueError):
+            bad()
+    for bad in (lambda: Mat.identity(F7, 2) @ A,
+                lambda: A @ Mat.identity(F7, 2)):
+        with pytest.raises(FieldUsageError):
+            bad()
+
+
+def test_identity_equals_and_hashes_as_a_plain_mat():
+    for K in (F5, Q):
+        for n in (0, 1, 3):
+            ident = Mat.identity(K, n)
+            plain = Mat(K, ident.rows, ncols=n)
+            assert ident == plain and plain == ident
+            assert hash(ident) == hash(plain)
+            assert ident.known_identity and not plain.known_identity
+
+
+def test_power_zero_is_the_identity():
+    A = mat(F5, [[1, 2], [3, 4]])
+    assert A.power(0) == Mat.identity(F5, 2)
+    assert A.power(1) == A
+    assert A.power(3) == A @ A @ A
 
 
 def test_kernel_sum_map_over_f2():

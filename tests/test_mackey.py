@@ -1,12 +1,14 @@
 import dataclasses
+import random
 
 import pytest
 
 from greenbox import mackey
 from greenbox.fields import finite_field, prime_field, rationals
 from greenbox.green import constant_functor, fix_functor
-from greenbox.linalg import Mat
-from greenbox.mackey import (InternalCheckError, MackeyMorphism, check_axioms,
+from greenbox.linalg import Mat, rank
+from greenbox.mackey import (InternalCheckError, MackeyMorphism, base_change,
+                             check_axioms,
                              compose_structure, corrupt_transfer,
                              fix_of_module, identity_morphism,
                              permutation_module_atom, random_mackey,
@@ -187,3 +189,41 @@ def test_random_mackey_on_shared_atoms_matches_fresh_atoms(n, field,
             fresh = random_mackey(lat, field, seed=s)
         assert (shared.res, shared.tr, shared.weyl) == \
             (fresh.res, fresh.tr, fresh.weyl), s
+
+
+@pytest.mark.parametrize("n,field", [(5, prime_field(11)),
+                                     (4, finite_field(3, 2)),
+                                     (3, rationals())],
+                         ids=["F11-C5", "F9-C4", "Q-C3"])
+def test_random_mackey_equals_base_change_of_the_same_draws(n, field):
+    """Replays random_mackey's draws, with a rank test as the rejection
+    rule, and conjugates through the public base_change."""
+    lat = subgroup_lattice(n)
+    for s in range(10):
+        got = random_mackey(lat, field, seed=s)
+        rng = random.Random(s)
+        dims = {}
+        while sum(dims.values()) == 0:
+            dims = {e: rng.randrange(3) for e in lat.divisors}
+        plain = random_mackey(lat, field, dims=dims, seed=s,
+                              randomize_basis=False)
+        changes = {}
+        for m in lat.divisors:
+            d = plain.dim(m)
+            while True:
+                S = Mat(field, [[field.random(rng) for _ in range(d)]
+                                for _ in range(d)], ncols=d)
+                if rank(S) == d:
+                    break
+            changes[m] = S
+        want = base_change(plain, changes, name=got.name)
+        assert (got.res, got.tr, got.weyl, got.labels) == \
+            (want.res, want.tr, want.weyl, want.labels), s
+
+
+def test_base_change_rejects_a_singular_change():
+    M = random_mackey(subgroup_lattice(2), F5, seed=1)
+    changes = {m: Mat.identity(F5, M.dim(m)) for m in (1, 2)}
+    changes[1] = Mat.zeros(F5, M.dim(1), M.dim(1))
+    with pytest.raises(ValueError, match="level 1 is singular"):
+        base_change(M, changes)
