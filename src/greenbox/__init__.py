@@ -18,8 +18,7 @@ from .green import GreenFunctor, NormRule, check_green, check_norms, \
     constant_functor, fix_functor, zero_green
 from .linalg import Mat, Span, kernel, rank, rref
 from .mackey import MackeyFunctor, MackeyMorphism, SubgroupLattice, \
-    Violation, check_axioms, compose_structure, fix_of_module, random_mackey, \
-    subgroup_lattice
+    Violation, check_axioms, fix_of_module, random_mackey, subgroup_lattice
 from .modules import EigenDecomposition, ProjectivityCertificate, \
     check_eigen, constant_box_lemma_check, eigen_decompose, \
     fix_reconstruction, projectivity_certificate, verify_certificate

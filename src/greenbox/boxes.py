@@ -14,7 +14,10 @@ Weyl generator acts diagonally.  Multiplication is componentwise on pure
 tensors, pushes pure factors onto classes through restriction, and resolves
 class·class through tr(u)·tr(v) = tr(u·res(tr v)).
 ``BoxProduct`` alone knows the ambient layout: every ambient vector built
-from component tensors is written by ``amb_vec``.  Each product of two
+from component tensors is written by ``amb_vec``.  Its generator labels and
+ambient res, tr and Weyl maps sit in one ``MackeyFunctor``-shaped container,
+``ambient``, which is not axiom-true: on a class component of origin d its
+Weyl action has order n/d, not n/m.  Each product of two
 generators has one form, its raw nonzero terms (``mult_terms``, cached in
 ``_mult_cache``); a product with a class factor tr(w) is tr of a product at
 the class origin (Frobenius reciprocity), summed from the cached products
@@ -44,12 +47,17 @@ from .fields import Field
 from .green import GreenFunctor, check_green_morphism, constant_functor
 from .linalg import Mat, inverse, nonzero_terms, tensor_terms, tensor_vec, \
     unit_vec, vec_add, vec_scale, vec_sub, vec_zero
-from .mackey import InternalCheckError, MackeyFunctor, compose_chain
+from .mackey import InternalCheckError, MackeyFunctor
 from .presented import PresentedLevel
 
 
 class BoxProduct:
-    """A fully reduced box product; ``green`` is its Green functor."""
+    """A fully reduced box product; ``green`` is its Green functor.
+
+    ``ambient`` is a ``MackeyFunctor``-shaped container of the generator
+    labels and ambient maps, caching their chain composites; it is not
+    axiom-true (a class of origin d has Weyl order n/d, not n/m), so never
+    call ``weyl_pow`` on it."""
 
     def __init__(self, left, right, lattice, scalars, name):
         self.left = left
@@ -59,14 +67,10 @@ class BoxProduct:
         self.name = name
         self.gens = {}                # m -> [(d, i, j)]
         self.offsets = {}             # m -> {d: column offset}
-        self._amb_labels = {}         # m -> ambient generator labels
+        self.ambient = None           # MackeyFunctor of the ambient maps
         self.levels = {}              # m -> PresentedLevel
-        self.amb_res = {}             # (m', m) covering, m' | m
-        self.amb_tr = {}              # (m', m) covering, m | m'
-        self.amb_weyl = {}            # m
         self.green = None
         self._mult_cache = {}
-        self._chain_cache = {}
 
     # -- ambient bookkeeping -------------------------------------------
 
@@ -87,22 +91,6 @@ class BoxProduct:
             off = self.offsets[m][d]
             out[off:off + len(tensor)] = tensor
         return tuple(out)
-
-    def amb_res_chain(self, d, m) -> Mat:
-        """Composite ambient restriction from level m down to level d."""
-        return self._chain("res", self.amb_res, m, d)
-
-    def amb_tr_chain(self, m, d) -> Mat:
-        """Composite ambient transfer (component relabeling) level d up to m."""
-        return self._chain("tr", self.amb_tr, m, d)
-
-    def _chain(self, kind, maps, hi, lo):
-        key = (kind, hi, lo)
-        if key not in self._chain_cache:
-            self._chain_cache[key] = compose_chain(
-                self.scalars, maps, self.amb_dim,
-                self.lattice.chain_down(hi, lo), kind)
-        return self._chain_cache[key]
 
     # -- multiplication --------------------------------------------------
 
@@ -129,11 +117,11 @@ class BoxProduct:
             o, w, x = (d, self.gen_index(d, d, i, j), cb) if d < m \
                 else (e, self.gen_index(e, e, i2, j2), ca)
             acc = {}
-            for k, c in self.amb_res_chain(o, m).col_terms()[x]:
+            for k, c in self.ambient.res_mat(o, m).col_terms()[x]:
                 for t, a in (self.mult_terms(o, w, k) if d < m
                              else self.mult_terms(o, k, w)):
                     acc[t] = acc.get(t, K.raw_zero) + c * a
-            up = self.amb_tr_chain(m, o).col_terms()
+            up = self.ambient.tr_mat(m, o).col_terms()
             terms = tuple(sorted((up[t][0][0], c) for t, c in
                                  zip(acc, K.reduce(list(acc.values()))) if c))
         self._mult_cache[key] = terms
@@ -225,6 +213,7 @@ def build_box(left: GreenFunctor, right: GreenFunctor, name="",
     bx = BoxProduct(left, right, lattice, K,
                     name or f"{left.name}□{right.name}")
     n = lattice.n
+    gen_labels, res, tr, weyl = {}, {}, {}, {}
 
     for m in lattice.divisors:
         divs = [d for d in lattice.divisors if m % d == 0]
@@ -242,7 +231,7 @@ def build_box(left: GreenFunctor, right: GreenFunctor, name="",
                                   else _class_label(lattice, m, d, text))
         bx.gens[m] = gens
         bx.offsets[m] = offsets
-        bx._amb_labels[m] = labels
+        gen_labels[m] = labels
 
     def tm(f, g):
         return _tensor_mat(K, f, g)
@@ -259,20 +248,20 @@ def build_box(left: GreenFunctor, right: GreenFunctor, name="",
         for d in bx.offsets[m]:
             cols += _place_blocks(
                 bx, m, {d: tm(left.mackey.weyl[d], right.mackey.weyl[d])})
-        bx.amb_weyl[m] = Mat.from_cols(K, cols, bx.amb_dim(m))
+        weyl[m] = Mat.from_cols(K, cols, bx.amb_dim(m))
 
     # ambient transfers: component relabeling upward
     for (m, mp) in lattice.covering_pairs:
         cols = [bx.gen_unit(mp, bx.gen_index(mp, d, i, j))
                 for (d, i, j) in bx.gens[m]]
-        bx.amb_tr[(mp, m)] = Mat.from_cols(K, cols, bx.amb_dim(mp))
+        tr[(mp, m)] = Mat.from_cols(K, cols, bx.amb_dim(mp))
 
     # ambient restrictions: res⊗res on pure tensors; a class of origin d
     # goes to origin g = gcd(d, m') through res to g, then the sum of the
     # c = m·g/(d·m') Weyl translates
     for (mp, m) in lattice.covering_pairs:
-        res = tm(left.mackey.res[(mp, m)], right.mackey.res[(mp, m)])
-        cols = _place_blocks(bx, mp, {mp: res})
+        cols = _place_blocks(bx, mp, {mp: tm(left.mackey.res[(mp, m)],
+                                             right.mackey.res[(mp, m)])})
         for d in bx.offsets[m]:
             if d == m:
                 continue
@@ -282,7 +271,8 @@ def build_box(left: GreenFunctor, right: GreenFunctor, name="",
                 orbit = orbit + weyl_pow(g, jj * (n // m))
             down = tm(left.mackey.res_mat(g, d), right.mackey.res_mat(g, d))
             cols += _place_blocks(bx, mp, {g: orbit @ down})
-        bx.amb_res[(mp, m)] = Mat.from_cols(K, cols, bx.amb_dim(mp))
+        res[(mp, m)] = Mat.from_cols(K, cols, bx.amb_dim(mp))
+    bx.ambient = MackeyFunctor(K, lattice, gen_labels, res, tr, weyl)
 
     # relations: Weyl-fixed classes, then for each d' | d both Frobenius
     # identities [tr(x)⊗y]_d = [x⊗res(y)]_{d'} and its mirror
@@ -302,7 +292,7 @@ def build_box(left: GreenFunctor, right: GreenFunctor, name="",
                 rows += _place_blocks(bx, m, {
                     d: tm(ident(left, d), right.mackey.tr_mat(d, dp)),
                     dp: -tm(left.mackey.res_mat(dp, d), ident(right, dp))})
-        bx.levels[m] = PresentedLevel(K, bx._amb_labels[m], rows)
+        bx.levels[m] = PresentedLevel(K, bx.ambient.labels[m], rows)
 
     _check_descent(bx, check)
     return bx
@@ -327,22 +317,22 @@ def _check_descent(bx: BoxProduct, check: bool = True) -> None:
     column a of the table of free generator b.  Unchecked, only those
     tables are built.
     """
-    lattice = bx.lattice
+    lattice, amb = bx.lattice, bx.ambient
     pairs = lattice.covering_pairs
     res, tr, weyl, mult = {}, {}, {}, {}
     for m in lattice.divisors:
         lvl = bx.levels[m]
-        weyl[m] = lvl.descend(bx.amb_weyl[m], lvl,
+        weyl[m] = lvl.descend(amb.weyl[m], lvl,
                               f"Weyl action fails to descend at level {m}",
                               check)
         for (lo, hi) in pairs:
             if hi == m:
                 res[(lo, m)] = lvl.descend(
-                    bx.amb_res[(lo, m)], bx.levels[lo],
+                    amb.res[(lo, m)], bx.levels[lo],
                     f"restriction {m}->{lo} fails to descend", check)
             if lo == m:
                 tr[(hi, m)] = lvl.descend(
-                    bx.amb_tr[(hi, m)], bx.levels[hi],
+                    amb.tr[(hi, m)], bx.levels[hi],
                     f"transfer {m}->{hi} fails to descend", check)
         free = set(lvl.free)
         cols = []     # per free generator, its product table's columns
@@ -417,6 +407,7 @@ def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int
         raise ValueError("the closed form applies to prime group order only")
     K = M.scalars
     bx = BoxProduct(M, N, lattice, K, f"oracle({M.name}□{N.name})")
+    gen_labels = {}
 
     for m in (1, p):
         gens, labels = [], []
@@ -435,7 +426,7 @@ def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int
                         _tensor_label(M.labels(1)[i], N.labels(1)[j])))
         bx.gens[m] = gens
         bx.offsets[m] = offsets
-        bx._amb_labels[m] = labels
+        gen_labels[m] = labels
 
     tau = _tensor_mat(K, M.mackey.weyl[1], N.mackey.weyl[1])
     dim1 = M.dim(1) * N.dim(1)
@@ -460,15 +451,17 @@ def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int
                 p: tensor_vec(K, ei, trN.col(j)),
                 1: vec_scale(-K.one, tensor_vec(K, rsM.col(i), ej))}))
 
-    bx.levels[1] = PresentedLevel(K, bx._amb_labels[1], [])
-    bx.levels[p] = PresentedLevel(K, bx._amb_labels[p], rows)
+    bx.levels[1] = PresentedLevel(K, gen_labels[1], [])
+    bx.levels[p] = PresentedLevel(K, gen_labels[p], rows)
 
-    # level-1 structure: pure tensors only
-    bx.amb_weyl[1] = tau
-    bx.amb_weyl[p] = _prime_oracle_weyl_top(bx, M, N, p, tau)
+    # Weyl: tau on level 1 and on the classes, w_M ⊗ w_N on the pure part
+    pure = _tensor_mat(K, M.mackey.weyl[p], N.mackey.weyl[p])
+    cols = [bx.amb_vec(p, {d: (pure if d == p else tau).col(i * N.dim(d) + j)})
+            for (d, i, j) in bx.gens[p]]
+    weyl = {1: tau, p: Mat.from_cols(K, cols, bx.amb_dim(p))}
     # tr: classes are tagged copies of level-1 tensors
     cols = [bx.gen_unit(p, bx.offsets[p][1] + t) for t in range(dim1)]
-    bx.amb_tr[(p, 1)] = Mat.from_cols(K, cols, bx.amb_dim(p))
+    tr = {(p, 1): Mat.from_cols(K, cols, bx.amb_dim(p))}
     # res: res⊗res on the pure part, Weyl orbit sum on classes, built from
     # the factors' Weyl powers: tau^k = w_M^k ⊗ w_N^k
     orbit_sum = Mat.identity(K, dim1)
@@ -482,21 +475,12 @@ def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int
             cols.append(tensor_vec(K, rsM.col(i), rsN.col(j)))
         else:
             cols.append(orbit_sum.col(i * N.dim(1) + j))
-    bx.amb_res[(1, p)] = Mat.from_cols(K, cols, dim1)
+    res = {(1, p): Mat.from_cols(K, cols, dim1)}
+    bx.ambient = MackeyFunctor(K, lattice, gen_labels, res, tr, weyl)
 
     _attach_prime_oracle_mult(bx, M, N, p)
     _check_descent(bx)
     return bx
-
-
-def _prime_oracle_weyl_top(bx, M, N, p, tau):
-    K = bx.scalars
-    pure = _tensor_mat(K, M.mackey.weyl[p], N.mackey.weyl[p])
-    cols = []
-    for (d, i, j) in bx.gens[p]:
-        block = pure if d == p else tau
-        cols.append(bx.amb_vec(p, {d: block.col(i * N.dim(d) + j)}))
-    return Mat.from_cols(K, cols, bx.amb_dim(p))
 
 
 def _attach_prime_oracle_mult(bx, M, N, p):
@@ -508,7 +492,7 @@ def _attach_prime_oracle_mult(bx, M, N, p):
     K = bx.scalars
     cache = bx._mult_cache
     off = bx.offsets[p][1]
-    res = bx.amb_res[(1, p)].col_terms()
+    res = bx.ambient.res[(1, p)].col_terms()
     for m in (1, p):      # level 1 first: the class products read it
         for ca, (d, i, j) in enumerate(bx.gens[m]):
             for cb, (e, i2, j2) in enumerate(bx.gens[m]):
@@ -629,7 +613,7 @@ def _permuted_bases(b1: BoxProduct, b2: BoxProduct, gen_map, diffs) -> dict:
             diffs.append(f"level {m}: ambient dimensions differ")
             continue
         if gen_map is None:
-            if b1._amb_labels[m] != b2._amb_labels[m]:
+            if b1.ambient.labels[m] != b2.ambient.labels[m]:
                 diffs.append(f"level {m}: generator labels differ")
             idx = range(b1.amb_dim(m))
         else:
@@ -700,7 +684,7 @@ def norm_on_c2_box(bx: BoxProduct, vec, term_order=None):
         for idx, c in terms[k + 1:]:
             vr[idx] = c
         cross = bx.mult_vec(1, tuple(v1),
-                            bx.amb_weyl[1].apply(tuple(vr)))
+                            bx.ambient.weyl[1].apply(tuple(vr)))
         total = vec_add(vec_add(norm_single(*head), total),
-                        bx.amb_tr[(2, 1)].apply(cross))
+                        bx.ambient.tr[(2, 1)].apply(cross))
     return bx.reduce(2, total)

@@ -10,13 +10,15 @@ Verbs:
 Each verb computes only the report sections it prints.  Exit codes: 0 =
 the verb's verdicts are positive and all assertions held; 1 = some verdict
 is negative (or an internal consistency assertion fired, in which case the
-witness is dumped); 2 = invalid input.  ``box`` has no verdict beyond its
-descent checks; ``decompose`` has the certificate and the eigen checks.
+witness is dumped); 2 = invalid input, usage errors included.  ``box`` has
+no verdict beyond its descent checks; ``decompose`` has the certificate and
+the eigen checks.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .extensions import ConstructionError
@@ -30,8 +32,15 @@ EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as invalid input, like any other."""
+    def error(self, message):
+        raise ConfigError(message)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="greenbox",
         description="Exact Green-functor étaleness verification over "
                     "cyclic groups")
@@ -56,8 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = load_config(args.config)
         if args.verb == "fuzz":
             summary = fuzz(cfg, count=args.count, seed=args.seed,

@@ -6,10 +6,11 @@ prime, and the action of the generator of the Weyl group C_n/C_m.  Indexing
 convention: C_m is the subgroup of order m generated by σ^(n/m); level 1 is
 the free (underlying) level and level n the fixed level.
 
-Structure maps are stored on covering pairs only and composed on demand, so
-transitivity is a checked invariant instead of redundant data.  check_axioms
-exhaustively verifies Weyl order, equivariance, chain independence, and the
-double coset formula, returning violations as data (never raising).
+Structure maps are stored on covering pairs only and composed on demand by
+the one chain helper, ``compose_chain``, so transitivity is a checked
+invariant instead of redundant data.  check_axioms exhaustively verifies
+Weyl order, equivariance, chain independence (composing along every chain),
+and the double coset formula, returning violations as data (never raising).
 
 random_mackey builds axiom-true functors by construction: direct sums of
 fixed-point functors of permutation modules K[C_n/C_e], with seeded
@@ -161,8 +162,8 @@ class MackeyFunctor:
     def _chain(self, kind, hi, lo):
         key = (kind, hi, lo)
         if key not in self._cache:
-            self._cache[key] = _compose_chain(self, kind,
-                                              self.lattice.chain_down(hi, lo))
+            self._cache[key] = compose_chain(self, kind,
+                                             self.lattice.chain_down(hi, lo))
         return self._cache[key]
 
     def weyl_pow(self, m: int, k: int) -> Mat:
@@ -178,58 +179,22 @@ class MackeyFunctor:
         return f"MackeyFunctor({self.name or 'unnamed'}; dims {dims})"
 
 
-def compose_structure(M: MackeyFunctor, kind: str, frm: int, to: int) -> Mat:
-    """Composite structure map between arbitrary comparable levels.
+def compose_chain(M: MackeyFunctor, kind: str, chain_down) -> Mat:
+    """Composite of M's covering-pair maps along c_0 > c_1 > ... > c_k.
 
-    kind="res" requires to | frm (restriction goes down); kind="tr" requires
-    frm | to (transfer goes up).  Chain independence is asserted.
-    """
-    lat = M.lattice
-    if kind == "res":
-        lat.check_divisor(frm)
-        lat.check_divisor(to)
-        if frm % to != 0:
-            raise ValueError(f"cannot restrict from level {frm} to {to}")
-        mats = [_compose_chain(M, "res", chain)
-                for chain in lat.all_chains_down(frm, to)]
-    elif kind == "tr":
-        lat.check_divisor(frm)
-        lat.check_divisor(to)
-        if to % frm != 0:
-            raise ValueError(f"cannot transfer from level {frm} to {to}")
-        mats = [_compose_chain(M, "tr", chain)
-                for chain in lat.all_chains_down(to, frm)]
-    else:
-        raise ValueError(f"unknown structure kind {kind!r}")
-    for other in mats[1:]:
-        if other != mats[0]:
-            raise InternalCheckError(
-                f"{kind} from {frm} to {to} depends on the covering chain",
-                witness=(mats[0], other))
-    return mats[0]
-
-
-def _compose_chain(M: MackeyFunctor, kind: str, chain_down):
-    maps = M.res if kind == "res" else M.tr
-    return compose_chain(M.scalars, maps, M.dim, chain_down, kind)
-
-
-def compose_chain(K: Field, maps, dim, chain_down, kind: str) -> Mat:
-    """Composite of covering-pair maps along c_0 > c_1 > ... > c_k.
-
-    ``kind="res"`` composes ``maps[(lo, hi)]`` from level c_0 down to c_k;
-    ``kind="tr"`` composes ``maps[(hi, lo)]`` from c_k up to c_0.  ``dim``
-    gives a level's dimension, for the identity a one-level chain yields.
+    ``kind="res"`` composes ``M.res[(lo, hi)]`` from level c_0 down to c_k;
+    ``kind="tr"`` composes ``M.tr[(hi, lo)]`` from c_k up to c_0.  A
+    one-level chain yields the identity.
     """
     steps = list(zip(chain_down, chain_down[1:]))
     if kind == "res":
-        out = Mat.identity(K, dim(chain_down[0]))
-        keys = [(lo, hi) for hi, lo in steps]
+        out = Mat.identity(M.scalars, M.dim(chain_down[0]))
+        mats = [M.res[(lo, hi)] for hi, lo in steps]
     else:
-        out = Mat.identity(K, dim(chain_down[-1]))
-        keys = [(hi, lo) for hi, lo in reversed(steps)]
-    for key in keys:
-        out = maps[key] @ out
+        out = Mat.identity(M.scalars, M.dim(chain_down[-1]))
+        mats = [M.tr[(hi, lo)] for hi, lo in reversed(steps)]
+    for mat in mats:
+        out = mat @ out
     return out
 
 
@@ -272,8 +237,8 @@ def check_axioms(M: MackeyFunctor):
         for d in lat.divisors:
             if m % d == 0 and d < m:
                 chains = lat.all_chains_down(m, d)
-                rs = [_compose_chain(M, "res", c) for c in chains]
-                ts = [_compose_chain(M, "tr", c) for c in chains]
+                rs = [compose_chain(M, "res", c) for c in chains]
+                ts = [compose_chain(M, "tr", c) for c in chains]
                 if any(r != rs[0] for r in rs):
                     out.append(Violation("res_transitivity",
                                          {"from": m, "to": d}, ""))

@@ -362,14 +362,14 @@ def test_descent_holds_on_unchecked_box(unchecked_c4_box):
 
 def test_descent_rejects_corrupt_weyl(unchecked_c4_box):
     bx = unchecked_c4_box
-    bx.amb_weyl[4] = _bump(bx, bx.amb_weyl[4], 4, 4)
+    bx.ambient.weyl[4] = _bump(bx, bx.ambient.weyl[4], 4, 4)
     with pytest.raises(InternalCheckError, match="Weyl action"):
         boxes._check_descent(bx)
 
 
 def test_descent_witness_uses_basis_labels(unchecked_c4_box):
     bx = unchecked_c4_box
-    bx.amb_weyl[4] = _bump(bx, bx.amb_weyl[4], 4, 4)
+    bx.ambient.weyl[4] = _bump(bx, bx.ambient.weyl[4], 4, 4)
     with pytest.raises(InternalCheckError) as exc:
         boxes._check_descent(bx)
     witness = exc.value.witness
@@ -379,14 +379,14 @@ def test_descent_witness_uses_basis_labels(unchecked_c4_box):
 
 def test_descent_rejects_corrupt_restriction(unchecked_c4_box):
     bx = unchecked_c4_box
-    bx.amb_res[(2, 4)] = _bump(bx, bx.amb_res[(2, 4)], 4, 2)
+    bx.ambient.res[(2, 4)] = _bump(bx, bx.ambient.res[(2, 4)], 4, 2)
     with pytest.raises(InternalCheckError, match="restriction 4->2"):
         boxes._check_descent(bx)
 
 
 def test_descent_rejects_corrupt_transfer(unchecked_c4_box):
     bx = unchecked_c4_box
-    bx.amb_tr[(4, 2)] = _bump(bx, bx.amb_tr[(4, 2)], 2, 4)
+    bx.ambient.tr[(4, 2)] = _bump(bx, bx.ambient.tr[(4, 2)], 2, 4)
     with pytest.raises(InternalCheckError, match="transfer 2->4"):
         boxes._check_descent(bx)
 
@@ -471,10 +471,10 @@ def _assert_reduced_structure_is_ambient(bx):
     for m in bx.lattice.divisors:
         lifted = [bx.expand(m, unit_vec(K, bx.dim(m), k))
                   for k in range(bx.dim(m))]
-        maps = [(G.mackey.weyl[m], bx.amb_weyl[m], m)]
-        maps += [(G.mackey.res[(lo, m)], bx.amb_res[(lo, m)], lo)
+        maps = [(G.mackey.weyl[m], bx.ambient.weyl[m], m)]
+        maps += [(G.mackey.res[(lo, m)], bx.ambient.res[(lo, m)], lo)
                  for (lo, hi) in pairs if hi == m]
-        maps += [(G.mackey.tr[(hi, m)], bx.amb_tr[(hi, m)], hi)
+        maps += [(G.mackey.tr[(hi, m)], bx.ambient.tr[(hi, m)], hi)
                  for (lo, hi) in pairs if lo == m]
         for reduced, amb, target in maps:
             assert reduced.cols() == [bx.reduce(target, amb.apply(v))
@@ -539,8 +539,8 @@ def _element_product(bx, m, a, b):
                           unit_vec(R.scalars, R.dim(o), cj))
         return bx.amb_vec(m, {o: tensor_vec(K, lvec, rvec)})
     u = bx.gen_unit(d, bx.gen_index(d, d, i, j))
-    at_d = bx.mult_vec(d, u, bx.amb_res_chain(d, m).col(b))
-    return bx.amb_tr_chain(m, d).apply(at_d)
+    at_d = bx.mult_vec(d, u, bx.ambient.res_mat(d, m).col(b))
+    return bx.ambient.tr_mat(m, d).apply(at_d)
 
 
 def _assert_one_product_form(bx, reference=None):
@@ -577,8 +577,9 @@ def test_prime_oracle_installs_the_same_product_form(kummer2_bundle):
     _assert_one_product_form(prime_box_oracle(T, T, 2))
 
 
-C5_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "bench" / \
-    "configs" / "kummer_f11_n5.cfg"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+C5_CONFIG = ROOT / "bench" / "configs" / "kummer_f11_n5.cfg"
+CONFIG_DIR = ROOT / "configs"
 
 
 def _assert_oracle_products_are_the_box_products(A, B, p):
@@ -595,16 +596,20 @@ def _assert_oracle_products_are_the_box_products(A, B, p):
     return count
 
 
-def test_prime_oracle_products_on_the_fuzz_oracle_pairs():
+def _fuzz_oracle_pairs():
     """The pairs ``fuzz`` draws for its oracle rounds on C_5/F_11."""
     cfg = load_config(str(C5_CONFIG))
     K, lat = cfg.extension().base, subgroup_lattice(cfg.n)
     for k in range(0, cfg.count, ORACLE_EVERY):
         rng = random.Random(10 ** 6 + cfg.seed + k)
-        A, B = (zero_green(small_random_mackey(lat, K,
-                                               seed=rng.randrange(2 ** 30)))
-                for _ in range(2))
-        assert _assert_oracle_products_are_the_box_products(A, B, cfg.n)
+        yield tuple(zero_green(small_random_mackey(
+            lat, K, seed=rng.randrange(2 ** 30))) for _ in range(2))
+
+
+def test_prime_oracle_products_on_the_fuzz_oracle_pairs():
+    for A, B in _fuzz_oracle_pairs():
+        assert _assert_oracle_products_are_the_box_products(A, B,
+                                                            A.lattice.n)
 
 
 @pytest.mark.parametrize("p,field", [(2, F5), (3, F7), (5, prime_field(11))])
@@ -635,6 +640,27 @@ def test_commuted_reduced_products_share_one_tuple(kummer3_bundle):
         table = G.mult[m]
         assert all(table[a][b] is table[b][a]
                    for a in range(len(table)) for b in range(a)), m
+
+
+@pytest.mark.parametrize("config", [
+    "artin_schreier_f2.cfg", "kummer_f5_n2.cfg", "kummer_f7_n3.cfg",
+    "kummer_f5_n4.cfg", "fuzz oracle pair"])
+def test_ambient_transfer_composites_relabel(config):
+    """``mult_terms`` reads the transfer composite's column t as its single
+    index ``up[t][0][0]``: every column is one 1, in a row of its own."""
+    if config.endswith(".cfg"):
+        ext = load_config(str(CONFIG_DIR / config)).extension()
+        bx = relative_box(fix_functor(ext), ext.base)
+    else:
+        bx = box(*next(_fuzz_oracle_pairs()))
+    one = bx.scalars.lift([bx.scalars.one])[0]
+    divs = bx.lattice.divisors
+    for m in divs:
+        for d in (d for d in divs if m % d == 0):
+            cols = bx.ambient.tr_mat(m, d).col_terms()
+            assert all(len(c) == 1 and c[0][1] == one for c in cols), (m, d)
+            rows = [c[0][0] for c in cols]
+            assert len(set(rows)) == len(rows), (m, d)
 
 
 # ---------------------------------------------------------------------------
@@ -718,3 +744,20 @@ def test_compare_boxes_names_a_larger_relation_span(kummer4_bundle):
     diffs = compare_boxes(rb, more)
     assert "level 4: relation span differs (2 vs 1)" in diffs
     assert "level 4: relation span differs (1 vs 2)" not in diffs
+
+
+# Ambient mismatches are reported before any relation span is compared.
+
+
+def test_compare_boxes_names_different_ambient_sizes(kummer2_bundle):
+    Kc = constant_functor(F5, 2)
+    diffs = compare_boxes(box(Kc, Kc), box(Kc, kummer2_bundle.fix))
+    assert "level 1: ambient dimensions differ" in diffs
+    assert "level 2: ambient dimensions differ" in diffs
+
+
+def test_compare_boxes_names_different_generator_labels(kummer2_bundle):
+    A, B = constant_functor(F5, 2), kummer2_bundle.fix
+    b1, b2 = box(A, B), box(B, A)
+    assert all(b1.amb_dim(m) == b2.amb_dim(m) for m in (1, 2))
+    assert "level 1: generator labels differ" in compare_boxes(b1, b2)

@@ -7,12 +7,12 @@ from greenbox import mackey
 from greenbox.fields import finite_field, prime_field, rationals
 from greenbox.green import constant_functor, fix_functor
 from greenbox.linalg import Mat, rank
-from greenbox.mackey import (InternalCheckError, MackeyMorphism, base_change,
-                             check_axioms,
-                             compose_structure, corrupt_transfer,
-                             fix_of_module, identity_morphism,
-                             permutation_module_atom, random_mackey,
-                             small_random_mackey, solve_in, subgroup_lattice)
+from greenbox.mackey import (InternalCheckError, MackeyFunctor,
+                             MackeyMorphism, base_change, check_axioms,
+                             corrupt_transfer, fix_of_module,
+                             identity_morphism, permutation_module_atom,
+                             random_mackey, small_random_mackey, solve_in,
+                             subgroup_lattice)
 
 F5 = prime_field(5)
 F7 = prime_field(7)
@@ -34,16 +34,36 @@ def test_constant_functor_axioms():
 
 
 def test_compose_structure_identity_and_chains():
+    """Composite structure maps through ``res_mat`` and ``tr_mat``."""
     lat = subgroup_lattice(6)
     Kc = constant_functor(F7, lat)
     ident = Mat.identity(F7, 1)
-    assert compose_structure(Kc.mackey, "res", 6, 6) == ident
-    # two covering chains 6→2→1 and 6→3→1 must agree
-    assert compose_structure(Kc.mackey, "res", 6, 1) == ident
-    assert compose_structure(Kc.mackey, "tr", 1, 6) == ident.scale(
-        F7.from_int(6))
+    assert Kc.mackey.res_mat(6, 6) == ident
+    assert Kc.mackey.res_mat(1, 6) == ident
+    assert Kc.mackey.tr_mat(6, 1) == ident.scale(F7.from_int(6))
     with pytest.raises(ValueError):
-        compose_structure(Kc.mackey, "res", 2, 3)
+        Kc.mackey.res_mat(3, 2)
+
+
+def _scaled(M, kind, key):
+    """M with the covering map ``M.<kind>[key]`` scaled by 2."""
+    maps = {"res": dict(M.res), "tr": dict(M.tr)}
+    maps[kind][key] = maps[kind][key].scale(M.scalars.from_int(2))
+    return MackeyFunctor(M.scalars, M.lattice, M.labels, maps["res"],
+                         maps["tr"], M.weyl)
+
+
+@pytest.mark.parametrize("kind,key,rule", [
+    ("tr", (2, 1), "tr_transitivity"),
+    ("res", (1, 2), "res_transitivity"),
+], ids=["tr", "res"])
+def test_chain_dependence_is_reported_at_c6(kind, key, rule):
+    """C_6 has two covering chains 6 > 2 > 1 and 6 > 3 > 1; scaling a map
+    on one of them makes the composites along the two disagree."""
+    M = constant_functor(F7, 6).mackey
+    assert check_axioms(M) == []
+    bad = _scaled(M, kind, key)
+    assert rule in {v.rule for v in check_axioms(bad)}
 
 
 def test_fix_functor_transfer_values():

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import gc
 import hashlib
 import importlib.util
 import io
@@ -243,6 +245,38 @@ def test_cli_fuzz_negative_count_exits_2(tmp_path, capsys, corrupt):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "--count", "abc", str(CONFIGS / "kummer_f7_n3.cfg")],
+    ["frobnicate", "x"],
+    [],
+], ids=["bad-count", "unknown-verb", "no-verb"])
+def test_cli_usage_errors_exit_2(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_cli_leaves_no_argparse_garbage(capsys):
+    """The parser is built once, so a repeated call leaves no argparse
+    reference cycles behind."""
+    argv = ["check-etale", str(CONFIGS / "kummer_f5_n2.cfg")]
+    assert main(argv) == 0
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        found = [type(o).__name__ for o in gc.garbage if isinstance(
+            o, (argparse.ArgumentParser, argparse.HelpFormatter,
+                argparse._ArgumentGroup))]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert found == []
 
 
 def test_fuzz_deterministic():
