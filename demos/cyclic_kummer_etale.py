@@ -35,7 +35,7 @@ def verify(p, n, a, zeta):
     print(f"kernel-generator congruences: {rep.checks_run} checks "
           f"({len(rep.failures)} failures) across {origins}")
 
-    co = coequalizer_oracle(L, K)
+    co = coequalizer_oracle(rb)
     print("coequalizer construction agrees:",
           "yes" if not compare_boxes(rb, co) else "NO")
     print()

@@ -58,7 +58,7 @@ def certificates():
          kummer_extension(F5, 4, F5.from_int(2), F5.from_int(2))),
     ]
     for tag, ext in cases:
-        cert = projectivity_certificate(ext)
+        cert = projectivity_certificate(ext, fix_functor(ext))
         ok = not verify_certificate(cert)
         print(f"{tag}: kind = {cert.kind}, "
               f"witnesses = {len(cert.witnesses)}, "

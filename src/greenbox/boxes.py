@@ -33,9 +33,10 @@ Two independent oracles validate the construction: a closed-form two-level
 build for prime group order, and a coequalizer of the threefold box along
 the two base-action maps for relative boxes.  The closed form installs its
 products as raw terms computed from its own restriction columns and reuses
-no builder path, ``mult_terms`` included.  The coequalizer presents its
-quotient on T □ T's own ambient: the same generators and ambient maps, with
-the action-difference rows added to T □ T's relations.
+no builder path, ``mult_terms`` included.  The coequalizer is handed the
+relative box T □ T it checks and presents its quotient on that box's
+ambient: the same generators and ambient maps, with the action-difference
+rows added to its relations.
 """
 
 from __future__ import annotations
@@ -378,15 +379,13 @@ def box3(M: GreenFunctor, R: GreenFunctor, N: GreenFunctor) -> BoxProduct:
                      name=f"({M.name}□{R.name})□{N.name}")
 
 
-def relative_box(T: GreenFunctor, base, name: str = "",
+def relative_box(T: GreenFunctor, base: Field, name: str = "",
                  check: bool = True) -> BoxProduct:
-    """Relative box product T □_base T with components tensored over the
-    base field: a field, or a constant Green functor over one, which must be
-    the scalar field of T."""
-    base_field = base.scalars if isinstance(base, GreenFunctor) else base
-    if base_field is not T.scalars:
+    """Relative box product T □_K T with components tensored over the base
+    field K, which must be the scalar field of T."""
+    if base is not T.scalars:
         raise ValueError("the relative base must be the scalar field of T")
-    return build_box(T, T, name=name or f"{T.name}□_{base_field}{T.name}",
+    return build_box(T, T, name=name or f"{T.name}□_{base}{T.name}",
                      check=check)
 
 
@@ -514,25 +513,23 @@ def _attach_prime_oracle_mult(bx, M, N, p):
 # oracle 2: coequalizer of the threefold box along the two base actions
 
 
-def coequalizer_oracle(T: GreenFunctor, base) -> BoxProduct:
-    """Relative box as the coequalizer of T □ base^c □ T ⇉ T □ T.
+def coequalizer_oracle(b2: BoxProduct) -> BoxProduct:
+    """The relative box b2 = T □_K T as the coequalizer of
+    T □ K^c □ T ⇉ T □ T, over a prime field or Q.
 
     The two maps multiply the middle constant factor into the left or the
-    right tensor factor; the quotient of T □ T by the image of their
-    difference must agree with the direct relative construction whenever the
-    base is a prime field or Q.
+    right tensor factor.  Each must send the threefold box's relations into
+    b2's relation span, or ``InternalCheckError`` is raised.  The returned
+    quotient of b2's ambient by b2's relations and the image of the maps'
+    difference is itself checked to descend; ``compare_boxes(b2, ...)``
+    then tells whether it agrees with the box it was given.  Only
+    T □ K^c and the threefold box are built here.
     """
-    base_field = base.scalars if isinstance(base, GreenFunctor) else base
-    if base_field is not T.scalars:
-        raise ValueError("the base must equal the scalar field of T")
-    Kc = base if isinstance(base, GreenFunctor) \
-        else constant_functor(base_field, T.lattice)
-    inner = box(T, Kc)
+    T, K = b2.left, b2.scalars
+    if b2.right is not T:
+        raise ValueError("the coequalizer oracle quotients a box T □ T")
+    inner = box(T, constant_functor(K, T.lattice))
     b3 = box(inner.green, T)
-    # T □ T: its relation span is where the action maps must descend, and
-    # its ambient carries the quotient
-    b2 = box(T, T)
-    K = T.scalars
 
     def act_left(m, d, wi, yj):
         """Middle factor into the left: [x⊗k]_e^d ⊗ y ↦ tr(kx) ⊗ y."""

@@ -31,9 +31,16 @@ import functools
 import itertools
 from fractions import Fraction
 
+MAX_FIELD_ORDER = 2 ** 16   # F_p keeps its p elements; larger fields hang
+
 
 class FieldUsageError(ValueError):
     """Operands from different fields, or an operation that is not defined."""
+
+
+def _check_order(p: int, k: int = 1) -> None:
+    if p ** min(k, 17) > MAX_FIELD_ORDER:    # p ≥ 2 and k ≥ 17 are too large
+        raise FieldUsageError(f"field order {p}^{k} exceeds {MAX_FIELD_ORDER}")
 
 
 def is_prime(n: int) -> bool:
@@ -220,6 +227,7 @@ class PrimeField(Field):
     """The field F_p of integers modulo a prime p."""
 
     def __init__(self, p: int):
+        _check_order(p)
         if not is_prime(p):
             raise FieldUsageError(f"{p} is not prime")
         self.p = p
@@ -514,6 +522,7 @@ class ExtensionField(Field):
     """F_{p^k} = F_p[t]/(modulus), with modulus monic irreducible."""
 
     def __init__(self, p: int, modulus_ints: tuple):
+        _check_order(p, len(modulus_ints) - 1)
         self.prime_field = prime_field(p)
         mod = [self.prime_field.from_int(c) for c in modulus_ints]
         if not mod or mod[-1] != self.prime_field.one:
@@ -576,6 +585,7 @@ def extension_field(p: int, modulus_ints: tuple) -> ExtensionField:
 @functools.lru_cache(maxsize=None)
 def finite_field(p: int, k: int = 1) -> Field:
     """F_{p^k}, choosing the lexicographically first irreducible modulus."""
+    _check_order(p, k)
     if k == 1:
         return prime_field(p)
     fp = prime_field(p)

@@ -32,8 +32,7 @@ from .algebras import FiniteAlgebra, tensor_algebra
 from .boxes import BoxProduct, box
 from .extensions import GaloisExtension, is_primitive_root_of_unity
 from .fields import Field
-from .green import GreenFunctor, check_green_morphism, constant_functor, \
-    fix_functor
+from .green import GreenFunctor, check_green_morphism, constant_functor
 from .linalg import Mat, column_space, inverse, unit_vec, vec_scale
 from .mackey import (FixedPointModule, InternalCheckError, MackeyFunctor,
                      MackeyMorphism, Violation, fix_of_module, solve_in)
@@ -229,21 +228,21 @@ def rank_one_atom(K: Field, lattice, zeta_power) -> FixedPointModule:
                          name=f"atom(ζ-power {zeta_power})")
 
 
-def projectivity_certificate(E: GaloisExtension) -> ProjectivityCertificate:
-    """Constructive projectivity of the fixed-point functor over the
+def projectivity_certificate(E: GaloisExtension, L: GreenFunctor
+                             ) -> ProjectivityCertificate:
+    """Constructive projectivity of E's fixed-point functor L over the
     constant functor, dispatching on the extension flavor."""
     if E.flavor == "artin_schreier":
-        return _normal_basis_certificate(E)
+        return _normal_basis_certificate(E, L)
     if E.flavor == "kummer" and E.degree == 2:
-        return _plus_minus_certificate(E)
+        return _plus_minus_certificate(E, L)
     if E.flavor == "kummer":
-        return _eigen_free_certificate(E)
+        return _eigen_free_certificate(E, L)
     raise ValueError(f"no certificate construction for flavor {E.flavor!r}")
 
 
-def _normal_basis_certificate(E: GaloisExtension) -> ProjectivityCertificate:
+def _normal_basis_certificate(E: GaloisExtension, L: GreenFunctor):
     K = E.base
-    L = fix_functor(E)
     alpha = E.alpha_power(1)
     sigma_alpha = E.apply_sigma(alpha)
     basis = Mat.from_cols(K, [alpha, sigma_alpha], 2)
@@ -265,17 +264,15 @@ def _normal_basis_certificate(E: GaloisExtension) -> ProjectivityCertificate:
                                 "normal-basis map does not respect fixed "
                                 "points")
     fwd = MackeyMorphism(L.mackey, free.functor, comps, name="normal_basis")
-    _assert_iso(fwd)
     witness = CertificateWitness("L^fix ≅ fixed points of the free rank-one "
-                                 "group-algebra module", fwd, fwd.inverse())
+                                 "group-algebra module", fwd, _assert_iso(fwd))
     return ProjectivityCertificate(
         "normal_basis", [witness],
         details={"normal_basis_determinant": str(det)})
 
 
-def _plus_minus_certificate(E: GaloisExtension) -> ProjectivityCertificate:
+def _plus_minus_certificate(E: GaloisExtension, L: GreenFunctor):
     K = E.base
-    L = fix_functor(E)
     dec = eigen_decompose(L.mackey, -K.one)
     bad = check_eigen(dec)
     if bad:
@@ -292,9 +289,8 @@ def _plus_minus_certificate(E: GaloisExtension) -> ProjectivityCertificate:
         # the component sends c·1 to c: it reads off the α^0 = 1 coefficient
         comps[m] = Mat(K, [[_alpha_coordinate(E, L, plus, m, 0)]], ncols=1)
     fwd = MackeyMorphism(plus.functor, Kc.mackey, comps, name="plus_part")
-    _assert_iso(fwd)
     witness = CertificateWitness("plus part ≅ constant functor", fwd,
-                                 fwd.inverse())
+                                 _assert_iso(fwd))
     return ProjectivityCertificate(
         "plus_minus", [witness],
         details={"minus_dims": {m: minus.functor.dim(m)
@@ -303,10 +299,9 @@ def _plus_minus_certificate(E: GaloisExtension) -> ProjectivityCertificate:
                                for m in L.lattice.divisors}})
 
 
-def _eigen_free_certificate(E: GaloisExtension) -> ProjectivityCertificate:
+def _eigen_free_certificate(E: GaloisExtension, L: GreenFunctor):
     K = E.base
     n = E.degree
-    L = fix_functor(E)
     dec = eigen_decompose(L.mackey, E.zeta)
     bad = check_eigen(dec)
     if bad:
@@ -333,9 +328,8 @@ def _eigen_free_certificate(E: GaloisExtension) -> ProjectivityCertificate:
                            ncols=1)
         fwd = MackeyMorphism(piece.functor, atom.functor, comps,
                              name=f"piece{i}")
-        _assert_iso(fwd)
         witnesses.append(CertificateWitness(
-            f"eigenpiece {i} ≅ rank-one atom", fwd, fwd.inverse()))
+            f"eigenpiece {i} ≅ rank-one atom", fwd, _assert_iso(fwd)))
     return ProjectivityCertificate("eigen_free", witnesses,
                                    details={"piece_dims": piece_dims})
 
@@ -363,13 +357,19 @@ def _alpha_coordinate(E: GaloisExtension, L: GreenFunctor,
     return coeff
 
 
-def _assert_iso(morphism: MackeyMorphism, name="witness", why="") -> None:
+def _assert_iso(morphism: MackeyMorphism, name="witness", why=""):
+    """The inverse of ``morphism``, each component inverted once.  Raises
+    ``InternalCheckError`` if it is not a morphism (witness: the first
+    failing column of a square) or some component is singular."""
     bad = morphism.check()
     if bad:
         raise InternalCheckError(f"{name} is not a morphism",
                                  witness=_square_witness(morphism, bad[0]))
-    if not morphism.is_isomorphism():
+    comps = {m: inverse(f) for m, f in morphism.components.items()}
+    if any(f is None for f in comps.values()):
         raise InternalCheckError(f"{name} is not an isomorphism{why}")
+    return MackeyMorphism(morphism.target, morphism.source, comps,
+                          name=f"{morphism.name}^-1")
 
 
 def _first_column(mat: Mat, expected: Mat, labels, image_labels) -> str:

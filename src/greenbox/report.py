@@ -18,7 +18,8 @@ A run configuration is a flat declarative INI file:
     count = 100
     format = text
 
-Any other section or key is an error.
+Any other section or key is an error, and so is a field of order p^k
+above ``fields.MAX_FIELD_ORDER`` = 2^16.
 
 An EtaleReport holds one section per fact (the relative box and its ideal,
 both oracles, the certificate, the classical oracle, the verdict, ...), each
@@ -330,7 +331,7 @@ class EtaleReport:
         out = {"unit_section": unit_section_check(rb, self.mult),
                "coequalizer": None, "prime_closed_form": None}
         if absolute_box_supported(K):
-            co = coequalizer_oracle(L, K)
+            co = coequalizer_oracle(rb)
             out["coequalizer"] = not compare_boxes(rb, co)
             if is_prime(n):
                 # rb has the generators and relations of the absolute L □ L
@@ -376,7 +377,7 @@ class EtaleReport:
             return {"kind": "trivial", "valid": True, "violations": [],
                     "witnesses": [], "witness_components": [],
                     "details": {}}
-        cert = projectivity_certificate(self.galois)
+        cert = projectivity_certificate(self.galois, self.fixed)
         violations = verify_certificate(cert)
         return {
             "kind": cert.kind,

@@ -183,7 +183,7 @@ def test_criterion_06_oracle_equivalence(as_bundle, kummer2_bundle,
     assert all(c >= 50 for c in pair_counts.values())
     for bundle in (as_bundle, kummer2_bundle, kummer3_bundle,
                    kummer4_bundle):
-        co = coequalizer_oracle(bundle.fix, bundle.base)
+        co = coequalizer_oracle(bundle.box)
         assert compare_boxes(bundle.box, co) == []
     passline(6, "box ≡ closed form on fixed/constant functors and 50 "
                 "random pairs per prime; relative ≡ coequalizer for all "
@@ -224,15 +224,15 @@ def test_criterion_07_eigen_suite(kummer4_bundle):
 def test_criterion_08_projectivity_certificates(as_bundle, kummer2_bundle,
                                                 kummer3_bundle,
                                                 kummer4_bundle):
-    cert_as = projectivity_certificate(as_bundle.ext)
+    cert_as = projectivity_certificate(as_bundle.ext, as_bundle.fix)
     assert cert_as.kind == "normal_basis"
     assert verify_certificate(cert_as) == []
-    cert2 = projectivity_certificate(kummer2_bundle.ext)
+    cert2 = projectivity_certificate(kummer2_bundle.ext, kummer2_bundle.fix)
     assert cert2.kind == "plus_minus"
     assert verify_certificate(cert2) == []
     assert cert2.details["minus_dims"][2] == 0
     for bundle in (kummer3_bundle, kummer4_bundle):
-        cert = projectivity_certificate(bundle.ext)
+        cert = projectivity_certificate(bundle.ext, bundle.fix)
         assert cert.kind == "eigen_free"
         assert verify_certificate(cert) == []
         for w in cert.witnesses:

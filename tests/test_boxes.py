@@ -131,7 +131,7 @@ def test_relative_box_n4_component_dims(kummer4_bundle):
         count = sum(1 for (dd, _, _) in rb.gens[4] if dd == d)
         assert count == expected
     # reduced dimensions agree with the independent coequalizer
-    co = coequalizer_oracle(kummer4_bundle.fix, F5)
+    co = coequalizer_oracle(kummer4_bundle.box)
     assert compare_boxes(rb, co) == []
 
 
@@ -139,7 +139,7 @@ def test_relative_box_n4_component_dims(kummer4_bundle):
                          ["as_bundle", "kummer2_bundle", "kummer3_bundle"])
 def test_coequalizer_agreement(bundle_name, request):
     bundle = request.getfixturevalue(bundle_name)
-    co = coequalizer_oracle(bundle.fix, bundle.base)
+    co = coequalizer_oracle(bundle.box)
     assert compare_boxes(bundle.box, co) == []
 
 
@@ -212,11 +212,12 @@ def test_coequalizer_rejects_extension_scalars():
     E = kummer_extension(F4, 3, F4.gen, F4.gen)
     L = fix_functor(E)
     with pytest.raises(ValueError):
-        coequalizer_oracle(L, F4)
+        coequalizer_oracle(relative_box(L, F4))
 
 
 def test_coequalizer_builds_each_box_once(kummer4_bundle, monkeypatch):
-    # T □ K^c, (T □ K^c) □ T and T □ T; the quotient reuses T □ T's ambient
+    # T □ K^c and (T □ K^c) □ T; the quotient reuses the given T □ T's
+    # ambient
     calls = []
     build = boxes.build_box
 
@@ -225,8 +226,29 @@ def test_coequalizer_builds_each_box_once(kummer4_bundle, monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(boxes, "build_box", counting)
-    coequalizer_oracle(kummer4_bundle.fix, F5)
-    assert len(calls) == 3
+    coequalizer_oracle(kummer4_bundle.box)
+    assert len(calls) == 2
+
+
+def test_coequalizer_rejects_a_box_missing_a_relation(kummer4_bundle):
+    """The action maps must descend into the relation span of the box the
+    oracle is given: drop one relation row that lowers the rank, and the
+    left action map escapes at that level."""
+    rb = kummer4_bundle.box
+    weaker = {}
+    for m, lvl in rb.levels.items():
+        for k in range(len(lvl.relations)):
+            level = PresentedLevel(lvl.field, lvl.labels,
+                                   lvl.relations[:k] + lvl.relations[k + 1:])
+            if level.dim > lvl.dim:
+                weaker.setdefault(m, []).append(level)
+    assert {m: len(levels) for m, levels in weaker.items()} == {4: 2}
+    faulty = copy.copy(rb)
+    faulty.levels = {**rb.levels, 4: weaker[4][0]}
+    with pytest.raises(InternalCheckError) as exc:
+        coequalizer_oracle(faulty)
+    assert str(exc.value) == \
+        "coequalizer action map (left) fails to descend at level 4"
 
 
 def test_frobenius_on_transfer_classes(kummer4_bundle):
@@ -492,7 +514,7 @@ def test_descent_pass_matches_the_ambient_on_an_unchecked_box(
 
 def test_descent_pass_matches_the_ambient_on_a_coequalizer(kummer4_bundle):
     _assert_reduced_structure_is_ambient(
-        coequalizer_oracle(kummer4_bundle.fix, F5))
+        coequalizer_oracle(kummer4_bundle.box))
 
 
 # ---------------------------------------------------------------------------

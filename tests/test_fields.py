@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from greenbox.fields import (FieldUsageError, extension_field, field_arith,
-                             finite_field, is_irreducible, prime_field,
-                             rationals)
+from greenbox import fields
+from greenbox.fields import (MAX_FIELD_ORDER, FieldUsageError,
+                             extension_field, field_arith, finite_field,
+                             is_irreducible, prime_field, rationals)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -121,3 +122,24 @@ def test_finite_field_orders():
 def test_non_prime_rejected():
     with pytest.raises(FieldUsageError):
         prime_field(6)
+
+
+def test_field_order_bound(monkeypatch):
+    """A field above ``MAX_FIELD_ORDER`` is refused before any primality
+    or irreducibility work; the largest prime below the bound builds."""
+    assert MAX_FIELD_ORDER == 2 ** 16
+    assert prime_field(65521).order == 65521
+    with pytest.raises(FieldUsageError, match="exceeds 65536"):
+        prime_field(65537)
+
+    def enumerated(*args):
+        raise AssertionError("moduli enumerated")
+
+    monkeypatch.setattr(fields, "is_irreducible", enumerated)
+    monkeypatch.setattr(fields, "is_prime", enumerated)
+    with pytest.raises(FieldUsageError, match="exceeds 65536"):
+        finite_field(2, 17)
+    with pytest.raises(FieldUsageError, match="exceeds 65536"):
+        extension_field(257, (3, 0, 1))
+    with pytest.raises(FieldUsageError, match="exceeds 65536"):
+        prime_field(100000000003)

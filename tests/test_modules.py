@@ -134,14 +134,14 @@ def test_reconstruction_naturality():
 
 
 def test_normal_basis_certificate(as_bundle):
-    cert = projectivity_certificate(as_bundle.ext)
+    cert = projectivity_certificate(as_bundle.ext, as_bundle.fix)
     assert cert.kind == "normal_basis"
     assert verify_certificate(cert) == []
     assert cert.details["normal_basis_determinant"] != "0"
 
 
 def test_plus_minus_certificate(kummer2_bundle):
-    cert = projectivity_certificate(kummer2_bundle.ext)
+    cert = projectivity_certificate(kummer2_bundle.ext, kummer2_bundle.fix)
     assert cert.kind == "plus_minus"
     assert verify_certificate(cert) == []
     assert cert.details["plus_dims"] == {1: 1, 2: 1}
@@ -151,7 +151,7 @@ def test_plus_minus_certificate(kummer2_bundle):
 @pytest.mark.parametrize("bundle_name", ["kummer3_bundle", "kummer4_bundle"])
 def test_eigen_free_certificates(bundle_name, request):
     bundle = request.getfixturevalue(bundle_name)
-    cert = projectivity_certificate(bundle.ext)
+    cert = projectivity_certificate(bundle.ext, bundle.fix)
     assert cert.kind == "eigen_free"
     assert verify_certificate(cert) == []
     n = bundle.ext.degree
@@ -159,7 +159,7 @@ def test_eigen_free_certificates(bundle_name, request):
 
 
 def test_certificate_witnesses_are_two_sided(kummer4_bundle):
-    cert = projectivity_certificate(kummer4_bundle.ext)
+    cert = projectivity_certificate(kummer4_bundle.ext, kummer4_bundle.fix)
     for w in cert.witnesses:
         for m in w.morphism.source.lattice.divisors:
             fwd, bwd = w.morphism.components[m], w.inverse.components[m]
@@ -169,7 +169,7 @@ def test_certificate_witnesses_are_two_sided(kummer4_bundle):
 
 
 def test_tampered_certificate_detected(kummer2_bundle):
-    cert = projectivity_certificate(kummer2_bundle.ext)
+    cert = projectivity_certificate(kummer2_bundle.ext, kummer2_bundle.fix)
     w = cert.witnesses[0]
     w.morphism.components[2] = w.morphism.components[2].scale(F5.from_int(2))
     assert verify_certificate(cert)
@@ -193,7 +193,7 @@ def test_reconstruction_witness_names_a_failing_column():
 
 def _tampered_plus_minus(bundle):
     """The C_2 Kummer certificate with its level-2 component doubled."""
-    cert = projectivity_certificate(bundle.ext)
+    cert = projectivity_certificate(bundle.ext, bundle.fix)
     w = cert.witnesses[0]
     w.morphism.components[2] = w.morphism.components[2].scale(F5.from_int(2))
     return cert, w.morphism
@@ -207,6 +207,18 @@ def test_iso_witness_names_a_failing_column(kummer2_bundle):
     label = fwd.source.labels[2][0]
     assert exc.value.witness == \
         f"morphism_res [pair=(1, 2)] plus_part: {label} ↦ 4·1"
+
+
+def test_iso_check_rejects_a_singular_morphism():
+    """The zero endomorphism of a constant functor commutes with every
+    structure map, so only the invertibility test can reject it."""
+    M = constant_functor(F5, 2).mackey
+    zero = MackeyMorphism(M, M, {m: Mat.zeros(F5, 1, 1)
+                                 for m in M.lattice.divisors}, name="zero")
+    assert zero.check() == []
+    with pytest.raises(InternalCheckError,
+                       match="^witness is not an isomorphism$"):
+        _assert_iso(zero)
 
 
 @pytest.mark.parametrize("rule,side", [("witness_left_inverse", "source"),

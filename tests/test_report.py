@@ -6,10 +6,13 @@ import importlib.util
 import io
 import json
 import pathlib
+import sys
 from collections import Counter
 
 import pytest
 
+import greenbox.boxes
+import greenbox.green
 import greenbox.report
 from greenbox.cli import main
 from greenbox.mackey import InternalCheckError
@@ -145,6 +148,20 @@ def test_cli_invalid_extension_exits_2(tmp_path, capsys, verb, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["check-etale"], ["report"],
+                                  ["fuzz", "--count", "2"]])
+def test_cli_field_order_above_the_bound_exits_2(tmp_path, capsys, argv):
+    """A field order above ``fields.MAX_FIELD_ORDER`` is refused at once,
+    before the field's elements or a primality test are computed."""
+    path = tmp_path / "large.cfg"
+    path.write_text("[field]\np = 100000000003\n\n[extension]\n"
+                    "flavor = kummer\nn = 2\na = 2\nzeta = -1\n")
+    assert main(argv + [str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_invalid_extension_parameters_diagnosed(tmp_path):
@@ -411,6 +428,30 @@ def test_full_pipeline_runs_every_check(monkeypatch, verb):
                             counted(name, getattr(greenbox.report, name)))
     assert _recorded_stdout_holds(f"{verb} configs/kummer_f7_n3.cfg")
     assert dict(calls) == PIPELINE_CALLS
+
+
+def test_full_pipeline_builds_each_stage_once(monkeypatch):
+    """One pipeline builds L^fix once and three boxes: the relative box,
+    and the coequalizer's T □ K^c and threefold box (it quotients the
+    relative box itself; the prime closed form uses no builder)."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def stage(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return stage
+
+    for name, fn in (("build_box", greenbox.boxes.build_box),
+                     ("fix_functor", greenbox.green.fix_functor)):
+        wrapped = counted(name, fn)
+        # every module that bound the function by name
+        for key, module in list(sys.modules.items()):
+            if key.startswith("greenbox") and \
+                    getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, wrapped)
+    run_pipeline(cfg("kummer_f7_n3")).to_dict()
+    assert calls == {"build_box": 3, "fix_functor": 1}
 
 
 def test_verb_exit_codes_cover_their_own_checks(monkeypatch, capsys):
