@@ -365,11 +365,11 @@ def _assert_iso(morphism: MackeyMorphism, name="witness", why=""):
     if bad:
         raise InternalCheckError(f"{name} is not a morphism",
                                  witness=_square_witness(morphism, bad[0]))
-    comps = {m: inverse(f) for m, f in morphism.components.items()}
-    if any(f is None for f in comps.values()):
-        raise InternalCheckError(f"{name} is not an isomorphism{why}")
-    return MackeyMorphism(morphism.target, morphism.source, comps,
-                          name=f"{morphism.name}^-1")
+    try:
+        return morphism.inverse()
+    except InternalCheckError:
+        raise InternalCheckError(f"{name} is not an isomorphism{why}") \
+            from None
 
 
 def _first_column(mat: Mat, expected: Mat, labels, image_labels) -> str:

@@ -130,7 +130,7 @@ def test_relative_box_n4_component_dims(kummer4_bundle):
     for d, expected in comp_dims.items():
         count = sum(1 for (dd, _, _) in rb.gens[4] if dd == d)
         assert count == expected
-    # reduced dimensions agree with the independent coequalizer
+    # the coequalizer of the threefold box adds no relation to rb
     co = coequalizer_oracle(kummer4_bundle.box)
     assert compare_boxes(rb, co) == []
 
