@@ -17,23 +17,29 @@ class·class through tr(u)·tr(v) = tr(u·res(tr v)).
 from component tensors is written by ``amb_vec``.  Its generator labels and
 ambient res, tr and Weyl maps sit in one ``MackeyFunctor``-shaped container,
 ``ambient``, which is not axiom-true: on a class component of origin d its
-Weyl action has order n/d, not n/m.  Each product of two
-generators has one form, its raw nonzero terms (``mult_terms``, cached in
-``_mult_cache``); a product with a class factor tr(w) is tr of a product at
-the class origin (Frobenius reciprocity), summed from the cached products
-there.
+Weyl action has order n/d, not n/m.  Each product of two generators has
+one form, its raw nonzero terms, kept in the product table
+``_mult_cache`` and read through ``mult_terms``.  ``build_box`` fills the
+table once, bottom-up (``_fill_products``): pure products from the factors'
+raw product terms, and a product with a class factor tr(w) as tr of a
+product at the class origin (Frobenius reciprocity), summed from that
+lower level's entries.
 
-One pass, ``_check_descent``, reads the reduced structure off the ambient:
-each of Weyl, res, tr and the products with a generator goes through one
-``PresentedLevel.descend``, which checks during construction that the map
-sends relations into relations and returns the induced matrix;
-multiplication is checked one-sidedly where that is exact.
+One pass, ``_check_descent``, reads the reduced structure off the ambient
+and the product table: each of Weyl, res and tr goes through one
+``PresentedLevel.descend``, which checks that the map sends relations into
+relations and returns the induced matrix.  Each level projects every
+generator product once; ``PresentedLevel.check_images`` checks the table's
+columns (relations times every generator) and the rows of the free
+generators (free generators times relations, which is exact, see
+``_check_descent``), and the free×free block is the reduced
+multiplication.
 
 Two independent oracles validate the construction: a closed-form two-level
 build for prime group order, and a coequalizer of the threefold box along
 the two base-action maps for relative boxes.  The closed form installs its
 products as raw terms computed from its own restriction columns and reuses
-no builder path, ``mult_terms`` included.  The coequalizer is handed the
+no builder path, ``_fill_products`` included.  The coequalizer is handed the
 relative box T □ T it checks and presents its quotient on that box's
 ambient: the same generators and ambient maps, with the action-difference
 rows added to its relations.
@@ -97,36 +103,9 @@ class BoxProduct:
 
     def mult_terms(self, m, ca, cb):
         """The product of two ambient generators of level m, as its raw
-        nonzero ``(index, scalar)`` terms in increasing index; cached.
-
-        A class factor is tr(w) for a pure generator w of its origin o, and
-        tr(w)·x = tr(w·res x), x·tr(w) = tr(res x·w): the product at level o
-        sums the cached products of w with the terms of res x into a dict,
-        and the transfer chain's columns are unit vectors, so applying it
-        over those terms only relabels."""
-        key = (m, ca, cb)
-        terms = self._mult_cache.get(key)
-        if terms is not None:
-            return terms
-        K = self.scalars
-        (d, i, j), (e, i2, j2) = self.gens[m][ca], self.gens[m][cb]
-        if d == m and e == m:
-            # pure tensors sit first
-            terms = tensor_terms(K, self.left.mult[m][i][i2],
-                                 self.right.mult[m][j][j2])
-        else:
-            o, w, x = (d, self.gen_index(d, d, i, j), cb) if d < m \
-                else (e, self.gen_index(e, e, i2, j2), ca)
-            acc = {}
-            for k, c in self.ambient.res_mat(o, m).col_terms()[x]:
-                for t, a in (self.mult_terms(o, w, k) if d < m
-                             else self.mult_terms(o, k, w)):
-                    acc[t] = acc.get(t, K.raw_zero) + c * a
-            up = self.ambient.tr_mat(m, o).col_terms()
-            terms = tuple(sorted((up[t][0][0], c) for t, c in
-                                 zip(acc, K.reduce(list(acc.values()))) if c))
-        self._mult_cache[key] = terms
-        return terms
+        nonzero ``(index, scalar)`` terms in increasing index: a read of the
+        product table that ``_fill_products`` (or the prime oracle) wrote."""
+        return self._mult_cache[(m, ca, cb)]
 
     def mult_vec(self, m, va, vb):
         """Bilinear extension of mult_terms to ambient vectors."""
@@ -295,28 +274,89 @@ def build_box(left: GreenFunctor, right: GreenFunctor, name="",
                     dp: -tm(left.mackey.res_mat(dp, d), ident(right, dp))})
         bx.levels[m] = PresentedLevel(K, bx.ambient.labels[m], rows)
 
+    _fill_products(bx)
     _check_descent(bx, check)
     return bx
 
 
+def _fill_products(bx: BoxProduct) -> None:
+    """Write the product of every pair of generators of every level into
+    ``bx._mult_cache``, lower levels first, as sorted, reduced, nonzero raw
+    terms; an entry already there is kept.
+
+    Pure tensors multiply componentwise, from the factors' raw product
+    terms.  A class factor is tr(w) for a pure generator w of its origin o,
+    and tr(w)·x = tr(w·res x), x·tr(w) = tr(res x·w): the products of w at
+    level o, which is already filled, are summed over the terms of res x
+    into a dict, and the transfer chain's columns are unit vectors, so
+    applying it over those terms only relabels."""
+    K, L, R = bx.scalars, bx.left, bx.right
+    cache, zero = bx._mult_cache, K.raw_zero
+    for m in bx.lattice.divisors:
+        gens = bx.gens[m]
+        lt, rt, width = L.terms(m), R.terms(m), R.dim(m)
+        res, up = {}, {}
+        for o in bx.offsets[m]:
+            if o != m:
+                res[o] = bx.ambient.res_mat(o, m).col_terms()
+                up[o] = [c[0][0] for c in bx.ambient.tr_mat(m, o).col_terms()]
+        # per class generator tr(w): the products w·e_k and e_k·w at level o
+        w_left, w_right = {}, {}
+        for c, (o, i, j) in enumerate(gens):
+            if o != m:
+                w = bx.gen_index(o, o, i, j)
+                w_left[c] = [cache[(o, w, k)] for k in range(bx.amb_dim(o))]
+                w_right[c] = [cache[(o, k, w)] for k in range(bx.amb_dim(o))]
+        for ca, (d, i, j) in enumerate(gens):
+            for cb, (e, i2, j2) in enumerate(gens):
+                key = (m, ca, cb)
+                if key in cache:
+                    continue
+                if d == m and e == m:
+                    # pure tensors sit first
+                    cache[key] = tensor_terms(K, lt[i][i2], rt[j][j2], width)
+                    continue
+                if d < m:
+                    terms, prods, relabel = res[d][cb], w_left[ca], up[d]
+                else:
+                    terms, prods, relabel = res[e][ca], w_right[cb], up[e]
+                if len(terms) == 1 and len(prods[terms[0][0]]) == 1:
+                    # one scalar times one term: a field has no zero divisors
+                    (k, c), = terms
+                    (t, a), = prods[k]
+                    cache[key] = ((relabel[t], K.reduce([c * a])[0]),)
+                    continue
+                acc = {}
+                for k, c in terms:
+                    for t, a in prods[k]:
+                        acc[t] = acc.get(t, zero) + c * a
+                if not acc:
+                    cache[key] = ()
+                    continue
+                cache[key] = tuple(sorted(
+                    (relabel[t], c) for t, c in
+                    zip(acc, K.reduce(list(acc.values()))) if c))
+
+
 def _check_descent(bx: BoxProduct, check: bool = True) -> None:
-    """Read the reduced Green functor off the ambient maps and install it
-    as ``bx.green``; each map goes through one ``PresentedLevel.descend``,
-    which also checks, unless ``check`` is false, that the map sends
-    relations into relations.
+    """Read the reduced Green functor off the ambient maps and the product
+    table and install it as ``bx.green``; Weyl, res and tr each go through
+    one ``PresentedLevel.descend``, which also checks, unless ``check`` is
+    false, that the map sends relations into relations.
 
     Multiplication is bilinear, so it descends exactly when Rel·A ⊆ Rel and
-    A·Rel ⊆ Rel.  The first is checked as Rel·e ⊆ Rel for every ambient
-    generator e.  The second needs only the free generators e of the level:
-    the relation basis is in reduced echelon form, so A = span(free units)
-    ⊕ Rel, and for x = f + s with s in Rel, x·r = f·r + s·r, where f·r is
-    covered by the free generators and s·r lies in Rel·A, which the first
-    check covers.  The right side is checked only on levels with relations:
-    a level without them has no (relation row, generator) pair to check,
-    so skipping it there drops no check.  The tables of r ↦ r·e for the
-    free generators e are the reduced multiplication: entry (a, b) is
-    column a of the table of free generator b.  Unchecked, only those
-    tables are built.
+    A·Rel ⊆ Rel.  Each level projects every product of two generators once
+    (``_projected_products``); the first condition is checked as Rel·e ⊆
+    Rel for every generator e, on the table's column of e, and the second
+    on the rows of the free generators e only: the relation basis is in
+    reduced echelon form, so A = span(free units) ⊕ Rel, and for x = f + s
+    with s in Rel, x·r = f·r + s·r, where f·r is covered by the free
+    generators and s·r lies in Rel·A, which the first check covers.  The
+    right side is checked only on levels with relations: a level without
+    them has no (relation row, generator) pair to check, so skipping it
+    there drops no check.  Both sides go through
+    ``PresentedLevel.check_images``.  The reduced multiplication is the
+    table's free×free block.  Unchecked, only that block is projected.
     """
     lattice, amb = bx.lattice, bx.ambient
     pairs = lattice.covering_pairs
@@ -335,34 +375,60 @@ def _check_descent(bx: BoxProduct, check: bool = True) -> None:
                 tr[(hi, m)] = lvl.descend(
                     amb.tr[(hi, m)], bx.levels[hi],
                     f"transfer {m}->{hi} fails to descend", check)
-        free = set(lvl.free)
-        cols = []     # per free generator, its product table's columns
-        # e_a·e_b shares the tuple of e_b·e_a when they are equal, and
-        # vanishing products share one zero tuple: the table holds dim³
-        # scalars, and in boxes of zero or sparse multiplications most
-        # products vanish
-        zero = (bx.scalars.zero,) * lvl.dim
-        for e, label in enumerate(lvl.labels):
-            if not (check or e in free):
-                continue
+        table = _projected_products(bx, m, check)
+        if check:
+            free = set(lvl.free)
             where = f"multiplication fails to descend at level {m}"
-            what = f"product of a relation with {label}"
-            left = lvl.descend(lambda g: bx.mult_terms(m, g, e), lvl,
-                               f"{where}: left {what}", check)
-            if e in free:
-                b = len(cols)
-                cols.append([cols[a][b] if a < b and c == cols[a][b]
-                             else zero if c == zero else c
-                             for a, c in enumerate(left.cols())])
-                if check and lvl.pivots:
-                    lvl.descend(lambda g: bx.mult_terms(m, e, g), lvl,
-                                f"{where}: right {what}")
-        mult[m] = [[c[a] for c in cols] for a in range(lvl.dim)]
+            for e, label in enumerate(lvl.labels):
+                what = f"product of a relation with {label}"
+                lvl.check_images([row[e] for row in table], lvl,
+                                 f"{where}: left {what}")
+                if e in free and lvl.pivots:
+                    lvl.check_images(table[e], lvl, f"{where}: right {what}")
+        mult[m] = _reduced_mult(lvl, table)
     labels = {m: bx.levels[m].reduced_labels for m in lattice.divisors}
     mack = MackeyFunctor(bx.scalars, lattice, labels, res, tr, weyl,
                          name=bx.name)
     unit = {m: bx.reduce(m, bx.unit_ambient(m)) for m in lattice.divisors}
     bx.green = GreenFunctor(mack, mult, unit, name=bx.name)
+
+
+def _projected_products(bx: BoxProduct, m: int, check: bool) -> list:
+    """Row g, column e: the raw terms of q(e_g·e_e) at level m, each
+    product projected once.  Checked, the table covers every pair of
+    generators; unchecked, only pairs of free generators (other entries
+    are None)."""
+    lvl = bx.levels[m]
+    cache, project = bx._mult_cache, lvl.project_terms
+    gens = range(lvl.ngens) if check else lvl.free
+    table = [None] * lvl.ngens
+    for g in gens:
+        row = table[g] = [None] * lvl.ngens
+        for e in gens:
+            row[e] = project(cache[(m, g, e)])
+    return table
+
+
+def _reduced_mult(lvl, table) -> list:
+    """The reduced multiplication table: entry (a, b) is the product of
+    free generators a and b, as elements.  e_a·e_b shares the tuple of
+    e_b·e_a when they are equal, and vanishing products share one zero
+    tuple: the table holds dim³ scalars, and in boxes of zero or sparse
+    multiplications most products vanish."""
+    zero = lvl.dense(())
+    free = lvl.free
+    out = [[None] * lvl.dim for _ in free]
+    for a, ga in enumerate(free):
+        row = table[ga]
+        for b, gb in enumerate(free):
+            terms = row[gb]
+            if not terms:
+                out[a][b] = zero
+            elif b < a and terms == table[gb][ga]:
+                out[a][b] = out[b][a]
+            else:
+                out[a][b] = lvl.dense(terms)
+    return out
 
 
 def box(M: GreenFunctor, N: GreenFunctor, name: str = "") -> BoxProduct:
@@ -493,18 +559,19 @@ def _attach_prime_oracle_mult(bx, M, N, p):
     off = bx.offsets[p][1]
     res = bx.ambient.res[(1, p)].col_terms()
     for m in (1, p):      # level 1 first: the class products read it
+        mt, nt = M.terms(m), N.terms(m)
         for ca, (d, i, j) in enumerate(bx.gens[m]):
             for cb, (e, i2, j2) in enumerate(bx.gens[m]):
                 if d == e == m:
-                    cache[(m, ca, cb)] = tensor_terms(K, M.mult[m][i][i2],
-                                                      N.mult[m][j][j2])
+                    cache[(m, ca, cb)] = tensor_terms(
+                        K, mt[i][i2], nt[j][j2], N.dim(m))
                     continue
                 acc = {}
                 for k, c in res[ca] if d == p else res[cb]:
                     key = (1, k, cb - off) if d == p else (1, ca - off, k)
                     for t, a in cache[key]:
                         acc[t] = acc.get(t, K.raw_zero) + c * a
-                cache[(m, ca, cb)] = tuple(sorted(
+                cache[(m, ca, cb)] = () if not acc else tuple(sorted(
                     (off + t, c) for t, c in
                     zip(acc, K.reduce(list(acc.values()))) if c))
 

@@ -10,7 +10,9 @@ Verbs:
 Each verb computes only the report sections it prints.  Exit codes: 0 =
 the verb's verdicts are positive and all assertions held; 1 = some verdict
 is negative (or an internal consistency assertion fired, in which case the
-witness is dumped); 2 = invalid input, usage errors included.  ``box`` has
+witness is dumped); 2 = invalid input, usage errors included; 141 = stdout
+was closed before the output was written (``greenbox box cfg | head -1``),
+which prints nothing more: no ``error:`` line and no traceback.  ``box`` has
 no verdict beyond its descent checks; ``decompose`` has the certificate and
 the eigen checks.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .extensions import ConstructionError
@@ -30,6 +33,7 @@ from .report import ConfigError, EtaleReport, emit, fuzz, load_config, \
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
+EXIT_BROKEN_PIPE = 141    # 128 + SIGPIPE, as a shell reports a closed pipe
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,30 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        cfg = load_config(args.config)
-        if args.verb == "fuzz":
-            summary = fuzz(cfg, count=args.count, seed=args.seed,
-                           corrupt=args.corrupt)
-            sys.stdout.write(summary.text())
-            return EXIT_OK if summary.ok else EXIT_NEGATIVE
-        if args.verb == "box":
-            # a box whose maps fail to descend raises InternalCheckError
-            _print_box(EtaleReport(cfg))
-            return EXIT_OK
-        if args.verb == "decompose":
-            report = EtaleReport(cfg)
-            _print_decomposition(report)
-            ok = report.certificate["valid"] and \
-                (report.eigen is None or report.eigen["valid"])
-            return EXIT_OK if ok else EXIT_NEGATIVE
-        report = run_pipeline(cfg)
-        if args.verb == "report":
-            fmt = args.fmt or cfg.fmt
-            sys.stdout.buffer.write(emit(report, fmt))
-        else:
-            _print_verdict(report)
-        return EXIT_OK if report.verdict["green_etale"] else EXIT_NEGATIVE
+        code = _run_verb(_build_parser().parse_args(argv))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone, so there is no one to tell
+        _discard_stdout()
+        return EXIT_BROKEN_PIPE
     except (ConfigError, ConstructionError, FieldUsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
@@ -98,6 +85,45 @@ def main(argv=None) -> int:
         if exc.witness is not None:
             sys.stderr.write(f"witness: {exc.witness}\n")
         return EXIT_NEGATIVE
+
+
+def _run_verb(args) -> int:
+    cfg = load_config(args.config)
+    if args.verb == "fuzz":
+        summary = fuzz(cfg, count=args.count, seed=args.seed,
+                       corrupt=args.corrupt)
+        sys.stdout.write(summary.text())
+        return EXIT_OK if summary.ok else EXIT_NEGATIVE
+    if args.verb == "box":
+        # a box whose maps fail to descend raises InternalCheckError
+        _print_box(EtaleReport(cfg))
+        return EXIT_OK
+    if args.verb == "decompose":
+        report = EtaleReport(cfg)
+        _print_decomposition(report)
+        ok = report.certificate["valid"] and \
+            (report.eigen is None or report.eigen["valid"])
+        return EXIT_OK if ok else EXIT_NEGATIVE
+    report = run_pipeline(cfg)
+    if args.verb == "report":
+        fmt = args.fmt or cfg.fmt
+        sys.stdout.buffer.write(emit(report, fmt))
+    else:
+        _print_verdict(report)
+    return EXIT_OK if report.verdict["green_etale"] else EXIT_NEGATIVE
+
+
+def _discard_stdout() -> None:
+    """Point the process's stdout at the null device, so that the flush at
+    interpreter exit does not write into the closed pipe again.  A stdout
+    without a file descriptor is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _print_verdict(report) -> None:

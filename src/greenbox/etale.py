@@ -212,10 +212,11 @@ def classical_etale_of_algebra(alg: FiniteAlgebra) -> ClassicalEtaleReport:
 
 
 def ideal_generator(bx: BoxProduct, E: GaloisExtension, i: int, t: int,
-                    d: int, m: int):
+                    d: int, m: int, powers: "AlphaPowers | None" = None):
     """Reduced coordinates of q·(1 ⊗ α^{td}) − [α^{id} ⊗ α^{(t-i)d}]_d^m,
     where q = m/d; requires q | t and 0 <= i <= t.  Lies in the kernel of
-    the multiplication map (asserted by callers)."""
+    the multiplication map (asserted by callers).  ``powers`` is the
+    α-power table to read; by default a new one."""
     lat = bx.lattice
     lat.check_divisor(m)
     lat.check_divisor(d)
@@ -224,23 +225,43 @@ def ideal_generator(bx: BoxProduct, E: GaloisExtension, i: int, t: int,
     q = m // d
     if t % q or not (0 <= i <= t):
         raise ValueError("need q | t and 0 <= i <= t")
-    pure = _alpha_tensor(bx, E, m, 0, t * d)
-    cls = _alpha_tensor(bx, E, m, i * d, (t - i) * d, origin=d)
+    if powers is None:
+        powers = AlphaPowers(bx, E)
+    pure = powers.tensor(m, 0, t * d)
+    cls = powers.tensor(m, i * d, (t - i) * d, origin=d)
     return bx.reduce(m, vec_sub(vec_scale(bx.scalars.from_int(q), pure), cls))
 
 
-def _alpha_tensor(bx: BoxProduct, E: GaloisExtension, m, e1, e2, origin=None):
-    """Ambient vector of α^{e1} ⊗ α^{e2} at the given origin component
-    (default: the pure component)."""
-    d = origin if origin is not None else m
-    emb = bx.left.level_embed[d]
-    coords = solve_matrix(emb, Mat.from_cols(
-        E.base, [E.alpha_power(e1), E.alpha_power(e2)], E.degree))
-    if coords is None:
-        raise ValueError(
-            f"α^{e1} or α^{e2} does not lie in the level-{d} subfield")
-    c1, c2 = coords.cols()
-    return bx.amb_vec(m, {d: tensor_vec(bx.scalars, c1, c2)})
+class AlphaPowers:
+    """The coordinates of α^e in the level-d fixed subfield of a relative
+    box's factor, each (level, exponent) pair solved once."""
+
+    def __init__(self, bx: BoxProduct, E: GaloisExtension):
+        self.bx = bx
+        self.E = E
+        self._coords = {}
+
+    def coords(self, d: int, e: int):
+        """α^e in the basis of the level-d subfield; ValueError if it does
+        not lie there."""
+        key = (d, e)
+        if key not in self._coords:
+            E = self.E
+            sol = solve_matrix(self.bx.left.level_embed[d], Mat.from_cols(
+                E.base, [E.alpha_power(e)], E.degree))
+            self._coords[key] = None if sol is None else sol.col(0)
+        coords = self._coords[key]
+        if coords is None:
+            raise ValueError(
+                f"α^{e} does not lie in the level-{d} subfield")
+        return coords
+
+    def tensor(self, m: int, e1: int, e2: int, origin=None):
+        """Ambient vector of α^{e1} ⊗ α^{e2} at the given origin component
+        (default: the pure component)."""
+        d = origin if origin is not None else m
+        return self.bx.amb_vec(m, {d: tensor_vec(
+            self.bx.scalars, self.coords(d, e1), self.coords(d, e2))})
 
 
 @dataclass
@@ -279,6 +300,7 @@ def kummer_congruence_checks(bx: BoxProduct, E: GaloisExtension,
       is contained in I².
     """
     rep = CongruenceReport()
+    powers = AlphaPowers(bx, E)
     K = bx.scalars
     n = E.degree
     a = E.a
@@ -290,8 +312,8 @@ def kummer_congruence_checks(bx: BoxProduct, E: GaloisExtension,
 
         # the auxiliary element w = ma − [α ⊗ α^{n−1}]_1^m
         w = bx.reduce(m, vec_sub(
-            vec_scale(K.from_int(m), _alpha_tensor(bx, E, m, 0, n)),
-            _alpha_tensor(bx, E, m, 1, n - 1, origin=1)))
+            vec_scale(K.from_int(m), powers.tensor(m, 0, n)),
+            powers.tensor(m, 1, n - 1, origin=1)))
         rep.record(span_i.contains(w), f"level {m}: ma−[α⊗α^{n-1}] in I")
 
         # kernel of the restriction to the free level
@@ -315,7 +337,7 @@ def kummer_congruence_checks(bx: BoxProduct, E: GaloisExtension,
             # the checks below use each generator several times; build it once
             @functools.cache
             def x(i, t):
-                return ideal_generator(bx, E, i, t, d, m)
+                return ideal_generator(bx, E, i, t, d, m, powers)
 
             for t in ts:
                 for i in range(0, t + 1):
@@ -324,8 +346,8 @@ def kummer_congruence_checks(bx: BoxProduct, E: GaloisExtension,
                 rep.record(vec_is_zero(K, x(0, t)),
                            f"level {m}, d={d}: x[0,{t}] = 0")
                 swap_comm = bx.reduce(m, vec_scale(K.from_int(q), vec_sub(
-                    _alpha_tensor(bx, E, m, 0, t * d),
-                    _alpha_tensor(bx, E, m, t * d, 0))))
+                    powers.tensor(m, 0, t * d),
+                    powers.tensor(m, t * d, 0))))
                 rep.record(x(t, t) == swap_comm,
                            f"level {m}, d={d}: x[{t},{t}] = "
                            f"q·(1⊗α^td − α^td⊗1)")

@@ -267,12 +267,12 @@ def tensor_vec(field, u, v):
                                     for b in rv]))
 
 
-def tensor_terms(field, u, v):
-    """The raw nonzero terms of u ⊗ v, in increasing index: a field has no
-    zero divisors, so each product of nonzero coordinates is a term."""
-    vs = nonzero_terms(field, v)
-    prods = [(a * len(v) + b, x * y)
-             for a, x in nonzero_terms(field, u) for b, y in vs]
+def tensor_terms(field, us, vs, width):
+    """The raw nonzero terms of u ⊗ v, in increasing index, from the raw
+    nonzero terms ``us`` of u and ``vs`` of v, whose length is ``width``: a
+    field has no zero divisors, so each product of nonzero coordinates is a
+    term."""
+    prods = [(a * width + b, x * y) for a, x in us for b, y in vs]
     return tuple(zip([t for t, _ in prods],
                      field.reduce([c for _, c in prods])))
 

@@ -14,16 +14,20 @@ A vector lies in the relation span exactly when ``q`` kills it, and the
 reduced dimension is #generators - rank(relations).
 
 ``reduce``, ``in_relation_span`` and ``canonicalize`` are sums over ``q``
-(``project``, in the field's raw scalars); ``relation_basis`` gives back the
-rows e_p - Σ_k q[p]_k·e_{free_k} for tests and witnesses.
+(``project``, in the field's raw scalars; ``project_terms`` gives the same
+image as sparse raw terms); ``relation_basis`` gives back the rows
+e_p - Σ_k q[p]_k·e_{free_k} for tests and witnesses.
 
-Descent is decided here, through one entry.  A linear map f out of a
-quotient is well defined exactly when it sends the relation span into the
-target's relation span.  ``descend`` tabulates T[g] = q_target(f(e_g)) once
-per map and checks T[p] = Σ_k q[p]_k·T[free_k] for every pivot p, which is
-f(row of p) ∈ Rel; the free columns of T are the induced map on the
-quotients.  Every map the verifier trusts (structure maps, multiplication,
-oracle actions, comparisons, identifications) goes through it.
+Descent is decided here, by one check.  A linear map f out of a quotient
+is well defined exactly when it sends the relation span into the target's
+relation span.  Given a table T[g] = q_target(f(e_g)), as sparse raw terms
+per generator, ``check_images`` checks T[p] = Σ_k q[p]_k·T[free_k] for
+every pivot p, which is f(row of p) ∈ Rel.  ``descend`` tabulates T once
+per map, runs that check and returns the free columns of T, the induced
+map on the quotients; the structure maps, oracle actions, comparisons and
+identifications go through it.  A box's multiplication projects each
+generator product once into one table per level and runs the same check
+on that table's columns and rows.
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ class PresentedLevel:
         self.dim = len(self.free)
         self.reduced_labels = [self.labels[j] for j in self.free]
         column = {j: k for k, j in enumerate(self.free)}
+        # the reduced coordinate of each free generator, None at pivots
+        self._column = [column.get(j) for j in range(self.ngens)]
         one = field.lift([field.one])[0]
         q = [((column[j], one),) if j in column else None
              for j in range(self.ngens)]
@@ -122,37 +128,71 @@ class PresentedLevel:
         """An ambient vector written in the generator labels."""
         return format_element(self.field, v, self.labels)
 
+    def project_terms(self, terms) -> tuple:
+        """``project`` as raw nonzero terms in increasing index; every
+        vanishing image is the shared ``()``.  One term (j, c) maps to c·q[j]
+        without a dense pass: a field has no zero divisors."""
+        if len(terms) == 1:
+            (j, c), = terms
+            k = self._column[j]
+            if k is not None:
+                return ((k, c),)
+            image = self.q[j]
+            return tuple(zip([k for k, _ in image],
+                             self.field.reduce([c * a for _, a in image])))
+        return raw_terms(self.project(terms)) if terms else ()
+
+    def check_images(self, table, target: "PresentedLevel",
+                     message: str) -> None:
+        """The one pivot check: ``table[g]`` holds the raw terms of T[g] =
+        q_target(f(e_g)) for every generator g, and InternalCheckError
+        (message) is raised unless T[p] = Σ_k q[p]_k·T[free_k] for every
+        pivot p, i.e. unless f sends the relation row of p into the
+        target's relation span; the witness is ``"<row> ↦ <image>"``, the
+        image being the reduced escaping part in the target's reduced
+        labels."""
+        K = self.field
+        for i, p in enumerate(self.pivots):
+            acc = dict(table[p])
+            for k, a in self.q[p]:
+                for t, b in table[self.free[k]]:
+                    acc[t] = acc.get(t, K.raw_zero) - a * b
+            values = K.reduce(list(acc.values()))
+            if not any(values):
+                continue
+            image = format_element(K, target.dense(zip(acc, values)),
+                                   target.reduced_labels)
+            raise InternalCheckError(message, witness=(
+                f"{self.show(self.relation_basis[i])} ↦ {image}"))
+
+    def dense(self, terms) -> tuple:
+        """The reduced vector, as elements, with raw nonzero ``terms``."""
+        out = [self.field.raw_zero] * self.dim
+        for t, c in terms:
+            out[t] = c
+        return self.field.fold(out)
+
     def descend(self, images, target: "PresentedLevel", message: str,
                 check: bool = True) -> Mat:
         """The map on quotients of the linear map f given by ``images``:
         an ambient matrix, or a function from an ambient generator to the
         raw terms of its image in ``target``'s ambient.
 
-        Tabulates T[g] = q_target(f(e_g)) and, when ``check`` holds, raises
-        InternalCheckError(message) unless T[p] = Σ_k q[p]_k·T[free_k] for
-        every pivot p, i.e. unless f sends the relation row of p into the
-        target's relation span; the witness is ``"<row> ↦ <image>"``, the
-        image being the reduced escaping part in the target's reduced
-        labels.  Unchecked, only the free generators are tabulated.  Returns
-        the induced matrix, whose column k is T[free_k]."""
+        Tabulates T[g] = q_target(f(e_g)) for every generator g and, when
+        ``check`` holds, passes the table to ``check_images``.  Unchecked,
+        only the free generators are tabulated.  Returns the induced
+        matrix, whose column k is T[free_k]."""
         if isinstance(images, Mat):
             images = images.col_terms().__getitem__
-        K = self.field
-        table = [target.project(images(g)) for g in self.free]
-        if check and self.pivots:
-            sparse = [raw_terms(col) for col in table]
-            for i, p in enumerate(self.pivots):
-                img = target.project(images(p))
-                for k, a in self.q[p]:
-                    for t, b in sparse[k]:
-                        img[t] -= a * b
-                img = K.reduce(img)
-                if any(img):
-                    image = format_element(K, K.fold(img),
-                                           target.reduced_labels)
-                    raise InternalCheckError(message, witness=(
-                        f"{self.show(self.relation_basis[i])} ↦ {image}"))
-        return Mat.from_cols(K, [K.fold(col) for col in table], target.dim)
+        project = target.project_terms
+        if check:
+            table = [project(images(g)) for g in range(self.ngens)]
+            self.check_images(table, target, message)
+            cols = [table[g] for g in self.free]
+        else:
+            cols = [project(images(g)) for g in self.free]
+        return Mat.from_cols(self.field, [target.dense(c) for c in cols],
+                             target.dim)
 
     def rel_rank(self) -> int:
         return len(self.pivots)

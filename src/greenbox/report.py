@@ -19,7 +19,8 @@ A run configuration is a flat declarative INI file:
     format = text
 
 Any other section or key is an error, and so is a field of order p^k
-above ``fields.MAX_FIELD_ORDER`` = 2^16.
+above ``fields.MAX_FIELD_ORDER`` = 2^16 or a group order n above
+``MAX_GROUP_ORDER`` = 32.
 
 An EtaleReport holds one section per fact (the relative box and its ideal,
 both oracles, the certificate, the classical oracle, the verdict, ...), each
@@ -63,6 +64,13 @@ OUT_OF_SCOPE_NOTICES = (
     "Box products and constant-functor identifications are verified for "
     "cyclic groups only.",
 )
+
+
+# The largest group order a config may ask for.  The box has about n²
+# tensor generators per divisor of n and C_16 takes about a minute, so a much
+# larger order would not finish; n = 5003 over F_10007 did not even get
+# through building the extension.
+MAX_GROUP_ORDER = 32
 
 
 class ConfigError(ValueError):
@@ -172,6 +180,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"malformed config {path}: {detail}") from exc
     if cfg.n < 1:
         raise ConfigError(f"group order n must be positive, got {cfg.n}")
+    if cfg.n > MAX_GROUP_ORDER:
+        raise ConfigError(f"group order n = {cfg.n} exceeds {MAX_GROUP_ORDER}")
     if cfg.fmt not in ("text", "json"):
         raise ConfigError(f"unknown output format {cfg.fmt!r}")
     if cfg.flavor not in ("kummer", "artin_schreier"):

@@ -648,6 +648,40 @@ def test_prime_oracle_products_on_fix_functors(as_bundle, kummer2_bundle,
         assert _assert_oracle_products_are_the_box_products(T, T, p)
 
 
+def _raise(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_prime_oracle_reuses_no_builder_fill(monkeypatch, kummer2_bundle,
+                                             kummer3_bundle):
+    """The closed form installs its own products: with the builder's fill
+    patched to raise, it still builds on a fuzz pair and on the C_2 and
+    C_3 fixed-point functors."""
+    pair = next(_fuzz_oracle_pairs())
+    monkeypatch.setattr(boxes, "_fill_products", _raise)
+    prime_box_oracle(*pair, pair[0].lattice.n)
+    for T, p in ((kummer2_bundle.fix, 2), (kummer3_bundle.fix, 3)):
+        prime_box_oracle(T, T, p)
+
+
+@pytest.mark.parametrize("make_fix", [_f5_fix, _f7_fix, _q_fix],
+                         ids=["F5-C4", "F7-C3", "Q-C2"])
+def test_builder_fills_every_generator_product_once(make_fix):
+    T = make_fix()
+    bx = relative_box(T, T.scalars, check=False)
+    assert len(bx._mult_cache) == sum(bx.amb_dim(m) ** 2
+                                      for m in bx.lattice.divisors)
+
+
+def test_descent_check_reads_only_the_product_table(monkeypatch,
+                                                    kummer4_bundle):
+    """``_check_descent`` on a built C_4 box computes no product: with
+    ``mult_terms`` patched to raise, it still passes."""
+    bx = relative_box(kummer4_bundle.fix, F5)
+    monkeypatch.setattr(boxes.BoxProduct, "mult_terms", _raise)
+    boxes._check_descent(bx)
+
+
 def test_vanishing_reduced_products_share_one_tuple():
     lat = subgroup_lattice(3)
     A = zero_green(small_random_mackey(lat, F7, seed=1))

@@ -4,8 +4,9 @@ import pytest
 
 from conftest import Bundle, gen_coords, unit_vec
 
+from greenbox import etale
 from greenbox.algebras import base_as_algebra, poly_quotient_algebra
-from greenbox.etale import (check_ideal, classical_etale_oracle,
+from greenbox.etale import (AlphaPowers, check_ideal, classical_etale_oracle,
                             constant_etale_check, green_kahler_dims,
                             ideal_and_square, ideal_generator,
                             kummer_congruence_checks, mult_map,
@@ -175,6 +176,33 @@ def test_ideal_generator_bad_parameters(kummer4_bundle):
         ideal_generator(rb, E, 5, 4, 1, 2)   # i > t
     with pytest.raises(ValueError):
         ideal_generator(rb, E, 0, 2, 3, 4)   # d does not divide m
+
+
+def test_alpha_power_outside_the_level_subfield_is_refused(kummer4_bundle):
+    """α^e lies in the level-d subfield L^{C_d} exactly when d | e."""
+    powers = AlphaPowers(kummer4_bundle.box, kummer4_bundle.ext)
+    assert powers.coords(2, 2) == powers.coords(2, 2)
+    for d, e in ((2, 1), (4, 2), (4, 6)):
+        with pytest.raises(ValueError, match=f"α\\^{e} does not lie"):
+            powers.coords(d, e)
+
+
+def test_congruences_solve_each_alpha_power_once(kummer4_bundle,
+                                                 monkeypatch):
+    """One report solves each (level, exponent) pair once, whichever check
+    and generator reads it."""
+    solved = []
+    real = etale.solve_matrix
+
+    def counting(embed, rhs):
+        solved.append((id(embed), rhs.rows))
+        return real(embed, rhs)
+
+    monkeypatch.setattr(etale, "solve_matrix", counting)
+    b = kummer4_bundle
+    rep = kummer_congruence_checks(b.box, b.ext, b.ideal)
+    assert rep.ok and rep.checks_run
+    assert solved and len(solved) == len(set(solved))
 
 
 @pytest.mark.parametrize("bundle_name", ["kummer2_bundle", "kummer3_bundle",

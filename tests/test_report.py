@@ -16,8 +16,8 @@ import greenbox.green
 import greenbox.report
 from greenbox.cli import main
 from greenbox.mackey import InternalCheckError
-from greenbox.report import (ConfigError, RunConfig, emit, fuzz, load_config,
-                             run_pipeline)
+from greenbox.report import (MAX_GROUP_ORDER, ConfigError, RunConfig, emit,
+                             fuzz, load_config, run_pipeline)
 
 HERE = pathlib.Path(__file__).parent
 CONFIGS = HERE.parent / "configs"
@@ -162,6 +162,55 @@ def test_cli_field_order_above_the_bound_exits_2(tmp_path, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("verb", ["check-etale", "box", "decompose",
+                                  "report", "fuzz"])
+def test_cli_group_order_above_the_bound_exits_2(tmp_path, capsys,
+                                                 monkeypatch, verb):
+    """A group order above ``report.MAX_GROUP_ORDER`` is refused by
+    ``load_config``, before a primality test or an extension is built."""
+    def fail(*args, **kwargs):
+        raise AssertionError("built past the group-order bound")
+
+    for module in ("fields", "extensions", "mackey", "report"):
+        monkeypatch.setattr(f"greenbox.{module}.is_prime", fail)
+    for builder in ("kummer_extension", "artin_schreier_extension"):
+        monkeypatch.setattr(f"greenbox.report.{builder}", fail)
+    path = tmp_path / "large_n.cfg"
+    path.write_text("[field]\np = 10007\n\n[extension]\nflavor = kummer\n"
+                    "n = 5003\na = 2\nzeta = 5\n")
+    assert main([verb, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "5003" in err
+
+
+def test_group_order_bound_accepts_c16(tmp_path):
+    path = tmp_path / "c16.cfg"
+    path.write_text("[field]\np = 17\n\n[extension]\nflavor = kummer\n"
+                    "n = 16\na = 3\nzeta = 3\n")
+    assert load_config(str(path)).n == 16 <= MAX_GROUP_ORDER
+
+
+def test_cli_closed_stdout_is_no_invalid_input(capsys, monkeypatch):
+    """A reader that closes stdout early (``greenbox box cfg | head -1``)
+    gets neither an ``error:`` line nor a traceback, and the exit code is
+    not the invalid-input code 2."""
+    class ClosedPipe:
+        def write(self, data):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        flush = write
+        buffer = property(lambda self: self)
+
+    for verb in ("box", "check-etale", "report"):
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        code = main([verb, str(CONFIGS / "kummer_f5_n2.cfg")])
+        monkeypatch.undo()
+        assert code not in (0, 2), verb
+        assert capsys.readouterr().err == "", verb
 
 
 def test_invalid_extension_parameters_diagnosed(tmp_path):
