@@ -4,8 +4,8 @@ and Green étaleness certificates for Galois field extensions."""
 
 from .algebras import FiniteAlgebra, base_as_algebra, poly_quotient_algebra, \
     tensor_algebra
-from .boxes import BoxProduct, box, box3, compare_boxes, coequalizer_oracle, \
-    norm_on_c2_box, prime_box_oracle, relative_box, swap_isomorphic
+from .boxes import BoxProduct, box, compare_boxes, coequalizer_oracle, \
+    norm_on_c2_box, prime_box_oracle, relative_box
 from .etale import ClassicalEtaleReport, IdealData, classical_etale_oracle, \
     constant_etale_check, green_kahler_dims, ideal_and_square, \
     ideal_generator, kummer_congruence_checks, mult_map, unit_section_check

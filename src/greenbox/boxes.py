@@ -25,6 +25,11 @@ raw product terms, and a product with a class factor tr(w) as tr of a
 product at the class origin (Frobenius reciprocity), summed from that
 lower level's entries.
 
+The ambient maps and relation rows are written in raw scalars: tensor
+blocks are raw Kronecker products (``_tensor_mat``), placed into ambient
+vectors by ``_place_blocks`` and handed to ``Mat`` and ``PresentedLevel``
+without a fold or lift.
+
 One pass, ``_check_descent``, reads the reduced structure off the ambient
 and the product table: each of Weyl, res and tr goes through one
 ``PresentedLevel.descend``, which checks that the map sends relations into
@@ -32,8 +37,9 @@ relations and returns the induced matrix.  Each level projects every
 generator product once; ``PresentedLevel.check_images`` checks the table's
 columns (relations times every generator) and the rows of the free
 generators (free generators times relations, which is exact, see
-``_check_descent``), and the free×free block is the reduced
-multiplication.
+``_check_descent``), and the free×free block, as raw terms, is the reduced
+multiplication handed to the box's ``GreenFunctor``, whose dense ``mult``
+is derived only if read.
 
 Two independent oracles validate the construction: a closed-form two-level
 build for prime group order, and a coequalizer of the threefold box along
@@ -140,20 +146,30 @@ class BoxProduct:
 
 
 def _tensor_mat(K, A: Mat, B: Mat) -> Mat:
-    cols = []
-    for i in range(A.ncols):
-        for j in range(B.ncols):
-            cols.append(tensor_vec(K, A.col(i), B.col(j)))
-    return Mat.from_cols(K, cols, A.nrows * B.nrows)
+    """The Kronecker product A ⊗ B on raw rows: row (r, s) holds
+    A[r][i]·B[s][j] at column (i, j), both pairs ordered i-major."""
+    reduce = K.reduce
+    return Mat._from_raw(K, tuple([tuple(reduce([a * b for a in ra
+                                                 for b in rb]))
+                                   for ra in A.raw for rb in B.raw]),
+                         A.ncols * B.ncols)
 
 
 def _place_blocks(bx, m, blocks):
-    """Ambient columns of level m from component blocks ``{d: B_d}``:
-    column t holds column t of B_d at each component d.  The blocks share
-    their number of columns."""
+    """Raw ambient vectors of level m from component blocks ``{d: B_d}``:
+    vector t holds column t of B_d at each component d, and zero elsewhere.
+    The blocks share their number of columns."""
     ncols = next(iter(blocks.values())).ncols
-    return [bx.amb_vec(m, {d: block.col(t) for d, block in blocks.items()})
-            for t in range(ncols)]
+    z = bx.scalars.raw_zero
+    pieces = [blocks[d].transpose().raw if d in blocks
+              else ((z,) * (bx.left.dim(d) * bx.right.dim(d)),) * ncols
+              for d in bx.offsets[m]]
+    return [sum(parts, ()) for parts in zip(*pieces)]
+
+
+def _from_raw_cols(K, cols, nrows) -> Mat:
+    """The matrix with the raw columns ``cols``."""
+    return Mat._from_raw(K, tuple(cols), nrows).transpose()
 
 
 def _class_label(lattice, m, d, text):
@@ -228,13 +244,15 @@ def build_box(left: GreenFunctor, right: GreenFunctor, name="",
         for d in bx.offsets[m]:
             cols += _place_blocks(
                 bx, m, {d: tm(left.mackey.weyl[d], right.mackey.weyl[d])})
-        weyl[m] = Mat.from_cols(K, cols, bx.amb_dim(m))
+        weyl[m] = _from_raw_cols(K, cols, bx.amb_dim(m))
 
     # ambient transfers: component relabeling upward
     for (m, mp) in lattice.covering_pairs:
-        cols = [bx.gen_unit(mp, bx.gen_index(mp, d, i, j))
-                for (d, i, j) in bx.gens[m]]
-        tr[(mp, m)] = Mat.from_cols(K, cols, bx.amb_dim(mp))
+        rows = [[K.raw_zero] * bx.amb_dim(m) for _ in bx.gens[mp]]
+        for c, (d, i, j) in enumerate(bx.gens[m]):
+            rows[bx.gen_index(mp, d, i, j)][c] = K.raw_one
+        tr[(mp, m)] = Mat._from_raw(K, tuple(map(tuple, rows)),
+                                    bx.amb_dim(m))
 
     # ambient restrictions: res⊗res on pure tensors; a class of origin d
     # goes to origin g = gcd(d, m') through res to g, then the sum of the
@@ -251,7 +269,7 @@ def build_box(left: GreenFunctor, right: GreenFunctor, name="",
                 orbit = orbit + weyl_pow(g, jj * (n // m))
             down = tm(left.mackey.res_mat(g, d), right.mackey.res_mat(g, d))
             cols += _place_blocks(bx, mp, {g: orbit @ down})
-        res[(mp, m)] = Mat.from_cols(K, cols, bx.amb_dim(mp))
+        res[(mp, m)] = _from_raw_cols(K, cols, bx.amb_dim(mp))
     bx.ambient = MackeyFunctor(K, lattice, gen_labels, res, tr, weyl)
 
     # relations: Weyl-fixed classes, then for each d' | d both Frobenius
@@ -272,7 +290,9 @@ def build_box(left: GreenFunctor, right: GreenFunctor, name="",
                 rows += _place_blocks(bx, m, {
                     d: tm(ident(left, d), right.mackey.tr_mat(d, dp)),
                     dp: -tm(left.mackey.res_mat(dp, d), ident(right, dp))})
-        bx.levels[m] = PresentedLevel(K, bx.ambient.labels[m], rows)
+        bx.levels[m] = PresentedLevel(
+            K, bx.ambient.labels[m],
+            Mat._from_raw(K, tuple(rows), bx.amb_dim(m)))
 
     _fill_products(bx)
     _check_descent(bx, check)
@@ -360,7 +380,7 @@ def _check_descent(bx: BoxProduct, check: bool = True) -> None:
     """
     lattice, amb = bx.lattice, bx.ambient
     pairs = lattice.covering_pairs
-    res, tr, weyl, mult = {}, {}, {}, {}
+    res, tr, weyl, terms = {}, {}, {}, {}
     for m in lattice.divisors:
         lvl = bx.levels[m]
         weyl[m] = lvl.descend(amb.weyl[m], lvl,
@@ -385,12 +405,12 @@ def _check_descent(bx: BoxProduct, check: bool = True) -> None:
                                  f"{where}: left {what}")
                 if e in free and lvl.pivots:
                     lvl.check_images(table[e], lvl, f"{where}: right {what}")
-        mult[m] = _reduced_mult(lvl, table)
+        terms[m] = _reduced_terms(lvl, table)
     labels = {m: bx.levels[m].reduced_labels for m in lattice.divisors}
     mack = MackeyFunctor(bx.scalars, lattice, labels, res, tr, weyl,
                          name=bx.name)
     unit = {m: bx.reduce(m, bx.unit_ambient(m)) for m in lattice.divisors}
-    bx.green = GreenFunctor(mack, mult, unit, name=bx.name)
+    bx.green = GreenFunctor(mack, None, unit, name=bx.name, terms=terms)
 
 
 def _projected_products(bx: BoxProduct, m: int, check: bool) -> list:
@@ -409,25 +429,18 @@ def _projected_products(bx: BoxProduct, m: int, check: bool) -> list:
     return table
 
 
-def _reduced_mult(lvl, table) -> list:
-    """The reduced multiplication table: entry (a, b) is the product of
-    free generators a and b, as elements.  e_a·e_b shares the tuple of
-    e_b·e_a when they are equal, and vanishing products share one zero
-    tuple: the table holds dim³ scalars, and in boxes of zero or sparse
-    multiplications most products vanish."""
-    zero = lvl.dense(())
+def _reduced_terms(lvl, table) -> list:
+    """The reduced product terms, the table's free×free block: entry (a, b)
+    is q(e_a·e_b) for free generators a and b.  e_a·e_b shares the terms of
+    e_b·e_a when they are equal."""
     free = lvl.free
-    out = [[None] * lvl.dim for _ in free]
+    out = []
     for a, ga in enumerate(free):
         row = table[ga]
-        for b, gb in enumerate(free):
-            terms = row[gb]
-            if not terms:
-                out[a][b] = zero
-            elif b < a and terms == table[gb][ga]:
+        out.append([row[gb] for gb in free])
+        for b in range(a):
+            if out[a][b] == out[b][a]:
                 out[a][b] = out[b][a]
-            else:
-                out[a][b] = lvl.dense(terms)
     return out
 
 
@@ -437,12 +450,6 @@ def box(M: GreenFunctor, N: GreenFunctor, name: str = "") -> BoxProduct:
         raise ValueError("absolute box products need prime or rational "
                          "scalars; use a relative box over the base field")
     return build_box(M, N, name=name)
-
-
-def box3(M: GreenFunctor, R: GreenFunctor, N: GreenFunctor) -> BoxProduct:
-    """Threefold box product computed as (M □ R) □ N."""
-    return build_box(box(M, R).green, N,
-                     name=f"({M.name}□{R.name})□{N.name}")
 
 
 def relative_box(T: GreenFunctor, base: Field, name: str = "",
@@ -630,8 +637,9 @@ def coequalizer_oracle(b2: BoxProduct) -> BoxProduct:
             b3.levels[m].descend(mat, lvl, f"coequalizer action map ({side}) "
                                  f"fails to descend at level {m}")
         # the extra rows are the columns of ml - mr; zero rows drop out
-        co.levels[m] = PresentedLevel(K, lvl.labels, lvl.relations
-                                      + list((ml - mr).transpose().rows))
+        co.levels[m] = PresentedLevel(K, lvl.labels, Mat._from_raw(
+            K, lvl.relation_rows.raw + (ml - mr).transpose().raw,
+            lvl.ngens))
     _check_descent(co)
     return co
 
@@ -669,8 +677,7 @@ def _permuted_bases(b1: BoxProduct, b2: BoxProduct, gen_map, diffs) -> dict:
     size is appended to ``diffs`` instead.  The permutation and its
     transpose, which moves b2's generators back, reach ``descend`` as raw
     terms, never as dense matrices."""
-    K = b1.scalars
-    one = K.lift([K.one])[0]
+    one = b1.scalars.raw_one
     phi = {}
     for m in b1.lattice.divisors:
         if b1.amb_dim(m) != b2.amb_dim(m):
@@ -700,12 +707,6 @@ def _permuted_bases(b1: BoxProduct, b2: BoxProduct, gen_map, diffs) -> dict:
             diffs.append(f"level {m}: reduced dimensions differ "
                          f"({b1.dim(m)} vs {b2.dim(m)})")
     return {} if diffs else phi
-
-
-def swap_isomorphic(bMN: BoxProduct, bNM: BoxProduct):
-    """Discrepancies of M□N against N□M under the factor swap."""
-    return compare_boxes(bMN, bNM,
-                         gen_map=lambda m, g: (g[0], g[2], g[1]))
 
 
 def norm_on_c2_box(bx: BoxProduct, vec, term_order=None):

@@ -14,9 +14,10 @@ The linear-algebra kernels (``linalg``, ``presented``, ``boxes``) compute on
 *raw scalars*, which each field defines through four operations: ``lift``
 (element vector to a list of raw scalars), ``fold`` (reduced raw scalars
 back to an element tuple), ``raw_inv`` and ``reduce`` (reduction mod p of a
-list of raw scalars).  A ``PrimeField``'s raw scalar is a plain ``int`` in
-[0, p): kernels multiply and add ints, reduce once per vector, and fold at
-their boundary.  ``Q`` and ``F_{p^k}`` keep their elements as raw scalars,
+list of raw scalars), and two constants, ``raw_zero`` and ``raw_one``.
+A ``PrimeField``'s raw scalar is a plain ``int`` in [0, p): kernels
+multiply and add ints, reduce once per vector, and fold at their
+boundary.  ``Q`` and ``F_{p^k}`` keep their elements as raw scalars,
 with identity ``lift``/``fold``/``reduce``.  Every raw scalar a kernel tests
 is reduced, so a zero test is truthiness on every path (``Fraction`` and
 ``ExtensionFieldElement`` are false exactly at zero).
@@ -94,6 +95,10 @@ class Field:
     @property
     def raw_zero(self):
         return self.zero
+
+    @property
+    def raw_one(self):
+        return self.one
 
     def lift(self, v) -> list:
         """Raw scalars of a vector of elements."""
@@ -239,7 +244,7 @@ class PrimeField(Field):
         return self._elems[n % self.p]
 
     # raw scalars are the residues: ints in [0, p)
-    raw_zero = 0
+    raw_zero, raw_one = 0, 1
 
     def lift(self, v) -> list:
         return [x.value for x in v]

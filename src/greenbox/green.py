@@ -34,18 +34,21 @@ class GreenFunctor:
 
     ``mult[m][i][j]`` is the product of basis vectors i and j at level m;
     ``unit[m]`` the unit vector.  ``norms`` (optional) evaluates the
-    multiplicative transfer.
+    multiplicative transfer.  The multiplication is given either as that
+    dense table or as ``terms``, whose ``terms[m][i][j]`` are the raw terms
+    of the same product; each form is derived from the other on first use
+    and kept.
     """
 
     def __init__(self, mackey: MackeyFunctor, mult, unit, norms=None,
-                 name: str = "", level_embed=None):
+                 name: str = "", level_embed=None, terms=None):
         self.mackey = mackey
-        self.mult = mult
+        self._mult = mult
         self.unit = unit
         self.norms = norms
         self.name = name or mackey.name
         self.level_embed = level_embed  # optional {m: Mat into an algebra}
-        self._terms = {}   # m -> product_terms of mult[m], on first use
+        self._terms = {} if terms is None else terms
 
     # pass-throughs
     @property
@@ -62,8 +65,19 @@ class GreenFunctor:
     def labels(self, m):
         return self.mackey.labels[m]
 
+    @property
+    def mult(self):
+        """The dense table: as handed over, or derived from the product
+        terms on first use."""
+        if self._mult is None:
+            self._mult = {m: _dense_table(self.scalars, self._terms[m],
+                                          self.dim(m))
+                          for m in self.lattice.divisors}
+        return self._mult
+
     def terms(self, m):
-        """``product_terms`` of the level-m table, built on first use."""
+        """The level-m product terms: as handed over, or ``product_terms``
+        of the dense table, built on first use."""
         terms = self._terms.get(m)
         if terms is None:
             terms = self._terms[m] = product_terms(self.scalars, self.mult[m])
@@ -86,6 +100,28 @@ class GreenFunctor:
 
     def __repr__(self):
         return f"GreenFunctor({self.name})"
+
+
+def _dense_table(K, terms, dim) -> list:
+    """The dense table of the raw product ``terms``: entry (a, b) is the
+    product of basis vectors a and b, as elements.  e_a·e_b shares the tuple
+    of e_b·e_a when they are equal, and vanishing products share one zero
+    tuple: the table holds dim³ scalars, and in boxes of zero or sparse
+    multiplications most products vanish."""
+    zero = (K.zero,) * dim
+    out = [[zero] * dim for _ in range(dim)]
+    for a, row in enumerate(terms):
+        for b, t in enumerate(row):
+            if not t:
+                continue
+            if b < a and t == terms[b][a]:
+                out[a][b] = out[b][a]
+            else:
+                dense = [K.raw_zero] * dim
+                for k, c in t:
+                    dense[k] = c
+                out[a][b] = K.fold(dense)
+    return out
 
 
 class NormRule:
@@ -334,16 +370,13 @@ def zero_green(M: MackeyFunctor) -> GreenFunctor:
 
     Lets Mackey-only data flow through machinery that formally expects a
     Green functor (box-product comparisons of random functors); the ring
-    checks are meaningless on the result and are not run."""
-    K = M.scalars
-    mult = {}
-    unit = {}
-    for m in M.lattice.divisors:
-        dim = M.dim(m)
-        zero = tuple(K.zero for _ in range(dim))
-        mult[m] = [[zero] * dim for _ in range(dim)]
-        unit[m] = zero
-    return GreenFunctor(M, mult, unit, name=f"{M.name} (zero mult)")
+    checks are meaningless on the result and are not run.  Every product
+    has no terms; the dense table is derived only if read."""
+    divs = M.lattice.divisors
+    terms = {m: [[()] * M.dim(m) for _ in range(M.dim(m))] for m in divs}
+    unit = {m: (M.scalars.zero,) * M.dim(m) for m in divs}
+    return GreenFunctor(M, None, unit, name=f"{M.name} (zero mult)",
+                        terms=terms)
 
 
 def permute_green(G: GreenFunctor, perms: dict) -> GreenFunctor:

@@ -1,24 +1,33 @@
 """Dense exact linear algebra over an arbitrary field.
 
-Matrices are small immutable row-tuples of field scalars with an explicit
-column count, so zero-dimensional spaces (which occur as functor levels) are
-handled without ambiguity.  Maps act on column vectors: a map V -> W is an
-(dim W) x (dim V) matrix and ``A.apply(v)`` computes A v.
+Matrices are small immutable row-tuples of raw field scalars with an
+explicit column count, so zero-dimensional spaces (which occur as functor
+levels) are handled without ambiguity.  Maps act on column vectors: a
+map V -> W is an (dim W) x (dim V) matrix and ``A.apply(v)`` computes A v.
 
-The kernels here (``Mat.__matmul__``, ``Mat.apply``, ``bilinear``,
-``tensor_vec``, ``nonzero_terms``, ``eliminate`` and ``Span``) have one body
-for every field: they compute on the field's raw scalars (plain ints mod p
-for a prime field, the elements themselves for Q and F_{p^k}; see
-``fields``), test zero by truthiness, reduce once per vector and fold back
-to elements only where a result leaves the kernel.  Element tuples stay the
-public form: ``Mat.rows``, vectors passed in and returned.  A ``Mat``
-lifts its rows to raw sparse rows and columns on first use and keeps them,
-since it is immutable.  Raw ``(index, scalar)`` terms (``nonzero_terms``,
-``raw_terms``) are the one sparse form passed between kernels: ``eliminate``
-and ``Span`` read them, ``Mat.apply_terms`` and ``bilinear_terms`` take them
-and return reduced raw lists, ``PresentedLevel.project`` maps them, and the
-box layer keeps each generator product, quotient image and matrix column as
-such terms.
+A ``Mat`` stores one form: its rows as tuples of the field's reduced raw
+scalars (plain ints mod p for a prime field, the elements themselves for Q
+and F_{p^k}; see ``fields``).  ``Mat(K, rows)``, ``from_cols`` and
+``zeros`` lift element rows once; every kernel result (``@``, ``+``,
+``scale``, ``transpose``, ``hstack``, ``power``, ``rref``,
+``solve_matrix``, ``inverse``) is built from raw rows through the
+package-private ``Mat._from_raw``, as are the matrices that ``mackey``,
+``presented`` and ``boxes`` write raw, so no matrix is folded to elements
+and lifted back between kernels.  Elements appear only at the public
+accessors: ``rows``, ``col`` and ``cols`` fold on each access and keep
+nothing, and vectors passed to ``apply`` and returned by it are elements.
+Equality and hashing compare the raw rows, which are canonical.
+
+The kernels (``Mat.__matmul__``, ``Mat.apply``, ``bilinear``,
+``tensor_vec``, ``nonzero_terms``, ``eliminate`` and ``Span``) have one
+body for every field: they test zero by truthiness and reduce once per
+vector.  Raw ``(index, scalar)`` terms (``nonzero_terms``, ``raw_terms``)
+are the one sparse form passed between kernels: a ``Mat`` builds its
+``row_terms`` and ``col_terms`` on first use and keeps them, ``eliminate``
+and ``Span`` read them, ``Mat.apply_terms`` and ``bilinear_terms`` take
+them and return reduced raw lists, ``PresentedLevel.project`` maps them,
+and the box layer keeps each generator product, quotient image and matrix
+column as such terms.
 
 ``Mat.identity`` returns an instance of the private subclass ``_Identity``,
 and ``A @ B`` returns the other operand unchanged when either factor is
@@ -40,7 +49,7 @@ from .fields import FieldUsageError
 
 
 class Mat:
-    __slots__ = ("field", "nrows", "ncols", "rows", "_row_terms",
+    __slots__ = ("field", "nrows", "ncols", "raw", "_row_terms",
                  "_col_terms")
 
     #: True only for a matrix built by ``Mat.identity``; a plain ``Mat``
@@ -48,95 +57,125 @@ class Mat:
     known_identity = False
 
     def __init__(self, field, rows, ncols=None):
-        rows = tuple(tuple(r) for r in rows)
-        if rows:
-            ncols = len(rows[0])
-            for r in rows:
+        raw = tuple([tuple(field.lift(r)) for r in rows])
+        if raw:
+            ncols = len(raw[0])
+            for r in raw:
                 if len(r) != ncols:
                     raise ValueError("ragged rows")
         elif ncols is None:
             raise ValueError("empty matrix needs an explicit column count")
+        self._set(field, raw, ncols)
+
+    def _set(self, field, raw, ncols):
         self.field = field
-        self.rows = rows
-        self.nrows = len(rows)
+        self.raw = raw
+        self.nrows = len(raw)
         self.ncols = ncols
         self._row_terms = self._col_terms = None
 
     # -- constructors -------------------------------------------------
 
+    @classmethod
+    def _from_raw(cls, field, raw, ncols):
+        """The matrix whose rows are the reduced raw tuples ``raw``, taken
+        as they are: the constructor of every kernel result."""
+        mat = object.__new__(cls)
+        mat._set(field, raw, ncols)
+        return mat
+
     @staticmethod
     def identity(field, n):
         """The n x n identity, which ``@`` recognises and skips."""
-        return _Identity(field, [unit_vec(field, n, i) for i in range(n)],
-                         ncols=n)
+        zeros = (field.raw_zero,) * n
+        return _Identity._from_raw(field, tuple([
+            zeros[:i] + (field.raw_one,) + zeros[i + 1:] for i in range(n)]),
+            n)
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._from_raw(field, ((field.raw_zero,) * ncols,) * nrows,
+                             ncols)
 
     @classmethod
     def from_cols(cls, field, cols, nrows):
         for c in cols:
             if len(c) != nrows:
                 raise ValueError("column of wrong length")
-        return cls(field, zip(*cols) if cols else [()] * nrows,
-                   ncols=len(cols))
+        raw = tuple(zip(*[field.lift(c) for c in cols])) if cols \
+            else ((),) * nrows
+        return cls._from_raw(field, raw, len(cols))
 
-    # -- raw sparse form, lifted once ------------------------------------
+    # -- elements, folded on access ---------------------------------------
+
+    @property
+    def rows(self):
+        """The rows as tuples of field elements."""
+        fold = self.field.fold
+        return tuple([fold(r) for r in self.raw])
+
+    def col(self, j):
+        return self.field.fold([r[j] for r in self.raw])
+
+    def cols(self):
+        fold = self.field.fold
+        return [fold(c) for c in zip(*self.raw)] if self.raw \
+            else [()] * self.ncols
+
+    # -- raw sparse form, built on first use -----------------------------
 
     def row_terms(self):
-        """Per row, its ``nonzero_terms``."""
+        """Per row, its ``raw_terms``."""
         if self._row_terms is None:
-            self._row_terms = tuple(nonzero_terms(self.field, r)
-                                    for r in self.rows)
+            self._row_terms = tuple([raw_terms(r) for r in self.raw])
         return self._row_terms
 
     def col_terms(self):
-        """Per column, its ``nonzero_terms``."""
+        """Per column, its ``raw_terms``."""
         if self._col_terms is None:
-            cols = [[] for _ in range(self.ncols)]
-            for i, r in enumerate(self.rows):
-                for j, a in enumerate(self.field.lift(r)):
-                    if a:
-                        cols[j].append((i, a))
-            self._col_terms = tuple(map(tuple, cols))
+            self._col_terms = tuple([raw_terms(c) for c in zip(*self.raw)]) \
+                if self.raw else ((),) * self.ncols
         return self._col_terms
 
     # -- algebra ------------------------------------------------------
+
+    def _same_field(self, other):
+        if other.field is not self.field:
+            raise FieldUsageError(
+                f"mixed fields: {self.field} and {other.field}")
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch: {self.nrows}x{self.ncols} @ "
                 f"{other.nrows}x{other.ncols}")
-        K = self.field
-        if other.field is not K:
-            raise FieldUsageError(f"mixed fields: {K} and {other.field}")
+        self._same_field(other)
         if other.known_identity:
             return self
         if self.known_identity:
             return other
-        zero = K.raw_zero
+        K = self.field
+        zero, reduce = K.raw_zero, K.reduce
         brows = other.row_terms()
         nc = other.ncols
         out = []
-        for r in self.row_terms():
+        for r in self.raw:
             acc = [zero] * nc
-            for k, a in r:
-                for j, b in brows[k]:
-                    acc[j] += a * b
-            out.append(K.fold(K.reduce(acc)))
-        return Mat(K, out, ncols=nc)
+            for k, a in enumerate(r):
+                if a:
+                    for j, b in brows[k]:
+                        acc[j] += a * b
+            out.append(tuple(reduce(acc)))
+        return Mat._from_raw(K, tuple(out), nc)
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in addition")
-        K = self.field
-        return Mat(K, [K.fold(K.reduce([a + b for a, b in
-                                        zip(K.lift(r), K.lift(s))]))
-                       for r, s in zip(self.rows, other.rows)],
-                   ncols=self.ncols)
+        self._same_field(other)
+        reduce = self.field.reduce
+        return Mat._from_raw(self.field, tuple([
+            tuple(reduce([a + b for a, b in zip(r, s)]))
+            for r, s in zip(self.raw, other.raw)]), self.ncols)
 
     def __neg__(self) -> "Mat":
         return self.scale(-self.field.one)
@@ -145,8 +184,10 @@ class Mat:
         return self + -other
 
     def scale(self, s) -> "Mat":
-        return Mat(self.field, [[s * a for a in r] for r in self.rows],
-                   ncols=self.ncols)
+        K = self.field
+        c, = K.lift((s,))
+        return Mat._from_raw(K, tuple([tuple(K.reduce([c * a for a in r]))
+                                       for r in self.raw]), self.ncols)
 
     def apply(self, v):
         """Matrix times column vector: only the nonzero coordinates of v and
@@ -179,33 +220,26 @@ class Mat:
         return result
 
     def transpose(self) -> "Mat":
-        return Mat(self.field,
-                   [[self.rows[i][j] for i in range(self.nrows)]
-                    for j in range(self.ncols)],
-                   ncols=self.nrows)
-
-    def col(self, j):
-        return tuple([r[j] for r in self.rows])
-
-    def cols(self):
-        return list(zip(*self.rows)) if self.rows else [()] * self.ncols
+        raw = tuple(zip(*self.raw)) if self.raw else ((),) * self.ncols
+        return Mat._from_raw(self.field, raw, self.nrows)
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
-        return Mat(self.field,
-                   [ra + rb for ra, rb in zip(self.rows, other.rows)],
-                   ncols=self.ncols + other.ncols)
+        self._same_field(other)
+        return Mat._from_raw(self.field, tuple([
+            ra + rb for ra, rb in zip(self.raw, other.raw)]),
+            self.ncols + other.ncols)
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.field is other.field
-                and self.ncols == other.ncols and self.rows == other.rows)
+                and self.ncols == other.ncols and self.raw == other.raw)
 
     def __hash__(self):
-        return hash((id(self.field), self.ncols, self.rows))
+        return hash((id(self.field), self.ncols, self.raw))
 
     def __repr__(self):
-        if not self.rows:
+        if not self.raw:
             return f"Mat(0x{self.ncols})"
         body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)
         return f"Mat[{body}]"
@@ -320,8 +354,12 @@ def rref(mat: Mat, pivot_order: str = "first"):
     Returns (R, pivots) with R a Mat of the nonzero rows sorted by pivot
     column and pivots the matching tuple of column indices.
     """
-    rows, pivots = Span(mat.field, mat.ncols, mat.rows, pivot_order).echelon()
-    return Mat(mat.field, rows, ncols=mat.ncols), pivots
+    span = Span(mat.field, mat.ncols, pivot_order=pivot_order)
+    for r in mat.raw:
+        span._insert(r)
+    rows, pivots = span._sorted()
+    return Mat._from_raw(mat.field, tuple(map(tuple, rows)), mat.ncols), \
+        pivots
 
 
 def rank(mat: Mat) -> int:
@@ -330,24 +368,24 @@ def rank(mat: Mat) -> int:
 
 def kernel(mat: Mat):
     """Basis of the right null space {v : A v = 0}, as a list of tuples."""
-    field = mat.field
+    K = mat.field
     r, pivots = rref(mat)
-    z, o = field.zero, field.one
-    free = [j for j in range(mat.ncols) if j not in pivots]
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
-        v = [z] * mat.ncols
-        v[f] = o
-        for i, p in enumerate(pivots):
-            v[p] = -r.rows[i][f]
-        basis.append(tuple(v))
+    for f in range(mat.ncols):
+        if f in pivot_set:
+            continue
+        v = [K.raw_zero] * mat.ncols
+        v[f] = K.raw_one
+        for row, p in zip(r.raw, pivots):
+            v[p] = -row[f]
+        basis.append(K.fold(K.reduce(v)))
     return basis
 
 
 def column_space(mat: Mat):
     """Basis of the column space, as a list of column vectors."""
-    r, _ = rref(mat.transpose())
-    return [row for row in r.rows]
+    return list(rref(mat.transpose())[0].rows)
 
 
 def solve(mat: Mat, b):
@@ -357,22 +395,18 @@ def solve(mat: Mat, b):
 
 
 def solve_matrix(mat: Mat, rhs: Mat):
-    """Solve A X = B via one augmented elimination; None if inconsistent."""
-    field = mat.field
+    """Solve A X = B via one augmented elimination; None if inconsistent.
+    Row p of X is the right-hand block of the row with pivot p, and zero
+    where no row has its pivot."""
     n = mat.ncols
-    aug = mat.hstack(rhs)
-    r, pivots = rref(aug)
-    z = field.zero
+    r, pivots = rref(mat.hstack(rhs))
     # any pivot in the augmented block means some column is inconsistent
     if any(p >= n for p in pivots):
         return None
-    cols = []
-    for j in range(rhs.ncols):
-        x = [z] * n
-        for i, p in enumerate(pivots):
-            x[p] = r.rows[i][n + j]
-        cols.append(tuple(x))
-    return Mat.from_cols(field, cols, n)
+    x = [(mat.field.raw_zero,) * rhs.ncols] * n
+    for row, p in zip(r.raw, pivots):
+        x[p] = row[n:]
+    return Mat._from_raw(mat.field, tuple(x), rhs.ncols)
 
 
 def inverse(mat: Mat):
@@ -410,8 +444,8 @@ class Span:
     The pivot of a row is its first nonzero entry (``pivot_order="first"``)
     or its last (``"last"``).  Both forms are unique for a given row space,
     so the order of insertion never shows.  Rows are kept as raw scalars,
-    with their ``nonzero_terms`` beside them; vectors come in and go out as
-    elements.
+    with their ``raw_terms`` beside them; the public methods take and give
+    elements, and ``rref`` inserts a ``Mat``'s raw rows directly.
     """
 
     def __init__(self, field, ncols, rows=(), pivot_order="first"):
@@ -429,8 +463,12 @@ class Span:
 
     def add(self, v) -> bool:
         """Insert v; returns True if it enlarged the span."""
+        return self._insert(self.field.lift(v))
+
+    def _insert(self, v) -> bool:
+        """``add`` for a reduced raw vector."""
         K = self.field
-        v = eliminate(K, self._terms, self._pivots, K.lift(v))
+        v = eliminate(K, self._terms, self._pivots, v)
         for j in self._scan:
             if v[j]:
                 inv = K.raw_inv(v[j])
@@ -460,11 +498,16 @@ class Span:
     def dim(self) -> int:
         return len(self._rows)
 
+    def _sorted(self):
+        """(raw rows, pivots), sorted by pivot column."""
+        order = sorted(range(len(self._rows)), key=self._pivots.__getitem__)
+        return ([self._rows[i] for i in order],
+                tuple(self._pivots[i] for i in order))
+
     def echelon(self):
         """(rows, pivots), sorted by pivot column."""
-        order = sorted(range(len(self._rows)), key=self._pivots.__getitem__)
-        return ([self.field.fold(self._rows[i]) for i in order],
-                tuple(self._pivots[i] for i in order))
+        rows, pivots = self._sorted()
+        return [self.field.fold(r) for r in rows], pivots
 
     def basis(self):
         return self.echelon()[0]

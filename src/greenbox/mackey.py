@@ -296,6 +296,9 @@ class MackeyMorphism:
         return out
 
     def is_isomorphism(self) -> bool:
+        """Whether the morphism checks and every component inverts: public
+        for callers that want a yes or no, such as the eigenspace demo;
+        ``inverse`` raises instead."""
         if self.check():
             return False
         return all(inverse(self.components[m]) is not None
@@ -314,11 +317,6 @@ class MackeyMorphism:
 
     def apply(self, m: int, v):
         return self.components[m].apply(v)
-
-
-def identity_morphism(M: MackeyFunctor) -> MackeyMorphism:
-    return MackeyMorphism(M, M, {m: Mat.identity(M.scalars, M.dim(m))
-                                 for m in M.lattice.divisors}, name="id")
 
 
 # ---------------------------------------------------------------------------
@@ -381,19 +379,6 @@ def fix_of_module(scalars: Field, lattice: SubgroupLattice, action: Mat,
     return FixedPointModule(fun, embeds, action)
 
 
-def fix_of_module_map(src: FixedPointModule, dst: FixedPointModule,
-                      level1_map: Mat) -> MackeyMorphism:
-    """Morphism of fixed-point functors induced by an equivariant map of
-    underlying modules (must commute with the actions)."""
-    if level1_map @ src.action != dst.action @ level1_map:
-        raise InternalCheckError("level-1 map is not equivariant")
-    comps = {m: solve_in(dst.embeds[m], level1_map @ src.embeds[m],
-                         f"induced map does not preserve fixed points at "
-                         f"level {m}")
-             for m in src.functor.lattice.divisors}
-    return MackeyMorphism(src.functor, dst.functor, comps)
-
-
 # ---------------------------------------------------------------------------
 # sums, base change, random functors
 
@@ -417,17 +402,15 @@ def direct_sum(functors, name: str = "") -> MackeyFunctor:
 def _block_diag(K, mats):
     if all(m.known_identity for m in mats):
         return Mat.identity(K, sum(m.nrows for m in mats))
-    nrows = sum(m.nrows for m in mats)
     ncols = sum(m.ncols for m in mats)
+    z = (K.raw_zero,)
     rows = []
     c0 = 0
     for m in mats:
-        left = c0
-        right = ncols - c0 - m.ncols
-        for r in m.rows:
-            rows.append([K.zero] * left + list(r) + [K.zero] * right)
+        left, right = z * c0, z * (ncols - c0 - m.ncols)
+        rows += [left + r + right for r in m.raw]
         c0 += m.ncols
-    return Mat(K, rows, ncols=ncols)
+    return Mat._from_raw(K, tuple(rows), ncols)
 
 
 def base_change(M: MackeyFunctor, changes, name: str = "") -> MackeyFunctor:

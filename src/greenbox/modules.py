@@ -228,16 +228,28 @@ def rank_one_atom(K: Field, lattice, zeta_power) -> FixedPointModule:
                          name=f"atom(ζ-power {zeta_power})")
 
 
-def projectivity_certificate(E: GaloisExtension, L: GreenFunctor
-                             ) -> ProjectivityCertificate:
+def projectivity_certificate(E: GaloisExtension, L: GreenFunctor,
+                             eigen=None) -> ProjectivityCertificate:
     """Constructive projectivity of E's fixed-point functor L over the
-    constant functor, dispatching on the extension flavor."""
+    constant functor, dispatching on the extension flavor.
+
+    A Kummer certificate reads L's decomposition for E's ζ (−1 when
+    n = 2) and raises InternalCheckError when ``check_eigen`` finds a
+    violation.  ``eigen`` is that decomposition and its violations, as a
+    pair, when the caller has built them; otherwise they are built here."""
     if E.flavor == "artin_schreier":
         return _normal_basis_certificate(E, L)
-    if E.flavor == "kummer" and E.degree == 2:
-        return _plus_minus_certificate(E, L)
     if E.flavor == "kummer":
-        return _eigen_free_certificate(E, L)
+        if eigen is None:
+            dec = eigen_decompose(L.mackey, E.zeta)
+            eigen = dec, check_eigen(dec)
+        dec, bad = eigen
+        if bad:
+            raise InternalCheckError("eigen decomposition failed",
+                                     witness=bad)
+        if E.degree == 2:
+            return _plus_minus_certificate(E, L, dec)
+        return _eigen_free_certificate(E, L, dec)
     raise ValueError(f"no certificate construction for flavor {E.flavor!r}")
 
 
@@ -246,8 +258,8 @@ def _normal_basis_certificate(E: GaloisExtension, L: GreenFunctor):
     alpha = E.alpha_power(1)
     sigma_alpha = E.apply_sigma(alpha)
     basis = Mat.from_cols(K, [alpha, sigma_alpha], 2)
-    det = basis.rows[0][0] * basis.rows[1][1] - \
-        basis.rows[0][1] * basis.rows[1][0]
+    (a, b), (c, d) = basis.rows
+    det = a * d - b * c
     if det == K.zero:
         raise InternalCheckError("{α, σα} is not a basis of L")
     # the regular representation of the group algebra: σ swaps e and σe
@@ -271,12 +283,9 @@ def _normal_basis_certificate(E: GaloisExtension, L: GreenFunctor):
         details={"normal_basis_determinant": str(det)})
 
 
-def _plus_minus_certificate(E: GaloisExtension, L: GreenFunctor):
+def _plus_minus_certificate(E: GaloisExtension, L: GreenFunctor,
+                            dec: EigenDecomposition):
     K = E.base
-    dec = eigen_decompose(L.mackey, -K.one)
-    bad = check_eigen(dec)
-    if bad:
-        raise InternalCheckError("eigen decomposition failed", witness=bad)
     plus, minus = dec.pieces[0], dec.pieces[1]
     if minus.functor.dim(2) != 0:
         raise InternalCheckError(
@@ -299,13 +308,10 @@ def _plus_minus_certificate(E: GaloisExtension, L: GreenFunctor):
                                for m in L.lattice.divisors}})
 
 
-def _eigen_free_certificate(E: GaloisExtension, L: GreenFunctor):
+def _eigen_free_certificate(E: GaloisExtension, L: GreenFunctor,
+                            dec: EigenDecomposition):
     K = E.base
     n = E.degree
-    dec = eigen_decompose(L.mackey, E.zeta)
-    bad = check_eigen(dec)
-    if bad:
-        raise InternalCheckError("eigen decomposition failed", witness=bad)
     witnesses = []
     piece_dims = {}
     for i in range(n):

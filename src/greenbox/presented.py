@@ -1,39 +1,40 @@
 """Quotients of free modules on labeled generators by a relation span.
 
 A PresentedLevel carries the ambient generator list (pure tensors first,
-then transfer classes by increasing origin level), the raw relation rows,
-and one form of the quotient: the map ``q`` from the ambient onto the
-reduced coordinates.  Pivots come from reduced row echelon form with pivots
-at the *last* nonzero coordinate of each relation, so relations rewrite late
-generators in terms of early ones: transfer classes collapse onto pure
-tensors wherever Frobenius reciprocity allows it, and the earliest
-generators survive as the reduced basis.  ``q`` sends free generator k to
-the unit vector e_k and a pivot p to minus its fully reduced row, restricted
-to the free columns; each image is kept as raw ``(index, scalar)`` terms.
-A vector lies in the relation span exactly when ``q`` kills it, and the
-reduced dimension is #generators - rank(relations).
+then transfer classes by increasing origin level), the nonzero relation
+rows as one raw ``Mat`` (``relation_rows``; the box layer hands them over
+raw, and ``relations`` folds them to element vectors), and one form of the
+quotient: the map ``q`` from the ambient onto the reduced coordinates.
+Pivots come from reduced row echelon form with pivots at the *last* nonzero
+coordinate of each relation, so relations rewrite late generators in terms
+of early ones: transfer classes collapse onto pure tensors wherever
+Frobenius reciprocity allows it, and the earliest generators survive as the
+reduced basis.  ``q`` sends free generator k to the unit vector e_k and a
+pivot p to minus its fully reduced row, restricted to the free columns;
+each image is kept as raw ``(index, scalar)`` terms.  A vector lies in the
+relation span exactly when ``q`` kills it, and the reduced dimension is
+#generators - rank(relations).
 
 ``reduce``, ``in_relation_span`` and ``canonicalize`` are sums over ``q``
 (``project``, in the field's raw scalars; ``project_terms`` gives the same
 image as sparse raw terms); ``relation_basis`` gives back the rows
 e_p - Σ_k q[p]_k·e_{free_k} for tests and witnesses.
 
-Descent is decided here, by one check.  A linear map f out of a quotient
-is well defined exactly when it sends the relation span into the target's
+Descent is decided here, by one check.  A linear map f out of a quotient is
+well defined exactly when it sends the relation span into the target's
 relation span.  Given a table T[g] = q_target(f(e_g)), as sparse raw terms
 per generator, ``check_images`` checks T[p] = Σ_k q[p]_k·T[free_k] for
 every pivot p, which is f(row of p) ∈ Rel.  ``descend`` tabulates T once
-per map, runs that check and returns the free columns of T, the induced
-map on the quotients; the structure maps, oracle actions, comparisons and
-identifications go through it.  A box's multiplication projects each
-generator product once into one table per level and runs the same check
-on that table's columns and rows.
+per map, runs that check and writes the free columns of T straight into the
+raw rows of the induced map on the quotients; the structure maps, oracle
+actions, comparisons and identifications go through it.  A box's
+multiplication projects each generator product once into one table per
+level and runs the same check on that table's columns and rows.
 """
 
 from __future__ import annotations
 
-from .linalg import Mat, nonzero_terms, raw_terms, rref, unit_vec, \
-    vec_is_zero, vec_sub
+from .linalg import Mat, nonzero_terms, raw_terms, rref, unit_vec, vec_sub
 from .mackey import InternalCheckError
 
 
@@ -49,13 +50,17 @@ def format_element(K, coeffs, labels) -> str:
 
 class PresentedLevel:
     def __init__(self, field, labels, relations):
+        """``relations``: the relation rows, as vectors of elements or as
+        the rows of one ``Mat``."""
         self.field = field
         self.labels = list(labels)
         self.ngens = len(self.labels)
-        self.relations = [tuple(r) for r in relations
-                          if not vec_is_zero(field, tuple(r))]
-        reduced, pivots = rref(Mat(field, self.relations, ncols=self.ngens),
-                               "last")
+        if not isinstance(relations, Mat):
+            relations = Mat(field, relations, ncols=self.ngens)
+        # the nonzero relation rows
+        self.relation_rows = Mat._from_raw(
+            field, tuple([r for r in relations.raw if any(r)]), self.ngens)
+        reduced, pivots = rref(self.relation_rows, "last")
         self.pivots = pivots
         pivot_set = set(pivots)
         self.free = tuple(j for j in range(self.ngens) if j not in pivot_set)
@@ -64,7 +69,7 @@ class PresentedLevel:
         column = {j: k for k, j in enumerate(self.free)}
         # the reduced coordinate of each free generator, None at pivots
         self._column = [column.get(j) for j in range(self.ngens)]
-        one = field.lift([field.one])[0]
+        one = field.raw_one
         q = [((column[j], one),) if j in column else None
              for j in range(self.ngens)]
         # a fully reduced row is 1 at its pivot and 0 at the other pivots
@@ -73,6 +78,11 @@ class PresentedLevel:
             q[p] = tuple(zip([column[j] for j, _ in rest],
                              field.reduce([-c for _, c in rest])))
         self.q = tuple(q)
+
+    @property
+    def relations(self) -> list:
+        """The nonzero relation rows, as vectors of elements."""
+        return list(self.relation_rows.rows)
 
     def project(self, terms) -> list:
         """The reduced coordinates, as reduced raw scalars, of the ambient
@@ -119,9 +129,9 @@ class PresentedLevel:
         per pivot p in increasing order: e_p less the canonical form of its
         image."""
         K = self.field
-        one = K.lift([K.one])[0]
         return tuple(vec_sub(unit_vec(K, self.ngens, p),
-                             self.expand(K.fold(self.project(((p, one),)))))
+                             self.expand(K.fold(self.project(
+                                 ((p, K.raw_one),)))))
                      for p in self.pivots)
 
     def show(self, v) -> str:
@@ -191,8 +201,11 @@ class PresentedLevel:
             cols = [table[g] for g in self.free]
         else:
             cols = [project(images(g)) for g in self.free]
-        return Mat.from_cols(self.field, [target.dense(c) for c in cols],
-                             target.dim)
+        rows = [[self.field.raw_zero] * len(cols) for _ in range(target.dim)]
+        for k, terms in enumerate(cols):
+            for t, c in terms:
+                rows[t][k] = c
+        return Mat._from_raw(self.field, tuple(map(tuple, rows)), len(cols))
 
     def rel_rank(self) -> int:
         return len(self.pivots)

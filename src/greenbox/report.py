@@ -251,6 +251,17 @@ class EtaleReport:
     def ideal_data(self):
         return ideal_and_square(self.rel_box, self.mult)
 
+    @cached_property
+    def eigen_decomposition(self):
+        """L^fix's ζ-eigen decomposition and its ``check_eigen``
+        violations, built once for the certificate and the eigen section;
+        None unless E is Kummer with n ≥ 2."""
+        E = self.galois
+        if E.flavor != "kummer" or E.degree < 2:
+            return None
+        dec = eigen_decompose(self.fixed.mackey, E.zeta)
+        return dec, check_eigen(dec)
+
     # -- sections -----------------------------------------------------------
 
     @cached_property
@@ -387,7 +398,8 @@ class EtaleReport:
             return {"kind": "trivial", "valid": True, "violations": [],
                     "witnesses": [], "witness_components": [],
                     "details": {}}
-        cert = projectivity_certificate(self.galois, self.fixed)
+        cert = projectivity_certificate(self.galois, self.fixed,
+                                        self.eigen_decomposition)
         violations = verify_certificate(cert)
         return {
             "kind": cert.kind,
@@ -403,15 +415,14 @@ class EtaleReport:
 
     @cached_property
     def eigen(self) -> dict | None:
-        E = self.galois
-        if E.flavor != "kummer" or E.degree < 2:
+        if self.eigen_decomposition is None:
             return None
-        dec = eigen_decompose(self.fixed.mackey, E.zeta)
+        dec, bad = self.eigen_decomposition
         return {
-            "valid": not check_eigen(dec),
+            "valid": not bad,
             "piece_dims": {str(i): {str(m): dec.pieces[i].functor.dim(m)
                                     for m in self.divisors}
-                           for i in range(E.degree)},
+                           for i in range(len(dec.pieces))},
         }
 
     @cached_property

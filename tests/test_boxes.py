@@ -10,14 +10,13 @@ import pytest
 from conftest import gen_coords, unit_vec
 
 from greenbox import boxes
-from greenbox.boxes import (box, box3, compare_boxes, coequalizer_oracle,
-                            norm_on_c2_box, prime_box_oracle, relative_box,
-                            swap_isomorphic)
+from greenbox.boxes import (box, compare_boxes, coequalizer_oracle,
+                            norm_on_c2_box, prime_box_oracle, relative_box)
 from greenbox.extensions import kummer_extension
 from greenbox.fields import finite_field, prime_field, rationals
 from greenbox.green import (GreenFunctor, check_green, constant_functor,
                             corrupt_multiplication, fix_functor, zero_green)
-from greenbox.linalg import Mat, tensor_vec
+from greenbox.linalg import Mat, product_terms, tensor_vec
 from greenbox.mackey import InternalCheckError, MackeyFunctor, check_axioms, \
     corrupt_transfer, small_random_mackey, subgroup_lattice
 from greenbox.presented import PresentedLevel
@@ -26,6 +25,17 @@ from greenbox.report import ORACLE_EVERY, load_config
 F2 = prime_field(2)
 F5 = prime_field(5)
 F7 = prime_field(7)
+
+
+def box3(M, R, N):
+    """Threefold box product computed as (M □ R) □ N."""
+    return boxes.build_box(box(M, R).green, N,
+                           name=f"({M.name}□{R.name})□{N.name}")
+
+
+def swap_isomorphic(bMN, bNM):
+    """Discrepancies of M□N against N□M under the factor swap."""
+    return compare_boxes(bMN, bNM, gen_map=lambda m, g: (g[0], g[2], g[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +636,42 @@ def _fuzz_oracle_pairs():
         rng = random.Random(10 ** 6 + cfg.seed + k)
         yield tuple(zero_green(small_random_mackey(
             lat, K, seed=rng.randrange(2 ** 30))) for _ in range(2))
+
+
+def _terms_factors(kummer4_bundle):
+    """The C_4/F_5 relative box's factors and one C_5 fuzz oracle pair,
+    each factor's product terms built."""
+    pairs = [(kummer4_bundle.fix,) * 2, next(_fuzz_oracle_pairs())]
+    for pair in pairs:
+        for G in pair:
+            for m in G.lattice.divisors:
+                G.terms(m)
+    return pairs
+
+
+def test_box_terms_are_the_product_terms_of_its_table(kummer4_bundle):
+    for L, R in _terms_factors(kummer4_bundle):
+        G = boxes.build_box(L, R).green
+        for m in G.lattice.divisors:
+            assert G.terms(m) == product_terms(G.scalars, G.mult[m]), m
+
+
+def test_a_built_box_never_reaches_product_terms(kummer4_bundle,
+                                                 monkeypatch):
+    """``_check_descent`` hands the box's reduced product terms to its
+    Green functor, so neither building it nor reading its terms rescans a
+    dense table."""
+    pairs = _terms_factors(kummer4_bundle)
+
+    def rescan(*args):
+        raise AssertionError("product_terms called")
+
+    for module in ("greenbox.linalg", "greenbox.green"):
+        monkeypatch.setattr(f"{module}.product_terms", rescan)
+    for L, R in pairs:
+        G = boxes.build_box(L, R).green
+        for m in G.lattice.divisors:
+            assert len(G.terms(m)) == G.dim(m)
 
 
 def test_prime_oracle_products_on_the_fuzz_oracle_pairs():

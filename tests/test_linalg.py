@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from greenbox.fields import FieldUsageError, prime_field, rationals
+from greenbox.fields import FieldUsageError, finite_field, owner_of, \
+    prime_field, rationals
 from greenbox.linalg import (Mat, Span, bilinear, eliminate, inverse, kernel,
                              nonzero_terms, product_terms, rank, rref, solve,
                              solve_matrix)
@@ -12,6 +13,7 @@ F2 = prime_field(2)
 F5 = prime_field(5)
 F7 = prime_field(7)
 Q = rationals()
+F9 = finite_field(3, 2)
 
 
 def mat(K, rows):
@@ -188,3 +190,69 @@ def test_span_add_never_pivots_on_a_cancelled_entry():
     rows, pivots = span.echelon()
     assert pivots == (0, 2)
     assert rows[1] == (F7.zero, F7.zero, F7.one)
+
+
+# ---------------------------------------------------------------------------
+# a Mat keeps one stored form, its reduced raw rows; kernel results and
+# matrices built from element rows are the same matrices
+
+
+def _random(K, rng, nrows, ncols):
+    return Mat(K, [[K.random(rng) for _ in range(ncols)]
+                   for _ in range(nrows)], ncols=ncols)
+
+
+def _dot(K, u, v):
+    out = K.zero
+    for a, b in zip(u, v):
+        out = out + a * b
+    return out
+
+
+def _assert_same(kernel_result, element_rows, ncols):
+    built = Mat(kernel_result.field, element_rows, ncols=ncols)
+    assert kernel_result == built and built == kernel_result
+    assert hash(kernel_result) == hash(built)
+
+
+@pytest.mark.parametrize("K", [F7, F9, Q], ids=str)
+def test_kernel_results_equal_and_hash_like_element_built_matrices(K):
+    rng = random.Random(13)
+    A, C = _random(K, rng, 3, 4), _random(K, rng, 3, 4)
+    B = _random(K, rng, 4, 2)
+    a, b, c = A.rows, B.rows, C.rows
+    _assert_same(A @ B, [[_dot(K, r, col) for col in zip(*b)] for r in a], 2)
+    _assert_same(A + C, [[x + y for x, y in zip(r, s)]
+                         for r, s in zip(a, c)], 4)
+    _assert_same(A.transpose(), list(zip(*a)), 3)
+    while True:
+        S = _random(K, rng, 3, 3)
+        if rank(S) == 3:
+            break
+    X = solve_matrix(S, A)
+    # the unique solution, checked entry by entry through element arithmetic
+    assert [[_dot(K, r, col) for col in zip(*X.rows)] for r in S.rows] == \
+        [list(r) for r in a]
+    _assert_same(X, X.rows, 4)
+    _assert_same(inverse(S), inverse(S).rows, 3)
+
+
+@pytest.mark.parametrize("K", [F7, F9, Q], ids=str)
+def test_rows_col_and_cols_are_field_elements(K):
+    rng = random.Random(17)
+    A, B = _random(K, rng, 3, 3), _random(K, rng, 3, 2)
+    for M in (A, A @ B, A + A, A.scale(K.from_int(2)), A.transpose(),
+              A.hstack(B), Mat.identity(K, 3), Mat.zeros(K, 2, 3),
+              rref(A)[0], solve_matrix(A, B) or B):
+        entries = [x for r in M.rows for x in r]
+        entries += [x for j in range(M.ncols) for x in M.col(j)]
+        entries += [x for c in M.cols() for x in c]
+        # owner_of raises on a bare int
+        assert all(owner_of(x) is K for x in entries), M
+
+
+@pytest.mark.parametrize("K", [F7, F9, Q], ids=str)
+def test_identity_is_returned_unchanged_by_matmul(K):
+    A = _random(K, random.Random(19), 2, 3)
+    assert Mat.identity(K, 2) @ A is A and A @ Mat.identity(K, 3) is A
+    assert Mat.identity(K, 3).power(4).known_identity

@@ -10,12 +10,16 @@ from greenbox.linalg import Mat, rank
 from greenbox.mackey import (InternalCheckError, MackeyFunctor,
                              MackeyMorphism, base_change, check_axioms,
                              corrupt_transfer, fix_of_module,
-                             identity_morphism, permutation_module_atom,
-                             random_mackey, small_random_mackey, solve_in,
-                             subgroup_lattice)
+                             permutation_module_atom, random_mackey,
+                             small_random_mackey, solve_in, subgroup_lattice)
 
 F5 = prime_field(5)
 F7 = prime_field(7)
+
+
+def identity_morphism(M):
+    return MackeyMorphism(M, M, {m: Mat.identity(M.scalars, M.dim(m))
+                                 for m in M.lattice.divisors}, name="id")
 
 
 def test_lattice_shape():

@@ -9,8 +9,8 @@ from greenbox.fields import prime_field
 from greenbox.green import constant_functor
 from greenbox.linalg import Mat, inverse
 from greenbox.mackey import (InternalCheckError, MackeyMorphism, check_axioms,
-                             corrupt_transfer, fix_of_module_map,
-                             random_mackey, subgroup_lattice)
+                             corrupt_transfer, random_mackey, solve_in,
+                             subgroup_lattice)
 from greenbox.modules import (_assert_iso, check_eigen,
                               constant_box_lemma_check,
                               eigen_decompose, fix_reconstruction,
@@ -20,6 +20,18 @@ F2 = prime_field(2)
 F3 = prime_field(3)
 F5 = prime_field(5)
 F7 = prime_field(7)
+
+
+def fix_of_module_map(src, dst, level1_map):
+    """Morphism of fixed-point functors induced by an equivariant map of
+    underlying modules (must commute with the actions)."""
+    if level1_map @ src.action != dst.action @ level1_map:
+        raise InternalCheckError("level-1 map is not equivariant")
+    comps = {m: solve_in(dst.embeds[m], level1_map @ src.embeds[m],
+                         f"induced map does not preserve fixed points at "
+                         f"level {m}")
+             for m in src.functor.lattice.divisors}
+    return MackeyMorphism(src.functor, dst.functor, comps)
 
 
 # ---------------------------------------------------------------------------

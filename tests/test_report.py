@@ -13,6 +13,7 @@ import pytest
 
 import greenbox.boxes
 import greenbox.green
+import greenbox.modules
 import greenbox.report
 from greenbox.cli import main
 from greenbox.mackey import InternalCheckError
@@ -501,6 +502,29 @@ def test_full_pipeline_builds_each_stage_once(monkeypatch):
                 monkeypatch.setattr(module, name, wrapped)
     run_pipeline(cfg("kummer_f7_n3")).to_dict()
     assert calls == {"build_box": 3, "fix_functor": 1}
+
+
+@pytest.mark.parametrize("verb", ["report --format text", "check-etale",
+                                  "decompose"])
+def test_each_verb_decomposes_l_fix_once(monkeypatch, verb):
+    """The certificate and the eigen section share one decomposition and
+    one ``check_eigen`` run, in every module that bound them by name."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def stage(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return stage
+
+    for name in ("eigen_decompose", "check_eigen"):
+        fn = getattr(greenbox.modules, name)
+        for key, module in list(sys.modules.items()):
+            if key.startswith("greenbox") and \
+                    getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    assert _recorded_stdout_holds(f"{verb} configs/kummer_f7_n3.cfg")
+    assert calls == {"eigen_decompose": 1, "check_eigen": 1}
 
 
 def test_verb_exit_codes_cover_their_own_checks(monkeypatch, capsys):
