@@ -19,11 +19,12 @@ ambient res, tr and Weyl maps sit in one ``MackeyFunctor``-shaped container,
 ``ambient``, which is not axiom-true: on a class component of origin d its
 Weyl action has order n/d, not n/m.  Each product of two generators has
 one form, its raw nonzero terms, kept in the product table
-``_mult_cache`` and read through ``mult_terms``.  ``build_box`` fills the
-table once, bottom-up (``_fill_products``): pure products from the factors'
-raw product terms, and a product with a class factor tr(w) as tr of a
-product at the class origin (Frobenius reciprocity), summed from that
-lower level's entries.
+``_mult_cache`` and read through ``mult_terms``.  The table is sparse: it
+stores only nonzero products, and a missing entry is a zero product.
+``build_box`` fills it once, bottom-up (``_fill_products``): pure products
+from the pairs of nonzero factor products, and a product with a class
+factor tr(w) as tr of a product at the class origin (Frobenius
+reciprocity), spread from that lower level's nonzero entries.
 
 The ambient maps and relation rows are written in raw scalars: tensor
 blocks are raw Kronecker products (``_tensor_mat``), placed into ambient
@@ -33,22 +34,24 @@ without a fold or lift.
 One pass, ``_check_descent``, reads the reduced structure off the ambient
 and the product table: each of Weyl, res and tr goes through one
 ``PresentedLevel.descend``, which checks that the map sends relations into
-relations and returns the induced matrix.  Each level projects every
-generator product once; ``PresentedLevel.check_images`` checks the table's
-columns (relations times every generator) and the rows of the free
-generators (free generators times relations, which is exact, see
-``_check_descent``), and the free×free block, as raw terms, is the reduced
-multiplication handed to the box's ``GreenFunctor``, whose dense ``mult``
-is derived only if read.
+relations and returns the induced matrix.  One pass over the product table
+projects every stored product once into its level's row table; relations
+times every generator are checked row-wise, once per pivot, and free
+generators times relations on the free rows (which is exact, see
+``_check_descent``).  Each identity is a sum of products, and an absent
+product adds zero, so the sparse table checks every (relation row,
+generator, side) triple that a dense table would.  The free×free block, as
+raw terms, is the reduced multiplication handed to the box's
+``GreenFunctor``, whose dense ``mult`` is derived only if read.
 
 Two independent oracles validate the construction: a closed-form two-level
 build for prime group order, and a coequalizer of the threefold box along
 the two base-action maps for relative boxes.  The closed form installs its
-products as raw terms computed from its own restriction columns and reuses
-no builder path, ``_fill_products`` included.  The coequalizer is handed the
-relative box T □ T it checks and presents its quotient on that box's
-ambient: the same generators and ambient maps, with the action-difference
-rows added to its relations.
+nonzero products as raw terms computed from its own restriction rows and
+reuses no builder path, ``_fill_products`` included.  The coequalizer is
+handed the relative box T □ T it checks and presents its quotient on that
+box's ambient: the same generators and ambient maps, with the
+action-difference rows added to its relations.
 """
 
 from __future__ import annotations
@@ -110,8 +113,9 @@ class BoxProduct:
     def mult_terms(self, m, ca, cb):
         """The product of two ambient generators of level m, as its raw
         nonzero ``(index, scalar)`` terms in increasing index: a read of the
-        product table that ``_fill_products`` (or the prime oracle) wrote."""
-        return self._mult_cache[(m, ca, cb)]
+        product table that ``_fill_products`` (or the prime oracle) wrote,
+        where a missing entry is a vanishing product."""
+        return self._mult_cache.get((m, ca, cb), ())
 
     def mult_vec(self, m, va, vb):
         """Bilinear extension of mult_terms to ambient vectors."""
@@ -300,62 +304,78 @@ def build_box(left: GreenFunctor, right: GreenFunctor, name="",
 
 
 def _fill_products(bx: BoxProduct) -> None:
-    """Write the product of every pair of generators of every level into
-    ``bx._mult_cache``, lower levels first, as sorted, reduced, nonzero raw
-    terms; an entry already there is kept.
+    """Write the nonzero product of every pair of generators of every level
+    into ``bx._mult_cache``, lower levels first, as sorted, reduced, nonzero
+    raw terms.  The table is sparse: a pair whose product vanishes gets no
+    entry, which ``mult_terms`` reads as ``()``.  An entry already there is
+    kept.
 
-    Pure tensors multiply componentwise, from the factors' raw product
-    terms.  A class factor is tr(w) for a pure generator w of its origin o,
-    and tr(w)·x = tr(w·res x), x·tr(w) = tr(res x·w): the products of w at
-    level o, which is already filled, are summed over the terms of res x
-    into a dict, and the transfer chain's columns are unit vectors, so
-    applying it over those terms only relabels."""
+    Pure tensors multiply componentwise: only pairs of nonzero factor
+    products are visited, and each gives a nonzero tensor, since a field
+    has no zero divisors.  A class factor is tr(w) for a pure generator w of
+    its origin o, and tr(w)·x = tr(w·res x), x·tr(w) = tr(res x·w), the
+    first form for a product of two classes: each nonzero product w·e_k (or
+    e_k·w) at level o, which is already filled, is spread over the
+    generators x whose restriction has a k-term, read off row k of
+    res_{o←m} (``_spread``)."""
     K, L, R = bx.scalars, bx.left, bx.right
-    cache, zero = bx._mult_cache, K.raw_zero
+    cache = bx._mult_cache
     for m in bx.lattice.divisors:
-        gens = bx.gens[m]
-        lt, rt, width = L.terms(m), R.terms(m), R.dim(m)
-        res, up = {}, {}
-        for o in bx.offsets[m]:
-            if o != m:
-                res[o] = bx.ambient.res_mat(o, m).col_terms()
-                up[o] = [c[0][0] for c in bx.ambient.tr_mat(m, o).col_terms()]
-        # per class generator tr(w): the products w·e_k and e_k·w at level o
-        w_left, w_right = {}, {}
-        for c, (o, i, j) in enumerate(gens):
-            if o != m:
-                w = bx.gen_index(o, o, i, j)
-                w_left[c] = [cache[(o, w, k)] for k in range(bx.amb_dim(o))]
-                w_right[c] = [cache[(o, k, w)] for k in range(bx.amb_dim(o))]
-        for ca, (d, i, j) in enumerate(gens):
-            for cb, (e, i2, j2) in enumerate(gens):
-                key = (m, ca, cb)
-                if key in cache:
-                    continue
-                if d == m and e == m:
-                    # pure tensors sit first
-                    cache[key] = tensor_terms(K, lt[i][i2], rt[j][j2], width)
-                    continue
-                if d < m:
-                    terms, prods, relabel = res[d][cb], w_left[ca], up[d]
-                else:
-                    terms, prods, relabel = res[e][ca], w_right[cb], up[e]
-                if len(terms) == 1 and len(prods[terms[0][0]]) == 1:
-                    # one scalar times one term: a field has no zero divisors
-                    (k, c), = terms
-                    (t, a), = prods[k]
-                    cache[key] = ((relabel[t], K.reduce([c * a])[0]),)
-                    continue
-                acc = {}
-                for k, c in terms:
-                    for t, a in prods[k]:
-                        acc[t] = acc.get(t, zero) + c * a
-                if not acc:
-                    cache[key] = ()
-                    continue
-                cache[key] = tuple(sorted(
-                    (relabel[t], c) for t, c in
-                    zip(acc, K.reduce(list(acc.values()))) if c))
+        # pure tensors sit first
+        width = R.dim(m)
+        rt = [(j, j2, t) for j, row in enumerate(R.terms(m))
+              for j2, t in enumerate(row) if t]
+        for i, row in enumerate(L.terms(m)):
+            for i2, lt in enumerate(row):
+                if lt:
+                    for j, j2, t in rt:
+                        cache.setdefault((m, i * width + j, i2 * width + j2),
+                                         tensor_terms(K, lt, t, width))
+        npure, ngens = L.dim(m) * width, bx.amb_dim(m)
+        for o, off in bx.offsets[m].items():
+            if o == m:
+                continue
+            rows = bx.ambient.res_mat(o, m).row_terms()
+            up = [c[0][0] for c in bx.ambient.tr_mat(m, o).col_terms()]
+            span = range(bx.amb_dim(o))
+            for w in range(L.dim(o) * R.dim(o)):
+                c = off + w             # the class tr(w) at level m
+                for x, terms in _spread(K, [(k, t) for k in span if (
+                        t := cache.get((o, w, k)))], rows, up, ngens):
+                    cache.setdefault((m, c, x), terms)
+                for x, terms in _spread(K, [(k, t) for k in span if (
+                        t := cache.get((o, k, w)))], rows, up, npure):
+                    cache.setdefault((m, x, c), terms)
+
+
+def _spread(K, prods, rows, up, bound):
+    """Yield (x, the sorted raw terms of tr(Σ_k res(e_x)_k·p_k)) for the
+    generators x < ``bound`` where that sum is nonzero.  ``prods`` holds
+    the pairs (k, terms of p_k) of the nonzero level-o products p_k, row k
+    of ``rows`` the generators x whose restriction res_{o←m}(e_x) has a
+    k-term, and ``up[t]`` the level-m index of the transfer of level-o
+    generator t: the transfer chain's columns are unit vectors, so it only
+    relabels."""
+    zero = K.raw_zero
+    acc = {}
+    for k, terms in prods:
+        for x, r in rows[k]:
+            if x < bound:
+                acc.setdefault(x, []).append((r, terms))
+    for x, parts in acc.items():
+        if len(parts) == 1 and len(parts[0][1]) == 1:
+            # one scalar times one term: a field has no zero divisors
+            (r, ((t, a),)), = parts
+            yield x, ((up[t], K.reduce([r * a])[0]),)
+            continue
+        sums = {}
+        for r, terms in parts:
+            for t, a in terms:
+                sums[t] = sums.get(t, zero) + r * a
+        terms = tuple(sorted((up[t], v) for t, v in
+                             zip(sums, K.reduce(list(sums.values()))) if v))
+        if terms:
+            yield x, terms
 
 
 def _check_descent(bx: BoxProduct, check: bool = True) -> None:
@@ -365,22 +385,26 @@ def _check_descent(bx: BoxProduct, check: bool = True) -> None:
     false, that the map sends relations into relations.
 
     Multiplication is bilinear, so it descends exactly when Rel·A ⊆ Rel and
-    A·Rel ⊆ Rel.  Each level projects every product of two generators once
-    (``_projected_products``); the first condition is checked as Rel·e ⊆
-    Rel for every generator e, on the table's column of e, and the second
-    on the rows of the free generators e only: the relation basis is in
-    reduced echelon form, so A = span(free units) ⊕ Rel, and for x = f + s
-    with s in Rel, x·r = f·r + s·r, where f·r is covered by the free
-    generators and s·r lies in Rel·A, which the first check covers.  The
-    right side is checked only on levels with relations: a level without
-    them has no (relation row, generator) pair to check, so skipping it
-    there drops no check.  Both sides go through
-    ``PresentedLevel.check_images``.  The reduced multiplication is the
+    A·Rel ⊆ Rel.  One pass over the sparse product table projects every
+    stored product once into its level's row table (``_projected_products``);
+    a missing entry, in the product table or the row table, is a zero
+    product, and a sum over zero products is zero, so visiting only the
+    stored entries checks the same linear identities as a dense table.  The
+    first condition is Rel·e ⊆ Rel for every generator e, checked row-wise
+    (``_check_products``); the second is checked on the rows of the free
+    generators e only: the relation basis is in reduced echelon form, so
+    A = span(free units) ⊕ Rel, and for x = f + s with s in Rel, x·r = f·r
+    + s·r, where f·r is covered by the free generators and s·r lies in
+    Rel·A, which the first check covers.  A level without relations has no
+    (relation row, generator) pair to check on either side.  Failures are
+    raised by ``PresentedLevel.check_images``, for the least generator e,
+    the left side before the right.  The reduced multiplication is the
     table's free×free block.  Unchecked, only that block is projected.
     """
     lattice, amb = bx.lattice, bx.ambient
     pairs = lattice.covering_pairs
     res, tr, weyl, terms = {}, {}, {}, {}
+    tables = _projected_products(bx, check)
     for m in lattice.divisors:
         lvl = bx.levels[m]
         weyl[m] = lvl.descend(amb.weyl[m], lvl,
@@ -395,17 +419,11 @@ def _check_descent(bx: BoxProduct, check: bool = True) -> None:
                 tr[(hi, m)] = lvl.descend(
                     amb.tr[(hi, m)], bx.levels[hi],
                     f"transfer {m}->{hi} fails to descend", check)
-        table = _projected_products(bx, m, check)
-        if check:
-            free = set(lvl.free)
-            where = f"multiplication fails to descend at level {m}"
-            for e, label in enumerate(lvl.labels):
-                what = f"product of a relation with {label}"
-                lvl.check_images([row[e] for row in table], lvl,
-                                 f"{where}: left {what}")
-                if e in free and lvl.pivots:
-                    lvl.check_images(table[e], lvl, f"{where}: right {what}")
-        terms[m] = _reduced_terms(lvl, table)
+        rows = tables[m]
+        if check and lvl.pivots:
+            _check_products(lvl, rows,
+                            f"multiplication fails to descend at level {m}")
+        terms[m] = _reduced_terms(lvl, rows)
     labels = {m: bx.levels[m].reduced_labels for m in lattice.divisors}
     mack = MackeyFunctor(bx.scalars, lattice, labels, res, tr, weyl,
                          name=bx.name)
@@ -413,31 +431,67 @@ def _check_descent(bx: BoxProduct, check: bool = True) -> None:
     bx.green = GreenFunctor(mack, None, unit, name=bx.name, terms=terms)
 
 
-def _projected_products(bx: BoxProduct, m: int, check: bool) -> list:
-    """Row g, column e: the raw terms of q(e_g·e_e) at level m, each
-    product projected once.  Checked, the table covers every pair of
-    generators; unchecked, only pairs of free generators (other entries
-    are None)."""
-    lvl = bx.levels[m]
-    cache, project = bx._mult_cache, lvl.project_terms
-    gens = range(lvl.ngens) if check else lvl.free
-    table = [None] * lvl.ngens
-    for g in gens:
-        row = table[g] = [None] * lvl.ngens
-        for e in gens:
-            row[e] = project(cache[(m, g, e)])
-    return table
+def _projected_products(bx: BoxProduct, check: bool) -> dict:
+    """Per level m, row g: {e: the raw terms of q(e_g·e_e)} for the stored
+    products whose projection is nonzero, from one pass over the product
+    table.  Checked, every stored product is projected; unchecked, only
+    products of two free generators."""
+    tables, project, column = {}, {}, {}
+    for m, lvl in bx.levels.items():
+        tables[m] = [{} for _ in range(lvl.ngens)]
+        project[m] = lvl.project_terms
+        column[m] = lvl._column
+    for (m, a, b), prod in bx._mult_cache.items():
+        if not check and (column[m][a] is None or column[m][b] is None):
+            continue
+        image = project[m](prod)
+        if image:
+            tables[m][a][b] = image
+    return tables
 
 
-def _reduced_terms(lvl, table) -> list:
+def _check_products(lvl, rows, where) -> None:
+    """Raise InternalCheckError unless the projected products ``rows``
+    (row g: {e: q(e_g·e_e)}) send relations into relations on both sides;
+    see ``_check_descent``.  The left side is summed row-wise: per pivot p,
+    T[p] − Σ_k q[p]_k·T[free_k] over whole rows, whose entry (e, t) is
+    coordinate t of (row of p)·e.  The first failure in generator order,
+    left before right, is raised by ``check_images`` on that generator's
+    column (left) or row (right) of the table."""
+    K, dim, free, ngens = lvl.field, lvl.dim, lvl.free, lvl.ngens
+    first = ngens           # the least generator that fails on the left
+    for p in lvl.pivots:
+        acc = {e * dim + t: c for e, image in rows[p].items()
+               for t, c in image}
+        for k, a in lvl.q[p]:
+            for e, image in rows[free[k]].items():
+                for t, b in image:
+                    key = e * dim + t
+                    acc[key] = acc.get(key, K.raw_zero) - a * b
+        for key, v in zip(acc, K.reduce(list(acc.values()))):
+            if v:
+                first = min(first, key // dim)
+    what = "product of a relation with"
+    for e in free:
+        if e >= first:
+            break
+        if rows[e]:
+            lvl.check_images([rows[e].get(g, ()) for g in range(ngens)],
+                             lvl, f"{where}: right {what} {lvl.labels[e]}")
+    if first < ngens:
+        lvl.check_images([row.get(first, ()) for row in rows], lvl,
+                         f"{where}: left {what} {lvl.labels[first]}")
+
+
+def _reduced_terms(lvl, rows) -> list:
     """The reduced product terms, the table's free×free block: entry (a, b)
     is q(e_a·e_b) for free generators a and b.  e_a·e_b shares the terms of
     e_b·e_a when they are equal."""
     free = lvl.free
     out = []
     for a, ga in enumerate(free):
-        row = table[ga]
-        out.append([row[gb] for gb in free])
+        row = rows[ga]
+        out.append([row.get(gb, ()) for gb in free])
         for b in range(a):
             if out[a][b] == out[b][a]:
                 out[a][b] = out[b][a]
@@ -557,30 +611,48 @@ def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int
 
 def _attach_prime_oracle_mult(bx, M, N, p):
     """Closed-form multiplication, written as raw product terms straight
-    into the cache; no builder path is reused.  A product of two pure
-    tensors is the tensor of the factors' products.  A product with a class
-    factor [w] is [w·res y] or [res x·w]: a dict sum of level-1 products
-    over the oracle's own restriction column of the other factor."""
+    into the cache, nonzero products only; no builder path is reused.  A
+    product of two pure tensors is the tensor of the factors' products,
+    nonzero exactly when both are.  A product with a class factor [w] is
+    [w·res y] or [res x·w], the first form for two classes: each nonzero
+    level-1 product of w is summed into the products of the generators
+    whose restriction, a row of the oracle's own restriction matrix,
+    reaches its other factor."""
     K = bx.scalars
     cache = bx._mult_cache
     off = bx.offsets[p][1]
-    res = bx.ambient.res[(1, p)].col_terms()
-    for m in (1, p):      # level 1 first: the class products read it
-        mt, nt = M.terms(m), N.terms(m)
-        for ca, (d, i, j) in enumerate(bx.gens[m]):
-            for cb, (e, i2, j2) in enumerate(bx.gens[m]):
-                if d == e == m:
-                    cache[(m, ca, cb)] = tensor_terms(
-                        K, mt[i][i2], nt[j][j2], N.dim(m))
-                    continue
-                acc = {}
-                for k, c in res[ca] if d == p else res[cb]:
-                    key = (1, k, cb - off) if d == p else (1, ca - off, k)
-                    for t, a in cache[key]:
-                        acc[t] = acc.get(t, K.raw_zero) + c * a
-                cache[(m, ca, cb)] = () if not acc else tuple(sorted(
-                    (off + t, c) for t, c in
-                    zip(acc, K.reduce(list(acc.values()))) if c))
+    for m in (1, p):
+        mt, nt, width = M.terms(m), N.terms(m), N.dim(m)
+        nonzero = [(j, j2, y) for j, row in enumerate(nt)
+                   for j2, y in enumerate(row) if y]
+        for i, row in enumerate(mt):
+            for i2, x in enumerate(row):
+                if x:
+                    for j, j2, y in nonzero:
+                        cache[(m, i * width + j, i2 * width + j2)] = \
+                            tensor_terms(K, x, y, width)
+    # level-1 products by their left and right factor
+    by_left, by_right = {}, {}
+    for (m, a, b), terms in cache.items():
+        if m == 1:
+            by_left.setdefault(a, []).append((b, terms))
+            by_right.setdefault(b, []).append((a, terms))
+    rows = bx.ambient.res[(1, p)].row_terms()
+    for w in range(bx.amb_dim(1)):
+        for other, pure_only in ((by_left, False), (by_right, True)):
+            acc = {}
+            for k, terms in other.get(w, ()):
+                for y, c in rows[k]:
+                    if y < off or not pure_only:
+                        sums = acc.setdefault(y, {})
+                        for t, a in terms:
+                            sums[t] = sums.get(t, K.raw_zero) + c * a
+            for y, sums in acc.items():
+                prod = tuple((off + t, c) for t, c in sorted(
+                    zip(sums, K.reduce(list(sums.values())))) if c)
+                if prod:
+                    cache[(p, y, off + w) if pure_only else
+                          (p, off + w, y)] = prod
 
 
 # ---------------------------------------------------------------------------

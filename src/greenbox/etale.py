@@ -24,8 +24,9 @@ from .boxes import BoxProduct, relative_box
 from .extensions import GaloisExtension
 from .fields import Field
 from .green import constant_functor
-from .linalg import Mat, Span, kernel, solve, solve_matrix, tensor_vec, \
-    unit_vec, vec_is_zero, vec_scale, vec_sub, vec_zero
+from .linalg import Mat, Span, bilinear_terms, kernel, nonzero_terms, solve, \
+    solve_matrix, tensor_vec, unit_vec, vec_is_zero, vec_scale, vec_sub, \
+    vec_zero
 from .mackey import InternalCheckError, MackeyMorphism, Violation
 from .modules import constant_box_iso
 from .presented import PresentedLevel, format_element
@@ -90,25 +91,29 @@ class IdealData:
 
 def ideal_and_square(bx: BoxProduct, mm: MackeyMorphism) -> IdealData:
     """Kernel of the multiplication map and the span of its pairwise
-    products, per level, with containment asserted."""
+    products, per level, with containment asserted.  The ideal's basis and
+    its products stay raw terms: each product is ``bilinear_terms`` over
+    the box's reduced product terms, tested and inserted raw."""
     K = bx.scalars
     ideal, square, qdims, verdicts = {}, {}, {}, {}
     for m in bx.lattice.divisors:
         basis = kernel(mm.components[m])
         ideal[m] = basis
+        terms = bx.green.terms(m)
+        raw = [nonzero_terms(K, v) for v in basis]
         span_i = Span(K, bx.dim(m), basis)
         span_sq = Span(K, bx.dim(m))
-        for i in range(len(basis)):
-            for j in range(i, len(basis)):
-                prod = bx.green.multiply(m, basis[i], basis[j])
-                if not span_i.contains(prod):
+        for i, x in enumerate(raw):
+            for j in range(i, len(raw)):
+                prod = bilinear_terms(K, terms, x, raw[j])
+                if not span_i._contains(prod):
                     lab = bx.levels[m].reduced_labels
                     raise InternalCheckError(
                         f"I² is not contained in I at level {m}",
                         witness=f"({format_element(K, basis[i], lab)})·"
                         f"({format_element(K, basis[j], lab)}) = "
-                        f"{format_element(K, prod, lab)}")
-                span_sq.add(prod)
+                        f"{format_element(K, K.fold(prod), lab)}")
+                span_sq._insert(prod)
         square[m] = span_sq.basis()
         qdims[m] = span_i.dim - span_sq.dim
         verdicts[m] = span_i.dim == span_sq.dim

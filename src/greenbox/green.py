@@ -22,8 +22,7 @@ import random
 from .algebras import FiniteAlgebra, base_as_algebra
 from .extensions import GaloisExtension, format_l_element
 from .fields import Field
-from .linalg import Mat, bilinear, bilinear_terms, product_terms, unit_vec, \
-    vec_zero
+from .linalg import Mat, bilinear, product_terms, unit_vec, vec_zero
 from .mackey import (InternalCheckError, MackeyFunctor, MackeyMorphism,
                      SubgroupLattice, Violation, base_change, solve_in,
                      subgroup_lattice)
@@ -344,25 +343,54 @@ def check_green_morphism(source: GreenFunctor, target: GreenFunctor,
     multiplication violation and the unit.
 
     φ(e_i·e_j) = φ(e_i)·φ(e_j) is compared for every basis pair on raw
-    scalars: ``Mat.apply_terms`` and ``bilinear_terms`` read φ's cached
-    column terms and the two functors' cached product terms, and the two
-    reduced raw lists, which are canonical, are compared without a lift or
-    fold per pair."""
+    scalars, from φ's cached column terms and the two functors' product
+    terms, without a lift or fold per pair.  Both sides are sparse: an
+    empty product term list is a zero product, so φ(e_i·e_j) is zero when
+    e_i·e_j is, and the right side sums only the nonzero target products
+    e_k·e_l.  Per i, those products are grouped by l once
+    (``_row_differs``), and the right side for each j sums the groups at
+    the terms l of φ(e_j); a pair where both sides have no term is equal
+    without a pass over its coordinates."""
     out = MackeyMorphism(source.mackey, target.mackey, components,
                          name=name).check()
     K = source.scalars
     for m in source.lattice.divisors:
         phi = components[m]
-        dim = source.dim(m)
         cols = phi.col_terms()
         src, tgt = source.terms(m), target.terms(m)
-        if any(phi.apply_terms(src[i][j])
-               != bilinear_terms(K, tgt, cols[i], cols[j])
-               for i in range(dim) for j in range(dim)):
+        if any(_row_differs(K, phi, src[i], tgt, xs, cols)
+               for i, xs in enumerate(cols)):
             out.append(Violation("morphism_mult", {"level": m}, name))
         if phi.apply(source.unit[m]) != target.unit[m]:
             out.append(Violation("morphism_unit", {"level": m}, name))
     return out
+
+
+def _row_differs(K, phi, src_row, tgt, xs, cols) -> bool:
+    """Whether φ(e_i·e_j) ≠ φ(e_i)·φ(e_j) for some j, given row i of the
+    source's product terms, the target's product terms ``tgt``, the terms
+    ``xs`` of φ(e_i) and ``cols``, those of every φ(e_j)."""
+    by_l = {}               # l -> [(x_k, terms of e_k·e_l)], nonzero only
+    for k, a in xs:
+        for l, prod in enumerate(tgt[k]):
+            if prod:
+                by_l.setdefault(l, []).append((a, prod))
+    zero = [K.raw_zero] * len(tgt)
+    for j, ys in enumerate(cols):
+        rhs = None
+        for l, b in ys:
+            for a, prod in by_l.get(l, ()):
+                if rhs is None:
+                    rhs = list(zero)
+                c = a * b
+                for t, v in prod:
+                    rhs[t] += c * v
+        if rhs is None and not src_row[j]:
+            continue
+        if phi.apply_terms(src_row[j]) != \
+                (zero if rhs is None else K.reduce(rhs)):
+            return True
+    return False
 
 
 def zero_green(M: MackeyFunctor) -> GreenFunctor:

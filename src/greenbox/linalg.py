@@ -488,8 +488,11 @@ class Span:
         return False
 
     def contains(self, v) -> bool:
-        K = self.field
-        return not any(eliminate(K, self._terms, self._pivots, K.lift(v)))
+        return self._contains(self.field.lift(v))
+
+    def _contains(self, v) -> bool:
+        """``contains`` for a reduced raw vector."""
+        return not any(eliminate(self.field, self._terms, self._pivots, v))
 
     def contains_all(self, vs) -> bool:
         return all(self.contains(v) for v in vs)

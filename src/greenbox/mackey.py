@@ -218,7 +218,9 @@ def check_axioms(M: MackeyFunctor):
 
     for m in lat.divisors:
         ident = Mat.identity(K, M.dim(m))
-        if M.weyl[m].power(n // m) != ident:
+        # weyl_pow(m, n // m) would reduce its exponent to 0; this chain
+        # is the one the double-coset loop reads at k = n, d = m
+        if M.weyl[m] @ M.weyl_pow(m, n // m - 1) != ident:
             out.append(Violation("weyl_order", {"level": m},
                                  f"weyl^({n // m}) is not the identity"))
         if m == n and M.weyl[m] != ident:

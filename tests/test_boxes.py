@@ -615,14 +615,16 @@ CONFIG_DIR = ROOT / "configs"
 
 
 def _assert_oracle_products_are_the_box_products(A, B, p):
-    """Every generator product the prime oracle installs equals the generic
-    box's ``mult_terms``; returns how many were compared."""
+    """The product of every pair of generators, read through
+    ``mult_terms`` from the prime oracle's sparse table and from the generic
+    box's, is the same; returns how many pairs were compared."""
     po, bx = prime_box_oracle(A, B, p), box(A, B)
     count = 0
     for m in (1, p):
+        assert po.amb_dim(m) == bx.amb_dim(m), m
         for a in range(po.amb_dim(m)):
             for b in range(po.amb_dim(m)):
-                assert po._mult_cache[(m, a, b)] == bx.mult_terms(m, a, b), \
+                assert po.mult_terms(m, a, b) == bx.mult_terms(m, a, b), \
                     (m, a, b)
                 count += 1
     return count
@@ -713,10 +715,66 @@ def test_prime_oracle_reuses_no_builder_fill(monkeypatch, kummer2_bundle,
 @pytest.mark.parametrize("make_fix", [_f5_fix, _f7_fix, _q_fix],
                          ids=["F5-C4", "F7-C3", "Q-C2"])
 def test_builder_fills_every_generator_product_once(make_fix):
+    """The sparse table holds exactly the nonzero products: ``mult_terms``
+    of every pair of generators is the element-level product, and no stored
+    entry is ``()``."""
     T = make_fix()
     bx = relative_box(T, T.scalars, check=False)
-    assert len(bx._mult_cache) == sum(bx.amb_dim(m) ** 2
-                                      for m in bx.lattice.divisors)
+    K = bx.scalars
+    assert () not in bx._mult_cache.values()
+    for m in bx.lattice.divisors:
+        for a in range(bx.amb_dim(m)):
+            for b in range(bx.amb_dim(m)):
+                dense = [K.zero] * bx.amb_dim(m)
+                terms = bx.mult_terms(m, a, b)
+                for t, c in zip([t for t, _ in terms],
+                                K.fold([c for _, c in terms])):
+                    dense[t] = c
+                assert tuple(dense) == _element_product(bx, m, a, b), \
+                    (m, a, b)
+
+
+def test_a_zero_multiplication_stores_no_product():
+    """On a fuzz oracle pair, whose factors multiply to zero, neither the
+    generic box nor the prime oracle stores a product."""
+    A, B = next(_fuzz_oracle_pairs())
+    assert box(A, B)._mult_cache == {}
+    assert prime_box_oracle(A, B, A.lattice.n)._mult_cache == {}
+
+
+def test_one_inserted_product_is_caught_exactly_when_it_escapes():
+    """On the zero-multiplication box of a fuzz oracle pair, one nonzero
+    product inserted into the empty table is caught by the descent check
+    exactly when some relation-basis row times some generator, on either
+    side, leaves the relation span."""
+    bx = box(*next(_fuzz_oracle_pairs()))
+    K = bx.scalars
+    one = K.lift([K.one])[0]
+    outcomes = set()
+    for m in bx.lattice.divisors:
+        lvl = bx.levels[m]
+        units = [unit_vec(K, lvl.ngens, g) for g in range(lvl.ngens)]
+        picks = sorted({0, lvl.ngens - 1, *lvl.pivots[:1], *lvl.pivots[-1:],
+                        *lvl.free[:1], *lvl.free[-1:]})
+        for a in picks:
+            for b in picks:
+                for f in picks:
+                    bx._mult_cache[(m, a, b)] = ((f, one),)
+                    violated = any(
+                        not lvl.in_relation_span(prod)
+                        for r in lvl.relation_basis for e in units
+                        for prod in (bx.mult_vec(m, r, e),
+                                     bx.mult_vec(m, e, r)))
+                    try:
+                        boxes._check_descent(bx)
+                    except InternalCheckError as exc:
+                        assert "multiplication" in str(exc), (m, a, b, f)
+                        assert violated, (m, a, b, f)
+                    else:
+                        assert not violated, (m, a, b, f)
+                    outcomes.add(violated)
+                    del bx._mult_cache[(m, a, b)]
+    assert outcomes == {False, True}
 
 
 def test_descent_check_reads_only_the_product_table(monkeypatch,

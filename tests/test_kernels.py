@@ -294,6 +294,22 @@ def test_one_bumped_target_product_is_one_violation_at_its_level():
         [Violation("morphism_mult", {"level": 1}, "φ")]
 
 
+@pytest.mark.parametrize("zero_side", ["source", "target"])
+def test_a_product_zero_on_one_side_only_is_a_violation(zero_side):
+    """The identity φ from G to G with one product made zero on one side:
+    a zero source product against a nonzero target product, and the
+    reverse, are each one violation, as in the element loop."""
+    F5 = prime_field(5)
+    G = fix_functor(kummer_extension(F5, 2, F5.from_int(2), F5.from_int(-1)))
+    assert any(c != F5.zero for c in G.mult[1][0][0])
+    zeroed = with_product(G, 1, 0, 0, (F5.zero,) * G.dim(1))
+    source, target = (zeroed, G) if zero_side == "source" else (G, zeroed)
+    phi = {m: perm_mat(F5, list(range(G.dim(m)))) for m in C2.divisors}
+    assert check_green_morphism(source, target, phi, "φ") == \
+        ref_green_morphism(source, target, phi, "φ") == \
+        [Violation("morphism_mult", {"level": 1}, "φ")]
+
+
 # ---------------------------------------------------------------------------
 # the raw-scalar operations of each field
 

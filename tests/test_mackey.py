@@ -70,6 +70,20 @@ def test_chain_dependence_is_reported_at_c6(kind, key, rule):
     assert rule in {v.rule for v in check_axioms(bad)}
 
 
+@pytest.mark.parametrize("level,scale,violated", [
+    (1, 2, True), (1, -1, False), (2, 2, True), (2, -1, False),
+    (4, 2, True)], ids=["1-by-2", "1-by--1", "2-by-2", "2-by--1", "4-by-2"])
+def test_weyl_order_is_the_power_n_over_m(level, scale, violated):
+    """Over F_7 the scalar s on level m of C_4 has s^(4/m) = 1 exactly when
+    s = -1 and m < 4 (2^4 = 2, 2^2 = 4 and 2^1 = 2 mod 7)."""
+    M = constant_functor(F7, 4).mackey
+    weyl = {**M.weyl, level: M.weyl[level].scale(F7.from_int(scale))}
+    bad = MackeyFunctor(F7, M.lattice, M.labels, M.res, M.tr, weyl)
+    found = {v.where["level"] for v in check_axioms(bad)
+             if v.rule == "weyl_order"}
+    assert found == ({level} if violated else set())
+
+
 def test_fix_functor_transfer_values():
     # tr from the free level to the top: tr(1) = n, tr(α) = 0
     E_field = prime_field(5)
