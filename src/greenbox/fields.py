@@ -17,10 +17,12 @@ back to an element tuple), ``raw_inv`` and ``reduce`` (reduction mod p of a
 list of raw scalars), and two constants, ``raw_zero`` and ``raw_one``.
 A ``PrimeField``'s raw scalar is a plain ``int`` in [0, p): kernels
 multiply and add ints, reduce once per vector, and fold at their
-boundary.  ``Q`` and ``F_{p^k}`` keep their elements as raw scalars,
-with identity ``lift``/``fold``/``reduce``.  Every raw scalar a kernel tests
-is reduced, so a zero test is truthiness on every path (``Fraction`` and
-``ExtensionFieldElement`` are false exactly at zero).
+boundary; ``lift_checked``, the ``lift`` of the kernels' element entry
+points, also refuses a scalar of another field.  ``Q`` and ``F_{p^k}`` keep
+their elements as raw scalars, with identity ``lift``/``fold``/``reduce``.
+Every raw scalar a kernel tests is reduced, so a zero test is truthiness on
+every path (``Fraction`` and ``ExtensionFieldElement`` are false exactly at
+zero).
 
 Field objects are interned: two fields built from the same parameters are
 the same object, and elements of distinct fields refuse to mix.
@@ -103,6 +105,8 @@ class Field:
     def lift(self, v) -> list:
         """Raw scalars of a vector of elements."""
         return list(v)
+
+    lift_checked = lift   # PrimeField checks for foreign scalars
 
     def fold(self, raw) -> tuple:
         """Elements of a vector of reduced raw scalars."""
@@ -248,6 +252,18 @@ class PrimeField(Field):
 
     def lift(self, v) -> list:
         return [x.value for x in v]
+
+    def lift_checked(self, v) -> list:
+        """``lift``, refusing a scalar of another field."""
+        if not isinstance(v, (tuple, list)):
+            v = tuple(v)
+        try:
+            raw = [x.value for x in v if x.field is self]
+        except AttributeError:   # an int or a Fraction
+            raw = None
+        if raw is None or len(raw) != len(v):
+            raise FieldUsageError(f"a scalar of another field over {self}")
+        return raw
 
     def fold(self, raw) -> tuple:
         elems = self._elems

@@ -18,10 +18,16 @@ accessors: ``rows``, ``col`` and ``cols`` fold on each access and keep
 nothing, and vectors passed to ``apply`` and returned by it are elements.
 Equality and hashing compare the raw rows, which are canonical.
 
-The kernels (``Mat.__matmul__``, ``Mat.apply``, ``bilinear``,
-``tensor_vec``, ``nonzero_terms``, ``eliminate`` and ``Span``) have one
-body for every field: they test zero by truthiness and reduce once per
-vector.  Raw ``(index, scalar)`` terms (``nonzero_terms``, ``raw_terms``)
+The kernels (``Mat.apply``, ``bilinear``, ``tensor_vec``,
+``nonzero_terms``, ``eliminate`` and ``Span``) have one body for every
+field: they test zero by truthiness and reduce once per vector.
+``Mat.__matmul__`` has two: over Q and F_{p^k} it sums over the right
+operand's ``row_terms``; over a ``PrimeField`` it multiplies packed rows
+(``_packed_product``: 16-, 32- or 64-bit slots, the narrowest with
+inner·(p − 1)² < 2^bits).  The slot bound needs every raw F_p scalar in
+[0, p), which the element entry points (``Mat(K, rows)``, ``from_cols``,
+``Span.add``, ``Span.contains``) ensure through ``lift_checked``.  Raw
+``(index, scalar)`` terms (``nonzero_terms``, ``raw_terms``)
 are the one sparse form passed between kernels: a ``Mat`` builds its
 ``row_terms`` and ``col_terms`` on first use and keeps them, ``eliminate``
 and ``Span`` read them, ``Mat.apply_terms`` and ``bilinear_terms`` take
@@ -45,7 +51,9 @@ tolerances and no pivoting heuristics.
 
 from __future__ import annotations
 
-from .fields import FieldUsageError
+import struct
+
+from .fields import FieldUsageError, PrimeField
 
 
 class Mat:
@@ -57,7 +65,7 @@ class Mat:
     known_identity = False
 
     def __init__(self, field, rows, ncols=None):
-        raw = tuple([tuple(field.lift(r)) for r in rows])
+        raw = tuple([tuple(field.lift_checked(r)) for r in rows])
         if raw:
             ncols = len(raw[0])
             for r in raw:
@@ -102,7 +110,7 @@ class Mat:
         for c in cols:
             if len(c) != nrows:
                 raise ValueError("column of wrong length")
-        raw = tuple(zip(*[field.lift(c) for c in cols])) if cols \
+        raw = tuple(zip(*[field.lift_checked(c) for c in cols])) if cols \
             else ((),) * nrows
         return cls._from_raw(field, raw, len(cols))
 
@@ -155,9 +163,12 @@ class Mat:
         if self.known_identity:
             return other
         K = self.field
+        nc = other.ncols
+        if type(K) is PrimeField:
+            return Mat._from_raw(K, _packed_product(K.p, self.raw, other.raw,
+                                                    nc), nc)
         zero, reduce = K.raw_zero, K.reduce
         brows = other.row_terms()
-        nc = other.ncols
         out = []
         for r in self.raw:
             acc = [zero] * nc
@@ -250,6 +261,29 @@ class _Identity(Mat):
 
     __slots__ = ()
     known_identity = True
+
+
+def _packed_product(p, arows, brows, ncols):
+    """The reduced raw rows of A·B over F_p by Kronecker substitution: each
+    row B_k is packed into one int of ``ncols`` slots, and a row of A·B is
+    the sum of a_k·pack(B_k), unpacked and reduced once.  A slot sums at
+    most inner·(p − 1)² and is the narrowest of 16, 32 and 64 bits above
+    that bound, so none carries (p < 2^16 makes 64 bits enough for any
+    inner dimension below 2^32)."""
+    bound = len(brows) * (p - 1) ** 2
+    slot = "H" if bound < 1 << 16 else "I" if bound < 1 << 32 else "Q"
+    fmt = f"<{ncols}{slot}"
+    size = struct.calcsize(fmt)
+    packed = [int.from_bytes(struct.pack(fmt, *r), "little") for r in brows]
+    out = []
+    for r in arows:
+        acc = 0
+        for a, b in zip(r, packed):
+            if a:
+                acc += a * b
+        out.append(tuple([c % p for c in
+                          struct.unpack(fmt, acc.to_bytes(size, "little"))]))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +447,9 @@ def inverse(mat: Mat):
     """Inverse of a square matrix, or None if singular."""
     if mat.nrows != mat.ncols:
         return None
-    inv = solve_matrix(mat, Mat.identity(mat.field, mat.nrows))
-    if inv is None:
-        return None
-    if not (mat @ inv == Mat.identity(mat.field, mat.nrows)):
+    one = Mat.identity(mat.field, mat.nrows)
+    inv = solve_matrix(mat, one)
+    if inv is None or mat @ inv != one:
         return None
     return inv
 
@@ -463,7 +496,7 @@ class Span:
 
     def add(self, v) -> bool:
         """Insert v; returns True if it enlarged the span."""
-        return self._insert(self.field.lift(v))
+        return self._insert(self.field.lift_checked(v))
 
     def _insert(self, v) -> bool:
         """``add`` for a reduced raw vector."""
@@ -488,7 +521,7 @@ class Span:
         return False
 
     def contains(self, v) -> bool:
-        return self._contains(self.field.lift(v))
+        return self._contains(self.field.lift_checked(v))
 
     def _contains(self, v) -> bool:
         """``contains`` for a reduced raw vector."""

@@ -52,6 +52,7 @@ def matrices(K, nrows, ncols):
 
 def ref_matmul(A, B):
     z = A.field.zero
+    brows = B.rows
     out = []
     for r in A.rows:
         acc = [z] * B.ncols
@@ -59,7 +60,7 @@ def ref_matmul(A, B):
             if a == z:
                 continue
             for j in range(B.ncols):
-                b = B.rows[k][j]
+                b = brows[k][j]
                 if b != z:
                     acc[j] = acc[j] + a * b
         out.append(acc)
@@ -138,6 +139,51 @@ def matmul_cases(draw):
 @given(matmul_cases())
 def test_matmul_matches_the_element_loop(case):
     A, B = case
+    assert A @ B == ref_matmul(A, B)
+
+
+# The packed F_p product sums inner·(p − 1)² at most into each slot; with
+# every entry p − 1 each slot reaches that bound, on either side of the
+# width steps 16 → 32 bits (p = 11) and 32 → 64 bits (p = 65521, the largest
+# prime below MAX_FIELD_ORDER).
+
+
+@pytest.mark.parametrize("p, inner", [
+    pytest.param(11, 655, id="F11-16bit"),
+    pytest.param(11, 656, id="F11-32bit"),
+    pytest.param(257, 1, id="F257-32bit"),
+    pytest.param(65521, 1, id="F65521-32bit"),
+    pytest.param(65521, 2, id="F65521-64bit"),
+])
+def test_matmul_at_the_packed_slot_bounds(p, inner):
+    K = prime_field(p)
+    top = K.from_int(-1)
+    A = Mat(K, [[top] * inner] * 2)
+    B = Mat(K, [[top] * 3] * inner)
+    assert A @ B == ref_matmul(A, B) == Mat(K, [[K.from_int(inner)] * 3] * 2)
+
+
+def test_matmul_of_empty_and_identity_operands_over_fp():
+    K = prime_field(11)
+    A = Mat(K, [[K.from_int(3 * i + j + 5) for j in range(3)]
+                for i in range(2)])
+    no_rows = Mat(K, [], ncols=2)
+    no_cols = Mat(K, [()] * 3, ncols=0)
+    for X, Y in ((no_rows, A), (no_cols, no_rows), (A, no_cols)):
+        assert X @ Y == ref_matmul(X, Y)
+    assert no_cols @ no_rows == Mat.zeros(K, 3, 2)
+    # plain matrices equal to the identity, so the product is computed
+    one2, one3 = (Mat(K, Mat.identity(K, n).rows) for n in (2, 3))
+    assert one2 @ A == A == A @ one3
+
+
+@PROPS
+@given(st.lists(st.integers(0, 10), min_size=288, max_size=288))
+def test_dense_12x12_matmul_over_f11_matches_the_element_loop(entries):
+    # the fuzz regime: random conjugates S·M·S⁻¹ of 12×12 matrices
+    K = prime_field(11)
+    A, B = (Mat(K, [[K.from_int(x) for x in entries[i:i + 12]]
+                    for i in range(o, o + 144, 12)]) for o in (0, 144))
     assert A @ B == ref_matmul(A, B)
 
 

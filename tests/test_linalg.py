@@ -138,6 +138,20 @@ def test_span_membership():
     assert s.dim == 1
 
 
+def test_prime_field_entry_points_refuse_foreign_scalars():
+    # a raw F_p scalar is a residue in [0, p), which the packed product's
+    # slot bound relies on: an F_13 element would enter unreduced (12 over
+    # F_11), and a bare int or a rational has no residue to lift
+    F11, F13 = prime_field(11), prime_field(13)
+    for v in ((F13.from_int(12), F11.one), (3, 4), (Q.one, F11.one)):
+        for bad in (lambda: Mat(F11, [v]),
+                    lambda: Mat.from_cols(F11, [v], 2),
+                    lambda: Span(F11, 2).add(v),
+                    lambda: Span(F11, 2).contains(v)):
+            with pytest.raises(FieldUsageError):
+                bad()
+
+
 def test_empty_shapes():
     z = Mat(F5, [], ncols=0)
     assert (z @ z) == z
