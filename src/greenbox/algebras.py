@@ -1,35 +1,53 @@
 """Finite-dimensional commutative algebras over an exact field.
 
 An algebra is stored by structure constants: ``table[i][j]`` is the
-coefficient vector of (basis_i * basis_j).  This covers everything the
-package multiplies in: quotient rings K[x]/(f) (field extensions and
-non-reduced examples like F_3[t]/(t^2)), and tensor products A (x)_K B,
-whose diagonal multiplication realizes the classical separability test.
+coefficient vector of (basis_i * basis_j), and ``terms[i][j]`` its raw
+terms (see ``linalg``); an algebra is built with one of the two.  This
+covers everything the package multiplies in: quotient rings K[x]/(f)
+(field extensions and non-reduced examples like F_3[t]/(t^2)), and tensor
+products A (x)_K B, whose diagonal multiplication realizes the classical
+separability test.
 """
 
 from __future__ import annotations
 
 from .fields import Field, FieldUsageError, poly_mod, poly_mul
-from .linalg import bilinear, product_terms, tensor_vec, unit_vec
+from .linalg import bilinear, dense_table, product_terms, tensor_terms, \
+    tensor_vec, unit_vec
 
 
 class FiniteAlgebra:
-    """Commutative unital algebra with a distinguished basis."""
+    """Commutative unital algebra with a distinguished basis.
 
-    def __init__(self, base: Field, labels, table, one, name: str = ""):
+    The products are given either as the dense ``table`` or as ``terms``,
+    whose ``terms[i][j]`` are the raw terms of the same product; each form
+    is derived from the other on first read and kept."""
+
+    def __init__(self, base: Field, labels, table, one, name: str = "",
+                 terms=None):
         self.base = base
         self.labels = list(labels)
         self.dim = len(self.labels)
-        self.table = table      # table[i][j]: tuple of length dim
-        self._terms = None      # its product_terms, on first use
+        self._table = table     # table[i][j]: tuple of length dim
+        self._terms = terms
         self.one = tuple(one)
         self.name = name or f"algebra dim {self.dim} over {base}"
 
+    @property
+    def table(self):
+        if self._table is None:
+            self._table = dense_table(self.base, self._terms, self.dim)
+        return self._table
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            self._terms = product_terms(self.base, self._table)
+        return self._terms
+
     def mul(self, x, y):
         """Bilinear product of coefficient vectors."""
-        if self._terms is None:
-            self._terms = product_terms(self.base, self.table)
-        return bilinear(self.base, self._terms, x, y)
+        return bilinear(self.base, self.terms, x, y)
 
     def power(self, x, e: int):
         result = self.one
@@ -84,13 +102,17 @@ def poly_quotient_algebra(K: Field, modulus, var: str = "t",
 
 def tensor_algebra(A: FiniteAlgebra, B: FiniteAlgebra,
                    name: str = "") -> FiniteAlgebra:
-    """A (x)_K B with componentwise multiplication, basis a_i (x) b_j."""
+    """A (x)_K B with componentwise multiplication, basis a_i (x) b_j.
+
+    Its product terms are the ``tensor_terms`` of the factors' own; the
+    dense table is derived only if read."""
     if A.base is not B.base:
         raise FieldUsageError("tensor factors must share the base field")
+    K = A.base
     labels = [f"{la}⊗{lb}" for la in A.labels for lb in B.labels]
-    table = [[tensor_vec(A.base, A.table[i1][i2], B.table[j1][j2])
+    at, bt, width = A.terms, B.terms, B.dim
+    terms = [[tensor_terms(K, at[i1][i2], bt[j1][j2], width)
               for i2 in range(A.dim) for j2 in range(B.dim)]
              for i1 in range(A.dim) for j1 in range(B.dim)]
-    return FiniteAlgebra(A.base, labels, table,
-                         tensor_vec(A.base, A.one, B.one),
-                         name=name or f"{A.name}⊗{B.name}")
+    return FiniteAlgebra(K, labels, None, tensor_vec(K, A.one, B.one),
+                         name=name or f"{A.name}⊗{B.name}", terms=terms)

@@ -24,9 +24,9 @@ from .boxes import BoxProduct, relative_box
 from .extensions import GaloisExtension
 from .fields import Field
 from .green import constant_functor
-from .linalg import Mat, Span, bilinear_terms, kernel, nonzero_terms, solve, \
-    solve_matrix, tensor_vec, unit_vec, vec_is_zero, vec_scale, vec_sub, \
-    vec_zero
+from .linalg import Mat, Span, bilinear_terms, kernel, kernel_raw, \
+    nonzero_terms, raw_terms, solve_matrix, tensor_vec, unit_vec, \
+    vec_is_zero, vec_scale, vec_sub, vec_zero
 from .mackey import InternalCheckError, MackeyMorphism, Violation
 from .modules import constant_box_iso
 from .presented import PresentedLevel, format_element
@@ -177,39 +177,48 @@ def classical_etale_oracle(E: GaloisExtension) -> ClassicalEtaleReport:
 
 
 def classical_etale_of_algebra(alg: FiniteAlgebra) -> ClassicalEtaleReport:
+    """The classical oracle on raw scalars: the multiplication map is
+    written from L's product terms, I's kernel basis and every ordered
+    product b·u of two basis elements stay raw terms, computed once with
+    ``bilinear_terms`` over L ⊗_K L's product terms.  I² inserts the
+    products with b ≤ u in the basis order; the separability system
+    (e·u = u for every u in I, with e in I) reads all of them and is
+    solved by ``solve_matrix``."""
     K = alg.base
     tensor = tensor_algebra(alg, alg)
-    n = alg.dim
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            cols.append(alg.mul(alg.basis_vec(i), alg.basis_vec(j)))
-    mult = Mat.from_cols(K, cols, n)
-    ibasis = kernel(mult)
-    span_i = Span(K, tensor.dim, ibasis)
-    span_sq = Span(K, tensor.dim)
-    for i in range(len(ibasis)):
-        for j in range(i, len(ibasis)):
-            span_sq.add(tensor.mul(ibasis[i], ibasis[j]))
-    etale = span_i.dim == span_sq.dim
+    n, N = alg.dim, tensor.dim
+    rows = [[K.raw_zero] * N for _ in range(n)]
+    for i, row in enumerate(alg.terms):
+        for j, terms in enumerate(row):
+            for k, c in terms:
+                rows[k][i * n + j] = c
+    ibasis = kernel_raw(Mat._from_raw(K, tuple(map(tuple, rows)), N))
+    raw = [raw_terms(v) for v in ibasis]
+    prods = [[bilinear_terms(K, tensor.terms, b, u) for u in raw]
+             for b in raw]
+    span_sq = Span(K, N)
+    for i, row in enumerate(prods):
+        for j in range(i, len(row)):
+            span_sq._insert(row[j])
+    etale = len(ibasis) == span_sq.dim
 
-    # separability witness: e in I with e·u = u for every u in I
+    # separability witness: e in I with e·u = u for every u in I, one
+    # equation per (u, coordinate), in that order
     unit = None
     if ibasis:
-        eqs = []
-        rhs = []
-        for u in ibasis:
-            prods = [tensor.mul(b, u) for b in ibasis]
-            for coord in range(tensor.dim):
-                eqs.append([p[coord] for p in prods])
-                rhs.append(u[coord])
-        sol = solve(Mat(K, eqs, ncols=len(ibasis)), tuple(rhs))
+        eqs, rhs = [], []
+        for j, u in enumerate(ibasis):
+            eqs.extend(zip(*[row[j] for row in prods]))
+            rhs.extend((c,) for c in u)
+        sol = solve_matrix(Mat._from_raw(K, tuple(eqs), len(ibasis)),
+                           Mat._from_raw(K, tuple(rhs), 1))
         if sol is not None:
-            unit = vec_zero(K, tensor.dim)
-            for c, b in zip(sol, ibasis):
-                unit = tuple(x + c * y for x, y in zip(unit, b))
-    return ClassicalEtaleReport(tensor.dim, span_i.dim, span_sq.dim, etale,
-                                unit)
+            acc = [K.raw_zero] * N
+            for (c,), terms in zip(sol.raw, raw):
+                for t, v in terms:
+                    acc[t] += c * v
+            unit = K.fold(K.reduce(acc))
+    return ClassicalEtaleReport(N, len(ibasis), span_sq.dim, etale, unit)
 
 
 # ---------------------------------------------------------------------------

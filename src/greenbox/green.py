@@ -22,7 +22,8 @@ import random
 from .algebras import FiniteAlgebra, base_as_algebra
 from .extensions import GaloisExtension, format_l_element
 from .fields import Field
-from .linalg import Mat, bilinear, product_terms, unit_vec, vec_zero
+from .linalg import Mat, bilinear, dense_table, product_terms, unit_vec, \
+    vec_zero
 from .mackey import (InternalCheckError, MackeyFunctor, MackeyMorphism,
                      SubgroupLattice, Violation, base_change, solve_in,
                      subgroup_lattice)
@@ -33,10 +34,10 @@ class GreenFunctor:
 
     ``mult[m][i][j]`` is the product of basis vectors i and j at level m;
     ``unit[m]`` the unit vector.  ``norms`` (optional) evaluates the
-    multiplicative transfer.  The multiplication is given either as that
-    dense table or as ``terms``, whose ``terms[m][i][j]`` are the raw terms
-    of the same product; each form is derived from the other on first use
-    and kept.
+    multiplicative transfer.  The multiplication is given as that dense
+    table, as ``terms``, whose ``terms[m][i][j]`` are the raw terms of the
+    same product, or as both; a missing form is derived from the other on
+    first use and kept.
     """
 
     def __init__(self, mackey: MackeyFunctor, mult, unit, norms=None,
@@ -69,8 +70,8 @@ class GreenFunctor:
         """The dense table: as handed over, or derived from the product
         terms on first use."""
         if self._mult is None:
-            self._mult = {m: _dense_table(self.scalars, self._terms[m],
-                                          self.dim(m))
+            self._mult = {m: dense_table(self.scalars, self._terms[m],
+                                         self.dim(m))
                           for m in self.lattice.divisors}
         return self._mult
 
@@ -99,28 +100,6 @@ class GreenFunctor:
 
     def __repr__(self):
         return f"GreenFunctor({self.name})"
-
-
-def _dense_table(K, terms, dim) -> list:
-    """The dense table of the raw product ``terms``: entry (a, b) is the
-    product of basis vectors a and b, as elements.  e_a·e_b shares the tuple
-    of e_b·e_a when they are equal, and vanishing products share one zero
-    tuple: the table holds dim³ scalars, and in boxes of zero or sparse
-    multiplications most products vanish."""
-    zero = (K.zero,) * dim
-    out = [[zero] * dim for _ in range(dim)]
-    for a, row in enumerate(terms):
-        for b, t in enumerate(row):
-            if not t:
-                continue
-            if b < a and t == terms[b][a]:
-                out[a][b] = out[b][a]
-            else:
-                dense = [K.raw_zero] * dim
-                for k, c in t:
-                    dense[k] = c
-                out[a][b] = K.fold(dense)
-    return out
 
 
 class NormRule:
@@ -180,9 +159,10 @@ def constant_functor(R, n_or_lattice, name: str = "") -> GreenFunctor:
     mack = MackeyFunctor(K, lattice, labels, res, tr, weyl,
                          name=name or f"{algebra.name}^c")
     mult = {m: algebra.table for m in lattice.divisors}
+    terms = {m: algebra.terms for m in lattice.divisors}
     unit = {m: algebra.one for m in lattice.divisors}
     return GreenFunctor(mack, mult, unit, norms=ConstantNorm(algebra),
-                        name=mack.name)
+                        name=mack.name, terms=terms)
 
 
 def fix_functor(E: GaloisExtension, name: str = "") -> GreenFunctor:
@@ -307,30 +287,37 @@ def check_green(G: GreenFunctor):
 
 def check_norms(G: GreenFunctor):
     """Norm invariants on basis vectors: multiplicativity, unit, and
-    norm(res(x)) = x^(index)."""
+    norm(res(x)) = x^(index).  Per covering pair each distinct argument is
+    normed once: e_i·e_j, e_i, the unit and res(e_i) often coincide."""
     out = []
     if G.norms is None:
         return out
     lat = G.lattice
     K = G.scalars
     for (d, m) in lat.covering_pairs:
+        memo = {}
+
+        def norm(v):
+            if v not in memo:
+                memo[v] = G.norm(m, d, v)
+            return memo[v]
+
         dim_d = G.dim(d)
         basis = [unit_vec(K, dim_d, i) for i in range(dim_d)]
         for i in range(dim_d):
             for j in range(dim_d):
-                lhs = G.norm(m, d, G.multiply(d, basis[i], basis[j]))
-                rhs = G.multiply(m, G.norm(m, d, basis[i]),
-                                 G.norm(m, d, basis[j]))
+                lhs = norm(G.multiply(d, basis[i], basis[j]))
+                rhs = G.multiply(m, norm(basis[i]), norm(basis[j]))
                 if lhs != rhs:
                     out.append(Violation("norm_multiplicative",
                                          {"pair": (d, m), "basis": (i, j)},
                                          G.name))
-        if G.norm(m, d, G.unit[d]) != G.unit[m]:
+        if norm(G.unit[d]) != G.unit[m]:
             out.append(Violation("norm_unit", {"pair": (d, m)}, G.name))
         res = G.mackey.res[(d, m)]
         for i in range(G.dim(m)):
             ei = unit_vec(K, G.dim(m), i)
-            if G.norm(m, d, res.apply(ei)) != G.power(m, ei, m // d):
+            if norm(res.apply(ei)) != G.power(m, ei, m // d):
                 out.append(Violation("norm_of_restriction",
                                      {"pair": (d, m), "basis": i}, G.name))
     return out

@@ -345,6 +345,28 @@ def tensor_terms(field, us, vs, width):
                      field.reduce([c for _, c in prods])))
 
 
+def dense_table(field, terms, dim) -> list:
+    """The dense table of the raw product ``terms``: entry (a, b) is the
+    product of basis vectors a and b, as elements.  e_a·e_b shares the tuple
+    of e_b·e_a when they are equal, and vanishing products share one zero
+    tuple: the table holds dim³ scalars, and in sparse multiplications most
+    products vanish."""
+    zero = (field.zero,) * dim
+    out = [[zero] * dim for _ in range(dim)]
+    for a, row in enumerate(terms):
+        for b, t in enumerate(row):
+            if not t:
+                continue
+            if b < a and t == terms[b][a]:
+                out[a][b] = out[b][a]
+            else:
+                dense = [field.raw_zero] * dim
+                for k, c in t:
+                    dense[k] = c
+                out[a][b] = field.fold(dense)
+    return out
+
+
 def product_terms(field, table):
     """Structure constants ``table[i][j]`` (the coefficient vector of
     e_i·e_j) as the raw terms ``bilinear`` reads."""
@@ -402,6 +424,11 @@ def rank(mat: Mat) -> int:
 
 def kernel(mat: Mat):
     """Basis of the right null space {v : A v = 0}, as a list of tuples."""
+    return [mat.field.fold(v) for v in kernel_raw(mat)]
+
+
+def kernel_raw(mat: Mat):
+    """``kernel``, as reduced raw lists."""
     K = mat.field
     r, pivots = rref(mat)
     pivot_set = set(pivots)
@@ -413,7 +440,7 @@ def kernel(mat: Mat):
         v[f] = K.raw_one
         for row, p in zip(r.raw, pivots):
             v[p] = -row[f]
-        basis.append(K.fold(K.reduce(v)))
+        basis.append(K.reduce(v))
     return basis
 
 
@@ -422,25 +449,34 @@ def column_space(mat: Mat):
     return list(rref(mat.transpose())[0].rows)
 
 
-def solve(mat: Mat, b):
-    """One solution of A x = b, or None if inconsistent."""
-    out = solve_matrix(mat, Mat.from_cols(mat.field, [b], mat.nrows))
-    return None if out is None else out.col(0)
-
-
 def solve_matrix(mat: Mat, rhs: Mat):
-    """Solve A X = B via one augmented elimination; None if inconsistent.
+    """Solve A X = B; None if inconsistent.
+
+    The rows of [A | B] enter one ``Span`` in order until A's block has
+    full column rank; a row whose pivot falls in B's block is inconsistent.
     Row p of X is the right-hand block of the row with pivot p, and zero
-    where no row has its pivot."""
+    where no row has its pivot.  At full rank X is the only candidate, so
+    every later row is checked by substitution, a·X = b, instead of being
+    eliminated."""
+    K = mat.field
     n = mat.ncols
-    r, pivots = rref(mat.hstack(rhs))
-    # any pivot in the augmented block means some column is inconsistent
-    if any(p >= n for p in pivots):
-        return None
-    x = [(mat.field.raw_zero,) * rhs.ncols] * n
-    for row, p in zip(r.raw, pivots):
-        x[p] = row[n:]
-    return Mat._from_raw(mat.field, tuple(x), rhs.ncols)
+    span = Span(K, n + rhs.ncols)
+    rows = zip(mat.raw, rhs.raw)
+    for a, b in rows:
+        if span._insert(a + b) and span._pivots[-1] >= n:
+            return None
+        if span.dim == n:
+            break
+    x = [(K.raw_zero,) * rhs.ncols] * n
+    for row, p in zip(span._rows, span._pivots):
+        x[p] = tuple(row[n:])
+    X = Mat._from_raw(K, tuple(x), rhs.ncols)
+    xt = X.transpose()
+    support = [j for j, r in enumerate(x) if any(r)]
+    for a, b in rows:
+        if xt.apply_terms([(j, a[j]) for j in support]) != list(b):
+            return None
+    return X
 
 
 def inverse(mat: Mat):

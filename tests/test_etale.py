@@ -1,4 +1,5 @@
 import copy
+import pathlib
 
 import pytest
 
@@ -7,20 +8,25 @@ from conftest import Bundle, gen_coords, unit_vec
 from greenbox import etale
 from greenbox.algebras import base_as_algebra, poly_quotient_algebra
 from greenbox.etale import (AlphaPowers, check_ideal, classical_etale_oracle,
-                            constant_etale_check, green_kahler_dims,
-                            ideal_and_square, ideal_generator,
+                            classical_etale_of_algebra, constant_etale_check,
+                            green_kahler_dims, ideal_and_square,
+                            ideal_generator,
                             kummer_congruence_checks, mult_map,
                             unit_section_check)
 from greenbox.extensions import kummer_extension
 from greenbox.fields import finite_field, prime_field
 from greenbox.green import corrupt_multiplication, permute_green
 from greenbox.boxes import relative_box
-from greenbox.linalg import Span, vec_scale, vec_sub
+from greenbox.linalg import Mat, Span, kernel, tensor_vec, vec_scale, vec_sub
 from greenbox.mackey import InternalCheckError
+from greenbox.report import load_config
 
 F2 = prime_field(2)
+F3 = prime_field(3)
 F5 = prime_field(5)
 F7 = prime_field(7)
+DUAL = poly_quotient_algebra(F3, [F3.zero, F3.zero, F3.one], var="s",
+                             name="F_3[s]/(s^2)")
 
 
 # ---------------------------------------------------------------------------
@@ -100,28 +106,76 @@ def test_ideal_free_level_matches_classical(kummer2_bundle):
     assert len(data.ideal[1]) == rep.ideal_dim
 
 
+def ref_tensor_mul(alg, x, y):
+    """x·y in L ⊗_K L, summed over pairs of nonzero coordinates with
+    ``tensor_vec`` of L's dense structure constants."""
+    K, n = alg.base, alg.dim
+    out = [K.zero] * (n * n)
+    for a, xa in enumerate(x):
+        for b, yb in enumerate(y):
+            if xa == K.zero or yb == K.zero:
+                continue
+            prod = tensor_vec(K, alg.table[a // n][b // n],
+                              alg.table[a % n][b % n])
+            out = [o + xa * yb * c for o, c in zip(out, prod)]
+    return tuple(out)
+
+
+def classical_ideal(alg):
+    """The kernel of the multiplication map L ⊗_K L -> L, from L's dense
+    structure constants."""
+    n = alg.dim
+    cols = [alg.table[i][j] for i in range(n) for j in range(n)]
+    return kernel(Mat.from_cols(alg.base, cols, n))
+
+
+BENCH_CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "bench" / \
+    "configs"
+
+
 @pytest.mark.parametrize("bundle_name,tensor_dim,ideal_dim", [
     ("as_bundle", 4, 2),
     ("kummer2_bundle", 4, 2),
     ("kummer3_bundle", 9, 6),
+    ("kummer4_bundle", 16, 12),
+    ("kummer_f11_n5.cfg", 25, 20),
+    ("kummer_f9_n4.cfg", 16, 12),
 ])
 def test_classical_oracle(bundle_name, tensor_dim, ideal_dim, request):
-    bundle = request.getfixturevalue(bundle_name)
-    rep = classical_etale_oracle(bundle.ext)
+    if bundle_name.endswith(".cfg"):
+        ext = load_config(str(BENCH_CONFIGS / bundle_name)).extension()
+    else:
+        ext = request.getfixturevalue(bundle_name).ext
+    rep = classical_etale_oracle(ext)
     assert rep.tensor_dim == tensor_dim
     assert rep.ideal_dim == ideal_dim
+    assert rep.square_dim == ideal_dim
     assert rep.etale
     assert rep.has_separability_unit
-    # the witness acts as the identity on I
-    alg = bundle.ext.algebra
-    from greenbox.algebras import tensor_algebra
-    tensor = tensor_algebra(alg, alg)
-    from greenbox.linalg import Mat, kernel
-    cols = [alg.mul(alg.basis_vec(i), alg.basis_vec(j))
-            for i in range(alg.dim) for j in range(alg.dim)]
-    mult = Mat.from_cols(alg.base, cols, alg.dim)
-    for u in kernel(mult):
-        assert tensor.mul(rep.separability_unit, u) == u
+    # the witness lies in I and acts as the identity on I
+    alg = ext.algebra
+    ideal = classical_ideal(alg)
+    assert Span(alg.base, tensor_dim, ideal).contains(rep.separability_unit)
+    for u in ideal:
+        assert ref_tensor_mul(alg, rep.separability_unit, u) == u
+
+
+def test_classical_oracle_rejects_a_non_reduced_algebra():
+    """F_3[s]/(s²) is not étale: I is spanned by s ⊗ 1 − 1 ⊗ s and s ⊗ s,
+    I² by (s ⊗ 1 − 1 ⊗ s)² = −2 s ⊗ s alone, and no e in I acts as the
+    identity on I."""
+    rep = classical_etale_of_algebra(DUAL)
+    assert (rep.tensor_dim, rep.ideal_dim, rep.square_dim) == (4, 2, 1)
+    assert not rep.etale
+    assert rep.separability_unit is None
+    assert not rep.has_separability_unit
+
+
+def test_constant_etale_check_rejects_a_non_reduced_algebra():
+    rep = constant_etale_check(F3, DUAL, 2)
+    assert not rep.ok
+    assert not rep.classical.etale
+    assert rep.verdicts and not any(rep.verdicts.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
+import copy
+
 import pytest
 
 from greenbox.algebras import poly_quotient_algebra
 from greenbox.extensions import artin_schreier_extension, kummer_extension
 from greenbox.fields import finite_field, prime_field
-from greenbox.green import (check_green, check_norms, constant_functor,
-                            corrupt_multiplication, fix_functor,
-                            permute_green)
-from greenbox.mackey import check_axioms
+from greenbox.green import (NormRule, check_green, check_norms,
+                            constant_functor, corrupt_multiplication,
+                            fix_functor, permute_green)
+from greenbox.linalg import unit_vec
+from greenbox.mackey import Violation, check_axioms
 
 F2 = prime_field(2)
 F5 = prime_field(5)
 F7 = prime_field(7)
+F13 = prime_field(13)
 
 
 def test_constant_functor_characteristic_two():
@@ -107,6 +111,79 @@ def test_corrupted_multiplication_detected():
     rules = {v.rule for v in violations}
     assert rules & {"frobenius_reciprocity", "associativity", "res_ring_map",
                     "unit", "weyl_ring_automorphism"}
+
+
+class BumpedNorm(NormRule):
+    """A norm rule with one value perturbed: the norm of ``arg`` along the
+    covering pair ``pair`` = (d, m) gets one added to its first
+    coordinate."""
+
+    def __init__(self, inner, pair, arg):
+        self.inner, self.pair, self.arg = inner, pair, tuple(arg)
+
+    def apply(self, to, frm, vec):
+        out = self.inner.apply(to, frm, vec)
+        if (frm, to) == self.pair and tuple(vec) == self.arg:
+            out = (out[0] + out[0].field.one,) + tuple(out[1:])
+        return out
+
+
+def ref_check_norms(G):
+    """check_norms as a per-pair loop that norms every argument afresh."""
+    out = []
+    K = G.scalars
+    for (d, m) in G.lattice.covering_pairs:
+        basis = [unit_vec(K, G.dim(d), i) for i in range(G.dim(d))]
+        for i in range(G.dim(d)):
+            for j in range(G.dim(d)):
+                lhs = G.norm(m, d, G.multiply(d, basis[i], basis[j]))
+                rhs = G.multiply(m, G.norm(m, d, basis[i]),
+                                 G.norm(m, d, basis[j]))
+                if lhs != rhs:
+                    out.append(Violation("norm_multiplicative",
+                                         {"pair": (d, m), "basis": (i, j)},
+                                         G.name))
+        if G.norm(m, d, G.unit[d]) != G.unit[m]:
+            out.append(Violation("norm_unit", {"pair": (d, m)}, G.name))
+        res = G.mackey.res[(d, m)]
+        for i in range(G.dim(m)):
+            ei = unit_vec(K, G.dim(m), i)
+            if G.norm(m, d, res.apply(ei)) != G.power(m, ei, m // d):
+                out.append(Violation("norm_of_restriction",
+                                     {"pair": (d, m), "basis": i}, G.name))
+    return out
+
+
+NORM_FUNCTORS = {
+    "C4/F5": lambda: fix_functor(kummer_extension(F5, 4, F5.from_int(2),
+                                                  F5.from_int(2))),
+    "C6/F13": lambda: fix_functor(kummer_extension(F13, 6, F13.from_int(2),
+                                                   F13.from_int(4))),
+}
+
+
+@pytest.mark.parametrize("functor,pair,level,i,j", [
+    ("C4/F5", (1, 2), 1, 1, None),     # the basis vector α
+    ("C4/F5", (2, 4), 2, 0, None),     # the basis vector 1, also the unit
+    ("C4/F5", (1, 2), 1, 2, 3),        # the product α²·α³ = 2α
+    ("C4/F5", (2, 4), 2, 1, 1),        # the product α²·α² = 2
+    # (1, 2) and (1, 3) norm the same arguments to different levels
+    ("C6/F13", (1, 3), 1, 1, None),
+    ("C6/F13", (1, 2), 1, 3, 4),       # the product α³·α⁴ = 2α
+])
+def test_check_norms_reports_every_perturbed_norm(functor, pair, level, i,
+                                                  j):
+    L = NORM_FUNCTORS[functor]()
+    assert check_norms(L) == ref_check_norms(L) == []
+    K = L.scalars
+    e = [unit_vec(K, L.dim(level), k) for k in range(L.dim(level))]
+    arg = e[i] if j is None else L.multiply(level, e[i], e[j])
+    assert j is None or arg not in e
+    bad = copy.copy(L)
+    bad.norms = BumpedNorm(L.norms, pair, arg)
+    got = check_norms(bad)
+    assert got == ref_check_norms(bad)
+    assert got and {v.where["pair"] for v in got} == {pair}
 
 
 def test_permute_green_preserves_structure():

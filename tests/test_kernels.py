@@ -6,7 +6,9 @@ themselves for F_9 and Q).  Hypothesis draws small operands over F_2, F_5,
 F_7, F_11, F_13, F_9 = F_3[t]/(t² + 1) and Q (derandomized, so every run
 sees the same examples) and asserts that kernel and reference agree exactly.
 The Green-morphism check, which compares products on raw terms, is held
-against the element loop over basis pairs in the same way.
+against the element loop over basis pairs in the same way, and so are the
+product terms of a tensor algebra, against ``tensor_vec`` of its factors'
+dense tables.
 """
 
 import pytest
@@ -15,6 +17,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from greenbox.algebras import poly_quotient_algebra, tensor_algebra
 from greenbox.extensions import kummer_extension
 from greenbox.fields import extension_field, prime_field, rationals
 from greenbox.green import GreenFunctor, check_green_morphism, fix_functor, \
@@ -354,6 +357,63 @@ def test_a_product_zero_on_one_side_only_is_a_violation(zero_side):
     assert check_green_morphism(source, target, phi, "φ") == \
         ref_green_morphism(source, target, phi, "φ") == \
         [Violation("morphism_mult", {"level": 1}, "φ")]
+
+
+# ---------------------------------------------------------------------------
+# the product terms of a tensor algebra
+
+
+TENSOR_FIELDS = [prime_field(7), extension_field(3, (1, 0, 1)), rationals()]
+F3 = prime_field(3)
+# F_3[s]/(s²), not reduced: s ⊗ s squares to zero in its tensor square
+DUAL = poly_quotient_algebra(F3, [F3.zero, F3.zero, F3.one], var="s")
+
+
+@st.composite
+def quotient_algebras(draw, K):
+    """K[t]/(f) for a monic f of degree 1 to 3, reducible or not."""
+    deg = draw(st.integers(1, 3))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3) \
+        if K.order is None else st.sampled_from(list(K.elements()))
+    low = draw(st.lists(coeff, min_size=deg, max_size=deg))
+    return poly_quotient_algebra(K, low + [K.one])
+
+
+@st.composite
+def tensor_factor_cases(draw):
+    K = draw(st.sampled_from(TENSOR_FIELDS))
+    return draw(quotient_algebras(K)), draw(quotient_algebras(K))
+
+
+def assert_tensor_matches_the_element_loop(A, B):
+    K = A.base
+    tensor = tensor_algebra(A, B)
+    assert tensor._table is None        # built from the factors' terms
+    terms = tensor.terms
+    for i1 in range(A.dim):
+        for j1 in range(B.dim):
+            for i2 in range(A.dim):
+                for j2 in range(B.dim):
+                    ref = tensor_vec(K, A.table[i1][i2], B.table[j1][j2])
+                    a, b = i1 * B.dim + j1, i2 * B.dim + j2
+                    assert tuple(terms[a][b]) == nonzero_terms(K, ref)
+                    assert tensor.table[a][b] == ref
+    assert tensor.one == tensor_vec(K, A.one, B.one)
+
+
+@PROPS
+@given(tensor_factor_cases())
+def test_tensor_algebra_terms_match_the_element_loop(case):
+    assert_tensor_matches_the_element_loop(*case)
+
+
+@pytest.mark.parametrize("other", ["dual", "field"])
+def test_tensor_algebra_of_a_non_reduced_factor(other):
+    B = DUAL if other == "dual" else \
+        poly_quotient_algebra(F3, [F3.one, F3.zero, F3.one])
+    assert_tensor_matches_the_element_loop(DUAL, B)
+    assert_tensor_matches_the_element_loop(B, DUAL)
+    assert_tensor_matches_the_element_loop(B, B)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,65 @@ def test_solve_matrix_solves_exactly_the_solvable_systems(A, consistent,
 
 
 @st.composite
+def overdetermined_systems(draw):
+    """A X = B with n unknowns per column whose first n rows of A, apart
+    from at most one inserted row, are invertible, so elimination reaches
+    full column rank there.  ``case`` says where an inconsistent row goes:
+    "before" full rank (a combination of the rows above it, with a
+    perturbed right side), "after" it (one later row's right side
+    perturbed, which only substitution sees), or "none"."""
+    K = draw(st.sampled_from(SELF_FIELDS))
+    case = draw(st.sampled_from(["before", "after", "none"]))
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    ints = st.integers(-2, 2).map(K.from_int)
+    # an invertible n x n block: unit upper triangular, columns permuted
+    upper = [[K.zero] * i + [K.one] + draw(st.lists(ints, min_size=n - i - 1,
+                                                    max_size=n - i - 1))
+             for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    top = [tuple(r[perm[j]] for j in range(n)) for r in upper]
+    later = draw(rows_over(K, n, 1, 4))
+    X0 = Mat(K, draw(rows_over(K, k, n, n)), ncols=k)
+    A = Mat(K, top + later, ncols=n)
+    B = [list(r) for r in (A @ X0).rows]
+    rows = [list(r) for r in A.rows]
+    nonzero = draw(st.sampled_from([c for c in map(K.from_int, (1, 2, -1))
+                                    if c != K.zero]))
+    col = draw(st.integers(0, k - 1))
+    if case == "before":
+        at = draw(st.integers(0, n - 1))
+        coeffs = draw(st.lists(ints, min_size=at, max_size=at))
+        a, b = [K.zero] * n, [K.zero] * k
+        for c, r, rb in zip(coeffs, rows, B):
+            a = [x + c * y for x, y in zip(a, r)]
+            b = [x + c * y for x, y in zip(b, rb)]
+        b[col] = b[col] + nonzero
+        rows.insert(at, a)
+        B.insert(at, b)
+    elif case == "after":
+        at = draw(st.integers(n, len(rows) - 1))
+        B[at][col] = B[at][col] + nonzero
+    return case, Mat(K, rows, ncols=n), Mat(K, B, ncols=k)
+
+
+@SELF_PROPS
+@given(overdetermined_systems())
+def test_solve_matrix_checks_the_rows_after_full_rank(system):
+    case, A, B = system
+    K = A.field
+    base = oracle_rank(K, A.rows, A.ncols)
+    solvable = all(
+        oracle_rank(K, A.hstack(Mat.from_cols(K, [b], A.nrows)).rows,
+                    A.ncols + 1) == base
+        for b in B.cols())
+    assert solvable == (case == "none")
+    X = solve_matrix(A, B)
+    assert (X is not None) == solvable
+    if X is not None:
+        assert A @ X == B
+
+
+@st.composite
 def quotient_maps(draw):
     """A source and a target presentation over one field, and a linear map
     between their ambients."""
