@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import copy
 import math
+from itertools import groupby
 
 from .fields import Field
 from .green import GreenFunctor, check_green_morphism, constant_functor
@@ -152,11 +153,9 @@ class BoxProduct:
 def _tensor_mat(K, A: Mat, B: Mat) -> Mat:
     """The Kronecker product A ⊗ B on raw rows: row (r, s) holds
     A[r][i]·B[s][j] at column (i, j), both pairs ordered i-major."""
-    reduce = K.reduce
-    return Mat._from_raw(K, tuple([tuple(reduce([a * b for a in ra
-                                                 for b in rb]))
-                                   for ra in A.raw for rb in B.raw]),
-                         A.ncols * B.ncols)
+    return Mat._from_flat(K, [a * b for ra in A.raw for rb in B.raw
+                              for a in ra for b in rb],
+                          A.nrows * B.nrows, A.ncols * B.ncols)
 
 
 def _place_blocks(bx, m, blocks):
@@ -310,28 +309,17 @@ def _fill_products(bx: BoxProduct) -> None:
     entry, which ``mult_terms`` reads as ``()``.  An entry already there is
     kept.
 
-    Pure tensors multiply componentwise: only pairs of nonzero factor
-    products are visited, and each gives a nonzero tensor, since a field
-    has no zero divisors.  A class factor is tr(w) for a pure generator w of
-    its origin o, and tr(w)·x = tr(w·res x), x·tr(w) = tr(res x·w), the
-    first form for a product of two classes: each nonzero product w·e_k (or
-    e_k·w) at level o, which is already filled, is spread over the
-    generators x whose restriction has a k-term, read off row k of
-    res_{o←m} (``_spread``)."""
+    Pure tensors multiply componentwise (``_fill_pure``).  A class factor
+    is tr(w) for a pure generator w of its origin o, and tr(w)·x =
+    tr(w·res x), x·tr(w) = tr(res x·w), the first form for a product of two
+    classes: each nonzero product w·e_k (or e_k·w) at level o, which is
+    already filled, is spread over the generators x whose restriction has a
+    k-term, read off row k of res_{o←m} (``_spread``)."""
     K, L, R = bx.scalars, bx.left, bx.right
     cache = bx._mult_cache
     for m in bx.lattice.divisors:
-        # pure tensors sit first
-        width = R.dim(m)
-        rt = [(j, j2, t) for j, row in enumerate(R.terms(m))
-              for j2, t in enumerate(row) if t]
-        for i, row in enumerate(L.terms(m)):
-            for i2, lt in enumerate(row):
-                if lt:
-                    for j, j2, t in rt:
-                        cache.setdefault((m, i * width + j, i2 * width + j2),
-                                         tensor_terms(K, lt, t, width))
-        npure, ngens = L.dim(m) * width, bx.amb_dim(m)
+        _fill_pure(K, L, R, m, cache)
+        npure, ngens = L.dim(m) * R.dim(m), bx.amb_dim(m)
         for o, off in bx.offsets[m].items():
             if o == m:
                 continue
@@ -348,34 +336,63 @@ def _fill_products(bx: BoxProduct) -> None:
                     cache.setdefault((m, x, c), terms)
 
 
-def _spread(K, prods, rows, up, bound):
-    """Yield (x, the sorted raw terms of tr(Σ_k res(e_x)_k·p_k)) for the
-    generators x < ``bound`` where that sum is nonzero.  ``prods`` holds
-    the pairs (k, terms of p_k) of the nonzero level-o products p_k, row k
-    of ``rows`` the generators x whose restriction res_{o←m}(e_x) has a
-    k-term, and ``up[t]`` the level-m index of the transfer of level-o
-    generator t: the transfer chain's columns are unit vectors, so it only
-    relabels."""
+def _fill_pure(K, L, R, m, cache) -> None:
+    """The products of two pure tensors of level m, which sit first: (x⊗y)
+    ·(x'⊗y') = xx'⊗yy'.  Only pairs of nonzero factor products are visited,
+    and each gives a nonzero tensor, since a field has no zero divisors.
+    Every new product's scalars are written, unreduced, into one list for
+    the level and reduced in one call."""
+    width = R.dim(m)
+    rt = [(j, j2, t) for j, row in enumerate(R.terms(m))
+          for j2, t in enumerate(row) if t]
+    new, flat = [], []
+    for i, row in enumerate(L.terms(m)):
+        for i2, lt in enumerate(row):
+            if lt:
+                for j, j2, t in rt:
+                    key = (m, i * width + j, i2 * width + j2)
+                    if key not in cache:
+                        new.append((key, [a * width + b for a, _ in lt
+                                          for b, _ in t]))
+                        flat += [x * y for _, x in lt for _, y in t]
+    values = K.reduce(flat)
+    start = 0
+    for key, index in new:
+        end = start + len(index)
+        cache[key] = tuple(zip(index, values[start:end]))
+        start = end
+
+
+def _spread(K, prods, rows, up, bound) -> list:
+    """The pairs (x, the sorted raw terms of tr(Σ_k res(e_x)_k·p_k)) for
+    the generators x < ``bound`` where that sum is nonzero, with one
+    reduction for all of them.  ``prods`` holds the pairs (k, terms of p_k)
+    of the nonzero level-o products p_k, row k of ``rows`` the generators x
+    whose restriction res_{o←m}(e_x) has a k-term, and ``up[t]`` the
+    level-m index of the transfer of level-o generator t: the transfer
+    chain's columns are unit vectors, so it only relabels."""
     zero = K.raw_zero
     acc = {}
     for k, terms in prods:
         for x, r in rows[k]:
             if x < bound:
                 acc.setdefault(x, []).append((r, terms))
+    sums, flat = [], []
     for x, parts in acc.items():
-        if len(parts) == 1 and len(parts[0][1]) == 1:
-            # one scalar times one term: a field has no zero divisors
-            (r, ((t, a),)), = parts
-            yield x, ((up[t], K.reduce([r * a])[0]),)
-            continue
-        sums = {}
+        total = {}
         for r, terms in parts:
             for t, a in terms:
-                sums[t] = sums.get(t, zero) + r * a
-        terms = tuple(sorted((up[t], v) for t, v in
-                             zip(sums, K.reduce(list(sums.values()))) if v))
+                total[t] = total.get(t, zero) + r * a
+        sums.append((x, total))
+        flat += total.values()
+    values = iter(K.reduce(flat))
+    out = []
+    for x, total in sums:
+        terms = tuple(sorted([(up[t], v) for t, v in zip(total, values)
+                              if v]))
         if terms:
-            yield x, terms
+            out.append((x, terms))
+    return out
 
 
 def _check_descent(bx: BoxProduct, check: bool = True) -> None:
@@ -435,18 +452,23 @@ def _projected_products(bx: BoxProduct, check: bool) -> dict:
     """Per level m, row g: {e: the raw terms of q(e_g·e_e)} for the stored
     products whose projection is nonzero, from one pass over the product
     table.  Checked, every stored product is projected; unchecked, only
-    products of two free generators."""
-    tables, project, column = {}, {}, {}
-    for m, lvl in bx.levels.items():
-        tables[m] = [{} for _ in range(lvl.ngens)]
-        project[m] = lvl.project_terms
-        column[m] = lvl._column
-    for (m, a, b), prod in bx._mult_cache.items():
-        if not check and (column[m][a] is None or column[m][b] is None):
-            continue
-        image = project[m](prod)
-        if image:
-            tables[m][a][b] = image
+    products of two free generators.  The table is filled level by level,
+    and each level's run of products is projected by one
+    ``project_many``."""
+    tables = {m: [{} for _ in range(lvl.ngens)]
+              for m, lvl in bx.levels.items()}
+    for m, entries in groupby(bx._mult_cache.items(),
+                              key=lambda entry: entry[0][0]):
+        lvl, rows = bx.levels[m], tables[m]
+        column = lvl._column
+        pairs, batch = [], []
+        for (_, a, b), prod in entries:
+            if check or (column[a] is not None and column[b] is not None):
+                pairs.append((a, b))
+                batch.append(prod)
+        for (a, b), image in zip(pairs, lvl.project_many(batch)):
+            if image:
+                rows[a][b] = image
     return tables
 
 

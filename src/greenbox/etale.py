@@ -25,8 +25,7 @@ from .extensions import GaloisExtension
 from .fields import Field
 from .green import constant_functor
 from .linalg import Mat, Span, bilinear_terms, kernel, kernel_raw, \
-    nonzero_terms, raw_terms, solve_matrix, tensor_vec, unit_vec, \
-    vec_is_zero, vec_scale, vec_sub, vec_zero
+    nonzero_terms, raw_terms, solve_matrix, tensor_vec, unit_vec
 from .mackey import InternalCheckError, MackeyMorphism, Violation
 from .modules import constant_box_iso
 from .presented import PresentedLevel, format_element
@@ -241,41 +240,61 @@ def ideal_generator(bx: BoxProduct, E: GaloisExtension, i: int, t: int,
         raise ValueError("need q | t and 0 <= i <= t")
     if powers is None:
         powers = AlphaPowers(bx, E)
-    pure = powers.tensor(m, 0, t * d)
-    cls = powers.tensor(m, i * d, (t - i) * d, origin=d)
-    return bx.reduce(m, vec_sub(vec_scale(bx.scalars.from_int(q), pure), cls))
+    return bx.scalars.fold(powers.generator(m, d, i, t))
 
 
 class AlphaPowers:
     """The coordinates of α^e in the level-d fixed subfield of a relative
-    box's factor, each (level, exponent) pair solved once."""
+    box's factor, each (level, exponent) pair solved once and kept as raw
+    terms, and the reduced raw vectors of a level built from their
+    tensors."""
 
     def __init__(self, bx: BoxProduct, E: GaloisExtension):
         self.bx = bx
         self.E = E
-        self._coords = {}
+        self._terms = {}
 
-    def coords(self, d: int, e: int):
-        """α^e in the basis of the level-d subfield; ValueError if it does
-        not lie there."""
+    def terms(self, d: int, e: int):
+        """The raw terms of α^e in the basis of the level-d subfield;
+        ValueError if it does not lie there."""
         key = (d, e)
-        if key not in self._coords:
+        if key not in self._terms:
             E = self.E
             sol = solve_matrix(self.bx.left.level_embed[d], Mat.from_cols(
                 E.base, [E.alpha_power(e)], E.degree))
-            self._coords[key] = None if sol is None else sol.col(0)
-        coords = self._coords[key]
-        if coords is None:
+            self._terms[key] = None if sol is None else sol.col_terms()[0]
+        terms = self._terms[key]
+        if terms is None:
             raise ValueError(
                 f"α^{e} does not lie in the level-{d} subfield")
-        return coords
+        return terms
 
-    def tensor(self, m: int, e1: int, e2: int, origin=None):
-        """Ambient vector of α^{e1} ⊗ α^{e2} at the given origin component
-        (default: the pure component)."""
-        d = origin if origin is not None else m
-        return self.bx.amb_vec(m, {d: tensor_vec(
-            self.bx.scalars, self.coords(d, e1), self.coords(d, e2))})
+    def project(self, m: int, parts):
+        """The reduced raw vector of level m of Σ s·(α^{e1} ⊗ α^{e2}) over
+        ``parts`` (s, e1, e2, origin): s an integer, each tensor at its
+        origin's component.  The unreduced tensor terms are summed and
+        reduced once by the level's ``project``."""
+        bx = self.bx
+        K = bx.scalars
+        terms = []
+        for s, e1, e2, d in parts:
+            c = _raw_int(K, s)
+            off, width = bx.offsets[m][d], bx.right.dim(d)
+            terms += [(off + a * width + b, c * x * y)
+                      for a, x in self.terms(d, e1)
+                      for b, y in self.terms(d, e2)]
+        return bx.levels[m].project(terms)
+
+    def generator(self, m: int, d: int, i: int, t: int):
+        """``ideal_generator`` x[i,t] of origin d at level m, as a reduced
+        raw vector; the parameters are not checked."""
+        return self.project(m, ((m // d, 0, t * d, m),
+                                (-1, i * d, (t - i) * d, d)))
+
+
+def _raw_int(K, s: int):
+    """The raw scalar of the integer s in K."""
+    return K.lift((K.from_int(s),))[0]
 
 
 @dataclass
@@ -312,33 +331,38 @@ def kummer_congruence_checks(bx: BoxProduct, E: GaloisExtension,
     * ma − [α ⊗ α^{n-1}]_1^m lies in I, kernel-of-restriction elements z
       satisfy z·(ma − [α ⊗ α^{n-1}]) = ma·z, and ker(res to the free level)
       is contained in I².
+
+    Every vector is a reduced raw list (x[i,t], w and the kernel of res,
+    from ``kernel_raw``); products are ``bilinear_terms`` over the box's
+    reduced product terms, and memberships are tested raw.
     """
     rep = CongruenceReport()
     powers = AlphaPowers(bx, E)
     K = bx.scalars
     n = E.degree
-    a = E.a
+    a, = K.lift((E.a,))
     for m in bx.lattice.divisors:
         if m == 1:
             continue
         span_i = Span(K, bx.dim(m), data.ideal[m])
         span_sq = Span(K, bx.dim(m), data.square[m])
+        terms = bx.green.terms(m)
+
+        def product(u, v):
+            return bilinear_terms(K, terms, raw_terms(u), raw_terms(v))
 
         # the auxiliary element w = ma − [α ⊗ α^{n−1}]_1^m
-        w = bx.reduce(m, vec_sub(
-            vec_scale(K.from_int(m), powers.tensor(m, 0, n)),
-            powers.tensor(m, 1, n - 1, origin=1)))
-        rep.record(span_i.contains(w), f"level {m}: ma−[α⊗α^{n-1}] in I")
+        w = powers.project(m, ((m, 0, n, m), (-1, 1, n - 1, 1)))
+        rep.record(span_i._contains(w), f"level {m}: ma−[α⊗α^{n-1}] in I")
 
         # kernel of the restriction to the free level
-        for z in kernel(bx.green.mackey.res_mat(1, m)):
-            rep.record(span_i.contains(z),
+        ma = _raw_int(K, m) * a
+        for z in kernel_raw(bx.green.mackey.res_mat(1, m)):
+            rep.record(span_i._contains(z),
                        f"level {m}: ker res ⊆ I")
-            rep.record(span_sq.contains(z),
+            rep.record(span_sq._contains(z),
                        f"level {m}: ker res ⊆ I²")
-            lhs = bx.green.multiply(m, z, w)
-            rhs = vec_scale(K.from_int(m) * a, z)
-            rep.record(lhs == rhs,
+            rep.record(product(z, w) == K.reduce([ma * c for c in z]),
                        f"level {m}: z·(ma−[α⊗α^{n-1}]) = ma·z")
 
         for d in bx.lattice.divisors:
@@ -351,21 +375,26 @@ def kummer_congruence_checks(bx: BoxProduct, E: GaloisExtension,
             # the checks below use each generator several times; build it once
             @functools.cache
             def x(i, t):
-                return ideal_generator(bx, E, i, t, d, m, powers)
+                return powers.generator(m, d, i, t)
+
+            def sq_contains(u, c, v):
+                """Whether u − c·v lies in I²."""
+                c = _raw_int(K, c)
+                return span_sq._contains(K.reduce([
+                    s - c * r for s, r in zip(u, v)]))
 
             for t in ts:
                 for i in range(0, t + 1):
-                    rep.record(span_i.contains(x(i, t)),
+                    rep.record(span_i._contains(x(i, t)),
                                f"level {m}, d={d}: x[{i},{t}] in I")
-                rep.record(vec_is_zero(K, x(0, t)),
+                rep.record(not any(x(0, t)),
                            f"level {m}, d={d}: x[0,{t}] = 0")
-                swap_comm = bx.reduce(m, vec_scale(K.from_int(q), vec_sub(
-                    powers.tensor(m, 0, t * d),
-                    powers.tensor(m, t * d, 0))))
+                swap_comm = powers.project(m, ((q, 0, t * d, m),
+                                               (-q, t * d, 0, m)))
                 rep.record(x(t, t) == swap_comm,
                            f"level {m}, d={d}: x[{t},{t}] = "
                            f"q·(1⊗α^td − α^td⊗1)")
-                rep.record(span_sq.contains(x(t, t)),
+                rep.record(span_sq._contains(x(t, t)),
                            f"level {m}, d={d}: x[{t},{t}] in I²")
                 for i in range(0, t + 1):
                     if i + n // d <= t:
@@ -373,31 +402,27 @@ def kummer_congruence_checks(bx: BoxProduct, E: GaloisExtension,
                             x(i + n // d, t) == x(i, t),
                             f"level {m}, d={d}: x[i+n/d,{t}] = x[{i},{t}]")
                     rep.record(
-                        x(i + n // d, t + n // d) == vec_scale(a, x(i, t)),
+                        x(i + n // d, t + n // d) ==
+                        K.reduce([a * c for c in x(i, t)]),
                         f"level {m}, d={d}: shifted wraparound at ({i},{t})")
                 for i in range(0, t + 1):
                     if i + q <= t:
                         rep.record(
-                            span_sq.contains(vec_sub(x(i, t), x(i + q, t))),
+                            sq_contains(x(i, t), 1, x(i + q, t)),
                             f"level {m}, d={d}: x[{i},{t}] ≡ x[{i+q},{t}] "
                             f"mod I²")
                     rep.record(
-                        span_sq.contains(vec_sub(
-                            x(i, t), vec_scale(K.from_int(i), x(1, t)))),
+                        sq_contains(x(i, t), i, x(1, t)),
                         f"level {m}, d={d}: x[{i},{t}] ≡ {i}·x[1,{t}] mod I²")
 
             # exact product rule, with its multiplicity q
             t1, t2 = q, q
+            c = _raw_int(K, q)
             for i1 in range(0, t1 + 1):
                 for i2 in range(0, t2 + 1):
-                    lhs = bx.green.multiply(m, x(i1, t1), x(i2, t2))
-                    rhs = vec_zero(K, bx.dim(m))
-                    for sgn, xi in ((K.one, x(i1, t1 + t2)),
-                                    (K.one, x(i2, t1 + t2)),
-                                    (-K.one, x(i1 + i2, t1 + t2))):
-                        rhs = tuple(r + sgn * K.from_int(q) * c
-                                    for r, c in zip(rhs, xi))
-                    rep.record(lhs == rhs,
+                    rhs = K.reduce([c * (u + v - y) for u, v, y in zip(
+                        x(i1, t1 + t2), x(i2, t1 + t2), x(i1 + i2, t1 + t2))])
+                    rep.record(product(x(i1, t1), x(i2, t2)) == rhs,
                                f"level {m}, d={d}: product rule at "
                                f"({i1},{i2})")
     return rep

@@ -334,10 +334,9 @@ def check_green_morphism(source: GreenFunctor, target: GreenFunctor,
     terms, without a lift or fold per pair.  Both sides are sparse: an
     empty product term list is a zero product, so φ(e_i·e_j) is zero when
     e_i·e_j is, and the right side sums only the nonzero target products
-    e_k·e_l.  Per i, those products are grouped by l once
-    (``_row_differs``), and the right side for each j sums the groups at
-    the terms l of φ(e_j); a pair where both sides have no term is equal
-    without a pass over its coordinates."""
+    e_k·e_l.  Per i, those products are grouped by l once, and the
+    difference of the two sides for each j is one sparse accumulation;
+    the row's differences are reduced in one call (``_row_differs``)."""
     out = MackeyMorphism(source.mackey, target.mackey, components,
                          name=name).check()
     K = source.scalars
@@ -345,7 +344,7 @@ def check_green_morphism(source: GreenFunctor, target: GreenFunctor,
         phi = components[m]
         cols = phi.col_terms()
         src, tgt = source.terms(m), target.terms(m)
-        if any(_row_differs(K, phi, src[i], tgt, xs, cols)
+        if any(_row_differs(K, src[i], tgt, xs, cols)
                for i, xs in enumerate(cols)):
             out.append(Violation("morphism_mult", {"level": m}, name))
         if phi.apply(source.unit[m]) != target.unit[m]:
@@ -353,31 +352,31 @@ def check_green_morphism(source: GreenFunctor, target: GreenFunctor,
     return out
 
 
-def _row_differs(K, phi, src_row, tgt, xs, cols) -> bool:
+def _row_differs(K, src_row, tgt, xs, cols) -> bool:
     """Whether φ(e_i·e_j) ≠ φ(e_i)·φ(e_j) for some j, given row i of the
     source's product terms, the target's product terms ``tgt``, the terms
-    ``xs`` of φ(e_i) and ``cols``, those of every φ(e_j)."""
+    ``xs`` of φ(e_i) and ``cols``, those of every φ(e_j): per j,
+    Σ_k (e_i·e_j)_k·φ(e_k) − Σ_{k,l} x_k·y_l·(e_k·e_l) is accumulated over
+    its nonzero terms only."""
+    zero = K.raw_zero
     by_l = {}               # l -> [(x_k, terms of e_k·e_l)], nonzero only
     for k, a in xs:
         for l, prod in enumerate(tgt[k]):
             if prod:
                 by_l.setdefault(l, []).append((a, prod))
-    zero = [K.raw_zero] * len(tgt)
+    flat = []
     for j, ys in enumerate(cols):
-        rhs = None
+        acc = {}
+        for k, c in src_row[j]:
+            for t, a in cols[k]:
+                acc[t] = acc.get(t, zero) + c * a
         for l, b in ys:
             for a, prod in by_l.get(l, ()):
-                if rhs is None:
-                    rhs = list(zero)
                 c = a * b
                 for t, v in prod:
-                    rhs[t] += c * v
-        if rhs is None and not src_row[j]:
-            continue
-        if phi.apply_terms(src_row[j]) != \
-                (zero if rhs is None else K.reduce(rhs)):
-            return True
-    return False
+                    acc[t] = acc.get(t, zero) - c * v
+        flat += acc.values()
+    return any(K.reduce(flat))
 
 
 def zero_green(M: MackeyFunctor) -> GreenFunctor:

@@ -21,19 +21,22 @@ Equality and hashing compare the raw rows, which are canonical.
 The kernels (``Mat.apply``, ``bilinear``, ``tensor_vec``,
 ``nonzero_terms``, ``eliminate`` and ``Span``) have one body for every
 field: they test zero by truthiness and reduce once per vector.
-``Mat.__matmul__`` has two: over Q and F_{p^k} it sums over the right
-operand's ``row_terms``; over a ``PrimeField`` it multiplies packed rows
+``Mat.__matmul__`` has two: over Q and F_{p^k}, and whenever the right
+operand has one row or one column, it sums over the right operand's
+``row_terms``; otherwise, over a ``PrimeField``, it multiplies packed rows
 (``_packed_product``: 16-, 32- or 64-bit slots, the narrowest with
 inner·(p − 1)² < 2^bits).  The slot bound needs every raw F_p scalar in
 [0, p), which the element entry points (``Mat(K, rows)``, ``from_cols``,
-``Span.add``, ``Span.contains``) ensure through ``lift_checked``.  Raw
+``Span.add``, ``Span.contains``) ensure through ``lift_checked``.  ``+``,
+``scale`` and the box layer's Kronecker products reduce once per matrix
+(``Mat._from_flat``).  Raw
 ``(index, scalar)`` terms (``nonzero_terms``, ``raw_terms``)
 are the one sparse form passed between kernels: a ``Mat`` builds its
 ``row_terms`` and ``col_terms`` on first use and keeps them, ``eliminate``
 and ``Span`` read them, ``Mat.apply_terms`` and ``bilinear_terms`` take
-them and return reduced raw lists, ``PresentedLevel.project`` maps them,
-and the box layer keeps each generator product, quotient image and matrix
-column as such terms.
+them and return reduced raw lists, ``PresentedLevel.project`` and
+``project_many`` map them, and the box layer keeps each generator product,
+quotient image and matrix column as such terms.
 
 ``Mat.identity`` returns an instance of the private subclass ``_Identity``,
 and ``A @ B`` returns the other operand unchanged when either factor is
@@ -91,6 +94,15 @@ class Mat:
         mat = object.__new__(cls)
         mat._set(field, raw, ncols)
         return mat
+
+    @classmethod
+    def _from_flat(cls, field, flat, nrows, ncols):
+        """The matrix whose raw entries, row after row, are the raw scalars
+        ``flat``, reduced in one call."""
+        flat = field.reduce(flat)
+        return cls._from_raw(field, tuple([
+            tuple(flat[i * ncols:(i + 1) * ncols]) for i in range(nrows)]),
+            ncols)
 
     @staticmethod
     def identity(field, n):
@@ -164,7 +176,7 @@ class Mat:
             return other
         K = self.field
         nc = other.ncols
-        if type(K) is PrimeField:
+        if type(K) is PrimeField and other.nrows > 1 and nc > 1:
             return Mat._from_raw(K, _packed_product(K.p, self.raw, other.raw,
                                                     nc), nc)
         zero, reduce = K.raw_zero, K.reduce
@@ -183,10 +195,9 @@ class Mat:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in addition")
         self._same_field(other)
-        reduce = self.field.reduce
-        return Mat._from_raw(self.field, tuple([
-            tuple(reduce([a + b for a, b in zip(r, s)]))
-            for r, s in zip(self.raw, other.raw)]), self.ncols)
+        return Mat._from_flat(self.field, [
+            a + b for r, s in zip(self.raw, other.raw) for a, b in zip(r, s)],
+            self.nrows, self.ncols)
 
     def __neg__(self) -> "Mat":
         return self.scale(-self.field.one)
@@ -197,8 +208,8 @@ class Mat:
     def scale(self, s) -> "Mat":
         K = self.field
         c, = K.lift((s,))
-        return Mat._from_raw(K, tuple([tuple(K.reduce([c * a for a in r]))
-                                       for r in self.raw]), self.ncols)
+        return Mat._from_flat(K, [c * a for r in self.raw for a in r],
+                              self.nrows, self.ncols)
 
     def apply(self, v):
         """Matrix times column vector: only the nonzero coordinates of v and

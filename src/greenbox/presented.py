@@ -16,8 +16,9 @@ relation span exactly when ``q`` kills it, and the reduced dimension is
 #generators - rank(relations).
 
 ``reduce``, ``in_relation_span`` and ``canonicalize`` are sums over ``q``
-(``project``, in the field's raw scalars; ``project_terms`` gives the same
-image as sparse raw terms); ``relation_basis`` gives back the rows
+(``project``, in the field's raw scalars; ``project_many`` gives the same
+images of a batch of vectors as sparse raw terms, with one reduction for
+the batch); ``relation_basis`` gives back the rows
 e_p - Σ_k q[p]_k·e_{free_k} for tests and witnesses.
 
 Descent is decided here, by one check.  A linear map f out of a quotient is
@@ -25,16 +26,17 @@ well defined exactly when it sends the relation span into the target's
 relation span.  Given a table T[g] = q_target(f(e_g)), as sparse raw terms
 per generator, ``check_images`` checks T[p] = Σ_k q[p]_k·T[free_k] for
 every pivot p, which is f(row of p) ∈ Rel.  ``descend`` tabulates T once
-per map, runs that check and writes the free columns of T straight into the
-raw rows of the induced map on the quotients; the structure maps, oracle
-actions, comparisons and identifications go through it.  A box's
+per map (one ``project_many``), runs that check and writes the free
+columns of T straight into the raw rows of the induced map on the
+quotients; the structure maps, oracle actions, comparisons and
+identifications go through it.  A box's
 multiplication projects each generator product once into one table per
 level and runs the same check on that table's columns and rows.
 """
 
 from __future__ import annotations
 
-from .linalg import Mat, nonzero_terms, raw_terms, rref, unit_vec, vec_sub
+from .linalg import Mat, nonzero_terms, rref, unit_vec, vec_sub
 from .mackey import InternalCheckError
 
 
@@ -86,7 +88,9 @@ class PresentedLevel:
 
     def project(self, terms) -> list:
         """The reduced coordinates, as reduced raw scalars, of the ambient
-        vector with raw nonzero ``terms``."""
+        vector Σ c·e_j over the raw ``terms`` (j, c); the terms are summed
+        and reduced once, so an index may repeat and a scalar need not be
+        reduced."""
         out = [self.field.raw_zero] * self.dim
         q = self.q
         for j, c in terms:
@@ -138,19 +142,26 @@ class PresentedLevel:
         """An ambient vector written in the generator labels."""
         return format_element(self.field, v, self.labels)
 
-    def project_terms(self, terms) -> tuple:
-        """``project`` as raw nonzero terms in increasing index; every
-        vanishing image is the shared ``()``.  One term (j, c) maps to c·q[j]
-        without a dense pass: a field has no zero divisors."""
-        if len(terms) == 1:
-            (j, c), = terms
-            k = self._column[j]
-            if k is not None:
-                return ((k, c),)
-            image = self.q[j]
-            return tuple(zip([k for k, _ in image],
-                             self.field.reduce([c * a for _, a in image])))
-        return raw_terms(self.project(terms)) if terms else ()
+    def project_many(self, batch) -> list:
+        """``project`` of each raw term list in ``batch``, as raw nonzero
+        terms in increasing index, with one ``reduce`` for the whole batch;
+        every vanishing image is the shared ``()``.  A level without
+        relations has the identity ``q``, so it hands the (sorted, reduced,
+        nonzero) input terms back unchanged."""
+        if not self.pivots:
+            return list(batch)
+        q, zero = self.q, self.field.raw_zero
+        sums, flat = [], []
+        for terms in batch:
+            acc = {}
+            for j, c in terms:
+                for k, a in q[j]:
+                    acc[k] = acc.get(k, zero) + c * a
+            sums.append(acc)
+            flat += acc.values()
+        values = iter(self.field.reduce(flat))
+        return [tuple(sorted([(k, v) for k, v in zip(acc, values) if v]))
+                for acc in sums]
 
     def check_images(self, table, target: "PresentedLevel",
                      message: str) -> None:
@@ -160,20 +171,32 @@ class PresentedLevel:
         pivot p, i.e. unless f sends the relation row of p into the
         target's relation span; the witness is ``"<row> ↦ <image>"``, the
         image being the reduced escaping part in the target's reduced
-        labels."""
+        labels.  All residuals are reduced in one call, and the first
+        failing pivot, in pivot order, is raised."""
         K = self.field
-        for i, p in enumerate(self.pivots):
-            acc = dict(table[p])
-            for k, a in self.q[p]:
-                for t, b in table[self.free[k]]:
-                    acc[t] = acc.get(t, K.raw_zero) - a * b
-            values = K.reduce(list(acc.values()))
-            if not any(values):
-                continue
-            image = format_element(K, target.dense(zip(acc, values)),
-                                   target.reduced_labels)
-            raise InternalCheckError(message, witness=(
-                f"{self.show(self.relation_basis[i])} ↦ {image}"))
+        flat, ends = [], []
+        for p in self.pivots:
+            flat += self._residual(table, p).values()
+            ends.append(len(flat))
+        values = K.reduce(flat)
+        start = 0
+        for i, end in enumerate(ends):
+            if any(values[start:end]):
+                residual = self._residual(table, self.pivots[i])
+                image = format_element(K, target.dense(zip(
+                    residual, values[start:end])), target.reduced_labels)
+                raise InternalCheckError(message, witness=(
+                    f"{self.show(self.relation_basis[i])} ↦ {image}"))
+            start = end
+
+    def _residual(self, table, p) -> dict:
+        """T[p] − Σ_k q[p]_k·T[free_k], unreduced, by target index."""
+        zero = self.field.raw_zero
+        acc = dict(table[p])
+        for k, a in self.q[p]:
+            for t, b in table[self.free[k]]:
+                acc[t] = acc.get(t, zero) - a * b
+        return acc
 
     def dense(self, terms) -> tuple:
         """The reduced vector, as elements, with raw nonzero ``terms``."""
@@ -194,13 +217,13 @@ class PresentedLevel:
         matrix, whose column k is T[free_k]."""
         if isinstance(images, Mat):
             images = images.col_terms().__getitem__
-        project = target.project_terms
         if check:
-            table = [project(images(g)) for g in range(self.ngens)]
+            table = target.project_many([images(g)
+                                         for g in range(self.ngens)])
             self.check_images(table, target, message)
             cols = [table[g] for g in self.free]
         else:
-            cols = [project(images(g)) for g in self.free]
+            cols = target.project_many([images(g) for g in self.free])
         rows = [[self.field.raw_zero] * len(cols) for _ in range(target.dim)]
         for k, terms in enumerate(cols):
             for t, c in terms:

@@ -734,6 +734,47 @@ def test_builder_fills_every_generator_product_once(make_fix):
                     (m, a, b)
 
 
+def test_box_build_reduces_once_per_table(monkeypatch):
+    """Building the C_3/F_7 relative box reduces the field's raw scalars
+    once per level for the pure-tensor products, once per ``_spread`` call
+    for the class products, once per ``project_many`` call on a level with
+    relations (never on one without) and once per ``check_images`` call:
+    a reduction per vector cannot come back unnoticed."""
+    T = _f7_fix()
+    K = T.scalars
+    for m in T.lattice.divisors:
+        T.terms(m)
+    reductions = []
+    real_reduce = K.reduce
+    monkeypatch.setattr(
+        K, "reduce", lambda raw: reductions.append(1) or real_reduce(raw))
+    seen = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            before = len(reductions)
+            out = fn(*args)
+            seen.setdefault(name, []).append((args, len(reductions) - before))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(boxes, "_fill_pure",
+                        counted("pure", boxes._fill_pure))
+    monkeypatch.setattr(boxes, "_spread", counted("spread", boxes._spread))
+    for name in ("project_many", "check_images"):
+        monkeypatch.setattr(PresentedLevel, name,
+                            counted(name, getattr(PresentedLevel, name)))
+    relative_box(T, K)
+    assert [count for _, count in seen["pure"]] == [1, 1]
+    assert seen["spread"] and {count for _, count in seen["spread"]} == {1}
+    with_relations = {count for (lvl, _), count in seen["project_many"]
+                      if lvl.pivots}
+    without = {count for (lvl, _), count in seen["project_many"]
+               if not lvl.pivots}
+    assert with_relations == {1} and without == {0}
+    assert {count for _, count in seen["check_images"]} == {1}
+
+
 def test_a_zero_multiplication_stores_no_product():
     """On a fuzz oracle pair, whose factors multiply to zero, neither the
     generic box nor the prime oracle stores a product."""

@@ -235,10 +235,10 @@ def test_ideal_generator_bad_parameters(kummer4_bundle):
 def test_alpha_power_outside_the_level_subfield_is_refused(kummer4_bundle):
     """α^e lies in the level-d subfield L^{C_d} exactly when d | e."""
     powers = AlphaPowers(kummer4_bundle.box, kummer4_bundle.ext)
-    assert powers.coords(2, 2) == powers.coords(2, 2)
+    assert powers.terms(2, 2) == powers.terms(2, 2)
     for d, e in ((2, 1), (4, 2), (4, 6)):
         with pytest.raises(ValueError, match=f"α\\^{e} does not lie"):
-            powers.coords(d, e)
+            powers.terms(d, e)
 
 
 def test_congruences_solve_each_alpha_power_once(kummer4_bundle,
@@ -257,6 +257,145 @@ def test_congruences_solve_each_alpha_power_once(kummer4_bundle,
     rep = kummer_congruence_checks(b.box, b.ext, b.ideal)
     assert rep.ok and rep.checks_run
     assert solved and len(solved) == len(set(solved))
+
+
+def reference_congruence_checks(bx, E, data):
+    """The congruence suite on field elements, as ``kummer_congruence_checks``
+    ran it before it moved to raw scalars: every vector is a tuple of
+    elements, built from element tensors of the α-power coordinates and
+    reduced through ``bx.reduce``; products go through the element
+    ``GreenFunctor.multiply`` and memberships through ``Span.contains``.
+    The same checks are recorded in the same order, under the same
+    labels."""
+    rep = etale.CongruenceReport()
+    powers = AlphaPowers(bx, E)
+    K = bx.scalars
+    n, a = E.degree, E.a
+
+    def coords(d, e):
+        """α^e in the basis of the level-d subfield, as elements."""
+        out = [K.zero] * bx.left.dim(d)
+        terms = powers.terms(d, e)
+        for (t, _), c in zip(terms, K.fold([c for _, c in terms])):
+            out[t] = c
+        return tuple(out)
+
+    def tensor(m, e1, e2, origin=None):
+        d = m if origin is None else origin
+        return bx.amb_vec(m, {d: tensor_vec(K, coords(d, e1),
+                                            coords(d, e2))})
+
+    for m in bx.lattice.divisors:
+        if m == 1:
+            continue
+        span_i = Span(K, bx.dim(m), data.ideal[m])
+        span_sq = Span(K, bx.dim(m), data.square[m])
+        w = bx.reduce(m, vec_sub(vec_scale(K.from_int(m), tensor(m, 0, n)),
+                                 tensor(m, 1, n - 1, origin=1)))
+        rep.record(span_i.contains(w), f"level {m}: ma−[α⊗α^{n-1}] in I")
+        for z in kernel(bx.green.mackey.res_mat(1, m)):
+            rep.record(span_i.contains(z), f"level {m}: ker res ⊆ I")
+            rep.record(span_sq.contains(z), f"level {m}: ker res ⊆ I²")
+            rep.record(bx.green.multiply(m, z, w) ==
+                       vec_scale(K.from_int(m) * a, z),
+                       f"level {m}: z·(ma−[α⊗α^{n-1}]) = ma·z")
+        for d in bx.lattice.divisors:
+            if m % d or d == m:
+                continue
+            q = m // d
+            ts = range(q, 2 * (n // d) + 1, q)
+
+            def x(i, t):
+                return bx.reduce(m, vec_sub(
+                    vec_scale(K.from_int(q), tensor(m, 0, t * d)),
+                    tensor(m, i * d, (t - i) * d, origin=d)))
+
+            for t in ts:
+                for i in range(t + 1):
+                    rep.record(span_i.contains(x(i, t)),
+                               f"level {m}, d={d}: x[{i},{t}] in I")
+                rep.record(all(c == K.zero for c in x(0, t)),
+                           f"level {m}, d={d}: x[0,{t}] = 0")
+                swap_comm = bx.reduce(m, vec_scale(K.from_int(q), vec_sub(
+                    tensor(m, 0, t * d), tensor(m, t * d, 0))))
+                rep.record(x(t, t) == swap_comm,
+                           f"level {m}, d={d}: x[{t},{t}] = "
+                           f"q·(1⊗α^td − α^td⊗1)")
+                rep.record(span_sq.contains(x(t, t)),
+                           f"level {m}, d={d}: x[{t},{t}] in I²")
+                for i in range(t + 1):
+                    if i + n // d <= t:
+                        rep.record(
+                            x(i + n // d, t) == x(i, t),
+                            f"level {m}, d={d}: x[i+n/d,{t}] = x[{i},{t}]")
+                    rep.record(
+                        x(i + n // d, t + n // d) == vec_scale(a, x(i, t)),
+                        f"level {m}, d={d}: shifted wraparound at ({i},{t})")
+                for i in range(t + 1):
+                    if i + q <= t:
+                        rep.record(
+                            span_sq.contains(vec_sub(x(i, t), x(i + q, t))),
+                            f"level {m}, d={d}: x[{i},{t}] ≡ x[{i+q},{t}] "
+                            f"mod I²")
+                    rep.record(
+                        span_sq.contains(vec_sub(
+                            x(i, t), vec_scale(K.from_int(i), x(1, t)))),
+                        f"level {m}, d={d}: x[{i},{t}] ≡ {i}·x[1,{t}] mod I²")
+            for i1 in range(q + 1):
+                for i2 in range(q + 1):
+                    lhs = bx.green.multiply(m, x(i1, q), x(i2, q))
+                    rhs = tuple(K.from_int(q) * (u + v - y) for u, v, y in zip(
+                        x(i1, 2 * q), x(i2, 2 * q), x(i1 + i2, 2 * q)))
+                    rep.record(lhs == rhs,
+                               f"level {m}, d={d}: product rule at "
+                               f"({i1},{i2})")
+    return rep
+
+
+def assert_matches_the_reference(bx, E, data):
+    rep = kummer_congruence_checks(bx, E, data)
+    ref = reference_congruence_checks(bx, E, data)
+    assert (rep.checks_run, rep.labels, rep.failures) == \
+        (ref.checks_run, ref.labels, ref.failures)
+    return rep
+
+
+@pytest.mark.parametrize("bundle_name", ["kummer2_bundle", "kummer3_bundle",
+                                         "kummer4_bundle"])
+def test_congruence_suite_matches_the_element_reference(bundle_name,
+                                                        request):
+    b = request.getfixturevalue(bundle_name)
+    assert assert_matches_the_reference(b.box, b.ext, b.ideal).ok
+
+
+def test_congruence_suite_matches_the_reference_over_f4():
+    F4 = finite_field(2, 2)
+    b = Bundle(kummer_extension(F4, 3, F4.gen, F4.gen))
+    assert assert_matches_the_reference(b.box, b.ext, b.ideal).ok
+
+
+def test_congruence_suite_fails_without_an_i_squared_vector(kummer4_bundle):
+    """Negative control: with the last basis vector of I² at level 4 of
+    C_4/F_5 dropped, 7 of the 252 checks fail, as in the reference."""
+    import dataclasses
+    b = kummer4_bundle
+    square = dict(b.ideal.square)
+    square[4] = square[4][:-1]
+    rep = assert_matches_the_reference(
+        b.box, b.ext, dataclasses.replace(b.ideal, square=square))
+    assert (rep.checks_run, len(rep.failures)) == (252, 7)
+    assert all("level 4" in lab for lab in rep.failures)
+
+
+def test_congruence_suite_fails_with_a_wrong_a(kummer4_bundle):
+    """Negative control: an extension record whose a is not α^n fails the
+    checks that read a, as in the reference."""
+    b = kummer4_bundle
+    wrong = copy.copy(b.ext)
+    wrong.a = F5.from_int(3)
+    rep = assert_matches_the_reference(b.box, wrong, b.ideal)
+    assert rep.failures and rep.checks_run == 252
+    assert all("wraparound" in lab or "ma·z" in lab for lab in rep.failures)
 
 
 @pytest.mark.parametrize("bundle_name", ["kummer2_bundle", "kummer3_bundle",

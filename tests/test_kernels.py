@@ -22,6 +22,7 @@ from greenbox.extensions import kummer_extension
 from greenbox.fields import extension_field, prime_field, rationals
 from greenbox.green import GreenFunctor, check_green_morphism, fix_functor, \
     permute_green
+from greenbox import linalg
 from greenbox.linalg import Mat, bilinear, eliminate, nonzero_terms, \
     product_terms, rref, tensor_vec, unit_vec
 from greenbox.mackey import MackeyFunctor, MackeyMorphism, Violation, \
@@ -178,6 +179,41 @@ def test_matmul_of_empty_and_identity_operands_over_fp():
     # plain matrices equal to the identity, so the product is computed
     one2, one3 = (Mat(K, Mat.identity(K, n).rows) for n in (2, 3))
     assert one2 @ A == A == A @ one3
+
+
+@pytest.mark.parametrize("p, inner", [
+    pytest.param(257, 1, id="F257-32bit"),
+    pytest.param(65521, 1, id="F65521-32bit"),
+])
+def test_packed_product_at_the_32_bit_slot_bound(p, inner):
+    # a right operand of one row now takes the generic body of ``@``, so the
+    # packed product is called directly at the slot bound it reaches
+    K = prime_field(p)
+    top = K.from_int(-1)
+    A = Mat(K, [[top] * inner] * 2)
+    B = Mat(K, [[top] * 3] * inner)
+    assert linalg._packed_product(p, A.raw, B.raw, 3) == ref_matmul(A, B).raw
+
+
+@PROPS
+@given(st.data(), st.sampled_from(["1x1", "nx1", "1xn", "2x2"]))
+def test_tiny_fp_products_match_the_element_loop(data, shape):
+    """Right operands of one row or one column take the generic body and
+    all others over F_p the packed one, decided from the shape alone."""
+    K = prime_field(11)
+    n = data.draw(st.integers(1, 5))
+    k, c = {"1x1": (1, 1), "nx1": (n, 1), "1xn": (1, n), "2x2": (2, 2)}[shape]
+    A = data.draw(matrices(K, data.draw(st.integers(0, 4)), k))
+    B = data.draw(matrices(K, k, c))
+    packed = []
+    real = linalg._packed_product
+    linalg._packed_product = lambda *args: packed.append(1) or real(*args)
+    try:
+        product = A @ B
+    finally:
+        linalg._packed_product = real
+    assert product == ref_matmul(A, B)
+    assert len(packed) == (shape == "2x2")
 
 
 @PROPS

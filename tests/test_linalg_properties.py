@@ -283,3 +283,95 @@ def test_descend_reads_the_map_off_the_free_generators(case):
         expected = target.reduce(amb.apply(src.expand(unit_vec(K, src.dim,
                                                                 k))))
         assert phi.col(k) == expected
+
+
+# ---------------------------------------------------------------------------
+# batched projection and the pivot check
+
+
+def ref_project(K, rels, n, v):
+    """The reduced coordinates of the ambient vector v, by a loop over its
+    elements: a free generator is its own coordinate, and a pivot p is
+    minus the free part of the relation row with trailing pivot p."""
+    reduced, pivots = rref(Mat(K, rels, ncols=n), "last")
+    free = [j for j in range(n) if j not in pivots]
+    out = [K.zero] * len(free)
+    for j, c in enumerate(v):
+        if j in pivots:
+            row = reduced.rows[pivots.index(j)]
+            for k, f in enumerate(free):
+                out[k] = out[k] - c * row[f]
+        else:
+            out[free.index(j)] = out[free.index(j)] + c
+    return tuple(out)
+
+
+@st.composite
+def projection_batches(draw):
+    """A presented level over F_7, F_9 or Q (with no relations in about a
+    third of the draws) and a batch of raw term lists: whole vectors, the
+    empty list and one-term lists, mixed in one batch."""
+    K = draw(st.sampled_from([prime_field(7), F9, rationals()]))
+    n = draw(st.integers(1, 5))
+    rels = draw(st.one_of(st.just([]), rows_over(K, n, 1, 3)))
+    vectors = draw(rows_over(K, n, 0, 4))
+    batch = [tuple((j, c) for j, c in enumerate(K.lift(v)) if c)
+             for v in vectors]
+    singles = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                      rows_over(K, 1, 1, 1)), max_size=3))
+    batch += [((j, K.lift(v)[0]),) if K.lift(v)[0] else ()
+              for j, (v,) in singles]
+    batch.insert(draw(st.integers(0, len(batch))), ())
+    return K, n, rels, draw(st.permutations(batch))
+
+
+@SELF_PROPS
+@given(projection_batches())
+def test_project_many_matches_the_element_loop(case):
+    K, n, rels, batch = case
+    lvl = PresentedLevel(K, [f"g{j}" for j in range(n)], rels)
+    images = lvl.project_many(batch)
+    assert len(images) == len(batch)
+    base = oracle_rank(K, rels, n)
+    for terms, image in zip(batch, images):
+        assert [t for t, _ in image] == sorted({t for t, _ in image})
+        assert all(c for _, c in image)
+        v = [K.zero] * n
+        for j, c in zip([j for j, _ in terms], K.fold([c for _, c in terms])):
+            v[j] = c
+        reduced = lvl.dense(image)
+        assert reduced == ref_project(K, rels, n, v)
+        # v less the free generators' share of its image lies in Rel
+        rest = list(v)
+        for j, c in zip(lvl.free, reduced):
+            rest[j] = rest[j] - c
+        assert oracle_rank(K, list(rels) + [tuple(rest)], n) == base
+        if not lvl.pivots:
+            assert image is terms
+
+
+@pytest.mark.parametrize("bad, witness", [
+    ((2, 3), "6·g0 + g2 ↦ 6·h0 + h1"),
+    ((3, 4), "6·g1 + g3 ↦ h0 + 6·h1"),
+    ((4,), "6·g0 + 6·g1 + g4 ↦ 6·h1"),
+], ids=["first-two", "last-two", "last"])
+def test_check_images_raises_for_the_first_failing_pivot(bad, witness):
+    """Pivots 2, 3 and 4 (rows g2 − g0, g3 − g1, g4 − g0 − g1) into a
+    target without relations: T[p] is bumped at the pivots in ``bad``,
+    and the witness is that of the first of them."""
+    K = prime_field(7)
+    one = K.raw_one
+    src = PresentedLevel(K, [f"g{j}" for j in range(5)], [
+        [K.from_int(c) for c in row]
+        for row in ((-1, 0, 1, 0, 0), (0, -1, 0, 1, 0), (-1, -1, 0, 0, 1))])
+    target = PresentedLevel(K, ["h0", "h1"], [])
+    assert src.pivots == (2, 3, 4)
+    table = [((0, one),), ((1, one),), ((0, one),), ((1, one),),
+             ((0, one), (1, one))]
+    src.check_images(table, target, "escapes")
+    wrong = {2: ((1, one),), 3: ((0, one),), 4: ((0, one),)}
+    for p in bad:
+        table[p] = wrong[p]
+    with pytest.raises(InternalCheckError, match="escapes") as exc:
+        src.check_images(table, target, "escapes")
+    assert exc.value.witness == witness
