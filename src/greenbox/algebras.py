@@ -12,8 +12,8 @@ separability test.
 from __future__ import annotations
 
 from .fields import Field, FieldUsageError, poly_mod, poly_mul
-from .linalg import bilinear, dense_table, product_terms, tensor_terms, \
-    tensor_vec, unit_vec
+from .linalg import bilinear, dense_table, kron_terms, product_terms, \
+    reduce_sums, tensor_vec
 
 
 class FiniteAlgebra:
@@ -54,9 +54,6 @@ class FiniteAlgebra:
         for _ in range(e):
             result = self.mul(result, x)
         return result
-
-    def basis_vec(self, i):
-        return unit_vec(self.base, self.dim, i)
 
     def __repr__(self):
         return f"FiniteAlgebra({self.name})"
@@ -104,15 +101,19 @@ def tensor_algebra(A: FiniteAlgebra, B: FiniteAlgebra,
                    name: str = "") -> FiniteAlgebra:
     """A (x)_K B with componentwise multiplication, basis a_i (x) b_j.
 
-    Its product terms are the ``tensor_terms`` of the factors' own; the
-    dense table is derived only if read."""
+    Its product terms are the ``kron_terms`` of the factors' own, reduced
+    in one call for the whole table; the dense table is derived only if
+    read."""
     if A.base is not B.base:
         raise FieldUsageError("tensor factors must share the base field")
     K = A.base
     labels = [f"{la}⊗{lb}" for la in A.labels for lb in B.labels]
     at, bt, width = A.terms, B.terms, B.dim
-    terms = [[tensor_terms(K, at[i1][i2], bt[j1][j2], width)
-              for i2 in range(A.dim) for j2 in range(B.dim)]
-             for i1 in range(A.dim) for j1 in range(B.dim)]
+    sums = [kron_terms(at[i1][i2], bt[j1][j2], width)
+            for i1 in range(A.dim) for j1 in range(B.dim)
+            for i2 in range(A.dim) for j2 in range(B.dim)]
+    flat = reduce_sums(K, sums)
+    dim = len(labels)
+    terms = [flat[r * dim:(r + 1) * dim] for r in range(dim)]
     return FiniteAlgebra(K, labels, None, tensor_vec(K, A.one, B.one),
                          name=name or f"{A.name}⊗{B.name}", terms=terms)

@@ -13,8 +13,8 @@ c = m·gcd(d, m')/(d·m'); transfers relabel components one level up; the
 Weyl generator acts diagonally.  Multiplication is componentwise on pure
 tensors, pushes pure factors onto classes through restriction, and resolves
 class·class through tr(u)·tr(v) = tr(u·res(tr v)).
-``BoxProduct`` alone knows the ambient layout: every ambient vector built
-from component tensors is written by ``amb_vec``.  Its generator labels and
+``BoxProduct`` holds the ambient layout: generator (d, i, j) of level m
+sits at ``offsets[m][d] + i·dim N(d) + j``.  Its generator labels and
 ambient res, tr and Weyl maps sit in one ``MackeyFunctor``-shaped container,
 ``ambient``, which is not axiom-true: on a class component of origin d its
 Weyl action has order n/d, not n/m.  Each product of two generators has
@@ -26,10 +26,11 @@ from the pairs of nonzero factor products, and a product with a class
 factor tr(w) as tr of a product at the class origin (Frobenius
 reciprocity), spread from that lower level's nonzero entries.
 
-The ambient maps and relation rows are written in raw scalars: tensor
-blocks are raw Kronecker products (``_tensor_mat``), placed into ambient
-vectors by ``_place_blocks`` and handed to ``Mat`` and ``PresentedLevel``
-without a fold or lift.
+The ambient maps and relation rows are written from the factors' raw
+column terms (``linalg.kron_terms``) at the component offsets, with no
+dense block and no product of ambient-sized matrices; each map and each
+level's rows are reduced in one call, and each ambient ``Mat`` keeps the
+column terms it was built from, which ``descend`` reads.
 
 One pass, ``_check_descent``, reads the reduced structure off the ambient
 and the product table: each of Weyl, res and tr goes through one
@@ -48,22 +49,25 @@ Two independent oracles validate the construction: a closed-form two-level
 build for prime group order, and a coequalizer of the threefold box along
 the two base-action maps for relative boxes.  The closed form installs its
 nonzero products as raw terms computed from its own restriction rows and
-reuses no builder path, ``_fill_products`` included.  The coequalizer is
+reuses no builder path, ``_fill_products`` included; its own code writes
+its presentation and maps in raw terms, with one reduction per map, one
+for its relation rows and one per level of products.  The coequalizer is
 handed the relative box T □ T it checks and presents its quotient on that
 box's ambient: the same generators and ambient maps, with the
-action-difference rows added to its relations.
+action-difference rows added to its relations; both action maps are raw
+terms per generator, and the difference rows are written from them.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from itertools import groupby
+from itertools import groupby, islice
 
 from .fields import Field
 from .green import GreenFunctor, check_green_morphism, constant_functor
-from .linalg import Mat, inverse, nonzero_terms, tensor_terms, tensor_vec, \
-    unit_vec, vec_add, vec_scale, vec_sub, vec_zero
+from .linalg import Mat, inverse, kron_terms, nonzero_terms, reduce_sums, \
+    tensor_vec, unit_vec, vec_add, vec_zero
 from .mackey import InternalCheckError, MackeyFunctor
 from .presented import PresentedLevel
 
@@ -150,31 +154,6 @@ class BoxProduct:
         return f"BoxProduct({self.name}; dims {dims})"
 
 
-def _tensor_mat(K, A: Mat, B: Mat) -> Mat:
-    """The Kronecker product A ⊗ B on raw rows: row (r, s) holds
-    A[r][i]·B[s][j] at column (i, j), both pairs ordered i-major."""
-    return Mat._from_flat(K, [a * b for ra in A.raw for rb in B.raw
-                              for a in ra for b in rb],
-                          A.nrows * B.nrows, A.ncols * B.ncols)
-
-
-def _place_blocks(bx, m, blocks):
-    """Raw ambient vectors of level m from component blocks ``{d: B_d}``:
-    vector t holds column t of B_d at each component d, and zero elsewhere.
-    The blocks share their number of columns."""
-    ncols = next(iter(blocks.values())).ncols
-    z = bx.scalars.raw_zero
-    pieces = [blocks[d].transpose().raw if d in blocks
-              else ((z,) * (bx.left.dim(d) * bx.right.dim(d)),) * ncols
-              for d in bx.offsets[m]]
-    return [sum(parts, ()) for parts in zip(*pieces)]
-
-
-def _from_raw_cols(K, cols, nrows) -> Mat:
-    """The matrix with the raw columns ``cols``."""
-    return Mat._from_raw(K, tuple(cols), nrows).transpose()
-
-
 def _class_label(lattice, m, d, text):
     proper = [t for t in lattice.divisors if m % t == 0 and t < m]
     suffix = f"_{d}" if len(proper) > 1 else ""
@@ -211,9 +190,7 @@ def build_box(left: GreenFunctor, right: GreenFunctor, name="",
     lattice = left.lattice
     bx = BoxProduct(left, right, lattice, K,
                     name or f"{left.name}□{right.name}")
-    n = lattice.n
-    gen_labels, res, tr, weyl = {}, {}, {}, {}
-
+    gen_labels = {}
     for m in lattice.divisors:
         divs = [d for d in lattice.divisors if m % d == 0]
         order = [m] + [d for d in sorted(divs) if d != m]
@@ -232,74 +209,98 @@ def build_box(left: GreenFunctor, right: GreenFunctor, name="",
         bx.offsets[m] = offsets
         gen_labels[m] = labels
 
-    def tm(f, g):
-        return _tensor_mat(K, f, g)
-
-    def ident(F, d):
-        return Mat.identity(K, F.dim(d))
-
-    def weyl_pow(d, k):
-        return tm(left.mackey.weyl_pow(d, k), right.mackey.weyl_pow(d, k))
-
-    # ambient Weyl action: diagonal on every component
+    bx.ambient = MackeyFunctor(K, lattice, gen_labels, *_ambient_maps(bx))
     for m in lattice.divisors:
+        bx.levels[m] = PresentedLevel(K, gen_labels[m], _relations(bx, m))
+    _fill_products(bx)
+    _check_descent(bx, check)
+    return bx
+
+
+def _kron_cols(A: Mat, B: Mat, off, into=None) -> list:
+    """The columns of A ⊗ B, shifted by ``off``, as dicts of unreduced
+    terms; with ``into``, added into those columns."""
+    cols = [(a, b) for a in A.col_terms() for b in B.col_terms()]
+    return [kron_terms(a, b, B.nrows, off, None if into is None else into[t])
+            for t, (a, b) in enumerate(cols)]
+
+
+def _ambient_maps(bx: BoxProduct) -> tuple:
+    """The ambient (res, tr, weyl) maps of a box, each written from the
+    factors' column terms, reduced in one call and handed its column
+    terms."""
+    K, n, one = bx.scalars, bx.lattice.n, bx.scalars.raw_one
+    LM, RM = bx.left.mackey, bx.right.mackey
+    res, tr, weyl = {}, {}, {}
+    # Weyl: diagonal on every component
+    for m in bx.lattice.divisors:
         cols = []
-        for d in bx.offsets[m]:
-            cols += _place_blocks(
-                bx, m, {d: tm(left.mackey.weyl[d], right.mackey.weyl[d])})
-        weyl[m] = _from_raw_cols(K, cols, bx.amb_dim(m))
-
-    # ambient transfers: component relabeling upward
-    for (m, mp) in lattice.covering_pairs:
-        rows = [[K.raw_zero] * bx.amb_dim(m) for _ in bx.gens[mp]]
-        for c, (d, i, j) in enumerate(bx.gens[m]):
-            rows[bx.gen_index(mp, d, i, j)][c] = K.raw_one
-        tr[(mp, m)] = Mat._from_raw(K, tuple(map(tuple, rows)),
-                                    bx.amb_dim(m))
-
-    # ambient restrictions: res⊗res on pure tensors; a class of origin d
-    # goes to origin g = gcd(d, m') through res to g, then the sum of the
-    # c = m·g/(d·m') Weyl translates
-    for (mp, m) in lattice.covering_pairs:
-        cols = _place_blocks(bx, mp, {mp: tm(left.mackey.res[(mp, m)],
-                                             right.mackey.res[(mp, m)])})
+        for d, off in bx.offsets[m].items():
+            cols += _kron_cols(LM.weyl[d], RM.weyl[d], off)
+        weyl[m] = Mat._from_terms(K, reduce_sums(K, cols), bx.amb_dim(m),
+                                  cols=True)
+    # transfers: component relabeling upward
+    for (m, mp) in bx.lattice.covering_pairs:
+        tr[(mp, m)] = Mat._from_terms(K, [
+            ((bx.gen_index(mp, d, i, j), one),) for (d, i, j) in bx.gens[m]],
+            bx.amb_dim(mp), cols=True)
+    # restrictions: res⊗res on pure tensors; a class of origin d goes to
+    # origin g = gcd(d, m') through res to g, then the sum of the c =
+    # m·g/(d·m') Weyl translates, Σ_k (W^k·res) ⊗ (W^k·res) by the
+    # mixed-product rule, so only factor-sized matrices are multiplied
+    for (mp, m) in bx.lattice.covering_pairs:
+        cols = _kron_cols(LM.res[(mp, m)], RM.res[(mp, m)], 0)
         for d in bx.offsets[m]:
             if d == m:
                 continue
             g = math.gcd(d, mp)
-            orbit = weyl_pow(g, 0)
-            for jj in range(1, m * g // (d * mp)):
-                orbit = orbit + weyl_pow(g, jj * (n // m))
-            down = tm(left.mackey.res_mat(g, d), right.mackey.res_mat(g, d))
-            cols += _place_blocks(bx, mp, {g: orbit @ down})
-        res[(mp, m)] = _from_raw_cols(K, cols, bx.amb_dim(mp))
-    bx.ambient = MackeyFunctor(K, lattice, gen_labels, res, tr, weyl)
+            off = bx.offsets[mp][g]
+            rL, rR = LM.res_mat(g, d), RM.res_mat(g, d)
+            orbit = _kron_cols(rL, rR, off)
+            for k in range(1, m * g // (d * mp)):
+                _kron_cols(LM.weyl_pow(g, k * (n // m)) @ rL,
+                           RM.weyl_pow(g, k * (n // m)) @ rR, off, orbit)
+            cols += orbit
+        res[(mp, m)] = Mat._from_terms(K, reduce_sums(K, cols),
+                                       bx.amb_dim(mp), cols=True)
+    return res, tr, weyl
 
-    # relations: Weyl-fixed classes, then for each d' | d both Frobenius
-    # identities [tr(x)⊗y]_d = [x⊗res(y)]_{d'} and its mirror
-    for m in lattice.divisors:
-        rows = []
-        for d in bx.offsets[m]:
-            if d != m:
-                rows += _place_blocks(
-                    bx, m, {d: weyl_pow(d, n // m) - weyl_pow(d, 0)})
-        for d in bx.offsets[m]:
-            for dp in bx.offsets[m]:
-                if d % dp or dp >= d:
-                    continue
-                rows += _place_blocks(bx, m, {
-                    d: tm(left.mackey.tr_mat(d, dp), ident(right, d)),
-                    dp: -tm(ident(left, dp), right.mackey.res_mat(dp, d))})
-                rows += _place_blocks(bx, m, {
-                    d: tm(ident(left, d), right.mackey.tr_mat(d, dp)),
-                    dp: -tm(left.mackey.res_mat(dp, d), ident(right, dp))})
-        bx.levels[m] = PresentedLevel(
-            K, bx.ambient.labels[m],
-            Mat._from_raw(K, tuple(rows), bx.amb_dim(m)))
 
-    _fill_products(bx)
-    _check_descent(bx, check)
-    return bx
+def _relations(bx: BoxProduct, m) -> Mat:
+    """The relation rows of level m, reduced in one call: Weyl-fixed
+    classes, then for each d' | d both Frobenius identities [tr(x)⊗y]_d =
+    [x⊗res(y)]_{d'} and its mirror, each row first a dict of unreduced
+    terms."""
+    K, n = bx.scalars, bx.lattice.n
+    one, neg = K.raw_one, -K.raw_one
+    LM, RM = bx.left.mackey, bx.right.mackey
+    offs = bx.offsets[m]
+    rows = []
+    for d, off in offs.items():
+        if d != m:
+            block = _kron_cols(LM.weyl_pow(d, n // m),
+                               RM.weyl_pow(d, n // m), off)
+            for t, acc in enumerate(block, off):        # minus the identity
+                acc[t] = acc[t] + neg if t in acc else neg
+            rows += block
+    for d in offs:
+        for dp in offs:
+            if d % dp or dp >= d:
+                continue
+            trL, trR = LM.tr_mat(d, dp), RM.tr_mat(d, dp)
+            rsL, rsR = LM.res_mat(dp, d), RM.res_mat(dp, d)
+            hd, hdp = RM.dim(d), RM.dim(dp)
+            for i, x in enumerate(trL.col_terms()):
+                for j, y in enumerate(rsR.col_terms()):
+                    row = kron_terms(x, ((j, one),), hd, offs[d])
+                    rows.append(kron_terms(((i, neg),), y, hdp, offs[dp],
+                                           into=row))
+            for i, x in enumerate(rsL.col_terms()):
+                for j, y in enumerate(trR.col_terms()):
+                    row = kron_terms(((i, one),), y, hd, offs[d])
+                    rows.append(kron_terms(x, ((j, neg),), hdp, offs[dp],
+                                           into=row))
+    return Mat._from_terms(K, reduce_sums(K, rows), bx.amb_dim(m))
 
 
 def _fill_products(bx: BoxProduct) -> None:
@@ -314,10 +315,16 @@ def _fill_products(bx: BoxProduct) -> None:
     tr(w·res x), x·tr(w) = tr(res x·w), the first form for a product of two
     classes: each nonzero product w·e_k (or e_k·w) at level o, which is
     already filled, is spread over the generators x whose restriction has a
-    k-term, read off row k of res_{o←m} (``_spread``)."""
+    k-term, read off row k of res_{o←m} (``_spread``).  The products w·e_k
+    and e_k·w are read from an index of level o's stored products by pure
+    left and right factor, built once per level.  Its lists run in
+    increasing k, the order in which the level was filled: pure products by
+    (i, i', j, j'), then class products by increasing class index."""
     K, L, R = bx.scalars, bx.left, bx.right
     cache = bx._mult_cache
+    index = {}
     for m in bx.lattice.divisors:
+        start = len(cache)
         _fill_pure(K, L, R, m, cache)
         npure, ngens = L.dim(m) * R.dim(m), bx.amb_dim(m)
         for o, off in bx.offsets[m].items():
@@ -325,42 +332,47 @@ def _fill_products(bx: BoxProduct) -> None:
                 continue
             rows = bx.ambient.res_mat(o, m).row_terms()
             up = [c[0][0] for c in bx.ambient.tr_mat(m, o).col_terms()]
-            span = range(bx.amb_dim(o))
+            by_left, by_right = index[o]
             for w in range(L.dim(o) * R.dim(o)):
                 c = off + w             # the class tr(w) at level m
-                for x, terms in _spread(K, [(k, t) for k in span if (
-                        t := cache.get((o, w, k)))], rows, up, ngens):
+                for x, terms in _spread(K, by_left.get(w, ()), rows, up,
+                                        ngens):
                     cache.setdefault((m, c, x), terms)
-                for x, terms in _spread(K, [(k, t) for k in span if (
-                        t := cache.get((o, k, w)))], rows, up, npure):
+                for x, terms in _spread(K, by_right.get(w, ()), rows, up,
+                                        npure):
                     cache.setdefault((m, x, c), terms)
+        if m < bx.lattice.n:
+            by_left, by_right = index[m] = {}, {}
+            for (_, a, b), terms in islice(cache.items(), start, None):
+                if a < npure:
+                    by_left.setdefault(a, []).append((b, terms))
+                if b < npure:
+                    by_right.setdefault(b, []).append((a, terms))
 
 
 def _fill_pure(K, L, R, m, cache) -> None:
     """The products of two pure tensors of level m, which sit first: (x⊗y)
     ·(x'⊗y') = xx'⊗yy'.  Only pairs of nonzero factor products are visited,
     and each gives a nonzero tensor, since a field has no zero divisors.
-    Every new product's scalars are written, unreduced, into one list for
-    the level and reduced in one call."""
+    The level's new keys, term indices and unreduced scalars are collected
+    in flat runs, reduced in one call and inserted with one update."""
     width = R.dim(m)
     rt = [(j, j2, t) for j, row in enumerate(R.terms(m))
           for j2, t in enumerate(row) if t]
-    new, flat = [], []
+    keys, index, flat, ends = [], [], [], []
     for i, row in enumerate(L.terms(m)):
         for i2, lt in enumerate(row):
             if lt:
                 for j, j2, t in rt:
                     key = (m, i * width + j, i2 * width + j2)
                     if key not in cache:
-                        new.append((key, [a * width + b for a, _ in lt
-                                          for b, _ in t]))
+                        keys.append(key)
+                        index += [a * width + b for a, _ in lt for b, _ in t]
                         flat += [x * y for _, x in lt for _, y in t]
-    values = K.reduce(flat)
-    start = 0
-    for key, index in new:
-        end = start + len(index)
-        cache[key] = tuple(zip(index, values[start:end]))
-        start = end
+                        ends.append(len(flat))
+    terms = list(zip(index, K.reduce(flat)))
+    cache.update(zip(keys, [tuple(terms[s:e])
+                            for s, e in zip([0] + ends, ends)]))
 
 
 def _spread(K, prods, rows, up, bound) -> list:
@@ -377,22 +389,15 @@ def _spread(K, prods, rows, up, bound) -> list:
         for x, r in rows[k]:
             if x < bound:
                 acc.setdefault(x, []).append((r, terms))
-    sums, flat = [], []
-    for x, parts in acc.items():
+    sums = []
+    for parts in acc.values():
         total = {}
         for r, terms in parts:
             for t, a in terms:
                 total[t] = total.get(t, zero) + r * a
-        sums.append((x, total))
-        flat += total.values()
-    values = iter(K.reduce(flat))
-    out = []
-    for x, total in sums:
-        terms = tuple(sorted([(up[t], v) for t, v in zip(total, values)
-                              if v]))
-        if terms:
-            out.append((x, terms))
-    return out
+        sums.append({up[t]: v for t, v in total.items()})
+    return [(x, terms) for x, terms in zip(acc, reduce_sums(K, sums))
+            if terms]
 
 
 def _check_descent(bx: BoxProduct, check: bool = True) -> None:
@@ -576,70 +581,83 @@ def prime_box_oracle(M: GreenFunctor, N: GreenFunctor, p: int
         bx.offsets[m] = offsets
         gen_labels[m] = labels
 
-    tau = _tensor_mat(K, M.mackey.weyl[1], N.mackey.weyl[1])
-    dim1 = M.dim(1) * N.dim(1)
-    rows = []
-    for t in range(dim1):
-        rows.append(bx.amb_vec(p, {1: vec_sub(tau.col(t),
-                                              unit_vec(K, dim1, t))}))
-    trM, trN = M.mackey.tr[(p, 1)], N.mackey.tr[(p, 1)]
-    rsM, rsN = M.mackey.res[(1, p)], N.mackey.res[(1, p)]
-    for i in range(M.dim(1)):
-        for j in range(N.dim(p)):
-            ej = unit_vec(K, N.dim(p), j)
-            ei = unit_vec(K, M.dim(1), i)
-            rows.append(bx.amb_vec(p, {
-                p: tensor_vec(K, trM.col(i), ej),
-                1: vec_scale(-K.one, tensor_vec(K, ei, rsN.col(j)))}))
-    for i in range(M.dim(p)):
-        for j in range(N.dim(1)):
-            ei = unit_vec(K, M.dim(p), i)
-            ej = unit_vec(K, N.dim(1), j)
-            rows.append(bx.amb_vec(p, {
-                p: tensor_vec(K, ei, trN.col(j)),
-                1: vec_scale(-K.one, tensor_vec(K, rsM.col(i), ej))}))
-
-    bx.levels[1] = PresentedLevel(K, gen_labels[1], [])
-    bx.levels[p] = PresentedLevel(K, gen_labels[p], rows)
-
-    # Weyl: tau on level 1 and on the classes, w_M ⊗ w_N on the pure part
-    pure = _tensor_mat(K, M.mackey.weyl[p], N.mackey.weyl[p])
-    cols = [bx.amb_vec(p, {d: (pure if d == p else tau).col(i * N.dim(d) + j)})
-            for (d, i, j) in bx.gens[p]]
-    weyl = {1: tau, p: Mat.from_cols(K, cols, bx.amb_dim(p))}
-    # tr: classes are tagged copies of level-1 tensors
-    cols = [bx.gen_unit(p, bx.offsets[p][1] + t) for t in range(dim1)]
-    tr = {(p, 1): Mat.from_cols(K, cols, bx.amb_dim(p))}
-    # res: res⊗res on the pure part, Weyl orbit sum on classes, built from
-    # the factors' Weyl powers: tau^k = w_M^k ⊗ w_N^k
-    orbit_sum = Mat.identity(K, dim1)
-    pm, pn = Mat.identity(K, M.dim(1)), Mat.identity(K, N.dim(1))
-    for _ in range(p - 1):
-        pm, pn = M.mackey.weyl[1] @ pm, N.mackey.weyl[1] @ pn
-        orbit_sum = orbit_sum + _tensor_mat(K, pm, pn)
-    cols = []
-    for (d, i, j) in bx.gens[p]:
-        if d == p:
-            cols.append(tensor_vec(K, rsM.col(i), rsN.col(j)))
-        else:
-            cols.append(orbit_sum.col(i * N.dim(1) + j))
-    res = {(1, p): Mat.from_cols(K, cols, dim1)}
-    bx.ambient = MackeyFunctor(K, lattice, gen_labels, res, tr, weyl)
-
+    _write_prime_oracle(bx, M, N, p, gen_labels)
     _attach_prime_oracle_mult(bx, M, N, p)
     _check_descent(bx)
     return bx
 
 
+def _write_prime_oracle(bx, M, N, p, gen_labels) -> None:
+    """The closed form's two levels and ambient maps, written in raw terms
+    from the factors' columns: relation rows, Weyl, tr and res."""
+    K = bx.scalars
+    one, neg = K.raw_one, -K.raw_one
+    h1, hp = N.dim(1), N.dim(p)
+    dim1, off, amb = M.dim(1) * h1, bx.offsets[p][1], bx.amb_dim(p)
+    wM, wN = M.mackey.weyl, N.mackey.weyl
+    trM = M.mackey.tr[(p, 1)].col_terms()
+    trN = N.mackey.tr[(p, 1)].col_terms()
+    rsM = M.mackey.res[(1, p)].col_terms()
+    rsN = N.mackey.res[(1, p)].col_terms()
+    # tau = w_M ⊗ w_N on level 1, by reduced columns
+    tau = reduce_sums(K, [kron_terms(a, b, h1) for a in wM[1].col_terms()
+                          for b in wN[1].col_terms()])
+    classes = [tuple([(off + t, c) for t, c in col]) for col in tau]
+    # relations of level p: tau fixes each class, then both Frobenius
+    # identities, each row a dict of unreduced terms
+    rows = []
+    for t, col in enumerate(classes, off):
+        row = dict(col)
+        row[t] = row[t] + neg if t in row else neg
+        rows.append(row)
+    for i in range(M.dim(1)):
+        for j in range(hp):
+            row = kron_terms(trM[i], ((j, one),), hp)
+            rows.append(kron_terms(((i, neg),), rsN[j], h1, off, into=row))
+    for i in range(M.dim(p)):
+        for j in range(h1):
+            row = kron_terms(((i, one),), trN[j], hp)
+            rows.append(kron_terms(rsM[i], ((j, neg),), h1, off, into=row))
+    bx.levels[1] = PresentedLevel(K, gen_labels[1], [])
+    bx.levels[p] = PresentedLevel(
+        K, gen_labels[p], Mat._from_terms(K, reduce_sums(K, rows), amb))
+
+    # Weyl: tau on level 1 and on the classes, w_M ⊗ w_N on the pure part
+    pure = reduce_sums(K, [kron_terms(a, b, hp) for a in wM[p].col_terms()
+                           for b in wN[p].col_terms()])
+    weyl = {1: Mat._from_terms(K, tau, dim1, cols=True),
+            p: Mat._from_terms(K, pure + classes, amb, cols=True)}
+    # tr: classes are tagged copies of level-1 tensors
+    tr = {(p, 1): Mat._from_terms(
+        K, [((off + t, one),) for t in range(dim1)], amb, cols=True)}
+    # res: res⊗res on the pure part, Weyl orbit sum on classes, built from
+    # the factors' Weyl powers: tau^k = w_M^k ⊗ w_N^k
+    pm, pn = Mat.identity(K, M.dim(1)), Mat.identity(K, h1)
+    powers = []
+    for _ in range(p):
+        powers.append((pm.col_terms(), pn.col_terms()))
+        pm, pn = wM[1] @ pm, wN[1] @ pn
+    cols = [kron_terms(a, b, h1) for a in rsM for b in rsN]
+    for i in range(M.dim(1)):
+        for j in range(h1):
+            acc = {}
+            for cm, cn in powers:
+                kron_terms(cm[i], cn[j], h1, into=acc)
+            cols.append(acc)
+    res = {(1, p): Mat._from_terms(K, reduce_sums(K, cols), dim1,
+                                   cols=True)}
+    bx.ambient = MackeyFunctor(K, bx.lattice, gen_labels, res, tr, weyl)
+
+
 def _attach_prime_oracle_mult(bx, M, N, p):
     """Closed-form multiplication, written as raw product terms straight
-    into the cache, nonzero products only; no builder path is reused.  A
-    product of two pure tensors is the tensor of the factors' products,
-    nonzero exactly when both are.  A product with a class factor [w] is
-    [w·res y] or [res x·w], the first form for two classes: each nonzero
-    level-1 product of w is summed into the products of the generators
-    whose restriction, a row of the oracle's own restriction matrix,
-    reaches its other factor."""
+    into the cache, nonzero products only, with one reduction per level; no
+    builder path is reused.  A product of two pure tensors is the tensor of
+    the factors' products, nonzero exactly when both are.  A product with a
+    class factor [w] is [w·res y] or [res x·w], the first form for two
+    classes: each nonzero level-1 product of w is summed into the products
+    of the generators whose restriction, a row of the oracle's own
+    restriction matrix, reaches its other factor."""
     K = bx.scalars
     cache = bx._mult_cache
     off = bx.offsets[p][1]
@@ -647,34 +665,44 @@ def _attach_prime_oracle_mult(bx, M, N, p):
         mt, nt, width = M.terms(m), N.terms(m), N.dim(m)
         nonzero = [(j, j2, y) for j, row in enumerate(nt)
                    for j2, y in enumerate(row) if y]
+        keys, sums = [], []
         for i, row in enumerate(mt):
             for i2, x in enumerate(row):
                 if x:
                     for j, j2, y in nonzero:
-                        cache[(m, i * width + j, i2 * width + j2)] = \
-                            tensor_terms(K, x, y, width)
-    # level-1 products by their left and right factor
+                        keys.append((m, i * width + j, i2 * width + j2))
+                        sums.append(kron_terms(x, y, width))
+        if m == p:
+            _prime_oracle_classes(bx, off, keys, sums)
+        for key, prod in zip(keys, reduce_sums(K, sums)):
+            if prod:
+                cache[key] = prod
+
+
+def _prime_oracle_classes(bx, off, keys, sums) -> None:
+    """Append the keys and unreduced sums (dicts) of the class products of
+    level p to ``keys`` and ``sums``, from the level-1 products, indexed
+    here by their left and right factor."""
     by_left, by_right = {}, {}
-    for (m, a, b), terms in cache.items():
+    for (m, a, b), terms in bx._mult_cache.items():
         if m == 1:
             by_left.setdefault(a, []).append((b, terms))
             by_right.setdefault(b, []).append((a, terms))
-    rows = bx.ambient.res[(1, p)].row_terms()
+    rows = bx.ambient.res[(1, bx.lattice.n)].row_terms()
     for w in range(bx.amb_dim(1)):
         for other, pure_only in ((by_left, False), (by_right, True)):
             acc = {}
             for k, terms in other.get(w, ()):
                 for y, c in rows[k]:
                     if y < off or not pure_only:
-                        sums = acc.setdefault(y, {})
+                        row = acc.setdefault(y, {})
                         for t, a in terms:
-                            sums[t] = sums.get(t, K.raw_zero) + c * a
-            for y, sums in acc.items():
-                prod = tuple((off + t, c) for t, c in sorted(
-                    zip(sums, K.reduce(list(sums.values())))) if c)
-                if prod:
-                    cache[(p, y, off + w) if pure_only else
-                          (p, off + w, y)] = prod
+                            t += off
+                            row[t] = row[t] + c * a if t in row else c * a
+            for y, row in acc.items():
+                keys.append((bx.lattice.n, y, off + w) if pure_only else
+                            (bx.lattice.n, off + w, y))
+                sums.append(row)
 
 
 # ---------------------------------------------------------------------------
@@ -699,24 +727,29 @@ def coequalizer_oracle(b2: BoxProduct) -> BoxProduct:
     inner = box(T, constant_functor(K, T.lattice))
     b3 = box(inner.green, T)
 
-    def act_left(m, d, wi, yj):
-        """Middle factor into the left: [x⊗k]_e^d ⊗ y ↦ tr(kx) ⊗ y."""
+    one = K.raw_one
+
+    def act_left(m, g):
+        """Middle factor into the left: [x⊗k]_e^d ⊗ y ↦ tr(kx) ⊗ y, as the
+        raw terms of its image in b2's ambient."""
+        (d, wi, yj) = b3.gens[m][g]
         (e, i, _) = inner.gens[d][inner.levels[d].free[wi]]
         if e == d:
-            return b2.gen_unit(m, b2.gen_index(m, d, i, yj))
-        image = tensor_vec(K, T.mackey.tr_mat(d, e).col(i),
-                           unit_vec(K, T.dim(d), yj))
-        return b2.amb_vec(m, {d: image})
+            return ((b2.gen_index(m, d, i, yj), one),)
+        return tuple(kron_terms(T.mackey.tr_mat(d, e).col_terms()[i],
+                                ((yj, one),), T.dim(d),
+                                b2.offsets[m][d]).items())
 
-    def act_right(m, d, wi, yj):
+    def act_right(m, g):
         """Middle factor into the right, rewriting the inner class through
         Frobenius reciprocity first: [x⊗k]_e^d ⊗ y ≡ [x⊗k ⊗ res(y)]_e."""
+        (d, wi, yj) = b3.gens[m][g]
         (e, i, _) = inner.gens[d][inner.levels[d].free[wi]]
         if e == d:
-            return b2.gen_unit(m, b2.gen_index(m, d, i, yj))
-        image = tensor_vec(K, unit_vec(K, T.dim(e), i),
-                           T.mackey.res_mat(e, d).col(yj))
-        return b2.amb_vec(m, {e: image})
+            return ((b2.gen_index(m, d, i, yj), one),)
+        return tuple(kron_terms(((i, one),),
+                                T.mackey.res_mat(e, d).col_terms()[yj],
+                                T.dim(e), b2.offsets[m][e]).items())
 
     # the quotient shares b2's generators, ambient maps and product cache,
     # all of which depend on the ambient alone; only the relations grow
@@ -724,16 +757,23 @@ def coequalizer_oracle(b2: BoxProduct) -> BoxProduct:
     co.name = f"coeq({T.name}□{T.name})"
     co.levels = {}
     for m in T.lattice.divisors:
-        ml, mr = (Mat.from_cols(K, [act(m, *g) for g in b3.gens[m]],
-                                b2.amb_dim(m)) for act in (act_left, act_right))
-        lvl = b2.levels[m]
-        for mat, side in ((ml, "left"), (mr, "right")):
-            b3.levels[m].descend(mat, lvl, f"coequalizer action map ({side}) "
-                                 f"fails to descend at level {m}")
-        # the extra rows are the columns of ml - mr; zero rows drop out
+        lvl, lvl3 = b2.levels[m], b3.levels[m]
+        left, right = ([act(m, g) for g in range(lvl3.ngens)]
+                       for act in (act_left, act_right))
+        for images, side in ((left, "left"), (right, "right")):
+            lvl3.descend(images.__getitem__, lvl, "coequalizer action map "
+                         f"({side}) fails to descend at level {m}")
+        # the extra rows are the differences left − right; zero ones drop
+        diffs = []
+        for ml, mr in zip(left, right):
+            acc = dict(ml)
+            for t, c in mr:
+                acc[t] = acc[t] - c if t in acc else -c
+            diffs.append(acc)
+        extra = [row for row in reduce_sums(K, diffs) if row]
         co.levels[m] = PresentedLevel(K, lvl.labels, Mat._from_raw(
-            K, lvl.relation_rows.raw + (ml - mr).transpose().raw,
-            lvl.ngens))
+            K, lvl.relation_rows.raw
+            + Mat._from_terms(K, extra, lvl.ngens).raw, lvl.ngens))
     _check_descent(co)
     return co
 

@@ -335,6 +335,14 @@ def kummer_congruence_checks(bx: BoxProduct, E: GaloisExtension,
     Every vector is a reduced raw list (x[i,t], w and the kernel of res,
     from ``kernel_raw``); products are ``bilinear_terms`` over the box's
     reduced product terms, and memberships are tested raw.
+
+    On the relative box of L^fix the kernel of res is zero, so the three
+    kernel-of-restriction checks record nothing: the box is isomorphic to
+    the fixed-point functor of L ⊗_K L under σ⊗σ (the fixed-point functor
+    is lax monoidal, and L is a free K[C_n]-module by the normal basis
+    theorem), and under that isomorphism res_{1←m} is the inclusion of the
+    C_m-fixed points of L ⊗_K L, which is injective.  The checks stay, as
+    stated identities, for a box whose restriction has a kernel.
     """
     rep = CongruenceReport()
     powers = AlphaPowers(bx, E)

@@ -43,6 +43,10 @@ class GaloisExtension:
         self.a = a
         self.zeta = zeta
         self._sigma_powers = {0: Mat.identity(base, degree), 1: sigma}
+        # α = a itself in the degenerate extension
+        alpha = (a,) if degree == 1 else tuple(
+            base.one if i == 1 else base.zero for i in range(degree))
+        self._alpha_powers = [algebra.one, alpha]
 
     def sigma_pow(self, k: int) -> Mat:
         k %= self.degree
@@ -54,16 +58,12 @@ class GaloisExtension:
         return self.sigma_pow(k).apply(vec)
 
     def alpha_power(self, e: int):
-        """Coordinates of α^e in the power basis (e >= 0)."""
-        x = [self.base.zero, self.base.one][:self.degree + 1]
-        if self.degree == 1:
-            x = [self.a]  # α = a itself in the degenerate extension
-        v = self.algebra.one
-        alpha = tuple(x[i] if i < len(x) else self.base.zero
-                      for i in range(self.degree))
-        for _ in range(e):
-            v = self.algebra.mul(v, alpha)
-        return v
+        """Coordinates of α^e in the power basis (e >= 0).  Each power is
+        the previous one times α, and every power made is kept."""
+        powers = self._alpha_powers
+        while len(powers) <= e:
+            powers.append(self.algebra.mul(powers[-1], powers[1]))
+        return powers[e]
 
     def fixed_space(self, m: int):
         """Basis of L^{C_m} = ker(σ^{n/m} - 1); C_m is generated by σ^{n/m}."""

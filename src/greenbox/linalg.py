@@ -27,12 +27,16 @@ operand has one row or one column, it sums over the right operand's
 (``_packed_product``: 16-, 32- or 64-bit slots, the narrowest with
 inner·(p − 1)² < 2^bits).  The slot bound needs every raw F_p scalar in
 [0, p), which the element entry points (``Mat(K, rows)``, ``from_cols``,
-``Span.add``, ``Span.contains``) ensure through ``lift_checked``.  ``+``,
-``scale`` and the box layer's Kronecker products reduce once per matrix
-(``Mat._from_flat``).  Raw
+``Span.add``, ``Span.contains``) ensure through ``lift_checked``.  ``+``
+and ``scale`` reduce once per matrix (``Mat._from_flat``).  Raw
 ``(index, scalar)`` terms (``nonzero_terms``, ``raw_terms``)
 are the one sparse form passed between kernels: a ``Mat`` builds its
-``row_terms`` and ``col_terms`` on first use and keeps them, ``eliminate``
+``row_terms`` and ``col_terms`` on first use and keeps them, or is built
+from its column terms and keeps those (``Mat._from_terms``);
+``kron_terms`` writes (or adds) a column of a Kronecker product from two
+columns' terms, unreduced, into a dict {index: scalar}, and
+``reduce_sums`` turns such dicts into terms with one reduction for all of
+them; ``eliminate``
 and ``Span`` read them, ``Mat.apply_terms`` and ``bilinear_terms`` take
 them and return reduced raw lists, ``PresentedLevel.project`` and
 ``project_many`` map them, and the box layer keeps each generator product,
@@ -103,6 +107,23 @@ class Mat:
         return cls._from_raw(field, tuple([
             tuple(flat[i * ncols:(i + 1) * ncols]) for i in range(nrows)]),
             ncols)
+
+    @classmethod
+    def _from_terms(cls, field, vecs, n, cols=False):
+        """The matrix whose rows, or with ``cols`` whose columns, have the
+        reduced raw terms ``vecs``, each vector of length n.  Built from its
+        columns, it keeps them as its ``col_terms``."""
+        raw = []
+        for terms in vecs:
+            v = [field.raw_zero] * n
+            for j, c in terms:
+                v[j] = c
+            raw.append(tuple(v))
+        mat = cls._from_raw(field, tuple(raw), n)
+        if cols:
+            mat = mat.transpose()
+            mat._col_terms = tuple(vecs)
+        return mat
 
     @staticmethod
     def identity(field, n):
@@ -346,14 +367,30 @@ def tensor_vec(field, u, v):
                                     for b in rv]))
 
 
-def tensor_terms(field, us, vs, width):
-    """The raw nonzero terms of u ⊗ v, in increasing index, from the raw
-    nonzero terms ``us`` of u and ``vs`` of v, whose length is ``width``: a
-    field has no zero divisors, so each product of nonzero coordinates is a
-    term."""
-    prods = [(a * width + b, x * y) for a, x in us for b, y in vs]
-    return tuple(zip([t for t, _ in prods],
-                     field.reduce([c for _, c in prods])))
+def kron_terms(us, vs, width, off=0, into=None) -> dict:
+    """The unreduced terms of u ⊗ v (entry (a, b) at a·width + b, shifted
+    by ``off``) as a dict {index: raw scalar}, from the raw terms ``us`` of
+    u and ``vs`` of v, of length ``width``; column (i, j) of A ⊗ B comes
+    from column i of A and column j of B.  With ``into``, the terms are
+    added into that dict, which is returned."""
+    if into is None:
+        return {off + a * width + b: x * y for a, x in us for b, y in vs}
+    for a, x in us:
+        for b, y in vs:
+            t = off + a * width + b
+            into[t] = into[t] + x * y if t in into else x * y
+    return into
+
+
+def reduce_sums(field, sums) -> list:
+    """Per dict {index: unreduced raw scalar} in ``sums``, its sorted,
+    reduced, nonzero terms, as a tuple; one ``reduce`` for all of them."""
+    flat = []
+    for acc in sums:
+        flat += acc.values()
+    values = iter(field.reduce(flat))
+    return [tuple(sorted([(j, v) for j, v in zip(acc, values) if v]))
+            for acc in sums]
 
 
 def dense_table(field, terms, dim) -> list:

@@ -36,7 +36,7 @@ level and runs the same check on that table's columns and rows.
 
 from __future__ import annotations
 
-from .linalg import Mat, nonzero_terms, rref, unit_vec, vec_sub
+from .linalg import Mat, nonzero_terms, reduce_sums, rref, unit_vec, vec_sub
 from .mackey import InternalCheckError
 
 
@@ -151,17 +151,14 @@ class PresentedLevel:
         if not self.pivots:
             return list(batch)
         q, zero = self.q, self.field.raw_zero
-        sums, flat = [], []
+        sums = []
         for terms in batch:
             acc = {}
             for j, c in terms:
                 for k, a in q[j]:
                     acc[k] = acc.get(k, zero) + c * a
             sums.append(acc)
-            flat += acc.values()
-        values = iter(self.field.reduce(flat))
-        return [tuple(sorted([(k, v) for k, v in zip(acc, values) if v]))
-                for acc in sums]
+        return reduce_sums(self.field, sums)
 
     def check_images(self, table, target: "PresentedLevel",
                      message: str) -> None:

@@ -2,6 +2,7 @@ import copy
 import gc
 import pathlib
 import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -702,11 +703,14 @@ def _raise(*args, **kwargs):
 
 def test_prime_oracle_reuses_no_builder_fill(monkeypatch, kummer2_bundle,
                                              kummer3_bundle):
-    """The closed form installs its own products: with the builder's fill
-    patched to raise, it still builds on a fuzz pair and on the C_2 and
-    C_3 fixed-point functors."""
+    """The closed form writes its own presentation, maps and products: with
+    the builder's ambient, relation and fill code patched to raise, it
+    still builds on a fuzz pair and on the C_2 and C_3 fixed-point
+    functors."""
     pair = next(_fuzz_oracle_pairs())
-    monkeypatch.setattr(boxes, "_fill_products", _raise)
+    for name in ("_fill_products", "_fill_pure", "_spread", "_ambient_maps",
+                 "_relations", "_kron_cols"):
+        monkeypatch.setattr(boxes, name, _raise)
     prime_box_oracle(*pair, pair[0].lattice.n)
     for T, p in ((kummer2_bundle.fix, 2), (kummer3_bundle.fix, 3)):
         prime_box_oracle(T, T, p)
@@ -736,10 +740,12 @@ def test_builder_fills_every_generator_product_once(make_fix):
 
 def test_box_build_reduces_once_per_table(monkeypatch):
     """Building the C_3/F_7 relative box reduces the field's raw scalars
-    once per level for the pure-tensor products, once per ``_spread`` call
-    for the class products, once per ``project_many`` call on a level with
-    relations (never on one without) and once per ``check_images`` call:
-    a reduction per vector cannot come back unnoticed."""
+    once per ambient Weyl and res map (a transfer only relabels, so it
+    reduces nothing), once per level's relation rows, once per level for
+    the pure-tensor products, once per ``_spread`` call for the class
+    products, once per ``project_many`` call on a level with relations
+    (never on one without) and once per ``check_images`` call: a reduction
+    per vector cannot come back unnoticed."""
     T = _f7_fix()
     K = T.scalars
     for m in T.lattice.divisors:
@@ -761,10 +767,15 @@ def test_box_build_reduces_once_per_table(monkeypatch):
     monkeypatch.setattr(boxes, "_fill_pure",
                         counted("pure", boxes._fill_pure))
     monkeypatch.setattr(boxes, "_spread", counted("spread", boxes._spread))
+    for name in ("_ambient_maps", "_relations"):
+        monkeypatch.setattr(boxes, name, counted(name, getattr(boxes, name)))
     for name in ("project_many", "check_images"):
         monkeypatch.setattr(PresentedLevel, name,
                             counted(name, getattr(PresentedLevel, name)))
     relative_box(T, K)
+    # the Weyl maps of levels 1 and 3 and res_{1←3}; then levels 1 and 3
+    assert [count for _, count in seen["_ambient_maps"]] == [2 + 1]
+    assert [count for _, count in seen["_relations"]] == [1, 1]
     assert [count for _, count in seen["pure"]] == [1, 1]
     assert seen["spread"] and {count for _, count in seen["spread"]} == {1}
     with_relations = {count for (lvl, _), count in seen["project_many"]
@@ -773,6 +784,55 @@ def test_box_build_reduces_once_per_table(monkeypatch):
                if not lvl.pivots}
     assert with_relations == {1} and without == {0}
     assert {count for _, count in seen["check_images"]} == {1}
+
+
+def test_prime_oracle_reduces_once_per_table(monkeypatch):
+    """The C_3/F_7 closed form reduces its raw terms once for tau, once for
+    its relation rows, once for the pure Weyl block and once for res (tr
+    only relabels), then once per level of products: one ``reduce_sums``
+    call each, and one reduction per call."""
+    T = _f7_fix()
+    K = T.scalars
+    for m in T.lattice.divisors:
+        T.terms(m)
+    reductions, calls = [], []
+    real_reduce, real_sums = K.reduce, boxes.reduce_sums
+    monkeypatch.setattr(
+        K, "reduce", lambda raw: reductions.append(1) or real_reduce(raw))
+
+    def counted_sums(field, sums):
+        before = len(reductions)
+        out = real_sums(field, sums)
+        calls.append((sys._getframe(1).f_code.co_name,
+                      len(reductions) - before))
+        return out
+
+    monkeypatch.setattr(boxes, "reduce_sums", counted_sums)
+    prime_box_oracle(T, T, 3)
+    assert calls == [("_write_prime_oracle", 1)] * 4 \
+        + [("_attach_prime_oracle_mult", 1)] * 2
+
+
+def test_c5_box_build_multiplies_no_ambient_matrix(monkeypatch):
+    """Building the C_5/F_11 relative box multiplies only factor-sized
+    matrices: the ambient maps and relation rows come from the factors'
+    column terms, never from a product of ambient-sized operands.  A
+    product with ``Mat.identity``, which does no arithmetic, is not
+    counted: a one-step chain composite is such a product."""
+    T = fix_functor(load_config(str(C5_CONFIG)).extension())
+    largest = max(T.dim(m) for m in T.lattice.divisors)
+    shapes = []
+    real_matmul = Mat.__matmul__
+
+    def matmul(a, b):
+        if not (a.known_identity or b.known_identity):
+            shapes.append((a.nrows, a.ncols, b.nrows, b.ncols))
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(Mat, "__matmul__", matmul)
+    bx = relative_box(T, T.scalars)
+    assert min(bx.amb_dim(m) for m in T.lattice.divisors) > largest
+    assert shapes and max(map(max, shapes)) <= largest
 
 
 def test_a_zero_multiplication_stores_no_product():

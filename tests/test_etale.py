@@ -15,9 +15,11 @@ from greenbox.etale import (AlphaPowers, check_ideal, classical_etale_oracle,
                             unit_section_check)
 from greenbox.extensions import kummer_extension
 from greenbox.fields import finite_field, prime_field
-from greenbox.green import corrupt_multiplication, permute_green
+from greenbox.green import corrupt_multiplication, fix_functor, \
+    permute_green
 from greenbox.boxes import relative_box
-from greenbox.linalg import Mat, Span, kernel, tensor_vec, vec_scale, vec_sub
+from greenbox.linalg import Mat, Span, kernel, kernel_raw, tensor_vec, \
+    vec_scale, vec_sub
 from greenbox.mackey import InternalCheckError
 from greenbox.report import load_config
 
@@ -257,6 +259,28 @@ def test_congruences_solve_each_alpha_power_once(kummer4_bundle,
     rep = kummer_congruence_checks(b.box, b.ext, b.ideal)
     assert rep.ok and rep.checks_run
     assert solved and len(solved) == len(set(solved))
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("path", sorted(
+    [str(p.relative_to(ROOT)) for p in [*ROOT.glob("configs/*.cfg"),
+                                         *BENCH_CONFIGS.glob("*.cfg")]])
+    + ["C_8/F_17"])
+def test_restriction_to_the_free_level_is_injective(path):
+    """res_{1←m} of the relative box of L^fix has no kernel at any level,
+    so the congruence suite's three kernel-of-restriction checks run on an
+    empty kernel (see ``kummer_congruence_checks``); on all seven configs
+    and on C_8/F_17."""
+    if path == "C_8/F_17":
+        F17 = prime_field(17)
+        ext = kummer_extension(F17, 8, F17.from_int(3), F17.from_int(2))
+    else:
+        ext = load_config(str(ROOT / path)).extension()
+    bx = relative_box(fix_functor(ext), ext.base)
+    for m in bx.lattice.divisors:
+        assert kernel_raw(bx.green.mackey.res_mat(1, m)) == [], m
 
 
 def reference_congruence_checks(bx, E, data):

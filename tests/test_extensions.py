@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from greenbox.extensions import (ConstructionError, artin_schreier_extension,
                                  build_extension, explicit_extension,
                                  kummer_extension)
 from greenbox.fields import finite_field, prime_field, rationals
+from greenbox.report import load_config
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -148,3 +150,34 @@ def test_degenerate_degree_one():
     E = kummer_extension(F5, 1, F5.from_int(3), F5.one)
     assert E.degree == 1
     assert E.fixed_space(1) == [(F5.one,)]
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CONFIGS = sorted(str(p.relative_to(ROOT)) for p in [
+    *ROOT.glob("configs/*.cfg"), *ROOT.glob("bench/configs/*.cfg")])
+
+
+def _assert_powers_are_repeated_products(E, alpha):
+    """α^e for e <= 2n, asked for from the top down so that the kept list
+    is read as well as grown, equals e products of ``alpha`` from 1."""
+    expected = [E.algebra.one]
+    for _ in range(2 * E.degree):
+        expected.append(E.algebra.mul(expected[-1], alpha))
+    for e in range(2 * E.degree, -1, -1):
+        assert E.alpha_power(e) == expected[e], e
+    assert [E.alpha_power(e) for e in range(2 * E.degree + 1)] == expected
+
+
+@pytest.mark.parametrize("path", CONFIGS)
+def test_alpha_powers_are_the_repeated_products(path):
+    E = load_config(str(ROOT / path)).extension()
+    alpha = tuple(E.base.one if i == 1 else E.base.zero
+                  for i in range(E.degree))
+    _assert_powers_are_repeated_products(E, alpha)
+
+
+def test_alpha_powers_of_a_degree_one_extension_are_powers_of_a():
+    a = F5.from_int(3)
+    E = kummer_extension(F5, 1, a, F5.one)
+    _assert_powers_are_repeated_products(E, (a,))
+    assert E.alpha_power(3) == (a * a * a,)
