@@ -1,9 +1,8 @@
 """Finite-dimensional commutative algebras over an exact field.
 
-An algebra is stored by structure constants: ``table[i][j]`` is the
-coefficient vector of (basis_i * basis_j), and ``terms[i][j]`` its raw
-terms (see ``linalg``); an algebra is built with one of the two.  This
-covers everything the package multiplies in: quotient rings K[x]/(f)
+An algebra is stored by its structure constants in one form:
+``terms[i][j]`` holds the raw terms of basis_i * basis_j (see ``linalg``).
+This covers everything the package multiplies in: quotient rings K[x]/(f)
 (field extensions and non-reduced examples like F_3[t]/(t^2)), and tensor
 products A (x)_K B, whose diagonal multiplication realizes the classical
 separability test.
@@ -12,38 +11,21 @@ separability test.
 from __future__ import annotations
 
 from .fields import Field, FieldUsageError, poly_mod, poly_mul
-from .linalg import bilinear, dense_table, kron_terms, product_terms, \
-    reduce_sums, tensor_vec
+from .linalg import bilinear, kron_terms, nonzero_terms, reduce_sums, \
+    tensor_vec
 
 
 class FiniteAlgebra:
-    """Commutative unital algebra with a distinguished basis.
+    """Commutative unital algebra with a distinguished basis, whose
+    products ``terms[i][j]`` are the raw terms of basis_i * basis_j."""
 
-    The products are given either as the dense ``table`` or as ``terms``,
-    whose ``terms[i][j]`` are the raw terms of the same product; each form
-    is derived from the other on first read and kept."""
-
-    def __init__(self, base: Field, labels, table, one, name: str = "",
-                 terms=None):
+    def __init__(self, base: Field, labels, terms, one, name: str = ""):
         self.base = base
         self.labels = list(labels)
         self.dim = len(self.labels)
-        self._table = table     # table[i][j]: tuple of length dim
-        self._terms = terms
+        self.terms = terms
         self.one = tuple(one)
         self.name = name or f"algebra dim {self.dim} over {base}"
-
-    @property
-    def table(self):
-        if self._table is None:
-            self._table = dense_table(self.base, self._terms, self.dim)
-        return self._table
-
-    @property
-    def terms(self):
-        if self._terms is None:
-            self._terms = product_terms(self.base, self._table)
-        return self._terms
 
     def mul(self, x, y):
         """Bilinear product of coefficient vectors."""
@@ -61,8 +43,8 @@ class FiniteAlgebra:
 
 def base_as_algebra(K: Field) -> FiniteAlgebra:
     """The field K as a one-dimensional algebra over itself."""
-    one = (K.one,)
-    return FiniteAlgebra(K, ["1"], [[one]], one, name=str(K))
+    return FiniteAlgebra(K, ["1"], [[((0, K.raw_one),)]], (K.one,),
+                         name=str(K))
 
 
 def poly_quotient_algebra(K: Field, modulus, var: str = "t",
@@ -78,23 +60,14 @@ def poly_quotient_algebra(K: Field, modulus, var: str = "t",
     if deg < 1:
         raise FieldUsageError("modulus must have degree >= 1")
 
-    def reduce_poly(p):
-        p = poly_mod(K, list(p), modulus)
-        return tuple(p[i] if i < len(p) else K.zero for i in range(deg))
-
     labels = []
     for i in range(deg):
         labels.append("1" if i == 0 else (var if i == 1 else f"{var}^{i}"))
-    table = []
-    for i in range(deg):
-        row = []
-        xi = [K.zero] * i + [K.one]
-        for j in range(deg):
-            xj = [K.zero] * j + [K.one]
-            row.append(reduce_poly(poly_mul(K, xi, xj)))
-        table.append(row)
+    terms = [[nonzero_terms(K, poly_mod(K, poly_mul(
+        K, [K.zero] * i + [K.one], [K.zero] * j + [K.one]), modulus))
+        for j in range(deg)] for i in range(deg)]
     one = tuple([K.one] + [K.zero] * (deg - 1))
-    return FiniteAlgebra(K, labels, table, one, name=name or f"{K}[{var}]/(f)")
+    return FiniteAlgebra(K, labels, terms, one, name=name or f"{K}[{var}]/(f)")
 
 
 def tensor_algebra(A: FiniteAlgebra, B: FiniteAlgebra,
@@ -102,8 +75,7 @@ def tensor_algebra(A: FiniteAlgebra, B: FiniteAlgebra,
     """A (x)_K B with componentwise multiplication, basis a_i (x) b_j.
 
     Its product terms are the ``kron_terms`` of the factors' own, reduced
-    in one call for the whole table; the dense table is derived only if
-    read."""
+    in one call for the whole table."""
     if A.base is not B.base:
         raise FieldUsageError("tensor factors must share the base field")
     K = A.base
@@ -115,5 +87,5 @@ def tensor_algebra(A: FiniteAlgebra, B: FiniteAlgebra,
     flat = reduce_sums(K, sums)
     dim = len(labels)
     terms = [flat[r * dim:(r + 1) * dim] for r in range(dim)]
-    return FiniteAlgebra(K, labels, None, tensor_vec(K, A.one, B.one),
-                         name=name or f"{A.name}⊗{B.name}", terms=terms)
+    return FiniteAlgebra(K, labels, terms, tensor_vec(K, A.one, B.one),
+                         name=name or f"{A.name}⊗{B.name}")

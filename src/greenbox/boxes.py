@@ -43,7 +43,7 @@ generators times relations on the free rows (which is exact, see
 product adds zero, so the sparse table checks every (relation row,
 generator, side) triple that a dense table would.  The free×free block, as
 raw terms, is the reduced multiplication handed to the box's
-``GreenFunctor``, whose dense ``mult`` is derived only if read.
+``GreenFunctor``, which stores it in that form only.
 
 Two independent oracles validate the construction: a closed-form two-level
 build for prime group order, and a coequalizer of the threefold box along
@@ -101,9 +101,6 @@ class BoxProduct:
     def gen_index(self, m, d, i, j):
         return self.offsets[m][d] + i * self.right.dim(d) + j
 
-    def gen_unit(self, m, idx):
-        return unit_vec(self.scalars, self.amb_dim(m), idx)
-
     def amb_vec(self, m, blocks):
         """The ambient vector of level m holding the tensor vector
         ``blocks[d]`` at each component d, and zero elsewhere."""
@@ -133,10 +130,6 @@ class BoxProduct:
                 for t, p in self.mult_terms(m, ca, cb):
                     out[t] += c * p
         return K.fold(K.reduce(out))
-
-    def unit_ambient(self, m):
-        return self.amb_vec(m, {m: tensor_vec(self.scalars, self.left.unit[m],
-                                              self.right.unit[m])})
 
     # -- reduced coordinates ----------------------------------------------
 
@@ -449,8 +442,12 @@ def _check_descent(bx: BoxProduct, check: bool = True) -> None:
     labels = {m: bx.levels[m].reduced_labels for m in lattice.divisors}
     mack = MackeyFunctor(bx.scalars, lattice, labels, res, tr, weyl,
                          name=bx.name)
-    unit = {m: bx.reduce(m, bx.unit_ambient(m)) for m in lattice.divisors}
-    bx.green = GreenFunctor(mack, None, unit, name=bx.name, terms=terms)
+    # the unit: the factors' units tensored at the pure component, projected
+    K, L, R = bx.scalars, bx.left, bx.right
+    unit = {m: K.fold(bx.levels[m].project(kron_terms(
+        nonzero_terms(K, L.unit[m]), nonzero_terms(K, R.unit[m]), R.dim(m),
+        bx.offsets[m][m]).items())) for m in lattice.divisors}
+    bx.green = GreenFunctor(mack, terms, unit, name=bx.name)
 
 
 def _projected_products(bx: BoxProduct, check: bool) -> dict:

@@ -26,7 +26,7 @@ from .fields import Field
 from .green import constant_functor
 from .linalg import Mat, Span, bilinear_terms, kernel, kernel_raw, \
     nonzero_terms, raw_terms, solve_matrix, tensor_vec, unit_vec
-from .mackey import InternalCheckError, MackeyMorphism, Violation
+from .mackey import InternalCheckError, MackeyMorphism
 from .modules import constant_box_iso
 from .presented import PresentedLevel, format_element
 
@@ -38,8 +38,9 @@ from .presented import PresentedLevel, format_element
 def mult_map(bx: BoxProduct) -> MackeyMorphism:
     """Multiplication morphism from a box of T with itself onto T.
 
-    Pure tensors multiply; a class [z]_d^m maps to tr_{m<-d}(mult_d(z)).
-    Descent to the quotient and compatibility with res/tr/weyl are asserted.
+    Pure tensors multiply; a class [z]_d^m maps to tr_{m<-d}(mult_d(z)),
+    each image the transfer of T's product terms, as raw terms.  Descent
+    to the quotient and compatibility with res/tr/weyl are asserted.
     """
     T = bx.left
     if bx.right is not T:
@@ -47,14 +48,11 @@ def mult_map(bx: BoxProduct) -> MackeyMorphism:
     K = bx.scalars
     comps = {}
     for m in bx.lattice.divisors:
-        cols_ambient = []
-        for (d, i, j) in bx.gens[m]:
-            prod = T.mult[d][i][j]
-            cols_ambient.append(T.mackey.tr_mat(m, d).apply(prod))
-        amb = Mat.from_cols(K, cols_ambient, T.dim(m))
+        images = [raw_terms(T.mackey.tr_mat(m, d).apply_terms(
+            T.terms(d)[i][j])) for (d, i, j) in bx.gens[m]]
         lvl, onto = bx.levels[m], PresentedLevel(K, T.labels(m), [])
-        comps[m] = lvl.descend(amb, onto, "multiplication map does not "
-                               f"kill relations at level {m}")
+        comps[m] = lvl.descend(images.__getitem__, onto, "multiplication "
+                               f"map does not kill relations at level {m}")
     morphism = MackeyMorphism(bx.green.mackey, T.mackey, comps, name="mult")
     bad = morphism.check()
     if bad:
@@ -123,33 +121,6 @@ def green_kahler_dims(data: IdealData) -> dict:
     """dim I/I² per level; all zero means vanishing Green Kähler
     differentials."""
     return dict(data.quotient_dims)
-
-
-def check_ideal(bx: BoxProduct, data: IdealData):
-    """I must be a Mackey ideal: closed under ambient multiplication and
-    mapped into itself by res and tr."""
-    out = []
-    K = bx.scalars
-    for m in bx.lattice.divisors:
-        span_i = Span(K, bx.dim(m), data.ideal[m])
-        for u in data.ideal[m]:
-            for i in range(bx.dim(m)):
-                ei = unit_vec(K, bx.dim(m), i)
-                if not span_i.contains(bx.green.multiply(m, u, ei)):
-                    out.append(Violation("ideal_multiplication",
-                                         {"level": m}, ""))
-    for (d, m) in bx.lattice.covering_pairs:
-        span_d = Span(K, bx.dim(d), data.ideal[d])
-        span_m = Span(K, bx.dim(m), data.ideal[m])
-        res = bx.green.mackey.res[(d, m)]
-        tr = bx.green.mackey.tr[(m, d)]
-        for u in data.ideal[m]:
-            if not span_d.contains(res.apply(u)):
-                out.append(Violation("ideal_res", {"pair": (d, m)}, ""))
-        for u in data.ideal[d]:
-            if not span_m.contains(tr.apply(u)):
-                out.append(Violation("ideal_tr", {"pair": (d, m)}, ""))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebras import FiniteAlgebra, poly_quotient_algebra
 from .fields import Field, FieldUsageError, RationalField, is_prime
-from .linalg import Mat, kernel, vec_is_zero
+from .linalg import Mat, kernel, unit_vec
 
 
 class ConstructionError(ValueError):
@@ -72,10 +72,6 @@ class GaloisExtension:
             raise FieldUsageError(f"{m} does not divide the degree {n}")
         diff = self.sigma_pow(n // m) - Mat.identity(self.base, n)
         return kernel(diff)
-
-    def fixed_labels(self, m: int):
-        basis = self.fixed_space(m)
-        return [format_l_element(self, v) for v in basis]
 
     def __repr__(self):
         return (f"GaloisExtension({self.flavor}, degree {self.degree} "
@@ -265,9 +261,10 @@ def verify_extension(ext: GaloisExtension) -> None:
     # σ is a ring map: check on all pairs of power-basis elements
     alg = ext.algebra
     sigma_cols = [ext.sigma.col(j) for j in range(n)]
+    basis = [unit_vec(K, n, j) for j in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = ext.sigma.apply(alg.table[i][j])
+            lhs = ext.sigma.apply(alg.mul(basis[i], basis[j]))
             rhs = alg.mul(sigma_cols[i], sigma_cols[j])
             if lhs != rhs:
                 raise ConstructionError(
@@ -276,8 +273,7 @@ def verify_extension(ext: GaloisExtension) -> None:
     if len(fixed) != 1:
         raise ConstructionError(
             f"not C_{n}-Galois: fixed subspace has dimension {len(fixed)}")
-    if n >= 1 and not vec_is_zero(K, tuple(
-            a - b for a, b in zip(fixed[0],
-                                  tuple([K.one] + [K.zero] * (n - 1))))):
-        # the fixed line must be spanned by 1
+    # the fixed line must be spanned by 1; ``kernel`` puts a 1 at the
+    # line's one free column, so that is fixed[0] = 1 exactly
+    if fixed[0] != alg.one:
         raise ConstructionError("fixed subfield is not K·1")

@@ -2,7 +2,9 @@
 functors over C_n.
 
 A GreenFunctor wraps a MackeyFunctor with a commutative levelwise
-multiplication (stored as products of basis pairs) and a unit.  Norms are
+multiplication and a unit.  The multiplication is stored in one form, the
+raw terms of the product of each pair of basis vectors per level (see
+``linalg``), and read through ``terms`` and ``multiply``.  Norms are
 evaluation procedures, never matrices: they are multiplicative but not
 additive.  The two families the engine constructs directly:
 
@@ -17,38 +19,30 @@ additive.  The two families the engine constructs directly:
 
 from __future__ import annotations
 
-import random
-
 from .algebras import FiniteAlgebra, base_as_algebra
 from .extensions import GaloisExtension, format_l_element
 from .fields import Field
-from .linalg import Mat, bilinear, dense_table, product_terms, unit_vec, \
-    vec_zero
+from .linalg import Mat, bilinear, unit_vec, vec_zero
 from .mackey import (InternalCheckError, MackeyFunctor, MackeyMorphism,
-                     SubgroupLattice, Violation, base_change, solve_in,
-                     subgroup_lattice)
+                     SubgroupLattice, Violation, solve_in, subgroup_lattice)
 
 
 class GreenFunctor:
     """Mackey functor plus levelwise commutative multiplication and unit.
 
-    ``mult[m][i][j]`` is the product of basis vectors i and j at level m;
-    ``unit[m]`` the unit vector.  ``norms`` (optional) evaluates the
-    multiplicative transfer.  The multiplication is given as that dense
-    table, as ``terms``, whose ``terms[m][i][j]`` are the raw terms of the
-    same product, or as both; a missing form is derived from the other on
-    first use and kept.
+    ``products[m][i][j]`` holds the raw terms of the product of basis
+    vectors i and j at level m; ``unit[m]`` is the unit vector.  ``norms``
+    (optional) evaluates the multiplicative transfer.
     """
 
-    def __init__(self, mackey: MackeyFunctor, mult, unit, norms=None,
-                 name: str = "", level_embed=None, terms=None):
+    def __init__(self, mackey: MackeyFunctor, products, unit, norms=None,
+                 name: str = "", level_embed=None):
         self.mackey = mackey
-        self._mult = mult
+        self._products = products
         self.unit = unit
         self.norms = norms
         self.name = name or mackey.name
         self.level_embed = level_embed  # optional {m: Mat into an algebra}
-        self._terms = {} if terms is None else terms
 
     # pass-throughs
     @property
@@ -65,23 +59,10 @@ class GreenFunctor:
     def labels(self, m):
         return self.mackey.labels[m]
 
-    @property
-    def mult(self):
-        """The dense table: as handed over, or derived from the product
-        terms on first use."""
-        if self._mult is None:
-            self._mult = {m: dense_table(self.scalars, self._terms[m],
-                                         self.dim(m))
-                          for m in self.lattice.divisors}
-        return self._mult
-
     def terms(self, m):
-        """The level-m product terms: as handed over, or ``product_terms``
-        of the dense table, built on first use."""
-        terms = self._terms.get(m)
-        if terms is None:
-            terms = self._terms[m] = product_terms(self.scalars, self.mult[m])
-        return terms
+        """The level-m product terms: entry [i][j] is the raw terms of
+        e_i·e_j."""
+        return self._products[m]
 
     def multiply(self, m, x, y):
         """Bilinear product of level-m coefficient vectors."""
@@ -158,11 +139,10 @@ def constant_functor(R, n_or_lattice, name: str = "") -> GreenFunctor:
     weyl = {m: ident for m in lattice.divisors}
     mack = MackeyFunctor(K, lattice, labels, res, tr, weyl,
                          name=name or f"{algebra.name}^c")
-    mult = {m: algebra.table for m in lattice.divisors}
-    terms = {m: algebra.terms for m in lattice.divisors}
+    products = {m: algebra.terms for m in lattice.divisors}
     unit = {m: algebra.one for m in lattice.divisors}
-    return GreenFunctor(mack, mult, unit, norms=ConstantNorm(algebra),
-                        name=mack.name, terms=terms)
+    return GreenFunctor(mack, products, unit, norms=ConstantNorm(algebra),
+                        name=mack.name)
 
 
 def fix_functor(E: GaloisExtension, name: str = "") -> GreenFunctor:
@@ -198,19 +178,19 @@ def fix_functor(E: GaloisExtension, name: str = "") -> GreenFunctor:
 
     mack = MackeyFunctor(K, lattice, labels, res, tr, weyl,
                          name=name or f"{alg.name}^fix")
-    mult = {}
+    products = {}
     for m in lattice.divisors:
         basis = embeds[m].cols()
         prods = [alg.mul(u, v) for u in basis for v in basis]
-        coords = solve_in(embeds[m], Mat.from_cols(K, prods, n),
-                          "fixed subfield is not closed under multiplication")
+        cols = solve_in(embeds[m], Mat.from_cols(K, prods, n),
+                        "fixed subfield is not closed under multiplication"
+                        ).col_terms()
         dim = len(basis)
-        mult[m] = [[coords.col(i * dim + j) for j in range(dim)]
-                   for i in range(dim)]
+        products[m] = [list(cols[i * dim:(i + 1) * dim]) for i in range(dim)]
     unit = {m: solve_in(embeds[m], Mat.from_cols(K, [alg.one], n),
                         "the fixed subfield does not contain 1").col(0)
             for m in lattice.divisors}
-    return GreenFunctor(mack, mult, unit, norms=FixNorm(E, embeds),
+    return GreenFunctor(mack, products, unit, norms=FixNorm(E, embeds),
                         name=mack.name, level_embed=embeds)
 
 
@@ -219,27 +199,32 @@ def fix_functor(E: GaloisExtension, name: str = "") -> GreenFunctor:
 
 
 def check_green(G: GreenFunctor):
-    """Exhaustive Green-functor checks on basis tuples; returns violations."""
+    """Exhaustive Green-functor checks on basis tuples; returns violations.
+    Each level's products of basis pairs are read once, through
+    ``multiply``, into one local table."""
     out = []
     lat = G.lattice
     K = G.scalars
 
+    prods = {}
     for m in lat.divisors:
         dim = G.dim(m)
         basis = [unit_vec(K, dim, i) for i in range(dim)]
+        prod = prods[m] = [[G.multiply(m, ei, ej) for ej in basis]
+                           for ei in basis]
         for i in range(dim):
             if G.multiply(m, G.unit[m], basis[i]) != basis[i]:
                 out.append(Violation("unit", {"level": m, "basis": i}, G.name))
         for i in range(dim):
             for j in range(i, dim):
-                if G.mult[m][i][j] != G.mult[m][j][i]:
+                if prod[i][j] != prod[j][i]:
                     out.append(Violation("commutativity",
                                          {"level": m, "pair": (i, j)}, G.name))
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):
-                    lhs = G.multiply(m, G.mult[m][i][j], basis[k])
-                    rhs = G.multiply(m, basis[i], G.mult[m][j][k])
+                    lhs = G.multiply(m, prod[i][j], basis[k])
+                    rhs = G.multiply(m, basis[i], prod[j][k])
                     if lhs != rhs:
                         out.append(Violation(
                             "associativity", {"level": m, "triple": (i, j, k)},
@@ -247,7 +232,7 @@ def check_green(G: GreenFunctor):
         wm = G.mackey.weyl[m]
         for i in range(dim):
             for j in range(dim):
-                lhs = wm.apply(G.mult[m][i][j])
+                lhs = wm.apply(prod[i][j])
                 rhs = G.multiply(m, wm.col(i), wm.col(j))
                 if lhs != rhs:
                     out.append(Violation("weyl_ring_automorphism",
@@ -265,7 +250,7 @@ def check_green(G: GreenFunctor):
             ei = unit_vec(K, dim_m, i)
             for j in range(dim_m):
                 ej = unit_vec(K, dim_m, j)
-                lhs = res.apply(G.mult[m][i][j])
+                lhs = res.apply(prods[m][i][j])
                 rhs = G.multiply(d, res.apply(ei), res.apply(ej))
                 if lhs != rhs:
                     out.append(Violation("res_ring_map",
@@ -385,66 +370,8 @@ def zero_green(M: MackeyFunctor) -> GreenFunctor:
     Lets Mackey-only data flow through machinery that formally expects a
     Green functor (box-product comparisons of random functors); the ring
     checks are meaningless on the result and are not run.  Every product
-    has no terms; the dense table is derived only if read."""
+    has no terms."""
     divs = M.lattice.divisors
-    terms = {m: [[()] * M.dim(m) for _ in range(M.dim(m))] for m in divs}
+    products = {m: [[()] * M.dim(m) for _ in range(M.dim(m))] for m in divs}
     unit = {m: (M.scalars.zero,) * M.dim(m) for m in divs}
-    return GreenFunctor(M, None, unit, name=f"{M.name} (zero mult)",
-                        terms=terms)
-
-
-def permute_green(G: GreenFunctor, perms: dict) -> GreenFunctor:
-    """Relabel the level bases by permutations {m: [new order of indices]}.
-
-    Produces the same functor presented differently; downstream verdicts
-    must not change."""
-    K = G.scalars
-    mats = {}
-    for m in G.lattice.divisors:
-        perm = perms.get(m, list(range(G.dim(m))))
-        # row j of the base change picks the perm[j]-th old coordinate
-        mats[m] = _perm_cols(K, perm, G.dim(m)).transpose()
-    mack = base_change(G.mackey, mats, name=f"{G.name} (permuted)")
-    mack.labels = {m: [G.labels(m)[perms.get(m, list(range(G.dim(m))))[i]]
-                       for i in range(G.dim(m))]
-                   for m in G.lattice.divisors}
-    mult = {}
-    unit = {}
-    for m in G.lattice.divisors:
-        perm = perms.get(m, list(range(G.dim(m))))
-        inv_mat = mats[m]
-        table = []
-        for i in perm:
-            row = []
-            for j in perm:
-                row.append(inv_mat.apply(G.mult[m][i][j]))
-            table.append(row)
-        mult[m] = table
-        unit[m] = inv_mat.apply(G.unit[m])
-    embed = None
-    if G.level_embed is not None:
-        embed = {m: G.level_embed[m] @ _perm_cols(K, perms.get(
-            m, list(range(G.dim(m)))), G.dim(m))
-            for m in G.lattice.divisors}
-    return GreenFunctor(mack, mult, unit, norms=None,
-                        name=f"{G.name} (permuted)", level_embed=embed)
-
-
-def _perm_cols(K, perm, n) -> Mat:
-    return Mat.from_cols(K, [unit_vec(K, n, old) for old in perm], n)
-
-
-def corrupt_multiplication(G: GreenFunctor, seed: int = 0) -> GreenFunctor:
-    """Negative control: perturb one structure constant at one level."""
-    rng = random.Random(seed)
-    levels = [m for m in G.lattice.divisors if G.dim(m)]
-    m = levels[rng.randrange(len(levels))]
-    dim = G.dim(m)
-    i, j, k = (rng.randrange(dim) for _ in range(3))
-    table = [[list(v) for v in row] for row in G.mult[m]]
-    table[i][j][k] = table[i][j][k] + G.scalars.one
-    table[j][i] = table[i][j]
-    mult = dict(G.mult)
-    mult[m] = [[tuple(v) for v in row] for row in table]
-    return GreenFunctor(G.mackey, mult, G.unit, norms=G.norms,
-                        name=f"{G.name}+corrupt", level_embed=G.level_embed)
+    return GreenFunctor(M, products, unit, name=f"{M.name} (zero mult)")

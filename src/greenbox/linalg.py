@@ -9,8 +9,8 @@ A ``Mat`` stores one form: its rows as tuples of the field's reduced raw
 scalars (plain ints mod p for a prime field, the elements themselves for Q
 and F_{p^k}; see ``fields``).  ``Mat(K, rows)``, ``from_cols`` and
 ``zeros`` lift element rows once; every kernel result (``@``, ``+``,
-``scale``, ``transpose``, ``hstack``, ``power``, ``rref``,
-``solve_matrix``, ``inverse``) is built from raw rows through the
+``scale``, ``transpose``, ``power``, ``rref``, ``solve_matrix``,
+``inverse``) is built from raw rows through the
 package-private ``Mat._from_raw``, as are the matrices that ``mackey``,
 ``presented`` and ``boxes`` write raw, so no matrix is folded to elements
 and lifted back between kernels.  Elements appear only at the public
@@ -40,7 +40,10 @@ them; ``eliminate``
 and ``Span`` read them, ``Mat.apply_terms`` and ``bilinear_terms`` take
 them and return reduced raw lists, ``PresentedLevel.project`` and
 ``project_many`` map them, and the box layer keeps each generator product,
-quotient image and matrix column as such terms.
+quotient image and matrix column as such terms.  Structure constants are
+stored in this form only: ``terms[i][j]`` holds the terms of e_i·e_j, for
+``bilinear`` and ``bilinear_terms`` to read, and no dense table of them is
+built.
 
 ``Mat.identity`` returns an instance of the private subclass ``_Identity``,
 and ``A @ B`` returns the other operand unchanged when either factor is
@@ -266,14 +269,6 @@ class Mat:
         raw = tuple(zip(*self.raw)) if self.raw else ((),) * self.ncols
         return Mat._from_raw(self.field, raw, self.nrows)
 
-    def hstack(self, other: "Mat") -> "Mat":
-        if self.nrows != other.nrows:
-            raise ValueError("row count mismatch")
-        self._same_field(other)
-        return Mat._from_raw(self.field, tuple([
-            ra + rb for ra, rb in zip(self.raw, other.raw)]),
-            self.ncols + other.ncols)
-
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.field is other.field
                 and self.ncols == other.ncols and self.raw == other.raw)
@@ -338,10 +333,6 @@ def vec_scale(s, a):
     return tuple(s * x for x in a)
 
 
-def vec_is_zero(field, a):
-    return not any(field.lift(a))
-
-
 def raw_terms(raw):
     """The ``(index, scalar)`` pairs of the nonzero entries of a reduced raw
     vector."""
@@ -393,38 +384,9 @@ def reduce_sums(field, sums) -> list:
             for acc in sums]
 
 
-def dense_table(field, terms, dim) -> list:
-    """The dense table of the raw product ``terms``: entry (a, b) is the
-    product of basis vectors a and b, as elements.  e_a·e_b shares the tuple
-    of e_b·e_a when they are equal, and vanishing products share one zero
-    tuple: the table holds dim³ scalars, and in sparse multiplications most
-    products vanish."""
-    zero = (field.zero,) * dim
-    out = [[zero] * dim for _ in range(dim)]
-    for a, row in enumerate(terms):
-        for b, t in enumerate(row):
-            if not t:
-                continue
-            if b < a and t == terms[b][a]:
-                out[a][b] = out[b][a]
-            else:
-                dense = [field.raw_zero] * dim
-                for k, c in t:
-                    dense[k] = c
-                out[a][b] = field.fold(dense)
-    return out
-
-
-def product_terms(field, table):
-    """Structure constants ``table[i][j]`` (the coefficient vector of
-    e_i·e_j) as the raw terms ``bilinear`` reads."""
-    return [[nonzero_terms(field, v) for v in row] for row in table]
-
-
 def bilinear(field, terms, x, y):
     """Product of coefficient vectors x, y through structure constants:
-    ``terms[i][j]`` is the ``nonzero_terms`` of e_i·e_j, as built once per
-    table by ``product_terms``."""
+    ``terms[i][j]`` is the ``nonzero_terms`` of e_i·e_j."""
     return field.fold(bilinear_terms(field, terms, nonzero_terms(field, x),
                                      nonzero_terms(field, y)))
 

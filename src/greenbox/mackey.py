@@ -415,17 +415,6 @@ def _block_diag(K, mats):
     return Mat._from_raw(K, tuple(rows), ncols)
 
 
-def base_change(M: MackeyFunctor, changes, name: str = "") -> MackeyFunctor:
-    """Conjugate all structure maps by invertible levelwise matrices."""
-    inv = {}
-    for m, S in changes.items():
-        Si = inverse(S)
-        if Si is None:
-            raise ValueError(f"base change at level {m} is singular")
-        inv[m] = Si
-    return _conjugate(M, changes, inv, name)
-
-
 def _conjugate(M: MackeyFunctor, changes, inv, name) -> MackeyFunctor:
     """M with every structure map conjugated by ``changes`` and their
     inverses ``inv``, both levelwise; a known identity Weyl action stays

@@ -15,7 +15,7 @@ each image is kept as raw ``(index, scalar)`` terms.  A vector lies in the
 relation span exactly when ``q`` kills it, and the reduced dimension is
 #generators - rank(relations).
 
-``reduce``, ``in_relation_span`` and ``canonicalize`` are sums over ``q``
+``reduce`` and ``canonicalize`` are sums over ``q``
 (``project``, in the field's raw scalars; ``project_many`` gives the same
 images of a batch of vectors as sparse raw terms, with one reduction for
 the batch); ``relation_basis`` gives back the rows
@@ -123,9 +123,6 @@ class PresentedLevel:
         for c, j in zip(rv, self.free):
             out[j] = c
         return self.canonicalize(tuple(out))
-
-    def in_relation_span(self, v) -> bool:
-        return not any(self._raw_reduce(v))
 
     @property
     def relation_basis(self):

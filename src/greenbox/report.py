@@ -244,12 +244,12 @@ class EtaleReport:
         return relative_box(self.fixed, self.galois.base)
 
     @cached_property
-    def mult(self):
+    def mult_morphism(self):
         return mult_map(self.rel_box)
 
     @cached_property
     def ideal_data(self):
-        return ideal_and_square(self.rel_box, self.mult)
+        return ideal_and_square(self.rel_box, self.mult_morphism)
 
     @cached_property
     def eigen_decomposition(self):
@@ -323,7 +323,7 @@ class EtaleReport:
 
     @cached_property
     def mult_matrices(self) -> dict:
-        return {str(m): _mat_strs(self.mult.components[m])
+        return {str(m): _mat_strs(self.mult_morphism.components[m])
                 for m in self.divisors}
 
     @cached_property
@@ -349,7 +349,7 @@ class EtaleReport:
     def oracle_agreement(self) -> dict:
         rb, L, K = self.rel_box, self.fixed, self.galois.base
         n = self.galois.degree
-        out = {"unit_section": unit_section_check(rb, self.mult),
+        out = {"unit_section": unit_section_check(rb, self.mult_morphism),
                "coequalizer": None, "prime_closed_form": None}
         if absolute_box_supported(K):
             co = coequalizer_oracle(rb)

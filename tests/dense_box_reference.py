@@ -220,7 +220,8 @@ def prime_oracle(po, M, N, p):
     cols = [amb_vec({d: (pure if d == p else tau).col(i * N.dim(d) + j)})
             for (d, i, j) in po.gens[p]]
     weyl = {1: tau, p: Mat.from_cols(K, cols, po.amb_dim(p))}
-    cols = [po.gen_unit(p, po.offsets[p][1] + t) for t in range(dim1)]
+    cols = [unit_vec(K, po.amb_dim(p), po.offsets[p][1] + t)
+            for t in range(dim1)]
     tr = {(p, 1): Mat.from_cols(K, cols, po.amb_dim(p))}
     orbit_sum = Mat.identity(K, dim1)
     pm, pn = Mat.identity(K, M.dim(1)), Mat.identity(K, N.dim(1))
@@ -289,7 +290,7 @@ def coequalizer_relations(b2, inner, b3):
     def act_left(m, d, wi, yj):
         (e, i, _) = inner.gens[d][inner.levels[d].free[wi]]
         if e == d:
-            return b2.gen_unit(m, b2.gen_index(m, d, i, yj))
+            return unit_vec(K, b2.amb_dim(m), b2.gen_index(m, d, i, yj))
         image = tensor_vec(K, T.mackey.tr_mat(d, e).col(i),
                            unit_vec(K, T.dim(d), yj))
         return b2.amb_vec(m, {d: image})
@@ -297,7 +298,7 @@ def coequalizer_relations(b2, inner, b3):
     def act_right(m, d, wi, yj):
         (e, i, _) = inner.gens[d][inner.levels[d].free[wi]]
         if e == d:
-            return b2.gen_unit(m, b2.gen_index(m, d, i, yj))
+            return unit_vec(K, b2.amb_dim(m), b2.gen_index(m, d, i, yj))
         image = tensor_vec(K, unit_vec(K, T.dim(e), i),
                            T.mackey.res_mat(e, d).col(yj))
         return b2.amb_vec(m, {e: image})

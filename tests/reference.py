@@ -1,0 +1,241 @@
+"""Test-side references and helpers for structure that ``greenbox`` stores
+only as raw product terms.
+
+``dense_products`` is the dense table of a raw product table, built by the
+element loop: entry [i][j] is e_i·e_j as a tuple of field elements.
+``mult_table`` and ``algebra_table`` read it off a Green functor's level
+and off an algebra; ``product_terms`` goes back, for functors that a test
+writes from dense data (``green_functor``).  ``ref_check_green`` is the
+element-loop Green-axiom check that ``green.check_green`` is compared
+with.  The rest are helpers that only the tests call: basis permutations,
+a corrupted multiplication, the ideal check of a box, the labels of a
+fixed subfield, the base change of a Mackey functor and relation-span
+membership.
+"""
+
+import random
+
+from greenbox.extensions import format_l_element
+from greenbox.green import GreenFunctor
+from greenbox.linalg import Mat, Span, inverse, nonzero_terms, unit_vec
+from greenbox.mackey import Violation, _conjugate
+
+
+# ---------------------------------------------------------------------------
+# the dense product table
+
+
+def dense_products(K, terms, dim):
+    """The dense table of the raw product ``terms`` of a dim-dimensional
+    algebra: entry [i][j] places each term of e_i·e_j, folded to an
+    element, at its index."""
+    table = []
+    for row in terms:
+        out = []
+        for t in row:
+            v = [K.zero] * dim
+            for k, c in t:
+                v[k] = K.fold([c])[0]
+            out.append(tuple(v))
+        table.append(out)
+    return table
+
+
+def mult_table(G, m):
+    """The dense product table of level m of the Green functor G."""
+    return dense_products(G.scalars, G.terms(m), G.dim(m))
+
+
+def algebra_table(alg):
+    """The dense product table of a ``FiniteAlgebra``."""
+    return dense_products(alg.base, alg.terms, alg.dim)
+
+
+def product_terms(K, table):
+    """The raw product terms of the dense table ``table``."""
+    return [[nonzero_terms(K, v) for v in row] for row in table]
+
+
+def products(G):
+    """G's product terms, per level."""
+    return {m: G.terms(m) for m in G.lattice.divisors}
+
+
+def green_functor(mackey, mult, unit, **kwargs):
+    """The ``GreenFunctor`` whose level-m products are the dense table
+    ``mult[m]``."""
+    return GreenFunctor(mackey, {m: product_terms(mackey.scalars, table)
+                                 for m, table in mult.items()},
+                        unit, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# the Green axioms, by the element loop
+
+
+def ref_check_green(G):
+    """``check_green`` as it reads the dense product table: every
+    comparison, violation kind, location and order the same."""
+    out = []
+    lat = G.lattice
+    K = G.scalars
+    mult = {m: mult_table(G, m) for m in lat.divisors}
+
+    for m in lat.divisors:
+        dim = G.dim(m)
+        basis = [unit_vec(K, dim, i) for i in range(dim)]
+        for i in range(dim):
+            if G.multiply(m, G.unit[m], basis[i]) != basis[i]:
+                out.append(Violation("unit", {"level": m, "basis": i}, G.name))
+        for i in range(dim):
+            for j in range(i, dim):
+                if mult[m][i][j] != mult[m][j][i]:
+                    out.append(Violation("commutativity",
+                                         {"level": m, "pair": (i, j)}, G.name))
+        for i in range(dim):
+            for j in range(dim):
+                for k in range(dim):
+                    lhs = G.multiply(m, mult[m][i][j], basis[k])
+                    rhs = G.multiply(m, basis[i], mult[m][j][k])
+                    if lhs != rhs:
+                        out.append(Violation(
+                            "associativity", {"level": m, "triple": (i, j, k)},
+                            G.name))
+        wm = G.mackey.weyl[m]
+        for i in range(dim):
+            for j in range(dim):
+                lhs = wm.apply(mult[m][i][j])
+                rhs = G.multiply(m, wm.col(i), wm.col(j))
+                if lhs != rhs:
+                    out.append(Violation("weyl_ring_automorphism",
+                                         {"level": m, "pair": (i, j)}, G.name))
+        if wm.apply(G.unit[m]) != G.unit[m]:
+            out.append(Violation("weyl_unit", {"level": m}, G.name))
+
+    for (d, m) in lat.covering_pairs:
+        res = G.mackey.res[(d, m)]
+        tr = G.mackey.tr[(m, d)]
+        if res.apply(G.unit[m]) != G.unit[d]:
+            out.append(Violation("res_unit", {"pair": (d, m)}, G.name))
+        dim_m, dim_d = G.dim(m), G.dim(d)
+        for i in range(dim_m):
+            ei = unit_vec(K, dim_m, i)
+            for j in range(dim_m):
+                ej = unit_vec(K, dim_m, j)
+                lhs = res.apply(mult[m][i][j])
+                rhs = G.multiply(d, res.apply(ei), res.apply(ej))
+                if lhs != rhs:
+                    out.append(Violation("res_ring_map",
+                                         {"pair": (d, m), "basis": (i, j)},
+                                         G.name))
+        for i in range(dim_d):
+            ei = unit_vec(K, dim_d, i)
+            for j in range(dim_m):
+                ej = unit_vec(K, dim_m, j)
+                lhs = G.multiply(m, tr.apply(ei), ej)
+                rhs = tr.apply(G.multiply(d, ei, res.apply(ej)))
+                if lhs != rhs:
+                    out.append(Violation("frobenius_reciprocity",
+                                         {"pair": (d, m), "basis": (i, j)},
+                                         G.name))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# helpers that only the tests call
+
+
+def perm_cols(K, perm, n) -> Mat:
+    """The matrix whose column j is the unit vector e_{perm[j]}."""
+    return Mat.from_cols(K, [unit_vec(K, n, old) for old in perm], n)
+
+
+def base_change(M, changes, name: str = ""):
+    """Conjugate all structure maps by invertible levelwise matrices."""
+    inv = {}
+    for m, S in changes.items():
+        Si = inverse(S)
+        if Si is None:
+            raise ValueError(f"base change at level {m} is singular")
+        inv[m] = Si
+    return _conjugate(M, changes, inv, name)
+
+
+def permute_green(G, perms: dict):
+    """Relabel the level bases by permutations {m: [new order of indices]}.
+
+    Produces the same functor presented differently; downstream verdicts
+    must not change."""
+    K = G.scalars
+    divs = G.lattice.divisors
+    perms = {m: perms.get(m, list(range(G.dim(m)))) for m in divs}
+    # row j of the base change picks the perm[j]-th old coordinate
+    mats = {m: perm_cols(K, perms[m], G.dim(m)).transpose() for m in divs}
+    mack = base_change(G.mackey, mats, name=f"{G.name} (permuted)")
+    mack.labels = {m: [G.labels(m)[i] for i in perms[m]] for m in divs}
+    mult, unit = {}, {}
+    for m in divs:
+        table = mult_table(G, m)
+        mult[m] = [[mats[m].apply(table[i][j]) for j in perms[m]]
+                   for i in perms[m]]
+        unit[m] = mats[m].apply(G.unit[m])
+    embed = None
+    if G.level_embed is not None:
+        embed = {m: G.level_embed[m] @ perm_cols(K, perms[m], G.dim(m))
+                 for m in divs}
+    return green_functor(mack, mult, unit, name=f"{G.name} (permuted)",
+                         level_embed=embed)
+
+
+def corrupt_multiplication(G, seed: int = 0):
+    """Negative control: perturb one structure constant at one level."""
+    rng = random.Random(seed)
+    levels = [m for m in G.lattice.divisors if G.dim(m)]
+    m = levels[rng.randrange(len(levels))]
+    dim = G.dim(m)
+    i, j, k = (rng.randrange(dim) for _ in range(3))
+    table = [[list(v) for v in row] for row in mult_table(G, m)]
+    table[i][j][k] = table[i][j][k] + G.scalars.one
+    table[j][i] = table[i][j]
+    prods = products(G)
+    prods[m] = product_terms(G.scalars, table)
+    return GreenFunctor(G.mackey, prods, G.unit, norms=G.norms,
+                        name=f"{G.name}+corrupt", level_embed=G.level_embed)
+
+
+def check_ideal(bx, data):
+    """I must be a Mackey ideal: closed under ambient multiplication and
+    mapped into itself by res and tr."""
+    out = []
+    K = bx.scalars
+    for m in bx.lattice.divisors:
+        span_i = Span(K, bx.dim(m), data.ideal[m])
+        for u in data.ideal[m]:
+            for i in range(bx.dim(m)):
+                ei = unit_vec(K, bx.dim(m), i)
+                if not span_i.contains(bx.green.multiply(m, u, ei)):
+                    out.append(Violation("ideal_multiplication",
+                                         {"level": m}, ""))
+    for (d, m) in bx.lattice.covering_pairs:
+        span_d = Span(K, bx.dim(d), data.ideal[d])
+        span_m = Span(K, bx.dim(m), data.ideal[m])
+        res = bx.green.mackey.res[(d, m)]
+        tr = bx.green.mackey.tr[(m, d)]
+        for u in data.ideal[m]:
+            if not span_d.contains(res.apply(u)):
+                out.append(Violation("ideal_res", {"pair": (d, m)}, ""))
+        for u in data.ideal[d]:
+            if not span_m.contains(tr.apply(u)):
+                out.append(Violation("ideal_tr", {"pair": (d, m)}, ""))
+    return out
+
+
+def fixed_labels(E, m: int):
+    """The labels of the basis of L^{C_m} that ``fixed_space`` gives."""
+    return [format_l_element(E, v) for v in E.fixed_space(m)]
+
+
+def in_relation_span(lvl, v) -> bool:
+    """Whether the ambient vector v lies in the relation span of the
+    ``PresentedLevel`` lvl."""
+    return all(c == lvl.field.zero for c in lvl.reduce(v))

@@ -18,8 +18,8 @@ from greenbox.etale import (constant_etale_check, green_kahler_dims,
                             kummer_congruence_checks)
 from greenbox.extensions import kummer_extension
 from greenbox.fields import prime_field
-from greenbox.green import (check_green, constant_functor, corrupt_multiplication,
-                            fix_functor, zero_green)
+from greenbox.green import check_green, constant_functor, fix_functor, \
+    zero_green
 from greenbox.linalg import Mat, Span, inverse
 from greenbox.mackey import (check_axioms, corrupt_transfer, random_mackey,
                              small_random_mackey, subgroup_lattice)
@@ -27,6 +27,8 @@ from greenbox.modules import (check_eigen, constant_box_lemma_check,
                               eigen_decompose, fix_reconstruction,
                               projectivity_certificate, verify_certificate)
 from greenbox.report import emit, load_config, run_pipeline
+
+from reference import corrupt_multiplication
 
 F2 = prime_field(2)
 F5 = prime_field(5)

@@ -16,12 +16,15 @@ from greenbox.boxes import (box, compare_boxes, coequalizer_oracle,
 from greenbox.extensions import kummer_extension
 from greenbox.fields import finite_field, prime_field, rationals
 from greenbox.green import (GreenFunctor, check_green, constant_functor,
-                            corrupt_multiplication, fix_functor, zero_green)
-from greenbox.linalg import Mat, product_terms, tensor_vec
+                            fix_functor, zero_green)
+from greenbox.linalg import Mat, nonzero_terms, tensor_vec
 from greenbox.mackey import InternalCheckError, MackeyFunctor, check_axioms, \
     corrupt_transfer, small_random_mackey, subgroup_lattice
 from greenbox.presented import PresentedLevel
 from greenbox.report import ORACLE_EVERY, load_config
+
+from reference import corrupt_multiplication, in_relation_span, \
+    mult_table, products
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -455,7 +458,7 @@ def test_one_sided_product_check_is_exactly_as_strong(unchecked_c4_box):
     units = [unit_vec(F5, lvl.ngens, g) for g in range(lvl.ngens)]
 
     def brute_force_violation():
-        return any(not lvl.in_relation_span(prod)
+        return any(not in_relation_span(lvl, prod)
                    for r in lvl.relation_basis for e in units
                    for prod in (bx.mult_vec(4, r, e), bx.mult_vec(4, e, r)))
 
@@ -512,9 +515,10 @@ def _assert_reduced_structure_is_ambient(bx):
         for reduced, amb, target in maps:
             assert reduced.cols() == [bx.reduce(target, amb.apply(v))
                                       for v in lifted], (m, target)
+        table = mult_table(G, m)
         for a, va in enumerate(lifted):
             for b, vb in enumerate(lifted):
-                assert G.mult[m][a][b] == \
+                assert table[a][b] == \
                     bx.reduce(m, bx.mult_vec(m, va, vb)), (m, a, b)
 
 
@@ -561,8 +565,8 @@ def _element_product(bx, m, a, b):
     K, L, R = bx.scalars, bx.left, bx.right
     (d, i, j), (e, i2, j2) = bx.gens[m][a], bx.gens[m][b]
     if d == m and e == m:
-        return bx.amb_vec(m, {m: tensor_vec(K, L.mult[m][i][i2],
-                                            R.mult[m][j][j2])})
+        return bx.amb_vec(m, {m: tensor_vec(K, mult_table(L, m)[i][i2],
+                                            mult_table(R, m)[j][j2])})
     if m in (d, e):
         (pi, pj), (o, ci, cj) = ((i, j), (e, i2, j2)) if d == m \
             else ((i2, j2), (d, i, j))
@@ -571,7 +575,7 @@ def _element_product(bx, m, a, b):
         rvec = R.multiply(o, R.mackey.res_mat(o, m).col(pj),
                           unit_vec(R.scalars, R.dim(o), cj))
         return bx.amb_vec(m, {o: tensor_vec(K, lvec, rvec)})
-    u = bx.gen_unit(d, bx.gen_index(d, d, i, j))
+    u = unit_vec(K, bx.amb_dim(d), bx.gen_index(d, d, i, j))
     at_d = bx.mult_vec(d, u, bx.ambient.res_mat(d, m).col(b))
     return bx.ambient.tr_mat(m, d).apply(at_d)
 
@@ -592,8 +596,8 @@ def _assert_one_product_form(bx, reference=None):
         dense = [K.zero] * bx.amb_dim(m)
         for t, c in zip(index, K.fold(coeffs)):
             dense[t] = c
-        assert tuple(dense) == bx.mult_vec(m, bx.gen_unit(m, a),
-                                           bx.gen_unit(m, b)), (m, a, b)
+        units = [unit_vec(K, bx.amb_dim(m), g) for g in (a, b)]
+        assert tuple(dense) == bx.mult_vec(m, *units), (m, a, b)
         if reference is not None:
             assert tuple(dense) == reference(bx, m, a, b), (m, a, b)
 
@@ -641,40 +645,20 @@ def _fuzz_oracle_pairs():
             lat, K, seed=rng.randrange(2 ** 30))) for _ in range(2))
 
 
-def _terms_factors(kummer4_bundle):
-    """The C_4/F_5 relative box's factors and one C_5 fuzz oracle pair,
-    each factor's product terms built."""
-    pairs = [(kummer4_bundle.fix,) * 2, next(_fuzz_oracle_pairs())]
-    for pair in pairs:
-        for G in pair:
-            for m in G.lattice.divisors:
-                G.terms(m)
-    return pairs
-
-
 def test_box_terms_are_the_product_terms_of_its_table(kummer4_bundle):
-    for L, R in _terms_factors(kummer4_bundle):
-        G = boxes.build_box(L, R).green
+    """The box's reduced product terms, on the C_4/F_5 relative box and
+    one C_5 fuzz oracle pair, are the nonzero terms of the reduced ambient
+    product of the two lifted basis vectors."""
+    for L, R in [(kummer4_bundle.fix,) * 2, next(_fuzz_oracle_pairs())]:
+        bx = boxes.build_box(L, R)
+        G, K = bx.green, bx.scalars
         for m in G.lattice.divisors:
-            assert G.terms(m) == product_terms(G.scalars, G.mult[m]), m
-
-
-def test_a_built_box_never_reaches_product_terms(kummer4_bundle,
-                                                 monkeypatch):
-    """``_check_descent`` hands the box's reduced product terms to its
-    Green functor, so neither building it nor reading its terms rescans a
-    dense table."""
-    pairs = _terms_factors(kummer4_bundle)
-
-    def rescan(*args):
-        raise AssertionError("product_terms called")
-
-    for module in ("greenbox.linalg", "greenbox.green"):
-        monkeypatch.setattr(f"{module}.product_terms", rescan)
-    for L, R in pairs:
-        G = boxes.build_box(L, R).green
-        for m in G.lattice.divisors:
-            assert len(G.terms(m)) == G.dim(m)
+            lifted = [bx.expand(m, unit_vec(K, bx.dim(m), k))
+                      for k in range(bx.dim(m))]
+            assert len(G.terms(m)) == G.dim(m), m
+            assert G.terms(m) == [
+                [nonzero_terms(K, bx.reduce(m, bx.mult_vec(m, va, vb)))
+                 for vb in lifted] for va in lifted], m
 
 
 def test_prime_oracle_products_on_the_fuzz_oracle_pairs():
@@ -862,7 +846,7 @@ def test_one_inserted_product_is_caught_exactly_when_it_escapes():
                 for f in picks:
                     bx._mult_cache[(m, a, b)] = ((f, one),)
                     violated = any(
-                        not lvl.in_relation_span(prod)
+                        not in_relation_span(lvl, prod)
                         for r in lvl.relation_basis for e in units
                         for prod in (bx.mult_vec(m, r, e),
                                      bx.mult_vec(m, e, r)))
@@ -892,13 +876,14 @@ def test_vanishing_reduced_products_share_one_tuple():
     A = zero_green(small_random_mackey(lat, F7, seed=1))
     G = box(A, A).green
     for m in lat.divisors:
-        assert len({id(v) for row in G.mult[m] for v in row}) == 1, m
+        assert {v for row in G.terms(m) for v in row} == {()}, m
+        assert len({id(v) for row in G.terms(m) for v in row}) == 1, m
 
 
 def test_commuted_reduced_products_share_one_tuple(kummer3_bundle):
     G = kummer3_bundle.box.green
     for m in G.lattice.divisors:
-        table = G.mult[m]
+        table = G.terms(m)
         assert all(table[a][b] is table[b][a]
                    for a in range(len(table)) for b in range(a)), m
 
@@ -943,7 +928,7 @@ def _with_mackey(G, res=None, weyl=None):
     M = G.mackey
     mack = MackeyFunctor(F5, M.lattice, M.labels, res or M.res, M.tr,
                          weyl or M.weyl)
-    return GreenFunctor(mack, G.mult, G.unit)
+    return GreenFunctor(mack, products(G), G.unit)
 
 
 def _corrupt_res(G):
@@ -959,12 +944,13 @@ def _corrupt_weyl(G):
 def _corrupt_unit(G):
     u = list(G.unit[1])
     u[0] = u[0] + F5.one
-    return GreenFunctor(G.mackey, G.mult, {**G.unit, 1: tuple(u)})
+    return GreenFunctor(G.mackey, products(G), {**G.unit, 1: tuple(u)})
 
 
 @pytest.mark.parametrize("corrupt,rule", [
     (_corrupt_res, "morphism_res"),
-    (lambda G: GreenFunctor(corrupt_transfer(G.mackey), G.mult, G.unit),
+    (lambda G: GreenFunctor(corrupt_transfer(G.mackey), products(G),
+                            G.unit),
      "morphism_tr"),
     (_corrupt_weyl, "morphism_weyl"),
     (corrupt_multiplication, "morphism_mult"),

@@ -7,7 +7,7 @@ from conftest import Bundle, gen_coords, unit_vec
 
 from greenbox import etale
 from greenbox.algebras import base_as_algebra, poly_quotient_algebra
-from greenbox.etale import (AlphaPowers, check_ideal, classical_etale_oracle,
+from greenbox.etale import (AlphaPowers, classical_etale_oracle,
                             classical_etale_of_algebra, constant_etale_check,
                             green_kahler_dims, ideal_and_square,
                             ideal_generator,
@@ -15,13 +15,15 @@ from greenbox.etale import (AlphaPowers, check_ideal, classical_etale_oracle,
                             unit_section_check)
 from greenbox.extensions import kummer_extension
 from greenbox.fields import finite_field, prime_field
-from greenbox.green import corrupt_multiplication, fix_functor, \
-    permute_green
+from greenbox.green import fix_functor
 from greenbox.boxes import relative_box
 from greenbox.linalg import Mat, Span, kernel, kernel_raw, tensor_vec, \
     vec_scale, vec_sub
 from greenbox.mackey import InternalCheckError
 from greenbox.report import load_config
+
+from reference import algebra_table, check_ideal, corrupt_multiplication, \
+    permute_green
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -112,13 +114,13 @@ def ref_tensor_mul(alg, x, y):
     """x·y in L ⊗_K L, summed over pairs of nonzero coordinates with
     ``tensor_vec`` of L's dense structure constants."""
     K, n = alg.base, alg.dim
+    table = algebra_table(alg)
     out = [K.zero] * (n * n)
     for a, xa in enumerate(x):
         for b, yb in enumerate(y):
             if xa == K.zero or yb == K.zero:
                 continue
-            prod = tensor_vec(K, alg.table[a // n][b // n],
-                              alg.table[a % n][b % n])
+            prod = tensor_vec(K, table[a // n][b // n], table[a % n][b % n])
             out = [o + xa * yb * c for o, c in zip(out, prod)]
     return tuple(out)
 
@@ -127,7 +129,8 @@ def classical_ideal(alg):
     """The kernel of the multiplication map L ⊗_K L -> L, from L's dense
     structure constants."""
     n = alg.dim
-    cols = [alg.table[i][j] for i in range(n) for j in range(n)]
+    table = algebra_table(alg)
+    cols = [table[i][j] for i in range(n) for j in range(n)]
     return kernel(Mat.from_cols(alg.base, cols, n))
 
 

