@@ -24,7 +24,9 @@ stores only nonzero products, and a missing entry is a zero product.
 ``build_box`` fills it once, bottom-up (``_fill_products``): pure products
 from the pairs of nonzero factor products, and a product with a class
 factor tr(w) as tr of a product at the class origin (Frobenius
-reciprocity), spread from that lower level's nonzero entries.
+reciprocity), spread from that lower level's nonzero entries through the
+restriction and transfer composites, composed from the covering maps'
+terms (``_chain_terms``).
 
 The ambient maps and relation rows are written from the factors' raw
 column terms (``linalg.kron_terms``) at the component offsets, with no
@@ -323,8 +325,7 @@ def _fill_products(bx: BoxProduct) -> None:
         for o, off in bx.offsets[m].items():
             if o == m:
                 continue
-            rows = bx.ambient.res_mat(o, m).row_terms()
-            up = [c[0][0] for c in bx.ambient.tr_mat(m, o).col_terms()]
+            rows, up = _chain_terms(bx, m, o)
             by_left, by_right = index[o]
             for w in range(L.dim(o) * R.dim(o)):
                 c = off + w             # the class tr(w) at level m
@@ -341,6 +342,29 @@ def _fill_products(bx: BoxProduct) -> None:
                     by_left.setdefault(a, []).append((b, terms))
                 if b < npure:
                     by_right.setdefault(b, []).append((a, terms))
+
+
+def _chain_terms(bx: BoxProduct, m, o) -> tuple:
+    """The row terms of the ambient restriction res_{o←m} and, per level-o
+    generator, the level-m index of its transfer, composed along the
+    canonical chain from the covering maps' terms: a row of a composite
+    restriction is a sum of rows one step up, reduced once per step, and a
+    transfer only relabels, so no ambient-sized matrix is multiplied."""
+    K, amb, zero = bx.scalars, bx.ambient, bx.scalars.raw_zero
+    chain = bx.lattice.chain_down(m, o)
+    rows = amb.res[(chain[1], m)].row_terms()
+    up = [c[0][0] for c in amb.tr[(m, chain[1])].col_terms()]
+    for hi, lo in zip(chain[1:], chain[2:]):
+        sums = []
+        for step in amb.res[(lo, hi)].row_terms():
+            acc = {}
+            for j, a in step:
+                for x, r in rows[j]:
+                    acc[x] = acc.get(x, zero) + a * r
+            sums.append(acc)
+        rows = reduce_sums(K, sums)
+        up = [up[c[0][0]] for c in amb.tr[(hi, lo)].col_terms()]
+    return rows, up
 
 
 def _fill_pure(K, L, R, m, cache) -> None:

@@ -11,15 +11,17 @@ element is a coefficient tuple reduced modulo a monic irreducible modulus.
 There are no discrete-log tables, so the F_q and Q code paths stay uniform.
 
 The linear-algebra kernels (``linalg``, ``presented``, ``boxes``) compute on
-*raw scalars*, which each field defines through four operations: ``lift``
+*raw scalars*, which each field defines through five operations: ``lift``
 (element vector to a list of raw scalars), ``fold`` (reduced raw scalars
-back to an element tuple), ``raw_inv`` and ``reduce`` (reduction mod p of a
-list of raw scalars), and two constants, ``raw_zero`` and ``raw_one``.
+back to an element tuple), ``raw_inv``, ``reduce`` (reduction mod p of a
+list of raw scalars) and ``reduce_scalar`` (of one), and two constants,
+``raw_zero`` and ``raw_one``.
 A ``PrimeField``'s raw scalar is a plain ``int`` in [0, p): kernels
 multiply and add ints, reduce once per vector, and fold at their
 boundary; ``lift_checked``, the ``lift`` of the kernels' element entry
 points, also refuses a scalar of another field.  ``Q`` and ``F_{p^k}`` keep
-their elements as raw scalars, with identity ``lift``/``fold``/``reduce``.
+their elements as raw scalars, with identity ``lift``, ``fold`` and
+reductions.
 Every raw scalar a kernel tests is reduced, so a zero test is truthiness on
 every path (``Fraction`` and ``ExtensionFieldElement`` are false exactly at
 zero).
@@ -115,6 +117,10 @@ class Field:
     def reduce(self, raw) -> list:
         """A list of raw scalars, reduced."""
         return raw
+
+    def reduce_scalar(self, r):
+        """One raw scalar, reduced."""
+        return r
 
     def raw_inv(self, r):
         """Inverse of a nonzero reduced raw scalar."""
@@ -272,6 +278,9 @@ class PrimeField(Field):
     def reduce(self, raw) -> list:
         p = self.p
         return [r % p for r in raw]
+
+    def reduce_scalar(self, r):
+        return r % self.p
 
     def raw_inv(self, r):
         return pow(r, -1, self.p)

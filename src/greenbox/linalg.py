@@ -20,7 +20,9 @@ Equality and hashing compare the raw rows, which are canonical.
 
 The kernels (``Mat.apply``, ``bilinear``, ``tensor_vec``,
 ``nonzero_terms``, ``eliminate`` and ``Span``) have one body for every
-field: they test zero by truthiness and reduce once per vector.
+field: they test zero by truthiness and reduce once per vector
+(``eliminate`` also reduces each pivot coordinate it reads, through
+``Field.reduce_scalar``).
 ``Mat.__matmul__`` has two: over Q and F_{p^k}, and whenever the right
 operand has one row or one column, it sums over the right operand's
 ``row_terms``; otherwise, over a ``PrimeField``, it multiplies packed rows
@@ -46,21 +48,27 @@ stored in this form only: ``terms[i][j]`` holds the terms of e_i·e_j, for
 built.
 
 ``Mat.identity`` returns an instance of the private subclass ``_Identity``,
-and ``A @ B`` returns the other operand unchanged when either factor is
-one, after the shape and field checks; this is safe because a ``Mat`` is
-immutable.  Composite chains, powers and Weyl orbits that start from the
+one object per (field, n), and ``A @ B`` returns the other operand
+unchanged when either factor is one, after the shape and field checks; this
+is safe because a ``Mat`` is immutable.  Composite chains, powers and Weyl orbits that start from the
 identity so do no arithmetic for it.  Only ``Mat.identity`` makes one;
 ``mackey`` calls it wherever a map is the identity by construction.  A
 plain ``Mat`` whose entries form the identity is never recognised.
 
-All elimination goes through one kernel, ``Span``: an incrementally built,
-fully reduced echelon form with pivots at the first (or, on request, the
-last) nonzero entry of each row.  Arithmetic is exact; there are no
-tolerances and no pivoting heuristics.
+All elimination goes through one kernel, ``Span``: an incrementally built
+echelon form with pivots at the first (or, on request, the last) nonzero
+entry of each row, each row reduced against the rows inserted before it.
+One backward sweep back-substitutes only when a reader needs the fully
+reduced form: ``rref`` (so ``kernel``, ``column_space`` and every
+``PresentedLevel``), ``echelon``/``basis``, and ``solve_matrix`` before it
+reads X.  That form is unique, so every result is unchanged by the
+deferral.  Arithmetic is exact; there are no tolerances and no pivoting
+heuristics.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 
 from .fields import FieldUsageError, PrimeField
@@ -129,8 +137,10 @@ class Mat:
         return mat
 
     @staticmethod
+    @functools.lru_cache(maxsize=256)
     def identity(field, n):
-        """The n x n identity, which ``@`` recognises and skips."""
+        """The n x n identity, which ``@`` recognises and skips; interned,
+        so its ``row_terms`` and ``col_terms`` are built once."""
         zeros = (field.raw_zero,) * n
         return _Identity._from_raw(field, tuple([
             zeros[:i] + (field.raw_one,) + zeros[i + 1:] for i in range(n)]),
@@ -477,6 +487,7 @@ def solve_matrix(mat: Mat, rhs: Mat):
             return None
         if span.dim == n:
             break
+    span._full()
     x = [(K.raw_zero,) * rhs.ncols] * n
     for row, p in zip(span._rows, span._pivots):
         x[p] = tuple(row[n:])
@@ -501,30 +512,41 @@ def inverse(mat: Mat):
 
 
 def eliminate(field, row_terms, pivots, v):
-    """Clear the pivot coordinates of the raw vector v against fully reduced
-    rows (a 1 at each row's pivot, 0 at every other row's pivot), each given
-    by its ``nonzero_terms``; returns the reduced raw list.
+    """Clear the pivot coordinates of the raw vector v against echelon rows,
+    each given by its ``nonzero_terms``, in their order; returns the reduced
+    raw list.  Each row has a 1 at its pivot and 0 at the pivots of the rows
+    before it (``Span``'s stored form; fully reduced rows are a special
+    case), so clearing in order never refills a cleared pivot.
 
-    Reducing once at the end is exact: a row touches no other row's pivot,
-    so each pivot coordinate is still the reduced input when it is read."""
+    A row may have terms at the pivots of the rows after it, so a pivot
+    coordinate can hold an unreduced sum when it is read: it is reduced
+    before it multiplies, and the whole vector once at the end."""
     v = list(v)
+    reduce_scalar = field.reduce_scalar
     for terms, p in zip(row_terms, pivots):
         c = v[p]
         if c:
-            for j, b in terms:
-                v[j] -= c * b
+            c = reduce_scalar(c)
+            if c:
+                for j, b in terms:
+                    v[j] -= c * b
     return field.reduce(v)
 
 
 class Span:
-    """A row space in fully reduced echelon form, grown one row at a time.
+    """A row space in echelon form, grown one row at a time.
 
-    Every stored row has a 1 at its pivot and 0 at the other rows' pivots.
-    The pivot of a row is its first nonzero entry (``pivot_order="first"``)
-    or its last (``"last"``).  Both forms are unique for a given row space,
-    so the order of insertion never shows.  Rows are kept as raw scalars,
-    with their ``raw_terms`` beside them; the public methods take and give
-    elements, and ``rref`` inserts a ``Mat``'s raw rows directly.
+    Every stored row has a 1 at its pivot and 0 at the pivots of the rows
+    inserted before it; ``add`` and ``contains`` eliminate against that
+    form.  ``_full`` back-substitutes, clearing each row's terms at later
+    pivots, for the readers of the fully reduced form: ``_sorted`` (so
+    ``echelon``, ``basis`` and ``rref``) and ``solve_matrix``.  The pivot of
+    a row is its first nonzero entry (``pivot_order="first"``) or its last
+    (``"last"``).  The fully reduced form is unique for a given row space,
+    so neither the order of insertion nor the deferral shows.  Rows are
+    kept as raw scalars, with their ``raw_terms`` beside them; the public
+    methods take and give elements, and ``rref`` inserts a ``Mat``'s raw
+    rows directly.
     """
 
     def __init__(self, field, ncols, rows=(), pivot_order="first"):
@@ -537,6 +559,7 @@ class Span:
         self._rows = []   # reduced raw rows
         self._terms = []  # their nonzero terms
         self._pivots = []
+        self._full_dim = 0  # the dimension at the last back-substitution
         for r in rows:
             self.add(r)
 
@@ -552,19 +575,27 @@ class Span:
             if v[j]:
                 inv = K.raw_inv(v[j])
                 v = K.reduce([inv * a for a in v])
-                vterms = raw_terms(v)
-                for i, row in enumerate(self._rows):
-                    c = row[j]
-                    if c:
-                        for t, b in vterms:
-                            row[t] -= c * b
-                        row = self._rows[i] = K.reduce(row)
-                        self._terms[i] = raw_terms(row)
                 self._rows.append(v)
-                self._terms.append(vterms)
+                self._terms.append(raw_terms(v))
                 self._pivots.append(j)
                 return True
         return False
+
+    def _full(self):
+        """Back-substitute, in one backward sweep: a row with a term at a
+        later row's pivot is eliminated against the rows after it, which the
+        sweep has already fully reduced."""
+        rows, terms, pivots = self._rows, self._terms, self._pivots
+        if self._full_dim == len(rows):
+            return
+        later = set()
+        for i in range(len(rows) - 1, -1, -1):
+            if any(j in later for j, _ in terms[i]):
+                rows[i] = eliminate(self.field, terms[i + 1:], pivots[i + 1:],
+                                    rows[i])
+                terms[i] = raw_terms(rows[i])
+            later.add(pivots[i])
+        self._full_dim = len(rows)
 
     def contains(self, v) -> bool:
         return self._contains(self.field.lift_checked(v))
@@ -581,7 +612,9 @@ class Span:
         return len(self._rows)
 
     def _sorted(self):
-        """(raw rows, pivots), sorted by pivot column."""
+        """(raw rows, pivots) of the fully reduced form, sorted by pivot
+        column."""
+        self._full()
         order = sorted(range(len(self._rows)), key=self._pivots.__getitem__)
         return ([self._rows[i] for i in order],
                 tuple(self._pivots[i] for i in order))

@@ -797,13 +797,8 @@ def test_prime_oracle_reduces_once_per_table(monkeypatch):
         + [("_attach_prime_oracle_mult", 1)] * 2
 
 
-def test_c5_box_build_multiplies_no_ambient_matrix(monkeypatch):
-    """Building the C_5/F_11 relative box multiplies only factor-sized
-    matrices: the ambient maps and relation rows come from the factors'
-    column terms, never from a product of ambient-sized operands.  A
-    product with ``Mat.identity``, which does no arithmetic, is not
-    counted: a one-step chain composite is such a product."""
-    T = fix_functor(load_config(str(C5_CONFIG)).extension())
+def _assert_box_build_multiplies_no_ambient_matrix(monkeypatch, path):
+    T = fix_functor(load_config(str(path)).extension())
     largest = max(T.dim(m) for m in T.lattice.divisors)
     shapes = []
     real_matmul = Mat.__matmul__
@@ -817,6 +812,28 @@ def test_c5_box_build_multiplies_no_ambient_matrix(monkeypatch):
     bx = relative_box(T, T.scalars)
     assert min(bx.amb_dim(m) for m in T.lattice.divisors) > largest
     assert shapes and max(map(max, shapes)) <= largest
+
+
+def test_c5_box_build_multiplies_no_ambient_matrix(monkeypatch):
+    """Building the C_5/F_11 relative box multiplies only factor-sized
+    matrices: the ambient maps and relation rows come from the factors'
+    column terms, never from a product of ambient-sized operands.  A
+    product with ``Mat.identity``, which does no arithmetic, is not
+    counted: a one-step chain composite is such a product."""
+    _assert_box_build_multiplies_no_ambient_matrix(monkeypatch, C5_CONFIG)
+
+
+@pytest.mark.parametrize("path", [
+    CONFIG_DIR / "kummer_f5_n4.cfg",
+    ROOT / "bench" / "configs" / "kummer_f13_n6.cfg"],
+    ids=["C4", "C6"])
+def test_composite_order_box_build_multiplies_no_ambient_matrix(
+        monkeypatch, path):
+    """At a composite order the product table also reads restriction and
+    transfer composites along chains of two or more covering steps; they
+    are composed from the covering maps' terms, so these builds multiply
+    only factor-sized matrices too."""
+    _assert_box_build_multiplies_no_ambient_matrix(monkeypatch, path)
 
 
 def test_a_zero_multiplication_stores_no_product():

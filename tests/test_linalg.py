@@ -54,6 +54,23 @@ def test_identity_equals_and_hashes_as_a_plain_mat():
             assert ident.known_identity and not plain.known_identity
 
 
+def test_identity_is_one_object_per_field_and_size():
+    """``Mat.identity`` is interned per (field, n), so its lazily built
+    terms are built once; each field and size gets its own object, and
+    ``@`` still recognises and skips it."""
+    for K in (F5, F7, F9, Q):
+        for n in (0, 1, 3):
+            ident = Mat.identity(K, n)
+            assert Mat.identity(K, n) is ident and ident.known_identity
+            assert ident.field is K and (ident.nrows, ident.ncols) == (n, n)
+            assert ident.row_terms() is Mat.identity(K, n).row_terms()
+    assert Mat.identity(F5, 2) is not Mat.identity(F7, 2)
+    assert Mat.identity(F5, 2) is not Mat.identity(F5, 3)
+    assert Mat.identity(F5, 2) != Mat.identity(F7, 2)
+    A = mat(F5, [[1, 2, 3], [4, 0, 1]])
+    assert Mat.identity(F5, 2) @ A is A and A @ Mat.identity(F5, 3) is A
+
+
 def test_power_zero_is_the_identity():
     A = mat(F5, [[1, 2], [3, 4]])
     assert A.power(0) == Mat.identity(F5, 2)
@@ -194,6 +211,24 @@ def test_elimination_that_cancels_mod_p_is_zero():
     span = Span(F7, 2, [row])
     assert not span.add(v)
     assert span.dim == 1 and span.basis() == [row] and span.contains(v)
+
+
+def test_eliminate_multiplies_by_reduced_pivot_coordinates():
+    """Against rows reduced only against the rows before them, a pivot
+    coordinate can hold an unreduced sum when it is read; ``eliminate``
+    reduces it before it multiplies a row, so no multiplier leaves [0, p)."""
+    seen = []
+
+    class Probe(int):
+        def __rmul__(self, c):
+            seen.append(c)
+            return c * int(self)
+
+    # row 0 has a term at row 1's pivot: clearing row 0 from v = (6, 6, 5)
+    # leaves 6 - 36 = -30 at coordinate 1, which must be read as 5
+    rows = [((0, 1), (1, Probe(6)), (2, Probe(3))), ((1, 1), (2, Probe(6)))]
+    assert eliminate(F7, rows, [0, 1], [6, 6, 5]) == [0, 0, 6]
+    assert seen and all(0 <= c < 7 for c in seen)
 
 
 def test_span_add_never_pivots_on_a_cancelled_entry():

@@ -239,6 +239,119 @@ def test_solve_matrix_checks_the_rows_after_full_rank(system):
         assert A @ X == B
 
 
+# ---------------------------------------------------------------------------
+# one Span under random interleavings of inserts and reads
+#
+# A Span stores rows reduced only against the rows inserted before it and
+# back-substitutes when a reader needs the fully reduced form, so inserts
+# after a read, reads after inserts and both pivot orders are drawn here
+# against a dense Gauss–Jordan elimination written out below.
+
+SPAN_FIELDS = [prime_field(2), prime_field(7), F9, rationals()]
+SPAN_OPS = ("add", "contains", "echelon", "basis", "rref", "solve_matrix",
+            "kernel")
+SPAN_PROPS = settings(PROPS, max_examples=100)
+
+
+def gauss_jordan(K, rows, ncols, order="first"):
+    """The fully reduced echelon form of the element rows ``rows``: (its
+    nonzero rows sorted by pivot column, their pivots), with pivots at the
+    first or, for ``order="last"``, the last nonzero entry of a row."""
+    scan = range(ncols) if order == "first" else range(ncols - 1, -1, -1)
+    work, done, pivots = [list(r) for r in rows], [], []
+    for c in scan:
+        k = next((i for i, r in enumerate(work) if r[c] != K.zero), None)
+        if k is None:
+            continue
+        row = work.pop(k)
+        piv = [a / row[c] for a in row]
+        work = [[a - r[c] * b for a, b in zip(r, piv)] for r in work]
+        done = [[a - r[c] * b for a, b in zip(r, piv)] for r in done]
+        done.append(piv)
+        pivots.append(c)
+    by_pivot = sorted(range(len(done)), key=pivots.__getitem__)
+    return ([tuple(done[i]) for i in by_pivot],
+            tuple(pivots[i] for i in by_pivot))
+
+
+def gauss_jordan_kernel(K, rows, ncols):
+    reduced, pivots = gauss_jordan(K, rows, ncols)
+    basis = []
+    for f in (f for f in range(ncols) if f not in pivots):
+        v = [K.zero] * ncols
+        v[f] = K.one
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        basis.append(tuple(v))
+    return basis
+
+
+def gauss_jordan_solve(K, rows, rhs, ncols, k):
+    """The solution of A X = B, B with k columns, that ``solve_matrix``
+    promises (zero at the free unknowns), from the reduced form of [A | B];
+    None if inconsistent."""
+    reduced, pivots = gauss_jordan(K, [a + b for a, b in zip(rows, rhs)],
+                                   ncols + k)
+    if any(p >= ncols for p in pivots):
+        return None
+    x = [(K.zero,) * k] * ncols
+    for row, p in zip(reduced, pivots):
+        x[p] = row[ncols:]
+    return x
+
+
+@SPAN_PROPS
+@given(st.sampled_from(SPAN_FIELDS), st.sampled_from(["first", "last"]),
+       st.integers(1, 5), st.data())
+def test_span_interleavings_match_dense_gauss_jordan(K, order, n, data):
+    span = Span(K, n, pivot_order=order)
+    rows = []
+    ints = st.integers(-2, 2).map(K.from_int)
+
+    def vector():
+        """A random vector, or a combination of the rows so far."""
+        if rows and data.draw(st.booleans()):
+            coeffs = data.draw(st.lists(ints, min_size=len(rows),
+                                        max_size=len(rows)))
+            v = [K.zero] * n
+            for c, r in zip(coeffs, rows):
+                v = [a + c * b for a, b in zip(v, r)]
+            return tuple(v)
+        return data.draw(rows_over(K, n, 1, 1))[0]
+
+    for op in data.draw(st.lists(st.sampled_from(SPAN_OPS), min_size=1,
+                                 max_size=14)):
+        rank_before = len(gauss_jordan(K, rows, n)[1])
+        if op in ("add", "contains"):
+            v = vector()
+            grows = len(gauss_jordan(K, rows + [v], n)[1]) > rank_before
+            if op == "add":
+                assert span.add(v) == grows
+                rows.append(v)
+            else:
+                assert span.contains(v) == (not grows)
+        elif op in ("echelon", "basis"):
+            want = gauss_jordan(K, rows, n, order)
+            got = span.echelon() if op == "echelon" else span.basis()
+            assert got == (want if op == "echelon" else want[0])
+        elif op == "rref":
+            R, pivots = rref(Mat(K, rows, ncols=n), order)
+            assert (list(R.rows), pivots) == gauss_jordan(K, rows, n, order)
+        elif op == "kernel":
+            assert kernel(Mat(K, rows, ncols=n)) == \
+                gauss_jordan_kernel(K, rows, n)
+        else:
+            k = data.draw(st.integers(1, 3))
+            rhs = data.draw(rows_over(K, k, len(rows), len(rows)))
+            if data.draw(st.booleans()):   # consistent by construction
+                X0 = Mat(K, data.draw(rows_over(K, k, n, n)), ncols=k)
+                rhs = list((Mat(K, rows, ncols=n) @ X0).rows)
+            X = solve_matrix(Mat(K, rows, ncols=n), Mat(K, rhs, ncols=k))
+            want = gauss_jordan_solve(K, rows, rhs, n, k)
+            assert (None if X is None else list(X.rows)) == want
+        assert span.dim == len(gauss_jordan(K, rows, n)[1])
+
+
 @st.composite
 def quotient_maps(draw):
     """A source and a target presentation over one field, and a linear map
