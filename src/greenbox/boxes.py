@@ -808,7 +808,11 @@ def compare_boxes(b1: BoxProduct, b2: BoxProduct, gen_map=None):
 
     With the default identity ``gen_map`` this demands equal generator
     labels, equal relation spans, and equal reduced structure; a permutation
-    gen_map (e.g. the factor swap) compares up to relabeling.
+    gen_map (e.g. the factor swap) compares up to relabeling.  Where the
+    transported basis is the identity (``_permuted_bases``), it is
+    ``Mat.identity``: ``inverse`` returns it as it is, and
+    ``check_green_morphism`` compares the two products and units by
+    equality, with the same discrepancies as the general path.
     """
     lat = b1.lattice
     if lat.n != b2.lattice.n:
@@ -831,8 +835,12 @@ def _permuted_bases(b1: BoxProduct, b2: BoxProduct, gen_map, diffs) -> dict:
     idx[t]; every mismatch of ambient size, labels, relation span or reduced
     size is appended to ``diffs`` instead.  The permutation and its
     transpose, which moves b2's generators back, reach ``descend`` as raw
-    terms, never as dense matrices."""
-    one = b1.scalars.raw_one
+    terms, never as dense matrices.  Both directions are always checked.
+    When there is no ``gen_map`` (the identity) and both levels keep the
+    same free generators, the induced matrix sends each free generator to
+    its own unit vector, so ``Mat.identity`` stands in for it."""
+    K = b1.scalars
+    one = K.raw_one
     phi = {}
     for m in b1.lattice.divisors:
         if b1.amb_dim(m) != b2.amb_dim(m):
@@ -858,6 +866,8 @@ def _permuted_bases(b1: BoxProduct, b2: BoxProduct, gen_map, diffs) -> dict:
                 diffs.append(str(exc))
             else:
                 phi.setdefault(m, found)
+        if gen_map is None and l1.free == l2.free:
+            phi[m] = Mat.identity(K, l1.dim)
         if b1.dim(m) != b2.dim(m):
             diffs.append(f"level {m}: reduced dimensions differ "
                          f"({b1.dim(m)} vs {b2.dim(m)})")

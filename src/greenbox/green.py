@@ -19,6 +19,8 @@ additive.  The two families the engine constructs directly:
 
 from __future__ import annotations
 
+from operator import ne
+
 from .algebras import FiniteAlgebra, base_as_algebra
 from .extensions import GaloisExtension, format_l_element
 from .fields import Field
@@ -321,18 +323,33 @@ def check_green_morphism(source: GreenFunctor, target: GreenFunctor,
     e_i·e_j is, and the right side sums only the nonzero target products
     e_k·e_l.  Per i, those products are grouped by l once, and the
     difference of the two sides for each j is one sparse accumulation;
-    the row's differences are reduced in one call (``_row_differs``)."""
+    the row's differences are reduced in one call (``_row_differs``).
+
+    At a level whose component is a known identity (``Mat.identity``, as
+    ``compare_boxes`` hands over), φ(e_i·e_j) = e_i·e_j and
+    φ(e_i)·φ(e_j) = e_i·e_j in the target, so the two product tables and
+    the two units are compared by equality; the structure maps already are,
+    through the ``@`` identity shortcut.  That relies on each product's
+    terms being one tuple of sorted, reduced, nonzero ``(index, scalar)``
+    pairs, which every functor the pipeline builds keeps.  The violations,
+    their locations and their order are those of the general path."""
     out = MackeyMorphism(source.mackey, target.mackey, components,
                          name=name).check()
     K = source.scalars
     for m in source.lattice.divisors:
         phi = components[m]
-        cols = phi.col_terms()
         src, tgt = source.terms(m), target.terms(m)
-        if any(_row_differs(K, src[i], tgt, xs, cols)
-               for i, xs in enumerate(cols)):
+        if phi.known_identity:
+            mult_differs = any(any(map(ne, s, t)) for s, t in zip(src, tgt))
+            image = tuple(source.unit[m])
+        else:
+            cols = phi.col_terms()
+            mult_differs = any(_row_differs(K, src[i], tgt, xs, cols)
+                               for i, xs in enumerate(cols))
+            image = phi.apply(source.unit[m])
+        if mult_differs:
             out.append(Violation("morphism_mult", {"level": m}, name))
-        if phi.apply(source.unit[m]) != target.unit[m]:
+        if image != target.unit[m]:
             out.append(Violation("morphism_unit", {"level": m}, name))
     return out
 

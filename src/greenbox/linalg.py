@@ -52,7 +52,9 @@ one object per (field, n), and ``A @ B`` returns the other operand
 unchanged when either factor is one, after the shape and field checks; this
 is safe because a ``Mat`` is immutable.  Composite chains, powers and Weyl orbits that start from the
 identity so do no arithmetic for it.  Only ``Mat.identity`` makes one;
-``mackey`` calls it wherever a map is the identity by construction.  A
+``mackey`` and ``boxes`` call it wherever a map is the identity by
+construction, ``inverse`` returns it as its own inverse, and
+``green.check_green_morphism`` compares through it by equality.  A
 plain ``Mat`` whose entries form the identity is never recognised.
 
 All elimination goes through one kernel, ``Span``: an incrementally built
@@ -477,7 +479,7 @@ def solve_matrix(mat: Mat, rhs: Mat):
     Row p of X is the right-hand block of the row with pivot p, and zero
     where no row has its pivot.  At full rank X is the only candidate, so
     every later row is checked by substitution, a·X = b, instead of being
-    eliminated."""
+    eliminated; when no row is left, X is returned as it is read."""
     K = mat.field
     n = mat.ncols
     span = Span(K, n + rhs.ncols)
@@ -492,16 +494,22 @@ def solve_matrix(mat: Mat, rhs: Mat):
     for row, p in zip(span._rows, span._pivots):
         x[p] = tuple(row[n:])
     X = Mat._from_raw(K, tuple(x), rhs.ncols)
+    rest = list(rows)
+    if not rest:
+        return X
     xt = X.transpose()
     support = [j for j, r in enumerate(x) if any(r)]
-    for a, b in rows:
+    for a, b in rest:
         if xt.apply_terms([(j, a[j]) for j in support]) != list(b):
             return None
     return X
 
 
 def inverse(mat: Mat):
-    """Inverse of a square matrix, or None if singular."""
+    """Inverse of a square matrix, or None if singular; a known identity
+    (``Mat.identity``) is its own inverse."""
+    if mat.known_identity:
+        return mat
     if mat.nrows != mat.ncols:
         return None
     one = Mat.identity(mat.field, mat.nrows)

@@ -10,7 +10,8 @@ Structure maps are stored on covering pairs only and composed on demand by
 the one chain helper, ``compose_chain``, so transitivity is a checked
 invariant instead of redundant data.  check_axioms exhaustively verifies
 Weyl order, equivariance, chain independence (composing along every chain),
-and the double coset formula, returning violations as data (never raising).
+and the double coset formula, returning violations as data (never raising);
+with ``first`` it stops at the first violation.
 
 random_mackey builds axiom-true functors by construction: direct sums of
 fixed-point functors of permutation modules K[C_n/C_e], with seeded
@@ -23,6 +24,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from .fields import Field, is_prime
 from .linalg import Mat, Span, inverse, kernel, solve_matrix, unit_vec
@@ -209,9 +211,21 @@ class Violation:
         return f"{self.rule} [{loc}] {self.detail}"
 
 
-def check_axioms(M: MackeyFunctor):
-    """Exhaustively check the Mackey axioms; failures are data, not errors."""
-    out = []
+def check_axioms(M: MackeyFunctor, first: bool = False):
+    """Exhaustively check the Mackey axioms; failures are data, not errors.
+
+    Returns every violation, in check order; with ``first``, at most the
+    first one, and no check after it runs.  Both read the one body,
+    ``_axiom_violations``, so ``check_axioms(M, first=True)`` is
+    ``check_axioms(M)[:1]``."""
+    found = _axiom_violations(M)
+    return list(islice(found, 1)) if first else list(found)
+
+
+def _axiom_violations(M: MackeyFunctor):
+    """The violations of ``check_axioms``, yielded as each check fails:
+    Weyl order, equivariance, chain independence, then the double coset
+    formula."""
     lat = M.lattice
     n = lat.n
     K = M.scalars
@@ -221,18 +235,18 @@ def check_axioms(M: MackeyFunctor):
         # weyl_pow(m, n // m) would reduce its exponent to 0; this chain
         # is the one the double-coset loop reads at k = n, d = m
         if M.weyl[m] @ M.weyl_pow(m, n // m - 1) != ident:
-            out.append(Violation("weyl_order", {"level": m},
-                                 f"weyl^({n // m}) is not the identity"))
+            yield Violation("weyl_order", {"level": m},
+                            f"weyl^({n // m}) is not the identity")
         if m == n and M.weyl[m] != ident:
-            out.append(Violation("weyl_top_level", {"level": m},
-                                 "Weyl action at the fixed level must be trivial"))
+            yield Violation("weyl_top_level", {"level": m},
+                            "Weyl action at the fixed level must be trivial")
 
     for (d, m) in lat.covering_pairs:
         res, tr = M.res[(d, m)], M.tr[(m, d)]
         if M.weyl[d] @ res != res @ M.weyl[m]:
-            out.append(Violation("res_equivariance", {"pair": (d, m)}, ""))
+            yield Violation("res_equivariance", {"pair": (d, m)}, "")
         if tr @ M.weyl[d] != M.weyl[m] @ tr:
-            out.append(Violation("tr_equivariance", {"pair": (d, m)}, ""))
+            yield Violation("tr_equivariance", {"pair": (d, m)}, "")
 
     # chain independence of composites
     for m in lat.divisors:
@@ -242,11 +256,11 @@ def check_axioms(M: MackeyFunctor):
                 rs = [compose_chain(M, "res", c) for c in chains]
                 ts = [compose_chain(M, "tr", c) for c in chains]
                 if any(r != rs[0] for r in rs):
-                    out.append(Violation("res_transitivity",
-                                         {"from": m, "to": d}, ""))
+                    yield Violation("res_transitivity",
+                                    {"from": m, "to": d}, "")
                 if any(t != ts[0] for t in ts):
-                    out.append(Violation("tr_transitivity",
-                                         {"from": d, "to": m}, ""))
+                    yield Violation("tr_transitivity",
+                                    {"from": d, "to": m}, "")
 
     # double coset formula: res_{d<-k} tr_{k<-m} for all d, m | k
     for k in lat.divisors:
@@ -262,10 +276,9 @@ def check_axioms(M: MackeyFunctor):
                     acc = acc + M.weyl_pow(g, j * (n // k))
                 rhs = M.tr_mat(d, g) @ acc @ M.res_mat(g, m)
                 if lhs != rhs:
-                    out.append(Violation(
+                    yield Violation(
                         "double_coset", {"k": k, "d": d, "m": m},
-                        f"res∘tr disagrees with tr∘(sum of {c} Weyl powers)∘res"))
-    return out
+                        f"res∘tr disagrees with tr∘(sum of {c} Weyl powers)∘res")
 
 
 # ---------------------------------------------------------------------------

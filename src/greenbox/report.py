@@ -674,7 +674,15 @@ def fuzz(cfg: RunConfig, count: int | None = None, seed: int | None = None,
     ``ORACLE_EVERY``-th round also compares the generic box of a random
     pair against the closed-form construction, when the scalars admit an
     absolute box.  The config's extension is built first, so data that
-    no other verb accepts fails here too.
+    no other verb accepts fails here too; corruption mode is refused for
+    C_1, which has no transfer to corrupt.
+
+    A round needs only whether the axioms fail (corruption mode) or the
+    first violation (the one it prints), so both modes call
+    ``check_axioms(..., first=True)``, which stops at that violation.
+    Every call goes through this module's attributes (``check_axioms``,
+    ``random_mackey``, ``box``, ``prime_box_oracle``, ``compare_boxes``),
+    so a tracer that replaces them sees each one.
     """
     K = cfg.extension().base
     n = cfg.n
@@ -682,6 +690,9 @@ def fuzz(cfg: RunConfig, count: int | None = None, seed: int | None = None,
     count = cfg.count if count is None else count
     if count < 0:
         raise ConfigError(f"fuzz count must be non-negative, got {count}")
+    if corrupt and not lattice.covering_pairs:
+        raise ConfigError(f"fuzz --corrupt needs a transfer to corrupt, "
+                          f"and C_{n} has none")
     seed = cfg.seed if seed is None else seed
     summary = FuzzSummary(count, seed, n, str(K), corruption_mode=corrupt,
                           oracle_applicable=absolute_box_supported(K))
@@ -690,10 +701,10 @@ def fuzz(cfg: RunConfig, count: int | None = None, seed: int | None = None,
         M = random_mackey(lattice, K, seed=s)
         if corrupt:
             bad = corrupt_transfer(M, seed=s)
-            if check_axioms(bad):
+            if check_axioms(bad, first=True):
                 summary.corruptions_detected += 1
             continue
-        violations = check_axioms(M)
+        violations = check_axioms(M, first=True)
         if violations:
             summary.axiom_failures.append((s, str(violations[0])))
         if summary.oracle_applicable and is_prime(n) and \

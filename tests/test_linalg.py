@@ -67,6 +67,18 @@ def test_identity_is_one_object_per_field_and_size():
     assert Mat.identity(F5, 2) is not Mat.identity(F7, 2)
     assert Mat.identity(F5, 2) is not Mat.identity(F5, 3)
     assert Mat.identity(F5, 2) != Mat.identity(F7, 2)
+
+
+def test_a_known_identity_is_its_own_inverse():
+    """``inverse`` hands a known identity back as it is; a plain ``Mat``
+    with the same entries is still solved, to an equal matrix."""
+    for K in (F5, F9, Q):
+        for n in (0, 1, 4):
+            ident = Mat.identity(K, n)
+            assert inverse(ident) is ident
+            plain = Mat._from_raw(K, ident.raw, n)
+            assert not plain.known_identity
+            assert inverse(plain) == ident and inverse(plain) is not ident
     A = mat(F5, [[1, 2, 3], [4, 0, 1]])
     assert Mat.identity(F5, 2) @ A is A and A @ Mat.identity(F5, 3) is A
 

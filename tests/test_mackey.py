@@ -112,6 +112,23 @@ def test_corrupted_transfer_detected():
                           "tr_transitivity") for v in violations)
 
 
+@pytest.mark.parametrize("n,p", [(4, 5), (5, 11), (6, 13)])
+def test_first_violation_is_the_head_of_the_full_list(n, p):
+    """``check_axioms(M, first=True)`` stops at the first violation: it is
+    the full list cut to one entry, on corrupted and on sound functors."""
+    lat, K = subgroup_lattice(n), prime_field(p)
+    caught, longer = 0, 0
+    for seed in range(50):
+        M = random_mackey(lat, K, seed=seed)
+        assert check_axioms(M, first=True) == check_axioms(M) == []
+        bad = corrupt_transfer(M, seed=seed)
+        full = check_axioms(bad)
+        assert check_axioms(bad, first=True) == full[:1]
+        caught += bool(full)
+        longer += len(full) > 1
+    assert caught == 50 and longer > 0
+
+
 def test_random_mackey_constant_pattern():
     lat = subgroup_lattice(4)
     M = random_mackey(lat, F5, dims={4: 1}, randomize_basis=False)

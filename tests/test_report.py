@@ -17,8 +17,12 @@ import greenbox.modules
 import greenbox.report
 from greenbox.cli import main
 from greenbox.mackey import InternalCheckError
-from greenbox.report import (MAX_GROUP_ORDER, ConfigError, RunConfig, emit,
-                             fuzz, load_config, run_pipeline)
+from greenbox.green import GreenFunctor
+from greenbox.mackey import check_axioms, corrupt_transfer
+from greenbox.report import (MAX_GROUP_ORDER, ConfigError, EtaleReport,
+                             RunConfig, emit, fuzz, load_config, run_pipeline)
+
+from reference import products
 
 HERE = pathlib.Path(__file__).parent
 CONFIGS = HERE.parent / "configs"
@@ -344,6 +348,37 @@ def test_cli_leaves_no_argparse_garbage(capsys):
         gc.set_debug(flags)
         gc.garbage.clear()
     assert found == []
+
+
+DEGREE_ONE = ("[field]\np = 5\n\n[extension]\nflavor = kummer\nn = 1\n"
+              "a = 3\nzeta = 1\n")
+
+
+def test_cli_fuzz_corrupt_refuses_a_group_without_transfers(tmp_path, capsys):
+    """C_1 has no covering pair, so no transfer to corrupt: corruption mode
+    exits 2 with one error line, before any round; plain fuzz still runs."""
+    c1 = tmp_path / "c1.cfg"
+    c1.write_text(DEGREE_ONE)
+    for count in ("3", "0"):
+        assert main(["fuzz", "--count", count, "--corrupt", str(c1)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: fuzz --corrupt needs a transfer to corrupt, " \
+            "and C_1 has none\n"
+        assert "Traceback" not in err
+    assert main(["fuzz", "--count", "3", str(c1)]) == 0
+    assert capsys.readouterr().out.endswith("result: PASS\n")
+
+
+def test_functor_checks_count_every_mackey_violation():
+    """The report's functor checks count every axiom violation, not only
+    the first one that fuzz rounds stop at."""
+    r = EtaleReport(cfg("kummer_f5_n4"))
+    bad = corrupt_transfer(r.fixed.mackey, seed=1)
+    full = check_axioms(bad)
+    assert len(full) > 1
+    r.fixed = GreenFunctor(bad, products(r.fixed), r.fixed.unit)
+    assert r.functor_checks["mackey_axioms"] == len(full)
 
 
 def test_fuzz_deterministic():
