@@ -19,8 +19,8 @@ ambient res, tr and Weyl maps sit in one ``MackeyFunctor``-shaped container,
 ``ambient``, which is not axiom-true: on a class component of origin d its
 Weyl action has order n/d, not n/m.  Each product of two generators has
 one form, its raw nonzero terms, kept in the product table
-``_mult_cache`` and read through ``mult_terms``.  The table is sparse: it
-stores only nonzero products, and a missing entry is a zero product.
+``_mult_cache``.  The table is sparse: it stores only nonzero products,
+and a missing entry is a zero product.
 ``build_box`` fills it once, bottom-up (``_fill_products``): pure products
 from the pairs of nonzero factor products, and a product with a class
 factor tr(w) as tr of a product at the class origin (Frobenius
@@ -58,6 +58,13 @@ handed the relative box T □ T it checks and presents its quotient on that
 box's ambient: the same generators and ambient maps, with the
 action-difference rows added to its relations; both action maps are raw
 terms per generator, and the difference rows are written from them.
+
+A built box is read through its Green functor ``green``: the C_2 norm and
+the readers in ``etale``, ``modules`` and ``report`` multiply with its
+reduced product terms and map with its reduced structure maps; they reach
+the ambient only to project a tensor into a level or to descend a map out
+of one, and none multiplies there.  The product table stays for the
+descent pass, which the coequalizer re-runs on the shared table.
 """
 
 from __future__ import annotations
@@ -68,8 +75,8 @@ from itertools import groupby, islice
 
 from .fields import Field
 from .green import GreenFunctor, check_green_morphism, constant_functor
-from .linalg import Mat, inverse, kron_terms, nonzero_terms, reduce_sums, \
-    tensor_vec, unit_vec, vec_add, vec_zero
+from .linalg import Mat, bilinear_terms, inverse, kron_terms, nonzero_terms, \
+    raw_terms, reduce_sums, unit_vec
 from .mackey import InternalCheckError, MackeyFunctor
 from .presented import PresentedLevel
 
@@ -95,54 +102,15 @@ class BoxProduct:
         self.green = None
         self._mult_cache = {}
 
-    # -- ambient bookkeeping -------------------------------------------
-
     def amb_dim(self, m):
         return len(self.gens[m])
 
     def gen_index(self, m, d, i, j):
         return self.offsets[m][d] + i * self.right.dim(d) + j
 
-    def amb_vec(self, m, blocks):
-        """The ambient vector of level m holding the tensor vector
-        ``blocks[d]`` at each component d, and zero elsewhere."""
-        out = [self.scalars.zero] * self.amb_dim(m)
-        for d, tensor in blocks.items():
-            off = self.offsets[m][d]
-            out[off:off + len(tensor)] = tensor
-        return tuple(out)
-
-    # -- multiplication --------------------------------------------------
-
-    def mult_terms(self, m, ca, cb):
-        """The product of two ambient generators of level m, as its raw
-        nonzero ``(index, scalar)`` terms in increasing index: a read of the
-        product table that ``_fill_products`` (or the prime oracle) wrote,
-        where a missing entry is a vanishing product."""
-        return self._mult_cache.get((m, ca, cb), ())
-
-    def mult_vec(self, m, va, vb):
-        """Bilinear extension of mult_terms to ambient vectors."""
-        K = self.scalars
-        nzb = nonzero_terms(K, vb)
-        out = [K.raw_zero] * self.amb_dim(m)
-        for ca, a in nonzero_terms(K, va):
-            for cb, b in nzb:
-                c = a * b
-                for t, p in self.mult_terms(m, ca, cb):
-                    out[t] += c * p
-        return K.fold(K.reduce(out))
-
-    # -- reduced coordinates ----------------------------------------------
-
     def dim(self, m):
+        """The reduced dimension of level m."""
         return self.levels[m].dim
-
-    def reduce(self, m, ambient_vec):
-        return self.levels[m].reduce(ambient_vec)
-
-    def expand(self, m, reduced_vec):
-        return self.levels[m].expand(reduced_vec)
 
     def __repr__(self):
         dims = ", ".join(f"{m}:{self.dim(m)}" for m in self.lattice.divisors)
@@ -302,8 +270,7 @@ def _fill_products(bx: BoxProduct) -> None:
     """Write the nonzero product of every pair of generators of every level
     into ``bx._mult_cache``, lower levels first, as sorted, reduced, nonzero
     raw terms.  The table is sparse: a pair whose product vanishes gets no
-    entry, which ``mult_terms`` reads as ``()``.  An entry already there is
-    kept.
+    entry, which reads as ``()``.  An entry already there is kept.
 
     Pure tensors multiply componentwise (``_fill_pure``).  A class factor
     is tr(w) for a pure generator w of its origin o, and tr(w)·x =
@@ -877,44 +844,40 @@ def _permuted_bases(b1: BoxProduct, b2: BoxProduct, gen_map, diffs) -> dict:
 def norm_on_c2_box(bx: BoxProduct, vec, term_order=None):
     """Tambara norm from the underlying to the fixed level of a C_2 box.
 
-    Expands ``vec`` (reduced level-1 coordinates) into pure-tensor summands
+    Splits ``vec`` (reduced level-1 coordinates) into pure-tensor summands
     and applies the sum rule norm(x+y) = norm(x) + norm(y) + tr(x·τy); pure
     tensors take the componentwise norms of the factors.  The result is
     independent of the expansion order, which callers may vary via
     ``term_order`` (a permutation of the nonzero-term positions).
+
+    Everything is read off ``bx.green`` in raw terms: level 1 has no
+    relations, so its reduced coordinates are its ambient ones; the cross
+    terms go through the box's level-1 product terms, τ = its Weyl action
+    and its transfer, and each pure-tensor norm is projected into level 2.
+    The sum is reduced once, at the end.
     """
     if bx.lattice.n != 2:
         raise ValueError("the norm expansion is implemented for C_2 only")
     if bx.left.norms is None or bx.right.norms is None:
         raise ValueError("both factors must carry norm rules")
-    K = bx.scalars
-    ambient = bx.expand(1, vec)
-    terms = [(idx, c) for idx, c in enumerate(ambient) if c != K.zero]
+    K, G, L, R = bx.scalars, bx.green, bx.left, bx.right
+    terms = nonzero_terms(K, vec)
     if term_order is not None:
         terms = [terms[t] for t in term_order]
-
-    def norm_single(idx, c):
-        (d, i, j) = bx.gens[1][idx]
-        lv = [K.zero] * bx.left.dim(1)
+    prods, tau = G.terms(1), G.mackey.weyl[1]
+    pure, cross = [], [K.raw_zero] * G.dim(1)
+    # norm(t_k + rest) = norm(t_k) + norm(rest) + tr(t_k·τ rest)
+    for k, (idx, c) in enumerate(terms):
+        (_, i, j) = bx.gens[1][idx]
+        lv = [K.raw_zero] * L.dim(1)
         lv[i] = c
-        nl = bx.left.norm(2, 1, tuple(lv))
-        nr = bx.right.norm(2, 1, unit_vec(K, bx.right.dim(1), j))
-        return bx.amb_vec(2, {2: tensor_vec(K, nl, nr)})
-
-    if not terms:
-        return bx.reduce(2, vec_zero(K, bx.amb_dim(2)))
-    # norm(t_k + rest) = norm(t_k) + norm(rest) + tr(t_k·τ rest), summed
-    # from the last term back to the first
-    total = norm_single(*terms[-1])
-    for k in range(len(terms) - 2, -1, -1):
-        head = terms[k]
-        v1 = [K.zero] * bx.amb_dim(1)
-        v1[head[0]] = head[1]
-        vr = [K.zero] * bx.amb_dim(1)
-        for idx, c in terms[k + 1:]:
-            vr[idx] = c
-        cross = bx.mult_vec(1, tuple(v1),
-                            bx.ambient.weyl[1].apply(tuple(vr)))
-        total = vec_add(vec_add(norm_single(*head), total),
-                        bx.ambient.tr[(2, 1)].apply(cross))
-    return bx.reduce(2, total)
+        nl = L.norm(2, 1, K.fold(lv))
+        nr = R.norm(2, 1, unit_vec(K, R.dim(1), j))
+        pure += kron_terms(nonzero_terms(K, nl), nonzero_terms(K, nr),
+                           R.dim(2), bx.offsets[2][2]).items()
+        rest = raw_terms(tau.apply_terms(terms[k + 1:]))
+        for t, x in enumerate(bilinear_terms(K, prods, ((idx, c),), rest)):
+            cross[t] += x
+    up = G.mackey.tr[(2, 1)].apply_terms(raw_terms(K.reduce(cross)))
+    return K.fold(K.reduce([a + b for a, b in zip(bx.levels[2].project(pure),
+                                                   up)]))

@@ -25,7 +25,7 @@ from .extensions import GaloisExtension
 from .fields import Field
 from .green import constant_functor
 from .linalg import Mat, Span, bilinear_terms, kernel, kernel_raw, \
-    nonzero_terms, raw_terms, solve_matrix, tensor_vec, unit_vec
+    kron_terms, nonzero_terms, raw_terms, solve_matrix
 from .mackey import InternalCheckError, MackeyMorphism
 from .modules import constant_box_iso
 from .presented import PresentedLevel, format_element
@@ -62,14 +62,17 @@ def mult_map(bx: BoxProduct) -> MackeyMorphism:
 
 
 def unit_section_check(bx: BoxProduct, mm: MackeyMorphism) -> bool:
-    """mult ∘ (x ↦ x·unit-tensor) must be the identity on T levelwise."""
+    """mult ∘ (x ↦ x·unit-tensor) must be the identity on T levelwise: each
+    e_i ⊗ unit is projected from its raw terms at the pure component, and
+    its image under mult must be e_i."""
     T = bx.left
-    K = bx.scalars
+    K, one = bx.scalars, bx.scalars.raw_one
     for m in bx.lattice.divisors:
+        unit, mult = nonzero_terms(K, T.unit[m]), mm.components[m]
         for i in range(T.dim(m)):
-            x = unit_vec(K, T.dim(m), i)
-            out = bx.amb_vec(m, {m: tensor_vec(K, x, T.unit[m])})
-            if mm.apply(m, bx.reduce(m, out)) != x:
+            x = bx.levels[m].project(kron_terms(
+                ((i, one),), unit, T.dim(m), bx.offsets[m][m]).items())
+            if raw_terms(mult.apply_terms(raw_terms(x))) != ((i, one),):
                 return False
     return True
 

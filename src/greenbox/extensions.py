@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebras import FiniteAlgebra, poly_quotient_algebra
-from .fields import Field, FieldUsageError, RationalField, is_prime
+from .fields import Field, FieldUsageError, RationalField, prime_factors
 from .linalg import Mat, kernel, unit_vec
 
 
@@ -64,14 +64,6 @@ class GaloisExtension:
         while len(powers) <= e:
             powers.append(self.algebra.mul(powers[-1], powers[1]))
         return powers[e]
-
-    def fixed_space(self, m: int):
-        """Basis of L^{C_m} = ker(σ^{n/m} - 1); C_m is generated by σ^{n/m}."""
-        n = self.degree
-        if m <= 0 or n % m != 0:
-            raise FieldUsageError(f"{m} does not divide the degree {n}")
-        diff = self.sigma_pow(n // m) - Mat.identity(self.base, n)
-        return kernel(diff)
 
     def __repr__(self):
         return (f"GaloisExtension({self.flavor}, degree {self.degree} "
@@ -143,10 +135,7 @@ def is_primitive_root_of_unity(K: Field, zeta, n: int) -> bool:
     """Does ζ have multiplicative order exactly n in K?"""
     if zeta ** n != K.one:
         return False
-    for r in range(2, n + 1):
-        if n % r == 0 and is_prime(r) and zeta ** (n // r) == K.one:
-            return False
-    return True
+    return not any(zeta ** (n // r) == K.one for r in prime_factors(n))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +164,8 @@ def kummer_extension(K: Field, n: int, a, zeta) -> GaloisExtension:
         raise ConstructionError(
             f"{zeta} is not a primitive {n}-th root of unity in {K}")
     if n > 1:
-        for r in range(2, n + 1):
-            if n % r == 0 and is_prime(r) and _has_mth_root(K, a, r):
+        for r in prime_factors(n):
+            if _has_mth_root(K, a, r):
                 raise ConstructionError(
                     f"not a field extension: x^{n} - {a} is reducible "
                     f"({a} is an {r}-th power in {K})")

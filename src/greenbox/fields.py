@@ -49,16 +49,23 @@ def _check_order(p: int, k: int = 1) -> None:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return prime_factors(n) == [n]
+
+
+def prime_factors(n: int) -> list:
+    """The distinct prime divisors of n, in increasing order, by trial
+    division; none for n < 2."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +423,12 @@ def is_irreducible(field: PrimeField, modulus: list) -> bool:
     xq = poly_powmod(field, x, p ** k, modulus)
     if _trim(field, poly_add(field, xq, poly_scale(field, x, -field.one))):
         return False
-    for r in range(2, k + 1):
-        if k % r == 0 and is_prime(r):
-            xqr = poly_powmod(field, x, p ** (k // r), modulus)
-            diff = poly_add(field, xqr, poly_scale(field, x, -field.one))
-            g, _, _ = poly_xgcd(field, diff, modulus)
-            if len(g) != 1:
-                return False
+    for r in prime_factors(k):
+        xqr = poly_powmod(field, x, p ** (k // r), modulus)
+        diff = poly_add(field, xqr, poly_scale(field, x, -field.one))
+        g, _, _ = poly_xgcd(field, diff, modulus)
+        if len(g) != 1:
+            return False
     return True
 
 

@@ -24,9 +24,10 @@ from operator import ne
 from .algebras import FiniteAlgebra, base_as_algebra
 from .extensions import GaloisExtension, format_l_element
 from .fields import Field
-from .linalg import Mat, bilinear, unit_vec, vec_zero
+from .linalg import Mat, bilinear, unit_vec
 from .mackey import (InternalCheckError, MackeyFunctor, MackeyMorphism,
-                     SubgroupLattice, Violation, solve_in, subgroup_lattice)
+                     SubgroupLattice, Violation, fix_of_module, solve_in,
+                     subgroup_lattice)
 
 
 class GreenFunctor:
@@ -148,37 +149,17 @@ def constant_functor(R, n_or_lattice, name: str = "") -> GreenFunctor:
 
 
 def fix_functor(E: GaloisExtension, name: str = "") -> GreenFunctor:
-    """Fixed-point Green/Tambara functor of a cyclic extension K ⊂ L."""
+    """Fixed-point Green/Tambara functor of a cyclic extension K ⊂ L: the
+    fixed-point Mackey functor of L under σ (``fix_of_module``), with its
+    basis written as elements of L and the products of L."""
     K, n = E.base, E.degree
     lattice = subgroup_lattice(n)
     alg = E.algebra
-
-    embeds = {}
-    labels = {}
-    for m in lattice.divisors:
-        basis = E.fixed_space(m)
-        embeds[m] = Mat.from_cols(K, basis, n)
-        labels[m] = [format_l_element(E, v) for v in basis]
-
-    res = {}
-    tr = {}
-    for (d, m) in lattice.covering_pairs:
-        res[(d, m)] = solve_in(embeds[d], embeds[m],
-                               "fixed subfields are not nested")
-        cols = []
-        for v in embeds[d].cols():
-            acc = vec_zero(K, n)
-            for j in range(m // d):
-                img = E.apply_sigma(v, j * (n // m))
-                acc = tuple(a + b for a, b in zip(acc, img))
-            cols.append(acc)
-        tr[(m, d)] = solve_in(embeds[m], Mat.from_cols(K, cols, n),
-                              "transfer image escaped the fixed subfield")
-    weyl = {m: solve_in(embeds[m], E.sigma @ embeds[m],
-                        "σ does not preserve the fixed subfield")
-            for m in lattice.divisors}
-
-    mack = MackeyFunctor(K, lattice, labels, res, tr, weyl,
+    fpm = fix_of_module(K, lattice, E.sigma)
+    embeds, maps = fpm.embeds, fpm.functor
+    labels = {m: [format_l_element(E, v) for v in embeds[m].cols()]
+              for m in lattice.divisors}
+    mack = MackeyFunctor(K, lattice, labels, maps.res, maps.tr, maps.weyl,
                          name=name or f"{alg.name}^fix")
     products = {}
     for m in lattice.divisors:

@@ -42,7 +42,10 @@ them; ``eliminate``
 and ``Span`` read them, ``Mat.apply_terms`` and ``bilinear_terms`` take
 them and return reduced raw lists, ``PresentedLevel.project`` and
 ``project_many`` map them, and the box layer keeps each generator product,
-quotient image and matrix column as such terms.  Structure constants are
+quotient image and matrix column as such terms, and builds every image it
+sums or scales from them: element vectors (plain tuples) are only made
+(``unit_vec``, ``tensor_vec``) and subtracted (``vec_sub``), never added
+or scaled.  Structure constants are
 stored in this form only: ``terms[i][j]`` holds the terms of e_i·e_j, for
 ``bilinear`` and ``bilinear_terms`` to read, and no dense table of them is
 built.
@@ -329,20 +332,8 @@ def _packed_product(p, arows, brows, ncols):
 # vectors (plain tuples)
 
 
-def vec_zero(field, n):
-    return (field.zero,) * n
-
-
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(s, a):
-    return tuple(s * x for x in a)
 
 
 def raw_terms(raw):

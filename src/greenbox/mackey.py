@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from itertools import islice
 
-from .fields import Field, is_prime
+from .fields import Field, is_prime, prime_factors
 from .linalg import Mat, Span, inverse, kernel, solve_matrix, unit_vec
 
 
@@ -87,8 +87,7 @@ class SubgroupLattice:
         chain = [m]
         cur = m
         while cur != d:
-            p = _smallest_prime_factor(cur // d)
-            cur //= p
+            cur //= prime_factors(cur // d)[0]
             chain.append(cur)
         return chain
 
@@ -105,13 +104,6 @@ class SubgroupLattice:
 
     def __repr__(self):
         return f"SubgroupLattice(C_{self.n})"
-
-
-def _smallest_prime_factor(r: int) -> int:
-    for q in range(2, r + 1):
-        if r % q == 0:
-            return q
-    raise ValueError("no prime factor of 1")
 
 
 @functools.lru_cache(maxsize=None)
@@ -330,9 +322,6 @@ class MackeyMorphism:
         return MackeyMorphism(self.target, self.source, comps,
                               name=f"{self.name}^-1")
 
-    def apply(self, m: int, v):
-        return self.components[m].apply(v)
-
 
 # ---------------------------------------------------------------------------
 # fixed-point functor of a K[C_n]-module
@@ -363,12 +352,15 @@ def fix_of_module(scalars: Field, lattice: SubgroupLattice, action: Mat,
     n = lattice.n
     dim_v = action.nrows
     ident = Mat.identity(scalars, dim_v)
-    if action.power(n) != ident:
+    powers = [ident]                    # A^k for k = 0, ..., n
+    for _ in range(n):
+        powers.append(action @ powers[-1])
+    if powers[n] != ident:
         raise InternalCheckError("module action does not have order dividing n")
 
     embeds = {}
     for m in lattice.divisors:
-        basis = kernel(action.power(n // m) - ident)
+        basis = kernel(powers[n // m] - ident)
         embeds[m] = Mat.from_cols(scalars, basis, dim_v)
 
     lab = {m: [f"v{m}.{i}" for i in range(embeds[m].ncols)]
@@ -381,9 +373,9 @@ def fix_of_module(scalars: Field, lattice: SubgroupLattice, action: Mat,
     for (d, m) in lattice.covering_pairs:
         res[(d, m)] = solve_in(embeds[d], embeds[m],
                                f"V^(C_{m}) does not embed in V^(C_{d})")
-        acc = Mat.zeros(scalars, dim_v, dim_v)
-        for j in range(m // d):
-            acc = acc + action.power(j * (n // m))
+        acc = powers[0]
+        for j in range(1, m // d):
+            acc = acc + powers[j * (n // m)]
         tr[(m, d)] = solve_in(embeds[m], acc @ embeds[d],
                               f"transfer image does not lie in V^(C_{m})")
     weyl = {m: solve_in(embeds[m], action @ embeds[m],

@@ -33,7 +33,7 @@ from .boxes import BoxProduct, box
 from .extensions import GaloisExtension, is_primitive_root_of_unity
 from .fields import Field
 from .green import GreenFunctor, check_green_morphism, constant_functor
-from .linalg import Mat, column_space, inverse, unit_vec, vec_scale
+from .linalg import Mat, column_space, inverse
 from .mackey import (FixedPointModule, InternalCheckError, MackeyFunctor,
                      MackeyMorphism, Violation, fix_of_module, solve_in)
 from .presented import PresentedLevel, format_element
@@ -431,13 +431,14 @@ def constant_box_iso(bx: BoxProduct, tensor: FiniteAlgebra):
     onto = PresentedLevel(K, tensor.labels, [])
     iso = {}
     for m in bx.lattice.divisors:
-        cols = [vec_scale(K.from_int(m // d),
-                          unit_vec(K, tensor.dim, i * B.dim(d) + j))
-                for (d, i, j) in bx.gens[m]]
-        amb = Mat.from_cols(K, cols, tensor.dim)
+        images = []
+        for (d, i, j) in bx.gens[m]:
+            c, = K.lift((K.from_int(m // d),))
+            images.append(((i * B.dim(d) + j, c),) if c else ())
         try:
-            phi = bx.levels[m].descend(amb, onto, "identification fails "
-                                       f"to descend at level {m}")
+            phi = bx.levels[m].descend(images.__getitem__, onto,
+                                       "identification fails to descend at "
+                                       f"level {m}")
         except InternalCheckError:
             return None
         if inverse(phi) is None:

@@ -369,9 +369,8 @@ class EtaleReport:
         rb, ideal = self.rel_box, self.ideal_data.ideal[2]
         K = rb.scalars
         one, alpha = (unit_vec(K, rb.left.dim(1), t) for t in (0, 1))
-        tensor = vec_sub(tensor_vec(K, one, alpha),
-                         tensor_vec(K, alpha, one))
-        arg = rb.reduce(1, rb.amb_vec(1, {1: tensor}))
+        # level 1 has no relations: the tensor is its own reduced form
+        arg = vec_sub(tensor_vec(K, one, alpha), tensor_vec(K, alpha, one))
         value = norm_on_c2_box(rb, arg)
         return {
             "applicable": True,

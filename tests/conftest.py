@@ -56,5 +56,5 @@ def unit_vec(field, n, idx):
 
 def gen_coords(bx, m, d, i, j):
     """Reduced coordinates of one ambient generator of a box level."""
-    return bx.reduce(m, unit_vec(bx.scalars, bx.amb_dim(m),
+    return bx.levels[m].reduce(unit_vec(bx.scalars, bx.amb_dim(m),
                                  bx.gen_index(m, d, i, j)))

@@ -18,7 +18,10 @@ import math
 
 from greenbox.boxes import box
 from greenbox.green import constant_functor
-from greenbox.linalg import Mat, tensor_vec, unit_vec, vec_scale, vec_sub
+from greenbox.linalg import Mat, tensor_vec, unit_vec, vec_sub
+
+import reference
+from reference import vec_scale
 
 
 def tensor_mat(K, A, B):
@@ -190,7 +193,7 @@ def prime_oracle(po, M, N, p):
     K = M.scalars
 
     def amb_vec(blocks):
-        return po.amb_vec(p, blocks)
+        return reference.amb_vec(po, p, blocks)
 
     tau = tensor_mat(K, M.mackey.weyl[1], N.mackey.weyl[1])
     dim1 = M.dim(1) * N.dim(1)
@@ -293,7 +296,7 @@ def coequalizer_relations(b2, inner, b3):
             return unit_vec(K, b2.amb_dim(m), b2.gen_index(m, d, i, yj))
         image = tensor_vec(K, T.mackey.tr_mat(d, e).col(i),
                            unit_vec(K, T.dim(d), yj))
-        return b2.amb_vec(m, {d: image})
+        return reference.amb_vec(b2, m, {d: image})
 
     def act_right(m, d, wi, yj):
         (e, i, _) = inner.gens[d][inner.levels[d].free[wi]]
@@ -301,7 +304,7 @@ def coequalizer_relations(b2, inner, b3):
             return unit_vec(K, b2.amb_dim(m), b2.gen_index(m, d, i, yj))
         image = tensor_vec(K, unit_vec(K, T.dim(e), i),
                            T.mackey.res_mat(e, d).col(yj))
-        return b2.amb_vec(m, {e: image})
+        return reference.amb_vec(b2, m, {e: image})
 
     out = {}
     for m in T.lattice.divisors:

@@ -8,16 +8,24 @@ and off an algebra; ``product_terms`` goes back, for functors that a test
 writes from dense data (``green_functor``).  ``ref_check_green`` is the
 element-loop Green-axiom check that ``green.check_green`` is compared
 with.  The rest are helpers that only the tests call: basis permutations,
-a corrupted multiplication, the ideal check of a box, the labels of a
-fixed subfield, the base change of a Mackey functor and relation-span
-membership.
+a corrupted multiplication, the ideal check of a box, a basis and the
+labels of a fixed subfield, the base change of a Mackey functor,
+relation-span membership and element-vector sums and multiples.
+
+A box is also read here on its ambient presentation (``amb_vec``,
+``mult_terms``, ``mult_vec``), from its product table ``_mult_cache`` and
+its levels, never from the reduced ``bx.green`` that the builder derives
+from them; ``ref_norm_on_c2_box`` is the C_2 norm computed that way, which
+``boxes.norm_on_c2_box`` is compared with.
 """
 
 import random
 
 from greenbox.extensions import format_l_element
+from greenbox.fields import FieldUsageError
 from greenbox.green import GreenFunctor
-from greenbox.linalg import Mat, Span, inverse, nonzero_terms, unit_vec
+from greenbox.linalg import Mat, Span, inverse, kernel, nonzero_terms, \
+    tensor_vec, unit_vec
 from greenbox.mackey import Violation, _conjugate
 
 
@@ -230,12 +238,99 @@ def check_ideal(bx, data):
     return out
 
 
+def fixed_space(E, m: int):
+    """Basis of L^{C_m} = ker(σ^{n/m} - 1); C_m is generated by σ^{n/m}."""
+    n = E.degree
+    if m <= 0 or n % m != 0:
+        raise FieldUsageError(f"{m} does not divide the degree {n}")
+    return kernel(E.sigma_pow(n // m) - Mat.identity(E.base, n))
+
+
 def fixed_labels(E, m: int):
     """The labels of the basis of L^{C_m} that ``fixed_space`` gives."""
-    return [format_l_element(E, v) for v in E.fixed_space(m)]
+    return [format_l_element(E, v) for v in fixed_space(E, m)]
 
 
 def in_relation_span(lvl, v) -> bool:
     """Whether the ambient vector v lies in the relation span of the
     ``PresentedLevel`` lvl."""
     return all(c == lvl.field.zero for c in lvl.reduce(v))
+
+
+def vec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vec_scale(s, a):
+    return tuple(s * x for x in a)
+
+
+# ---------------------------------------------------------------------------
+# a box read on its ambient presentation: its product table and its levels,
+# independent of the reduced Green functor the builder derives from them
+
+
+def amb_vec(bx, m, blocks):
+    """The ambient vector of level m of the box bx holding the tensor
+    vector ``blocks[d]`` at each component d, and zero elsewhere."""
+    out = [bx.scalars.zero] * bx.amb_dim(m)
+    for d, tensor in blocks.items():
+        off = bx.offsets[m][d]
+        out[off:off + len(tensor)] = tensor
+    return tuple(out)
+
+
+def mult_terms(bx, m, a, b):
+    """The raw terms of the product of ambient generators a and b of level
+    m, read from the box's product table; a missing entry is a vanishing
+    product."""
+    return bx._mult_cache.get((m, a, b), ())
+
+
+def mult_vec(bx, m, va, vb):
+    """The product of two ambient vectors of level m, the bilinear
+    extension of ``mult_terms``."""
+    K = bx.scalars
+    nzb = nonzero_terms(K, vb)
+    out = [K.raw_zero] * bx.amb_dim(m)
+    for ca, a in nonzero_terms(K, va):
+        for cb, b in nzb:
+            c = a * b
+            for t, p in mult_terms(bx, m, ca, cb):
+                out[t] += c * p
+    return K.fold(K.reduce(out))
+
+
+def ref_norm_on_c2_box(bx, vec, term_order=None):
+    """``norm_on_c2_box`` on the ambient presentation: the sum rule
+    norm(x+y) = norm(x) + norm(y) + tr(x·τy) with the ambient τ and tr and
+    ``mult_vec``, summed from the last term back to the first as ambient
+    element vectors and reduced at the end."""
+    K = bx.scalars
+    ambient = bx.levels[1].expand(vec)
+    terms = [(idx, c) for idx, c in enumerate(ambient) if c != K.zero]
+    if term_order is not None:
+        terms = [terms[t] for t in term_order]
+
+    def norm_single(idx, c):
+        (d, i, j) = bx.gens[1][idx]
+        lv = [K.zero] * bx.left.dim(1)
+        lv[i] = c
+        nl = bx.left.norm(2, 1, tuple(lv))
+        nr = bx.right.norm(2, 1, unit_vec(K, bx.right.dim(1), j))
+        return amb_vec(bx, 2, {2: tensor_vec(K, nl, nr)})
+
+    if not terms:
+        return bx.levels[2].reduce((K.zero,) * bx.amb_dim(2))
+    total = norm_single(*terms[-1])
+    for k in range(len(terms) - 2, -1, -1):
+        head = terms[k]
+        v1 = [K.zero] * bx.amb_dim(1)
+        v1[head[0]] = head[1]
+        vr = [K.zero] * bx.amb_dim(1)
+        for idx, c in terms[k + 1:]:
+            vr[idx] = c
+        cross = mult_vec(bx, 1, tuple(v1), bx.ambient.weyl[1].apply(tuple(vr)))
+        total = vec_add(vec_add(norm_single(*head), total),
+                        bx.ambient.tr[(2, 1)].apply(cross))
+    return bx.levels[2].reduce(total)

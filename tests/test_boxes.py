@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import pathlib
 import random
 import sys
@@ -23,8 +24,8 @@ from greenbox.mackey import InternalCheckError, MackeyFunctor, check_axioms, \
 from greenbox.presented import PresentedLevel
 from greenbox.report import ORACLE_EVERY, load_config
 
-from reference import corrupt_multiplication, in_relation_span, \
-    mult_table, products
+from reference import amb_vec, corrupt_multiplication, in_relation_span, \
+    mult_table, mult_terms, mult_vec, products, ref_norm_on_c2_box, vec_add
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -107,7 +108,7 @@ def test_kummer_box3_transfers(kummer2_bundle):
     tr = b.green.mackey.tr[(2, 1)]
     lab1 = b.levels[1].reduced_labels
     one = tuple(F5.one if lab == "1⊗1⊗1" else F5.zero for lab in lab1)
-    img = tr.apply(b.reduce(1, b.expand(1, one)))
+    img = tr.apply(b.levels[1].reduce(b.levels[1].expand(one)))
     lab2 = b.levels[2].reduced_labels
     # tr(1⊗1⊗1) = 2(1⊗1⊗1); tr(α⊗1⊗1) = 0
     assert img == tuple(F5.from_int(2) if lab == "1⊗1⊗1" else F5.zero
@@ -362,6 +363,36 @@ def test_norm_is_order_independent(kummer2_bundle):
         assert norm_on_c2_box(rb, v, term_order=list(perm)) == base
 
 
+@pytest.mark.parametrize("config", ["artin_schreier_f2.cfg",
+                                    "kummer_f5_n2.cfg", "Q"])
+def test_norm_agrees_with_the_ambient_reference(config, rational_bundle):
+    """The norm read off the box's Green functor equals the one computed on
+    its ambient presentation, from the product table and the ambient τ and
+    tr (``ref_norm_on_c2_box``): on zero, every level-1 basis vector, every
+    sum of two of them, and 20 seeded random vectors each taken in a
+    random term order, on both shipped C_2 configs and over Q."""
+    if config == "Q":
+        rb = rational_bundle.box
+    else:
+        ext = load_config(str(CONFIG_DIR / config)).extension()
+        rb = relative_box(fix_functor(ext), ext.base)
+    K, dim = rb.scalars, rb.dim(1)
+    basis = [unit_vec(K, dim, i) for i in range(dim)]
+    vecs = [(K.zero,) * dim] + basis + [
+        vec_add(a, b)
+        for a, b in itertools.combinations_with_replacement(basis, 2)]
+    for v in vecs:
+        assert norm_on_c2_box(rb, v) == ref_norm_on_c2_box(rb, v), v
+    rng = random.Random(2)
+    for _ in range(20):
+        v = tuple(K.random(rng) for _ in range(dim))
+        order = list(range(sum(1 for c in v if c != K.zero)))
+        rng.shuffle(order)
+        value = norm_on_c2_box(rb, v, term_order=order)
+        assert value == ref_norm_on_c2_box(rb, v, term_order=order), v
+        assert value == norm_on_c2_box(rb, v), v
+
+
 # ---------------------------------------------------------------------------
 # descent: negative controls
 #
@@ -430,7 +461,7 @@ def test_descent_rejects_corrupt_transfer(unchecked_c4_box):
 def _bump_product(bx, m, a, b, f):
     """Add e_f to the cached raw terms of the product of generators a and b
     of level m; returns the terms it replaced."""
-    saved = bx.mult_terms(m, a, b)
+    saved = mult_terms(bx, m, a, b)
     K = bx.scalars
     raw = dict(saved)
     raw[f] = K.reduce([raw.get(f, K.raw_zero) + K.lift([K.one])[0]])[0]
@@ -460,7 +491,7 @@ def test_one_sided_product_check_is_exactly_as_strong(unchecked_c4_box):
     def brute_force_violation():
         return any(not in_relation_span(lvl, prod)
                    for r in lvl.relation_basis for e in units
-                   for prod in (bx.mult_vec(4, r, e), bx.mult_vec(4, e, r)))
+                   for prod in (mult_vec(bx, 4, r, e), mult_vec(bx, 4, e, r)))
 
     caught_with_pivot_left = False
     for a in gens:
@@ -496,7 +527,7 @@ def test_check_false_skips_only_the_descent_check(kummer4_bundle,
 
 # ---------------------------------------------------------------------------
 # the one descent pass against the ambient structure read through
-# expand and reduce
+# the levels' expand and reduce
 
 
 def _assert_reduced_structure_is_ambient(bx):
@@ -505,7 +536,7 @@ def _assert_reduced_structure_is_ambient(bx):
     expand e_b)), at every level."""
     G, K, pairs = bx.green, bx.scalars, bx.lattice.covering_pairs
     for m in bx.lattice.divisors:
-        lifted = [bx.expand(m, unit_vec(K, bx.dim(m), k))
+        lifted = [bx.levels[m].expand(unit_vec(K, bx.dim(m), k))
                   for k in range(bx.dim(m))]
         maps = [(G.mackey.weyl[m], bx.ambient.weyl[m], m)]
         maps += [(G.mackey.res[(lo, m)], bx.ambient.res[(lo, m)], lo)
@@ -513,13 +544,14 @@ def _assert_reduced_structure_is_ambient(bx):
         maps += [(G.mackey.tr[(hi, m)], bx.ambient.tr[(hi, m)], hi)
                  for (lo, hi) in pairs if lo == m]
         for reduced, amb, target in maps:
-            assert reduced.cols() == [bx.reduce(target, amb.apply(v))
-                                      for v in lifted], (m, target)
+            assert reduced.cols() == [
+                bx.levels[target].reduce(amb.apply(v)) for v in lifted], \
+                (m, target)
         table = mult_table(G, m)
         for a, va in enumerate(lifted):
             for b, vb in enumerate(lifted):
                 assert table[a][b] == \
-                    bx.reduce(m, bx.mult_vec(m, va, vb)), (m, a, b)
+                    bx.levels[m].reduce(mult_vec(bx, m, va, vb)), (m, a, b)
 
 
 def test_descent_pass_matches_the_ambient_on_an_unchecked_box(
@@ -565,8 +597,8 @@ def _element_product(bx, m, a, b):
     K, L, R = bx.scalars, bx.left, bx.right
     (d, i, j), (e, i2, j2) = bx.gens[m][a], bx.gens[m][b]
     if d == m and e == m:
-        return bx.amb_vec(m, {m: tensor_vec(K, mult_table(L, m)[i][i2],
-                                            mult_table(R, m)[j][j2])})
+        return amb_vec(bx, m, {m: tensor_vec(K, mult_table(L, m)[i][i2],
+                                             mult_table(R, m)[j][j2])})
     if m in (d, e):
         (pi, pj), (o, ci, cj) = ((i, j), (e, i2, j2)) if d == m \
             else ((i2, j2), (d, i, j))
@@ -574,9 +606,9 @@ def _element_product(bx, m, a, b):
                           unit_vec(L.scalars, L.dim(o), ci))
         rvec = R.multiply(o, R.mackey.res_mat(o, m).col(pj),
                           unit_vec(R.scalars, R.dim(o), cj))
-        return bx.amb_vec(m, {o: tensor_vec(K, lvec, rvec)})
+        return amb_vec(bx, m, {o: tensor_vec(K, lvec, rvec)})
     u = unit_vec(K, bx.amb_dim(d), bx.gen_index(d, d, i, j))
-    at_d = bx.mult_vec(d, u, bx.ambient.res_mat(d, m).col(b))
+    at_d = mult_vec(bx, d, u, bx.ambient.res_mat(d, m).col(b))
     return bx.ambient.tr_mat(m, d).apply(at_d)
 
 
@@ -597,7 +629,7 @@ def _assert_one_product_form(bx, reference=None):
         for t, c in zip(index, K.fold(coeffs)):
             dense[t] = c
         units = [unit_vec(K, bx.amb_dim(m), g) for g in (a, b)]
-        assert tuple(dense) == bx.mult_vec(m, *units), (m, a, b)
+        assert tuple(dense) == mult_vec(bx, m, *units), (m, a, b)
         if reference is not None:
             assert tuple(dense) == reference(bx, m, a, b), (m, a, b)
 
@@ -629,7 +661,7 @@ def _assert_oracle_products_are_the_box_products(A, B, p):
         assert po.amb_dim(m) == bx.amb_dim(m), m
         for a in range(po.amb_dim(m)):
             for b in range(po.amb_dim(m)):
-                assert po.mult_terms(m, a, b) == bx.mult_terms(m, a, b), \
+                assert mult_terms(po, m, a, b) == mult_terms(bx, m, a, b), \
                     (m, a, b)
                 count += 1
     return count
@@ -653,11 +685,12 @@ def test_box_terms_are_the_product_terms_of_its_table(kummer4_bundle):
         bx = boxes.build_box(L, R)
         G, K = bx.green, bx.scalars
         for m in G.lattice.divisors:
-            lifted = [bx.expand(m, unit_vec(K, bx.dim(m), k))
+            lvl = bx.levels[m]
+            lifted = [lvl.expand(unit_vec(K, bx.dim(m), k))
                       for k in range(bx.dim(m))]
             assert len(G.terms(m)) == G.dim(m), m
             assert G.terms(m) == [
-                [nonzero_terms(K, bx.reduce(m, bx.mult_vec(m, va, vb)))
+                [nonzero_terms(K, lvl.reduce(mult_vec(bx, m, va, vb)))
                  for vb in lifted] for va in lifted], m
 
 
@@ -714,7 +747,7 @@ def test_builder_fills_every_generator_product_once(make_fix):
         for a in range(bx.amb_dim(m)):
             for b in range(bx.amb_dim(m)):
                 dense = [K.zero] * bx.amb_dim(m)
-                terms = bx.mult_terms(m, a, b)
+                terms = mult_terms(bx, m, a, b)
                 for t, c in zip([t for t, _ in terms],
                                 K.fold([c for _, c in terms])):
                     dense[t] = c
@@ -865,8 +898,8 @@ def test_one_inserted_product_is_caught_exactly_when_it_escapes():
                     violated = any(
                         not in_relation_span(lvl, prod)
                         for r in lvl.relation_basis for e in units
-                        for prod in (bx.mult_vec(m, r, e),
-                                     bx.mult_vec(m, e, r)))
+                        for prod in (mult_vec(bx, m, r, e),
+                                     mult_vec(bx, m, e, r)))
                     try:
                         boxes._check_descent(bx)
                     except InternalCheckError as exc:
@@ -881,11 +914,16 @@ def test_one_inserted_product_is_caught_exactly_when_it_escapes():
 
 def test_descent_check_reads_only_the_product_table(monkeypatch,
                                                     kummer4_bundle):
-    """``_check_descent`` on a built C_4 box computes no product: with
-    ``mult_terms`` patched to raise, it still passes."""
+    """``_check_descent`` on a built C_4 box computes no product: with the
+    builder's product fill (``_fill_products``, ``_fill_pure`` and
+    ``_spread``) patched to raise, it still passes and installs the same
+    reduced products."""
     bx = relative_box(kummer4_bundle.fix, F5)
-    monkeypatch.setattr(boxes.BoxProduct, "mult_terms", _raise)
+    before = products(bx.green)
+    for name in ("_fill_products", "_fill_pure", "_spread"):
+        monkeypatch.setattr(boxes, name, _raise)
     boxes._check_descent(bx)
+    assert products(bx.green) == before
 
 
 def test_vanishing_reduced_products_share_one_tuple():
@@ -909,7 +947,7 @@ def test_commuted_reduced_products_share_one_tuple(kummer3_bundle):
     "artin_schreier_f2.cfg", "kummer_f5_n2.cfg", "kummer_f7_n3.cfg",
     "kummer_f5_n4.cfg", "fuzz oracle pair"])
 def test_ambient_transfer_composites_relabel(config):
-    """``mult_terms`` reads the transfer composite's column t as its single
+    """``_chain_terms`` reads the transfer composite's column t as its single
     index ``up[t][0][0]``: every column is one 1, in a row of its own."""
     if config.endswith(".cfg"):
         ext = load_config(str(CONFIG_DIR / config)).extension()

@@ -18,12 +18,12 @@ from greenbox.fields import finite_field, prime_field
 from greenbox.green import fix_functor
 from greenbox.boxes import relative_box
 from greenbox.linalg import Mat, Span, kernel, kernel_raw, tensor_vec, \
-    vec_scale, vec_sub
-from greenbox.mackey import InternalCheckError
+    vec_sub
+from greenbox.mackey import InternalCheckError, MackeyMorphism
 from greenbox.report import load_config
 
-from reference import algebra_table, check_ideal, corrupt_multiplication, \
-    permute_green
+from reference import algebra_table, amb_vec, check_ideal, \
+    corrupt_multiplication, permute_green, vec_scale
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -40,8 +40,9 @@ DUAL = poly_quotient_algebra(F3, [F3.zero, F3.zero, F3.one], var="s",
 def test_mult_values_artin_schreier(as_bundle):
     mm = as_bundle.mult
     rb = as_bundle.box
-    assert mm.apply(2, gen_coords(rb, 2, 1, 1, 1)) == (F2.one,)  # mult[α⊗α]
-    assert mm.apply(2, gen_coords(rb, 2, 2, 0, 0)) == (F2.one,)  # unit
+    mult = mm.components[2]
+    assert mult.apply(gen_coords(rb, 2, 1, 1, 1)) == (F2.one,)  # mult[α⊗α]
+    assert mult.apply(gen_coords(rb, 2, 2, 0, 0)) == (F2.one,)  # unit
     assert unit_section_check(rb, mm)
 
 
@@ -63,8 +64,45 @@ def test_mult_values_kummer(kummer2_bundle):
     mm = kummer2_bundle.mult
     rb = kummer2_bundle.box
     # mult[α⊗α] = 2a = 4 over F_5
-    assert mm.apply(2, gen_coords(rb, 2, 1, 1, 1)) == (F5.from_int(4),)
+    assert mm.components[2].apply(gen_coords(rb, 2, 1, 1, 1)) == \
+        (F5.from_int(4),)
     assert unit_section_check(rb, mm)
+
+
+def _ambient_unit_section_check(bx, mm):
+    """``unit_section_check`` on ambient element vectors: each x ⊗ unit is
+    placed at the pure component, reduced, and sent through ``mm``."""
+    T, K = bx.left, bx.scalars
+    for m in bx.lattice.divisors:
+        for i in range(T.dim(m)):
+            x = unit_vec(K, T.dim(m), i)
+            out = amb_vec(bx, m, {m: tensor_vec(K, x, T.unit[m])})
+            if mm.components[m].apply(bx.levels[m].reduce(out)) != x:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("bundle_name", [
+    "as_bundle", "kummer2_bundle", "kummer3_bundle", "kummer4_bundle",
+    "rational_bundle"])
+def test_unit_section_check_matches_the_ambient_path(bundle_name, request):
+    """On the multiplication map and on copies of it with one entry of one
+    component bumped, the raw-term check gives the ambient verdict, and
+    some bumped copy fails it."""
+    bundle = request.getfixturevalue(bundle_name)
+    bx, mm, K = bundle.box, bundle.mult, bundle.base
+    assert unit_section_check(bx, mm) and _ambient_unit_section_check(bx, mm)
+    verdicts = set()
+    for m, comp in mm.components.items():
+        for r, c in {(0, 0), (comp.nrows - 1, comp.ncols - 1)}:
+            rows = [list(row) for row in comp.rows]
+            rows[r][c] = rows[r][c] + K.one
+            bad = MackeyMorphism(mm.source, mm.target, {
+                **mm.components, m: Mat(K, rows, ncols=comp.ncols)})
+            verdict = unit_section_check(bx, bad)
+            assert verdict == _ambient_unit_section_check(bx, bad), (m, r, c)
+            verdicts.add(verdict)
+    assert False in verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +328,7 @@ def reference_congruence_checks(bx, E, data):
     """The congruence suite on field elements, as ``kummer_congruence_checks``
     ran it before it moved to raw scalars: every vector is a tuple of
     elements, built from element tensors of the α-power coordinates and
-    reduced through ``bx.reduce``; products go through the element
+    reduced through ``bx.levels[m].reduce``; products go through the element
     ``GreenFunctor.multiply`` and memberships through ``Span.contains``.
     The same checks are recorded in the same order, under the same
     labels."""
@@ -309,16 +347,17 @@ def reference_congruence_checks(bx, E, data):
 
     def tensor(m, e1, e2, origin=None):
         d = m if origin is None else origin
-        return bx.amb_vec(m, {d: tensor_vec(K, coords(d, e1),
-                                            coords(d, e2))})
+        return amb_vec(bx, m, {d: tensor_vec(K, coords(d, e1),
+                                             coords(d, e2))})
 
     for m in bx.lattice.divisors:
         if m == 1:
             continue
         span_i = Span(K, bx.dim(m), data.ideal[m])
         span_sq = Span(K, bx.dim(m), data.square[m])
-        w = bx.reduce(m, vec_sub(vec_scale(K.from_int(m), tensor(m, 0, n)),
-                                 tensor(m, 1, n - 1, origin=1)))
+        w = bx.levels[m].reduce(vec_sub(
+            vec_scale(K.from_int(m), tensor(m, 0, n)),
+            tensor(m, 1, n - 1, origin=1)))
         rep.record(span_i.contains(w), f"level {m}: ma−[α⊗α^{n-1}] in I")
         for z in kernel(bx.green.mackey.res_mat(1, m)):
             rep.record(span_i.contains(z), f"level {m}: ker res ⊆ I")
@@ -333,7 +372,7 @@ def reference_congruence_checks(bx, E, data):
             ts = range(q, 2 * (n // d) + 1, q)
 
             def x(i, t):
-                return bx.reduce(m, vec_sub(
+                return bx.levels[m].reduce(vec_sub(
                     vec_scale(K.from_int(q), tensor(m, 0, t * d)),
                     tensor(m, i * d, (t - i) * d, origin=d)))
 
@@ -343,8 +382,9 @@ def reference_congruence_checks(bx, E, data):
                                f"level {m}, d={d}: x[{i},{t}] in I")
                 rep.record(all(c == K.zero for c in x(0, t)),
                            f"level {m}, d={d}: x[0,{t}] = 0")
-                swap_comm = bx.reduce(m, vec_scale(K.from_int(q), vec_sub(
-                    tensor(m, 0, t * d), tensor(m, t * d, 0))))
+                swap_comm = bx.levels[m].reduce(vec_scale(
+                    K.from_int(q),
+                    vec_sub(tensor(m, 0, t * d), tensor(m, t * d, 0))))
                 rep.record(x(t, t) == swap_comm,
                            f"level {m}, d={d}: x[{t},{t}] = "
                            f"q·(1⊗α^td − α^td⊗1)")

@@ -6,7 +6,8 @@ import pytest
 from greenbox import fields
 from greenbox.fields import (MAX_FIELD_ORDER, FieldUsageError,
                              extension_field, field_arith, finite_field,
-                             is_irreducible, prime_field, rationals)
+                             is_irreducible, is_prime, prime_factors,
+                             prime_field, rationals)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -122,6 +123,21 @@ def test_finite_field_orders():
 def test_non_prime_rejected():
     with pytest.raises(FieldUsageError):
         prime_field(6)
+
+
+@pytest.mark.parametrize("n,expected", [
+    (1, []), (2, [2]), (3, [3]), (13, [13]), (8, [2]), (9, [3]),
+    (125, [5]), (12, [2, 3]), (30, [2, 3, 5]), (0, []), (-6, [])])
+def test_prime_factors(n, expected):
+    assert prime_factors(n) == expected
+
+
+def test_prime_factors_and_is_prime_match_trial_division_up_to_300():
+    primes = [r for r in range(2, 301) if all(r % q for q in range(2, r))]
+    for n in range(-3, 301):
+        assert is_prime(n) == (n in primes), n
+        divisors = [r for r in primes if n % r == 0] if n > 0 else []
+        assert prime_factors(n) == divisors, n
 
 
 def test_field_order_bound(monkeypatch):

@@ -3,15 +3,20 @@ import re
 
 import pytest
 
-from greenbox.algebras import base_as_algebra, poly_quotient_algebra
+from greenbox.algebras import (base_as_algebra, poly_quotient_algebra,
+                               tensor_algebra)
+from greenbox.boxes import box, relative_box
 from greenbox.extensions import artin_schreier_extension, kummer_extension
 from greenbox.fields import prime_field
-from greenbox.green import constant_functor
-from greenbox.linalg import Mat, inverse
+from greenbox.green import constant_functor, fix_functor
+from greenbox.linalg import Mat, inverse, unit_vec
 from greenbox.mackey import (InternalCheckError, MackeyMorphism, check_axioms,
                              corrupt_transfer, random_mackey, solve_in,
                              subgroup_lattice)
-from greenbox.modules import (_assert_iso, check_eigen,
+from greenbox.presented import PresentedLevel
+
+from reference import vec_scale
+from greenbox.modules import (_assert_iso, check_eigen, constant_box_iso,
                               constant_box_lemma_check,
                               eigen_decompose, fix_reconstruction,
                               projectivity_certificate, verify_certificate)
@@ -279,3 +284,60 @@ def test_constant_box_requires_prime_field():
     F4 = finite_field(2, 2)
     with pytest.raises(ValueError):
         constant_box_lemma_check(base_as_algebra(F4), base_as_algebra(F4), 2)
+
+
+# ---------------------------------------------------------------------------
+# the constant-box identification against a dense reference
+
+
+def _dense_constant_box_iso(bx, tensor):
+    """``constant_box_iso`` through a dense ambient matrix whose column for
+    the generator (d, i, j) of level m is (m/d)·e_{i·dim B(d) + j}."""
+    K, B = bx.scalars, bx.right
+    onto = PresentedLevel(K, tensor.labels, [])
+    iso = {}
+    for m in bx.lattice.divisors:
+        cols = [vec_scale(K.from_int(m // d),
+                          unit_vec(K, tensor.dim, i * B.dim(d) + j))
+                for (d, i, j) in bx.gens[m]]
+        try:
+            phi = bx.levels[m].descend(Mat.from_cols(K, cols, tensor.dim),
+                                       onto, "")
+        except InternalCheckError:
+            return None
+        if inverse(phi) is None:
+            return None
+        iso[m] = phi
+    return iso
+
+
+F4ALG = poly_quotient_algebra(F2, [F2.one, F2.one, F2.one], var="t",
+                              name="F_4")
+F5SQRT2 = poly_quotient_algebra(F5, [F5.from_int(3), F5.zero, F5.one],
+                                var="t", name="F_5(√2)")
+
+
+@pytest.mark.parametrize("alg,n", [
+    (F4ALG, 2), (F4ALG, 4), (F5SQRT2, 2), (F5SQRT2, 5),
+    (base_as_algebra(F3), 3), (base_as_algebra(F7), 6)])
+def test_constant_box_iso_matches_the_dense_reference(alg, n):
+    """The identification built from one raw term per generator is the
+    dense one, both where some m/d vanishes in the field (F_2 at n = 2, 4;
+    F_5 at n = 5; F_3 at n = 3) and where none does (F_5 at n = 2; F_7 at
+    n = 6)."""
+    Ac = constant_functor(alg, n)
+    bx = box(Ac, Ac)
+    tensor = tensor_algebra(alg, alg)
+    iso = constant_box_iso(bx, tensor)
+    assert iso is not None
+    assert iso == _dense_constant_box_iso(bx, tensor)
+
+
+def test_constant_box_iso_refuses_a_box_of_fixed_point_functors():
+    """On L^fix □ L^fix over C_2 (not a box of constant functors) both
+    paths find no identification."""
+    ext = kummer_extension(F5, 2, F5.from_int(2), F5.from_int(-1))
+    bx = relative_box(fix_functor(ext), F5)
+    tensor = tensor_algebra(ext.algebra, ext.algebra)
+    assert constant_box_iso(bx, tensor) is None
+    assert _dense_constant_box_iso(bx, tensor) is None
