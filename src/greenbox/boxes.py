@@ -53,11 +53,15 @@ the two base-action maps for relative boxes.  The closed form installs its
 nonzero products as raw terms computed from its own restriction rows and
 reuses no builder path, ``_fill_products`` included; its own code writes
 its presentation and maps in raw terms, with one reduction per map, one
-for its relation rows and one per level of products.  The coequalizer is
-handed the relative box T □ T it checks and presents its quotient on that
-box's ambient: the same generators and ambient maps, with the
-action-difference rows added to its relations; both action maps are raw
-terms per generator, and the difference rows are written from them.
+for its relation rows and one per level of products.  The coequalizer
+needs a K^c-module T: T □ K^c must be T (the unit law), and the threefold
+box keeps only its generators and relation rows, written from its factors
+(``_layout``, ``_relations``).  It is handed the relative box T □ T it
+checks and presents its quotient on that box's ambient: the same
+generators and ambient maps, with the action-difference rows added to its
+relations, or that box's level where there are none; both action maps
+are raw terms per generator, and the difference rows are written from
+them.
 
 A built box is read through its Green functor ``green``: the C_2 norm and
 the readers in ``etale``, ``modules`` and ``report`` multiply with its
@@ -153,6 +157,20 @@ def build_box(left: GreenFunctor, right: GreenFunctor, name="",
     lattice = left.lattice
     bx = BoxProduct(left, right, lattice, K,
                     name or f"{left.name}□{right.name}")
+    gen_labels = _layout(bx)
+    bx.ambient = MackeyFunctor(K, lattice, gen_labels, *_ambient_maps(bx))
+    for m in lattice.divisors:
+        bx.levels[m] = PresentedLevel(K, gen_labels[m], _relations(bx, m))
+    _fill_products(bx)
+    _check_descent(bx, check)
+    return bx
+
+
+def _layout(bx: BoxProduct) -> dict:
+    """Fill in ``bx.gens`` and ``bx.offsets`` per level, the pure component
+    first and then the classes by increasing origin, and return the
+    generator labels per level."""
+    L, R, lattice = bx.left, bx.right, bx.lattice
     gen_labels = {}
     for m in lattice.divisors:
         divs = [d for d in lattice.divisors if m % d == 0]
@@ -161,23 +179,16 @@ def build_box(left: GreenFunctor, right: GreenFunctor, name="",
         offsets = {}
         for d in order:
             offsets[d] = len(gens)
-            for i in range(left.dim(d)):
-                for j in range(right.dim(d)):
+            for i in range(L.dim(d)):
+                for j in range(R.dim(d)):
                     gens.append((d, i, j))
-                    text = _tensor_label(left.labels(d)[i],
-                                         right.labels(d)[j])
+                    text = _tensor_label(L.labels(d)[i], R.labels(d)[j])
                     labels.append(text if d == m
                                   else _class_label(lattice, m, d, text))
         bx.gens[m] = gens
         bx.offsets[m] = offsets
         gen_labels[m] = labels
-
-    bx.ambient = MackeyFunctor(K, lattice, gen_labels, *_ambient_maps(bx))
-    for m in lattice.divisors:
-        bx.levels[m] = PresentedLevel(K, gen_labels[m], _relations(bx, m))
-    _fill_products(bx)
-    _check_descent(bx, check)
-    return bx
+    return gen_labels
 
 
 def _kron_cols(A: Mat, B: Mat, off, into=None) -> list:
@@ -701,19 +712,28 @@ def coequalizer_oracle(b2: BoxProduct) -> BoxProduct:
     """The relative box b2 = T □_K T as the coequalizer of
     T □ K^c □ T ⇉ T □ T, over a prime field or Q.
 
-    The two maps multiply the middle constant factor into the left or the
-    right tensor factor.  Each must send the threefold box's relations into
-    b2's relation span, or ``InternalCheckError`` is raised.  The returned
+    T must be a K^c-module: T □ K^c, the one box built here, must be T
+    (the unit law, ``_unit_law_failures``), or ``InternalCheckError`` is
+    raised.  The threefold box (T □ K^c) □ T keeps only its generators and
+    relation rows, written from its factors; its ambient maps and product
+    table would be b2's, which the descent pass below reads.  The two maps
+    multiply the middle constant factor into the left or the right tensor
+    factor.  Each must send the threefold box's relations into b2's
+    relation span, or ``InternalCheckError`` is raised.  The returned
     quotient of b2's ambient by b2's relations and the image of the maps'
     difference is itself checked to descend; ``compare_boxes(b2, ...)``
-    then tells whether it agrees with the box it was given.  Only
-    T □ K^c and the threefold box are built here.
+    then tells whether it agrees with the box it was given.
     """
     T, K = b2.left, b2.scalars
     if b2.right is not T:
         raise ValueError("the coequalizer oracle quotients a box T □ T")
     inner = box(T, constant_functor(K, T.lattice))
-    b3 = box(inner.green, T)
+    witness = next(_unit_law_failures(inner.green, T), None)
+    if witness is not None:
+        raise InternalCheckError("T □ K^c is not T: the unit law fails",
+                                 witness=witness)
+    b3 = BoxProduct(inner.green, T, T.lattice, K, f"{inner.name}□{T.name}")
+    labels3 = _layout(b3)
 
     one = K.raw_one
 
@@ -745,13 +765,15 @@ def coequalizer_oracle(b2: BoxProduct) -> BoxProduct:
     co.name = f"coeq({T.name}□{T.name})"
     co.levels = {}
     for m in T.lattice.divisors:
-        lvl, lvl3 = b2.levels[m], b3.levels[m]
+        lvl = b2.levels[m]
+        lvl3 = b3.levels[m] = PresentedLevel(K, labels3[m], _relations(b3, m))
         left, right = ([act(m, g) for g in range(lvl3.ngens)]
                        for act in (act_left, act_right))
         for images, side in ((left, "left"), (right, "right")):
             lvl3.descend(images.__getitem__, lvl, "coequalizer action map "
                          f"({side}) fails to descend at level {m}")
-        # the extra rows are the differences left − right; zero ones drop
+        # the extra rows are the differences left − right; zero ones drop,
+        # and a level without any keeps b2's presentation
         diffs = []
         for ml, mr in zip(left, right):
             acc = dict(ml)
@@ -759,11 +781,41 @@ def coequalizer_oracle(b2: BoxProduct) -> BoxProduct:
                 acc[t] = acc[t] - c if t in acc else -c
             diffs.append(acc)
         extra = [row for row in reduce_sums(K, diffs) if row]
-        co.levels[m] = PresentedLevel(K, lvl.labels, Mat._from_raw(
-            K, lvl.relation_rows.raw
-            + Mat._from_terms(K, extra, lvl.ngens).raw, lvl.ngens))
+        co.levels[m] = lvl if not extra else PresentedLevel(
+            K, lvl.labels, Mat._from_raw(K, lvl.relation_rows.raw + Mat.
+                                         _from_terms(K, extra, lvl.ngens).raw,
+                                         lvl.ngens))
     _check_descent(co)
     return co
+
+
+def _unit_law_failures(G: GreenFunctor, T: GreenFunctor):
+    """Each place where G = T □ K^c differs from T, in check order: the
+    dimensions, then the Weyl, res and tr matrices, then per level the
+    product terms and the unit.  There is none for a K^c-module T, since
+    the last-pivot rule keeps the pure tensors x⊗1 free, in T's basis
+    order."""
+    lattice, GM, TM = T.lattice, G.mackey, T.mackey
+    for m in lattice.divisors:
+        if G.dim(m) != T.dim(m):
+            yield f"level {m}: dimension {G.dim(m)}, not {T.dim(m)}"
+            return
+    for m in lattice.divisors:
+        if GM.weyl[m] != TM.weyl[m]:
+            yield f"Weyl action at level {m}"
+    for (lo, hi) in lattice.covering_pairs:
+        if GM.res[(lo, hi)] != TM.res[(lo, hi)]:
+            yield f"restriction {hi}->{lo}"
+        if GM.tr[(hi, lo)] != TM.tr[(hi, lo)]:
+            yield f"transfer {lo}->{hi}"
+    for m in lattice.divisors:
+        labels = T.labels(m)
+        for a, (got, want) in enumerate(zip(G.terms(m), T.terms(m))):
+            for b, (x, y) in enumerate(zip(got, want)):
+                if x != y:
+                    yield f"product {labels[a]}·{labels[b]} at level {m}"
+        if G.unit[m] != T.unit[m]:
+            yield f"unit at level {m}"
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ each image is kept as raw ``(index, scalar)`` terms.  A vector lies in the
 relation span exactly when ``q`` kills it, and the reduced dimension is
 #generators - rank(relations).
 
-``reduce`` and ``canonicalize`` are sums over ``q``
+``canonicalize`` is a sum over ``q``
 (``project``, in the field's raw scalars; ``project_many`` gives the same
 images of a batch of vectors as sparse raw terms, with one reduction for
 the batch); ``relation_basis`` gives back the rows
@@ -98,20 +98,13 @@ class PresentedLevel:
                 out[k] += c * a
         return self.field.reduce(out)
 
-    def _raw_reduce(self, v) -> list:
-        if len(v) != self.ngens:
-            raise ValueError("ambient vector of wrong length")
-        return self.project(nonzero_terms(self.field, v))
-
-    def reduce(self, v):
-        """Reduced coordinates (length ``dim``) of an ambient vector."""
-        return self.field.fold(self._raw_reduce(v))
-
     def canonicalize(self, v):
         """Canonical coset representative: pivot coordinates eliminated."""
         K = self.field
+        if len(v) != self.ngens:
+            raise ValueError("ambient vector of wrong length")
         out = [K.zero] * self.ngens
-        for j, c in zip(self.free, K.fold(self._raw_reduce(v))):
+        for j, c in zip(self.free, K.fold(self.project(nonzero_terms(K, v)))):
             out[j] = c
         return tuple(out)
 

@@ -6,6 +6,8 @@ from greenbox.extensions import artin_schreier_extension, kummer_extension
 from greenbox.fields import prime_field, rationals
 from greenbox.green import fix_functor
 
+from reference import level_reduce
+
 
 class Bundle:
     """One extension with its fixed-point functor, relative box, and ideal."""
@@ -56,5 +58,5 @@ def unit_vec(field, n, idx):
 
 def gen_coords(bx, m, d, i, j):
     """Reduced coordinates of one ambient generator of a box level."""
-    return bx.levels[m].reduce(unit_vec(bx.scalars, bx.amb_dim(m),
-                                 bx.gen_index(m, d, i, j)))
+    return level_reduce(bx.levels[m], unit_vec(
+        bx.scalars, bx.amb_dim(m), bx.gen_index(m, d, i, j)))

@@ -7,10 +7,13 @@ element loop: entry [i][j] is e_i·e_j as a tuple of field elements.
 and off an algebra; ``product_terms`` goes back, for functors that a test
 writes from dense data (``green_functor``).  ``ref_check_green`` is the
 element-loop Green-axiom check that ``green.check_green`` is compared
-with.  The rest are helpers that only the tests call: basis permutations,
-a corrupted multiplication, the ideal check of a box, a basis and the
-labels of a fixed subfield, the base change of a Mackey functor,
-relation-span membership and element-vector sums and multiples.
+with.  ``burnside_c2`` is a Green functor that is not a K^c-module, the
+negative control of the coequalizer's unit law.  The rest are helpers that
+only the tests call: basis permutations, a corrupted multiplication, the
+ideal check of a box, a basis and the labels of a fixed subfield, the base
+change of a Mackey functor, the reduced coordinates of an ambient vector
+of a presented level, relation-span membership and element-vector sums and
+multiples.
 
 A box is also read here on its ambient presentation (``amb_vec``,
 ``mult_terms``, ``mult_vec``), from its product table ``_mult_cache`` and
@@ -26,7 +29,8 @@ from greenbox.fields import FieldUsageError
 from greenbox.green import GreenFunctor
 from greenbox.linalg import Mat, Span, inverse, kernel, nonzero_terms, \
     tensor_vec, unit_vec
-from greenbox.mackey import Violation, _conjugate
+from greenbox.mackey import MackeyFunctor, Violation, _conjugate, \
+    subgroup_lattice
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +79,23 @@ def green_functor(mackey, mult, unit, **kwargs):
     return GreenFunctor(mackey, {m: product_terms(mackey.scalars, table)
                                  for m, table in mult.items()},
                         unit, **kwargs)
+
+
+def burnside_c2(K):
+    """The Burnside Green functor of C_2 over K: A(1) = K, A(2) = K{1, t}
+    with res t = 2, tr 1 = t and t² = 2t.  It satisfies the Mackey and
+    Green axioms, but tr∘res = 2 fails on t, so it is no K^c-module."""
+    lat = subgroup_lattice(2)
+    one, two = K.one, K.from_int(2)
+    mack = MackeyFunctor(
+        K, lat, {1: ["1"], 2: ["1", "t"]},
+        {(1, 2): Mat(K, [[one, two]], ncols=2)},
+        {(2, 1): Mat(K, [[K.zero], [one]], ncols=1)},
+        {1: Mat.identity(K, 1), 2: Mat.identity(K, 2)}, name="A(C_2)")
+    mult = {1: [[(one,)]],
+            2: [[(one, K.zero), (K.zero, one)],
+                [(K.zero, one), (K.zero, two)]]}
+    return green_functor(mack, mult, {1: (one,), 2: (one, K.zero)})
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +272,19 @@ def fixed_labels(E, m: int):
     return [format_l_element(E, v) for v in fixed_space(E, m)]
 
 
+def level_reduce(lvl, v):
+    """The reduced coordinates (length ``dim``) of the ambient vector v of
+    the ``PresentedLevel`` lvl."""
+    if len(v) != lvl.ngens:
+        raise ValueError("ambient vector of wrong length")
+    K = lvl.field
+    return K.fold(lvl.project(nonzero_terms(K, v)))
+
+
 def in_relation_span(lvl, v) -> bool:
     """Whether the ambient vector v lies in the relation span of the
     ``PresentedLevel`` lvl."""
-    return all(c == lvl.field.zero for c in lvl.reduce(v))
+    return all(c == lvl.field.zero for c in level_reduce(lvl, v))
 
 
 def vec_add(a, b):
@@ -321,7 +351,7 @@ def ref_norm_on_c2_box(bx, vec, term_order=None):
         return amb_vec(bx, 2, {2: tensor_vec(K, nl, nr)})
 
     if not terms:
-        return bx.levels[2].reduce((K.zero,) * bx.amb_dim(2))
+        return level_reduce(bx.levels[2], (K.zero,) * bx.amb_dim(2))
     total = norm_single(*terms[-1])
     for k in range(len(terms) - 2, -1, -1):
         head = terms[k]
@@ -333,4 +363,4 @@ def ref_norm_on_c2_box(bx, vec, term_order=None):
         cross = mult_vec(bx, 1, tuple(v1), bx.ambient.weyl[1].apply(tuple(vr)))
         total = vec_add(vec_add(norm_single(*head), total),
                         bx.ambient.tr[(2, 1)].apply(cross))
-    return bx.levels[2].reduce(total)
+    return level_reduce(bx.levels[2], total)

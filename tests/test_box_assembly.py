@@ -3,7 +3,8 @@
 column terms it carries), every level's relation rows in order, and every
 product table with its key order, for the generic builder, the prime
 oracle and the coequalizer's quotient with its T □ K^c and threefold
-boxes."""
+boxes; the threefold box built in full has the ambient maps and product
+table of the box the coequalizer quotients."""
 
 import pathlib
 from fractions import Fraction
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import dense_box_reference as ref  # noqa: E402
 from greenbox.algebras import poly_quotient_algebra  # noqa: E402
+from greenbox import boxes  # noqa: E402
 from greenbox.boxes import box, coequalizer_oracle, prime_box_oracle, \
     relative_box  # noqa: E402
 from greenbox.extensions import kummer_extension  # noqa: E402
@@ -61,13 +63,32 @@ def assert_prime_oracle_matches(M, N, p):
 
 
 def assert_coequalizer_matches(b2):
-    co = coequalizer_oracle(b2)
+    """The oracle's quotient against the dense reference, and the threefold
+    box it presents by generators and relations only against one built in
+    full: the full build's ambient maps and product table, which the
+    oracle does not compute, are b2's, which the quotient's descent pass
+    reads, and its relation rows are those of the oracle's presentation
+    and of the quotient's levels, so every descent triple of the threefold
+    box is checked there."""
+    laid_out = []
+    layout = boxes._layout
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boxes, "_layout",
+                   lambda bx: laid_out.append(bx) or layout(bx))
+        co = coequalizer_oracle(b2)
+    presented = laid_out[-1]
     inner, b3 = ref.coequalizer_factors(b2)
     assert_builder_matches(inner)
     assert_builder_matches(b3)
+    amb = b2.ambient
+    assert_same_maps(b3.ambient, amb.weyl, amb.res, amb.tr)
+    assert list(b3._mult_cache.items()) == list(b2._mult_cache.items())
+    assert presented.gens == b3.gens
     rows = ref.coequalizer_relations(b2, inner, b3)
     for m in b2.lattice.divisors:
         assert co.levels[m].relation_rows == rows[m], m
+        assert b3.levels[m].relation_rows == \
+            presented.levels[m].relation_rows == co.levels[m].relation_rows, m
 
 
 def _config_fix(path):

@@ -24,8 +24,9 @@ from greenbox.mackey import InternalCheckError, MackeyFunctor, check_axioms, \
 from greenbox.presented import PresentedLevel
 from greenbox.report import ORACLE_EVERY, load_config
 
-from reference import amb_vec, corrupt_multiplication, in_relation_span, \
-    mult_table, mult_terms, mult_vec, products, ref_norm_on_c2_box, vec_add
+from reference import amb_vec, burnside_c2, corrupt_multiplication, \
+    in_relation_span, level_reduce, mult_table, mult_terms, mult_vec, \
+    products, ref_norm_on_c2_box, vec_add
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -108,7 +109,7 @@ def test_kummer_box3_transfers(kummer2_bundle):
     tr = b.green.mackey.tr[(2, 1)]
     lab1 = b.levels[1].reduced_labels
     one = tuple(F5.one if lab == "1⊗1⊗1" else F5.zero for lab in lab1)
-    img = tr.apply(b.levels[1].reduce(b.levels[1].expand(one)))
+    img = tr.apply(level_reduce(b.levels[1], b.levels[1].expand(one)))
     lab2 = b.levels[2].reduced_labels
     # tr(1⊗1⊗1) = 2(1⊗1⊗1); tr(α⊗1⊗1) = 0
     assert img == tuple(F5.from_int(2) if lab == "1⊗1⊗1" else F5.zero
@@ -231,8 +232,8 @@ def test_coequalizer_rejects_extension_scalars():
 
 
 def test_coequalizer_builds_each_box_once(kummer4_bundle, monkeypatch):
-    # T □ K^c and (T □ K^c) □ T; the quotient reuses the given T □ T's
-    # ambient
+    # T □ K^c only: the threefold box keeps its generators and relations,
+    # and the quotient reuses the given T □ T's ambient
     calls = []
     build = boxes.build_box
 
@@ -242,7 +243,7 @@ def test_coequalizer_builds_each_box_once(kummer4_bundle, monkeypatch):
 
     monkeypatch.setattr(boxes, "build_box", counting)
     coequalizer_oracle(kummer4_bundle.box)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_coequalizer_rejects_a_box_missing_a_relation(kummer4_bundle):
@@ -264,6 +265,18 @@ def test_coequalizer_rejects_a_box_missing_a_relation(kummer4_bundle):
         coequalizer_oracle(faulty)
     assert str(exc.value) == \
         "coequalizer action map (left) fails to descend at level 4"
+
+
+def test_coequalizer_rejects_a_functor_that_is_not_a_kc_module():
+    """The Burnside functor of C_2 is Mackey and Green but no F_3^c-module:
+    A □ F_3^c is not A, and the unit law names the level where it shows."""
+    A = burnside_c2(prime_field(3))
+    assert check_axioms(A.mackey) == []
+    assert check_green(A) == []
+    with pytest.raises(InternalCheckError) as exc:
+        coequalizer_oracle(box(A, A))
+    assert str(exc.value) == "T □ K^c is not T: the unit law fails"
+    assert exc.value.witness == "level 2: dimension 1, not 2"
 
 
 def test_frobenius_on_transfer_classes(kummer4_bundle):
@@ -545,13 +558,13 @@ def _assert_reduced_structure_is_ambient(bx):
                  for (lo, hi) in pairs if lo == m]
         for reduced, amb, target in maps:
             assert reduced.cols() == [
-                bx.levels[target].reduce(amb.apply(v)) for v in lifted], \
-                (m, target)
+                level_reduce(bx.levels[target], amb.apply(v))
+                for v in lifted], (m, target)
         table = mult_table(G, m)
         for a, va in enumerate(lifted):
             for b, vb in enumerate(lifted):
-                assert table[a][b] == \
-                    bx.levels[m].reduce(mult_vec(bx, m, va, vb)), (m, a, b)
+                assert table[a][b] == level_reduce(
+                    bx.levels[m], mult_vec(bx, m, va, vb)), (m, a, b)
 
 
 def test_descent_pass_matches_the_ambient_on_an_unchecked_box(
@@ -690,7 +703,8 @@ def test_box_terms_are_the_product_terms_of_its_table(kummer4_bundle):
                       for k in range(bx.dim(m))]
             assert len(G.terms(m)) == G.dim(m), m
             assert G.terms(m) == [
-                [nonzero_terms(K, lvl.reduce(mult_vec(bx, m, va, vb)))
+                [nonzero_terms(K, level_reduce(lvl,
+                                               mult_vec(bx, m, va, vb)))
                  for vb in lifted] for va in lifted], m
 
 

@@ -23,7 +23,7 @@ from greenbox.mackey import InternalCheckError, MackeyMorphism
 from greenbox.report import load_config
 
 from reference import algebra_table, amb_vec, check_ideal, \
-    corrupt_multiplication, permute_green, vec_scale
+    corrupt_multiplication, level_reduce, permute_green, vec_scale
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -77,7 +77,8 @@ def _ambient_unit_section_check(bx, mm):
         for i in range(T.dim(m)):
             x = unit_vec(K, T.dim(m), i)
             out = amb_vec(bx, m, {m: tensor_vec(K, x, T.unit[m])})
-            if mm.components[m].apply(bx.levels[m].reduce(out)) != x:
+            if mm.components[m].apply(level_reduce(bx.levels[m],
+                                                   out)) != x:
                 return False
     return True
 
@@ -328,7 +329,7 @@ def reference_congruence_checks(bx, E, data):
     """The congruence suite on field elements, as ``kummer_congruence_checks``
     ran it before it moved to raw scalars: every vector is a tuple of
     elements, built from element tensors of the α-power coordinates and
-    reduced through ``bx.levels[m].reduce``; products go through the element
+    reduced through ``level_reduce``; products go through the element
     ``GreenFunctor.multiply`` and memberships through ``Span.contains``.
     The same checks are recorded in the same order, under the same
     labels."""
@@ -355,7 +356,7 @@ def reference_congruence_checks(bx, E, data):
             continue
         span_i = Span(K, bx.dim(m), data.ideal[m])
         span_sq = Span(K, bx.dim(m), data.square[m])
-        w = bx.levels[m].reduce(vec_sub(
+        w = level_reduce(bx.levels[m], vec_sub(
             vec_scale(K.from_int(m), tensor(m, 0, n)),
             tensor(m, 1, n - 1, origin=1)))
         rep.record(span_i.contains(w), f"level {m}: ma−[α⊗α^{n-1}] in I")
@@ -372,7 +373,7 @@ def reference_congruence_checks(bx, E, data):
             ts = range(q, 2 * (n // d) + 1, q)
 
             def x(i, t):
-                return bx.levels[m].reduce(vec_sub(
+                return level_reduce(bx.levels[m], vec_sub(
                     vec_scale(K.from_int(q), tensor(m, 0, t * d)),
                     tensor(m, i * d, (t - i) * d, origin=d)))
 
@@ -382,7 +383,7 @@ def reference_congruence_checks(bx, E, data):
                                f"level {m}, d={d}: x[{i},{t}] in I")
                 rep.record(all(c == K.zero for c in x(0, t)),
                            f"level {m}, d={d}: x[0,{t}] = 0")
-                swap_comm = bx.levels[m].reduce(vec_scale(
+                swap_comm = level_reduce(bx.levels[m], vec_scale(
                     K.from_int(q),
                     vec_sub(tensor(m, 0, t * d), tensor(m, t * d, 0))))
                 rep.record(x(t, t) == swap_comm,

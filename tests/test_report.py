@@ -488,6 +488,18 @@ def test_verb_computes_only_what_it_prints(monkeypatch, verb, unused):
     assert _recorded_stdout_holds(f"{verb} configs/kummer_f7_n3.cfg")
 
 
+@pytest.mark.parametrize("invocation", sorted(
+    inv for inv in RECORDED_SHA256 if inv.startswith("check-etale ")))
+def test_check_etale_reads_no_formatting_section(monkeypatch, invocation):
+    """check-etale prints its verdict, which reads every check but none of
+    the report's formatting sections."""
+    for name in ("structure_values", "mult_matrices", "extension",
+                 "box_levels", "eigen"):
+        monkeypatch.setattr(EtaleReport, name,
+                            property(_forbidden(f"section {name} read")))
+    assert _recorded_stdout_holds(invocation)
+
+
 # stage calls of one full pipeline on kummer_f7_n3 (the prime closed form
 # and the coequalizer are each compared with the relative box); every other
 # stage in STAGES is not called
@@ -519,9 +531,10 @@ def test_full_pipeline_runs_every_check(monkeypatch, verb):
 
 
 def test_full_pipeline_builds_each_stage_once(monkeypatch):
-    """One pipeline builds L^fix once and three boxes: the relative box,
-    and the coequalizer's T □ K^c and threefold box (it quotients the
-    relative box itself; the prime closed form uses no builder)."""
+    """One pipeline builds L^fix once and two boxes: the relative box and
+    the coequalizer's T □ K^c (it presents the threefold box by its
+    generators and relations only and quotients the relative box itself;
+    the prime closed form uses no builder)."""
     calls = Counter()
 
     def counted(name, fn):
@@ -539,7 +552,7 @@ def test_full_pipeline_builds_each_stage_once(monkeypatch):
                     getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, wrapped)
     run_pipeline(cfg("kummer_f7_n3")).to_dict()
-    assert calls == {"build_box": 3, "fix_functor": 1}
+    assert calls == {"build_box": 2, "fix_functor": 1}
 
 
 @pytest.mark.parametrize("verb", ["report --format text", "check-etale",
