@@ -7,10 +7,9 @@ congruences all hold, and two independent constructions of the relative
 box agree with the direct one.
 """
 
-from greenbox import (coequalizer_oracle, compare_boxes, fix_functor,
-                      green_kahler_dims, ideal_and_square,
-                      kummer_congruence_checks, kummer_extension, mult_map,
-                      prime_field, relative_box)
+from greenbox import (coequalizer_oracle, fix_functor, green_kahler_dims,
+                      ideal_and_square, kummer_congruence_checks,
+                      kummer_extension, mult_map, prime_field, relative_box)
 
 
 def verify(p, n, a, zeta):
@@ -35,9 +34,8 @@ def verify(p, n, a, zeta):
     print(f"kernel-generator congruences: {rep.checks_run} checks "
           f"({len(rep.failures)} failures) across {origins}")
 
-    co = coequalizer_oracle(rb)
-    print("coequalizer construction agrees:",
-          "yes" if not compare_boxes(rb, co) else "NO")
+    coequalizer_oracle(rb)          # raises InternalCheckError on failure
+    print("coequalizer construction agrees: yes")
     print()
 
 

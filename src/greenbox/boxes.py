@@ -54,26 +54,23 @@ nonzero products as raw terms computed from its own restriction rows and
 reuses no builder path, ``_fill_products`` included; its own code writes
 its presentation and maps in raw terms, with one reduction per map, one
 for its relation rows and one per level of products.  The coequalizer
-needs a K^c-module T: T □ K^c must be T (the unit law), and the threefold
-box keeps only its generators and relation rows, written from its factors
-(``_layout``, ``_relations``).  It is handed the relative box T □ T it
-checks and presents its quotient on that box's ambient: the same
-generators and ambient maps, with the action-difference rows added to its
-relations, or that box's level where there are none; both action maps
-are raw terms per generator, and the difference rows are written from
-them.
+needs a K^c-module T: T □ K^c must be T (the unit law), with the pure
+tensors x⊗1 as its free generators.  Then both action maps send each
+threefold generator to the same generator of the relative box T □ T, so
+the coequalizer is T □ T itself and is not rebuilt; the oracle checks
+that the threefold box's relation rows, written from its factors
+(``_layout``, ``_relations``), lie in that box's relation span.
 
 A built box is read through its Green functor ``green``: the C_2 norm and
 the readers in ``etale``, ``modules`` and ``report`` multiply with its
 reduced product terms and map with its reduced structure maps; they reach
 the ambient only to project a tensor into a level or to descend a map out
-of one, and none multiplies there.  The product table stays for the
-descent pass, which the coequalizer re-runs on the shared table.
+of one, and none multiplies there.  The product table stays after the
+descent pass, which is its last reader in this package.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from itertools import groupby, islice
 
@@ -708,98 +705,53 @@ def _prime_oracle_classes(bx, off, keys, sums) -> None:
 # oracle 2: coequalizer of the threefold box along the two base actions
 
 
-def coequalizer_oracle(b2: BoxProduct) -> BoxProduct:
-    """The relative box b2 = T □_K T as the coequalizer of
-    T □ K^c □ T ⇉ T □ T, over a prime field or Q.
+def coequalizer_oracle(b2: BoxProduct) -> None:
+    """Check the relative box b2 = T □_K T against the coequalizer of
+    T □ K^c □ T ⇉ T □ T, over a prime field or Q; raise
+    ``InternalCheckError`` with a witness where it fails.
 
-    T must be a K^c-module: T □ K^c, the one box built here, must be T
-    (the unit law, ``_unit_law_failures``), or ``InternalCheckError`` is
-    raised.  The threefold box (T □ K^c) □ T keeps only its generators and
-    relation rows, written from its factors; its ambient maps and product
-    table would be b2's, which the descent pass below reads.  The two maps
+    T must be a K^c-module: T □ K^c, the one box built here, must be T,
+    with the pure tensors x⊗1 as its free generators in T's order (the
+    unit law, ``_unit_law_failures``).  Then both action maps, which
     multiply the middle constant factor into the left or the right tensor
-    factor.  Each must send the threefold box's relations into b2's
-    relation span, or ``InternalCheckError`` is raised.  The returned
-    quotient of b2's ambient by b2's relations and the image of the maps'
-    difference is itself checked to descend; ``compare_boxes(b2, ...)``
-    then tells whether it agrees with the box it was given.
+    factor, send threefold generator g to b2's generator g: they agree and
+    the coequalizer is b2 itself.  What is left is that the threefold
+    box's relation rows, written from its factors and never from b2's
+    levels, lie in b2's relation span.
     """
     T, K = b2.left, b2.scalars
     if b2.right is not T:
         raise ValueError("the coequalizer oracle quotients a box T □ T")
     inner = box(T, constant_functor(K, T.lattice))
-    witness = next(_unit_law_failures(inner.green, T), None)
+    witness = next(_unit_law_failures(inner, T), None)
     if witness is not None:
         raise InternalCheckError("T □ K^c is not T: the unit law fails",
                                  witness=witness)
     b3 = BoxProduct(inner.green, T, T.lattice, K, f"{inner.name}□{T.name}")
     labels3 = _layout(b3)
-
-    one = K.raw_one
-
-    def act_left(m, g):
-        """Middle factor into the left: [x⊗k]_e^d ⊗ y ↦ tr(kx) ⊗ y, as the
-        raw terms of its image in b2's ambient."""
-        (d, wi, yj) = b3.gens[m][g]
-        (e, i, _) = inner.gens[d][inner.levels[d].free[wi]]
-        if e == d:
-            return ((b2.gen_index(m, d, i, yj), one),)
-        return tuple(kron_terms(T.mackey.tr_mat(d, e).col_terms()[i],
-                                ((yj, one),), T.dim(d),
-                                b2.offsets[m][d]).items())
-
-    def act_right(m, g):
-        """Middle factor into the right, rewriting the inner class through
-        Frobenius reciprocity first: [x⊗k]_e^d ⊗ y ≡ [x⊗k ⊗ res(y)]_e."""
-        (d, wi, yj) = b3.gens[m][g]
-        (e, i, _) = inner.gens[d][inner.levels[d].free[wi]]
-        if e == d:
-            return ((b2.gen_index(m, d, i, yj), one),)
-        return tuple(kron_terms(((i, one),),
-                                T.mackey.res_mat(e, d).col_terms()[yj],
-                                T.dim(e), b2.offsets[m][e]).items())
-
-    # the quotient shares b2's generators, ambient maps and product cache,
-    # all of which depend on the ambient alone; only the relations grow
-    co = copy.copy(b2)
-    co.name = f"coeq({T.name}□{T.name})"
-    co.levels = {}
     for m in T.lattice.divisors:
-        lvl = b2.levels[m]
         lvl3 = b3.levels[m] = PresentedLevel(K, labels3[m], _relations(b3, m))
-        left, right = ([act(m, g) for g in range(lvl3.ngens)]
-                       for act in (act_left, act_right))
-        for images, side in ((left, "left"), (right, "right")):
-            lvl3.descend(images.__getitem__, lvl, "coequalizer action map "
-                         f"({side}) fails to descend at level {m}")
-        # the extra rows are the differences left − right; zero ones drop,
-        # and a level without any keeps b2's presentation
-        diffs = []
-        for ml, mr in zip(left, right):
-            acc = dict(ml)
-            for t, c in mr:
-                acc[t] = acc[t] - c if t in acc else -c
-            diffs.append(acc)
-        extra = [row for row in reduce_sums(K, diffs) if row]
-        co.levels[m] = lvl if not extra else PresentedLevel(
-            K, lvl.labels, Mat._from_raw(K, lvl.relation_rows.raw + Mat.
-                                         _from_terms(K, extra, lvl.ngens).raw,
-                                         lvl.ngens))
-    _check_descent(co)
-    return co
+        lvl3.descend(lambda g: ((g, K.raw_one),), b2.levels[m], "coequalizer "
+                     f"action map (left) fails to descend at level {m}")
 
 
-def _unit_law_failures(G: GreenFunctor, T: GreenFunctor):
-    """Each place where G = T □ K^c differs from T, in check order: the
-    dimensions, then the Weyl, res and tr matrices, then per level the
-    product terms and the unit.  There is none for a K^c-module T, since
-    the last-pivot rule keeps the pure tensors x⊗1 free, in T's basis
-    order."""
-    lattice, GM, TM = T.lattice, G.mackey, T.mackey
+def _unit_law_failures(inner: BoxProduct, T: GreenFunctor):
+    """Each place where the box T □ K^c differs from T, in check order: the
+    dimensions, the free generators, then the Weyl, res and tr matrices,
+    then per level the product terms and the unit.  There is none for a
+    K^c-module T, since the last-pivot rule keeps the pure tensors x⊗1,
+    which sit first in T's basis order, free."""
+    lattice, G = T.lattice, inner.green
+    GM, TM = G.mackey, T.mackey
     for m in lattice.divisors:
         if G.dim(m) != T.dim(m):
             yield f"level {m}: dimension {G.dim(m)}, not {T.dim(m)}"
             return
+    for m in lattice.divisors:
+        lvl = inner.levels[m]
+        if lvl.free != tuple(range(T.dim(m))):
+            yield (f"level {m}: free generators "
+                   f"{', '.join(lvl.reduced_labels)}, not the pure x⊗1")
     for m in lattice.divisors:
         if GM.weyl[m] != TM.weyl[m]:
             yield f"Weyl action at level {m}"

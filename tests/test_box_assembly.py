@@ -2,9 +2,10 @@
 ``dense_box_reference``: every ambient Weyl, res and tr matrix (with the
 column terms it carries), every level's relation rows in order, and every
 product table with its key order, for the generic builder, the prime
-oracle and the coequalizer's quotient with its T □ K^c and threefold
-boxes; the threefold box built in full has the ambient maps and product
-table of the box the coequalizer quotients."""
+oracle and the coequalizer's T □ K^c and threefold boxes; the threefold
+box built in full has the ambient maps and product table of the box the
+coequalizer quotients, and the reference quotient has that box's
+relation rows."""
 
 import pathlib
 from fractions import Fraction
@@ -63,19 +64,20 @@ def assert_prime_oracle_matches(M, N, p):
 
 
 def assert_coequalizer_matches(b2):
-    """The oracle's quotient against the dense reference, and the threefold
-    box it presents by generators and relations only against one built in
-    full: the full build's ambient maps and product table, which the
-    oracle does not compute, are b2's, which the quotient's descent pass
-    reads, and its relation rows are those of the oracle's presentation
-    and of the quotient's levels, so every descent triple of the threefold
-    box is checked there."""
+    """The coequalizer against the dense reference, and the threefold box
+    the oracle presents by generators and relations only against one built
+    in full.  The reference quotient, b2's rows and the dense action maps'
+    difference, has b2's relation rows: the coequalizer is b2 itself, which
+    the oracle does not rebuild.  The full build's ambient maps and product
+    table are b2's, which b2's own descent pass read, and its relation rows
+    are those of the oracle's presentation, so every descent triple of the
+    threefold box is checked there."""
     laid_out = []
     layout = boxes._layout
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(boxes, "_layout",
                    lambda bx: laid_out.append(bx) or layout(bx))
-        co = coequalizer_oracle(b2)
+        assert coequalizer_oracle(b2) is None
     presented = laid_out[-1]
     inner, b3 = ref.coequalizer_factors(b2)
     assert_builder_matches(inner)
@@ -83,12 +85,12 @@ def assert_coequalizer_matches(b2):
     amb = b2.ambient
     assert_same_maps(b3.ambient, amb.weyl, amb.res, amb.tr)
     assert list(b3._mult_cache.items()) == list(b2._mult_cache.items())
-    assert presented.gens == b3.gens
+    assert presented.gens == b3.gens == b2.gens
     rows = ref.coequalizer_relations(b2, inner, b3)
     for m in b2.lattice.divisors:
-        assert co.levels[m].relation_rows == rows[m], m
-        assert b3.levels[m].relation_rows == \
-            presented.levels[m].relation_rows == co.levels[m].relation_rows, m
+        assert rows[m] == b2.levels[m].relation_rows, m
+        assert presented.levels[m].relation_rows == \
+            b3.levels[m].relation_rows, m
 
 
 def _config_fix(path):

@@ -7,6 +7,10 @@ reason it stays.  Dunders are exempt.  References are matched by name
 (``Name`` ids and ``Attribute`` attrs), so a method counts as called when
 any attribute of that name is read.  Helpers that only the tests call
 belong in ``tests/reference.py``.
+
+A second scan fails on any name that a module other than ``__init__``
+imports but never reads, such as an ``import copy`` left behind when its
+last use goes.
 """
 
 import ast
@@ -82,3 +86,34 @@ def test_every_allowlist_entry_is_still_needed():
         assert sorted(_uncalled()) == sorted(saved)
     finally:
         ALLOWLIST.update(saved)
+
+
+def _unread_imports(tree) -> list:
+    """The names a module imports, ``__future__`` features aside, that no
+    ``Name`` in it reads."""
+    imported, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module != "__future__"):
+            imported += [alias.asname or alias.name.split(".")[0]
+                         for alias in node.names]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    return [name for name in imported if name not in read]
+
+
+def test_every_import_in_src_is_read():
+    unread = {path.stem: _unread_imports(
+        ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+    assert {module: names for module, names in unread.items() if names} \
+        == {}
+
+
+def test_an_unread_import_is_found():
+    source = ("from __future__ import annotations\n"
+              "import copy\nimport os.path\nimport math\n"
+              "from .linalg import Mat, rref as echelon\n"
+              "def f(v):\n    return Mat(math.gcd(*v), os.path)\n")
+    assert _unread_imports(ast.parse(source)) == ["copy", "echelon"]
