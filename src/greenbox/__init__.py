@@ -10,10 +10,9 @@ from .etale import ClassicalEtaleReport, IdealData, classical_etale_oracle, \
     constant_etale_check, green_kahler_dims, ideal_and_square, \
     ideal_generator, kummer_congruence_checks, mult_map, unit_section_check
 from .extensions import ConstructionError, GaloisExtension, \
-    artin_schreier_extension, build_extension, explicit_extension, \
-    kummer_extension
-from .fields import Field, FieldUsageError, extension_field, field_arith, \
-    finite_field, prime_field, rationals
+    artin_schreier_extension, explicit_extension, kummer_extension
+from .fields import Field, FieldUsageError, extension_field, finite_field, \
+    prime_field, rationals
 from .green import GreenFunctor, NormRule, check_green, check_norms, \
     constant_functor, fix_functor, zero_green
 from .linalg import Mat, Span, kernel, rank, rref

@@ -70,8 +70,7 @@ def poly_quotient_algebra(K: Field, modulus, var: str = "t",
     return FiniteAlgebra(K, labels, terms, one, name=name or f"{K}[{var}]/(f)")
 
 
-def tensor_algebra(A: FiniteAlgebra, B: FiniteAlgebra,
-                   name: str = "") -> FiniteAlgebra:
+def tensor_algebra(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
     """A (x)_K B with componentwise multiplication, basis a_i (x) b_j.
 
     Its product terms are the ``kron_terms`` of the factors' own, reduced
@@ -88,4 +87,4 @@ def tensor_algebra(A: FiniteAlgebra, B: FiniteAlgebra,
     dim = len(labels)
     terms = [flat[r * dim:(r + 1) * dim] for r in range(dim)]
     return FiniteAlgebra(K, labels, terms, tensor_vec(K, A.one, B.one),
-                         name=name or f"{A.name}⊗{B.name}")
+                         name=f"{A.name}⊗{B.name}")

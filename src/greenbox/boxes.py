@@ -737,12 +737,12 @@ def coequalizer_oracle(b2: BoxProduct) -> None:
 
 def _unit_law_failures(inner: BoxProduct, T: GreenFunctor):
     """Each place where the box T □ K^c differs from T, in check order: the
-    dimensions, the free generators, then the Weyl, res and tr matrices,
-    then per level the product terms and the unit.  There is none for a
-    K^c-module T, since the last-pivot rule keeps the pure tensors x⊗1,
-    which sit first in T's basis order, free."""
+    dimensions, the free generators, then the violations of the identity
+    being a Green morphism onto T (``check_green_morphism``: the res, tr
+    and Weyl matrices, then per level the product terms and the unit).
+    There is none for a K^c-module T, since the last-pivot rule keeps the
+    pure tensors x⊗1, which sit first in T's basis order, free."""
     lattice, G = T.lattice, inner.green
-    GM, TM = G.mackey, T.mackey
     for m in lattice.divisors:
         if G.dim(m) != T.dim(m):
             yield f"level {m}: dimension {G.dim(m)}, not {T.dim(m)}"
@@ -752,22 +752,9 @@ def _unit_law_failures(inner: BoxProduct, T: GreenFunctor):
         if lvl.free != tuple(range(T.dim(m))):
             yield (f"level {m}: free generators "
                    f"{', '.join(lvl.reduced_labels)}, not the pure x⊗1")
-    for m in lattice.divisors:
-        if GM.weyl[m] != TM.weyl[m]:
-            yield f"Weyl action at level {m}"
-    for (lo, hi) in lattice.covering_pairs:
-        if GM.res[(lo, hi)] != TM.res[(lo, hi)]:
-            yield f"restriction {hi}->{lo}"
-        if GM.tr[(hi, lo)] != TM.tr[(hi, lo)]:
-            yield f"transfer {lo}->{hi}"
-    for m in lattice.divisors:
-        labels = T.labels(m)
-        for a, (got, want) in enumerate(zip(G.terms(m), T.terms(m))):
-            for b, (x, y) in enumerate(zip(got, want)):
-                if x != y:
-                    yield f"product {labels[a]}·{labels[b]} at level {m}"
-        if G.unit[m] != T.unit[m]:
-            yield f"unit at level {m}"
+    ident = {m: Mat.identity(T.scalars, T.dim(m)) for m in lattice.divisors}
+    for v in check_green_morphism(G, T, ident, name="unit law"):
+        yield str(v)
 
 
 # ---------------------------------------------------------------------------

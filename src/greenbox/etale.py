@@ -199,11 +199,10 @@ def classical_etale_of_algebra(alg: FiniteAlgebra) -> ClassicalEtaleReport:
 
 
 def ideal_generator(bx: BoxProduct, E: GaloisExtension, i: int, t: int,
-                    d: int, m: int, powers: "AlphaPowers | None" = None):
+                    d: int, m: int):
     """Reduced coordinates of q·(1 ⊗ α^{td}) − [α^{id} ⊗ α^{(t-i)d}]_d^m,
     where q = m/d; requires q | t and 0 <= i <= t.  Lies in the kernel of
-    the multiplication map (asserted by callers).  ``powers`` is the
-    α-power table to read; by default a new one."""
+    the multiplication map (asserted by callers)."""
     lat = bx.lattice
     lat.check_divisor(m)
     lat.check_divisor(d)
@@ -212,9 +211,7 @@ def ideal_generator(bx: BoxProduct, E: GaloisExtension, i: int, t: int,
     q = m // d
     if t % q or not (0 <= i <= t):
         raise ValueError("need q | t and 0 <= i <= t")
-    if powers is None:
-        powers = AlphaPowers(bx, E)
-    return bx.scalars.fold(powers.generator(m, d, i, t))
+    return bx.scalars.fold(AlphaPowers(bx, E).generator(m, d, i, t))
 
 
 class AlphaPowers:

@@ -1,8 +1,10 @@
 """Exact scalar arithmetic: prime fields, finite extension fields, rationals.
 
 All arithmetic is exact; there is no floating point anywhere in this package.
-Prime-field and extension-field elements are small immutable objects with
-overloaded operators, rationals are ``fractions.Fraction``, so generic code
+Prime-field and extension-field elements are small immutable objects whose
+operators share one protocol (``_Element``: an ``int`` operand is converted,
+a scalar of another field refused), rationals are ``fractions.Fraction``,
+so generic code
 (linear algebra, functor machinery) can treat scalars uniformly through
 ``+ - * /`` and comparison with ``field.zero`` / ``field.one``.
 
@@ -143,18 +145,17 @@ class Field:
         raise NotImplementedError
 
 
-class PrimeFieldElement:
-    """Interned residue mod p: each field preallocates its p elements, so
-    arithmetic returns existing objects and equality is by identity."""
+class _Element:
+    """The operators shared by the finite-field elements.  ``_coerce``
+    accepts an operand of the same field or an ``int``, raises
+    ``FieldUsageError`` on one of another field and returns None on
+    anything else, for which an operator returns ``NotImplemented``.  A
+    subclass defines ``+``, ``-``, ``*``, ``inverse`` and ``_pow`` (e ≥ 0)."""
 
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: "PrimeField", value: int):
-        self.field = field
-        self.value = value % field.p
+    __slots__ = ()
 
     def _coerce(self, other):
-        if isinstance(other, PrimeFieldElement):
+        if isinstance(other, _Element):
             if other.field is not self.field:
                 raise FieldUsageError(
                     f"mixed fields: {self.field} and {other.field}")
@@ -162,6 +163,41 @@ class PrimeFieldElement:
         if isinstance(other, int):
             return self.field.from_int(other)
         return None
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inverse()._pow(-e)
+        return self._pow(e)
+
+
+class PrimeFieldElement(_Element):
+    """Interned residue mod p: each field preallocates its p elements, so
+    arithmetic returns existing objects and equality is by identity.  Each
+    of ``+``, ``-`` and ``*`` tries an operand of the same field first."""
+
+    __slots__ = ("field", "value")
+
+    def __init__(self, field: "PrimeField", value: int):
+        self.field = field
+        self.value = value % field.p
 
     def __add__(self, other):
         if isinstance(other, PrimeFieldElement) and \
@@ -185,12 +221,6 @@ class PrimeFieldElement:
             return NotImplemented
         return self - o
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         if isinstance(other, PrimeFieldElement) and \
                 other.field is self.field:
@@ -213,22 +243,8 @@ class PrimeFieldElement:
         f = self.field
         return f._elems[pow(self.value, -1, f.p)]
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, e: int):
+    def _pow(self, e: int):
         f = self.field
-        if e < 0:
-            return self.inverse() ** (-e)
         return f._elems[pow(self.value, e, f.p)]
 
     def __eq__(self, other):
@@ -381,21 +397,19 @@ def poly_mod(field, a, b):
 
 
 def poly_xgcd(field, a, b):
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g, g monic or zero."""
+    """Extended gcd: returns (g, s) with s*a = g modulo b, g monic or zero
+    (the cofactor of b is not kept)."""
     r0, r1 = list(a), list(b)
     s0, s1 = [field.one], []
-    t0, t1 = [], [field.one]
     while _trim(field, list(r1)):
         q, r = poly_divmod(field, r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, poly_add(field, s0, poly_scale(field, poly_mul(field, q, s1), -field.one))
-        t0, t1 = t1, poly_add(field, t0, poly_scale(field, poly_mul(field, q, t1), -field.one))
     if r0:
-        lead_inv = r0[-1].inverse() if hasattr(r0[-1], "inverse") else 1 / r0[-1]
+        lead_inv = field.one / r0[-1]
         r0 = poly_scale(field, r0, lead_inv)
         s0 = poly_scale(field, s0, lead_inv)
-        t0 = poly_scale(field, t0, lead_inv)
-    return r0, s0, t0
+    return r0, s0
 
 
 def poly_powmod(field, a, e: int, modulus):
@@ -426,7 +440,7 @@ def is_irreducible(field: PrimeField, modulus: list) -> bool:
     for r in prime_factors(k):
         xqr = poly_powmod(field, x, p ** (k // r), modulus)
         diff = poly_add(field, xqr, poly_scale(field, x, -field.one))
-        g, _, _ = poly_xgcd(field, diff, modulus)
+        g, _ = poly_xgcd(field, diff, modulus)
         if len(g) != 1:
             return False
     return True
@@ -436,7 +450,7 @@ def is_irreducible(field: PrimeField, modulus: list) -> bool:
 # extension fields F_{p^k}
 
 
-class ExtensionFieldElement:
+class ExtensionFieldElement(_Element):
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: "ExtensionField", coeffs):
@@ -445,16 +459,6 @@ class ExtensionFieldElement:
         c = list(coeffs)
         c += [field.prime_field.zero] * (field.k - len(c))
         self.coeffs = tuple(c)
-
-    def _coerce(self, other):
-        if isinstance(other, ExtensionFieldElement):
-            if other.field is not self.field:
-                raise FieldUsageError(
-                    f"mixed fields: {self.field} and {other.field}")
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        return None
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -472,12 +476,6 @@ class ExtensionFieldElement:
         return ExtensionFieldElement(
             self.field, [a - b for a, b in zip(self.coeffs, o.coeffs)])
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -493,31 +491,14 @@ class ExtensionFieldElement:
         return ExtensionFieldElement(self.field, [-a for a in self.coeffs])
 
     def inverse(self):
-        fp = self.field.prime_field
-        a = _trim(fp, list(self.coeffs))
-        if not a:
+        if not self:
             raise ZeroDivisionError(f"inverse of 0 in {self.field}")
-        g, s, _ = poly_xgcd(fp, a, self.field.modulus)
-        if len(g) != 1:
-            raise FieldUsageError("modulus is not irreducible")
-        return ExtensionFieldElement(
-            self.field, poly_scale(fp, s, g[0].inverse()))
+        # the modulus is irreducible, so the monic gcd is 1 and s·a = 1
+        _, s = poly_xgcd(self.field.prime_field, list(self.coeffs),
+                         self.field.modulus)
+        return ExtensionFieldElement(self.field, s)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
+    def _pow(self, e: int):
         result = self.field.one
         base = self
         while e > 0:
@@ -630,35 +611,3 @@ def finite_field(p: int, k: int = 1) -> Field:
         if is_irreducible(fp, [fp.from_int(c) for c in mod]):
             return extension_field(p, tuple(mod))
     raise FieldUsageError(f"no irreducible modulus found for p={p}, k={k}")
-
-
-def owner_of(x) -> Field:
-    if isinstance(x, Fraction):
-        return rationals()
-    if isinstance(x, (PrimeFieldElement, ExtensionFieldElement)):
-        return x.field
-    if isinstance(x, int):
-        raise FieldUsageError("bare int has no field; use field.from_int")
-    raise FieldUsageError(f"not a field scalar: {x!r}")
-
-
-def field_arith(op: str, x, y=None):
-    """Apply one of {add, mul, neg, inv} to scalars of a common field.
-
-    Raises FieldUsageError on mixed owners and ZeroDivisionError on inv(0).
-    """
-    fx = owner_of(x)
-    if op in ("add", "mul"):
-        if y is None:
-            raise FieldUsageError(f"{op} needs two operands")
-        fy = owner_of(y)
-        if fx is not fy:
-            raise FieldUsageError(f"mixed fields: {fx} and {fy}")
-        return x + y if op == "add" else x * y
-    if op == "neg":
-        return -x
-    if op == "inv":
-        if x == fx.zero:
-            raise ZeroDivisionError(f"inverse of 0 in {fx}")
-        return fx.one / x
-    raise FieldUsageError(f"unknown operation {op!r}")

@@ -127,7 +127,7 @@ class FixNorm(NormRule):
 # the two basic Tambara functors
 
 
-def constant_functor(R, n_or_lattice, name: str = "") -> GreenFunctor:
+def constant_functor(R, n_or_lattice) -> GreenFunctor:
     """Constant Green/Tambara functor of a field or finite algebra R."""
     lattice = n_or_lattice if isinstance(n_or_lattice, SubgroupLattice) \
         else subgroup_lattice(n_or_lattice)
@@ -141,14 +141,13 @@ def constant_functor(R, n_or_lattice, name: str = "") -> GreenFunctor:
           for (d, m) in lattice.covering_pairs}
     weyl = {m: ident for m in lattice.divisors}
     mack = MackeyFunctor(K, lattice, labels, res, tr, weyl,
-                         name=name or f"{algebra.name}^c")
+                         name=f"{algebra.name}^c")
     products = {m: algebra.terms for m in lattice.divisors}
     unit = {m: algebra.one for m in lattice.divisors}
-    return GreenFunctor(mack, products, unit, norms=ConstantNorm(algebra),
-                        name=mack.name)
+    return GreenFunctor(mack, products, unit, norms=ConstantNorm(algebra))
 
 
-def fix_functor(E: GaloisExtension, name: str = "") -> GreenFunctor:
+def fix_functor(E: GaloisExtension) -> GreenFunctor:
     """Fixed-point Green/Tambara functor of a cyclic extension K ⊂ L: the
     fixed-point Mackey functor of L under σ (``fix_of_module``), with its
     basis written as elements of L and the products of L."""
@@ -160,7 +159,7 @@ def fix_functor(E: GaloisExtension, name: str = "") -> GreenFunctor:
     labels = {m: [format_l_element(E, v) for v in embeds[m].cols()]
               for m in lattice.divisors}
     mack = MackeyFunctor(K, lattice, labels, maps.res, maps.tr, maps.weyl,
-                         name=name or f"{alg.name}^fix")
+                         name=f"{alg.name}^fix")
     products = {}
     for m in lattice.divisors:
         basis = embeds[m].cols()
@@ -174,7 +173,7 @@ def fix_functor(E: GaloisExtension, name: str = "") -> GreenFunctor:
                         "the fixed subfield does not contain 1").col(0)
             for m in lattice.divisors}
     return GreenFunctor(mack, products, unit, norms=FixNorm(E, embeds),
-                        name=mack.name, level_embed=embeds)
+                        level_embed=embeds)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +306,7 @@ def check_green_morphism(source: GreenFunctor, target: GreenFunctor,
     the row's differences are reduced in one call (``_row_differs``).
 
     At a level whose component is a known identity (``Mat.identity``, as
-    ``compare_boxes`` hands over), φ(e_i·e_j) = e_i·e_j and
+    ``compare_boxes`` and the unit law hand over), φ(e_i·e_j) = e_i·e_j and
     φ(e_i)·φ(e_j) = e_i·e_j in the target, so the two product tables and
     the two units are compared by equality; the structure maps already are,
     through the ``@`` identity shortcut.  That relies on each product's

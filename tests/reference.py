@@ -8,10 +8,13 @@ and off an algebra; ``product_terms`` goes back, for functors that a test
 writes from dense data (``green_functor``).  ``ref_check_green`` is the
 element-loop Green-axiom check that ``green.check_green`` is compared
 with.  ``burnside_c2`` is a Green functor that is not a K^c-module, the
-negative control of the coequalizer's unit law.  The rest are helpers that
-only the tests call: basis permutations, a corrupted multiplication, the
-ideal check of a box, a basis and the labels of a fixed subfield, the base
-change of a Mackey functor, the reduced coordinates of an ambient vector
+negative control of the coequalizer's unit law.  ``cyclic_algebra`` is
+K[x]/(x^n − a) with a diagonal σ, built without ``kummer_extension``'s
+checks, so a = 0 gives an algebra that is not a field: a NO case.  The
+rest are helpers that only the tests call: basis permutations, a matrix
+with one entry changed, a corrupted multiplication, the ideal check of a
+box, a basis and the labels of a fixed subfield, the base change of a
+Mackey functor, the reduced coordinates of an ambient vector
 of a presented level, relation-span membership and element-vector sums and
 multiples.
 
@@ -24,7 +27,8 @@ from them; ``ref_norm_on_c2_box`` is the C_2 norm computed that way, which
 
 import random
 
-from greenbox.extensions import format_l_element
+from greenbox.algebras import poly_quotient_algebra
+from greenbox.extensions import GaloisExtension, format_l_element
 from greenbox.fields import FieldUsageError
 from greenbox.green import GreenFunctor
 from greenbox.linalg import Mat, Span, inverse, kernel, nonzero_terms, \
@@ -216,6 +220,13 @@ def permute_green(G, perms: dict):
                          level_embed=embed)
 
 
+def bumped(mat):
+    """``mat`` with its top-left entry increased by one."""
+    rows = [list(r) for r in mat.rows]
+    rows[0][0] = rows[0][0] + mat.field.one
+    return Mat(mat.field, rows, ncols=mat.ncols)
+
+
 def corrupt_multiplication(G, seed: int = 0):
     """Negative control: perturb one structure constant at one level."""
     rng = random.Random(seed)
@@ -364,3 +375,19 @@ def ref_norm_on_c2_box(bx, vec, term_order=None):
         total = vec_add(vec_add(norm_single(*head), total),
                         bx.ambient.tr[(2, 1)].apply(cross))
     return level_reduce(bx.levels[2], total)
+
+
+# ---------------------------------------------------------------------------
+# a cyclic algebra that need not be a field
+
+
+def cyclic_algebra(K, n, a, zeta):
+    """K[x]/(x^n − a) with σ(α^j) = ζ^j α^j, as a Kummer ``GaloisExtension``
+    built directly: none of ``kummer_extension``'s checks run, so a = 0
+    gives the non-reduced algebra K[x]/(x^n), which is not étale."""
+    modulus = [-a] + [K.zero] * (n - 1) + [K.one]
+    algebra = poly_quotient_algebra(K, modulus, var="α",
+                                    name=f"{K}(α), α^{n}={a}")
+    sigma = Mat(K, [[zeta ** j if i == j else K.zero for j in range(n)]
+                    for i in range(n)], ncols=n)
+    return GaloisExtension(K, n, algebra, sigma, "kummer", a=a, zeta=zeta)

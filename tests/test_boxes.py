@@ -24,9 +24,9 @@ from greenbox.mackey import InternalCheckError, MackeyFunctor, check_axioms, \
 from greenbox.presented import PresentedLevel
 from greenbox.report import ORACLE_EVERY, load_config
 
-from reference import amb_vec, burnside_c2, corrupt_multiplication, \
-    in_relation_span, level_reduce, mult_table, mult_terms, mult_vec, \
-    products, ref_norm_on_c2_box, vec_add
+from reference import amb_vec, bumped, burnside_c2, \
+    corrupt_multiplication, in_relation_span, level_reduce, mult_table, \
+    mult_terms, mult_vec, products, ref_norm_on_c2_box, vec_add
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -304,6 +304,62 @@ def test_coequalizer_rejects_a_unit_box_with_a_class_left_free(
     assert str(exc.value) == "T □ K^c is not T: the unit law fails"
     assert exc.value.witness == \
         "level 4: free generators [1⊗1]_2, not the pure x⊗1"
+
+
+def _one_place_off(G, place):
+    """G with one structure map, product entry or unit changed, and its
+    dimensions kept."""
+    M, K = G.mackey, G.scalars
+    res, tr, weyl = dict(M.res), dict(M.tr), dict(M.weyl)
+    prods, unit = products(G), dict(G.unit)
+    kind, key = place
+    if kind == "product":
+        row = [list(r) for r in prods[2]]
+        entry = dict(row[1][1])
+        entry[0] = K.reduce_scalar(entry.get(0, K.raw_zero) + K.raw_one)
+        row[1][1] = tuple(sorted((i, c) for i, c in entry.items() if c))
+        prods[2] = row
+    elif kind == "unit":
+        unit[key] = (unit[key][0] + K.one,) + tuple(unit[key][1:])
+    else:
+        maps = {"weyl": weyl, "res": res, "tr": tr}[kind]
+        maps[key] = bumped(maps[key])
+    mack = MackeyFunctor(K, M.lattice, M.labels, res, tr, weyl, name=M.name)
+    return GreenFunctor(mack, prods, unit, name=G.name)
+
+
+@pytest.mark.parametrize("place,witness", [
+    (("weyl", 2), "morphism_weyl [level=2] unit law"),
+    (("res", (2, 4)), "morphism_res [pair=(2, 4)] unit law"),
+    (("tr", (4, 2)), "morphism_tr [pair=(2, 4)] unit law"),
+    (("product", 2), "morphism_mult [level=2] unit law"),
+    (("unit", 1), "morphism_unit [level=1] unit law"),
+], ids=["weyl", "res", "tr", "product", "unit"])
+def test_coequalizer_rejects_a_unit_box_off_in_one_place(
+        kummer4_bundle, monkeypatch, place, witness):
+    """T □ K^c for T = L^fix of C_4/F_5 with one Weyl, res or tr matrix,
+    one level-2 product entry or one unit changed: the dimensions and the
+    free generators are T's, so only the Green-morphism part of the unit
+    law can see it, and its witness names the place."""
+    build = boxes.box
+    built = []
+
+    def off_in_one_place(M, N, name=""):
+        bx = build(M, N, name)
+        built.append(bx)
+        bx.green = _one_place_off(bx.green, place)
+        return bx
+
+    monkeypatch.setattr(boxes, "box", off_in_one_place)
+    T = kummer4_bundle.box.left
+    with pytest.raises(InternalCheckError) as exc:
+        coequalizer_oracle(kummer4_bundle.box)
+    [inner] = built
+    assert all(inner.dim(m) == T.dim(m) and
+               inner.levels[m].free == tuple(range(T.dim(m)))
+               for m in T.lattice.divisors)
+    assert str(exc.value) == "T □ K^c is not T: the unit law fails"
+    assert exc.value.witness == witness
 
 
 def test_frobenius_on_transfer_classes(kummer4_bundle):

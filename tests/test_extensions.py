@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from greenbox.extensions import (ConstructionError, artin_schreier_extension,
-                                 build_extension, explicit_extension,
-                                 kummer_extension)
-from greenbox.fields import finite_field, prime_field, rationals
+                                 explicit_extension, kummer_extension)
+from greenbox.fields import extension_field, finite_field, prime_field, \
+    rationals
 from greenbox.report import load_config
 
 from reference import algebra_table, fixed_labels, fixed_space
@@ -65,13 +65,17 @@ def test_sigma_is_ring_map_of_exact_order():
         assert lhs == rhs
 
 
+BUILDERS = {"kummer": kummer_extension,
+            "artin_schreier": artin_schreier_extension}
+
+
 @pytest.mark.parametrize("builder,params,prod_is", [
     ("kummer", dict(K=F5, n=4, a=F5.from_int(2), zeta=F5.from_int(2)), None),
     ("kummer", dict(K=F7, n=3, a=F7.from_int(3), zeta=F7.from_int(2)), None),
     ("artin_schreier", dict(K=F2, a=F2.one), None),
 ])
 def test_conjugate_product(builder, params, prod_is):
-    E = build_extension(builder, **params)
+    E = BUILDERS[builder](**params)
     n = E.degree
     prod = E.algebra.one
     alpha = E.alpha_power(1)
@@ -111,6 +115,51 @@ def test_reducible_kummer_rejected():
         kummer_extension(F5, 2, F5.from_int(4), F5.from_int(-1))  # 4 = 2²
     with pytest.raises(ConstructionError):
         kummer_extension(F5, 4, F5.from_int(1), F5.from_int(2))
+
+
+def _capelli_irreducible(K, n, a):
+    """Capelli's criterion over a finite K: x^n − a is irreducible iff a is
+    no r-th power for a prime r | n and, when 4 | n, a ∉ −4K^4."""
+    elems = list(K.elements())
+    primes = [r for r in range(2, n + 1)
+              if n % r == 0 and all(r % q for q in range(2, r))]
+    if any(c ** r == a for r in primes for c in elems):
+        return False
+    return not (n % 4 == 0 and any(K.from_int(-4) * c ** 4 == a
+                                   for c in elems))
+
+
+def _primitive_root(K, n):
+    return next((z for z in K.elements() if z != K.zero and z ** n == 1
+                 and all(z ** e != 1 for e in range(1, n))), None)
+
+
+KUMMER_FIELDS = [prime_field(5), prime_field(13), prime_field(17),
+                 extension_field(3, (1, 0, 1)), finite_field(5, 2)]
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("K", KUMMER_FIELDS, ids=str)
+def test_kummer_accepts_exactly_the_capelli_irreducible(K, n):
+    """``kummer_extension`` accepts a exactly when Capelli's criterion,
+    its −4K^4 clause included, calls x^n − a irreducible.  That clause
+    never decides alone: with ζ in K, −4K^4 lies in the squares."""
+    zeta = _primitive_root(K, n)
+    if zeta is None:
+        assert (K.order - 1) % n
+        return
+    squares = {c * c for c in K.elements()}
+    assert {K.from_int(-4) * c ** 4 for c in K.elements()} <= squares
+    verdicts = set()
+    for a in K.elements():
+        try:
+            kummer_extension(K, n, a, zeta)
+            accepted = True
+        except ConstructionError:
+            accepted = False
+        assert accepted == (a != K.zero and _capelli_irreducible(K, n, a)), a
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
 
 
 def test_non_primitive_zeta_rejected():

@@ -1,11 +1,12 @@
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
 
 from greenbox import fields
 from greenbox.fields import (MAX_FIELD_ORDER, FieldUsageError,
-                             extension_field, field_arith, finite_field,
+                             extension_field, finite_field,
                              is_irreducible, is_prime, prime_factors,
                              prime_field, rationals)
 
@@ -17,7 +18,7 @@ Q = rationals()
 
 
 def test_prime_field_inverse():
-    assert field_arith("inv", F5.from_int(2)) == F5.from_int(3)
+    assert F5.from_int(2).inverse() == F5.from_int(3)
     assert F5.from_int(2) * F5.from_int(3) == F5.one
 
 
@@ -36,8 +37,7 @@ def test_from_coeffs_reduces_modulo_the_modulus():
 
 
 def test_rational_addition():
-    assert field_arith("add", Fraction(1, 2), Fraction(1, 3)) == \
-        Fraction(5, 6)
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
 
 
 @pytest.mark.parametrize("K", [F2, F3, F5, F4])
@@ -66,17 +66,17 @@ def test_rational_axioms_spot():
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        field_arith("inv", F5.zero)
+        F5.zero.inverse()
     with pytest.raises(ZeroDivisionError):
         F4.zero.inverse()
 
 
 def test_mixed_owners_rejected():
     with pytest.raises(FieldUsageError):
-        field_arith("add", F5.one, prime_field(7).one)
+        F5.one + prime_field(7).one
+    with pytest.raises(TypeError):
+        F5.one * Fraction(1)
     with pytest.raises(FieldUsageError):
-        field_arith("mul", F5.one, Fraction(1))
-    with pytest.raises((FieldUsageError, TypeError)):
         F5.one + F4.one
 
 
@@ -84,6 +84,64 @@ def test_negative_powers():
     a = F5.from_int(2)
     assert a ** -1 == F5.from_int(3)
     assert (F4.gen ** -1) * F4.gen == F4.one
+
+
+F7 = prime_field(7)
+F9 = extension_field(3, (1, 0, 1))   # F_3[t]/(t^2 + 1)
+BINARY = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+@pytest.mark.parametrize("K", [F7, F9], ids=str)
+def test_element_operator_protocol(K):
+    """Every operator, with an element, an int and a foreign operand, on
+    either side: an int n acts as ``K.from_int(n)``, division is
+    multiplication by ``inverse``, a negative power is a power of the
+    inverse, and a scalar of another field or a ``Fraction`` is refused."""
+    elems = list(K.elements())
+    units = [x for x in elems if x != K.zero]
+    for x, y in itertools.product(elems, repeat=2):
+        assert x - y == x + (-y) and (x - y) + y == x
+        if y != K.zero:
+            assert x / y == x * y.inverse() and (x / y) * y == x
+    for x in elems:
+        for n in range(-8, 9):
+            c = K.from_int(n)
+            assert x == n if x == c else x != n
+            for op in BINARY[:3]:
+                assert op(x, n) == op(x, c) and op(n, x) == op(c, x)
+            if c != K.zero:
+                assert x / n == x / c
+            if x != K.zero:
+                assert n / x == c / x == c * x.inverse()
+    for x in units:
+        assert x * x.inverse() == K.one and 1 / x == x.inverse()
+        power = K.one
+        for e in range(9):
+            assert x ** e == power and x ** -e == power.inverse()
+            power = power * x
+    zero = K.zero
+    for divide in (zero.inverse, lambda: K.one / zero, lambda: 1 / zero,
+                   lambda: K.one / 0, lambda: zero ** -1):
+        with pytest.raises(ZeroDivisionError):
+            divide()
+    x = units[-1]
+    for other in (F5, F4, F9 if K is F7 else F7):
+        for op in BINARY:
+            for args in ((x, other.one), (other.one, x)):
+                with pytest.raises(FieldUsageError):
+                    op(*args)
+    for op in BINARY:
+        for args in ((x, Fraction(1)), (Fraction(1), x)):
+            with pytest.raises(TypeError):
+                op(*args)
+
+
+def test_element_operators_by_hand():
+    t = F9.gen
+    assert t * t == -1 and t ** -1 == -t and t ** 4 == 1
+    assert 3 - t == -t and 2 / t == t and -(1 + t) == 2 + 2 * t
+    assert F7.from_int(3) ** -1 == 5 and 1 - F7.from_int(3) == 5
+    assert 3 / F7.from_int(2) == 5 and F7.from_int(6) / 3 == 2
 
 
 def test_canonical_form():

@@ -8,12 +8,12 @@ from greenbox.extensions import artin_schreier_extension, kummer_extension
 from greenbox.fields import finite_field, prime_field
 from greenbox.green import (GreenFunctor, NormRule, check_green, check_norms,
                             constant_functor, fix_functor)
-from greenbox.linalg import Mat, unit_vec
+from greenbox.linalg import unit_vec
 from greenbox.mackey import MackeyFunctor, Violation, check_axioms
 from greenbox.report import load_config
 
-from reference import corrupt_multiplication, green_functor, mult_table, \
-    permute_green, products, ref_check_green
+from reference import bumped, corrupt_multiplication, green_functor, \
+    mult_table, permute_green, products, ref_check_green
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -216,13 +216,6 @@ def test_check_green_matches_the_element_loop_on_every_config(config):
         assert check_green(G) == ref_check_green(G) == [], G.name
 
 
-def _bumped(mat):
-    """``mat`` with its top-left entry increased by one."""
-    rows = [list(r) for r in mat.rows]
-    rows[0][0] = rows[0][0] + mat.field.one
-    return Mat(mat.field, rows, ncols=mat.ncols)
-
-
 def _with_maps(G, res=None, weyl=None):
     M = G.mackey
     mack = MackeyFunctor(M.scalars, M.lattice, M.labels,
@@ -249,8 +242,8 @@ CORRUPTIONS = {
     **{f"mult-seed{s}": (lambda G, s=s: corrupt_multiplication(G, seed=s))
        for s in range(5)},
     "mult-one-sided": _with_one_sided_product,
-    "weyl": lambda G: _with_maps(G, weyl={2: _bumped(G.mackey.weyl[2])}),
-    "res": lambda G: _with_maps(G, res={(1, 2): _bumped(
+    "weyl": lambda G: _with_maps(G, weyl={2: bumped(G.mackey.weyl[2])}),
+    "res": lambda G: _with_maps(G, res={(1, 2): bumped(
         G.mackey.res[(1, 2)])}),
     "unit": _with_bumped_unit,
 }

@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from greenbox.fields import FieldUsageError, finite_field, owner_of, \
-    prime_field, rationals
+from greenbox.fields import FieldUsageError, finite_field, prime_field, \
+    rationals
 from greenbox.linalg import (Mat, Span, bilinear, eliminate, inverse, kernel,
                              nonzero_terms, rank, rref, solve_matrix)
 from greenbox.presented import PresentedLevel
@@ -308,8 +309,9 @@ def test_rows_col_and_cols_are_field_elements(K):
         entries = [x for r in M.rows for x in r]
         entries += [x for j in range(M.ncols) for x in M.col(j)]
         entries += [x for c in M.cols() for x in c]
-        # owner_of raises on a bare int
-        assert all(owner_of(x) is K for x in entries), M
+        # no bare int: a Fraction over Q, an element of K otherwise
+        assert all(type(x) is Fraction if K is Q else
+                   getattr(x, "field", None) is K for x in entries), M
 
 
 @pytest.mark.parametrize("K", [F7, F9, Q], ids=str)

@@ -16,13 +16,14 @@ import greenbox.green
 import greenbox.modules
 import greenbox.report
 from greenbox.cli import main
+from greenbox.fields import prime_field
 from greenbox.mackey import InternalCheckError
 from greenbox.green import GreenFunctor
 from greenbox.mackey import check_axioms, corrupt_transfer
 from greenbox.report import (MAX_GROUP_ORDER, ConfigError, EtaleReport,
                              RunConfig, emit, fuzz, load_config, run_pipeline)
 
-from reference import products
+from reference import cyclic_algebra, products
 
 HERE = pathlib.Path(__file__).parent
 CONFIGS = HERE.parent / "configs"
@@ -622,3 +623,62 @@ def test_layer_trace_attaches_to_the_cli():
     metrics = tracing.layer_metrics(tracer, 0.0)
     assert metrics["boxes.ambient_gens"] > 0
     assert metrics["presented.canonicalize_calls"] == 1
+
+
+# ---------------------------------------------------------------------------
+# NO verdicts as tested facts: K[x]/(x^n − a) over F_13, a = 0 and a = 1
+
+
+def _cyclic_report(n, a, zeta):
+    F13 = prime_field(13)
+    r = EtaleReport(RunConfig())
+    r.__dict__["galois"] = cyclic_algebra(F13, n, F13.from_int(a),
+                                          F13.from_int(zeta))
+    return r
+
+
+# n, ζ -> box dims, (dim I, dim I²) per level, failing / run congruences
+CYCLIC_NO = {
+    (3, 3): ({1: 9, 3: 3}, {1: (6, 4), 3: (2, 0)}, (2, 66)),
+    (4, 5): ({1: 16, 2: 8, 4: 4}, {1: (12, 9), 2: (6, 4), 4: (3, 0)},
+             (7, 252)),
+}
+
+
+@pytest.mark.parametrize("n,zeta", CYCLIC_NO, ids=["C3/F13", "C4/F13"])
+@pytest.mark.parametrize("a", [0, 1])
+def test_cyclic_algebra_verdicts(n, zeta, a):
+    """K[x]/(x^n) is not étale: every section that decides étaleness says
+    NO, while the functor checks and the box oracles still pass.  With
+    a = 1 the same algebra is a product of fields and every section says
+    YES."""
+    dims, ideal_dims, (failing, run) = CYCLIC_NO[(n, zeta)]
+    r = _cyclic_report(n, a, zeta)
+    assert {m: r.rel_box.dim(m) for m in r.divisors} == dims
+    assert r.functor_checks == {"mackey_axioms": 0, "green_axioms": 0,
+                                "norm_rules": 0}
+    assert all(v is not False for v in r.oracle_agreement.values())
+    assert r.congruences["checks_run"] == run
+    assert r.verdict["levels"][1] == r.classical["etale"]
+    assert r.certificate["valid"]
+    top_ideal, top_square = ideal_dims[1]
+    if a == 1:
+        assert {m: (v["dim"], v["square_dim"]) for m, v in r.ideal.items()} \
+            == {m: (i, i) for m, (i, _) in ideal_dims.items()}
+        assert r.congruences["failures"] == []
+        assert r.classical["etale"]
+        assert all(v is True or isinstance(v, dict) and all(v.values())
+                   for v in r.verdict.values())
+        return
+    assert {m: (v["dim"], v["square_dim"]) for m, v in r.ideal.items()} == \
+        ideal_dims
+    assert len(r.congruences["failures"]) == failing
+    assert (r.classical["ideal_dim"], r.classical["square_dim"]) == \
+        (top_ideal, top_square)
+    assert not r.classical["separability_unit_found"]
+    v = r.verdict
+    for key in ("kahler_all_zero", "classical_ok", "congruences_ok",
+                "green_etale"):
+        assert v[key] is False, key
+    assert not any(v["levels"].values())
+    assert "Green étale: NO" in emit(r).decode()
