@@ -13,6 +13,7 @@ from greenbox import (artin_schreier_extension, fix_functor, format_element,
                       green_kahler_dims, ideal_and_square, kummer_extension,
                       mult_map, norm_on_c2_box, prime_field, rationals,
                       relative_box)
+from greenbox.linalg import bilinear_terms, nonzero_terms
 
 
 def explore(tag, ext):
@@ -39,7 +40,10 @@ def explore(tag, ext):
     gen = data.ideal[2][0]
     print(f"kernel ideal at the fixed level: dim {len(data.ideal[2])}, "
           f"generated by {format_element(K, gen, lab2)}")
-    square = rb.green.multiply(2, gen, gen)
+    # products are stored as raw terms; bilinear_terms multiplies two
+    # vectors given by their raw terms
+    raw = nonzero_terms(K, gen)
+    square = K.fold(bilinear_terms(K, rb.green.terms(2), raw, raw))
     print(f"its square: {format_element(K, square, lab2)}")
     print(f"I = I² per level: {data.verdicts}; "
           f"Kähler dims: {green_kahler_dims(data)}")

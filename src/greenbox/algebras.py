@@ -11,8 +11,8 @@ separability test.
 from __future__ import annotations
 
 from .fields import Field, FieldUsageError, poly_mod, poly_mul
-from .linalg import bilinear, kron_terms, nonzero_terms, reduce_sums, \
-    tensor_vec
+from .linalg import bilinear_terms, kron_terms, nonzero_terms, \
+    reduce_sums, tensor_vec
 
 
 class FiniteAlgebra:
@@ -28,14 +28,11 @@ class FiniteAlgebra:
         self.name = name or f"algebra dim {self.dim} over {base}"
 
     def mul(self, x, y):
-        """Bilinear product of coefficient vectors."""
-        return bilinear(self.base, self.terms, x, y)
-
-    def power(self, x, e: int):
-        result = self.one
-        for _ in range(e):
-            result = self.mul(result, x)
-        return result
+        """The product of two coefficient vectors of elements, lifted once
+        for ``bilinear_terms``."""
+        K = self.base
+        return K.fold(bilinear_terms(K, self.terms, nonzero_terms(K, x),
+                                     nonzero_terms(K, y)))
 
     def __repr__(self):
         return f"FiniteAlgebra({self.name})"

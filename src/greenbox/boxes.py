@@ -77,9 +77,9 @@ from itertools import groupby, islice
 from .fields import Field
 from .green import GreenFunctor, check_green_morphism, constant_functor
 from .linalg import Mat, bilinear_terms, inverse, kron_terms, nonzero_terms, \
-    raw_terms, reduce_sums, unit_vec
+    raw_terms, reduce_sums
 from .mackey import InternalCheckError, MackeyFunctor
-from .presented import PresentedLevel
+from .presented import PresentedLevel, format_element
 
 
 class BoxProduct:
@@ -157,7 +157,8 @@ def build_box(left: GreenFunctor, right: GreenFunctor, name="",
     gen_labels = _layout(bx)
     bx.ambient = MackeyFunctor(K, lattice, gen_labels, *_ambient_maps(bx))
     for m in lattice.divisors:
-        bx.levels[m] = PresentedLevel(K, gen_labels[m], _relations(bx, m))
+        bx.levels[m] = PresentedLevel(K, gen_labels[m], Mat._from_terms(
+            K, _relations(bx, m), bx.amb_dim(m)))
     _fill_products(bx)
     _check_descent(bx, check)
     return bx
@@ -237,11 +238,11 @@ def _ambient_maps(bx: BoxProduct) -> tuple:
     return res, tr, weyl
 
 
-def _relations(bx: BoxProduct, m) -> Mat:
-    """The relation rows of level m, reduced in one call: Weyl-fixed
-    classes, then for each d' | d both Frobenius identities [tr(x)⊗y]_d =
-    [x⊗res(y)]_{d'} and its mirror, each row first a dict of unreduced
-    terms."""
+def _relations(bx: BoxProduct, m) -> list:
+    """The relation rows of level m, as raw terms reduced in one call:
+    Weyl-fixed classes, then for each d' | d both Frobenius identities
+    [tr(x)⊗y]_d = [x⊗res(y)]_{d'} and its mirror, each row first a dict of
+    unreduced terms."""
     K, n = bx.scalars, bx.lattice.n
     one, neg = K.raw_one, -K.raw_one
     LM, RM = bx.left.mackey, bx.right.mackey
@@ -271,7 +272,7 @@ def _relations(bx: BoxProduct, m) -> Mat:
                     row = kron_terms(((i, one),), y, hd, offs[d])
                     rows.append(kron_terms(x, ((j, neg),), hdp, offs[dp],
                                            into=row))
-    return Mat._from_terms(K, reduce_sums(K, rows), bx.amb_dim(m))
+    return reduce_sums(K, rows)
 
 
 def _fill_products(bx: BoxProduct) -> None:
@@ -717,7 +718,10 @@ def coequalizer_oracle(b2: BoxProduct) -> None:
     factor, send threefold generator g to b2's generator g: they agree and
     the coequalizer is b2 itself.  What is left is that the threefold
     box's relation rows, written from its factors and never from b2's
-    levels, lie in b2's relation span.
+    levels, lie in b2's relation span: each raw row is projected through
+    b2's level (one ``project_many`` per level), and the first row with a
+    nonzero image is the witness, ``row ↦ image``, the row in the
+    threefold labels and the image in b2's reduced labels.
     """
     T, K = b2.left, b2.scalars
     if b2.right is not T:
@@ -730,9 +734,17 @@ def coequalizer_oracle(b2: BoxProduct) -> None:
     b3 = BoxProduct(inner.green, T, T.lattice, K, f"{inner.name}□{T.name}")
     labels3 = _layout(b3)
     for m in T.lattice.divisors:
-        lvl3 = b3.levels[m] = PresentedLevel(K, labels3[m], _relations(b3, m))
-        lvl3.descend(lambda g: ((g, K.raw_one),), b2.levels[m], "coequalizer "
-                     f"action map (left) fails to descend at level {m}")
+        rows, target = _relations(b3, m), b2.levels[m]
+        for row, image in zip(rows, target.project_many(rows)):
+            if not image:
+                continue
+            shown = format_element(K, Mat._from_terms(
+                K, [row], b3.amb_dim(m)).rows[0], labels3[m])
+            escaped = format_element(K, target.dense(image),
+                                     target.reduced_labels)
+            raise InternalCheckError(
+                f"coequalizer action map (left) fails to descend at level {m}",
+                witness=f"{shown} ↦ {escaped}")
 
 
 def _unit_law_failures(inner: BoxProduct, T: GreenFunctor):
@@ -860,12 +872,10 @@ def norm_on_c2_box(bx: BoxProduct, vec, term_order=None):
     # norm(t_k + rest) = norm(t_k) + norm(rest) + tr(t_k·τ rest)
     for k, (idx, c) in enumerate(terms):
         (_, i, j) = bx.gens[1][idx]
-        lv = [K.raw_zero] * L.dim(1)
-        lv[i] = c
-        nl = L.norm(2, 1, K.fold(lv))
-        nr = R.norm(2, 1, unit_vec(K, R.dim(1), j))
-        pure += kron_terms(nonzero_terms(K, nl), nonzero_terms(K, nr),
-                           R.dim(2), bx.offsets[2][2]).items()
+        nl = L.norm(2, 1, ((i, c),))
+        nr = R.norm(2, 1, ((j, K.raw_one),))
+        pure += kron_terms(raw_terms(nl), raw_terms(nr), R.dim(2),
+                           bx.offsets[2][2]).items()
         rest = raw_terms(tau.apply_terms(terms[k + 1:]))
         for t, x in enumerate(bilinear_terms(K, prods, ((idx, c),), rest)):
             cross[t] += x

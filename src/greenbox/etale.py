@@ -93,7 +93,10 @@ def ideal_and_square(bx: BoxProduct, mm: MackeyMorphism) -> IdealData:
     """Kernel of the multiplication map and the span of its pairwise
     products, per level, with containment asserted.  The ideal's basis and
     its products stay raw terms: each product is ``bilinear_terms`` over
-    the box's reduced product terms, tested and inserted raw."""
+    the box's reduced product terms, tested and inserted raw.  Every
+    product is formed and tested against I; once I²'s span has I's
+    dimension it equals I (each product inserted was in I), so the later
+    products are not inserted."""
     K = bx.scalars
     ideal, square, qdims, verdicts = {}, {}, {}, {}
     for m in bx.lattice.divisors:
@@ -113,7 +116,8 @@ def ideal_and_square(bx: BoxProduct, mm: MackeyMorphism) -> IdealData:
                         witness=f"({format_element(K, basis[i], lab)})·"
                         f"({format_element(K, basis[j], lab)}) = "
                         f"{format_element(K, K.fold(prod), lab)}")
-                span_sq._insert(prod)
+                if span_sq.dim < span_i.dim:
+                    span_sq._insert(prod)
         square[m] = span_sq.basis()
         qdims[m] = span_i.dim - span_sq.dim
         verdicts[m] = span_i.dim == span_sq.dim
@@ -216,9 +220,9 @@ def ideal_generator(bx: BoxProduct, E: GaloisExtension, i: int, t: int,
 
 class AlphaPowers:
     """The coordinates of α^e in the level-d fixed subfield of a relative
-    box's factor, each (level, exponent) pair solved once and kept as raw
-    terms, and the reduced raw vectors of a level built from their
-    tensors."""
+    box's factor, each (level, exponent) pair read once through the
+    factor's ``level_embed.coords`` and kept as raw terms, and the reduced
+    raw vectors of a level built from their tensors."""
 
     def __init__(self, bx: BoxProduct, E: GaloisExtension):
         self.bx = bx
@@ -231,9 +235,9 @@ class AlphaPowers:
         key = (d, e)
         if key not in self._terms:
             E = self.E
-            sol = solve_matrix(self.bx.left.level_embed[d], Mat.from_cols(
-                E.base, [E.alpha_power(e)], E.degree))
-            self._terms[key] = None if sol is None else sol.col_terms()[0]
+            coords = self.bx.left.level_embed.coords(
+                d, E.base.lift(E.alpha_power(e)))
+            self._terms[key] = None if coords is None else raw_terms(coords)
         terms = self._terms[key]
         if terms is None:
             raise ValueError(

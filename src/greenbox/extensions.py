@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebras import FiniteAlgebra, poly_quotient_algebra
 from .fields import Field, FieldUsageError, RationalField, prime_factors
-from .linalg import Mat, kernel, unit_vec
+from .linalg import Mat, bilinear_terms, kernel
 
 
 class ConstructionError(ValueError):
@@ -217,14 +217,14 @@ def verify_extension(ext: GaloisExtension) -> None:
         if n % m == 0 and ext.sigma.power(m) == ident:
             raise ConstructionError(
                 f"not C_{n}-Galois: σ has order dividing {m}")
-    # σ is a ring map: check on all pairs of power-basis elements
+    # σ is a ring map: check on all pairs of power-basis elements, as
+    # reduced raw lists
     alg = ext.algebra
-    sigma_cols = [ext.sigma.col(j) for j in range(n)]
-    basis = [unit_vec(K, n, j) for j in range(n)]
+    sigma_cols = ext.sigma.col_terms()
     for i in range(n):
         for j in range(n):
-            lhs = ext.sigma.apply(alg.mul(basis[i], basis[j]))
-            rhs = alg.mul(sigma_cols[i], sigma_cols[j])
+            lhs = ext.sigma.apply_terms(alg.terms[i][j])
+            rhs = bilinear_terms(K, alg.terms, sigma_cols[i], sigma_cols[j])
             if lhs != rhs:
                 raise ConstructionError(
                     "σ is not a ring homomorphism on the power basis")

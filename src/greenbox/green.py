@@ -4,9 +4,11 @@ functors over C_n.
 A GreenFunctor wraps a MackeyFunctor with a commutative levelwise
 multiplication and a unit.  The multiplication is stored in one form, the
 raw terms of the product of each pair of basis vectors per level (see
-``linalg``), and read through ``terms`` and ``multiply``.  Norms are
-evaluation procedures, never matrices: they are multiplicative but not
-additive.  The two families the engine constructs directly:
+``linalg``), and read through ``terms``: every product is
+``linalg.bilinear_terms`` on raw terms.  Norms are evaluation procedures,
+never matrices: they are multiplicative but not additive, and they map the
+raw terms of a vector to a reduced raw list.  The axiom checks compare
+reduced raw lists only.  The two families the engine constructs directly:
 
 * constant functor of a finite commutative algebra R: every level is R,
   restriction is the identity, transfer from level m to m' multiplies by the
@@ -24,7 +26,7 @@ from operator import ne
 from .algebras import FiniteAlgebra, base_as_algebra
 from .extensions import GaloisExtension, format_l_element
 from .fields import Field
-from .linalg import Mat, bilinear, unit_vec
+from .linalg import Mat, bilinear_terms, left_inverse, raw_terms, unit_vec
 from .mackey import (InternalCheckError, MackeyFunctor, MackeyMorphism,
                      SubgroupLattice, Violation, fix_of_module, solve_in,
                      subgroup_lattice)
@@ -45,7 +47,7 @@ class GreenFunctor:
         self.unit = unit
         self.norms = norms
         self.name = name or mackey.name
-        self.level_embed = level_embed  # optional {m: Mat into an algebra}
+        self.level_embed = level_embed  # optional LevelEmbeddings
 
     # pass-throughs
     @property
@@ -67,60 +69,86 @@ class GreenFunctor:
         e_i·e_j."""
         return self._products[m]
 
-    def multiply(self, m, x, y):
-        """Bilinear product of level-m coefficient vectors."""
-        return bilinear(self.scalars, self.terms(m), x, y)
-
-    def power(self, m, x, e: int):
-        out = self.unit[m]
-        for _ in range(e):
-            out = self.multiply(m, out, x)
-        return out
-
-    def norm(self, to: int, frm: int, vec):
+    def norm(self, to: int, frm: int, terms):
+        """The reduced raw list of the norm along frm | to of the level-frm
+        vector with raw terms ``terms``."""
         if self.norms is None:
             raise InternalCheckError(f"{self.name} carries no norm rule")
-        return self.norms.apply(to, frm, vec)
+        return self.norms.apply_terms(to, frm, terms)
 
     def __repr__(self):
         return f"GreenFunctor({self.name})"
 
 
 class NormRule:
-    """Multiplicative transfer along frm | to; subclasses implement apply."""
+    """Multiplicative transfer along frm | to; subclasses implement
+    ``apply_terms``, from the raw terms of a level-frm vector to the reduced
+    raw list of its norm at level to."""
 
-    def apply(self, to: int, frm: int, vec):
+    def apply_terms(self, to: int, frm: int, terms):
         raise NotImplementedError
 
 
 class ConstantNorm(NormRule):
+    """The power x^(to/frm) in the algebra, from its unit up."""
+
     def __init__(self, algebra: FiniteAlgebra):
         self.algebra = algebra
 
-    def apply(self, to, frm, vec):
+    def apply_terms(self, to, frm, terms):
         if to % frm:
             raise ValueError("norm must go up the lattice")
-        return self.algebra.power(vec, to // frm)
+        A = self.algebra
+        out = A.base.lift(A.one)
+        for _ in range(to // frm):
+            out = bilinear_terms(A.base, A.terms, raw_terms(out), terms)
+        return out
+
+
+class LevelEmbeddings(dict):
+    """The embeddings {m: Mat} of a functor's levels into an algebra, which
+    also read the level-m coordinates of a vector of the algebra: through
+    one ``linalg.left_inverse`` per level, built on first use."""
+
+    def __init__(self, embeds):
+        super().__init__(embeds)
+        self._left = {}
+
+    def coords(self, m: int, v):
+        """The reduced raw coordinates of the reduced raw vector v in the
+        basis of level m, or None if v does not lie in that level: the
+        left inverse reads them, and they must embed back to v."""
+        embed = self[m]
+        if m not in self._left:
+            self._left[m] = left_inverse(embed)
+        x = self._left[m].apply_terms(raw_terms(v))
+        return x if embed.apply_terms(raw_terms(x)) == list(v) else None
 
 
 class FixNorm(NormRule):
-    """Product over coset representatives σ^(j n / to), j < to/frm."""
+    """Product over coset representatives σ^(j n / to), j < to/frm, in L,
+    read back into level to through its ``LevelEmbeddings.coords``."""
 
-    def __init__(self, ext: GaloisExtension, embeds):
+    def __init__(self, ext: GaloisExtension, embeds: LevelEmbeddings):
         self.ext = ext
         self.embeds = embeds
 
-    def apply(self, to, frm, vec):
+    def apply_terms(self, to, frm, terms):
         if to % frm:
             raise ValueError("norm must go up the lattice")
-        n = self.ext.degree
-        x = self.embeds[frm].apply(vec)
-        out = self.ext.algebra.one
+        E = self.ext
+        K, n, alg = E.base, E.degree, E.algebra
+        x = raw_terms(self.embeds[frm].apply_terms(terms))
+        out = K.lift(alg.one)
         for j in range(to // frm):
-            out = self.ext.algebra.mul(out, self.ext.apply_sigma(x, j * (n // to)))
-        return solve_in(self.embeds[to],
-                        Mat.from_cols(self.ext.base, [out], n),
-                        "norm image escaped the fixed subfield").col(0)
+            y = E.sigma_pow(j * (n // to)).apply_terms(x)
+            out = bilinear_terms(K, alg.terms, raw_terms(out), raw_terms(y))
+        coords = self.embeds.coords(to, out)
+        if coords is None:
+            raise InternalCheckError(
+                "norm image escaped the fixed subfield",
+                witness=f"column 0: ({', '.join(map(str, K.fold(out)))})")
+        return coords
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +183,18 @@ def fix_functor(E: GaloisExtension) -> GreenFunctor:
     lattice = subgroup_lattice(n)
     alg = E.algebra
     fpm = fix_of_module(K, lattice, E.sigma)
-    embeds, maps = fpm.embeds, fpm.functor
+    embeds, maps = LevelEmbeddings(fpm.embeds), fpm.functor
     labels = {m: [format_l_element(E, v) for v in embeds[m].cols()]
               for m in lattice.divisors}
     mack = MackeyFunctor(K, lattice, labels, maps.res, maps.tr, maps.weyl,
                          name=f"{alg.name}^fix")
     products = {}
     for m in lattice.divisors:
-        basis = embeds[m].cols()
-        prods = [alg.mul(u, v) for u in basis for v in basis]
-        cols = solve_in(embeds[m], Mat.from_cols(K, prods, n),
+        basis = embeds[m].col_terms()
+        prods = [bilinear_terms(K, alg.terms, u, v)
+                 for u in basis for v in basis]
+        cols = solve_in(embeds[m], Mat._from_raw(K, tuple(zip(*prods)),
+                                                 len(prods)),
                         "fixed subfield is not closed under multiplication"
                         ).col_terms()
         dim = len(basis)
@@ -182,20 +212,25 @@ def fix_functor(E: GaloisExtension) -> GreenFunctor:
 
 def check_green(G: GreenFunctor):
     """Exhaustive Green-functor checks on basis tuples; returns violations.
-    Each level's products of basis pairs are read once, through
-    ``multiply``, into one local table."""
+    Every side is a reduced raw list: products are ``bilinear_terms`` on
+    raw terms and maps are ``apply_terms``.  Each level's products of basis
+    pairs are formed once, into one local table."""
     out = []
     lat = G.lattice
     K = G.scalars
+    one = K.raw_one
 
-    prods = {}
+    prod_terms = {}
     for m in lat.divisors:
-        dim = G.dim(m)
-        basis = [unit_vec(K, dim, i) for i in range(dim)]
-        prod = prods[m] = [[G.multiply(m, ei, ej) for ej in basis]
-                           for ei in basis]
+        dim, terms = G.dim(m), G.terms(m)
+        e = [((i, one),) for i in range(dim)]
+        unit = K.lift(G.unit[m])
+        ut = raw_terms(unit)
+        prod = [[bilinear_terms(K, terms, ei, ej) for ej in e] for ei in e]
+        pt = prod_terms[m] = [[raw_terms(v) for v in row] for row in prod]
         for i in range(dim):
-            if G.multiply(m, G.unit[m], basis[i]) != basis[i]:
+            if bilinear_terms(K, terms, ut, e[i]) != \
+                    K.lift(unit_vec(K, dim, i)):
                 out.append(Violation("unit", {"level": m, "basis": i}, G.name))
         for i in range(dim):
             for j in range(i, dim):
@@ -205,46 +240,46 @@ def check_green(G: GreenFunctor):
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):
-                    lhs = G.multiply(m, prod[i][j], basis[k])
-                    rhs = G.multiply(m, basis[i], prod[j][k])
+                    lhs = bilinear_terms(K, terms, pt[i][j], e[k])
+                    rhs = bilinear_terms(K, terms, e[i], pt[j][k])
                     if lhs != rhs:
                         out.append(Violation(
                             "associativity", {"level": m, "triple": (i, j, k)},
                             G.name))
         wm = G.mackey.weyl[m]
+        wc = wm.col_terms()
         for i in range(dim):
             for j in range(dim):
-                lhs = wm.apply(prod[i][j])
-                rhs = G.multiply(m, wm.col(i), wm.col(j))
+                lhs = wm.apply_terms(pt[i][j])
+                rhs = bilinear_terms(K, terms, wc[i], wc[j])
                 if lhs != rhs:
                     out.append(Violation("weyl_ring_automorphism",
                                          {"level": m, "pair": (i, j)}, G.name))
-        if wm.apply(G.unit[m]) != G.unit[m]:
+        if wm.apply_terms(ut) != unit:
             out.append(Violation("weyl_unit", {"level": m}, G.name))
 
     for (d, m) in lat.covering_pairs:
         res = G.mackey.res[(d, m)]
         tr = G.mackey.tr[(m, d)]
-        if res.apply(G.unit[m]) != G.unit[d]:
+        rc, tc = res.col_terms(), tr.col_terms()
+        td, tm = G.terms(d), G.terms(m)
+        if res.apply_terms(raw_terms(K.lift(G.unit[m]))) != K.lift(G.unit[d]):
             out.append(Violation("res_unit", {"pair": (d, m)}, G.name))
         dim_m, dim_d = G.dim(m), G.dim(d)
         for i in range(dim_m):
-            ei = unit_vec(K, dim_m, i)
             for j in range(dim_m):
-                ej = unit_vec(K, dim_m, j)
-                lhs = res.apply(prods[m][i][j])
-                rhs = G.multiply(d, res.apply(ei), res.apply(ej))
+                lhs = res.apply_terms(prod_terms[m][i][j])
+                rhs = bilinear_terms(K, td, rc[i], rc[j])
                 if lhs != rhs:
                     out.append(Violation("res_ring_map",
                                          {"pair": (d, m), "basis": (i, j)},
                                          G.name))
         # Frobenius reciprocity: tr(x)·y = tr(x·res(y))
         for i in range(dim_d):
-            ei = unit_vec(K, dim_d, i)
             for j in range(dim_m):
-                ej = unit_vec(K, dim_m, j)
-                lhs = G.multiply(m, tr.apply(ei), ej)
-                rhs = tr.apply(G.multiply(d, ei, res.apply(ej)))
+                lhs = bilinear_terms(K, tm, tc[i], ((j, one),))
+                rhs = tr.apply_terms(raw_terms(
+                    bilinear_terms(K, td, ((i, one),), rc[j])))
                 if lhs != rhs:
                     out.append(Violation("frobenius_reciprocity",
                                          {"pair": (d, m), "basis": (i, j)},
@@ -254,37 +289,45 @@ def check_green(G: GreenFunctor):
 
 def check_norms(G: GreenFunctor):
     """Norm invariants on basis vectors: multiplicativity, unit, and
-    norm(res(x)) = x^(index).  Per covering pair each distinct argument is
-    normed once: e_i·e_j, e_i, the unit and res(e_i) often coincide."""
+    norm(res(x)) = x^(index), on reduced raw lists as ``check_green``
+    compares them.  Per covering pair each distinct argument is normed
+    once: e_i·e_j, e_i, the unit and res(e_i) often coincide."""
     out = []
     if G.norms is None:
         return out
     lat = G.lattice
     K = G.scalars
+    one = K.raw_one
     for (d, m) in lat.covering_pairs:
         memo = {}
 
         def norm(v):
-            if v not in memo:
-                memo[v] = G.norm(m, d, v)
-            return memo[v]
+            key = tuple(v)
+            if key not in memo:
+                memo[key] = G.norm(m, d, raw_terms(key))
+            return memo[key]
 
-        dim_d = G.dim(d)
-        basis = [unit_vec(K, dim_d, i) for i in range(dim_d)]
+        dim_d, td, tm = G.dim(d), G.terms(d), G.terms(m)
+        e = [((i, one),) for i in range(dim_d)]
+        basis = [K.lift(unit_vec(K, dim_d, i)) for i in range(dim_d)]
         for i in range(dim_d):
             for j in range(dim_d):
-                lhs = norm(G.multiply(d, basis[i], basis[j]))
-                rhs = G.multiply(m, norm(basis[i]), norm(basis[j]))
+                lhs = norm(bilinear_terms(K, td, e[i], e[j]))
+                rhs = bilinear_terms(K, tm, raw_terms(norm(basis[i])),
+                                     raw_terms(norm(basis[j])))
                 if lhs != rhs:
                     out.append(Violation("norm_multiplicative",
                                          {"pair": (d, m), "basis": (i, j)},
                                          G.name))
-        if norm(G.unit[d]) != G.unit[m]:
+        unit = K.lift(G.unit[m])
+        if norm(K.lift(G.unit[d])) != unit:
             out.append(Violation("norm_unit", {"pair": (d, m)}, G.name))
         res = G.mackey.res[(d, m)]
         for i in range(G.dim(m)):
-            ei = unit_vec(K, G.dim(m), i)
-            if norm(res.apply(ei)) != G.power(m, ei, m // d):
+            power = unit
+            for _ in range(m // d):
+                power = bilinear_terms(K, tm, raw_terms(power), ((i, one),))
+            if norm(res.apply_terms(((i, one),))) != power:
                 out.append(Violation("norm_of_restriction",
                                      {"pair": (d, m), "basis": i}, G.name))
     return out

@@ -18,7 +18,7 @@ accessors: ``rows``, ``col`` and ``cols`` fold on each access and keep
 nothing, and vectors passed to ``apply`` and returned by it are elements.
 Equality and hashing compare the raw rows, which are canonical.
 
-The kernels (``Mat.apply``, ``bilinear``, ``tensor_vec``,
+The kernels (``Mat.apply``, ``bilinear_terms``, ``tensor_vec``,
 ``nonzero_terms``, ``eliminate`` and ``Span``) have one body for every
 field: they test zero by truthiness and reduce once per vector
 (``eliminate`` also reduces each pivot coordinate it reads, through
@@ -47,8 +47,8 @@ sums or scales from them: element vectors (plain tuples) are only made
 (``unit_vec``, ``tensor_vec``) and subtracted (``vec_sub``), never added
 or scaled.  Structure constants are
 stored in this form only: ``terms[i][j]`` holds the terms of e_i·e_j, for
-``bilinear`` and ``bilinear_terms`` to read, and no dense table of them is
-built.
+``bilinear_terms``, the one bilinear product, to read, and no dense table
+of them is built.
 
 ``Mat.identity`` returns an instance of the private subclass ``_Identity``,
 one object per (field, n), and ``A @ B`` returns the other operand
@@ -66,7 +66,8 @@ entry of each row, each row reduced against the rows inserted before it.
 One backward sweep back-substitutes only when a reader needs the fully
 reduced form: ``rref`` (so ``kernel``, ``column_space`` and every
 ``PresentedLevel``), ``echelon``/``basis``, and ``solve_matrix`` before it
-reads X.  That form is unique, so every result is unchanged by the
+reads X (so ``inverse`` and ``left_inverse``, which solves the
+transpose once).  That form is unique, so every result is unchanged by the
 deferral.  Arithmetic is exact; there are no tolerances and no pivoting
 heuristics.
 """
@@ -387,16 +388,10 @@ def reduce_sums(field, sums) -> list:
             for acc in sums]
 
 
-def bilinear(field, terms, x, y):
-    """Product of coefficient vectors x, y through structure constants:
-    ``terms[i][j]`` is the ``nonzero_terms`` of e_i·e_j."""
-    return field.fold(bilinear_terms(field, terms, nonzero_terms(field, x),
-                                     nonzero_terms(field, y)))
-
-
 def bilinear_terms(field, terms, xs, ys):
     """The reduced raw list of x·y, for x and y given by their raw terms,
-    through the structure constants ``bilinear`` reads."""
+    through the structure constants ``terms``: ``terms[i][j]`` holds the
+    raw terms of e_i·e_j."""
     out = [field.raw_zero] * len(terms)
     for i, xi in xs:
         row = terms[i]
@@ -508,6 +503,15 @@ def inverse(mat: Mat):
     if inv is None or mat @ inv != one:
         return None
     return inv
+
+
+def left_inverse(mat: Mat):
+    """A matrix P with P·A = 1, for A with independent columns, or None if
+    they are dependent: the transpose of the ``solve_matrix`` solution of
+    Aᵀ·X = 1.  For v in A's column space, P·v is its one coordinate
+    vector; outside it, P·v is some vector whose image A·P·v is not v."""
+    X = solve_matrix(mat.transpose(), Mat.identity(mat.field, mat.ncols))
+    return None if X is None else X.transpose()
 
 
 def eliminate(field, row_terms, pivots, v):

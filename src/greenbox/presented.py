@@ -28,8 +28,8 @@ per generator, ``check_images`` checks T[p] = Σ_k q[p]_k·T[free_k] for
 every pivot p, which is f(row of p) ∈ Rel.  ``descend`` tabulates T once
 per map (one ``project_many``), runs that check and writes the free
 columns of T straight into the raw rows of the induced map on the
-quotients; the structure maps, oracle actions, comparisons and
-identifications go through it.  A box's
+quotients; the structure maps, comparisons and identifications go
+through it.  A box's
 multiplication projects each generator product once into one table per
 level and runs the same check on that table's columns and rows.
 """

@@ -1,21 +1,27 @@
 """Test-side references and helpers for structure that ``greenbox`` stores
 only as raw product terms.
 
-``dense_products`` is the dense table of a raw product table, built by the
-element loop: entry [i][j] is e_i·e_j as a tuple of field elements.
-``mult_table`` and ``algebra_table`` read it off a Green functor's level
-and off an algebra; ``product_terms`` goes back, for functors that a test
-writes from dense data (``green_functor``).  ``ref_check_green`` is the
-element-loop Green-axiom check that ``green.check_green`` is compared
-with.  ``burnside_c2`` is a Green functor that is not a K^c-module, the
-negative control of the coequalizer's unit law.  ``cyclic_algebra`` is
-K[x]/(x^n − a) with a diagonal σ, built without ``kummer_extension``'s
-checks, so a = 0 gives an algebra that is not a field: a NO case.  The
-rest are helpers that only the tests call: basis permutations, a matrix
-with one entry changed, a corrupted multiplication, the ideal check of a
-box, a basis and the labels of a fixed subfield, the base change of a
-Mackey functor, the reduced coordinates of an ambient vector
-of a presented level, relation-span membership and element-vector sums and
+``bilinear`` is the product of two element vectors through raw product
+terms, ``linalg.bilinear_terms`` between one lift and one fold;
+``multiply``, ``power`` and ``norm`` read a Green functor's products and
+norms on element vectors through it.  ``dense_products`` is the dense
+table of a raw product table, built by the element loop: entry [i][j] is
+e_i·e_j as a tuple of field elements.  ``mult_table`` and
+``algebra_table`` read it off a Green functor's level and off an algebra;
+``product_terms`` goes back, for functors that a test writes from dense
+data (``green_functor``).  ``ref_check_green`` and ``ref_check_norms`` are
+the element-loop Green-axiom and norm checks that ``green.check_green``
+and ``green.check_norms`` are compared with.  ``burnside_c2`` is a Green
+functor that is not a K^c-module, the negative control of the
+coequalizer's unit law.  ``cyclic_algebra`` is K[x]/(x^n − a) with a
+diagonal σ, built without ``kummer_extension``'s checks, so a = 0 gives an
+algebra that is not a field: a NO case.  ``ref_ideal_and_square`` is
+``etale.ideal_and_square`` with every product inserted into the span of
+I².  The rest are helpers that only the tests call: basis permutations, a
+matrix with one entry changed, a corrupted multiplication, the ideal check
+of a box, a basis and the labels of a fixed subfield, the base change of a
+Mackey functor, the reduced coordinates of an ambient vector of a
+presented level, relation-span membership and element-vector sums and
 multiples.
 
 A box is also read here on its ambient presentation (``amb_vec``,
@@ -28,13 +34,45 @@ from them; ``ref_norm_on_c2_box`` is the C_2 norm computed that way, which
 import random
 
 from greenbox.algebras import poly_quotient_algebra
+from greenbox.etale import IdealData
 from greenbox.extensions import GaloisExtension, format_l_element
 from greenbox.fields import FieldUsageError
-from greenbox.green import GreenFunctor
-from greenbox.linalg import Mat, Span, inverse, kernel, nonzero_terms, \
-    tensor_vec, unit_vec
-from greenbox.mackey import MackeyFunctor, Violation, _conjugate, \
-    subgroup_lattice
+from greenbox.green import GreenFunctor, LevelEmbeddings
+from greenbox.linalg import Mat, Span, bilinear_terms, inverse, kernel, \
+    nonzero_terms, tensor_vec, unit_vec
+from greenbox.mackey import InternalCheckError, MackeyFunctor, Violation, \
+    _conjugate, subgroup_lattice
+
+
+# ---------------------------------------------------------------------------
+# products, powers and norms of element vectors
+
+
+def bilinear(K, terms, x, y):
+    """The product of the coefficient vectors x and y, of elements, through
+    the product terms ``terms``: ``linalg.bilinear_terms`` between one lift
+    and one fold."""
+    return K.fold(bilinear_terms(K, terms, nonzero_terms(K, x),
+                                 nonzero_terms(K, y)))
+
+
+def multiply(G, m, x, y):
+    """The product of two level-m vectors of the Green functor G."""
+    return bilinear(G.scalars, G.terms(m), x, y)
+
+
+def power(G, m, x, e: int):
+    """x^e at level m of G, multiplied up from the unit."""
+    out = G.unit[m]
+    for _ in range(e):
+        out = multiply(G, m, out, x)
+    return out
+
+
+def norm(G, to: int, frm: int, vec):
+    """G's norm along frm | to of a vector of elements."""
+    K = G.scalars
+    return K.fold(G.norm(to, frm, nonzero_terms(K, vec)))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +156,7 @@ def ref_check_green(G):
         dim = G.dim(m)
         basis = [unit_vec(K, dim, i) for i in range(dim)]
         for i in range(dim):
-            if G.multiply(m, G.unit[m], basis[i]) != basis[i]:
+            if multiply(G, m, G.unit[m], basis[i]) != basis[i]:
                 out.append(Violation("unit", {"level": m, "basis": i}, G.name))
         for i in range(dim):
             for j in range(i, dim):
@@ -128,8 +166,8 @@ def ref_check_green(G):
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):
-                    lhs = G.multiply(m, mult[m][i][j], basis[k])
-                    rhs = G.multiply(m, basis[i], mult[m][j][k])
+                    lhs = multiply(G, m, mult[m][i][j], basis[k])
+                    rhs = multiply(G, m, basis[i], mult[m][j][k])
                     if lhs != rhs:
                         out.append(Violation(
                             "associativity", {"level": m, "triple": (i, j, k)},
@@ -138,7 +176,7 @@ def ref_check_green(G):
         for i in range(dim):
             for j in range(dim):
                 lhs = wm.apply(mult[m][i][j])
-                rhs = G.multiply(m, wm.col(i), wm.col(j))
+                rhs = multiply(G, m, wm.col(i), wm.col(j))
                 if lhs != rhs:
                     out.append(Violation("weyl_ring_automorphism",
                                          {"level": m, "pair": (i, j)}, G.name))
@@ -156,7 +194,7 @@ def ref_check_green(G):
             for j in range(dim_m):
                 ej = unit_vec(K, dim_m, j)
                 lhs = res.apply(mult[m][i][j])
-                rhs = G.multiply(d, res.apply(ei), res.apply(ej))
+                rhs = multiply(G, d, res.apply(ei), res.apply(ej))
                 if lhs != rhs:
                     out.append(Violation("res_ring_map",
                                          {"pair": (d, m), "basis": (i, j)},
@@ -165,12 +203,50 @@ def ref_check_green(G):
             ei = unit_vec(K, dim_d, i)
             for j in range(dim_m):
                 ej = unit_vec(K, dim_m, j)
-                lhs = G.multiply(m, tr.apply(ei), ej)
-                rhs = tr.apply(G.multiply(d, ei, res.apply(ej)))
+                lhs = multiply(G, m, tr.apply(ei), ej)
+                rhs = tr.apply(multiply(G, d, ei, res.apply(ej)))
                 if lhs != rhs:
                     out.append(Violation("frobenius_reciprocity",
                                          {"pair": (d, m), "basis": (i, j)},
                                          G.name))
+    return out
+
+
+def ref_check_norms(G):
+    """``check_norms`` on element vectors: every comparison, violation
+    kind, location and order the same, each distinct argument normed once
+    per covering pair."""
+    out = []
+    if G.norms is None:
+        return out
+    lat = G.lattice
+    K = G.scalars
+    for (d, m) in lat.covering_pairs:
+        memo = {}
+
+        def normed(v):
+            if v not in memo:
+                memo[v] = norm(G, m, d, v)
+            return memo[v]
+
+        dim_d = G.dim(d)
+        basis = [unit_vec(K, dim_d, i) for i in range(dim_d)]
+        for i in range(dim_d):
+            for j in range(dim_d):
+                lhs = normed(multiply(G, d, basis[i], basis[j]))
+                rhs = multiply(G, m, normed(basis[i]), normed(basis[j]))
+                if lhs != rhs:
+                    out.append(Violation("norm_multiplicative",
+                                         {"pair": (d, m), "basis": (i, j)},
+                                         G.name))
+        if normed(G.unit[d]) != G.unit[m]:
+            out.append(Violation("norm_unit", {"pair": (d, m)}, G.name))
+        res = G.mackey.res[(d, m)]
+        for i in range(G.dim(m)):
+            ei = unit_vec(K, G.dim(m), i)
+            if normed(res.apply(ei)) != power(G, m, ei, m // d):
+                out.append(Violation("norm_of_restriction",
+                                     {"pair": (d, m), "basis": i}, G.name))
     return out
 
 
@@ -214,8 +290,9 @@ def permute_green(G, perms: dict):
         unit[m] = mats[m].apply(G.unit[m])
     embed = None
     if G.level_embed is not None:
-        embed = {m: G.level_embed[m] @ perm_cols(K, perms[m], G.dim(m))
-                 for m in divs}
+        embed = LevelEmbeddings({
+            m: G.level_embed[m] @ perm_cols(K, perms[m], G.dim(m))
+            for m in divs})
     return green_functor(mack, mult, unit, name=f"{G.name} (permuted)",
                          level_embed=embed)
 
@@ -253,7 +330,7 @@ def check_ideal(bx, data):
         for u in data.ideal[m]:
             for i in range(bx.dim(m)):
                 ei = unit_vec(K, bx.dim(m), i)
-                if not span_i.contains(bx.green.multiply(m, u, ei)):
+                if not span_i.contains(multiply(bx.green, m, u, ei)):
                     out.append(Violation("ideal_multiplication",
                                          {"level": m}, ""))
     for (d, m) in bx.lattice.covering_pairs:
@@ -268,6 +345,30 @@ def check_ideal(bx, data):
             if not span_m.contains(tr.apply(u)):
                 out.append(Violation("ideal_tr", {"pair": (d, m)}, ""))
     return out
+
+
+def ref_ideal_and_square(bx, mm):
+    """``etale.ideal_and_square`` with every product inserted into the span
+    of I², also after that span has I's dimension."""
+    K = bx.scalars
+    ideal, square, qdims, verdicts = {}, {}, {}, {}
+    for m in bx.lattice.divisors:
+        basis = kernel(mm.components[m])
+        ideal[m] = basis
+        raw = [nonzero_terms(K, v) for v in basis]
+        span_i = Span(K, bx.dim(m), basis)
+        span_sq = Span(K, bx.dim(m))
+        for i, x in enumerate(raw):
+            for j in range(i, len(raw)):
+                prod = bilinear_terms(K, bx.green.terms(m), x, raw[j])
+                if not span_i._contains(prod):
+                    raise InternalCheckError(
+                        f"I² is not contained in I at level {m}")
+                span_sq._insert(prod)
+        square[m] = span_sq.basis()
+        qdims[m] = span_i.dim - span_sq.dim
+        verdicts[m] = span_i.dim == span_sq.dim
+    return IdealData(ideal, square, qdims, verdicts)
 
 
 def fixed_space(E, m: int):
@@ -357,8 +458,8 @@ def ref_norm_on_c2_box(bx, vec, term_order=None):
         (d, i, j) = bx.gens[1][idx]
         lv = [K.zero] * bx.left.dim(1)
         lv[i] = c
-        nl = bx.left.norm(2, 1, tuple(lv))
-        nr = bx.right.norm(2, 1, unit_vec(K, bx.right.dim(1), j))
+        nl = norm(bx.left, 2, 1, tuple(lv))
+        nr = norm(bx.right, 2, 1, unit_vec(K, bx.right.dim(1), j))
         return amb_vec(bx, 2, {2: tensor_vec(K, nl, nr)})
 
     if not terms:

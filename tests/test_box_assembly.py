@@ -4,8 +4,8 @@ column terms it carries), every level's relation rows in order, and every
 product table with its key order, for the generic builder, the prime
 oracle and the coequalizer's T □ K^c and threefold boxes; the threefold
 box built in full has the ambient maps and product table of the box the
-coequalizer quotients, and the reference quotient has that box's
-relation rows."""
+coequalizer quotients, its relation rows are the raw rows the coequalizer
+projects, and the reference quotient has that box's relation rows."""
 
 import pathlib
 from fractions import Fraction
@@ -69,14 +69,22 @@ def assert_coequalizer_matches(b2):
     in full.  The reference quotient, b2's rows and the dense action maps'
     difference, has b2's relation rows: the coequalizer is b2 itself, which
     the oracle does not rebuild.  The full build's ambient maps and product
-    table are b2's, which b2's own descent pass read, and its relation rows
-    are those of the oracle's presentation, so every descent triple of the
-    threefold box is checked there."""
-    laid_out = []
-    layout = boxes._layout
+    table are b2's, which b2's own descent pass read, and the raw rows the
+    oracle projects through b2's levels are the full build's relation rows,
+    so every descent triple of the threefold box is checked there."""
+    laid_out, projected = [], {}
+    layout, project_many = boxes._layout, boxes.PresentedLevel.project_many
+    levels = {id(lvl): m for m, lvl in b2.levels.items()}
+
+    def recording(lvl, batch):
+        if id(lvl) in levels:
+            projected.setdefault(levels[id(lvl)], []).append(list(batch))
+        return project_many(lvl, batch)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(boxes, "_layout",
                    lambda bx: laid_out.append(bx) or layout(bx))
+        mp.setattr(boxes.PresentedLevel, "project_many", recording)
         assert coequalizer_oracle(b2) is None
     presented = laid_out[-1]
     inner, b3 = ref.coequalizer_factors(b2)
@@ -86,11 +94,14 @@ def assert_coequalizer_matches(b2):
     assert_same_maps(b3.ambient, amb.weyl, amb.res, amb.tr)
     assert list(b3._mult_cache.items()) == list(b2._mult_cache.items())
     assert presented.gens == b3.gens == b2.gens
+    assert presented.levels == {}
     rows = ref.coequalizer_relations(b2, inner, b3)
+    assert projected.keys() == set(b2.lattice.divisors)
     for m in b2.lattice.divisors:
         assert rows[m] == b2.levels[m].relation_rows, m
-        assert presented.levels[m].relation_rows == \
-            b3.levels[m].relation_rows, m
+        batch, = projected[m]
+        assert [r for r in batch if r] == \
+            list(b3.levels[m].relation_rows.row_terms()), m
 
 
 def _config_fix(path):

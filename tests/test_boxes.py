@@ -26,7 +26,7 @@ from greenbox.report import ORACLE_EVERY, load_config
 
 from reference import amb_vec, bumped, burnside_c2, \
     corrupt_multiplication, in_relation_span, level_reduce, mult_table, \
-    mult_terms, mult_vec, products, ref_norm_on_c2_box, vec_add
+    mult_terms, mult_vec, multiply, products, ref_norm_on_c2_box, vec_add
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -245,9 +245,10 @@ def test_coequalizer_builds_each_box_once(kummer4_bundle, monkeypatch):
 
 
 def test_coequalizer_rejects_a_box_missing_a_relation(kummer4_bundle):
-    """The action maps must descend into the relation span of the box the
-    oracle is given: drop one relation row that lowers the rank, and the
-    left action map escapes at that level."""
+    """The threefold relation rows must lie in the relation span of the box
+    the oracle is given: drop one relation row that lowers the rank, and a
+    raw threefold row escapes at that level.  The witness is that row, in
+    the threefold labels, and its nonzero image in the box's level."""
     rb = kummer4_bundle.box
     weaker = {}
     for m, lvl in rb.levels.items():
@@ -263,6 +264,7 @@ def test_coequalizer_rejects_a_box_missing_a_relation(kummer4_bundle):
         coequalizer_oracle(faulty)
     assert str(exc.value) == \
         "coequalizer action map (left) fails to descend at level 4"
+    assert exc.value.witness == "3·[α⊗1⊗α]_1 ↦ 3·[α⊗α]_1"
 
 
 def test_coequalizer_rejects_a_functor_that_is_not_a_kc_module():
@@ -374,8 +376,8 @@ def test_frobenius_on_transfer_classes(kummer4_bundle):
             u = unit_vec(K, rb.dim(d), i)
             for j in range(rb.dim(d)):
                 v = unit_vec(K, rb.dim(d), j)
-                lhs = g.multiply(m, tr.apply(u), tr.apply(v))
-                rhs = tr.apply(g.multiply(d, u, res.apply(tr.apply(v))))
+                lhs = multiply(g, m, tr.apply(u), tr.apply(v))
+                rhs = tr.apply(multiply(g, d, u, res.apply(tr.apply(v))))
                 assert lhs == rhs
 
 
@@ -440,7 +442,7 @@ def test_norm_respects_conjugate_product(kummer2_bundle, as_bundle):
         for i in range(rb.dim(1)):
             z = unit_vec(K, rb.dim(1), i)
             lhs = res.apply(norm_on_c2_box(rb, z))
-            rhs = rb.green.multiply(1, z, tau.apply(z))
+            rhs = multiply(rb.green, 1, z, tau.apply(z))
             assert lhs == rhs
 
 
@@ -693,9 +695,9 @@ def _element_product(bx, m, a, b):
     if m in (d, e):
         (pi, pj), (o, ci, cj) = ((i, j), (e, i2, j2)) if d == m \
             else ((i2, j2), (d, i, j))
-        lvec = L.multiply(o, L.mackey.res_mat(o, m).col(pi),
+        lvec = multiply(L, o, L.mackey.res_mat(o, m).col(pi),
                           unit_vec(L.scalars, L.dim(o), ci))
-        rvec = R.multiply(o, R.mackey.res_mat(o, m).col(pj),
+        rvec = multiply(R, o, R.mackey.res_mat(o, m).col(pj),
                           unit_vec(R.scalars, R.dim(o), cj))
         return amb_vec(bx, m, {o: tensor_vec(K, lvec, rvec)})
     u = unit_vec(K, bx.amb_dim(d), bx.gen_index(d, d, i, j))

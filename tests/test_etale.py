@@ -15,15 +15,16 @@ from greenbox.etale import (AlphaPowers, classical_etale_oracle,
                             unit_section_check)
 from greenbox.extensions import kummer_extension
 from greenbox.fields import finite_field, prime_field
-from greenbox.green import fix_functor
+from greenbox.green import FixNorm, LevelEmbeddings, fix_functor
 from greenbox.boxes import relative_box
-from greenbox.linalg import Mat, Span, kernel, kernel_raw, tensor_vec, \
-    vec_sub
+from greenbox.linalg import Mat, Span, bilinear_terms, kernel, kernel_raw, \
+    nonzero_terms, tensor_vec, vec_sub
 from greenbox.mackey import InternalCheckError, MackeyMorphism
 from greenbox.report import load_config
 
 from reference import algebra_table, amb_vec, check_ideal, \
-    corrupt_multiplication, level_reduce, permute_green, vec_scale
+    corrupt_multiplication, cyclic_algebra, level_reduce, multiply, \
+    permute_green, ref_ideal_and_square, vec_scale
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -118,7 +119,7 @@ def test_ideal_artin_schreier(as_bundle):
     expected = tuple(a + b for a, b in zip(gen_coords(rb, 2, 2, 0, 0),
                                            gen_coords(rb, 2, 1, 1, 1)))
     assert gen == expected                       # 1⊗1 + [α⊗α]
-    assert rb.green.multiply(2, gen, gen) == gen  # idempotent
+    assert multiply(rb.green, 2, gen, gen) == gen  # idempotent
     assert data.verdicts == {1: True, 2: True}
     assert green_kahler_dims(data) == {1: 0, 2: 0}
     assert check_ideal(rb, data) == []
@@ -134,9 +135,9 @@ def test_ideal_kummer_c2(kummer2_bundle):
     span = Span(F5, rb.dim(2), data.ideal[2])
     assert span.dim == 1 and span.contains(gen)
     # [α⊗α]² = 4a² = 16 = 1; (2a − [α⊗α])² = 8a² − 4a[α⊗α]
-    assert rb.green.multiply(2, aa, aa) == \
+    assert multiply(rb.green, 2, aa, aa) == \
         tuple(F5.from_int(16) * a for a in one)
-    sq = rb.green.multiply(2, gen, gen)
+    sq = multiply(rb.green, 2, gen, gen)
     expected = tuple(F5.from_int(32) * a - F5.from_int(8) * b
                      for a, b in zip(one, aa))
     assert sq == expected
@@ -257,7 +258,7 @@ def test_ideal_generator_product_rule(kummer3_bundle):
     x = lambda i, t: ideal_generator(rb, E, i, t, 1, 3)
     for i1 in range(q + 1):
         for i2 in range(q + 1):
-            lhs = rb.green.multiply(3, x(i1, q), x(i2, q))
+            lhs = multiply(rb.green, 3, x(i1, q), x(i2, q))
             rhs = tuple(
                 F7.from_int(q) * (a + b - c)
                 for a, b, c in zip(x(i1, 2 * q), x(i2, 2 * q),
@@ -287,20 +288,48 @@ def test_alpha_power_outside_the_level_subfield_is_refused(kummer4_bundle):
 
 def test_congruences_solve_each_alpha_power_once(kummer4_bundle,
                                                  monkeypatch):
-    """One report solves each (level, exponent) pair once, whichever check
-    and generator reads it."""
-    solved = []
-    real = etale.solve_matrix
+    """One report reads each (level, exponent) pair once, through the
+    factor's left inverse, whichever check and generator reads it."""
+    read = []
+    real = LevelEmbeddings.coords
 
-    def counting(embed, rhs):
-        solved.append((id(embed), rhs.rows))
-        return real(embed, rhs)
+    def counting(embeds, m, v):
+        read.append((id(embeds), m, tuple(v)))
+        return real(embeds, m, v)
 
-    monkeypatch.setattr(etale, "solve_matrix", counting)
+    monkeypatch.setattr(LevelEmbeddings, "coords", counting)
     b = kummer4_bundle
     rep = kummer_congruence_checks(b.box, b.ext, b.ideal)
     assert rep.ok and rep.checks_run
-    assert solved and len(solved) == len(set(solved))
+    assert read and len(read) == len(set(read))
+
+
+def test_left_inverse_reads_are_checked_by_reembedding(kummer4_bundle):
+    """A vector outside the fixed subfield is refused, not given the
+    coordinates the left inverse reads off it: α^e at level d for d ∤ e,
+    in particular α at the top level n, and the level-4 norm of a rule
+    whose product escapes the subfield it is read into."""
+    E, L = kummer4_bundle.ext, kummer4_bundle.fix
+    K, n = E.base, E.degree
+    powers = AlphaPowers(kummer4_bundle.box, E)
+    assert n >= 2
+    with pytest.raises(ValueError, match="α\\^1 does not lie in the "
+                       f"level-{n} subfield"):
+        powers.terms(n, 1)
+    alpha = K.lift(E.alpha_power(1))
+    for d in L.lattice.divisors:
+        assert (L.level_embed.coords(d, alpha) is None) == (d != 1), d
+    one = K.lift(E.alpha_power(0))
+    assert all(L.level_embed.coords(d, one) == K.lift(L.unit[d])
+               for d in L.lattice.divisors)
+    # level 2 embedded as K·1 only: the norm α·σ²(α) = −α² of the level-1
+    # basis vector α is read as zero by the left inverse, and refused
+    bad = FixNorm(E, LevelEmbeddings({**L.level_embed,
+                                      2: L.level_embed[4]}))
+    with pytest.raises(InternalCheckError,
+                       match="norm image escaped the fixed subfield") as exc:
+        bad.apply_terms(2, 1, ((1, K.raw_one),))
+    assert exc.value.witness == "column 0: (0, 0, 4, 0)"
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -330,7 +359,7 @@ def reference_congruence_checks(bx, E, data):
     ran it before it moved to raw scalars: every vector is a tuple of
     elements, built from element tensors of the α-power coordinates and
     reduced through ``level_reduce``; products go through the element
-    ``GreenFunctor.multiply`` and memberships through ``Span.contains``.
+    ``reference.multiply`` and memberships through ``Span.contains``.
     The same checks are recorded in the same order, under the same
     labels."""
     rep = etale.CongruenceReport()
@@ -363,7 +392,7 @@ def reference_congruence_checks(bx, E, data):
         for z in kernel(bx.green.mackey.res_mat(1, m)):
             rep.record(span_i.contains(z), f"level {m}: ker res ⊆ I")
             rep.record(span_sq.contains(z), f"level {m}: ker res ⊆ I²")
-            rep.record(bx.green.multiply(m, z, w) ==
+            rep.record(multiply(bx.green, m, z, w) ==
                        vec_scale(K.from_int(m) * a, z),
                        f"level {m}: z·(ma−[α⊗α^{n-1}]) = ma·z")
         for d in bx.lattice.divisors:
@@ -411,7 +440,7 @@ def reference_congruence_checks(bx, E, data):
                         f"level {m}, d={d}: x[{i},{t}] ≡ {i}·x[1,{t}] mod I²")
             for i1 in range(q + 1):
                 for i2 in range(q + 1):
-                    lhs = bx.green.multiply(m, x(i1, q), x(i2, q))
+                    lhs = multiply(bx.green, m, x(i1, q), x(i2, q))
                     rhs = tuple(K.from_int(q) * (u + v - y) for u, v, y in zip(
                         x(i1, 2 * q), x(i2, 2 * q), x(i1 + i2, 2 * q)))
                     rep.record(lhs == rhs,
@@ -537,6 +566,97 @@ def test_verdicts_invariant_under_basis_permutation(kummer4_bundle):
         assert len(data.ideal[m]) == len(base.ideal[m])
         assert data.verdicts[m] == base.verdicts[m]
     assert green_kahler_dims(data) == green_kahler_dims(base)
+
+
+# ---------------------------------------------------------------------------
+# the I² span stops growing once it has I's dimension
+
+
+IDEAL_INPUTS = sorted(
+    str(p.relative_to(BENCH_CONFIGS.parents[1]))
+    for p in [*BENCH_CONFIGS.parent.parent.glob("configs/*.cfg"),
+              *BENCH_CONFIGS.glob("*.cfg")]) + \
+    ["C_8/F_17", "F_13[x]/(x^3)", "F_13[x]/(x^4)"]
+F13 = prime_field(13)
+# K[x]/(x^n) over F_13 with a primitive n-th root ζ: a = 0, I ≠ I²
+CYCLIC_ZERO = {"F_13[x]/(x^3)": (3, 3), "F_13[x]/(x^4)": (4, 5)}
+
+
+def _ideal_input(name):
+    if name == "C_8/F_17":
+        F17 = prime_field(17)
+        ext = kummer_extension(F17, 8, F17.from_int(3), F17.from_int(2))
+    elif name in CYCLIC_ZERO:
+        n, zeta = CYCLIC_ZERO[name]
+        ext = cyclic_algebra(F13, n, F13.zero, F13.from_int(zeta))
+    else:
+        ext = load_config(str(BENCH_CONFIGS.parents[1] / name)).extension()
+    bx = relative_box(fix_functor(ext), ext.base)
+    return bx, mult_map(bx)
+
+
+@pytest.mark.parametrize("name", IDEAL_INPUTS)
+def test_ideal_and_square_matches_full_insertion(name):
+    """Stopping the I² span once it is full gives the square, the quotient
+    dimensions and the verdicts of inserting every product, on every
+    config, at C_8/F_17 and on the a = 0 algebras K[x]/(x^n), whose I² span
+    never fills."""
+    bx, mm = _ideal_input(name)
+    want = ref_ideal_and_square(bx, mm)
+    assert ideal_and_square(bx, mm) == want
+    assert all(want.verdicts.values()) == (name not in CYCLIC_ZERO)
+
+
+def test_constant_etale_check_matches_full_insertion(monkeypatch):
+    """The constant-functor check gives the same report with the stopping
+    span as with full insertion: F_3[s]/(s²), where I ≠ I², and
+    F_2 ⊂ F_4."""
+    F4alg = poly_quotient_algebra(F2, [F2.one, F2.one, F2.one], var="t",
+                                  name="F_4")
+    cases = ((F3, DUAL, 2), (F2, F4alg, 4))
+    got = [constant_etale_check(*case) for case in cases]
+    monkeypatch.setattr(etale, "ideal_and_square", ref_ideal_and_square)
+    assert got == [constant_etale_check(*case) for case in cases]
+    assert [rep.ok for rep in got] == [False, True]
+
+
+def test_a_product_outside_i_after_the_square_fills_is_caught(
+        kummer4_bundle, monkeypatch):
+    """Every product is still tested against I once the I² span is full:
+    one product after that point, replaced by a vector outside I, raises."""
+    bx, mm, data = kummer4_bundle.box, kummer4_bundle.mult, \
+        kummer4_bundle.ideal
+    K = bx.scalars
+    calls = 0
+    for m in bx.lattice.divisors:
+        raw = [nonzero_terms(K, v) for v in data.ideal[m]]
+        prods = [bilinear_terms(K, bx.green.terms(m), x, raw[j])
+                 for i, x in enumerate(raw) for j in range(i, len(raw))]
+        span, filled = Span(K, bx.dim(m)), []
+        for k, v in enumerate(prods):
+            span._insert(v)
+            if span.dim == len(raw):
+                filled.append(k)
+        if filled and filled[0] < len(prods) - 1:
+            break
+        calls += len(prods)
+    target = calls + len(prods) - 1          # the level's last product
+    span_i = Span(K, bx.dim(m), data.ideal[m])
+    outside = next(e for e in (unit_vec(K, bx.dim(m), t)
+                               for t in range(bx.dim(m)))
+                   if not span_i.contains(e))
+    seen = []
+    real = etale.bilinear_terms
+
+    def corrupted(*args):
+        seen.append(1)
+        return K.lift(outside) if len(seen) - 1 == target else real(*args)
+
+    monkeypatch.setattr(etale, "bilinear_terms", corrupted)
+    with pytest.raises(InternalCheckError,
+                       match=f"I² is not contained in I at level {m}"):
+        ideal_and_square(bx, mm)
+    assert len(seen) == target + 1
 
 
 # ---------------------------------------------------------------------------

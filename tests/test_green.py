@@ -8,12 +8,13 @@ from greenbox.extensions import artin_schreier_extension, kummer_extension
 from greenbox.fields import finite_field, prime_field
 from greenbox.green import (GreenFunctor, NormRule, check_green, check_norms,
                             constant_functor, fix_functor)
-from greenbox.linalg import unit_vec
-from greenbox.mackey import MackeyFunctor, Violation, check_axioms
+from greenbox.linalg import nonzero_terms, unit_vec
+from greenbox.mackey import MackeyFunctor, check_axioms
 from greenbox.report import load_config
 
 from reference import bumped, corrupt_multiplication, green_functor, \
-    mult_table, permute_green, products, ref_check_green
+    mult_table, multiply, norm, permute_green, products, ref_check_green, \
+    ref_check_norms
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -30,7 +31,7 @@ def test_constant_functor_index_formulas():
     Kc = constant_functor(F5, 4)
     lam = (F5.from_int(3),)
     assert Kc.mackey.tr[(4, 2)].apply(lam) == (F5.from_int(6),)
-    assert Kc.norm(4, 2, lam) == (F5.from_int(9),)
+    assert norm(Kc, 4, 2, lam) == (F5.from_int(9),)
     assert Kc.mackey.res[(2, 4)].apply(lam) == lam
 
 
@@ -65,7 +66,7 @@ def test_fix_functor_kummer_c2_norm_and_transfer():
     alpha = (F5.zero, F5.one)
     assert L.mackey.tr[(2, 1)].apply(alpha) == (F5.zero,)  # α + (−α) = 0
     # norm(α) = −α² = −a = 3 over F_5 with a = 2
-    assert L.norm(2, 1, alpha) == (F5.from_int(3),)
+    assert norm(L, 2, 1, alpha) == (F5.from_int(3),)
 
 
 def test_fix_functor_kummer_c4_fixed_level_transfers():
@@ -118,44 +119,19 @@ def test_corrupted_multiplication_detected():
 
 
 class BumpedNorm(NormRule):
-    """A norm rule with one value perturbed: the norm of ``arg`` along the
-    covering pair ``pair`` = (d, m) gets one added to its first
-    coordinate."""
+    """A norm rule with one value perturbed: the norm of ``arg`` (a vector
+    of elements) along the covering pair ``pair`` = (d, m) gets one added
+    to its first coordinate."""
 
     def __init__(self, inner, pair, arg):
-        self.inner, self.pair, self.arg = inner, pair, tuple(arg)
+        self.inner, self.pair, self.field = inner, pair, arg[0].field
+        self.arg = nonzero_terms(self.field, arg)
 
-    def apply(self, to, frm, vec):
-        out = self.inner.apply(to, frm, vec)
-        if (frm, to) == self.pair and tuple(vec) == self.arg:
-            out = (out[0] + out[0].field.one,) + tuple(out[1:])
+    def apply_terms(self, to, frm, terms):
+        out = self.inner.apply_terms(to, frm, terms)
+        if (frm, to) == self.pair and tuple(terms) == self.arg:
+            out = self.field.reduce([out[0] + self.field.raw_one, *out[1:]])
         return out
-
-
-def ref_check_norms(G):
-    """check_norms as a per-pair loop that norms every argument afresh."""
-    out = []
-    K = G.scalars
-    for (d, m) in G.lattice.covering_pairs:
-        basis = [unit_vec(K, G.dim(d), i) for i in range(G.dim(d))]
-        for i in range(G.dim(d)):
-            for j in range(G.dim(d)):
-                lhs = G.norm(m, d, G.multiply(d, basis[i], basis[j]))
-                rhs = G.multiply(m, G.norm(m, d, basis[i]),
-                                 G.norm(m, d, basis[j]))
-                if lhs != rhs:
-                    out.append(Violation("norm_multiplicative",
-                                         {"pair": (d, m), "basis": (i, j)},
-                                         G.name))
-        if G.norm(m, d, G.unit[d]) != G.unit[m]:
-            out.append(Violation("norm_unit", {"pair": (d, m)}, G.name))
-        res = G.mackey.res[(d, m)]
-        for i in range(G.dim(m)):
-            ei = unit_vec(K, G.dim(m), i)
-            if G.norm(m, d, res.apply(ei)) != G.power(m, ei, m // d):
-                out.append(Violation("norm_of_restriction",
-                                     {"pair": (d, m), "basis": i}, G.name))
-    return out
 
 
 NORM_FUNCTORS = {
@@ -181,7 +157,7 @@ def test_check_norms_reports_every_perturbed_norm(functor, pair, level, i,
     assert check_norms(L) == ref_check_norms(L) == []
     K = L.scalars
     e = [unit_vec(K, L.dim(level), k) for k in range(L.dim(level))]
-    arg = e[i] if j is None else L.multiply(level, e[i], e[j])
+    arg = e[i] if j is None else multiply(L, level, e[i], e[j])
     assert j is None or arg not in e
     bad = copy.copy(L)
     bad.norms = BumpedNorm(L.norms, pair, arg)
@@ -258,3 +234,63 @@ def test_check_green_matches_the_element_loop_on_corruptions(corruption):
     G = CORRUPTIONS[corruption](NORM_FUNCTORS["C4/F5"]())
     got = check_green(G)
     assert got and got == ref_check_green(G)
+
+
+def _strings(violations):
+    return [str(v) for v in violations]
+
+
+def _with_unit(G, m):
+    """G with the first coordinate of its level-m unit increased by one;
+    its norms and level embeddings kept."""
+    u = list(G.unit[m])
+    u[0] = u[0] + G.scalars.one
+    return GreenFunctor(G.mackey, products(G), {**G.unit, m: tuple(u)},
+                        norms=G.norms, name=G.name, level_embed=G.level_embed)
+
+
+def _config_functors(config):
+    E = load_config(str(config)).extension()
+    return fix_functor(E), constant_functor(E.base, E.degree)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+def test_check_green_matches_the_element_loop_on_bumped_units_and_weyl(
+        config):
+    """On every config, with one unit coordinate or one Weyl entry changed
+    at any level, the raw check_green reports the element loop's
+    violations, in its order."""
+    for G in _config_functors(config):
+        for m in G.lattice.divisors:
+            weyl = _with_maps(G, weyl={m: bumped(G.mackey.weyl[m])})
+            for bad in (_with_unit(G, m), weyl):
+                got = check_green(bad)
+                assert got and got == ref_check_green(bad), (G.name, m)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+def test_check_norms_matches_the_element_loop_on_every_config(config):
+    """The raw check_norms and the element loop give the same violation
+    strings on every config (F_9 and C_6 included): none on the
+    fixed-point and constant functors, and the same ones, in the same
+    order, with one level's unit perturbed or one basis vector's norm
+    bumped along one covering pair.  A perturbed top-level unit is always
+    caught (norm_unit); below the top the perturbation may have norm 1,
+    as 2 ∈ F_7 has along C_3, and then both report nothing."""
+    for G in _config_functors(config):
+        assert _strings(check_norms(G)) == _strings(ref_check_norms(G)) \
+            == [], G.name
+        for m in G.lattice.divisors:
+            bad = _with_unit(G, m)
+            got = _strings(check_norms(bad))
+            assert got == _strings(ref_check_norms(bad)), (G.name, m)
+            assert got or m != G.lattice.n, G.name
+        K = G.scalars
+        for (d, m) in G.lattice.covering_pairs:
+            for i in range(G.dim(d)):
+                bad = copy.copy(G)
+                bad.norms = BumpedNorm(G.norms, (d, m),
+                                       unit_vec(K, G.dim(d), i))
+                got = _strings(check_norms(bad))
+                assert got == _strings(ref_check_norms(bad)), (d, m, i)
+                assert got and all(f"pair=({d}, {m})" in v for v in got)

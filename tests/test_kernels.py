@@ -22,13 +22,13 @@ from greenbox.extensions import kummer_extension
 from greenbox.fields import extension_field, prime_field, rationals
 from greenbox.green import check_green_morphism, fix_functor
 from greenbox import linalg
-from greenbox.linalg import Mat, bilinear, eliminate, nonzero_terms, rref, \
-    tensor_vec, unit_vec
+from greenbox.linalg import Mat, eliminate, nonzero_terms, rref, tensor_vec, \
+    unit_vec
 from greenbox.mackey import MackeyFunctor, MackeyMorphism, Violation, \
     subgroup_lattice
 
-from reference import algebra_table, green_functor, mult_table, \
-    permute_green, product_terms
+from reference import algebra_table, bilinear, green_functor, mult_table, \
+    multiply, permute_green, product_terms
 
 FIELDS = [prime_field(p) for p in (2, 5, 7, 11, 13)] + \
     [extension_field(3, (1, 0, 1)), rationals()]
@@ -123,7 +123,7 @@ def ref_green_morphism(source, target, components, name=""):
         dim = source.dim(m)
         table = mult_table(source, m)
         if any(phi.apply(table[i][j])
-               != target.multiply(m, phi.col(i), phi.col(j))
+               != multiply(target, m, phi.col(i), phi.col(j))
                for i in range(dim) for j in range(dim)):
             out.append(Violation("morphism_mult", {"level": m}, name))
         if phi.apply(source.unit[m]) != target.unit[m]:

@@ -5,11 +5,13 @@ import pytest
 
 from greenbox.fields import FieldUsageError, finite_field, prime_field, \
     rationals
-from greenbox.linalg import (Mat, Span, bilinear, eliminate, inverse, kernel,
-                             nonzero_terms, rank, rref, solve_matrix)
+from greenbox.linalg import (Mat, Span, eliminate, inverse, kernel,
+                             left_inverse, nonzero_terms, rank, rref,
+                             solve_matrix)
 from greenbox.presented import PresentedLevel
 
-from reference import in_relation_span, level_reduce, product_terms
+from reference import bilinear, in_relation_span, level_reduce, \
+    product_terms
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -107,6 +109,23 @@ def test_rank_nullity_random():
             assert rank(A) + len(ker) == nc
             for v in ker:
                 assert all(x == K.zero for x in A.apply(v))
+
+
+def test_left_inverse_exactly_when_the_columns_are_independent():
+    """``left_inverse(A)`` is a P with P·A = 1 when A's columns are
+    independent and None otherwise, over F_5, F_9 and Q, tall and square."""
+    rng = random.Random(13)
+    for K in (F5, F9, Q):
+        for _ in range(30):
+            nc = rng.randrange(1, 4)
+            nr = nc + rng.randrange(0, 3)
+            A = Mat(K, [[K.random(rng) for _ in range(nc)]
+                        for _ in range(nr)], ncols=nc)
+            P = left_inverse(A)
+            if rank(A) < nc:
+                assert P is None
+            else:
+                assert P @ A == Mat.identity(K, nc)
 
 
 def test_solve_and_inverse_roundtrip():
