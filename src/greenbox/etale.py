@@ -7,9 +7,9 @@ Kähler differentials I/I² vanish) together with a projectivity certificate.
 Everything reduces to exact rank and membership computations; there are no
 tolerances anywhere.
 
-The classical (nonequivariant) étale oracle computes L ⊗_K L directly with
-its separability idempotent, anchoring the equivariant verdicts at the free
-level.  For Kummer extensions the kernel generators
+The classical (nonequivariant) étale oracle anchors the free level: it
+tests I = I² and seeks a separability idempotent in L ⊗_K L, from L's own
+product terms.  For Kummer extensions the kernel generators
 q·(1 ⊗ α^{td}) − [α^{id} ⊗ α^{(t-i)d}]_d^m and their product/congruence
 identities are verified wholesale by ``kummer_congruence_checks``.
 """
@@ -24,8 +24,8 @@ from .boxes import BoxProduct, relative_box
 from .extensions import GaloisExtension
 from .fields import Field
 from .green import constant_functor
-from .linalg import Mat, Span, bilinear_terms, kernel, kernel_raw, \
-    kron_terms, nonzero_terms, raw_terms, solve_matrix
+from .linalg import Mat, Span, bilinear_terms, dense_raw, kernel_raw, \
+    kron_terms, nonzero_terms, rank, raw_terms, reduce_sums
 from .mackey import InternalCheckError, MackeyMorphism
 from .modules import constant_box_iso
 from .presented import PresentedLevel, format_element
@@ -57,7 +57,7 @@ def mult_map(bx: BoxProduct) -> MackeyMorphism:
     bad = morphism.check()
     if bad:
         raise InternalCheckError(
-            "multiplication is not a Mackey morphism", witness=bad)
+            "multiplication is not a Mackey morphism", witness=str(bad[0]))
     return morphism
 
 
@@ -90,38 +90,44 @@ class IdealData:
 
 
 def ideal_and_square(bx: BoxProduct, mm: MackeyMorphism) -> IdealData:
-    """Kernel of the multiplication map and the span of its pairwise
-    products, per level, with containment asserted.  The ideal's basis and
-    its products stay raw terms: each product is ``bilinear_terms`` over
-    the box's reduced product terms, tested and inserted raw.  Every
-    product is formed and tested against I; once I²'s span has I's
-    dimension it equals I (each product inserted was in I), so the later
-    products are not inserted."""
+    """Kernel I of the multiplication map μ and the span of its pairwise
+    products, per level, with I² ⊆ I asserted.  I's basis is asserted to
+    be ker μ, so every product (``bilinear_terms`` over the box's reduced
+    product terms, raw) is tested by μ(b·u) = 0; once I²'s span has I's
+    dimension it equals I, and later products are tested, not inserted."""
     K = bx.scalars
     ideal, square, qdims, verdicts = {}, {}, {}, {}
     for m in bx.lattice.divisors:
-        basis = kernel(mm.components[m])
-        ideal[m] = basis
-        terms = bx.green.terms(m)
-        raw = [nonzero_terms(K, v) for v in basis]
-        span_i = Span(K, bx.dim(m), basis)
-        span_sq = Span(K, bx.dim(m))
+        mu, lab = mm.components[m], bx.levels[m].reduced_labels
+        vs, raw = _kernel(mu, f"at level {m}")
+        ideal[m] = basis = [K.fold(v) for v in vs]
+        terms, span_sq = bx.green.terms(m), Span(K, bx.dim(m))
         for i, x in enumerate(raw):
             for j in range(i, len(raw)):
                 prod = bilinear_terms(K, terms, x, raw[j])
-                if not span_i._contains(prod):
-                    lab = bx.levels[m].reduced_labels
+                if any(mu.apply_terms(raw_terms(prod))):
                     raise InternalCheckError(
                         f"I² is not contained in I at level {m}",
                         witness=f"({format_element(K, basis[i], lab)})·"
                         f"({format_element(K, basis[j], lab)}) = "
                         f"{format_element(K, K.fold(prod), lab)}")
-                if span_sq.dim < span_i.dim:
+                if span_sq.dim < len(raw):
                     span_sq._insert(prod)
         square[m] = span_sq.basis()
-        qdims[m] = span_i.dim - span_sq.dim
-        verdicts[m] = span_i.dim == span_sq.dim
+        qdims[m] = len(raw) - span_sq.dim
+        verdicts[m] = len(raw) == span_sq.dim
     return IdealData(ideal, square, qdims, verdicts)
+
+
+def _kernel(mu: Mat, where: str):
+    """``kernel_raw(mu)`` and its raw terms, asserted to be ker μ: μ is 0
+    on each of its dim − rank μ vectors, each a 1 at its own free column."""
+    basis = kernel_raw(mu)
+    raw = [raw_terms(v) for v in basis]
+    if len(raw) != mu.ncols - rank(mu) or any(any(mu.apply_terms(x))
+                                              for x in raw):
+        raise InternalCheckError(f"the kernel basis {where} is not ker μ")
+    return basis, raw
 
 
 def green_kahler_dims(data: IdealData) -> dict:
@@ -148,54 +154,74 @@ class ClassicalEtaleReport:
 
 
 def classical_etale_oracle(E: GaloisExtension) -> ClassicalEtaleReport:
-    """Brute-force étaleness of K ⊂ L: the kernel I of L ⊗_K L -> L must
-    satisfy I = I² and contain an element acting as the identity on I."""
+    """Étaleness of K ⊂ L: I = I² in L ⊗_K L, and some e in I is 1 on I."""
     return classical_etale_of_algebra(E.algebra)
 
 
 def classical_etale_of_algebra(alg: FiniteAlgebra) -> ClassicalEtaleReport:
-    """The classical oracle on raw scalars: the multiplication map is
-    written from L's product terms, I's kernel basis and every ordered
-    product b·u of two basis elements stay raw terms, computed once with
-    ``bilinear_terms`` over L ⊗_K L's product terms.  I² inserts the
-    products with b ≤ u in the basis order; the separability system
-    (e·u = u for every u in I, with e in I) reads all of them and is
-    solved by ``solve_matrix``."""
-    K = alg.base
-    tensor = tensor_algebra(alg, alg)
-    n, N = alg.dim, tensor.dim
-    rows = [[K.raw_zero] * N for _ in range(n)]
-    for i, row in enumerate(alg.terms):
-        for j, terms in enumerate(row):
-            for k, c in terms:
-                rows[k][i * n + j] = c
-    ibasis = kernel_raw(Mat._from_raw(K, tuple(map(tuple, rows)), N))
-    raw = [raw_terms(v) for v in ibasis]
-    prods = [[bilinear_terms(K, tensor.terms, b, u) for u in raw]
-             for b in raw]
+    """The classical oracle on raw scalars, materialising nothing: I = ker μ,
+    μ being L's product terms as an n × n² matrix, and each product b·u
+    (b ≤ u in I's basis order) is tested by μ(b·u) = 0 and inserted into
+    I²'s span until that span has I's dimension."""
+    K, n, N, terms = alg.base, alg.dim, alg.dim ** 2, alg.terms
+    mu = Mat._from_terms(K, [t for row in terms for t in row], n, cols=True)
+    vs, raw = _kernel(mu, "in L ⊗_K L")
     span_sq = Span(K, N)
-    for i, row in enumerate(prods):
-        for j in range(i, len(row)):
-            span_sq._insert(row[j])
-    etale = len(ibasis) == span_sq.dim
+    for i, b in enumerate(raw):
+        for j in range(i, len(raw)):
+            prod = _tensor_product(K, terms, n, b, raw[j])
+            if any(mu.apply_terms(prod)):
+                lab = [f"{x}⊗{y}" for x in alg.labels for y in alg.labels]
+                raise InternalCheckError(
+                    "I² is not contained in I in L ⊗_K L",
+                    witness=f"({format_element(K, K.fold(vs[i]), lab)})·"
+                    f"({format_element(K, K.fold(vs[j]), lab)}) = "
+                    f"{format_element(K, K.fold(dense_raw(K, prod, N)), lab)}")
+            if span_sq.dim < len(raw):
+                span_sq._insert(dense_raw(K, prod, N))
+    unit = _separability_unit(K, terms, n, raw) if raw else None
+    return ClassicalEtaleReport(N, len(raw), span_sq.dim,
+                                len(raw) == span_sq.dim, unit)
 
-    # separability witness: e in I with e·u = u for every u in I, one
-    # equation per (u, coordinate), in that order
-    unit = None
-    if ibasis:
-        eqs, rhs = [], []
-        for j, u in enumerate(ibasis):
-            eqs.extend(zip(*[row[j] for row in prods]))
-            rhs.extend((c,) for c in u)
-        sol = solve_matrix(Mat._from_raw(K, tuple(eqs), len(ibasis)),
-                           Mat._from_raw(K, tuple(rhs), 1))
-        if sol is not None:
-            acc = [K.raw_zero] * N
-            for (c,), terms in zip(sol.raw, raw):
-                for t, v in terms:
-                    acc[t] += c * v
-            unit = K.fold(K.reduce(acc))
-    return ClassicalEtaleReport(N, len(ibasis), span_sq.dim, etale, unit)
+
+def _tensor_product(K, terms, n, xs, ys):
+    """The sorted reduced raw terms of x·y in L ⊗_K L (e_a ⊗ e_b at a·n + b)
+    from those of x and y, by (e_a ⊗ e_b)(e_c ⊗ e_d) = e_a·e_c ⊗ e_b·e_d."""
+    acc = {}
+    for p, x in xs:
+        left, right = terms[p // n], terms[p % n]
+        for q, y in ys:
+            for a, s in left[q // n]:
+                c = x * y * s
+                for b, t in right[q % n]:
+                    k = a * n + b
+                    acc[k] = acc[k] + c * t if k in acc else c * t
+    return reduce_sums(K, [acc])[0]
+
+
+def _separability_unit(K, terms, n, raw):
+    """The e = Σ c_i b_i with e·u = u on I, or None.  Rows (u_j, k) of
+    Σ_i c_i (b_i·u_j)_k = (u_j)_k enter a ``Span`` in order, a column of
+    b_i·u_j at a time, until c has full rank (then each row, coordinate k
+    of e·u_j − u_j, is checked by e·u_j = u_j) or a row is inconsistent."""
+    d, zero, span = len(raw), K.raw_zero, Span(K, len(raw) + 1)
+    cols = ([dict(_tensor_product(K, terms, n, b, u)) for b in raw]
+            + [dict(u)] for u in raw)
+    for row in ([c.get(k, zero) for c in col] for col in cols
+                for k in range(n * n)):
+        if span._insert(row) and span._pivots[-1] >= d:
+            return None
+        if span.dim == d:
+            break
+    span._full()
+    acc = {}
+    for row, p in zip(span._rows, span._pivots):
+        kron_terms(((0, row[d]),), raw[p], 0, into=acc)
+    e, = reduce_sums(K, [acc])
+    if span.dim == d and any(_tensor_product(K, terms, n, e, u) != u
+                             for u in raw):
+        return None
+    return K.fold(dense_raw(K, e, n * n))
 
 
 # ---------------------------------------------------------------------------

@@ -130,13 +130,8 @@ class Mat:
         """The matrix whose rows, or with ``cols`` whose columns, have the
         reduced raw terms ``vecs``, each vector of length n.  Built from its
         columns, it keeps them as its ``col_terms``."""
-        raw = []
-        for terms in vecs:
-            v = [field.raw_zero] * n
-            for j, c in terms:
-                v[j] = c
-            raw.append(tuple(v))
-        mat = cls._from_raw(field, tuple(raw), n)
+        mat = cls._from_raw(field, tuple([
+            tuple(dense_raw(field, terms, n)) for terms in vecs]), n)
         if cols:
             mat = mat.transpose()
             mat._col_terms = tuple(vecs)
@@ -343,6 +338,15 @@ def raw_terms(raw):
     return tuple([(j, c) for j, c in enumerate(raw) if c])
 
 
+def dense_raw(field, terms, n):
+    """The raw list of length n holding the raw ``terms`` (index, scalar)
+    and the raw zero elsewhere."""
+    v = [field.raw_zero] * n
+    for j, c in terms:
+        v[j] = c
+    return v
+
+
 def nonzero_terms(field, v):
     """The raw ``(index, scalar)`` pairs of the nonzero entries of v."""
     return raw_terms(field.lift(v))
@@ -350,9 +354,7 @@ def nonzero_terms(field, v):
 
 def unit_vec(field, n, i):
     """The i-th standard basis vector of length n."""
-    v = [field.zero] * n
-    v[i] = field.one
-    return tuple(v)
+    return field.fold(dense_raw(field, ((i, field.raw_one),), n))
 
 
 def tensor_vec(field, u, v):
@@ -444,11 +446,8 @@ def kernel_raw(mat: Mat):
     for f in range(mat.ncols):
         if f in pivot_set:
             continue
-        v = [K.raw_zero] * mat.ncols
-        v[f] = K.raw_one
-        for row, p in zip(r.raw, pivots):
-            v[p] = -row[f]
-        basis.append(K.reduce(v))
+        basis.append(K.reduce(dense_raw(K, [(f, K.raw_one)] + [
+            (p, -row[f]) for row, p in zip(r.raw, pivots)], mat.ncols)))
     return basis
 
 

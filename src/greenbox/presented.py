@@ -36,7 +36,8 @@ level and runs the same check on that table's columns and rows.
 
 from __future__ import annotations
 
-from .linalg import Mat, nonzero_terms, reduce_sums, rref, unit_vec, vec_sub
+from .linalg import Mat, dense_raw, nonzero_terms, reduce_sums, rref, \
+    unit_vec, vec_sub
 from .mackey import InternalCheckError
 
 
@@ -103,19 +104,16 @@ class PresentedLevel:
         K = self.field
         if len(v) != self.ngens:
             raise ValueError("ambient vector of wrong length")
-        out = [K.zero] * self.ngens
-        for j, c in zip(self.free, K.fold(self.project(nonzero_terms(K, v)))):
-            out[j] = c
-        return tuple(out)
+        return K.fold(dense_raw(K, zip(
+            self.free, self.project(nonzero_terms(K, v))), self.ngens))
 
     def expand(self, rv):
         """Ambient canonical representative of reduced coordinates."""
         if len(rv) != self.dim:
             raise ValueError("reduced vector of wrong length")
-        out = [self.field.zero] * self.ngens
-        for c, j in zip(rv, self.free):
-            out[j] = c
-        return self.canonicalize(tuple(out))
+        K = self.field
+        raw = dense_raw(K, zip(self.free, K.lift(rv)), self.ngens)
+        return self.canonicalize(K.fold(raw))
 
     @property
     def relation_basis(self):
@@ -187,10 +185,7 @@ class PresentedLevel:
 
     def dense(self, terms) -> tuple:
         """The reduced vector, as elements, with raw nonzero ``terms``."""
-        out = [self.field.raw_zero] * self.dim
-        for t, c in terms:
-            out[t] = c
-        return self.field.fold(out)
+        return self.field.fold(dense_raw(self.field, terms, self.dim))
 
     def descend(self, images, target: "PresentedLevel", message: str,
                 check: bool = True) -> Mat:

@@ -17,12 +17,14 @@ coequalizer's unit law.  ``cyclic_algebra`` is K[x]/(x^n − a) with a
 diagonal σ, built without ``kummer_extension``'s checks, so a = 0 gives an
 algebra that is not a field: a NO case.  ``ref_ideal_and_square`` is
 ``etale.ideal_and_square`` with every product inserted into the span of
-I².  The rest are helpers that only the tests call: basis permutations, a
-matrix with one entry changed, a corrupted multiplication, the ideal check
-of a box, a basis and the labels of a fixed subfield, the base change of a
-Mackey functor, the reduced coordinates of an ambient vector of a
-presented level, relation-span membership and element-vector sums and
-multiples.
+I², and ``ref_classical_etale_of_algebra`` is the classical oracle with
+L ⊗_K L's product table, every product and the whole separability system
+materialised.  The rest are helpers that only the tests call: basis
+permutations, a matrix with one entry changed, a corrupted multiplication,
+the ideal check of a box, a basis and the labels of a fixed subfield, the
+base change of a Mackey functor, the reduced coordinates of an ambient
+vector of a presented level, relation-span membership and element-vector
+sums and multiples.
 
 A box is also read here on its ambient presentation (``amb_vec``,
 ``mult_terms``, ``mult_vec``), from its product table ``_mult_cache`` and
@@ -33,13 +35,13 @@ from them; ``ref_norm_on_c2_box`` is the C_2 norm computed that way, which
 
 import random
 
-from greenbox.algebras import poly_quotient_algebra
-from greenbox.etale import IdealData
+from greenbox.algebras import poly_quotient_algebra, tensor_algebra
+from greenbox.etale import ClassicalEtaleReport, IdealData
 from greenbox.extensions import GaloisExtension, format_l_element
 from greenbox.fields import FieldUsageError
 from greenbox.green import GreenFunctor, LevelEmbeddings
 from greenbox.linalg import Mat, Span, bilinear_terms, inverse, kernel, \
-    nonzero_terms, tensor_vec, unit_vec
+    kernel_raw, nonzero_terms, raw_terms, solve_matrix, tensor_vec, unit_vec
 from greenbox.mackey import InternalCheckError, MackeyFunctor, Violation, \
     _conjugate, subgroup_lattice
 
@@ -369,6 +371,46 @@ def ref_ideal_and_square(bx, mm):
         qdims[m] = span_i.dim - span_sq.dim
         verdicts[m] = span_i.dim == span_sq.dim
     return IdealData(ideal, square, qdims, verdicts)
+
+
+def ref_classical_etale_of_algebra(alg):
+    """``etale.classical_etale_of_algebra`` with everything materialised:
+    L ⊗_K L's product table (``tensor_algebra``), every ordered product
+    b·u of two basis vectors of I as a dense reduced list, every product
+    with b ≤ u inserted into I²'s span, and the whole separability system,
+    one equation per (u, coordinate), solved by ``solve_matrix``."""
+    K = alg.base
+    tensor = tensor_algebra(alg, alg)
+    n, N = alg.dim, tensor.dim
+    rows = [[K.raw_zero] * N for _ in range(n)]
+    for i, row in enumerate(alg.terms):
+        for j, terms in enumerate(row):
+            for k, c in terms:
+                rows[k][i * n + j] = c
+    ibasis = kernel_raw(Mat._from_raw(K, tuple(map(tuple, rows)), N))
+    raw = [raw_terms(v) for v in ibasis]
+    prods = [[bilinear_terms(K, tensor.terms, b, u) for u in raw]
+             for b in raw]
+    span_sq = Span(K, N)
+    for i, row in enumerate(prods):
+        for j in range(i, len(row)):
+            span_sq._insert(row[j])
+    etale = len(ibasis) == span_sq.dim
+    unit = None
+    if ibasis:
+        eqs, rhs = [], []
+        for j, u in enumerate(ibasis):
+            eqs.extend(zip(*[row[j] for row in prods]))
+            rhs.extend((c,) for c in u)
+        sol = solve_matrix(Mat._from_raw(K, tuple(eqs), len(ibasis)),
+                           Mat._from_raw(K, tuple(rhs), 1))
+        if sol is not None:
+            acc = [K.raw_zero] * N
+            for (c,), terms in zip(sol.raw, raw):
+                for t, v in terms:
+                    acc[t] += c * v
+            unit = K.fold(K.reduce(acc))
+    return ClassicalEtaleReport(N, len(ibasis), span_sq.dim, etale, unit)
 
 
 def fixed_space(E, m: int):

@@ -1,5 +1,6 @@
 import copy
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -17,14 +18,15 @@ from greenbox.extensions import kummer_extension
 from greenbox.fields import finite_field, prime_field
 from greenbox.green import FixNorm, LevelEmbeddings, fix_functor
 from greenbox.boxes import relative_box
-from greenbox.linalg import Mat, Span, bilinear_terms, kernel, kernel_raw, \
-    nonzero_terms, tensor_vec, vec_sub
+from greenbox.linalg import Mat, Span, bilinear_terms, dense_raw, kernel, \
+    kernel_raw, nonzero_terms, raw_terms, tensor_vec, vec_sub
 from greenbox.mackey import InternalCheckError, MackeyMorphism
 from greenbox.report import load_config
 
-from reference import algebra_table, amb_vec, check_ideal, \
+from reference import algebra_table, amb_vec, bumped, check_ideal, \
     corrupt_multiplication, cyclic_algebra, level_reduce, multiply, \
-    permute_green, ref_ideal_and_square, vec_scale
+    permute_green, ref_classical_etale_of_algebra, ref_ideal_and_square, \
+    vec_scale
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -59,6 +61,21 @@ def test_mult_map_witness_uses_basis_labels(kummer4_bundle):
     assert isinstance(witness, str) and "↦" in witness
     assert any(lab in witness for lvl in rb.levels.values()
                for lab in lvl.labels)
+
+
+def test_mult_map_names_the_first_violation(kummer4_bundle):
+    """A multiplication map that descends but does not commute with the
+    box's restriction raises with its first violation, as a string."""
+    rb = kummer4_bundle.box
+    bad = copy.copy(rb)
+    bad.green = copy.copy(rb.green)
+    bad.green.mackey = copy.copy(rb.green.mackey)
+    bad.green.mackey.res = dict(rb.green.mackey.res)
+    bad.green.mackey.res[(1, 2)] = bumped(rb.green.mackey.res[(1, 2)])
+    with pytest.raises(InternalCheckError,
+                       match="multiplication is not a Mackey morphism") as exc:
+        mult_map(bad)
+    assert exc.value.witness == "morphism_res [pair=(1, 2)] mult"
 
 
 def test_mult_values_kummer(kummer2_bundle):
@@ -221,6 +238,152 @@ def test_constant_etale_check_rejects_a_non_reduced_algebra():
     assert not rep.ok
     assert not rep.classical.etale
     assert rep.verdicts and not any(rep.verdicts.values())
+
+
+# the classical oracle against its materialised reference: every config,
+# the cyclic algebras K[x]/(x^n − a) of ROADMAP item 15 (a = 0 is not
+# étale) and F_3[s]/(s²)
+F9 = finite_field(3, 2)       # F_3[t]/(t² + 1), where t has order 4
+CLASSICAL_CYCLIC = {
+    "C5/F11 a=0": (prime_field(11), 5, 0, 3),
+    "C6/F13 a=0": (prime_field(13), 6, 0, 4),
+    "C6/F13 a=2^6": (prime_field(13), 6, 2 ** 6, 4),
+    "C6/F13 a=2^2": (prime_field(13), 6, 2 ** 2, 4),
+    "C6/F13 a=2^3": (prime_field(13), 6, 2 ** 3, 4),
+    "C4/F9 a=0": (F9, 4, 0, None),
+    "C4/F9 a=1": (F9, 4, 1, None),
+}
+CLASSICAL_INPUTS = sorted(
+    str(p.relative_to(BENCH_CONFIGS.parents[1]))
+    for p in [*BENCH_CONFIGS.parent.parent.glob("configs/*.cfg"),
+              *BENCH_CONFIGS.glob("*.cfg")]) + [*CLASSICAL_CYCLIC, "DUAL"]
+
+
+def _classical_input(name):
+    if name == "DUAL":
+        return DUAL
+    if name in CLASSICAL_CYCLIC:
+        K, n, a, zeta = CLASSICAL_CYCLIC[name]
+        zeta = K.gen if zeta is None else K.from_int(zeta)
+        return cyclic_algebra(K, n, K.from_int(a), zeta).algebra
+    return load_config(str(BENCH_CONFIGS.parents[1] / name)).extension() \
+        .algebra
+
+
+@pytest.mark.parametrize("name", CLASSICAL_INPUTS)
+def test_classical_oracle_matches_the_materialised_reference(name):
+    """The streamed oracle gives the whole report of the materialised one,
+    separability unit included: I² stopped once full, every product tested
+    by μ, and the separability rows produced only up to full rank and then
+    checked by e·u = u."""
+    alg = _classical_input(name)
+    want = ref_classical_etale_of_algebra(alg)
+    assert classical_etale_of_algebra(alg) == want
+    assert want.etale == want.has_separability_unit == \
+        (name != "DUAL" and "a=0" not in name)
+
+
+def _counting(monkeypatch, change=None):
+    """Wrap ``etale._tensor_product``: record each call, and pass the
+    result of call k through ``change(k, terms)`` when given."""
+    real, seen = etale._tensor_product, []
+
+    def wrapped(*args):
+        out = real(*args)
+        seen.append(out)
+        return out if change is None else change(len(seen) - 1, out)
+
+    monkeypatch.setattr(etale, "_tensor_product", wrapped)
+    return seen
+
+
+def test_a_classical_product_outside_i_is_caught(monkeypatch):
+    """Every product b·u (b ≤ u) is tested by μ(b·u) = 0, also after I²'s
+    span is full: the last one, replaced by 1⊗1, raises with the pair in
+    L ⊗_K L's labels."""
+    alg = _classical_input("configs/kummer_f7_n3.cfg")
+    d = classical_etale_of_algebra(alg).ideal_dim
+    target = d * (d + 1) // 2 - 1
+    one = ((0, alg.base.raw_one),)
+    seen = _counting(monkeypatch,
+                     lambda k, out: one if k == target else out)
+    with pytest.raises(InternalCheckError,
+                       match="I² is not contained in I in L ⊗_K L") as exc:
+        classical_etale_of_algebra(alg)
+    assert len(seen) == target + 1
+    # the last basis vector of I, squared
+    assert exc.value.witness == \
+        "(4·1⊗α + α^2⊗α^2)·(4·1⊗α + α^2⊗α^2) = 1⊗1"
+
+
+def test_a_perturbed_product_after_full_rank_leaves_no_unit(monkeypatch):
+    """The separability rows that are not eliminated are still checked:
+    the last product formed, e·u for the last u, made after the system has
+    full rank, moved inside I by adding a basis vector of I, leaves no
+    separability unit, while I and I² are unchanged."""
+    alg = _classical_input("configs/kummer_f7_n3.cfg")
+    K, N = alg.base, alg.dim ** 2
+    seen = _counting(monkeypatch)
+    want = classical_etale_of_algebra(alg)
+    last, d = len(seen) - 1, want.ideal_dim
+    assert last >= d * (d + 1) // 2 + 2 * d - 1   # past I², a column, a check
+    b0 = K.lift(classical_ideal(alg)[0])
+    monkeypatch.undo()
+
+    def move(k, out):
+        if k != last:
+            return out
+        return raw_terms(K.reduce([x + y for x, y in
+                                   zip(dense_raw(K, out, N), b0)]))
+
+    _counting(monkeypatch, move)
+    rep = classical_etale_of_algebra(alg)
+    assert (rep.ideal_dim, rep.square_dim, rep.etale) == \
+        (want.ideal_dim, want.square_dim, True)
+    assert want.separability_unit is not None
+    assert rep.separability_unit is None
+
+
+def test_the_classical_oracle_materialises_nothing():
+    """At C_12/F_13 (N = 144, dim I = 132) the oracle's traced peak stays
+    under 8 MB; with L ⊗_K L's product table and every product kept it was
+    about 46 MB."""
+    F13 = prime_field(13)
+    alg = kummer_extension(F13, 12, F13.from_int(2), F13.from_int(2)).algebra
+    tracemalloc.start()
+    try:
+        rep = classical_etale_of_algebra(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.ideal_dim, rep.square_dim) == (132, 132)
+    assert rep.has_separability_unit
+    assert peak < 8 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
+
+
+@pytest.mark.parametrize("drop", [False, True])
+def test_a_kernel_basis_that_is_not_ker_mu_is_caught(kummer4_bundle, drop,
+                                                     monkeypatch):
+    """I = ker μ is asserted before any product is tested by μ: a basis
+    missing a vector, or with a vector that μ does not kill, raises, in
+    ``ideal_and_square`` and in the classical oracle."""
+    real = etale.kernel_raw
+
+    def corrupted(mat):
+        basis = real(mat)
+        if drop:
+            return basis[1:]
+        j = next(j for j, col in enumerate(mat.col_terms()) if col)
+        return [dense_raw(mat.field, ((j, mat.field.raw_one),),
+                          mat.ncols)] + basis[1:]
+
+    monkeypatch.setattr(etale, "kernel_raw", corrupted)
+    with pytest.raises(InternalCheckError,
+                       match="the kernel basis at level 1 is not ker μ"):
+        ideal_and_square(kummer4_bundle.box, kummer4_bundle.mult)
+    with pytest.raises(InternalCheckError,
+                       match="the kernel basis in L ⊗_K L is not ker μ"):
+        classical_etale_of_algebra(kummer4_bundle.ext.algebra)
 
 
 # ---------------------------------------------------------------------------

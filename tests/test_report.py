@@ -16,7 +16,7 @@ import greenbox.green
 import greenbox.modules
 import greenbox.report
 from greenbox.cli import main
-from greenbox.fields import prime_field
+from greenbox.fields import finite_field, prime_field
 from greenbox.mackey import InternalCheckError
 from greenbox.green import GreenFunctor
 from greenbox.mackey import check_axioms, corrupt_transfer
@@ -629,11 +629,14 @@ def test_layer_trace_attaches_to_the_cli():
 # NO verdicts as tested facts: K[x]/(x^n − a) over F_13, a = 0 and a = 1
 
 
-def _cyclic_report(n, a, zeta):
-    F13 = prime_field(13)
+def _cyclic_report(n, a, zeta, K=None):
+    """The report of K[x]/(x^n − a) with σ(x) = ζx, over F_13 unless K is
+    given; a and ζ are integers, or elements of K."""
+    K = K or prime_field(13)
+    a, zeta = (K.from_int(c) if isinstance(c, int) else c
+               for c in (a, zeta))
     r = EtaleReport(RunConfig())
-    r.__dict__["galois"] = cyclic_algebra(F13, n, F13.from_int(a),
-                                          F13.from_int(zeta))
+    r.__dict__["galois"] = cyclic_algebra(K, n, a, zeta)
     return r
 
 
@@ -682,3 +685,48 @@ def test_cyclic_algebra_verdicts(n, zeta, a):
         assert v[key] is False, key
     assert not any(v["levels"].values())
     assert "Green étale: NO" in emit(r).decode()
+
+
+# ROADMAP item 15's table, over F_11, F_13 and F_9 = F_3[t]/(t² + 1):
+# K, n, ζ -> (dim I, dim I²) per level at a = 0, and the units a for which
+# K[x]/(x^n − a) is a product of fields (split, two cubics, three quadratics)
+F9 = finite_field(3, 2)
+CYCLIC_TABLE = {
+    "C5/F11": (prime_field(11), 5, 3, {1: (20, 16), 5: (4, 0)}, ()),
+    "C6/F13": (prime_field(13), 6, 4, {1: (30, 25), 2: (15, 12),
+                                       3: (10, 7), 6: (5, 0)},
+               (2 ** 6, 2 ** 2, 2 ** 3)),
+    "C4/F9": (F9, 4, F9.gen, {1: (12, 9), 2: (6, 4), 4: (3, 0)}, (1,)),
+}
+CYCLIC_TABLE_RUNS = [(name, 0) for name in CYCLIC_TABLE] + [
+    (name, a) for name, row in CYCLIC_TABLE.items() for a in row[4]]
+
+
+@pytest.mark.parametrize("name,a", CYCLIC_TABLE_RUNS,
+                         ids=[f"{name} a={a}" for name, a in
+                              CYCLIC_TABLE_RUNS])
+def test_cyclic_algebra_table_rows(name, a):
+    """With a = 0 every level and the classical oracle say NO, with the
+    listed (dim I, dim I²): I² never fills, so the early stop and the μ
+    tests meet their NO path.  With a unit a that makes K[x]/(x^n − a) a
+    product of fields, I = I² everywhere and every section says YES."""
+    K, n, zeta, ideal_dims, _ = CYCLIC_TABLE[name]
+    r = _cyclic_report(n, a, zeta, K)
+    assert r.functor_checks == {"mackey_axioms": 0, "green_axioms": 0,
+                                "norm_rules": 0}
+    got = {m: (v["dim"], v["square_dim"]) for m, v in r.ideal.items()}
+    v, c = r.verdict, r.classical
+    if a == 0:
+        assert got == ideal_dims
+        assert (c["ideal_dim"], c["square_dim"]) == ideal_dims[1]
+        assert not c["separability_unit_found"]
+        assert r.congruences["failures"]
+        assert not any(v["levels"].values())
+        for key in ("kahler_all_zero", "classical_ok", "congruences_ok",
+                    "green_etale"):
+            assert v[key] is False, key
+        return
+    assert got == {m: (i, i) for m, (i, _) in ideal_dims.items()}
+    assert c["etale"] and c["separability_unit_found"]
+    assert r.congruences["failures"] == []
+    assert all(v["levels"].values()) and v["green_etale"]
