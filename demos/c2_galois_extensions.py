@@ -10,9 +10,8 @@ generator, and evaluates the Tambara norm that reaches the same generator.
 from fractions import Fraction
 
 from greenbox import (artin_schreier_extension, fix_functor, format_element,
-                      green_kahler_dims, ideal_and_square, kummer_extension,
-                      mult_map, norm_on_c2_box, prime_field, rationals,
-                      relative_box)
+                      ideal_and_square, kummer_extension, mult_map,
+                      norm_on_c2_box, prime_field, rationals, relative_box)
 from greenbox.linalg import bilinear_terms, nonzero_terms
 
 
@@ -46,7 +45,7 @@ def explore(tag, ext):
     square = K.fold(bilinear_terms(K, rb.green.terms(2), raw, raw))
     print(f"its square: {format_element(K, square, lab2)}")
     print(f"I = I² per level: {data.verdicts}; "
-          f"Kähler dims: {green_kahler_dims(data)}")
+          f"Kähler dims: {data.quotient_dims}")
 
     # the same generator is hit (up to a unit) by a norm from below
     plus = K.characteristic == 2

@@ -7,9 +7,9 @@ congruences all hold, and two independent constructions of the relative
 box agree with the direct one.
 """
 
-from greenbox import (coequalizer_oracle, fix_functor, green_kahler_dims,
-                      ideal_and_square, kummer_congruence_checks,
-                      kummer_extension, mult_map, prime_field, relative_box)
+from greenbox import (coequalizer_oracle, fix_functor, ideal_and_square,
+                      kummer_congruence_checks, kummer_extension, mult_map,
+                      prime_field, relative_box)
 
 
 def verify(p, n, a, zeta):
@@ -27,7 +27,7 @@ def verify(p, n, a, zeta):
         print(f"  level C{n}/C{m}: dim I = {len(data.ideal[m])}, "
               f"dim I² = {len(data.square[m])}, "
               f"I = I²: {'yes' if data.verdicts[m] else 'NO'}")
-    print(f"Kähler dimensions: {green_kahler_dims(data)}")
+    print(f"Kähler dimensions: {data.quotient_dims}")
 
     rep = kummer_congruence_checks(rb, E, data)
     origins = sorted({lab.split(":")[0] for lab in rep.labels})

@@ -7,8 +7,8 @@ from .algebras import FiniteAlgebra, base_as_algebra, poly_quotient_algebra, \
 from .boxes import BoxProduct, box, compare_boxes, coequalizer_oracle, \
     norm_on_c2_box, prime_box_oracle, relative_box
 from .etale import ClassicalEtaleReport, IdealData, classical_etale_oracle, \
-    constant_etale_check, green_kahler_dims, ideal_and_square, \
-    ideal_generator, kummer_congruence_checks, mult_map, unit_section_check
+    constant_etale_check, ideal_and_square, ideal_generator, \
+    kummer_congruence_checks, mult_map, unit_section_check
 from .extensions import ConstructionError, GaloisExtension, \
     artin_schreier_extension, explicit_extension, kummer_extension
 from .fields import Field, FieldUsageError, extension_field, finite_field, \

@@ -130,12 +130,6 @@ def _kernel(mu: Mat, where: str):
     return basis, raw
 
 
-def green_kahler_dims(data: IdealData) -> dict:
-    """dim I/I² per level; all zero means vanishing Green Kähler
-    differentials."""
-    return dict(data.quotient_dims)
-
-
 # ---------------------------------------------------------------------------
 # classical étale oracle
 

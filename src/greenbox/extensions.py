@@ -211,10 +211,11 @@ def verify_extension(ext: GaloisExtension) -> None:
     """Execute the C_n-Galois invariants; raise ConstructionError on failure."""
     K, n = ext.base, ext.degree
     ident = Mat.identity(K, n)
-    if ext.sigma.power(n) != ident:
+    # sigma_pow reduces its exponent mod n, so σ^n is σ·σ^(n-1)
+    if ext.sigma @ ext.sigma_pow(n - 1) != ident:
         raise ConstructionError("not C_n-Galois: σ^n is not the identity")
     for m in range(1, n):
-        if n % m == 0 and ext.sigma.power(m) == ident:
+        if n % m == 0 and ext.sigma_pow(m) == ident:
             raise ConstructionError(
                 f"not C_{n}-Galois: σ has order dividing {m}")
     # σ is a ring map: check on all pairs of power-basis elements, as

@@ -214,7 +214,7 @@ def check_green(G: GreenFunctor):
     """Exhaustive Green-functor checks on basis tuples; returns violations.
     Every side is a reduced raw list: products are ``bilinear_terms`` on
     raw terms and maps are ``apply_terms``.  Each level's products of basis
-    pairs are formed once, into one local table."""
+    pairs are formed once, into one local table of their raw terms."""
     out = []
     lat = G.lattice
     K = G.scalars
@@ -226,15 +226,15 @@ def check_green(G: GreenFunctor):
         e = [((i, one),) for i in range(dim)]
         unit = K.lift(G.unit[m])
         ut = raw_terms(unit)
-        prod = [[bilinear_terms(K, terms, ei, ej) for ej in e] for ei in e]
-        pt = prod_terms[m] = [[raw_terms(v) for v in row] for row in prod]
+        pt = prod_terms[m] = [[raw_terms(bilinear_terms(K, terms, ei, ej))
+                               for ej in e] for ei in e]
         for i in range(dim):
             if bilinear_terms(K, terms, ut, e[i]) != \
                     K.lift(unit_vec(K, dim, i)):
                 out.append(Violation("unit", {"level": m, "basis": i}, G.name))
         for i in range(dim):
             for j in range(i, dim):
-                if prod[i][j] != prod[j][i]:
+                if pt[i][j] != pt[j][i]:
                     out.append(Violation("commutativity",
                                          {"level": m, "pair": (i, j)}, G.name))
         for i in range(dim):
@@ -339,23 +339,22 @@ def check_green_morphism(source: GreenFunctor, target: GreenFunctor,
     those of MackeyMorphism.check, then per level at most one
     multiplication violation and the unit.
 
-    φ(e_i·e_j) = φ(e_i)·φ(e_j) is compared for every basis pair on raw
-    scalars, from φ's cached column terms and the two functors' product
-    terms, without a lift or fold per pair.  Both sides are sparse: an
-    empty product term list is a zero product, so φ(e_i·e_j) is zero when
-    e_i·e_j is, and the right side sums only the nonzero target products
-    e_k·e_l.  Per i, those products are grouped by l once, and the
-    difference of the two sides for each j is one sparse accumulation;
-    the row's differences are reduced in one call (``_row_differs``).
+    φ(e_i·e_j) = φ(e_i)·φ(e_j) is compared for every ordered basis pair
+    (i, j) on reduced raw lists: ``apply_terms`` of φ on the source's
+    product terms against ``bilinear_terms`` of φ's column terms through
+    the target's.
 
-    At a level whose component is a known identity (``Mat.identity``, as
-    ``compare_boxes`` and the unit law hand over), φ(e_i·e_j) = e_i·e_j and
-    φ(e_i)·φ(e_j) = e_i·e_j in the target, so the two product tables and
-    the two units are compared by equality; the structure maps already are,
-    through the ``@`` identity shortcut.  That relies on each product's
-    terms being one tuple of sorted, reduced, nonzero ``(index, scalar)``
-    pairs, which every functor the pipeline builds keeps.  The violations,
-    their locations and their order are those of the general path."""
+    Only a non-identity component takes that path.  At a level whose
+    component is a known identity (``Mat.identity``), φ(e_i·e_j) = e_i·e_j
+    and φ(e_i)·φ(e_j) = e_i·e_j in the target, so the two product tables
+    and the two units are compared by equality; the structure maps already
+    are, through the ``@`` identity shortcut.  Every φ the pipeline builds
+    is ``Mat.identity`` (``compare_boxes`` and the unit law), and fuzz-c5
+    runs about 9% slower without this shortcut.  It relies on each
+    product's terms being one tuple of sorted, reduced, nonzero
+    ``(index, scalar)`` pairs, which every functor the pipeline builds
+    keeps.  The violations, their locations and their order are those of
+    the general path."""
     out = MackeyMorphism(source.mackey, target.mackey, components,
                          name=name).check()
     K = source.scalars
@@ -367,41 +366,16 @@ def check_green_morphism(source: GreenFunctor, target: GreenFunctor,
             image = tuple(source.unit[m])
         else:
             cols = phi.col_terms()
-            mult_differs = any(_row_differs(K, src[i], tgt, xs, cols)
-                               for i, xs in enumerate(cols))
+            mult_differs = any(
+                phi.apply_terms(src[i][j])
+                != bilinear_terms(K, tgt, cols[i], cols[j])
+                for i in range(len(cols)) for j in range(len(cols)))
             image = phi.apply(source.unit[m])
         if mult_differs:
             out.append(Violation("morphism_mult", {"level": m}, name))
         if image != target.unit[m]:
             out.append(Violation("morphism_unit", {"level": m}, name))
     return out
-
-
-def _row_differs(K, src_row, tgt, xs, cols) -> bool:
-    """Whether φ(e_i·e_j) ≠ φ(e_i)·φ(e_j) for some j, given row i of the
-    source's product terms, the target's product terms ``tgt``, the terms
-    ``xs`` of φ(e_i) and ``cols``, those of every φ(e_j): per j,
-    Σ_k (e_i·e_j)_k·φ(e_k) − Σ_{k,l} x_k·y_l·(e_k·e_l) is accumulated over
-    its nonzero terms only."""
-    zero = K.raw_zero
-    by_l = {}               # l -> [(x_k, terms of e_k·e_l)], nonzero only
-    for k, a in xs:
-        for l, prod in enumerate(tgt[k]):
-            if prod:
-                by_l.setdefault(l, []).append((a, prod))
-    flat = []
-    for j, ys in enumerate(cols):
-        acc = {}
-        for k, c in src_row[j]:
-            for t, a in cols[k]:
-                acc[t] = acc.get(t, zero) + c * a
-        for l, b in ys:
-            for a, prod in by_l.get(l, ()):
-                c = a * b
-                for t, v in prod:
-                    acc[t] = acc.get(t, zero) - c * v
-        flat += acc.values()
-    return any(K.reduce(flat))
 
 
 def zero_green(M: MackeyFunctor) -> GreenFunctor:

@@ -9,8 +9,8 @@ A ``Mat`` stores one form: its rows as tuples of the field's reduced raw
 scalars (plain ints mod p for a prime field, the elements themselves for Q
 and F_{p^k}; see ``fields``).  ``Mat(K, rows)``, ``from_cols`` and
 ``zeros`` lift element rows once; every kernel result (``@``, ``+``,
-``scale``, ``transpose``, ``power``, ``rref``, ``solve_matrix``,
-``inverse``) is built from raw rows through the
+``scale``, ``transpose``, ``rref``, ``solve_matrix``, ``inverse``) is
+built from raw rows through the
 package-private ``Mat._from_raw``, as are the matrices that ``mackey``,
 ``presented`` and ``boxes`` write raw, so no matrix is folded to elements
 and lifted back between kernels.  Elements appear only at the public
@@ -53,8 +53,9 @@ of them is built.
 ``Mat.identity`` returns an instance of the private subclass ``_Identity``,
 one object per (field, n), and ``A @ B`` returns the other operand
 unchanged when either factor is one, after the shape and field checks; this
-is safe because a ``Mat`` is immutable.  Composite chains, powers and Weyl orbits that start from the
-identity so do no arithmetic for it.  Only ``Mat.identity`` makes one;
+is safe because a ``Mat`` is immutable.  Composite chains and the powers
+of σ and of the Weyl generators that start from the identity so do no
+arithmetic for it.  Only ``Mat.identity`` makes one;
 ``mackey`` and ``boxes`` call it wherever a map is the identity by
 construction, ``inverse`` returns it as its own inverse, and
 ``green.check_green_morphism`` compares through it by equality.  A
@@ -262,19 +263,6 @@ class Mat:
             for i, a in cols[j]:
                 out[i] += a * x
         return K.reduce(out)
-
-    def power(self, e: int) -> "Mat":
-        if self.nrows != self.ncols:
-            raise ValueError("power of a non-square matrix")
-        result = Mat.identity(self.field, self.nrows)
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result @ base
-            e >>= 1
-            if e:
-                base = base @ base
-        return result
 
     def transpose(self) -> "Mat":
         raw = tuple(zip(*self.raw)) if self.raw else ((),) * self.ncols

@@ -505,9 +505,6 @@ def small_random_mackey(lattice: SubgroupLattice, scalars: Field,
 def _random_invertible(K: Field, n: int, rng):
     """A random invertible n x n matrix and its inverse: singular draws are
     rejected, so the rng advances exactly as a rank test would make it."""
-    if n == 0:
-        ident = Mat.identity(K, 0)
-        return ident, ident
     while True:
         mat = Mat(K, [[K.random(rng) for _ in range(n)] for _ in range(n)],
                   ncols=n)

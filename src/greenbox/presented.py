@@ -19,7 +19,8 @@ relation span exactly when ``q`` kills it, and the reduced dimension is
 (``project``, in the field's raw scalars; ``project_many`` gives the same
 images of a batch of vectors as sparse raw terms, with one reduction for
 the batch); ``relation_basis`` gives back the rows
-e_p - Σ_k q[p]_k·e_{free_k} for tests and witnesses.
+e_p - Σ_k q[p]_k·e_{free_k}, each e_p less its ``canonicalize``, for
+tests and witnesses.
 
 Descent is decided here, by one check.  A linear map f out of a quotient is
 well defined exactly when it sends the relation span into the target's
@@ -107,24 +108,12 @@ class PresentedLevel:
         return K.fold(dense_raw(K, zip(
             self.free, self.project(nonzero_terms(K, v))), self.ngens))
 
-    def expand(self, rv):
-        """Ambient canonical representative of reduced coordinates."""
-        if len(rv) != self.dim:
-            raise ValueError("reduced vector of wrong length")
-        K = self.field
-        raw = dense_raw(K, zip(self.free, K.lift(rv)), self.ngens)
-        return self.canonicalize(K.fold(raw))
-
     @property
     def relation_basis(self):
         """The fully reduced relation rows e_p - Σ_k q[p]_k·e_{free_k}, one
-        per pivot p in increasing order: e_p less the canonical form of its
-        image."""
-        K = self.field
-        return tuple(vec_sub(unit_vec(K, self.ngens, p),
-                             self.expand(K.fold(self.project(
-                                 ((p, K.raw_one),)))))
-                     for p in self.pivots)
+        per pivot p in increasing order: e_p less its canonical form."""
+        units = (unit_vec(self.field, self.ngens, p) for p in self.pivots)
+        return tuple(vec_sub(e, self.canonicalize(e)) for e in units)
 
     def show(self, v) -> str:
         """An ambient vector written in the generator labels."""

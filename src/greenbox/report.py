@@ -40,8 +40,8 @@ from functools import cached_property
 
 from .boxes import absolute_box_supported, box, compare_boxes, \
     coequalizer_oracle, norm_on_c2_box, prime_box_oracle, relative_box
-from .etale import classical_etale_oracle, green_kahler_dims, \
-    ideal_and_square, kummer_congruence_checks, mult_map, unit_section_check
+from .etale import classical_etale_oracle, ideal_and_square, \
+    kummer_congruence_checks, mult_map, unit_section_check
 from .extensions import GaloisExtension, artin_schreier_extension, \
     kummer_extension
 from .fields import Field, extension_field, is_prime, prime_field, rationals
@@ -188,6 +188,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"unknown flavor {cfg.flavor!r}")
     if cfg.flavor == "artin_schreier" and cfg.n != 2:
         raise ConfigError("artin_schreier data is quadratic; set n = 2")
+    if cfg.flavor == "artin_schreier" and cfg.zeta_raw is not None:
+        raise ConfigError("artin_schreier data takes no zeta; remove it")
     return cfg
 
 
@@ -329,7 +331,6 @@ class EtaleReport:
     @cached_property
     def ideal(self) -> dict:
         K, data = self.galois.base, self.ideal_data
-        kahler = green_kahler_dims(data)
         out = {}
         for m in self.divisors:
             labels = self.rel_box.levels[m].reduced_labels
@@ -341,7 +342,7 @@ class EtaleReport:
                                      for v in data.ideal[m]],
                 "square_dim": len(data.square[m]),
                 "equals_square": data.verdicts[m],
-                "kahler_dim": kahler[m],
+                "kahler_dim": data.quotient_dims[m],
             }
         return out
 

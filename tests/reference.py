@@ -23,8 +23,9 @@ materialised.  The rest are helpers that only the tests call: basis
 permutations, a matrix with one entry changed, a corrupted multiplication,
 the ideal check of a box, a basis and the labels of a fixed subfield, the
 base change of a Mackey functor, the reduced coordinates of an ambient
-vector of a presented level, relation-span membership and element-vector
-sums and multiples.
+vector of a presented level and the ambient lift of reduced coordinates
+(``expand``), relation-span membership and element-vector sums and
+multiples.
 
 A box is also read here on its ambient presentation (``amb_vec``,
 ``mult_terms``, ``mult_vec``), from its product table ``_mult_cache`` and
@@ -40,8 +41,9 @@ from greenbox.etale import ClassicalEtaleReport, IdealData
 from greenbox.extensions import GaloisExtension, format_l_element
 from greenbox.fields import FieldUsageError
 from greenbox.green import GreenFunctor, LevelEmbeddings
-from greenbox.linalg import Mat, Span, bilinear_terms, inverse, kernel, \
-    kernel_raw, nonzero_terms, raw_terms, solve_matrix, tensor_vec, unit_vec
+from greenbox.linalg import Mat, Span, bilinear_terms, dense_raw, inverse, \
+    kernel, kernel_raw, nonzero_terms, raw_terms, solve_matrix, tensor_vec, \
+    unit_vec
 from greenbox.mackey import InternalCheckError, MackeyFunctor, Violation, \
     _conjugate, subgroup_lattice
 
@@ -426,6 +428,16 @@ def fixed_labels(E, m: int):
     return [format_l_element(E, v) for v in fixed_space(E, m)]
 
 
+def expand(lvl, rv):
+    """The ambient canonical representative of the reduced coordinates rv
+    of the ``PresentedLevel`` lvl: rv on the free generators, 0 at the
+    pivots."""
+    if len(rv) != lvl.dim:
+        raise ValueError("reduced vector of wrong length")
+    K = lvl.field
+    return K.fold(dense_raw(K, zip(lvl.free, K.lift(rv)), lvl.ngens))
+
+
 def level_reduce(lvl, v):
     """The reduced coordinates (length ``dim``) of the ambient vector v of
     the ``PresentedLevel`` lvl."""
@@ -491,7 +503,7 @@ def ref_norm_on_c2_box(bx, vec, term_order=None):
     ``mult_vec``, summed from the last term back to the first as ambient
     element vectors and reduced at the end."""
     K = bx.scalars
-    ambient = bx.levels[1].expand(vec)
+    ambient = expand(bx.levels[1], vec)
     terms = [(idx, c) for idx, c in enumerate(ambient) if c != K.zero]
     if term_order is not None:
         terms = [terms[t] for t in term_order]

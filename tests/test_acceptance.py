@@ -14,8 +14,7 @@ from conftest import gen_coords, unit_vec
 from greenbox.algebras import poly_quotient_algebra
 from greenbox.boxes import (box, compare_boxes, coequalizer_oracle,
                             norm_on_c2_box, prime_box_oracle)
-from greenbox.etale import (constant_etale_check, green_kahler_dims,
-                            kummer_congruence_checks)
+from greenbox.etale import constant_etale_check, kummer_congruence_checks
 from greenbox.extensions import kummer_extension
 from greenbox.fields import prime_field
 from greenbox.green import check_green, constant_functor, fix_functor, \
@@ -55,7 +54,7 @@ def test_criterion_01_artin_schreier_relative_box(as_bundle):
     assert gen == tuple(a + b for a, b in zip(one, cls))  # 1⊗1 + [α⊗α]
     assert multiply(rb.green, 2, gen, gen) == gen          # idempotent
     assert data.verdicts == {1: True, 2: True}
-    assert green_kahler_dims(data) == {1: 0, 2: 0}
+    assert data.quotient_dims == {1: 0, 2: 0}
     passline(1, "Artin-Schreier C_2: basis {1⊗1, [α⊗α]}, idempotent "
                 "generator, I = I² at both levels, Kähler dims 0")
 
@@ -75,7 +74,7 @@ def test_criterion_02_kummer_c2_ideal(kummer2_bundle):
         F5.from_int(32) * a - F5.from_int(8) * b
         for a, b in zip(one, cls))                         # 8a² − 4a[α⊗α]
     assert data.verdicts == {1: True, 2: True}
-    assert green_kahler_dims(data) == {1: 0, 2: 0}
+    assert data.quotient_dims == {1: 0, 2: 0}
     passline(2, "Kummer C_2 over F_5: I generated by 2a−[α⊗α], "
                 "[α⊗α]² = 4a², (2a−[α⊗α])² = 8a²−4a[α⊗α], I = I²")
 

@@ -18,15 +18,16 @@ from greenbox.extensions import kummer_extension
 from greenbox.fields import finite_field, prime_field, rationals
 from greenbox.green import (GreenFunctor, check_green, constant_functor,
                             fix_functor, zero_green)
-from greenbox.linalg import Mat, nonzero_terms, tensor_vec
+from greenbox.linalg import Mat, nonzero_terms, rref, tensor_vec
 from greenbox.mackey import InternalCheckError, MackeyFunctor, check_axioms, \
     corrupt_transfer, small_random_mackey, subgroup_lattice
 from greenbox.presented import PresentedLevel
 from greenbox.report import ORACLE_EVERY, load_config
 
 from reference import amb_vec, bumped, burnside_c2, \
-    corrupt_multiplication, in_relation_span, level_reduce, mult_table, \
-    mult_terms, mult_vec, multiply, products, ref_norm_on_c2_box, vec_add
+    corrupt_multiplication, expand, in_relation_span, level_reduce, \
+    mult_table, mult_terms, mult_vec, multiply, products, ref_norm_on_c2_box, \
+    vec_add
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -109,7 +110,7 @@ def test_kummer_box3_transfers(kummer2_bundle):
     tr = b.green.mackey.tr[(2, 1)]
     lab1 = b.levels[1].reduced_labels
     one = tuple(F5.one if lab == "1⊗1⊗1" else F5.zero for lab in lab1)
-    img = tr.apply(level_reduce(b.levels[1], b.levels[1].expand(one)))
+    img = tr.apply(level_reduce(b.levels[1], expand(b.levels[1], one)))
     lab2 = b.levels[2].reduced_labels
     # tr(1⊗1⊗1) = 2(1⊗1⊗1); tr(α⊗1⊗1) = 0
     assert img == tuple(F5.from_int(2) if lab == "1⊗1⊗1" else F5.zero
@@ -634,7 +635,7 @@ def _assert_reduced_structure_is_ambient(bx):
     expand e_b)), at every level."""
     G, K, pairs = bx.green, bx.scalars, bx.lattice.covering_pairs
     for m in bx.lattice.divisors:
-        lifted = [bx.levels[m].expand(unit_vec(K, bx.dim(m), k))
+        lifted = [expand(bx.levels[m], unit_vec(K, bx.dim(m), k))
                   for k in range(bx.dim(m))]
         maps = [(G.mackey.weyl[m], bx.ambient.weyl[m], m)]
         maps += [(G.mackey.res[(lo, m)], bx.ambient.res[(lo, m)], lo)
@@ -742,6 +743,20 @@ def test_prime_oracle_installs_the_same_product_form(kummer2_bundle):
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 C5_CONFIG = ROOT / "bench" / "configs" / "kummer_f11_n5.cfg"
 CONFIG_DIR = ROOT / "configs"
+ALL_CONFIGS = sorted([*CONFIG_DIR.glob("*.cfg"),
+                      *(ROOT / "bench" / "configs").glob("*.cfg")])
+
+
+@pytest.mark.parametrize("path", ALL_CONFIGS, ids=lambda p: p.name)
+def test_relation_basis_is_the_last_pivot_rref(path):
+    """``relation_basis``, each e_p less its canonical form, is the rows of
+    ``rref(relation_rows, "last")`` at every level of the relative box."""
+    ext = load_config(str(path)).extension()
+    bx = relative_box(fix_functor(ext), ext.base)
+    for m in bx.lattice.divisors:
+        lvl = bx.levels[m]
+        assert lvl.relation_basis == \
+            rref(lvl.relation_rows, "last")[0].rows, m
 
 
 def _assert_oracle_products_are_the_box_products(A, B, p):
@@ -779,7 +794,7 @@ def test_box_terms_are_the_product_terms_of_its_table(kummer4_bundle):
         G, K = bx.green, bx.scalars
         for m in G.lattice.divisors:
             lvl = bx.levels[m]
-            lifted = [lvl.expand(unit_vec(K, bx.dim(m), k))
+            lifted = [expand(lvl, unit_vec(K, bx.dim(m), k))
                       for k in range(bx.dim(m))]
             assert len(G.terms(m)) == G.dim(m), m
             assert G.terms(m) == [

@@ -10,8 +10,7 @@ from greenbox import etale
 from greenbox.algebras import base_as_algebra, poly_quotient_algebra
 from greenbox.etale import (AlphaPowers, classical_etale_oracle,
                             classical_etale_of_algebra, constant_etale_check,
-                            green_kahler_dims, ideal_and_square,
-                            ideal_generator,
+                            ideal_and_square, ideal_generator,
                             kummer_congruence_checks, mult_map,
                             unit_section_check)
 from greenbox.extensions import kummer_extension
@@ -138,7 +137,7 @@ def test_ideal_artin_schreier(as_bundle):
     assert gen == expected                       # 1⊗1 + [α⊗α]
     assert multiply(rb.green, 2, gen, gen) == gen  # idempotent
     assert data.verdicts == {1: True, 2: True}
-    assert green_kahler_dims(data) == {1: 0, 2: 0}
+    assert data.quotient_dims == {1: 0, 2: 0}
     assert check_ideal(rb, data) == []
 
 
@@ -695,14 +694,14 @@ def test_kahler_dims_zero(as_bundle, kummer2_bundle, kummer3_bundle,
                           kummer4_bundle):
     for bundle in (as_bundle, kummer2_bundle, kummer3_bundle,
                    kummer4_bundle):
-        dims = green_kahler_dims(bundle.ideal)
+        dims = bundle.ideal.quotient_dims
         assert all(v == 0 for v in dims.values())
 
 
 def test_kahler_dims_degenerate_identity_extension():
     E = kummer_extension(F5, 1, F5.from_int(3), F5.one)
     b = Bundle(E)
-    assert green_kahler_dims(b.ideal) == {1: 0}
+    assert b.ideal.quotient_dims == {1: 0}
 
 
 def test_kahler_negative_control(kummer2_bundle):
@@ -713,7 +712,7 @@ def test_kahler_negative_control(kummer2_bundle):
                                  quotient_dims={m: len(
                                      kummer2_bundle.ideal.ideal[m])
                                      for m in (1, 2)})
-    dims = green_kahler_dims(broken)
+    dims = broken.quotient_dims
     assert dims[1] > 0 and dims[2] > 0
 
 
@@ -728,7 +727,7 @@ def test_verdicts_invariant_under_basis_permutation(kummer4_bundle):
         assert rb.dim(m) == kummer4_bundle.box.dim(m)
         assert len(data.ideal[m]) == len(base.ideal[m])
         assert data.verdicts[m] == base.verdicts[m]
-    assert green_kahler_dims(data) == green_kahler_dims(base)
+    assert data.quotient_dims == base.quotient_dims
 
 
 # ---------------------------------------------------------------------------

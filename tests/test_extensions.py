@@ -1,5 +1,6 @@
 import itertools
 import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -54,9 +55,12 @@ def test_sigma_is_ring_map_of_exact_order():
     E = kummer_extension(F5, 4, F5.from_int(2), F5.from_int(2))
     n = E.degree
     ident = E.sigma_pow(0)
-    assert E.sigma.power(n) == ident
+    powers = [ident]
+    for _ in range(n):
+        powers.append(E.sigma @ powers[-1])
+    assert powers[n] == ident
     for m in (1, 2):
-        assert E.sigma.power(m) != ident
+        assert powers[m] != ident
     alg = E.algebra
     table = algebra_table(alg)
     for i, j in itertools.product(range(n), repeat=2):
@@ -196,6 +200,26 @@ def test_explicit_flavor():
     bad = (F5.zero, F5.one)     # identity map: not order 2
     with pytest.raises(ConstructionError):
         explicit_extension(F5, [F5.from_int(-2), F5.zero, F5.one], bad)
+
+
+@pytest.mark.parametrize("p, modulus, sigma_alpha, message", [
+    # σα = 2α on F_5[x]/(x² − 2): σ² = diag(1, 4)
+    (5, [-2, 0, 1], [0, 2], "not C_n-Galois: σ^n is not the identity"),
+    # σα = α: σ is the identity
+    (5, [-2, 0, 1], [0, 1], "not C_2-Galois: σ has order dividing 1"),
+    # σα = −α on F_5[x]/(x⁴ − 2): σ² = 1
+    (5, [-2, 0, 0, 0, 1], [0, -1, 0, 0],
+     "not C_4-Galois: σ has order dividing 2"),
+    # σα = 2α on F_7[x]/(x⁶ − 3), 2 of order 3: σ² ≠ 1 = σ³
+    (7, [-3, 0, 0, 0, 0, 0, 1], [0, 2, 0, 0, 0, 0],
+     "not C_6-Galois: σ has order dividing 3"),
+])
+def test_explicit_extension_rejects_a_wrong_order(p, modulus, sigma_alpha,
+                                                  message):
+    K = prime_field(p)
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        explicit_extension(K, [K.from_int(c) for c in modulus],
+                           tuple(K.from_int(c) for c in sigma_alpha))
 
 
 def test_degenerate_degree_one():

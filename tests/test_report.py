@@ -85,6 +85,10 @@ MALFORMED = {
     "rationals_with_modulus": "[field]\nrationals = true\nmodulus = 1,0,1\n"
                               "\n[extension]\nflavor = kummer\n"
                               "n = 2\na = 2\nzeta = -1\n",
+    # Artin-Schreier data has no root of unity to set
+    "artin_schreier_zeta": "[field]\np = 2\n\n[extension]\n"
+                           "flavor = artin_schreier\nn = 2\na = 1\n"
+                           "zeta = 5\n",
 }
 
 
